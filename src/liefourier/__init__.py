@@ -15,7 +15,6 @@ from .groups import (
     inverse,
     make_group,
     multiply,
-    point_op,
     random_point,
 )
 from .dual import DualSlice, IrrepIndex, enumerate_dual, evaluate_irrep, spin_cutoff
@@ -43,7 +42,6 @@ from .spaces import (
 )
 from .symbols import (
     CheckReport,
-    DifferenceSpec,
     Symbol,
     apply_difference,
     build_spectral_symbol,

@@ -45,7 +45,7 @@ from .spaces import (
     build_partition,
     lebesgue_norm,
     tl_aggregate,
-    weak_tl_norm,
+    weak_sup,
     window_samples,
 )
 from .symbols import cached_grid, check_hormander_mihlin, check_marcinkiewicz, check_weak_marcinkiewicz, symbol_from_config
@@ -68,6 +68,16 @@ _TASK_FIELDS = {
     "bound-sweep": {"lams", "ell_maxes", "symbol", "specs", "ensemble", "trend"},
     "selftest": {"lam", "ell_max", "count"},
 }
+# fields each task cannot run without, besides a cutoff
+_TASK_REQUIRED = {
+    "transform": set(),
+    "check-symbol": {"symbol"},
+    "tl-norm": {"specs"},
+    "kernel-decay": {"symbol", "windows", "z_distance"},
+    "bound-sweep": {"symbol", "specs", "ensemble"},
+    "selftest": set(),
+}
+_CUTOFF_FIELDS = ("lam", "ell_max", "lams", "ell_maxes")
 _TASK_TOLERANCES = {
     "transform": {"roundtrip_max": 1e-10, "plancherel_max": 1e-10},
     "check-symbol": {"headline_max": math.inf, "max_growth": math.inf},
@@ -147,8 +157,22 @@ def _validate_config(cfg: dict) -> dict:
     bad = set(tol) - set(known)
     if bad:
         raise ConfigurationError(f"unknown tolerances for task {task}: {sorted(bad)}")
+    missing = _TASK_REQUIRED[task] - set(cfg)
+    if missing:
+        raise ConfigurationError(f"task {task} needs the fields {sorted(missing)}")
+    cutoffs = [name for name in _CUTOFF_FIELDS if name in _TASK_FIELDS[task]]
+    if not any(name in cfg for name in cutoffs):
+        raise ConfigurationError(f"task {task} needs one of the cutoff fields {cutoffs}")
+    for name in cutoffs:
+        if name in cfg:
+            values = cfg[name] if name in ("lams", "ell_maxes") else [cfg[name]]
+            if not isinstance(values, list) or not values:
+                raise ConfigurationError(f"{name} must be a nonempty list")
+            for value in values:
+                if isinstance(value, bool) or not math.isfinite(float(value)):
+                    raise ConfigurationError(f"{name} must hold finite numbers, got {value!r}")
     seed = cfg.get("seed", 0)
-    if not isinstance(seed, int):
+    if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigurationError("seed must be an integer")
     return cfg
 
@@ -211,6 +235,22 @@ def _symbol_name(cfg) -> str:
 # Tasks
 # ---------------------------------------------------------------------------
 
+def _roundtrip_residuals(dual, grid, seed: int, count: int) -> list[tuple[float, float]]:
+    """(round-trip max block error, Plancherel relative error) for each of
+    ``count`` seeded random members: coefficients -> grid samples -> back."""
+    out = []
+    for member in range(count):
+        rng = np.random.default_rng([seed, member])
+        coeffs = random_coefficients(dual, rng)
+        samples = inverse_on_grid(coeffs, grid)
+        back = forward_transform(samples, dual)
+        rt = max(float(np.max(np.abs(a - b))) for a, b in zip(coeffs.blocks, back.blocks))
+        pl = plancherel_norm(coeffs)
+        l2 = float(np.sqrt(np.sum(grid.weights * np.abs(samples.values) ** 2)))
+        out.append((rt, abs(pl - l2) / pl if pl > 0 else 0.0))
+    return out
+
+
 def _task_transform(cfg, seed, tol, digest):
     group = _group(cfg)
     lam = _cutoff(cfg, group)
@@ -218,18 +258,8 @@ def _task_transform(cfg, seed, tol, digest):
     dual = enumerate_dual(group, lam)
     grid = cached_grid(group, dual.max_band)
     rows = []
-    worst_rt = worst_pl = 0.0
-    for member in range(count):
-        rng = np.random.default_rng([seed, member])
-        coeffs = random_coefficients(dual, rng)
-        samples = inverse_on_grid(coeffs, grid)
-        back = forward_transform(samples, dual)
-        rt = max(
-            float(np.max(np.abs(a - b))) for a, b in zip(coeffs.blocks, back.blocks)
-        )
-        pl = plancherel_norm(coeffs)
-        l2 = float(np.sqrt(np.sum(grid.weights * np.abs(samples.values) ** 2)))
-        rel = abs(pl - l2) / pl if pl > 0 else 0.0
+    residuals = _roundtrip_residuals(dual, grid, seed, count)
+    for member, (rt, rel) in enumerate(residuals):
         ok = rt <= tol["roundtrip_max"] and rel <= tol["plancherel_max"]
         rows.append(
             {
@@ -243,8 +273,8 @@ def _task_transform(cfg, seed, tol, digest):
                 "status": "ok" if ok else "fail",
             }
         )
-        worst_rt = max(worst_rt, rt)
-        worst_pl = max(worst_pl, rel)
+    worst_rt = max((rt for rt, _ in residuals), default=0.0)
+    worst_pl = max((rel for _, rel in residuals), default=0.0)
     headline = {"roundtrip_error": worst_rt, "plancherel_rel_error": worst_pl}
     return rows, headline
 
@@ -324,9 +354,7 @@ def _task_tl_norm(cfg, seed, tol, digest):
         for spec in specs:
             agg = tl_aggregate(levels, mods, spec.r, spec.q)
             strong = lebesgue_norm(GridFunction(grid, agg.astype(complex)), spec.p)
-            weak = ""
-            if spec.p == 1.0:
-                weak = weak_tl_norm(coeffs, spec, partition, grid)
+            weak = weak_sup(agg, grid.weights) if spec.p == 1.0 else ""
             rows.append(
                 {
                     "task": "tl-norm",
@@ -469,19 +497,9 @@ def _task_selftest(cfg, seed, tol, digest):
     checks["weights_sum"] = abs(float(grid.weights.sum()) - 1.0)
     checks["schur"] = _schur_residual(group)
 
-    worst_rt = worst_pl = 0.0
-    for member in range(count):
-        rng = np.random.default_rng([seed, member])
-        coeffs = random_coefficients(dual, rng)
-        samples = inverse_on_grid(coeffs, grid)
-        back = forward_transform(samples, dual)
-        worst_rt = max(
-            worst_rt,
-            max(float(np.max(np.abs(a - b))) for a, b in zip(coeffs.blocks, back.blocks)),
-        )
-        pl = plancherel_norm(coeffs)
-        l2 = float(np.sqrt(np.sum(grid.weights * np.abs(samples.values) ** 2)))
-        worst_pl = max(worst_pl, abs(pl - l2) / pl)
+    residuals = _roundtrip_residuals(dual, grid, seed, count)
+    worst_rt = max((rt for rt, _ in residuals), default=0.0)
+    worst_pl = max((rel for _, rel in residuals), default=0.0)
     checks["roundtrip"] = worst_rt
     checks["plancherel"] = worst_pl
 

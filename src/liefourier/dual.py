@@ -79,9 +79,12 @@ def spin_cutoff(ell_max: float) -> float:
 
 
 def enumerate_dual(group: GroupDescriptor, cutoff: float) -> DualSlice:
-    """Every irrep with <xi> <= cutoff."""
-    if cutoff < 1.0:
-        raise PreconditionError("cutoff must be >= 1 (the trivial irrep has <xi> = 1)")
+    """Every irrep with <xi> <= cutoff.
+
+    SU(2) cutoffs that admit a spin above ``MAX_SPIN`` are refused.
+    """
+    if not 1.0 <= cutoff < np.inf:
+        raise PreconditionError("cutoff must be finite and >= 1 (the trivial irrep has <xi> = 1)")
     irreps: list[IrrepIndex] = []
     if group.kind == TORUS:
         n = group.dim
@@ -101,6 +104,7 @@ def enumerate_dual(group: GroupDescriptor, cutoff: float) -> DualSlice:
             eig = np.sqrt(1.0 + ell * (ell + 1.0))
             if eig > cutoff + 1e-12:
                 break
+            _check_spin(ell)
             irreps.append(IrrepIndex(ell, two_ell + 1, float(eig)))
             two_ell += 1
     else:

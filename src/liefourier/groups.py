@@ -161,17 +161,6 @@ def inverse(group: GroupDescriptor, x: np.ndarray) -> np.ndarray:
     return euler_from_pair(np.conj(a), -b)
 
 
-def point_op(group: GroupDescriptor, op: str, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-    """Dispatch ``multiply``/``inverse`` by name."""
-    if op == "multiply":
-        if y is None:
-            raise ConfigurationError("multiply needs two points")
-        return multiply(group, x, y)
-    if op == "inverse":
-        return inverse(group, x)
-    raise ConfigurationError(f"unknown point operation {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # Geometric weights
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from .groups import (
     distance_to_identity,
     group_diameter,
     inverse,
-    multiply,
     random_point,
 )
 from .spaces import (
@@ -35,16 +34,17 @@ from .spaces import (
     build_partition,
     lebesgue_norm,
     tl_aggregate,
+    weak_sup,
     window_samples,
 )
 from .symbols import Symbol, cached_grid
 from .transform import (
     FourierCoefficients,
     GridFunction,
-    inverse_evaluate,
     inverse_on_grid,
     random_coefficients,
     require_same_dual,
+    translate_coefficients,
 )
 
 ENSEMBLE_KINDS = (
@@ -88,8 +88,9 @@ def kernel_difference_integral(
     grid: QuadratureGrid,
 ) -> float:
     """integral over {|x| > 4c|z|} of |kappa(z^{-1} x) - kappa(x)| dx,
-    by quadrature on the grid, with the translated values summed exactly
-    through the inversion series (never grid interpolation).
+    by quadrature on the grid.  The translated kernel is synthesised on the
+    grid from its exact coefficients kappa_hat(xi) xi(z^{-1}) (never grid
+    interpolation).
 
     Returns 0 when the domain is empty (4c|z| at least the diameter).
     """
@@ -108,9 +109,7 @@ def kernel_difference_integral(
     if not np.any(mask):
         return 0.0
     base = inverse_on_grid(coeffs, grid).values[mask]
-    z_inv = inverse(group, z)
-    translated = multiply(group, z_inv, grid.points[mask])
-    moved = inverse_evaluate(coeffs, translated)
+    moved = inverse_on_grid(translate_coefficients(coeffs, inverse(group, z)), grid).values[mask]
     return float(np.sum(grid.weights[mask] * np.abs(moved - base)))
 
 
@@ -266,7 +265,7 @@ def boundedness_sweep(
                 denom = lebesgue_norm(GridFunction(grid, denom_agg.astype(complex)), spec.p)
                 num_agg = tl_aggregate(levels, wt, spec.r, spec.q)
                 if spec.p == 1.0:
-                    num = _weak_from_aggregate(num_agg, grid.weights)
+                    num = weak_sup(num_agg, grid.weights)
                 else:
                     num = lebesgue_norm(GridFunction(grid, num_agg.astype(complex)), spec.p)
                 if denom <= 0.0:
@@ -289,11 +288,3 @@ def boundedness_sweep(
             )
         )
     return sweeps
-
-
-def _weak_from_aggregate(agg: np.ndarray, weights: np.ndarray) -> float:
-    order = np.argsort(agg)
-    values = agg[order]
-    w = weights[order]
-    measure_ge = np.cumsum(w[::-1])[::-1]
-    return float(np.max(values * measure_ge)) if len(values) else 0.0

@@ -159,34 +159,27 @@ def triebel_lizorkin_norm(
     return lebesgue_norm(GridFunction(grid, agg.astype(complex)), spec.p)
 
 
+def weak_sup(agg: np.ndarray, weights: np.ndarray) -> float:
+    """sup_t t * |{agg > t}| for nonnegative samples with quadrature weights.
+
+    The sup is exact for grid step functions: it is attained as t tends to an
+    attained value v from below, where the super-level set has measure
+    weight(agg >= v).
+    """
+    order = np.argsort(agg)
+    values = agg[order]
+    measure_ge = np.cumsum(weights[order][::-1])[::-1]  # weight of {agg >= values[i]}
+    return float(np.max(values * measure_ge)) if len(values) else 0.0
+
+
 def weak_tl_norm(
     coeffs: FourierCoefficients,
     spec: NormSpec,
     partition: LPPartition,
     grid: QuadratureGrid,
 ) -> float:
-    """sup_t t * |{x : aggregate(x) > t}| for the p = 1 spec.
-
-    The sup is exact for grid step functions: it is attained as t tends to an
-    attained value v from below, where the super-level set has measure
-    weight(aggregate >= v).
-    """
+    """sup_t t * |{x : aggregate(x) > t}| for the p = 1 spec (see :func:`weak_sup`)."""
     if spec.p != 1.0:
         raise PreconditionError("weak norm is defined for p = 1 specs")
     levels, mods = window_samples(coeffs, partition, grid)
-    agg = tl_aggregate(levels, mods, spec.r, spec.q)
-    order = np.argsort(agg)
-    values = agg[order]
-    weights = grid.weights[order]
-    measure_ge = np.cumsum(weights[::-1])[::-1]  # weight of {agg >= values[i]}
-    return float(np.max(values * measure_ge)) if len(values) else 0.0
-
-
-def weak_lebesgue_norm(gridfn: GridFunction) -> float:
-    """sup_t t * |{|f| > t}| on the grid (same sampling rule as weak_tl_norm)."""
-    mods = np.abs(gridfn.values)
-    order = np.argsort(mods)
-    values = mods[order]
-    weights = gridfn.grid.weights[order]
-    measure_ge = np.cumsum(weights[::-1])[::-1]
-    return float(np.max(values * measure_ge)) if len(values) else 0.0
+    return weak_sup(tl_aggregate(levels, mods, spec.r, spec.q), grid.weights)

@@ -172,27 +172,6 @@ def generator_values(group: GroupDescriptor, index: int, points: np.ndarray) -> 
     return np.conj(a) - 1.0
 
 
-@dataclass(frozen=True)
-class DifferenceSpec:
-    """A concrete difference operation: the multi-index over the group's
-    first-order generator collection, optionally followed by the fractional
-    weight q1^s."""
-
-    group: GroupDescriptor
-    alpha: tuple[int, ...]
-    fractional_order: float = 0.0
-
-    def __post_init__(self):
-        if len(self.alpha) != generator_count(self.group):
-            raise PreconditionError("multi-index length must match the generator count")
-        if any(a < 0 for a in self.alpha) or self.fractional_order < 0:
-            raise PreconditionError("difference orders must be nonnegative")
-
-    @property
-    def order(self) -> int:
-        return int(sum(self.alpha))
-
-
 def _band_extension(group: GroupDescriptor, order: int) -> float:
     # one torus generator shifts a frequency by 1; one su2 generator couples
     # spins l to l +- 1/2

@@ -12,9 +12,12 @@ Orientation conventions, fixed globally:
 All functions are identified with their band-limited truncation at the
 working cutoff; no operation silently extends the dual slice.
 
-Transforms use separable quadrature plans (cached per grid) rather than FFTs;
-the direct evaluation keeps the exactness bookkeeping simple and is fast
-enough at the scales supported here (torus |xi| <= 512, SU(2) spin <= 64).
+Grid transforms go through one plan per (grid, dual slice), cached on the
+grid.  On the torus the quadrature grid is a uniform lattice and the plan is
+an FFT (``numpy.fft``) with a gather/scatter of the labels.  On SU(2) it is
+separable: phase-table products in alpha and gamma and little-d tables at the
+Gauss-Legendre nodes in beta.  Both are exact for band-limited functions.
+:func:`inverse_evaluate` sums the series directly at arbitrary points.
 """
 
 from __future__ import annotations
@@ -25,9 +28,7 @@ import numpy as np
 
 from .dual import DualSlice, _jy_eig, evaluate_irrep, little_d
 from .errors import PreconditionError
-from .groups import TORUS, QuadratureGrid, build_grid, distance_to_identity
-
-_SCALAR_BLOCK_TOL = 1e-13
+from .groups import TORUS, QuadratureGrid, build_grid
 
 
 @dataclass
@@ -88,44 +89,27 @@ def default_grid(dual: DualSlice) -> QuadratureGrid:
 # ---------------------------------------------------------------------------
 
 class _TorusPlan:
-    # full phase tables up to this many entries are cached in the plan
-    # (256 MB of complex128); larger products fall back to chunked
-    # recomputation
-    _TABLE_CAP = 16_000_000
+    """FFT on the uniform (2B+1)^n product grid.
+
+    Every label has |xi_j| <= max_band <= B, so the labels stay distinct
+    modulo the grid shape: the forward transform gathers them from ``fftn``
+    of the weighted samples and the inverse scatters them into ``ifftn``.
+    """
 
     def __init__(self, grid: QuadratureGrid, dual: DualSlice):
-        self.labels = np.array([ir.label for ir in dual.irreps], dtype=float)  # (m, n)
-        self.grid = grid
-        self.chunk = max(1, 4_000_000 // max(len(grid), 1))
-        self.table = None
-        if len(grid) * len(self.labels) <= self._TABLE_CAP:
-            self.table = np.exp(2j * np.pi * (grid.points @ self.labels.T))
+        self.shape = grid.shape
+        self.weights = grid.weights.reshape(self.shape)
+        labels = np.array([ir.label for ir in dual.irreps])  # (m, n)
+        self.index = tuple(np.mod(labels, self.shape).T)
 
-    def forward(self, values: np.ndarray) -> np.ndarray:
-        wf = self.grid.weights * values
-        if self.table is not None:
-            return self.table.conj().T @ wf
-        out = np.empty(len(self.labels), dtype=complex)
-        pts = self.grid.points
-        for lo in range(0, len(self.labels), self.chunk):
-            lbl = self.labels[lo : lo + self.chunk]
-            phases = np.exp(-2j * np.pi * (pts @ lbl.T))
-            out[lo : lo + len(lbl)] = phases.T @ wf
-        return out
+    def forward(self, values: np.ndarray) -> list[np.ndarray]:
+        spectrum = np.fft.fftn(self.weights * values.reshape(self.shape))
+        return list(spectrum[self.index].reshape(-1, 1, 1))
 
-    def inverse_grid(self, coeff_vector: np.ndarray) -> np.ndarray:
-        if self.table is not None:
-            return self.table @ coeff_vector
-        return self.inverse(coeff_vector, self.grid.points)
-
-    def inverse(self, coeff_vector: np.ndarray, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(points)
-        vals = np.zeros(len(points), dtype=complex)
-        for lo in range(0, len(self.labels), self.chunk):
-            lbl = self.labels[lo : lo + self.chunk]
-            phases = np.exp(2j * np.pi * (points @ lbl.T))
-            vals += phases @ coeff_vector[lo : lo + len(lbl)]
-        return vals
+    def inverse_on_grid(self, blocks: list[np.ndarray]) -> np.ndarray:
+        spectrum = np.zeros(self.shape, dtype=complex)
+        spectrum[self.index] = [blk[0, 0] for blk in blocks]
+        return np.fft.ifftn(spectrum, norm="forward").ravel()
 
 
 class _Su2Plan:
@@ -212,47 +196,21 @@ def _require_resolves(grid: QuadratureGrid, dual: DualSlice):
 
 def forward_transform(gridfn: GridFunction, dual: DualSlice) -> FourierCoefficients:
     """fhat(xi) = sum_x w(x) f(x) xi(x)^*, exact for band-limited samples."""
-    grid = gridfn.grid
-    _require_resolves(grid, dual)
-    plan = _get_plan(grid, dual)
-    if grid.group.kind == TORUS:
-        vec = plan.forward(gridfn.values)
-        blocks = [np.array([[v]]) for v in vec]
-    else:
-        blocks = plan.forward(gridfn.values)
-    return FourierCoefficients(dual, blocks)
-
-
-def _scalar_profile(coeffs: FourierCoefficients) -> np.ndarray | None:
-    """If every block is c * I, return the vector of c values, else None."""
-    out = np.empty(len(coeffs.blocks), dtype=complex)
-    for i, blk in enumerate(coeffs.blocks):
-        d = blk.shape[0]
-        c = np.trace(blk) / d
-        if not np.allclose(blk, c * np.eye(d), atol=_SCALAR_BLOCK_TOL * max(1.0, abs(c)), rtol=0.0):
-            return None
-        out[i] = c
-    return out
+    _require_resolves(gridfn.grid, dual)
+    return FourierCoefficients(dual, _get_plan(gridfn.grid, dual).forward(gridfn.values))
 
 
 def inverse_on_grid(coeffs: FourierCoefficients, grid: QuadratureGrid) -> GridFunction:
-    """Evaluate the inversion series at every grid node (separable fast path)."""
+    """Evaluate the inversion series at every grid node through the grid's plan."""
     _require_resolves(grid, coeffs.dual)
-    plan = _get_plan(grid, coeffs.dual)
-    if grid.group.kind == TORUS:
-        vec = np.array([b[0, 0] for b in coeffs.blocks])
-        return GridFunction(grid, plan.inverse_grid(vec))
-    return GridFunction(grid, plan.inverse_on_grid(coeffs.blocks))
+    return GridFunction(grid, _get_plan(grid, coeffs.dual).inverse_on_grid(coeffs.blocks))
 
 
 def inverse_evaluate(coeffs: FourierCoefficients, points: np.ndarray) -> np.ndarray:
     """f(x) = sum_xi d_xi Tr(xi(x) fhat(xi)) at arbitrary points (P, dim).
 
-    On SU(2), coefficients proportional to the identity in every block
-    describe a class function; those are summed through characters
-    (Chebyshev recurrence in the conjugacy angle), which is what makes
-    kernel evaluation at a million translated points affordable.  The
-    general path evaluates Wigner matrices per point.
+    The direct pointwise sum: phases on the torus, Wigner matrices per point
+    on SU(2).  Grid evaluation goes through :func:`inverse_on_grid`.
     """
     dual = coeffs.dual
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -264,26 +222,6 @@ def inverse_evaluate(coeffs: FourierCoefficients, points: np.ndarray) -> np.ndar
         for lo in range(0, len(labels), chunk):
             lbl = labels[lo : lo + chunk]
             vals += np.exp(2j * np.pi * (points @ lbl.T)) @ vec[lo : lo + len(lbl)]
-        return vals
-
-    profile = _scalar_profile(coeffs)
-    if profile is not None:
-        theta = distance_to_identity(dual.group, points)
-        u = np.cos(theta)
-        top = int(round(2.0 * dual.max_band))
-        coef = np.zeros(top + 1, dtype=complex)
-        for ir, c in zip(dual.irreps, profile):
-            coef[int(round(2.0 * ir.label))] = ir.dim * c
-        # accumulate sum_k coef[k] U_k(u) with the three-term recurrence
-        vals = np.full(len(points), coef[0], dtype=complex)
-        if top >= 1:
-            prev = np.ones_like(u)
-            cur = 2.0 * u
-            vals = vals + coef[1] * cur
-            for k in range(2, top + 1):
-                prev, cur = cur, 2.0 * u * cur - prev
-                if coef[k] != 0:
-                    vals = vals + coef[k] * cur
         return vals
 
     alpha, beta, gamma = points[:, 0], points[:, 1], points[:, 2]

@@ -31,6 +31,65 @@ def test_selftest_ok(tmp_path):
     assert manifest["version"]
 
 
+_KERNEL_DECAY = {
+    "task": "kernel-decay",
+    "group": {"kind": "torus", "dim": 1},
+    "lam": 16.0,
+    "symbol": {"type": "power_it", "t": 1.0},
+    "windows": [1, 2],
+    "z_distance": 0.3,
+    "seed": 0,
+}
+
+
+_CHECK_WAVE = {
+    "task": "check-symbol",
+    "group": {"kind": "torus", "dim": 1},
+    "lams": [8.0, 16.0],
+    "symbol": {"type": "wave"},
+    "checker": "marcinkiewicz",
+}
+
+
+def _without(cfg, key):
+    return {k: v for k, v in cfg.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        pytest.param(_without(_KERNEL_DECAY, "symbol"), id="no-symbol"),
+        pytest.param(_without(_KERNEL_DECAY, "windows"), id="no-windows"),
+        pytest.param({**_KERNEL_DECAY, "lam": "NaN"}, id="nan-lam"),
+        pytest.param({**_KERNEL_DECAY, "lam": "inf"}, id="inf-lam"),
+        pytest.param({**_KERNEL_DECAY, "lam": [16.0]}, id="list-lam"),
+        pytest.param({**_KERNEL_DECAY, "seed": True}, id="bool-seed"),
+        pytest.param({**_CHECK_WAVE, "lams": [8.0, float("nan")]}, id="nan-in-lams"),
+        pytest.param({**_CHECK_WAVE, "lams": []}, id="empty-lams"),
+        pytest.param({**_CHECK_WAVE, "lams": 8.0}, id="scalar-lams"),
+        pytest.param(_without(_CHECK_WAVE, "lams"), id="no-cutoff"),
+    ],
+)
+def test_bad_config_exits_1(tmp_path, cfg):
+    out = tmp_path / "out"
+    assert run_config(cfg, out) == 1
+    assert not any(out.glob("*_report.*"))
+
+
+def test_spin_above_validated_range_refused_before_any_grid(tmp_path, monkeypatch):
+    import liefourier.cli as cli
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was requested")
+
+    # an exit 1 proves that no grid was requested: the assertion would be a
+    # task failure, exit 2
+    monkeypatch.setattr(cli, "cached_grid", no_grid)
+    cfg = {"task": "transform", "group": {"kind": "su2"}, "ell_max": 64.5, "count": 1}
+    assert run_config(cfg, tmp_path / "out") == 1
+    assert not (tmp_path / "out" / "transform_report.csv").exists()
+
+
 def test_determinism_byte_identical(tmp_path):
     cfg = {
         "task": "bound-sweep",

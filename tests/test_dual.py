@@ -21,6 +21,20 @@ def test_enumerate_su2_cutoff2(su2):
     assert abs(dual.irreps[2].eigenvalue - np.sqrt(3)) < 1e-15
 
 
+def test_enumerate_su2_enforces_max_spin(su2):
+    # enumeration only; no grid or table at these spins is built
+    assert enumerate_dual(su2, spin_cutoff(64)).max_band == 64.0
+    with pytest.raises(ConfigurationError):
+        enumerate_dual(su2, spin_cutoff(64.5))
+
+
+def test_enumerate_rejects_nonfinite_cutoff(torus1, su2):
+    for group in (torus1, su2):
+        for cutoff in (np.nan, np.inf):
+            with pytest.raises(PreconditionError):
+                enumerate_dual(group, cutoff)
+
+
 def test_trivial_irrep_present(torus2, su2):
     for group in (torus2, su2):
         dual = enumerate_dual(group, 3.0)

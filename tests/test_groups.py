@@ -14,7 +14,6 @@ from liefourier.groups import (
     identity,
     inverse,
     multiply,
-    point_op,
     q1_weight,
     random_point,
     rho_squared,
@@ -83,7 +82,7 @@ def test_su2_spin1_entry_integral(su2):
 
 
 def test_torus_multiply_example(torus1):
-    out = point_op(torus1, "multiply", np.array([0.3]), np.array([0.9]))
+    out = multiply(torus1, np.array([0.3]), np.array([0.9]))
     np.testing.assert_allclose(out, [0.2], atol=1e-14)
 
 

@@ -13,15 +13,17 @@ from liefourier import (
     exact_l2_operator_norm,
     identity_symbol,
     kernel_difference_integral,
+    make_group,
     plancherel_norm,
     random_coefficients,
     window_kernel,
 )
 from liefourier.dual import spin_cutoff
 from liefourier.errors import ConfigurationError, PreconditionError
-from liefourier.groups import build_grid, su2_point_from_distance
+from liefourier.groups import build_grid, distance_to_identity, inverse, multiply, su2_point_from_distance
 from liefourier.multipliers import decay_slope, ensemble_member
 from liefourier.symbols import cached_grid
+from liefourier.transform import inverse_evaluate
 
 
 def test_identity_symbol_acts_trivially(torus1):
@@ -159,9 +161,9 @@ def test_inverse_symmetry_real_kernel(torus1, partition):
 
 
 def test_su2_class_function_path_matches_general(su2, partition):
-    # scalar blocks trigger the character fast path inside inverse_evaluate;
-    # force the generic Wigner path with a tiny non-scalar perturbation and
-    # compare the two integrals
+    # a class-function kernel (scalar blocks) and the same kernel with a
+    # negligible non-scalar perturbation must give the same integral: no
+    # path may treat scalar blocks differently from general ones
     dual = enumerate_dual(su2, spin_cutoff(3))
     grid = cached_grid(su2, dual.max_band)
     sig = build_spectral_symbol(lambda lam: lam ** (1j), dual)
@@ -170,9 +172,37 @@ def test_su2_class_function_path_matches_general(su2, partition):
     fast = kernel_difference_integral(kernel, z, 1.0, grid)
     bumped = FourierCoefficients(dual, [b.copy() for b in kernel.coeffs.blocks])
     idx = dual.index_of[1.0]
-    bumped.blocks[idx][0, 1] += 1e-300  # breaks the scalar detection only
+    bumped.blocks[idx][0, 1] += 1e-300  # makes the block non-scalar only
     general = kernel_difference_integral(bumped, z, 1.0, grid)
     assert abs(fast - general) < 1e-9 * max(1.0, fast)
+
+
+def _pointwise_difference_integral(coeffs, z, c, grid):
+    # oracle: the series summed directly at the translated points z^-1 x
+    group = coeffs.dual.group
+    mask = distance_to_identity(group, grid.points) > 4.0 * c * distance_to_identity(group, z)
+    pts = grid.points[mask]
+    base = inverse_evaluate(coeffs, pts)
+    moved = inverse_evaluate(coeffs, multiply(group, inverse(group, z), pts))
+    return float(np.sum(grid.weights[mask] * np.abs(moved - base)))
+
+
+@pytest.mark.parametrize(
+    "kind,n,cutoff,z",
+    [("torus", 2, 12.0, [0.03, 0.05]), ("su2", 3, spin_cutoff(4), [0.3, 0.2, 0.1])],
+)
+def test_kernel_difference_matches_pointwise_oracle(kind, n, cutoff, z, partition):
+    # non-scalar symbol blocks on SU(2), so no class-function structure helps
+    group = make_group(kind, n)
+    dual = enumerate_dual(group, cutoff)
+    grid = cached_grid(group, dual.max_band)
+    sig = Symbol(dual, random_coefficients(dual, np.random.default_rng(13)).blocks)
+    kernel = window_kernel(sig, partition, 2)
+    z = np.array(z)
+    value = kernel_difference_integral(kernel, z, 1.0, grid)
+    oracle = _pointwise_difference_integral(kernel.coeffs, z, 1.0, grid)
+    assert oracle > 0
+    assert abs(value - oracle) <= 1e-10 * oracle
 
 
 def test_z_must_not_be_identity(torus1, partition):

@@ -17,7 +17,6 @@ from liefourier.dual import spin_cutoff
 from liefourier.errors import ConfigurationError, MarginError, PreconditionError
 from liefourier.groups import build_grid, identity
 from liefourier.symbols import (
-    DifferenceSpec,
     dual_l2_norm,
     dyadic_rademacher_symbol,
     generator_count,
@@ -197,14 +196,6 @@ def test_margin_error_lists_requirement(torus1):
     sig = identity_symbol(dual)
     with pytest.raises(MarginError, match="cutoff"):
         apply_difference(sig, (1,))
-
-
-def test_difference_spec_validation(torus1, su2):
-    DifferenceSpec(torus1, (1,), 0.5)
-    with pytest.raises(PreconditionError):
-        DifferenceSpec(torus1, (1, 0))
-    with pytest.raises(PreconditionError):
-        DifferenceSpec(su2, (1, 0, 0, -1))
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,27 @@ def test_round_trip(torus1, torus2, su2):
         assert _max_block_err(coeffs, back) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "n,cutoff,extra",
+    [(1, 16.0, 0), (1, 9.5, 3), (2, 5.0, 0), (2, 4.5, 3), (3, 3.0, 0), (3, 2.5, 3)],
+)
+def test_torus_fft_matches_direct_sums(n, cutoff, extra):
+    # oracles: the explicit weighted phase sum (forward) and the pointwise
+    # series at the grid nodes (inverse), also on grids finer than the dual
+    group = make_group("torus", n)
+    dual = enumerate_dual(group, cutoff)
+    grid = build_grid(group, dual.max_band + extra)
+    labels = np.array([ir.label for ir in dual.irreps], dtype=float)
+    rng = np.random.default_rng(12)
+    coeffs = random_coefficients(dual, rng)
+    vals = inverse_on_grid(coeffs, grid).values
+    np.testing.assert_allclose(vals, inverse_evaluate(coeffs, grid.points), rtol=0, atol=1e-12)
+    samples = rng.standard_normal(len(grid)) + 1j * rng.standard_normal(len(grid))
+    fft = np.array([b[0, 0] for b in forward_transform(GridFunction(grid, samples), dual).blocks])
+    direct = np.exp(-2j * np.pi * grid.points @ labels.T).T @ (grid.weights * samples)
+    np.testing.assert_allclose(fft, direct, rtol=0, atol=1e-12)
+
+
 def test_inverse_at_trivial_long_constant(su2):
     dual = enumerate_dual(su2, spin_cutoff(1))
     blocks = [np.zeros((ir.dim, ir.dim), complex) for ir in dual.irreps]
@@ -107,8 +128,8 @@ def test_inverse_evaluate_matches_naive(su2):
 
 
 def test_scalar_block_class_function_path(su2):
-    # coefficients proportional to I are summed through characters; the
-    # result must match the generic Wigner evaluation
+    # coefficients proportional to I describe a class function; the pointwise
+    # series must match the explicit Wigner sum on them as on general blocks
     dual = enumerate_dual(su2, spin_cutoff(4))
     rng = np.random.default_rng(3)
     coeffs = FourierCoefficients(
