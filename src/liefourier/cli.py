@@ -78,6 +78,9 @@ _TASK_REQUIRED = {
     "selftest": set(),
 }
 _CUTOFF_FIELDS = ("lam", "ell_max", "lams", "ell_maxes")
+# fields that must hold finite numbers; the list-valued ones must be nonempty
+_NUMERIC_FIELDS = _CUTOFF_FIELDS + ("windows", "c", "z_distance")
+_LIST_FIELDS = ("lams", "ell_maxes", "windows")
 _TASK_TOLERANCES = {
     "transform": {"roundtrip_max": 1e-10, "plancherel_max": 1e-10},
     "check-symbol": {"headline_max": math.inf, "max_growth": math.inf},
@@ -163,9 +166,9 @@ def _validate_config(cfg: dict) -> dict:
     cutoffs = [name for name in _CUTOFF_FIELDS if name in _TASK_FIELDS[task]]
     if not any(name in cfg for name in cutoffs):
         raise ConfigurationError(f"task {task} needs one of the cutoff fields {cutoffs}")
-    for name in cutoffs:
+    for name in _NUMERIC_FIELDS:
         if name in cfg:
-            values = cfg[name] if name in ("lams", "ell_maxes") else [cfg[name]]
+            values = cfg[name] if name in _LIST_FIELDS else [cfg[name]]
             if not isinstance(values, list) or not values:
                 raise ConfigurationError(f"{name} must be a nonempty list")
             for value in values:

@@ -143,13 +143,13 @@ def _jy_eig(two_ell: int) -> tuple[np.ndarray, np.ndarray]:
 def little_d(two_ell: int, beta: float | np.ndarray) -> np.ndarray:
     """Wigner little-d matrix d^l(beta) (real), descending-m ordering.
 
-    ``beta`` may be an array; the matrix axes are appended last.
+    ``beta`` may be an array; the matrix axes are appended last.  One batched
+    matmul V e^{-i beta lam} V^H over all betas.
     """
     lam, vec = _jy_eig(two_ell)
     beta = np.asarray(beta, dtype=float)
-    phases = np.exp(-1j * beta[..., None] * lam)
-    d = np.einsum("ab,...b,cb->...ac", vec, phases, np.conj(vec))
-    return d.real
+    d = (vec * np.exp(-1j * beta[..., None] * lam)[..., None, :]) @ vec.conj().T
+    return d.real.copy()  # a bare ``.real`` view would keep the complex buffer alive
 
 
 def _check_spin(ell: float) -> int:

@@ -15,8 +15,9 @@ working cutoff; no operation silently extends the dual slice.
 Grid transforms go through one plan per (grid, dual slice), cached on the
 grid.  On the torus the quadrature grid is a uniform lattice and the plan is
 an FFT (``numpy.fft``) with a gather/scatter of the labels.  On SU(2) it is
-separable: phase-table products in alpha and gamma and little-d tables at the
-Gauss-Legendre nodes in beta.  Both are exact for band-limited functions.
+separable: phase-table products in alpha and gamma and real little-d tables
+at the Gauss-Legendre nodes in beta; its inverse stops at the largest nonzero
+spin.  Both are exact for band-limited functions.
 :func:`inverse_evaluate` sums the series directly at arbitrary points.
 """
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import DualSlice, _jy_eig, evaluate_irrep, little_d
+from .dual import DualSlice, evaluate_irrep, little_d
 from .errors import PreconditionError
 from .groups import TORUS, QuadratureGrid, build_grid
 
@@ -117,58 +118,48 @@ class _Su2Plan:
 
     The alpha/gamma sums are plain matrix products against phase tables over
     the half-integer frequency ladder; the beta sum contracts with cached
-    little-d tables at the Gauss-Legendre nodes.
+    real little-d tables at the Gauss-Legendre nodes.  Spin l sits on every
+    other ladder entry within 2l of the centre, a strided view of the cube.
+    The inverse multiplies only the square of the largest nonzero spin.
     """
 
     def __init__(self, grid: QuadratureGrid, dual: DualSlice):
-        self.grid = grid
-        self.dual = dual
         alpha, beta, gamma = grid.axes
         self.shape = (len(alpha), len(beta), len(gamma))
         self.top = int(round(2.0 * dual.max_band))  # largest two_ell
         m = (self.top - np.arange(2 * self.top + 1)) / 2.0  # descending, half steps
-        self.freqs = m
         self.p_fwd_a = np.exp(1j * np.outer(m, alpha))
         self.p_fwd_g = np.exp(1j * np.outer(m, gamma))
         self.e_inv_a = np.exp(-1j * np.outer(alpha, m))
         self.e_inv_g = np.exp(-1j * np.outer(m, gamma))
         self.c_beta = grid.beta_weights
-        self.d_tables = {}
-        for ir in dual.irreps:
-            two_ell = int(round(2.0 * ir.label))
-            self.d_tables[two_ell] = little_d(two_ell, beta)  # (Nb, d, d)
-
-    def _ids(self, two_ell: int) -> np.ndarray:
-        return self.top - two_ell + 2 * np.arange(two_ell + 1)
+        self.two_ells = [int(round(2.0 * ir.label)) for ir in dual.irreps]
+        # d^l_{ba}(beta_j) stored as [b, j, a], the axis order of the ladder cube
+        self.d_tables = {k: little_d(k, beta).transpose(1, 0, 2) for k in self.two_ells}
 
     def forward(self, values: np.ndarray) -> list[np.ndarray]:
         f3 = values.reshape(self.shape)
         t = np.tensordot(self.p_fwd_a, f3, axes=(1, 0))       # (nf, Nb, Ng)
         t = np.tensordot(t, self.p_fwd_g, axes=(2, 1))        # (nf, Nb, nf) [b, j, a]
+        t *= self.c_beta[:, None]
         blocks = []
-        for ir in self.dual.irreps:
-            two_ell = int(round(2.0 * ir.label))
-            ids = self._ids(two_ell)
-            sub = t[np.ix_(ids, np.arange(self.shape[1]), ids)]
-            dl = self.d_tables[two_ell]
-            blocks.append(np.einsum("j,jba,bja->ab", self.c_beta, dl, sub, optimize=True))
+        for k in self.two_ells:
+            ids = slice(self.top - k, self.top + k + 1, 2)
+            blocks.append(np.einsum("bja,bja->ab", self.d_tables[k], t[ids, :, ids]))
         return blocks
 
     def inverse_on_grid(self, blocks: list[np.ndarray]) -> np.ndarray:
-        nf = 2 * self.top + 1
-        nb = self.shape[1]
-        acc = np.zeros((nf, nb, nf), dtype=complex)
-        for ir, blk in zip(self.dual.irreps, blocks):
-            if not blk.any():
-                continue
-            two_ell = int(round(2.0 * ir.label))
-            ids = self._ids(two_ell)
-            dl = self.d_tables[two_ell]
-            acc[np.ix_(ids, np.arange(nb), ids)] += ir.dim * np.einsum(
-                "jba,ab->bja", dl, blk, optimize=True
-            )
-        out = np.tensordot(self.e_inv_a, acc, axes=(1, 0))    # (Na, Nb, nf)
-        out = np.tensordot(out, self.e_inv_g, axes=(2, 0))    # (Na, Nb, Ng)
+        live = [(k, blk) for k, blk in zip(self.two_ells, blocks) if blk.any()]
+        if not live:
+            return np.zeros(int(np.prod(self.shape)), dtype=complex)
+        band = max(k for k, _ in live)
+        acc = np.zeros((2 * band + 1, self.shape[1], 2 * band + 1), dtype=complex)
+        for k, blk in live:
+            ids = slice(band - k, band + k + 1, 2)
+            acc[ids, :, ids] += self.d_tables[k] * ((k + 1) * blk.T[:, None, :])
+        square = slice(self.top - band, self.top + band + 1)
+        out = np.tensordot(self.e_inv_a[:, square], acc, axes=(1, 0))  # (Na, Nb, 2 band + 1)
+        out = np.tensordot(out, self.e_inv_g[square], axes=(2, 0))  # (Na, Nb, Ng)
         return out.ravel()
 
 
@@ -230,13 +221,11 @@ def inverse_evaluate(coeffs: FourierCoefficients, points: np.ndarray) -> np.ndar
         if not blk.any():
             continue
         two_ell = int(round(2.0 * ir.label))
-        lam, vec = _jy_eig(two_ell)
         m = (two_ell / 2.0) - np.arange(two_ell + 1)
         chunk = max(1, 2_000_000 // max((two_ell + 1) ** 2, 1))
         for lo in range(0, len(points), chunk):
             sl = slice(lo, lo + chunk)
-            ph = np.exp(-1j * np.outer(beta[sl], lam))
-            dmat = np.einsum("ab,pb,cb->pac", vec, ph, np.conj(vec), optimize=True)
+            dmat = little_d(two_ell, beta[sl])
             ea = np.exp(-1j * np.outer(alpha[sl], m))
             eg = np.exp(-1j * np.outer(gamma[sl], m))
             vals[sl] += ir.dim * np.einsum("pb,pba,pa,ab->p", ea, dmat, eg, blk, optimize=True)

@@ -64,6 +64,9 @@ def _without(cfg, key):
         pytest.param({**_KERNEL_DECAY, "lam": "inf"}, id="inf-lam"),
         pytest.param({**_KERNEL_DECAY, "lam": [16.0]}, id="list-lam"),
         pytest.param({**_KERNEL_DECAY, "seed": True}, id="bool-seed"),
+        pytest.param({**_KERNEL_DECAY, "c": "NaN"}, id="nan-c"),
+        pytest.param({**_KERNEL_DECAY, "z_distance": "inf"}, id="inf-z-distance"),
+        pytest.param({**_KERNEL_DECAY, "windows": []}, id="empty-windows"),
         pytest.param({**_CHECK_WAVE, "lams": [8.0, float("nan")]}, id="nan-in-lams"),
         pytest.param({**_CHECK_WAVE, "lams": []}, id="empty-lams"),
         pytest.param({**_CHECK_WAVE, "lams": 8.0}, id="scalar-lams"),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from liefourier import enumerate_dual, evaluate_irrep
-from liefourier.dual import spin_cutoff, su2_character, wigner_matrix
+from liefourier.dual import little_d, spin_cutoff, su2_character, wigner_matrix
 from liefourier.errors import ConfigurationError, PreconditionError
 from liefourier.groups import distance_to_identity, identity, multiply, random_point, su2_matrix
 
@@ -119,6 +119,33 @@ def test_spin_range_guard(su2):
     wigner_matrix(64.0, x)  # validated boundary
     with pytest.raises(ConfigurationError):
         wigner_matrix(64.5, x)
+
+
+@pytest.mark.parametrize("ell", [0.5, 1.0, 7.5])
+def test_little_d_batched_matches_per_beta(ell):
+    betas = np.linspace(0.0, np.pi, 9)
+    tables = little_d(int(2 * ell), betas)
+    assert tables.dtype == np.float64 and tables.flags.owndata  # not a view of a complex buffer
+    for beta, table in zip(betas, tables):
+        np.testing.assert_allclose(table, wigner_matrix(ell, (0.0, beta, 0.0)), rtol=0, atol=1e-13)
+    if ell == 1.0:
+        c, s = np.cos(betas), np.sin(betas) / np.sqrt(2.0)
+        closed = np.array(
+            [
+                [(1 + c) / 2, -s, (1 - c) / 2],
+                [s, c, -s],
+                [(1 - c) / 2, s, (1 + c) / 2],
+            ]
+        ).transpose(2, 0, 1)
+        np.testing.assert_allclose(tables, closed, rtol=0, atol=1e-14)
+
+
+def test_little_d_orthogonal_at_top_spin():
+    # the tables of the spin-64 plan, at its Gauss-Legendre nodes in cos(beta)
+    beta = np.arccos(np.polynomial.legendre.leggauss(129)[0])
+    tables = little_d(128, beta)
+    assert tables.shape == (129, 129, 129) and tables.flags.owndata
+    assert np.max(np.abs(tables @ tables.transpose(0, 2, 1) - np.eye(129))) < 1e-10
 
 
 def test_large_spin_unitary(su2):

@@ -89,6 +89,30 @@ def test_torus_fft_matches_direct_sums(n, cutoff, extra):
     np.testing.assert_allclose(fft, direct, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("extra", [0, 1])
+def test_su2_plan_matches_pointwise_series(su2, extra):
+    # oracles: the pointwise series at the grid nodes (inverse) and the explicit
+    # weighted sum against conj(D^l(x))^T from wigner_matrix (forward)
+    dual = enumerate_dual(su2, spin_cutoff(3.5))
+    grid = build_grid(su2, dual.max_band + extra)
+    wigner = [np.stack([wigner_matrix(ir.label, p) for p in grid.points]) for ir in dual.irreps]
+    rng = np.random.default_rng(13)
+    full = random_coefficients(dual, rng)
+    low = FourierCoefficients(  # nonzero up to spin 1: the inverse stops at that band
+        dual, [b if ir.label <= 1 else 0 * b for ir, b in zip(dual.irreps, full.blocks)]
+    )
+    samples = [rng.standard_normal(len(grid)) + 1j * rng.standard_normal(len(grid))]
+    for coeffs in (full, low, zero_coefficients(dual)):
+        vals = inverse_on_grid(coeffs, grid).values
+        np.testing.assert_allclose(vals, inverse_evaluate(coeffs, grid.points), rtol=0, atol=1e-12)
+        samples.append(vals)
+    for vals in samples:
+        blocks = forward_transform(GridFunction(grid, vals), dual).blocks
+        for blk, mats in zip(blocks, wigner):
+            direct = np.einsum("p,pba->ab", grid.weights * vals, mats.conj())
+            np.testing.assert_allclose(blk, direct, rtol=0, atol=1e-12)
+
+
 def test_inverse_at_trivial_long_constant(su2):
     dual = enumerate_dual(su2, spin_cutoff(1))
     blocks = [np.zeros((ir.dim, ir.dim), complex) for ir in dual.irreps]
