@@ -43,14 +43,13 @@ from .multipliers import (
 from .spaces import (
     NormSpec,
     build_partition,
-    lebesgue_norm,
+    quadrature_lp,
     tl_aggregate,
     weak_sup,
     window_samples,
 )
 from .symbols import cached_grid, check_hormander_mihlin, check_marcinkiewicz, check_weak_marcinkiewicz, symbol_from_config
 from .transform import (
-    GridFunction,
     forward_transform,
     inverse_on_grid,
     plancherel_norm,
@@ -356,7 +355,7 @@ def _task_tl_norm(cfg, seed, tol, digest):
         levels, mods = window_samples(coeffs, partition, grid)
         for spec in specs:
             agg = tl_aggregate(levels, mods, spec.r, spec.q)
-            strong = lebesgue_norm(GridFunction(grid, agg.astype(complex)), spec.p)
+            strong = quadrature_lp(agg, grid.weights, spec.p)
             weak = weak_sup(agg, grid.weights) if spec.p == 1.0 else ""
             rows.append(
                 {

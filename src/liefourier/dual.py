@@ -28,6 +28,8 @@ from .errors import ConfigurationError, PreconditionError
 from .groups import SU2, TORUS, GroupDescriptor
 
 MAX_SPIN = 64.0
+# largest torus label box (2B + 1)^n that enumerate_dual lays out before filtering
+MAX_TORUS_LABELS = 2**24
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,9 @@ def spin_cutoff(ell_max: float) -> float:
 def enumerate_dual(group: GroupDescriptor, cutoff: float) -> DualSlice:
     """Every irrep with <xi> <= cutoff.
 
-    SU(2) cutoffs that admit a spin above ``MAX_SPIN`` are refused.
+    SU(2) cutoffs that admit a spin above ``MAX_SPIN`` are refused, and so
+    are torus cutoffs whose label box has more than ``MAX_TORUS_LABELS``
+    labels.
     """
     if not 1.0 <= cutoff < np.inf:
         raise PreconditionError("cutoff must be finite and >= 1 (the trivial irrep has <xi> = 1)")
@@ -90,6 +94,13 @@ def enumerate_dual(group: GroupDescriptor, cutoff: float) -> DualSlice:
         n = group.dim
         max_sq = cutoff * cutoff - 1.0
         bound = int(np.floor(np.sqrt(max(max_sq, 0.0))))
+        box = (2 * bound + 1) ** n
+        if box > MAX_TORUS_LABELS:
+            raise ConfigurationError(
+                f"cutoff {cutoff:g} on T^{n} needs a box of {box} labels, about "
+                f"{box * n * 8 / 1e9:.1f} GB for the label array alone; the limit is "
+                f"{MAX_TORUS_LABELS} labels"
+            )
         ranges = [range(-bound, bound + 1)] * n
         grids = np.meshgrid(*ranges, indexing="ij")
         labels = np.stack([g.ravel() for g in grids], axis=-1)

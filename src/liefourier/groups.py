@@ -293,6 +293,23 @@ def build_grid(group: GroupDescriptor, bandlimit: float) -> QuadratureGrid:
     )
 
 
+def grid_distance_to_identity(grid: QuadratureGrid) -> np.ndarray:
+    """:func:`distance_to_identity` at every node of ``grid`` (flattened C
+    order), broadcast from the per-axis nodes without the point list."""
+    if grid.group.kind == TORUS:
+        dim = len(grid.axes)
+        total = 0.0
+        for k, ax in enumerate(grid.axes):
+            frac = np.mod(ax, 1.0)
+            nearest = np.minimum(frac, 1.0 - frac)
+            total = total + (nearest**2).reshape((1,) * k + (-1,) + (1,) * (dim - k - 1))
+        return (TWO_PI * np.sqrt(total)).ravel()
+    alpha, beta, gamma = grid.axes
+    phase = np.exp(-0.5j * (alpha[:, None, None] + gamma[None, None, :]))  # (Na, 1, Ng)
+    re_a = (phase * np.cos(beta / 2.0)[None, :, None]).real
+    return np.arccos(np.clip(re_a, -1.0, 1.0)).ravel()
+
+
 def random_point(group: GroupDescriptor, rng: np.random.Generator) -> np.ndarray:
     """Haar-uniform random point."""
     if group.kind == TORUS:

@@ -24,6 +24,7 @@ from .groups import (
     GroupDescriptor,
     QuadratureGrid,
     distance_to_identity,
+    grid_distance_to_identity,
     group_diameter,
     inverse,
     random_point,
@@ -32,15 +33,14 @@ from .spaces import (
     LPPartition,
     NormSpec,
     build_partition,
-    lebesgue_norm,
+    quadrature_lp,
     tl_aggregate,
     weak_sup,
     window_samples,
 )
-from .symbols import Symbol, cached_grid
+from .symbols import Symbol, cached_grid, operator_norms
 from .transform import (
     FourierCoefficients,
-    GridFunction,
     inverse_on_grid,
     random_coefficients,
     require_same_dual,
@@ -104,7 +104,7 @@ def kernel_difference_integral(
     threshold = 4.0 * c * zlen
     if threshold >= group_diameter(group):
         return 0.0
-    dist = distance_to_identity(group, grid.points)
+    dist = grid_distance_to_identity(grid)
     mask = dist > threshold
     if not np.any(mask):
         return 0.0
@@ -122,11 +122,7 @@ def decay_slope(levels, integrals) -> float:
 
 def exact_l2_operator_norm(symbol: Symbol) -> float:
     """sup_xi ||sigma(xi)||_op: the exact L2 -> L2 operator norm."""
-    worst = 0.0
-    for blk in symbol.blocks:
-        if blk.size:
-            worst = max(worst, float(np.linalg.norm(blk, 2)))
-    return worst
+    return float(np.max(operator_norms(symbol.blocks), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +194,7 @@ def ensemble_member(
     if config.kind == "directed-irrep":
         if symbol is None:
             raise PreconditionError("directed-irrep members need the symbol")
-        best_i = max(
-            range(len(symbol.blocks)), key=lambda i: np.linalg.norm(symbol.blocks[i], 2)
-        )
+        best_i = int(np.argmax(operator_norms(symbol.blocks)))
         blocks = [np.zeros((ir.dim, ir.dim), dtype=complex) for ir in dual.irreps]
         _, _, vh = np.linalg.svd(symbol.blocks[best_i])
         blocks[best_i][:, 0] = vh[0].conj()
@@ -262,12 +256,12 @@ def boundedness_sweep(
             _, wt = window_samples(tf, part, grid)
             for si, spec in enumerate(spec_list):
                 denom_agg = tl_aggregate(levels, wf, spec.r, spec.q)
-                denom = lebesgue_norm(GridFunction(grid, denom_agg.astype(complex)), spec.p)
+                denom = quadrature_lp(denom_agg, grid.weights, spec.p)
                 num_agg = tl_aggregate(levels, wt, spec.r, spec.q)
                 if spec.p == 1.0:
                     num = weak_sup(num_agg, grid.weights)
                 else:
-                    num = lebesgue_norm(GridFunction(grid, num_agg.astype(complex)), spec.p)
+                    num = quadrature_lp(num_agg, grid.weights, spec.p)
                 if denom <= 0.0:
                     continue
                 ratio = num / denom

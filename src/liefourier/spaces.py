@@ -114,12 +114,18 @@ def lp_project(coeffs: FourierCoefficients, partition: LPPartition, level: int) 
 
 def lebesgue_norm(gridfn: GridFunction, p: float) -> float:
     """Quadrature L^p norm; p = inf takes the max over the grid."""
+    return quadrature_lp(gridfn.values, gridfn.grid.weights, p)
+
+
+def quadrature_lp(values: np.ndarray, weights: np.ndarray, p: float) -> float:
+    """(sum_x w(x) |v(x)|^p)^(1/p) for real or complex samples; p = inf
+    takes the max of |v|.  Real samples (an aggregate) need no complex copy."""
     if p < 1.0:
         raise PreconditionError("p must be >= 1")
-    mods = np.abs(gridfn.values)
+    mods = np.abs(values)
     if p == math.inf:
         return float(np.max(mods)) if len(mods) else 0.0
-    return float(np.sum(gridfn.grid.weights * mods**p) ** (1.0 / p))
+    return float(np.sum(weights * mods**p) ** (1.0 / p))
 
 
 def window_samples(
@@ -156,7 +162,7 @@ def triebel_lizorkin_norm(
     """|| (sum_ell 2^{ell r q} |psi_ell(B) f|^q)^{1/q} ||_{L^p} by quadrature."""
     levels, mods = window_samples(coeffs, partition, grid)
     agg = tl_aggregate(levels, mods, spec.r, spec.q)
-    return lebesgue_norm(GridFunction(grid, agg.astype(complex)), spec.p)
+    return quadrature_lp(agg, grid.weights, spec.p)
 
 
 def weak_sup(agg: np.ndarray, weights: np.ndarray) -> float:

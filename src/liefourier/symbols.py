@@ -2,17 +2,28 @@
 norms, and the symbol-condition checkers (Marcinkiewicz, Hormander-Mihlin,
 weak Marcinkiewicz).
 
-Difference operators act through the transform: for sigma = fhat, a smooth q
-vanishing at the identity induces  Delta_q sigma = widehat(q f).  The
-first-order generator collections used here are
+A difference operator is defined through the transform: for sigma = fhat, a
+smooth q vanishing at the identity induces  Delta_q sigma = widehat(q f).
+The first-order generator collections used here are
 
-* torus:  q_j(x) = exp(-2*pi*i*x_j) - 1, one per coordinate, so that the
-  one-dimensional difference is the forward difference
-  sigma(xi + 1) - sigma(xi);
+* torus:  q_j(x) = exp(-2*pi*i*x_j) - 1, one per coordinate;
 * SU(2):  q_ij(g) = xi0(g)_ij - delta_ij for the fundamental (spin 1/2)
-  representation xi0, four generators.
+  representation xi0, four generators, index = 2*i + j, row 0 is m = +1/2.
 
 Both collections are strongly admissible (the common zero set is {e}).
+Multiplying by a generator acts on the coefficients by a fixed stencil, so
+every difference is computed exactly on the coefficient side:
+
+* torus:  (q_j f)^(xi) = fhat(xi + e_j) - fhat(xi), a label shift.  The
+  steps of a multi-index are composed on the label box [-B, B]^n around the
+  slice and the slice is gathered once at the end (the slice is a ball, so
+  restricting to it between steps would drop terms of mixed differences);
+* SU(2):  xi0_ij . D^l' is the Clebsch-Gordan series into spins
+  L = l' +- 1/2, so (xi0_ij f)^(L) = sum_{l'} (d_l'/d_L) C_j^T fhat(l') C_i
+  with C_i[a, s] = <1/2 m_i; l' m_a | L m_s>, one nonzero per row; the
+  diagonal generators then subtract fhat.  Intermediate spins run up to
+  the top spin + |alpha|/2 and the slice is kept at the end.
+
 A degree-one generator couples <xi>-neighbours only, so a difference of
 order |alpha| is trusted on irreps whose neighbours within |alpha| coupling
 steps stay inside the working cutoff; every returned symbol carries that
@@ -32,9 +43,9 @@ import numpy as np
 
 from .dual import DualSlice, IrrepIndex
 from .errors import ConfigurationError, MarginError, PreconditionError
-from .groups import TORUS, GroupDescriptor, QuadratureGrid, build_grid, q1_weight, su2_pair
+from .groups import TORUS, GroupDescriptor, QuadratureGrid, build_grid, q1_weight
 from .spaces import LPPartition, build_partition
-from .transform import FourierCoefficients, GridFunction, forward_transform, inverse_on_grid
+from .transform import FourierCoefficients, inverse_on_grid
 
 _GRID_CACHE: "OrderedDict[tuple, QuadratureGrid]" = OrderedDict()
 _GRID_CACHE_MAX = 24
@@ -134,14 +145,31 @@ def symbol_from_config(cfg: dict, dual: DualSlice, partition: LPPartition | None
     raise ConfigurationError(f"unknown symbol type {cfg.get('type')!r}")
 
 
+def singular_values(blocks: list[np.ndarray]) -> list[np.ndarray]:
+    """The singular values of every block, in descending order.
+
+    Blocks of equal shape go through one batched ``np.linalg.svd`` call,
+    which gives the same values as one call per block.
+    """
+    out: list = [None] * len(blocks)
+    by_shape: dict = {}
+    for i, blk in enumerate(blocks):
+        by_shape.setdefault(blk.shape, []).append(i)
+    for ids in by_shape.values():
+        values = np.linalg.svd(np.stack([blocks[i] for i in ids]), compute_uv=False)
+        for i, sv in zip(ids, values):
+            out[i] = sv
+    return out
+
+
+def operator_norms(blocks: list[np.ndarray]) -> np.ndarray:
+    """Per-block operator norms ||blk||_op, the largest singular values."""
+    return np.array([sv[0] for sv in singular_values(blocks)])
+
+
 def symbol_linf(symbol: Symbol) -> float:
     """sup over the slice of the per-irrep operator norm."""
-    mask = symbol.valid_mask()
-    worst = 0.0
-    for keep, blk in zip(mask, symbol.blocks):
-        if keep and blk.size:
-            worst = max(worst, float(np.linalg.norm(blk, 2)))
-    return worst
+    return float(np.max(operator_norms(symbol.blocks)[symbol.valid_mask()], initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -150,32 +178,6 @@ def symbol_linf(symbol: Symbol) -> float:
 
 def generator_count(group: GroupDescriptor) -> int:
     return group.dim if group.kind == TORUS else 4
-
-
-def generator_values(group: GroupDescriptor, index: int, points: np.ndarray) -> np.ndarray:
-    """The first-order generator function q_index evaluated at points."""
-    points = np.asarray(points, dtype=float)
-    if group.kind == TORUS:
-        if not 0 <= index < group.dim:
-            raise ConfigurationError(f"torus generator index {index} out of range")
-        return np.exp(-2j * np.pi * points[..., index]) - 1.0
-    if not 0 <= index < 4:
-        raise ConfigurationError(f"su2 generator index {index} out of range")
-    a, b = su2_pair(points)
-    i, j = divmod(index, 2)
-    if (i, j) == (0, 0):
-        return a - 1.0
-    if (i, j) == (0, 1):
-        return -np.conj(b)
-    if (i, j) == (1, 0):
-        return b
-    return np.conj(a) - 1.0
-
-
-def _band_extension(group: GroupDescriptor, order: int) -> float:
-    # one torus generator shifts a frequency by 1; one su2 generator couples
-    # spins l to l +- 1/2
-    return float(order) if group.kind == TORUS else order / 2.0
 
 
 def difference_validity(dual: DualSlice, order: int) -> np.ndarray:
@@ -191,55 +193,110 @@ def difference_validity(dual: DualSlice, order: int) -> np.ndarray:
     return spins <= ell_max - order / 2.0 + 1e-9
 
 
-def _realize(symbol: Symbol, order: int) -> tuple[GridFunction, QuadratureGrid]:
-    grid = cached_grid(symbol.dual.group, symbol.dual.max_band + math.ceil(_band_extension(symbol.dual.group, order)))
-    return inverse_on_grid(symbol.as_coefficients(), grid), grid
-
-
 def apply_difference(symbol: Symbol, alpha: tuple[int, ...]) -> Symbol:
-    """The multi-index difference of a symbol.
+    """The multi-index difference Delta_q^alpha sigma = widehat(q^alpha f).
 
-    Realises f with sigma = fhat, multiplies by q^alpha pointwise on a grid
-    fine enough for exactness, and transforms back.  The result is valid on
-    irreps with an |alpha|-step margin to the cutoff; if no irrep has that
-    margin a :class:`MarginError` states the required cutoff.
+    Computed exactly on the coefficient side: one label shift per torus
+    generator, one Clebsch-Gordan ladder step per SU(2) generator (see the
+    module docstring).  The result is valid on irreps with an |alpha|-step
+    margin to the cutoff; if no irrep has that margin a :class:`MarginError`
+    states the required cutoff.
     """
     return _difference_batch(symbol, [tuple(alpha)])[0]
 
 
 def _difference_batch(symbol: Symbol, alphas: list[tuple[int, ...]]) -> list[Symbol]:
-    """Differences for several multi-indices, sharing one realisation of f."""
-    group = symbol.dual.group
-    count = generator_count(group)
+    """Differences for several multi-indices; a multi-index is one generator
+    step applied to a smaller one, and shared prefixes are composed once."""
+    dual = symbol.dual
+    count = generator_count(dual.group)
     orders = []
     for alpha in alphas:
         if len(alpha) != count:
-            raise PreconditionError(f"multi-index {alpha} has wrong length for {group.kind}")
+            raise PreconditionError(f"multi-index {alpha} has wrong length for {dual.group.kind}")
         if any(a < 0 for a in alpha):
             raise PreconditionError("multi-index entries must be nonnegative")
         orders.append(int(sum(alpha)))
-    max_order = max(orders)
-    _require_margin(symbol.dual, max_order)
+    _require_margin(dual, max(orders))
     base_valid = symbol.valid_mask()
-    if max_order == 0:
-        return [Symbol(symbol.dual, [b.copy() for b in symbol.blocks], base_valid.copy()) for _ in alphas]
+    if dual.group.kind == TORUS:
+        start, gather = _torus_box(symbol)
+        step = _torus_step
+    else:
+        start, gather = _su2_ladder(symbol, max(orders))
+        step = _su2_step
+    states = {tuple([0] * count): start}
 
-    fgrid, grid = _realize(symbol, max_order)
-    gen_cache: dict[int, np.ndarray] = {}
-    out = []
-    for alpha, order in zip(alphas, orders):
-        if order == 0:
-            out.append(Symbol(symbol.dual, [b.copy() for b in symbol.blocks], base_valid.copy()))
-            continue
-        factor = np.ones(len(grid), dtype=complex)
-        for idx, power in enumerate(alpha):
-            if power:
-                if idx not in gen_cache:
-                    gen_cache[idx] = generator_values(group, idx, grid.points)
-                factor = factor * gen_cache[idx] ** power
-        shifted = forward_transform(GridFunction(grid, fgrid.values * factor), symbol.dual)
-        valid = base_valid & difference_validity(symbol.dual, order)
-        out.append(Symbol(symbol.dual, shifted.blocks, valid))
+    def state(alpha):
+        if alpha not in states:
+            k = max(i for i, a in enumerate(alpha) if a)
+            states[alpha] = step(state(alpha[:k] + (alpha[k] - 1,) + alpha[k + 1 :]), k)
+        return states[alpha]
+
+    return [
+        Symbol(dual, gather(state(alpha)), base_valid & difference_validity(dual, order))
+        for alpha, order in zip(alphas, orders)
+    ]
+
+
+def _torus_box(symbol: Symbol):
+    """The coefficients on the label box [-B, B]^n, and the slice gather.
+
+    A shift reads only the next label up, and every difference of f vanishes
+    above B, so the box needs no padding: the zero that the shift reads past
+    the top face is the exact value there.
+    """
+    dual = symbol.dual
+    bound = int(dual.max_band)
+    labels = np.array([ir.label for ir in dual.irreps]) + bound
+    index = tuple(labels.T)
+    box = np.zeros((2 * bound + 1,) * dual.group.dim, dtype=complex)
+    box[index] = [blk[0, 0] for blk in symbol.blocks]
+    return box, lambda box: list(box[index].reshape(-1, 1, 1))
+
+
+def _torus_step(box: np.ndarray, axis: int) -> np.ndarray:
+    # (q_j f)^(xi) = fhat(xi + e_j) - fhat(xi)
+    return np.diff(box, axis=axis, append=0)
+
+
+def _su2_ladder(symbol: Symbol, order: int):
+    """One block per spin k/2, k = 0 .. 2 l_max + order (zero above the
+    slice), and the slice gather."""
+    two_ells = [int(round(2.0 * ir.label)) for ir in symbol.dual.irreps]
+    ladder = [np.zeros((k + 1, k + 1), dtype=complex) for k in range(max(two_ells) + order + 1)]
+    for k, blk in zip(two_ells, symbol.blocks):
+        ladder[k] = blk
+    return ladder, lambda ladder: [ladder[k].copy() for k in two_ells]
+
+
+def _cg_rows(k: int, up: bool, m_index: int) -> tuple[slice, slice, np.ndarray]:
+    """Nonzero rows of C = <1/2 m; k/2 m_a | L m_s> for L = (k +- 1)/2 and
+    m = +1/2 (m_index 0) or -1/2 (m_index 1), in descending-m order: the
+    source rows a, their target columns s = a + shift and the values."""
+    a = np.arange(k + 1)
+    if up:  # sqrt((l' + 2m M + 1/2)/(2l' + 1)), M = m_a + m
+        if m_index == 0:
+            return slice(0, k + 1), slice(0, k + 1), np.sqrt((k + 1 - a) / (k + 1))
+        return slice(0, k + 1), slice(1, k + 2), np.sqrt((a + 1) / (k + 1))
+    # -2m sqrt((l' - 2m M + 1/2)/(2l' + 1)); zero on the row that has no target
+    if m_index == 0:
+        return slice(1, k + 1), slice(0, k), -np.sqrt(a[1:] / (k + 1))
+    return slice(0, k), slice(0, k), np.sqrt((k - a[:-1]) / (k + 1))
+
+
+def _su2_step(ladder: list[np.ndarray], index: int) -> list[np.ndarray]:
+    # (q_ij f)^(L) = sum_{l' = L -+ 1/2} (d_l'/d_L) C_j^T fhat(l') C_i - delta_ij fhat(L)
+    i, j = divmod(index, 2)
+    out = [-blk if i == j else np.zeros_like(blk) for blk in ladder]
+    for k, blk in enumerate(ladder):
+        for target in (k + 1, k - 1):
+            if not 0 <= target < len(ladder):
+                continue
+            src_j, dst_j, c_j = _cg_rows(k, target > k, j)
+            src_i, dst_i, c_i = _cg_rows(k, target > k, i)
+            ratio = (k + 1) / (target + 1)
+            out[target][dst_j, dst_i] += (ratio * c_j)[:, None] * blk[src_j, src_i] * c_i[None, :]
     return out
 
 
@@ -347,10 +404,10 @@ def check_marcinkiewicz(symbol: Symbol, kappa: int | None = None, threshold: flo
         mask = diff.valid_mask()
         best = 0.0
         best_ir = None
-        for keep, ir, blk, eig in zip(mask, symbol.dual.irreps, diff.blocks, eigs):
+        for keep, ir, norm, eig in zip(mask, symbol.dual.irreps, operator_norms(diff.blocks), eigs):
             if not keep:
                 continue
-            val = float(np.linalg.norm(blk, 2)) * eig**order
+            val = float(norm) * eig**order
             if val > best:
                 best, best_ir = val, ir
         constants[alpha] = best
@@ -439,9 +496,9 @@ def check_weak_marcinkiewicz(symbol: Symbol, s0: int, threshold: float | None = 
     dims = symbol.dual.dims
     nuclear = np.zeros(len(eigs))
     for diff in diffs:
-        for i, blk in enumerate(diff.blocks):
+        for i, sv in enumerate(singular_values(diff.blocks)):
             if valid[i]:
-                nuclear[i] += float(np.sum(np.linalg.svd(blk, compute_uv=False)))
+                nuclear[i] += float(np.sum(sv))
     constants: dict = {}
     skipped = []
     j_top = int(math.ceil(math.log2(max(symbol.dual.cutoff, 1.0)))) + 1

@@ -93,6 +93,21 @@ def test_spin_above_validated_range_refused_before_any_grid(tmp_path, monkeypatc
     assert not (tmp_path / "out" / "transform_report.csv").exists()
 
 
+def test_oversized_torus_slice_refused_before_any_label_array(tmp_path, monkeypatch, capsys):
+    import numpy as np
+
+    def no_meshgrid(*args, **kwargs):
+        raise AssertionError("a label meshgrid was requested")
+
+    # T^3 at lam 512 would lay out about 10^9 labels (26 GB); an exit 1 proves
+    # the refusal came first, since the assertion would be a task failure
+    monkeypatch.setattr(np, "meshgrid", no_meshgrid)
+    cfg = {"task": "transform", "group": {"kind": "torus", "dim": 3}, "lam": 512.0, "count": 1}
+    assert run_config(cfg, tmp_path / "out") == 1
+    assert "GB" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "transform_report.csv").exists()
+
+
 def test_determinism_byte_identical(tmp_path):
     cfg = {
         "task": "bound-sweep",

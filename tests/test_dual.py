@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from liefourier import enumerate_dual, evaluate_irrep
+from liefourier import enumerate_dual, evaluate_irrep, make_group
 from liefourier.dual import little_d, spin_cutoff, su2_character, wigner_matrix
 from liefourier.errors import ConfigurationError, PreconditionError
 from liefourier.groups import distance_to_identity, identity, multiply, random_point, su2_matrix
@@ -26,6 +26,23 @@ def test_enumerate_su2_enforces_max_spin(su2):
     assert enumerate_dual(su2, spin_cutoff(64)).max_band == 64.0
     with pytest.raises(ConfigurationError):
         enumerate_dual(su2, spin_cutoff(64.5))
+
+
+def test_enumerate_torus_label_ceiling(monkeypatch):
+    # the advertised sizes reach the label meshgrid (stubbed, so nothing is
+    # allocated); T^3 at lam 512 is refused with its byte estimate first
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args, **kwargs):
+        raise Admitted
+
+    monkeypatch.setattr(np, "meshgrid", admitted)
+    for n, lam in ((1, 512.0), (2, 256.0), (3, 40.0)):
+        with pytest.raises(Admitted):
+            enumerate_dual(make_group("torus", n), lam)
+    with pytest.raises(ConfigurationError, match="GB"):
+        enumerate_dual(make_group("torus", 3), 512.0)
 
 
 def test_enumerate_rejects_nonfinite_cutoff(torus1, su2):

@@ -10,6 +10,7 @@ from liefourier.groups import (
     canonicalize,
     distance_to_identity,
     euler_from_pair,
+    grid_distance_to_identity,
     group_diameter,
     identity,
     inverse,
@@ -153,6 +154,13 @@ def test_distance_symmetry_on_grid(torus2, su2):
         inv = np.stack([inverse(group, p) for p in grid.points])
         d2 = distance_to_identity(group, inv)
         assert np.max(np.abs(d1 - d2)) < 1e-10
+
+
+@pytest.mark.parametrize("kind,n,band", [("torus", 1, 512), ("torus", 2, 40), ("torus", 3, 8), ("su2", 3, 7.5), ("su2", 3, 16)])
+def test_grid_distance_from_axes_equals_pointwise(kind, n, band):
+    group = make_group(kind, n)
+    grid = build_grid(group, band)
+    assert np.array_equal(grid_distance_to_identity(grid), distance_to_identity(group, grid.points))
 
 
 def test_q1_vanishes_only_at_identity(torus1, su2):

@@ -20,7 +20,7 @@ from liefourier import (
 )
 from liefourier.dual import spin_cutoff
 from liefourier.errors import PreconditionError
-from liefourier.spaces import tl_aggregate, window_samples
+from liefourier.spaces import quadrature_lp, tl_aggregate, window_samples
 from liefourier.transform import inverse_on_grid
 
 
@@ -154,6 +154,16 @@ def test_lebesgue_validates_p(torus1):
     grid = default_grid(enumerate_dual(torus1, 4.0))
     with pytest.raises(PreconditionError):
         lebesgue_norm(GridFunction(grid, np.zeros(len(grid), complex)), 0.5)
+
+
+def test_real_lp_of_aggregate_equals_complex_cast(su2, partition):
+    # the real samples give bit for bit what their complex copy gives
+    dual = enumerate_dual(su2, spin_cutoff(5.5))
+    grid = default_grid(dual)
+    levels, mods = window_samples(random_coefficients(dual, np.random.default_rng(3)), partition, grid)
+    agg = tl_aggregate(levels, mods, 0.5, 2.0)
+    for p in (1.0, 1.5, 2.0, 4.0, math.inf):
+        assert quadrature_lp(agg, grid.weights, p) == lebesgue_norm(GridFunction(grid, agg.astype(complex)), p)
 
 
 # ---------------------------------------------------------------------------

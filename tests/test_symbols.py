@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from liefourier import (
+    GridFunction,
     Symbol,
     apply_difference,
     build_spectral_symbol,
@@ -10,19 +13,26 @@ from liefourier import (
     check_weak_marcinkiewicz,
     dual_sobolev_norm,
     enumerate_dual,
+    forward_transform,
     identity_symbol,
+    inverse_on_grid,
+    make_group,
     plancherel_norm,
 )
 from liefourier.dual import spin_cutoff
 from liefourier.errors import ConfigurationError, MarginError, PreconditionError
-from liefourier.groups import build_grid, identity
+from liefourier.groups import TORUS, build_grid, identity, su2_pair
 from liefourier.symbols import (
+    _difference_batch,
+    cached_grid,
+    difference_validity,
     dual_l2_norm,
     dyadic_rademacher_symbol,
     generator_count,
-    generator_values,
     multi_indices,
+    operator_norms,
     sign_symbol,
+    singular_values,
     symbol_from_config,
     symbol_linf,
 )
@@ -40,8 +50,31 @@ def _random_scalar_symbol(dual, rng):
 
 
 # ---------------------------------------------------------------------------
-# Generators
+# Generators and the grid-realised difference (the oracle of the stencils)
 # ---------------------------------------------------------------------------
+
+def generator_values(group, index, points):
+    """The first-order generator function q_index evaluated at points."""
+    points = np.asarray(points, dtype=float)
+    if group.kind == TORUS:
+        return np.exp(-2j * np.pi * points[..., index]) - 1.0
+    a, b = su2_pair(points)
+    return {(0, 0): a - 1.0, (0, 1): -np.conj(b), (1, 0): b, (1, 1): np.conj(a) - 1.0}[divmod(index, 2)]
+
+
+def grid_difference(symbol, alpha):
+    """Delta^alpha sigma = widehat(q^alpha f) by quadrature: realise f on a
+    grid fine enough for q^alpha f, multiply pointwise, transform back."""
+    dual = symbol.dual
+    order = sum(alpha)
+    extension = order if dual.group.kind == TORUS else order / 2.0
+    grid = cached_grid(dual.group, dual.max_band + math.ceil(extension))
+    values = inverse_on_grid(symbol.as_coefficients(), grid).values
+    for idx, power in enumerate(alpha):
+        values = values * generator_values(dual.group, idx, grid.points) ** power
+    blocks = forward_transform(GridFunction(grid, values), dual).blocks
+    return Symbol(dual, blocks, symbol.valid_mask() & difference_validity(dual, order))
+
 
 def test_generators_vanish_at_identity(torus2, su2):
     for group in (torus2, su2):
@@ -62,6 +95,26 @@ def test_strong_admissibility_on_grid(torus2, su2):
 
         dist = distance_to_identity(group, grid.points)
         assert np.all(joint[dist > 1e-12] > 1e-12)
+
+
+@pytest.mark.parametrize(
+    "kind,n,cutoff",
+    [("torus", 1, 16.0), ("torus", 2, 6.0), ("torus", 3, 4.0), ("su2", 3, spin_cutoff(3)), ("su2", 3, spin_cutoff(7.5))],
+)
+def test_difference_matches_grid_oracle(kind, n, cutoff):
+    # every multi-index of order <= 2 (mixed ones included) on random
+    # non-scalar blocks, against the grid-realised difference
+    group = make_group(kind, n)
+    dual = enumerate_dual(group, cutoff)
+    rng = np.random.default_rng([7, n, len(dual)])
+    blocks = [rng.standard_normal((ir.dim, ir.dim)) + 1j * rng.standard_normal((ir.dim, ir.dim)) for ir in dual.irreps]
+    symbol = Symbol(dual, blocks)
+    alphas = [a for k in range(3) for a in multi_indices(generator_count(group), k)]
+    for alpha, diff in zip(alphas, _difference_batch(symbol, alphas)):
+        oracle = grid_difference(symbol, alpha)
+        assert np.array_equal(diff.valid_mask(), oracle.valid_mask())
+        for got, want in zip(diff.blocks, oracle.blocks):
+            assert np.max(np.abs(got - want)) < 1e-12, alpha
 
 
 def test_multi_indices():
@@ -360,6 +413,17 @@ def test_weak_marcinkiewicz_validates_order(torus1):
     dual = enumerate_dual(torus1, 16.0)
     with pytest.raises(PreconditionError):
         check_weak_marcinkiewicz(identity_symbol(dual), 3)
+
+
+def test_batched_norms_equal_per_block_calls():
+    rng = np.random.default_rng(11)
+    blocks = [
+        rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in (1, 2, 7, 64, 1, 2, 7, 64, 1)
+    ]
+    norms = operator_norms(blocks)
+    for blk, norm, sv in zip(blocks, norms, singular_values(blocks)):
+        assert norm == np.linalg.norm(blk, 2)
+        assert np.sum(sv) == np.sum(np.linalg.svd(blk, compute_uv=False))
 
 
 # ---------------------------------------------------------------------------
