@@ -37,6 +37,7 @@ from .spaces import (
     build_partition,
     lebesgue_norm,
     lp_project,
+    tl_norms,
     triebel_lizorkin_norm,
     weak_tl_norm,
 )
@@ -55,7 +56,6 @@ from .symbols import (
 from .multipliers import (
     BoundednessSweep,
     EnsembleConfig,
-    KernelWindow,
     apply_multiplier,
     boundedness_sweep,
     exact_l2_operator_norm,

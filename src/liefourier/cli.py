@@ -40,14 +40,7 @@ from .multipliers import (
     kernel_difference_integral,
     window_kernel,
 )
-from .spaces import (
-    NormSpec,
-    build_partition,
-    quadrature_lp,
-    tl_aggregate,
-    weak_sup,
-    window_samples,
-)
+from .spaces import NormSpec, build_partition, tl_norms
 from .symbols import cached_grid, check_hormander_mihlin, check_marcinkiewicz, check_weak_marcinkiewicz, symbol_from_config
 from .transform import (
     forward_transform,
@@ -176,6 +169,17 @@ def _validate_config(cfg: dict) -> dict:
     seed = cfg.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigurationError("seed must be an integer")
+    if cfg.get("trend", "none") not in ("none", "increasing"):
+        raise ConfigurationError("trend must be 'none' or 'increasing'")
+    checkers = ("marcinkiewicz", "hormander-mihlin", "weak-marcinkiewicz")
+    if cfg.get("checker", "marcinkiewicz") not in checkers:
+        raise ConfigurationError(f"checker must be one of {checkers}, got {cfg['checker']!r}")
+    ensemble = cfg.get("ensemble", {})
+    if not isinstance(ensemble, dict):
+        raise ConfigurationError("ensemble must be a JSON object")
+    # a tl-norm task has no symbol to build these members from
+    if task == "tl-norm" and ensemble.get("kind") in ("adjoint-dirichlet", "directed-irrep"):
+        raise ConfigurationError(f"a tl-norm ensemble cannot be {ensemble['kind']!r}: it needs a symbol")
     return cfg
 
 
@@ -296,10 +300,8 @@ def _task_check_symbol(cfg, seed, tol, digest):
             rep = check_marcinkiewicz(symbol, cfg.get("order"))
         elif checker == "hormander-mihlin":
             rep = check_hormander_mihlin(symbol, cfg.get("s"), partition)
-        elif checker == "weak-marcinkiewicz":
-            rep = check_weak_marcinkiewicz(symbol, int(cfg.get("s0", 1)))
         else:
-            raise ConfigurationError(f"unknown checker {checker!r}")
+            rep = check_weak_marcinkiewicz(symbol, int(cfg.get("s0", 1)))
         headline_by_lam[lam] = rep.headline
         for key in sorted(rep.constants, key=str):
             value = rep.constants[key]
@@ -352,11 +354,7 @@ def _task_tl_norm(cfg, seed, tol, digest):
     for member in range(ensemble.count):
         rng = np.random.default_rng([seed, member])
         coeffs = ensemble_member(ensemble, member, dual, partition, rng)
-        levels, mods = window_samples(coeffs, partition, grid)
-        for spec in specs:
-            agg = tl_aggregate(levels, mods, spec.r, spec.q)
-            strong = quadrature_lp(agg, grid.weights, spec.p)
-            weak = weak_sup(agg, grid.weights) if spec.p == 1.0 else ""
+        for spec, (strong, weak) in zip(specs, tl_norms(coeffs, specs, partition, grid)):
             rows.append(
                 {
                     "task": "tl-norm",
@@ -368,7 +366,7 @@ def _task_tl_norm(cfg, seed, tol, digest):
                     "p": spec.p,
                     "q": spec.q,
                     "norm": strong,
-                    "weak_norm": weak,
+                    "weak_norm": "" if weak is None else weak,
                     "status": "ok",
                 }
             )
@@ -436,8 +434,6 @@ def _task_bound_sweep(cfg, seed, tol, digest):
         group, builder, specs, lams, ensemble, seed, partition, _symbol_name(cfg)
     )
     trend = cfg.get("trend", "none")
-    if trend not in ("none", "increasing"):
-        raise ConfigurationError("trend must be 'none' or 'increasing'")
     rows = []
     worst_spread = 0.0
     for sweep in sweeps:

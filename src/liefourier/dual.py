@@ -194,23 +194,3 @@ def evaluate_irrep(group: GroupDescriptor, irrep: IrrepIndex | tuple | float, x:
         return np.array([[np.exp(2j * np.pi * float(np.dot(x, xi)))]])
     return wigner_matrix(float(label), x)
 
-
-def su2_character(ell: float, theta: np.ndarray) -> np.ndarray:
-    """Character chi_l at conjugacy angle theta = |x|:
-    sin((2l+1) theta)/sin(theta), evaluated stably as the Chebyshev
-    polynomial U_{2l}(cos(theta))."""
-    two_ell = _check_spin(ell)
-    u = np.cos(np.asarray(theta, dtype=float))
-    return chebyshev_u(two_ell, u)
-
-
-def chebyshev_u(k: int, u: np.ndarray) -> np.ndarray:
-    """Chebyshev polynomial of the second kind U_k(u), vectorised."""
-    u = np.asarray(u, dtype=float)
-    if k == 0:
-        return np.ones_like(u)
-    prev = np.ones_like(u)
-    cur = 2.0 * u
-    for _ in range(k - 1):
-        prev, cur = cur, 2.0 * u * cur - prev
-    return cur

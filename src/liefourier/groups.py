@@ -228,13 +228,13 @@ class QuadratureGrid:
 
     ``axes`` keeps the per-axis node arrays of the product structure
     (torus: one array per coordinate; SU(2): (alpha, beta, gamma) nodes plus
-    the Gauss-Legendre weights in cos(beta)).  ``points`` is the flattened
-    C-order product.  Treat instances as immutable after construction.
+    the Gauss-Legendre weights in cos(beta)).  The grid stores no point
+    list; ``points`` builds the flattened C-order product on each access.
+    Treat instances as immutable after construction.
     """
 
     group: GroupDescriptor
     bandlimit: float
-    points: np.ndarray
     weights: np.ndarray
     axes: tuple[np.ndarray, ...]
     beta_weights: np.ndarray | None = None
@@ -243,6 +243,12 @@ class QuadratureGrid:
     @property
     def shape(self) -> tuple[int, ...]:
         return tuple(len(ax) for ax in self.axes)
+
+    @property
+    def points(self) -> np.ndarray:
+        """The nodes as an (npoints, dim) array in flattened C order."""
+        mesh = np.meshgrid(*self.axes, indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=-1)
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -263,10 +269,8 @@ def build_grid(group: GroupDescriptor, bandlimit: float) -> QuadratureGrid:
         npts = 2 * int(np.ceil(bandlimit)) + 1
         nodes = np.arange(npts) / npts
         axes = tuple(nodes for _ in range(group.dim))
-        mesh = np.meshgrid(*axes, indexing="ij")
-        points = np.stack([m.ravel() for m in mesh], axis=-1)
-        weights = np.full(len(points), 1.0 / len(points))
-        return QuadratureGrid(group, float(bandlimit), points, weights, axes)
+        weights = np.full(npts**group.dim, 1.0 / npts**group.dim)
+        return QuadratureGrid(group, float(bandlimit), weights, axes)
 
     two_l = int(np.ceil(2.0 * bandlimit))
     n_ag = 2 * two_l + 2
@@ -275,9 +279,6 @@ def build_grid(group: GroupDescriptor, bandlimit: float) -> QuadratureGrid:
     gamma = FOUR_PI * np.arange(n_ag) / n_ag
     u, w_gl = np.polynomial.legendre.leggauss(n_b)
     beta = np.arccos(u)
-    # C-order (alpha, beta, gamma) product
-    am, bm, gm = np.meshgrid(alpha, beta, gamma, indexing="ij")
-    points = np.stack([am.ravel(), bm.ravel(), gm.ravel()], axis=-1)
     w_beta = 0.5 * w_gl / (n_ag * n_ag)
     weights = np.broadcast_to(w_beta[None, :, None], (n_ag, n_b, n_ag)).ravel().copy()
     total = weights.sum()
@@ -286,28 +287,44 @@ def build_grid(group: GroupDescriptor, bandlimit: float) -> QuadratureGrid:
     return QuadratureGrid(
         group,
         float(bandlimit),
-        points,
         weights,
         (alpha, beta, gamma),
         beta_weights=w_beta,
     )
 
 
+def _torus_axis_sum(axes: tuple[np.ndarray, ...], term) -> np.ndarray:
+    """sum_k term(x_k) at every node of the product of ``axes`` (flattened
+    C order), broadcast from the per-axis values."""
+    dim = len(axes)
+    total = 0.0
+    for k, ax in enumerate(axes):
+        total = total + term(ax).reshape((1,) * k + (-1,) + (1,) * (dim - k - 1))
+    return total.ravel()
+
+
+def _nearest_squared(x: np.ndarray) -> np.ndarray:
+    frac = np.mod(x, 1.0)
+    return np.minimum(frac, 1.0 - frac) ** 2
+
+
 def grid_distance_to_identity(grid: QuadratureGrid) -> np.ndarray:
     """:func:`distance_to_identity` at every node of ``grid`` (flattened C
     order), broadcast from the per-axis nodes without the point list."""
     if grid.group.kind == TORUS:
-        dim = len(grid.axes)
-        total = 0.0
-        for k, ax in enumerate(grid.axes):
-            frac = np.mod(ax, 1.0)
-            nearest = np.minimum(frac, 1.0 - frac)
-            total = total + (nearest**2).reshape((1,) * k + (-1,) + (1,) * (dim - k - 1))
-        return (TWO_PI * np.sqrt(total)).ravel()
+        return TWO_PI * np.sqrt(_torus_axis_sum(grid.axes, _nearest_squared))
     alpha, beta, gamma = grid.axes
     phase = np.exp(-0.5j * (alpha[:, None, None] + gamma[None, None, :]))  # (Na, 1, Ng)
     re_a = (phase * np.cos(beta / 2.0)[None, :, None]).real
     return np.arccos(np.clip(re_a, -1.0, 1.0)).ravel()
+
+
+def grid_q1_weight(grid: QuadratureGrid) -> np.ndarray:
+    """:func:`q1_weight` at every node of ``grid`` (flattened C order),
+    broadcast from the per-axis nodes without the point list."""
+    if grid.group.kind == TORUS:
+        return 2.0 * np.sqrt(_torus_axis_sum(grid.axes, lambda x: np.sin(np.pi * np.mod(x, 1.0)) ** 2))
+    return 2.0 * np.abs(np.sin(grid_distance_to_identity(grid) / 2.0))
 
 
 def random_point(group: GroupDescriptor, rng: np.random.Generator) -> np.ndarray:

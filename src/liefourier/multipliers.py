@@ -29,15 +29,7 @@ from .groups import (
     inverse,
     random_point,
 )
-from .spaces import (
-    LPPartition,
-    NormSpec,
-    build_partition,
-    quadrature_lp,
-    tl_aggregate,
-    weak_sup,
-    window_samples,
-)
+from .spaces import LPPartition, NormSpec, build_partition, lp_project, tl_norms
 from .symbols import Symbol, cached_grid, operator_norms
 from .transform import (
     FourierCoefficients,
@@ -64,25 +56,14 @@ def apply_multiplier(symbol: Symbol, coeffs: FourierCoefficients) -> FourierCoef
     )
 
 
-@dataclass
-class KernelWindow:
+def window_kernel(symbol: Symbol, partition: LPPartition, level: int) -> FourierCoefficients:
     """Right-convolution kernel of A psi_ell(B): coefficients
     sigma(xi) psi_ell(<xi>), vanishing outside <xi> in (2^(ell-1), 2^(ell+1))."""
-
-    level: int
-    coeffs: FourierCoefficients
-
-
-def window_kernel(symbol: Symbol, partition: LPPartition, level: int) -> KernelWindow:
-    if level < 0:
-        raise PreconditionError("window index must be >= 0")
-    scale = partition.psi(level, symbol.dual.eigenvalues)
-    blocks = [s * blk for s, blk in zip(scale, symbol.blocks)]
-    return KernelWindow(level, FourierCoefficients(symbol.dual, blocks))
+    return lp_project(symbol, partition, level)
 
 
 def kernel_difference_integral(
-    kernel: KernelWindow | FourierCoefficients,
+    kernel: FourierCoefficients,
     z: np.ndarray,
     c: float,
     grid: QuadratureGrid,
@@ -94,8 +75,7 @@ def kernel_difference_integral(
 
     Returns 0 when the domain is empty (4c|z| at least the diameter).
     """
-    coeffs = kernel.coeffs if isinstance(kernel, KernelWindow) else kernel
-    group = coeffs.dual.group
+    group = kernel.dual.group
     if c <= 0:
         raise PreconditionError("c must be positive")
     zlen = float(distance_to_identity(group, np.asarray(z, dtype=float)))
@@ -108,8 +88,8 @@ def kernel_difference_integral(
     mask = dist > threshold
     if not np.any(mask):
         return 0.0
-    base = inverse_on_grid(coeffs, grid).values[mask]
-    moved = inverse_on_grid(translate_coefficients(coeffs, inverse(group, z)), grid).values[mask]
+    base = inverse_on_grid(kernel, grid).values[mask]
+    moved = inverse_on_grid(translate_coefficients(kernel, inverse(group, z)), grid).values[mask]
     return float(np.sum(grid.weights[mask] * np.abs(moved - base)))
 
 
@@ -252,16 +232,10 @@ def boundedness_sweep(
             rng = np.random.default_rng([seed, ci, mi])
             f = ensemble_member(ensemble, mi, dual, part, rng, symbol)
             tf = apply_multiplier(symbol, f)
-            levels, wf = window_samples(f, part, grid)
-            _, wt = window_samples(tf, part, grid)
-            for si, spec in enumerate(spec_list):
-                denom_agg = tl_aggregate(levels, wf, spec.r, spec.q)
-                denom = quadrature_lp(denom_agg, grid.weights, spec.p)
-                num_agg = tl_aggregate(levels, wt, spec.r, spec.q)
-                if spec.p == 1.0:
-                    num = weak_sup(num_agg, grid.weights)
-                else:
-                    num = quadrature_lp(num_agg, grid.weights, spec.p)
+            denoms = tl_norms(f, spec_list, part, grid)
+            nums = tl_norms(tf, spec_list, part, grid)
+            for si, ((denom, _), (strong, weak)) in enumerate(zip(denoms, nums)):
+                num = strong if weak is None else weak
                 if denom <= 0.0:
                     continue
                 ratio = num / denom

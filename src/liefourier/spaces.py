@@ -105,7 +105,8 @@ class NormSpec:
 
 
 def lp_project(coeffs: FourierCoefficients, partition: LPPartition, level: int) -> FourierCoefficients:
-    """Multiply the coefficients per irrep by psi_level(<xi>)."""
+    """Multiply the coefficients per irrep by psi_level(<xi>).  A symbol's
+    blocks project the same way (its dyadic window kernel)."""
     scale = partition.psi(level, coeffs.dual.eigenvalues)
     return FourierCoefficients(
         coeffs.dual, [s * blk for s, blk in zip(scale, coeffs.blocks)]
@@ -135,7 +136,8 @@ def window_samples(
 
     Returns (levels, array of shape (len(levels), npoints)).  This is the
     expensive half of every Triebel-Lizorkin norm; callers evaluating many
-    (r, p, q) specs on the same function should reuse it.
+    (r, p, q) specs on the same function should go through :func:`tl_norms`,
+    which makes one pass for all of them.
     """
     levels = partition.levels(coeffs.dual.cutoff)
     out = np.empty((len(levels), len(grid)))
@@ -160,9 +162,7 @@ def triebel_lizorkin_norm(
     grid: QuadratureGrid,
 ) -> float:
     """|| (sum_ell 2^{ell r q} |psi_ell(B) f|^q)^{1/q} ||_{L^p} by quadrature."""
-    levels, mods = window_samples(coeffs, partition, grid)
-    agg = tl_aggregate(levels, mods, spec.r, spec.q)
-    return quadrature_lp(agg, grid.weights, spec.p)
+    return tl_norms(coeffs, [spec], partition, grid)[0][0]
 
 
 def weak_sup(agg: np.ndarray, weights: np.ndarray) -> float:
@@ -178,6 +178,31 @@ def weak_sup(agg: np.ndarray, weights: np.ndarray) -> float:
     return float(np.max(values * measure_ge)) if len(values) else 0.0
 
 
+def tl_norms(
+    coeffs: FourierCoefficients,
+    specs: list[NormSpec],
+    partition: LPPartition,
+    grid: QuadratureGrid,
+) -> list[tuple[float, float | None]]:
+    """One (strong, weak) pair per spec, in order, for one function.
+
+    strong is || (sum_ell 2^{ell r q} |psi_ell(B) f|^q)^{1/q} ||_{L^p} by
+    quadrature; weak is the :func:`weak_sup` of the same aggregate for p = 1
+    specs and None otherwise.  p never enters the aggregate, so one window
+    pass serves every spec and one aggregate every distinct (r, q); only one
+    aggregate is held at a time.
+    """
+    levels, mods = window_samples(coeffs, partition, grid)
+    out: list = [None] * len(specs)
+    for r, q in dict.fromkeys((spec.r, spec.q) for spec in specs):
+        agg = tl_aggregate(levels, mods, r, q)
+        for i, spec in enumerate(specs):
+            if (spec.r, spec.q) == (r, q):
+                weak = weak_sup(agg, grid.weights) if spec.p == 1.0 else None
+                out[i] = (quadrature_lp(agg, grid.weights, spec.p), weak)
+    return out
+
+
 def weak_tl_norm(
     coeffs: FourierCoefficients,
     spec: NormSpec,
@@ -187,5 +212,4 @@ def weak_tl_norm(
     """sup_t t * |{x : aggregate(x) > t}| for the p = 1 spec (see :func:`weak_sup`)."""
     if spec.p != 1.0:
         raise PreconditionError("weak norm is defined for p = 1 specs")
-    levels, mods = window_samples(coeffs, partition, grid)
-    return weak_sup(tl_aggregate(levels, mods, spec.r, spec.q), grid.weights)
+    return tl_norms(coeffs, [spec], partition, grid)[0][1]

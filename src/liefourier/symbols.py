@@ -43,7 +43,7 @@ import numpy as np
 
 from .dual import DualSlice, IrrepIndex
 from .errors import ConfigurationError, MarginError, PreconditionError
-from .groups import TORUS, GroupDescriptor, QuadratureGrid, build_grid, q1_weight
+from .groups import TORUS, GroupDescriptor, QuadratureGrid, build_grid, grid_q1_weight
 from .spaces import LPPartition, build_partition
 from .transform import FourierCoefficients, inverse_on_grid
 
@@ -343,7 +343,7 @@ def dual_sobolev_norm(symbol: Symbol, s: float) -> float:
     group = symbol.dual.group
     grid = cached_grid(group, symbol.dual.max_band + math.ceil(max(s, 0.0)))
     f = inverse_on_grid(symbol.as_coefficients(), grid)
-    weight = q1_weight(group, grid.points) ** (2.0 * s) if s > 0 else 1.0
+    weight = grid_q1_weight(grid) ** (2.0 * s) if s > 0 else 1.0
     return float(np.sqrt(np.sum(grid.weights * weight * np.abs(f.values) ** 2)))
 
 

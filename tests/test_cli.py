@@ -93,6 +93,52 @@ def test_spin_above_validated_range_refused_before_any_grid(tmp_path, monkeypatc
     assert not (tmp_path / "out" / "transform_report.csv").exists()
 
 
+_GAUSSIAN_SWEEP = {
+    "task": "bound-sweep",
+    "group": {"kind": "torus", "dim": 1},
+    "lams": [8.0, 16.0],
+    "symbol": {"type": "wave"},
+    "specs": [{"r": 0, "p": 2, "q": 2}],
+    "ensemble": {"kind": "gaussian-coefficients", "count": 2},
+}
+_TL_NORM = {
+    "task": "tl-norm",
+    "group": {"kind": "torus", "dim": 1},
+    "lam": 16.0,
+    "specs": [{"r": 0, "p": 2, "q": 2}],
+}
+
+
+@pytest.mark.parametrize(
+    "cfg,stage",
+    [
+        pytest.param({**_CHECK_WAVE, "checker": "mihlin"}, "enumerate_dual", id="unknown-checker"),
+        pytest.param({**_GAUSSIAN_SWEEP, "trend": "decreasing"}, "boundedness_sweep", id="unknown-trend"),
+        pytest.param(
+            {**_TL_NORM, "ensemble": {"kind": "directed-irrep", "count": 1}}, "cached_grid", id="tl-norm-directed-irrep"
+        ),
+        pytest.param(
+            {**_TL_NORM, "ensemble": {"kind": "adjoint-dirichlet", "count": 1}},
+            "cached_grid",
+            id="tl-norm-adjoint-dirichlet",
+        ),
+        pytest.param({**_TL_NORM, "ensemble": ["gaussian-coefficients"]}, "cached_grid", id="ensemble-not-object"),
+    ],
+)
+def test_bad_config_refused_before_any_work(tmp_path, monkeypatch, cfg, stage):
+    import liefourier.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{stage} was called")
+
+    # an exit 1 proves that the refusal came first: the assertion would be a
+    # task failure, exit 2
+    monkeypatch.setattr(cli, stage, no_work)
+    out = tmp_path / "out"
+    assert run_config(cfg, out) == 1
+    assert not any(out.glob("*_report.*"))
+
+
 def test_oversized_torus_slice_refused_before_any_label_array(tmp_path, monkeypatch, capsys):
     import numpy as np
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from liefourier import enumerate_dual, evaluate_irrep, make_group
-from liefourier.dual import little_d, spin_cutoff, su2_character, wigner_matrix
+from liefourier.dual import little_d, spin_cutoff, wigner_matrix
 from liefourier.errors import ConfigurationError, PreconditionError
 from liefourier.groups import distance_to_identity, identity, multiply, random_point, su2_matrix
 
@@ -121,7 +121,6 @@ def test_character_formula(su2):
         for ell in (0.5, 1.0, 2.5, 6.0):
             expected = np.sin((2 * ell + 1) * theta) / np.sin(theta)
             assert abs(np.trace(wigner_matrix(ell, x)) - expected) < 1e-10
-            assert abs(su2_character(ell, theta) - expected) < 1e-10
 
 
 def test_eigenvalue_monotone_in_spin(su2):

@@ -11,6 +11,7 @@ from liefourier.groups import (
     distance_to_identity,
     euler_from_pair,
     grid_distance_to_identity,
+    grid_q1_weight,
     group_diameter,
     identity,
     inverse,
@@ -161,6 +162,19 @@ def test_grid_distance_from_axes_equals_pointwise(kind, n, band):
     group = make_group(kind, n)
     grid = build_grid(group, band)
     assert np.array_equal(grid_distance_to_identity(grid), distance_to_identity(group, grid.points))
+
+
+@pytest.mark.parametrize("kind,n,band", [("torus", 1, 64), ("torus", 2, 20), ("torus", 3, 8), ("su2", 3, 7.5), ("su2", 3, 17.5)])
+def test_points_and_q1_from_axes_equal_meshgrid(kind, n, band):
+    # the grid keeps only its axes; the derived points and q1 must be bit
+    # for bit what a stored meshgrid point list gave
+    group = make_group(kind, n)
+    grid = build_grid(group, band)
+    mesh = np.meshgrid(*grid.axes, indexing="ij")
+    points = np.stack([m.ravel() for m in mesh], axis=-1)
+    assert points.shape == (len(grid), n)
+    assert np.array_equal(grid.points, points)
+    assert np.array_equal(grid_q1_weight(grid), q1_weight(group, points))
 
 
 def test_q1_vanishes_only_at_identity(torus1, su2):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -87,7 +89,7 @@ def test_window_support_invariant(torus1, partition):
     sig = build_spectral_symbol(lambda lam: lam ** (1j), dual)
     for ell in (1, 2, 3):
         kernel = window_kernel(sig, partition, ell)
-        for ir, blk in zip(dual.irreps, kernel.coeffs.blocks):
+        for ir, blk in zip(dual.irreps, kernel.blocks):
             if not 2.0 ** (ell - 1) < ir.eigenvalue < 2.0 ** (ell + 1):
                 assert np.max(np.abs(blk)) <= 1e-15
 
@@ -97,7 +99,7 @@ def test_window_kernel_positive_at_identity(torus1, partition):
 
     dual = enumerate_dual(torus1, 32.0)
     kernel = window_kernel(identity_symbol(dual), partition, 2)
-    val = inverse_evaluate(kernel.coeffs, np.zeros((1, 1)))
+    val = inverse_evaluate(kernel, np.zeros((1, 1)))
     expected = sum(partition.psi(2, ir.eigenvalue) for ir in dual.irreps)
     assert val[0].real > 0
     assert abs(val[0] - expected) < 1e-10
@@ -110,9 +112,9 @@ def test_window_zero_mean_except_low_piece(torus1, partition):
     sig = Symbol(dual, [np.array([[rng.standard_normal() + 0j]]) for _ in dual.irreps])
     k0 = window_kernel(sig, partition, 0)
     trivial = dual.index_of[(0,)]
-    assert abs(k0.coeffs.blocks[trivial][0, 0] - sig.blocks[trivial][0, 0]) < 1e-15
+    assert abs(k0.blocks[trivial][0, 0] - sig.blocks[trivial][0, 0]) < 1e-15
     k2 = window_kernel(sig, partition, 2)
-    assert abs(k2.coeffs.blocks[trivial][0, 0]) < 1e-15
+    assert abs(k2.blocks[trivial][0, 0]) < 1e-15
 
 
 def test_window_sum_reconstructs_symbol(su2, partition):
@@ -121,7 +123,7 @@ def test_window_sum_reconstructs_symbol(su2, partition):
     acc = [np.zeros_like(b) for b in sig.blocks]
     for ell in partition.levels(dual.cutoff):
         kernel = window_kernel(sig, partition, ell)
-        acc = [a + b for a, b in zip(acc, kernel.coeffs.blocks)]
+        acc = [a + b for a, b in zip(acc, kernel.blocks)]
     assert max(np.max(np.abs(a - b)) for a, b in zip(acc, sig.blocks)) < 1e-11
 
 
@@ -170,7 +172,7 @@ def test_su2_class_function_path_matches_general(su2, partition):
     kernel = window_kernel(sig, partition, 1)
     z = su2_point_from_distance(0.4)
     fast = kernel_difference_integral(kernel, z, 1.0, grid)
-    bumped = FourierCoefficients(dual, [b.copy() for b in kernel.coeffs.blocks])
+    bumped = FourierCoefficients(dual, [b.copy() for b in kernel.blocks])
     idx = dual.index_of[1.0]
     bumped.blocks[idx][0, 1] += 1e-300  # makes the block non-scalar only
     general = kernel_difference_integral(bumped, z, 1.0, grid)
@@ -200,7 +202,7 @@ def test_kernel_difference_matches_pointwise_oracle(kind, n, cutoff, z, partitio
     kernel = window_kernel(sig, partition, 2)
     z = np.array(z)
     value = kernel_difference_integral(kernel, z, 1.0, grid)
-    oracle = _pointwise_difference_integral(kernel.coeffs, z, 1.0, grid)
+    oracle = _pointwise_difference_integral(kernel, z, 1.0, grid)
     assert oracle > 0
     assert abs(value - oracle) <= 1e-10 * oracle
 
@@ -294,6 +296,29 @@ def test_sweep_l2_never_exceeds_exact_norm(torus1, partition):
         assert sweep.max_ratios[0] / np.sqrt(2.0) <= opnorm + 1e-9
         if kind == "directed-irrep":
             assert sweep.max_ratios[0] >= 0.8 * opnorm
+
+
+def test_multi_spec_sweep_equals_single_spec_sweeps(torus1, su2, partition):
+    # the specs share window passes and aggregates; each must still get
+    # exactly its own single-spec ratios and argmax members
+    specs = [
+        NormSpec(0.0, 2.0, 2.0),
+        NormSpec(0.5, 1.0, 4.0),
+        NormSpec(0.0, 4.0, 2.0),
+        NormSpec(-1.0, 1.5, math.inf),
+        NormSpec(-1.0, 4.0, 4.0),
+    ]
+    builder = lambda d: build_spectral_symbol(lambda lam: (1.0 + 0.5 * np.sin(lam)) * lam ** (2j), d)
+    for group, cutoffs in ((torus1, [16.0, 32.0]), (su2, [spin_cutoff(2.5), spin_cutoff(4.5)])):
+        run = lambda spec_arg: boundedness_sweep(
+            group, builder, spec_arg, cutoffs, EnsembleConfig("gaussian-coefficients", 3), seed=5, partition=partition
+        )
+        multi = run(specs)
+        for spec, sweep in zip(specs, multi):
+            single = run(spec)[0]
+            assert sweep.spec == spec
+            assert sweep.max_ratios == single.max_ratios
+            assert sweep.argmax_members == single.argmax_members
 
 
 def test_weak_numerator_for_p1(torus1, partition):

@@ -20,7 +20,7 @@ from liefourier import (
 )
 from liefourier.dual import spin_cutoff
 from liefourier.errors import PreconditionError
-from liefourier.spaces import quadrature_lp, tl_aggregate, window_samples
+from liefourier.spaces import quadrature_lp, tl_aggregate, tl_norms, weak_sup, window_samples
 from liefourier.transform import inverse_on_grid
 
 
@@ -254,6 +254,35 @@ def test_q_infinity_embedding_pointwise(torus1, partition):
         agg_q = tl_aggregate(levels, mods, 0.0, q)
         agg_inf = tl_aggregate(levels, mods, 0.0, math.inf)
         assert np.all(agg_inf <= agg_q * (1 + 1e-12))
+
+
+def test_tl_norms_equal_one_aggregate_per_spec(torus1, su2, partition):
+    # one spec list with an (r, q) repeated at another p, a q shared by two
+    # r, p = 1 specs and a q = inf spec; the shared aggregates must give
+    # exactly what one aggregate per spec gives
+    specs = [
+        NormSpec(0.5, 2.0, 2.0),
+        NormSpec(0.0, 1.0, 4.0),
+        NormSpec(0.5, 4.0, 2.0),
+        NormSpec(-1.0, 1.5, math.inf),
+        NormSpec(0.5, 1.0, 2.0),
+        NormSpec(-1.0, 2.0, 2.0),
+    ]
+    for group, cutoff in ((torus1, 32.0), (su2, spin_cutoff(4.5))):
+        dual = enumerate_dual(group, cutoff)
+        grid = default_grid(dual)
+        coeffs = random_coefficients(dual, np.random.default_rng(8))
+        levels, mods = window_samples(coeffs, partition, grid)
+        expected = []
+        for spec in specs:
+            agg = tl_aggregate(levels, mods, spec.r, spec.q)
+            weak = weak_sup(agg, grid.weights) if spec.p == 1.0 else None
+            expected.append((quadrature_lp(agg, grid.weights, spec.p), weak))
+        assert tl_norms(coeffs, specs, partition, grid) == expected
+        for spec, (strong, weak) in zip(specs, expected):
+            assert triebel_lizorkin_norm(coeffs, spec, partition, grid) == strong
+            if spec.p == 1.0:
+                assert weak_tl_norm(coeffs, spec, partition, grid) == weak
 
 
 # ---------------------------------------------------------------------------
