@@ -71,7 +71,7 @@ _TASK_REQUIRED = {
 }
 _CUTOFF_FIELDS = ("lam", "ell_max", "lams", "ell_maxes")
 # fields that must hold finite numbers; the list-valued ones must be nonempty
-_NUMERIC_FIELDS = _CUTOFF_FIELDS + ("windows", "c", "z_distance")
+_NUMERIC_FIELDS = _CUTOFF_FIELDS + ("windows", "c", "z_distance", "s")
 _LIST_FIELDS = ("lams", "ell_maxes", "windows")
 _TASK_TOLERANCES = {
     "transform": {"roundtrip_max": 1e-10, "plancherel_max": 1e-10},
@@ -146,12 +146,16 @@ def _validate_config(cfg: dict) -> dict:
     extra = set(gcfg) - {"kind", "dim"}
     if extra:
         raise ConfigurationError(f"unknown group fields: {sorted(extra)}")
-    make_group(gcfg["kind"], int(gcfg.get("dim", 1)))  # raises on bad values
+    group = _group(cfg)  # raises on bad values
     tol = cfg.get("tolerances", {})
-    known = _TASK_TOLERANCES[task]
-    bad = set(tol) - set(known)
+    if not isinstance(tol, dict):
+        raise ConfigurationError("tolerances must be a JSON object")
+    bad = set(tol) - set(_TASK_TOLERANCES[task])
     if bad:
         raise ConfigurationError(f"unknown tolerances for task {task}: {sorted(bad)}")
+    for name, value in tol.items():
+        if isinstance(value, bool) or math.isnan(float(value)):
+            raise ConfigurationError(f"tolerance {name} must be a number, got {value!r}")
     missing = _TASK_REQUIRED[task] - set(cfg)
     if missing:
         raise ConfigurationError(f"task {task} needs the fields {sorted(missing)}")
@@ -164,23 +168,52 @@ def _validate_config(cfg: dict) -> dict:
             if not isinstance(values, list) or not values:
                 raise ConfigurationError(f"{name} must be a nonempty list")
             for value in values:
-                if isinstance(value, bool) or not math.isfinite(float(value)):
-                    raise ConfigurationError(f"{name} must hold finite numbers, got {value!r}")
-    seed = cfg.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigurationError("seed must be an integer")
+                _finite(name, value)
+    _integer("seed", cfg.get("seed", 0))
+    for name, low, high in (("count", 1, None), ("order", 0, None), ("s0", 0, group.dim)):
+        if name in cfg:
+            _integer(name, cfg[name], low, high)
+    if "windows" in cfg:
+        for level in cfg["windows"]:
+            _integer("each window", level, 0)
+        if len(set(cfg["windows"])) < 2:
+            raise ConfigurationError("windows must hold at least two distinct levels to fit a slope")
+    if "symbol" in cfg:
+        scfg = cfg["symbol"]
+        if not isinstance(scfg, dict):
+            raise ConfigurationError("symbol must be a JSON object")
+        if "t" in scfg:
+            _finite("symbol t", scfg["t"])
+        for name in ("ell", "seed"):
+            if name in scfg:
+                _integer(f"symbol {name}", scfg[name], 0)
+    if "specs" in cfg:
+        _specs(cfg)
     if cfg.get("trend", "none") not in ("none", "increasing"):
         raise ConfigurationError("trend must be 'none' or 'increasing'")
     checkers = ("marcinkiewicz", "hormander-mihlin", "weak-marcinkiewicz")
     if cfg.get("checker", "marcinkiewicz") not in checkers:
         raise ConfigurationError(f"checker must be one of {checkers}, got {cfg['checker']!r}")
-    ensemble = cfg.get("ensemble", {})
-    if not isinstance(ensemble, dict):
-        raise ConfigurationError("ensemble must be a JSON object")
-    # a tl-norm task has no symbol to build these members from
-    if task == "tl-norm" and ensemble.get("kind") in ("adjoint-dirichlet", "directed-irrep"):
-        raise ConfigurationError(f"a tl-norm ensemble cannot be {ensemble['kind']!r}: it needs a symbol")
+    if task in ("tl-norm", "bound-sweep"):
+        kind = _ensemble(cfg).kind
+        # a tl-norm task has no symbol to build these members from
+        if task == "tl-norm" and kind in ("adjoint-dirichlet", "directed-irrep"):
+            raise ConfigurationError(f"a tl-norm ensemble cannot be {kind!r}: it needs a symbol")
     return cfg
+
+
+def _finite(name: str, value):
+    if isinstance(value, bool) or not math.isfinite(float(value)):
+        raise ConfigurationError(f"{name} must hold finite numbers, got {value!r}")
+
+
+def _integer(name: str, value, low: int | None = None, high: int | None = None) -> int:
+    """``value`` if it is an integer (not a bool) in [low, high]."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if (low is not None and value < low) or (high is not None and value > high):
+        raise ConfigurationError(f"{name} must lie in [{low}, {'inf' if high is None else high}], got {value}")
+    return value
 
 
 def _tolerances(cfg: dict) -> dict:
@@ -191,16 +224,28 @@ def _tolerances(cfg: dict) -> dict:
 
 def _group(cfg):
     gcfg = cfg["group"]
-    return make_group(gcfg["kind"], int(gcfg.get("dim", 1)))
+    return make_group(gcfg["kind"], _integer("group dim", gcfg.get("dim", 1)))
 
 
 def _specs(cfg) -> list[NormSpec]:
-    out = []
-    for item in cfg["specs"]:
-        out.append(NormSpec(float(item["r"]), float(item["p"]), float(item["q"])))
-    if not out:
-        raise ConfigurationError("specs must be nonempty")
-    return out
+    items = cfg["specs"]
+    if not isinstance(items, list) or not items:
+        raise ConfigurationError("specs must be a nonempty list")
+    for item in items:
+        if not isinstance(item, dict) or not {"r", "p", "q"} <= set(item):
+            raise ConfigurationError(f"each spec must be an object with r, p and q, got {item!r}")
+    return [NormSpec(float(item["r"]), float(item["p"]), float(item["q"])) for item in items]
+
+
+def _ensemble(cfg) -> EnsembleConfig:
+    """The probe ensemble; tl-norm defaults to ``count`` Gaussian members."""
+    count = cfg.get("count", 4)
+    ens_cfg = cfg.get("ensemble", {"kind": "gaussian-coefficients", "count": count})
+    if not isinstance(ens_cfg, dict) or "kind" not in ens_cfg:
+        raise ConfigurationError("ensemble must be a JSON object with a 'kind'")
+    if cfg["task"] == "bound-sweep" and "count" not in ens_cfg:
+        raise ConfigurationError("a bound-sweep ensemble needs a 'count'")
+    return EnsembleConfig(ens_cfg["kind"], _integer("ensemble count", ens_cfg.get("count", count), 1))
 
 
 def _digest(cfg: dict) -> str:
@@ -250,7 +295,7 @@ def _roundtrip_residuals(dual, grid, seed: int, count: int) -> list[tuple[float,
         coeffs = random_coefficients(dual, rng)
         samples = inverse_on_grid(coeffs, grid)
         back = forward_transform(samples, dual)
-        rt = max(float(np.max(np.abs(a - b))) for a, b in zip(coeffs.blocks, back.blocks))
+        rt = max(float(np.max(np.abs(a - b))) for a, b in zip(coeffs.stacks, back.stacks))
         pl = plancherel_norm(coeffs)
         l2 = float(np.sqrt(np.sum(grid.weights * np.abs(samples.values) ** 2)))
         out.append((rt, abs(pl - l2) / pl if pl > 0 else 0.0))
@@ -260,7 +305,7 @@ def _roundtrip_residuals(dual, grid, seed: int, count: int) -> list[tuple[float,
 def _task_transform(cfg, seed, tol, digest):
     group = _group(cfg)
     lam = _cutoff(cfg, group)
-    count = int(cfg.get("count", 8))
+    count = cfg.get("count", 8)
     dual = enumerate_dual(group, lam)
     grid = cached_grid(group, dual.max_band)
     rows = []
@@ -279,9 +324,7 @@ def _task_transform(cfg, seed, tol, digest):
                 "status": "ok" if ok else "fail",
             }
         )
-    worst_rt = max((rt for rt, _ in residuals), default=0.0)
-    worst_pl = max((rel for _, rel in residuals), default=0.0)
-    headline = {"roundtrip_error": worst_rt, "plancherel_rel_error": worst_pl}
+    headline = {"roundtrip_error": max(rt for rt, _ in residuals), "plancherel_rel_error": max(r for _, r in residuals)}
     return rows, headline
 
 
@@ -299,9 +342,9 @@ def _task_check_symbol(cfg, seed, tol, digest):
         if checker == "marcinkiewicz":
             rep = check_marcinkiewicz(symbol, cfg.get("order"))
         elif checker == "hormander-mihlin":
-            rep = check_hormander_mihlin(symbol, cfg.get("s"), partition)
+            rep = check_hormander_mihlin(symbol, float(cfg["s"]) if "s" in cfg else None, partition)
         else:
-            rep = check_weak_marcinkiewicz(symbol, int(cfg.get("s0", 1)))
+            rep = check_weak_marcinkiewicz(symbol, cfg.get("s0", 1))
         headline_by_lam[lam] = rep.headline
         for key in sorted(rep.constants, key=str):
             value = rep.constants[key]
@@ -343,10 +386,8 @@ def _task_check_symbol(cfg, seed, tol, digest):
 def _task_tl_norm(cfg, seed, tol, digest):
     group = _group(cfg)
     lam = _cutoff(cfg, group)
-    count = int(cfg.get("count", 4))
     specs = _specs(cfg)
-    ens_cfg = cfg.get("ensemble", {"kind": "gaussian-coefficients", "count": count})
-    ensemble = EnsembleConfig(ens_cfg["kind"], int(ens_cfg.get("count", count)))
+    ensemble = _ensemble(cfg)
     dual = enumerate_dual(group, lam)
     grid = cached_grid(group, dual.max_band)
     partition = build_partition()
@@ -376,7 +417,7 @@ def _task_tl_norm(cfg, seed, tol, digest):
 def _task_kernel_decay(cfg, seed, tol, digest):
     group = _group(cfg)
     lam = _cutoff(cfg, group)
-    windows = [int(w) for w in cfg["windows"]]
+    windows = cfg["windows"]
     c = float(cfg.get("c", 1.0))
     z_distance = float(cfg["z_distance"])
     partition = build_partition()
@@ -426,8 +467,7 @@ def _task_bound_sweep(cfg, seed, tol, digest):
     group = _group(cfg)
     lams = _cutoff_list(cfg, group)
     specs = _specs(cfg)
-    ens_cfg = cfg["ensemble"]
-    ensemble = EnsembleConfig(ens_cfg["kind"], int(ens_cfg["count"]))
+    ensemble = _ensemble(cfg)
     partition = build_partition()
     builder = lambda dual: symbol_from_config(cfg["symbol"], dual, partition)
     sweeps = boundedness_sweep(
@@ -486,7 +526,7 @@ def _schur_residual(group) -> float:
 def _task_selftest(cfg, seed, tol, digest):
     group = _group(cfg)
     lam = _cutoff(cfg, group)
-    count = int(cfg.get("count", 4))
+    count = cfg.get("count", 4)
     dual = enumerate_dual(group, lam)
     grid = cached_grid(group, dual.max_band)
     partition = build_partition()
@@ -496,10 +536,8 @@ def _task_selftest(cfg, seed, tol, digest):
     checks["schur"] = _schur_residual(group)
 
     residuals = _roundtrip_residuals(dual, grid, seed, count)
-    worst_rt = max((rt for rt, _ in residuals), default=0.0)
-    worst_pl = max((rel for _, rel in residuals), default=0.0)
-    checks["roundtrip"] = worst_rt
-    checks["plancherel"] = worst_pl
+    checks["roundtrip"] = max(rt for rt, _ in residuals)
+    checks["plancherel"] = max(rel for _, rel in residuals)
 
     lam_samples = np.geomspace(1.0, 1e6, 400)
     total = np.zeros_like(lam_samples)
@@ -507,7 +545,7 @@ def _task_selftest(cfg, seed, tol, digest):
         total += partition.psi(ell, lam_samples)
     checks["partition_sum"] = float(np.max(np.abs(total - 1.0)))
 
-    recon = np.zeros(len(dual.irreps))
+    recon = np.zeros(len(dual))
     for ell in partition.levels(dual.cutoff):
         recon += partition.psi(ell, dual.eigenvalues)
     checks["reconstruction"] = float(np.max(np.abs(recon - 1.0)))

@@ -41,25 +41,55 @@ class IrrepIndex:
     eigenvalue: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualSlice:
-    """All irreps with <xi> <= cutoff, sorted by eigenvalue (labels break ties)."""
+    """All irreps with <xi> <= cutoff, sorted by eigenvalue (labels break ties).
+
+    The slice is a set of arrays, one entry per irrep in that order:
+    ``labels`` (an (m, n) integer array on T^n, the spins on SU(2)),
+    ``dims`` and ``eigenvalues`` (<xi>).  The order makes irreps of equal
+    dimension contiguous; ``runs`` are those stretches as slices (one run of
+    1 x 1 blocks on the torus, one run per spin on SU(2)), and coefficients
+    are stored as one stack of blocks per run.
+    """
 
     group: GroupDescriptor
     cutoff: float
-    irreps: tuple[IrrepIndex, ...]
+    labels: np.ndarray
+    dims: np.ndarray
+    eigenvalues: np.ndarray
+
+    @cached_property
+    def runs(self) -> tuple[slice, ...]:
+        edges = np.flatnonzero(np.diff(self.dims)) + 1
+        bounds = [0, *edges.tolist(), len(self.dims)]
+        return tuple(slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
+
+    @cached_property
+    def run_dims(self) -> tuple[int, ...]:
+        """The block dimension of each run."""
+        return tuple(int(self.dims[run.start]) for run in self.runs)
+
+    def per_run(self, values: np.ndarray) -> list[np.ndarray]:
+        """Per-irrep ``values`` cut into runs, shaped (run length, 1, 1) to
+        broadcast against the coefficient stacks."""
+        return [values[run, None, None] for run in self.runs]
+
+    def irrep(self, i: int) -> IrrepIndex:
+        """The :class:`IrrepIndex` of irrep ``i``."""
+        label = self.labels[i]
+        label = tuple(int(c) for c in label) if self.group.kind == TORUS else float(label)
+        return IrrepIndex(label, int(self.dims[i]), float(self.eigenvalues[i]))
+
+    @cached_property
+    def irreps(self) -> tuple[IrrepIndex, ...]:
+        """One :class:`IrrepIndex` per irrep: a derived view for serialisation
+        and tests."""
+        return tuple(self.irrep(i) for i in range(len(self)))
 
     @cached_property
     def index_of(self) -> dict:
         return {ir.label: i for i, ir in enumerate(self.irreps)}
-
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        return np.array([ir.eigenvalue for ir in self.irreps])
-
-    @cached_property
-    def dims(self) -> np.ndarray:
-        return np.array([ir.dim for ir in self.irreps], dtype=np.int64)
 
     @cached_property
     def max_band(self) -> float:
@@ -67,12 +97,10 @@ class DualSlice:
 
         Torus: the largest per-coordinate frequency.  SU(2): the top spin.
         """
-        if self.group.kind == TORUS:
-            return float(max(max(abs(c) for c in ir.label) for ir in self.irreps))
-        return float(max(ir.label for ir in self.irreps))
+        return float(np.max(np.abs(self.labels)))
 
     def __len__(self) -> int:
-        return len(self.irreps)
+        return len(self.dims)
 
 
 def spin_cutoff(ell_max: float) -> float:
@@ -89,7 +117,6 @@ def enumerate_dual(group: GroupDescriptor, cutoff: float) -> DualSlice:
     """
     if not 1.0 <= cutoff < np.inf:
         raise PreconditionError("cutoff must be finite and >= 1 (the trivial irrep has <xi> = 1)")
-    irreps: list[IrrepIndex] = []
     if group.kind == TORUS:
         n = group.dim
         max_sq = cutoff * cutoff - 1.0
@@ -105,23 +132,25 @@ def enumerate_dual(group: GroupDescriptor, cutoff: float) -> DualSlice:
         grids = np.meshgrid(*ranges, indexing="ij")
         labels = np.stack([g.ravel() for g in grids], axis=-1)
         norms_sq = np.sum(labels.astype(float) ** 2, axis=-1)
-        for lab, nsq in zip(labels, norms_sq):
-            if nsq <= max_sq + 1e-12:
-                irreps.append(IrrepIndex(tuple(int(c) for c in lab), 1, float(np.sqrt(1.0 + nsq))))
+        keep = norms_sq <= max_sq + 1e-12
+        labels = labels[keep]
+        eigenvalues = np.sqrt(1.0 + norms_sq[keep])
+        # sort by eigenvalue, ties by label (lexsort reads its last key first)
+        order = np.lexsort((*labels.T[::-1], eigenvalues))
+        labels, eigenvalues = labels[order], eigenvalues[order]
+        dims = np.ones(len(labels), dtype=np.int64)
     elif group.kind == SU2:
-        two_ell = 0
-        while True:
-            ell = two_ell / 2.0
-            eig = np.sqrt(1.0 + ell * (ell + 1.0))
-            if eig > cutoff + 1e-12:
-                break
-            _check_spin(ell)
-            irreps.append(IrrepIndex(ell, two_ell + 1, float(eig)))
-            two_ell += 1
+        # one candidate past the validated top spin, to refuse cutoffs that admit it
+        two_ells = np.arange(int(2 * MAX_SPIN) + 2)
+        spins = two_ells / 2.0
+        eigenvalues = np.sqrt(1.0 + spins * (spins + 1.0))
+        keep = eigenvalues <= cutoff + 1e-12
+        if keep[-1]:
+            _check_spin(spins[-1])
+        labels, eigenvalues, dims = spins[keep], eigenvalues[keep], two_ells[keep] + 1
     else:
         raise ConfigurationError(f"unknown group kind {group.kind!r}")
-    irreps.sort(key=lambda ir: (ir.eigenvalue, ir.label))
-    return DualSlice(group, float(cutoff), tuple(irreps))
+    return DualSlice(group, float(cutoff), labels, dims, eigenvalues)
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +208,15 @@ def wigner_matrix(ell: float, point: np.ndarray) -> np.ndarray:
     m = (two_ell / 2.0) - np.arange(two_ell + 1)
     d = little_d(two_ell, beta)
     return np.exp(-1j * m * alpha)[:, None] * d * np.exp(-1j * m * gamma)[None, :]
+
+
+def representation_stacks(dual: DualSlice, x: np.ndarray) -> list[np.ndarray]:
+    """xi(x) for every irrep of the slice, one (run length, d, d) stack per
+    run (see :func:`evaluate_irrep`)."""
+    x = np.asarray(x, dtype=float)
+    if dual.group.kind == TORUS:
+        return [np.exp(2j * np.pi * (dual.labels @ x))[:, None, None]]
+    return [wigner_matrix(ell, x)[None] for ell in dual.labels]
 
 
 def evaluate_irrep(group: GroupDescriptor, irrep: IrrepIndex | tuple | float, x: np.ndarray) -> np.ndarray:

@@ -73,9 +73,7 @@ def make_group(kind: str, n: int = 1) -> GroupDescriptor:
 
 
 def identity(group: GroupDescriptor) -> np.ndarray:
-    if group.kind == TORUS:
-        return np.zeros(group.dim)
-    return np.zeros(3)
+    return np.zeros(group.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dual import DualSlice, enumerate_dual, evaluate_irrep
+from .dual import DualSlice, enumerate_dual, representation_stacks
 from .errors import ConfigurationError, PreconditionError
 from .groups import (
     GroupDescriptor,
@@ -37,6 +37,7 @@ from .transform import (
     random_coefficients,
     require_same_dual,
     translate_coefficients,
+    zero_coefficients,
 )
 
 ENSEMBLE_KINDS = (
@@ -51,9 +52,7 @@ ENSEMBLE_KINDS = (
 def apply_multiplier(symbol: Symbol, coeffs: FourierCoefficients) -> FourierCoefficients:
     """T_sigma on the coefficient side: per-irrep left product sigma . fhat."""
     require_same_dual(symbol.dual, coeffs.dual)
-    return FourierCoefficients(
-        coeffs.dual, [s @ f for s, f in zip(symbol.blocks, coeffs.blocks)]
-    )
+    return FourierCoefficients(coeffs.dual, [s @ f for s, f in zip(symbol.stacks, coeffs.stacks)])
 
 
 def window_kernel(symbol: Symbol, partition: LPPartition, level: int) -> FourierCoefficients:
@@ -102,7 +101,7 @@ def decay_slope(levels, integrals) -> float:
 
 def exact_l2_operator_norm(symbol: Symbol) -> float:
     """sup_xi ||sigma(xi)||_op: the exact L2 -> L2 operator norm."""
-    return float(np.max(operator_norms(symbol.blocks), initial=0.0))
+    return float(np.max(operator_norms(symbol.stacks), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -141,44 +140,32 @@ def ensemble_member(
     directed-irrep: the rank-one block aligned with the top singular
         direction at the irrep attaining ||sigma||_Linf.
     """
-    group = dual.group
     if config.kind == "gaussian-coefficients":
         return random_coefficients(dual, rng)
-    if config.kind == "dirichlet-kernels":
+    if config.kind in ("dirichlet-kernels", "adjoint-dirichlet"):
+        if config.kind == "adjoint-dirichlet" and symbol is None:
+            raise PreconditionError("adjoint-dirichlet members need the symbol")
         frac = (index + 1) / config.count
-        thr = 1.0 + frac * (dual.cutoff - 1.0)
-        blocks = [
-            np.eye(ir.dim, dtype=complex) if ir.eigenvalue <= thr else np.zeros((ir.dim, ir.dim), complex)
-            for ir in dual.irreps
-        ]
-        return FourierCoefficients(dual, blocks)
+        inside = dual.per_run(dual.eigenvalues <= 1.0 + frac * (dual.cutoff - 1.0))
+        if config.kind == "dirichlet-kernels":
+            full = [np.eye(d, dtype=complex) for d in dual.run_dims]
+        else:
+            full = [s.conj().transpose(0, 2, 1) for s in symbol.stacks]
+        return FourierCoefficients(dual, [np.where(keep, f, 0j) for keep, f in zip(inside, full)])
     if config.kind == "translated-windows":
         levels = partition.levels(dual.cutoff)
         ell = levels[max(0, len(levels) - 1 - (index % min(3, len(levels))))]
-        z = random_point(group, rng)
-        scale = partition.psi(ell, dual.eigenvalues)
-        blocks = [
-            s * evaluate_irrep(group, ir, z) for s, ir in zip(scale, dual.irreps)
-        ]
-        return FourierCoefficients(dual, blocks)
-    if config.kind == "adjoint-dirichlet":
-        if symbol is None:
-            raise PreconditionError("adjoint-dirichlet members need the symbol")
-        frac = (index + 1) / config.count
-        thr = 1.0 + frac * (dual.cutoff - 1.0)
-        blocks = [
-            blk.conj().T if ir.eigenvalue <= thr else np.zeros((ir.dim, ir.dim), complex)
-            for ir, blk in zip(dual.irreps, symbol.blocks)
-        ]
-        return FourierCoefficients(dual, blocks)
+        z = random_point(dual.group, rng)
+        scale = dual.per_run(partition.psi(ell, dual.eigenvalues))
+        return FourierCoefficients(dual, [s * r for s, r in zip(scale, representation_stacks(dual, z))])
     if config.kind == "directed-irrep":
         if symbol is None:
             raise PreconditionError("directed-irrep members need the symbol")
-        best_i = int(np.argmax(operator_norms(symbol.blocks)))
-        blocks = [np.zeros((ir.dim, ir.dim), dtype=complex) for ir in dual.irreps]
-        _, _, vh = np.linalg.svd(symbol.blocks[best_i])
-        blocks[best_i][:, 0] = vh[0].conj()
-        return FourierCoefficients(dual, blocks)
+        best_i = int(np.argmax(operator_norms(symbol.stacks)))
+        _, _, vh = np.linalg.svd(symbol.block(best_i))
+        member = zero_coefficients(dual)
+        member.block(best_i)[:, 0] = vh[0].conj()
+        return member
     raise ConfigurationError(f"unknown ensemble kind {config.kind!r}")
 
 
@@ -217,8 +204,7 @@ def boundedness_sweep(
     rebuilt per cutoff).  Members are deterministic functions of
     (seed, cutoff index, member index); reductions run in member order.
     """
-    single = isinstance(specs, NormSpec)
-    spec_list = [specs] if single else list(specs)
+    spec_list = [specs] if isinstance(specs, NormSpec) else list(specs)
     part = partition if partition is not None else build_partition()
     if list(cutoffs) != sorted(cutoffs):
         raise PreconditionError("cutoffs must be ascending")
@@ -242,17 +228,6 @@ def boundedness_sweep(
                 if ratio > ratios[si, ci]:
                     ratios[si, ci] = ratio
                     argmax[si, ci] = mi
-    sweeps = []
-    for si, spec in enumerate(spec_list):
-        sweeps.append(
-            BoundednessSweep(
-                symbol_id,
-                spec,
-                tuple(float(c) for c in cutoffs),
-                tuple(float(v) for v in ratios[si]),
-                tuple(int(v) for v in argmax[si]),
-                ensemble,
-                seed,
-            )
-        )
-    return sweeps
+    cutoffs = tuple(float(c) for c in cutoffs)
+    per_spec = zip(spec_list, ratios.tolist(), argmax.tolist())
+    return [BoundednessSweep(symbol_id, spec, cutoffs, tuple(r), tuple(a), ensemble, seed) for spec, r, a in per_spec]

@@ -40,14 +40,11 @@ def _matrix_from_json(data: list) -> np.ndarray:
 
 
 def to_payload(obj: FourierCoefficients | Symbol) -> dict:
-    if isinstance(obj, Symbol):
-        role, dual, blocks = "symbol", obj.dual, obj.blocks
-    elif isinstance(obj, FourierCoefficients):
-        role, dual, blocks = "coefficients", obj.dual, obj.blocks
-    else:
+    if not isinstance(obj, FourierCoefficients):
         raise ConfigurationError(f"cannot serialise {type(obj).__name__}")
+    role, dual = ("symbol" if isinstance(obj, Symbol) else "coefficients"), obj.dual
     entries = []
-    for ir, blk in zip(dual.irreps, blocks):
+    for ir, blk in zip(dual.irreps, obj.blocks):
         label = list(ir.label) if isinstance(ir.label, tuple) else float(ir.label)
         entries.append({"label": label, "matrix": _matrix_to_json(blk)})
     return {
@@ -76,9 +73,7 @@ def from_payload(payload: dict) -> FourierCoefficients | Symbol:
     if set(by_label) != set(ir.label for ir in dual.irreps):
         raise ConfigurationError("entry labels do not match the dual slice of the stated cutoff")
     blocks = [by_label[ir.label] for ir in dual.irreps]
-    if role == "symbol":
-        return Symbol(dual, blocks)
-    return FourierCoefficients(dual, blocks)
+    return (Symbol if role == "symbol" else FourierCoefficients).from_blocks(dual, blocks)
 
 
 def save(path: str | Path, obj: FourierCoefficients | Symbol) -> None:

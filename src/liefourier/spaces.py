@@ -98,6 +98,8 @@ class NormSpec:
     q: float
 
     def __post_init__(self):
+        if not math.isfinite(self.r):
+            raise PreconditionError(f"r = {self.r} is not finite")
         if not (1.0 <= self.p < math.inf):
             raise PreconditionError(f"p = {self.p} outside [1, inf)")
         if not (1.0 < self.q):
@@ -107,10 +109,9 @@ class NormSpec:
 def lp_project(coeffs: FourierCoefficients, partition: LPPartition, level: int) -> FourierCoefficients:
     """Multiply the coefficients per irrep by psi_level(<xi>).  A symbol's
     blocks project the same way (its dyadic window kernel)."""
-    scale = partition.psi(level, coeffs.dual.eigenvalues)
-    return FourierCoefficients(
-        coeffs.dual, [s * blk for s, blk in zip(scale, coeffs.blocks)]
-    )
+    dual = coeffs.dual
+    scale = dual.per_run(partition.psi(level, dual.eigenvalues))
+    return FourierCoefficients(dual, [s * stack for s, stack in zip(scale, coeffs.stacks)])
 
 
 def lebesgue_norm(gridfn: GridFunction, p: float) -> float:

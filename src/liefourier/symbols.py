@@ -64,42 +64,27 @@ def cached_grid(group: GroupDescriptor, bandlimit: float) -> QuadratureGrid:
 
 
 @dataclass
-class Symbol:
-    """Matrix-valued function on a dual slice: one d_xi x d_xi block per
-    irrep.  ``valid`` marks the irreps on which the values are trusted after
-    difference operations (None means all)."""
+class Symbol(FourierCoefficients):
+    """Matrix-valued function on a dual slice, stored like coefficients (one
+    stack of blocks per run).  ``valid`` marks the irreps on which the values
+    are trusted after difference operations (None means all)."""
 
-    dual: DualSlice
-    blocks: list[np.ndarray]
     valid: np.ndarray | None = None
-
-    def __post_init__(self):
-        if len(self.blocks) != len(self.dual.irreps):
-            raise PreconditionError("one block per irrep required")
-        self.blocks = [np.asarray(b, dtype=complex) for b in self.blocks]
-        for blk, ir in zip(self.blocks, self.dual.irreps):
-            if blk.shape != (ir.dim, ir.dim):
-                raise PreconditionError(f"block shape {blk.shape} does not match irrep dim {ir.dim}")
-        if self.valid is not None:
-            self.valid = np.asarray(self.valid, dtype=bool)
 
     def valid_mask(self) -> np.ndarray:
         if self.valid is None:
-            return np.ones(len(self.blocks), dtype=bool)
+            return np.ones(len(self.dual), dtype=bool)
         return self.valid
-
-    def as_coefficients(self) -> FourierCoefficients:
-        return FourierCoefficients(self.dual, [b.copy() for b in self.blocks])
 
 
 def identity_symbol(dual: DualSlice) -> Symbol:
-    return Symbol(dual, [np.eye(ir.dim, dtype=complex) for ir in dual.irreps])
+    return build_spectral_symbol(np.ones_like, dual)
 
 
 def build_spectral_symbol(profile, dual: DualSlice) -> Symbol:
     """sigma(xi) = g(<xi>) * I for a scalar profile g defined on [1, inf)."""
     values = np.asarray(profile(dual.eigenvalues), dtype=complex)
-    return Symbol(dual, [v * np.eye(ir.dim) for v, ir in zip(values, dual.irreps)])
+    return Symbol(dual, [v * np.eye(d) for v, d in zip(dual.per_run(values), dual.run_dims)])
 
 
 def sign_symbol(dual: DualSlice) -> Symbol:
@@ -107,19 +92,16 @@ def sign_symbol(dual: DualSlice) -> Symbol:
     bounded-variation test symbol."""
     if dual.group.kind != TORUS:
         raise ConfigurationError("the sign symbol is defined on the torus only")
-    blocks = [np.array([[float(np.sign(ir.label[0]))]], dtype=complex) for ir in dual.irreps]
-    return Symbol(dual, blocks)
+    return Symbol(dual, dual.per_run(np.sign(dual.labels[:, 0]).astype(complex)))
 
 
 def dyadic_rademacher_symbol(dual: DualSlice, seed: int) -> Symbol:
     """Random +-1 on each dyadic block 2^(j-1) <= <xi> < 2^j (seeded)."""
     rng = np.random.default_rng(seed)
     signs = rng.choice([-1.0, 1.0], size=80)
-    blocks = []
-    for ir in dual.irreps:
-        j = max(0, int(math.floor(math.log2(ir.eigenvalue))) + 1)
-        blocks.append(signs[j] * np.eye(ir.dim, dtype=complex))
-    return Symbol(dual, blocks)
+    # <xi> >= 1, so its binary exponent is exactly j = floor(log2 <xi>) + 1
+    j = np.frexp(dual.eigenvalues)[1]
+    return build_spectral_symbol(lambda lam: signs[j], dual)
 
 
 def symbol_from_config(cfg: dict, dual: DualSlice, partition: LPPartition | None = None) -> Symbol:
@@ -145,31 +127,20 @@ def symbol_from_config(cfg: dict, dual: DualSlice, partition: LPPartition | None
     raise ConfigurationError(f"unknown symbol type {cfg.get('type')!r}")
 
 
-def singular_values(blocks: list[np.ndarray]) -> list[np.ndarray]:
-    """The singular values of every block, in descending order.
-
-    Blocks of equal shape go through one batched ``np.linalg.svd`` call,
-    which gives the same values as one call per block.
-    """
-    out: list = [None] * len(blocks)
-    by_shape: dict = {}
-    for i, blk in enumerate(blocks):
-        by_shape.setdefault(blk.shape, []).append(i)
-    for ids in by_shape.values():
-        values = np.linalg.svd(np.stack([blocks[i] for i in ids]), compute_uv=False)
-        for i, sv in zip(ids, values):
-            out[i] = sv
-    return out
+def singular_values(stacks: list[np.ndarray]) -> list[np.ndarray]:
+    """The singular values of every block, descending: one (run length, d)
+    array per stack, from one batched ``np.linalg.svd`` call."""
+    return [np.linalg.svd(stack, compute_uv=False) for stack in stacks]
 
 
-def operator_norms(blocks: list[np.ndarray]) -> np.ndarray:
+def operator_norms(stacks: list[np.ndarray]) -> np.ndarray:
     """Per-block operator norms ||blk||_op, the largest singular values."""
-    return np.array([sv[0] for sv in singular_values(blocks)])
+    return np.concatenate([sv[:, 0] for sv in singular_values(stacks)])
 
 
 def symbol_linf(symbol: Symbol) -> float:
     """sup over the slice of the per-irrep operator norm."""
-    return float(np.max(operator_norms(symbol.blocks)[symbol.valid_mask()], initial=0.0))
+    return float(np.max(operator_norms(symbol.stacks)[symbol.valid_mask()], initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +154,11 @@ def generator_count(group: GroupDescriptor) -> int:
 def difference_validity(dual: DualSlice, order: int) -> np.ndarray:
     """Mask of irreps whose |alpha|-step neighbourhoods stay inside the slice."""
     if order == 0:
-        return np.ones(len(dual.irreps), dtype=bool)
+        return np.ones(len(dual), dtype=bool)
     if dual.group.kind == TORUS:
         max_norm = math.sqrt(max(dual.cutoff**2 - 1.0, 0.0))
-        norms = np.array([math.sqrt(sum(c * c for c in ir.label)) for ir in dual.irreps])
-        return norms <= max_norm - order + 1e-9
-    ell_max = dual.max_band
-    spins = np.array([float(ir.label) for ir in dual.irreps])
-    return spins <= ell_max - order / 2.0 + 1e-9
+        return np.sqrt(np.sum(dual.labels**2, axis=1)) <= max_norm - order + 1e-9
+    return dual.labels <= dual.max_band - order / 2.0 + 1e-9
 
 
 def apply_difference(symbol: Symbol, alpha: tuple[int, ...]) -> Symbol:
@@ -248,11 +216,10 @@ def _torus_box(symbol: Symbol):
     """
     dual = symbol.dual
     bound = int(dual.max_band)
-    labels = np.array([ir.label for ir in dual.irreps]) + bound
-    index = tuple(labels.T)
+    index = tuple((dual.labels + bound).T)
     box = np.zeros((2 * bound + 1,) * dual.group.dim, dtype=complex)
-    box[index] = [blk[0, 0] for blk in symbol.blocks]
-    return box, lambda box: list(box[index].reshape(-1, 1, 1))
+    box[index] = symbol.stacks[0][:, 0, 0]
+    return box, lambda box: [box[index].reshape(-1, 1, 1)]
 
 
 def _torus_step(box: np.ndarray, axis: int) -> np.ndarray:
@@ -262,12 +229,12 @@ def _torus_step(box: np.ndarray, axis: int) -> np.ndarray:
 
 def _su2_ladder(symbol: Symbol, order: int):
     """One block per spin k/2, k = 0 .. 2 l_max + order (zero above the
-    slice), and the slice gather."""
-    two_ells = [int(round(2.0 * ir.label)) for ir in symbol.dual.irreps]
-    ladder = [np.zeros((k + 1, k + 1), dtype=complex) for k in range(max(two_ells) + order + 1)]
-    for k, blk in zip(two_ells, symbol.blocks):
-        ladder[k] = blk
-    return ladder, lambda ladder: [ladder[k].copy() for k in two_ells]
+    slice), and the slice gather.  The slice holds one spin per run, k = 0,
+    1, 2, ... in order."""
+    ladder = [stack[0] for stack in symbol.stacks]
+    top = len(ladder) - 1
+    ladder += [np.zeros((k + 1, k + 1), dtype=complex) for k in range(top + 1, top + order + 1)]
+    return ladder, lambda ladder: [blk[None].copy() for blk in ladder[: top + 1]]
 
 
 def _cg_rows(k: int, up: bool, m_index: int) -> tuple[slice, slice, np.ndarray]:
@@ -317,15 +284,9 @@ def _require_margin(dual: DualSlice, order: int):
 
 def multi_indices(count: int, order: int) -> list[tuple[int, ...]]:
     """All multi-indices over ``count`` generators with |alpha| = order."""
-    if order == 0:
-        return [tuple([0] * count)]
     if count == 1:
         return [(order,)]
-    out = []
-    for head in range(order + 1):
-        for tail in multi_indices(count - 1, order - head):
-            out.append((head,) + tail)
-    return out
+    return [(head,) + tail for head in range(order + 1) for tail in multi_indices(count - 1, order - head)]
 
 
 # ---------------------------------------------------------------------------
@@ -342,19 +303,9 @@ def dual_sobolev_norm(symbol: Symbol, s: float) -> float:
         raise PreconditionError("the Sobolev order must be >= 0")
     group = symbol.dual.group
     grid = cached_grid(group, symbol.dual.max_band + math.ceil(max(s, 0.0)))
-    f = inverse_on_grid(symbol.as_coefficients(), grid)
+    f = inverse_on_grid(symbol, grid)
     weight = grid_q1_weight(grid) ** (2.0 * s) if s > 0 else 1.0
     return float(np.sqrt(np.sum(grid.weights * weight * np.abs(f.values) ** 2)))
-
-
-def dual_l2_norm(symbol: Symbol, valid_only: bool = True) -> float:
-    """Plancherel norm over (optionally only the trusted part of) the slice."""
-    mask = symbol.valid_mask() if valid_only else np.ones(len(symbol.blocks), dtype=bool)
-    total = 0.0
-    for keep, ir, blk in zip(mask, symbol.dual.irreps, symbol.blocks):
-        if keep:
-            total += ir.dim * float(np.sum(np.abs(blk) ** 2))
-    return float(np.sqrt(total))
 
 
 # ---------------------------------------------------------------------------
@@ -395,30 +346,20 @@ def check_marcinkiewicz(symbol: Symbol, kappa: int | None = None, threshold: flo
     count = generator_count(group)
     alphas = [a for k in range(kappa + 1) for a in multi_indices(count, k)]
     diffs = _difference_batch(symbol, alphas)
-    eigs = symbol.dual.eigenvalues
+    dual = symbol.dual
     constants: dict = {}
-    worst_irrep = None
-    worst_val = -1.0
+    argmaxes: dict = {}
     for alpha, diff in zip(alphas, diffs):
-        order = sum(alpha)
-        mask = diff.valid_mask()
-        best = 0.0
-        best_ir = None
-        for keep, ir, norm, eig in zip(mask, symbol.dual.irreps, operator_norms(diff.blocks), eigs):
-            if not keep:
-                continue
-            val = float(norm) * eig**order
-            if val > best:
-                best, best_ir = val, ir
-        constants[alpha] = best
-        if best > worst_val:
-            worst_val, worst_irrep = best, best_ir
-    headline = max(constants.values()) if constants else 0.0
+        vals = np.where(diff.valid_mask(), operator_norms(diff.stacks) * dual.eigenvalues ** sum(alpha), 0.0)
+        argmaxes[alpha] = int(np.argmax(vals))
+        constants[alpha] = float(vals[argmaxes[alpha]])
+    worst = max(constants, key=constants.get)  # the first multi-index attaining the sup
+    headline = constants[worst]
     return CheckReport(
         "marcinkiewicz",
         constants,
         headline,
-        worst_irrep,
+        dual.irrep(argmaxes[worst]) if headline > 0.0 else None,
         threshold,
         metadata={"kappa": kappa, "cutoff": symbol.dual.cutoff},
     )
@@ -455,7 +396,8 @@ def check_hormander_mihlin(
         window = part.eta(eigs / r)
         if not np.any(window > 1e-15):
             continue
-        tau = Symbol(symbol.dual, [w * blk for w, blk in zip(window, symbol.blocks)], symbol.valid)
+        scaled = [w * stack for w, stack in zip(symbol.dual.per_run(window), symbol.stacks)]
+        tau = Symbol(symbol.dual, scaled, symbol.valid)
         val = r ** (s - n / 2.0) * dual_sobolev_norm(tau, s)
         constants[r] = linf + val
         if val > worst_val:
@@ -489,16 +431,11 @@ def check_weak_marcinkiewicz(symbol: Symbol, s0: int, threshold: float | None = 
     count = generator_count(group)
     alphas = multi_indices(count, s0)
     diffs = _difference_batch(symbol, alphas)
-    valid = np.ones(len(symbol.dual.irreps), dtype=bool)
-    for diff in diffs:
-        valid &= diff.valid_mask()
+    valid = diffs[0].valid_mask()  # every multi-index has order s0
     eigs = symbol.dual.eigenvalues
     dims = symbol.dual.dims
-    nuclear = np.zeros(len(eigs))
-    for diff in diffs:
-        for i, sv in enumerate(singular_values(diff.blocks)):
-            if valid[i]:
-                nuclear[i] += float(np.sum(sv))
+    # trace norms summed over the multi-indices; blocks with untrusted irreps are skipped below
+    nuclear = sum(np.concatenate([sv.sum(axis=1) for sv in singular_values(diff.stacks)]) for diff in diffs)
     constants: dict = {}
     skipped = []
     j_top = int(math.ceil(math.log2(max(symbol.dual.cutoff, 1.0)))) + 1

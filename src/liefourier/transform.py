@@ -10,7 +10,10 @@ Orientation conventions, fixed globally:
 * translation: the coefficients of x -> f(zx) are fhat(xi) xi(z).
 
 All functions are identified with their band-limited truncation at the
-working cutoff; no operation silently extends the dual slice.
+working cutoff; no operation silently extends the dual slice.  Coefficients
+live in one (run length, d, d) stack per run of equal dimension of the
+slice (a single run of 1 x 1 blocks on the torus, one run per spin on
+SU(2)), so every per-irrep operation is one batched numpy call per run.
 
 Grid transforms go through one plan per (grid, dual slice), cached on the
 grid.  On the torus the quadrature grid is a uniform lattice and the plan is
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import DualSlice, evaluate_irrep, little_d
+from .dual import DualSlice, little_d, representation_stacks
 from .errors import PreconditionError
 from .groups import TORUS, QuadratureGrid, build_grid
 
@@ -47,37 +50,56 @@ class GridFunction:
 
 @dataclass
 class FourierCoefficients:
-    """Band-limited function as one d_xi x d_xi complex matrix per irrep,
-    aligned with ``dual.irreps``."""
+    """Band-limited function as one d_xi x d_xi complex matrix per irrep.
+
+    The blocks are stored per run of ``dual.runs``: ``stacks[k]`` is a
+    complex (run length, d, d) array, so per-irrep operations are one
+    batched numpy call per run.  ``blocks`` lists the single blocks as views.
+    """
 
     dual: DualSlice
-    blocks: list[np.ndarray]
+    stacks: list[np.ndarray]
 
     def __post_init__(self):
-        if len(self.blocks) != len(self.dual.irreps):
-            raise PreconditionError("one block per irrep required")
-        self.blocks = [np.asarray(b, dtype=complex) for b in self.blocks]
-        for blk, ir in zip(self.blocks, self.dual.irreps):
-            if blk.shape != (ir.dim, ir.dim):
-                raise PreconditionError(f"block shape {blk.shape} does not match irrep dim {ir.dim}")
+        self.stacks = [np.asarray(s, dtype=complex) for s in self.stacks]
+        shapes = [(run.stop - run.start, d, d) for run, d in zip(self.dual.runs, self.dual.run_dims)]
+        if [s.shape for s in self.stacks] != shapes:
+            raise PreconditionError("one (run length, d, d) stack per run of equal dimension required")
 
-    def copy(self) -> "FourierCoefficients":
-        return FourierCoefficients(self.dual, [b.copy() for b in self.blocks])
+    @classmethod
+    def from_blocks(cls, dual: DualSlice, blocks: list[np.ndarray], *args):
+        """Pack one block per irrep, aligned with the slice order, into stacks."""
+        blocks = [np.asarray(b, dtype=complex) for b in blocks]
+        if [b.shape for b in blocks] != [(d, d) for d in dual.dims]:
+            raise PreconditionError("one d_xi x d_xi block per irrep required")
+        return cls(dual, [np.stack(blocks[run]) for run in dual.runs], *args)
+
+    @property
+    def blocks(self) -> list[np.ndarray]:
+        return [blk for stack in self.stacks for blk in stack]
+
+    def block(self, i: int) -> np.ndarray:
+        """The block of irrep ``i``, a view into its stack."""
+        k = next(k for k, run in enumerate(self.dual.runs) if i < run.stop)
+        return self.stacks[k][i - self.dual.runs[k].start]
 
 
 def zero_coefficients(dual: DualSlice) -> FourierCoefficients:
-    return FourierCoefficients(dual, [np.zeros((ir.dim, ir.dim), dtype=complex) for ir in dual.irreps])
+    return FourierCoefficients(
+        dual, [np.zeros((run.stop - run.start, d, d), dtype=complex) for run, d in zip(dual.runs, dual.run_dims)]
+    )
 
 
 def random_coefficients(dual: DualSlice, rng: np.random.Generator) -> FourierCoefficients:
-    """Independent standard complex Gaussian entries in every block."""
-    blocks = []
-    for ir in dual.irreps:
-        blocks.append(
-            (rng.standard_normal((ir.dim, ir.dim)) + 1j * rng.standard_normal((ir.dim, ir.dim)))
-            / np.sqrt(2.0)
-        )
-    return FourierCoefficients(dual, blocks)
+    """Independent standard complex Gaussian entries in every block.
+
+    One draw per run, real then imaginary part block after block.
+    """
+    stacks = []
+    for run, d in zip(dual.runs, dual.run_dims):
+        draw = rng.standard_normal((run.stop - run.start, 2, d, d))
+        stacks.append((draw[:, 0] + 1j * draw[:, 1]) / np.sqrt(2.0))
+    return FourierCoefficients(dual, stacks)
 
 
 def default_grid(dual: DualSlice) -> QuadratureGrid:
@@ -100,16 +122,15 @@ class _TorusPlan:
     def __init__(self, grid: QuadratureGrid, dual: DualSlice):
         self.shape = grid.shape
         self.weights = grid.weights.reshape(self.shape)
-        labels = np.array([ir.label for ir in dual.irreps])  # (m, n)
-        self.index = tuple(np.mod(labels, self.shape).T)
+        self.index = tuple(np.mod(dual.labels, self.shape).T)
 
     def forward(self, values: np.ndarray) -> list[np.ndarray]:
         spectrum = np.fft.fftn(self.weights * values.reshape(self.shape))
-        return list(spectrum[self.index].reshape(-1, 1, 1))
+        return [spectrum[self.index].reshape(-1, 1, 1)]
 
-    def inverse_on_grid(self, blocks: list[np.ndarray]) -> np.ndarray:
+    def inverse_on_grid(self, stacks: list[np.ndarray]) -> np.ndarray:
         spectrum = np.zeros(self.shape, dtype=complex)
-        spectrum[self.index] = [blk[0, 0] for blk in blocks]
+        spectrum[self.index] = stacks[0][:, 0, 0]
         return np.fft.ifftn(spectrum, norm="forward").ravel()
 
 
@@ -133,7 +154,7 @@ class _Su2Plan:
         self.e_inv_a = np.exp(-1j * np.outer(alpha, m))
         self.e_inv_g = np.exp(-1j * np.outer(m, gamma))
         self.c_beta = grid.beta_weights
-        self.two_ells = [int(round(2.0 * ir.label)) for ir in dual.irreps]
+        self.two_ells = [d - 1 for d in dual.run_dims]  # one spin per run
         # d^l_{ba}(beta_j) stored as [b, j, a], the axis order of the ladder cube
         self.d_tables = {k: little_d(k, beta).transpose(1, 0, 2) for k in self.two_ells}
 
@@ -142,14 +163,15 @@ class _Su2Plan:
         t = np.tensordot(self.p_fwd_a, f3, axes=(1, 0))       # (nf, Nb, Ng)
         t = np.tensordot(t, self.p_fwd_g, axes=(2, 1))        # (nf, Nb, nf) [b, j, a]
         t *= self.c_beta[:, None]
-        blocks = []
+        stacks = []
         for k in self.two_ells:
             ids = slice(self.top - k, self.top + k + 1, 2)
-            blocks.append(np.einsum("bja,bja->ab", self.d_tables[k], t[ids, :, ids]))
-        return blocks
+            stacks.append(np.einsum("bja,bja->ab", self.d_tables[k], t[ids, :, ids])[None])
+        return stacks
 
-    def inverse_on_grid(self, blocks: list[np.ndarray]) -> np.ndarray:
-        live = [(k, blk) for k, blk in zip(self.two_ells, blocks) if blk.any()]
+    def inverse_on_grid(self, stacks: list[np.ndarray]) -> np.ndarray:
+        # one spin per run
+        live = [(k, stack[0]) for k, stack in zip(self.two_ells, stacks) if stack.any()]
         if not live:
             return np.zeros(int(np.prod(self.shape)), dtype=complex)
         band = max(k for k, _ in live)
@@ -166,7 +188,7 @@ class _Su2Plan:
 def _get_plan(grid: QuadratureGrid, dual: DualSlice):
     if grid.group != dual.group:
         raise PreconditionError("grid and dual slice belong to different groups")
-    key = (round(dual.cutoff, 9), len(dual.irreps))
+    key = (round(dual.cutoff, 9), len(dual))
     plan = grid._plans.get(key)
     if plan is None:
         plan = _TorusPlan(grid, dual) if grid.group.kind == TORUS else _Su2Plan(grid, dual)
@@ -194,7 +216,7 @@ def forward_transform(gridfn: GridFunction, dual: DualSlice) -> FourierCoefficie
 def inverse_on_grid(coeffs: FourierCoefficients, grid: QuadratureGrid) -> GridFunction:
     """Evaluate the inversion series at every grid node through the grid's plan."""
     _require_resolves(grid, coeffs.dual)
-    return GridFunction(grid, _get_plan(grid, coeffs.dual).inverse_on_grid(coeffs.blocks))
+    return GridFunction(grid, _get_plan(grid, coeffs.dual).inverse_on_grid(coeffs.stacks))
 
 
 def inverse_evaluate(coeffs: FourierCoefficients, points: np.ndarray) -> np.ndarray:
@@ -205,10 +227,10 @@ def inverse_evaluate(coeffs: FourierCoefficients, points: np.ndarray) -> np.ndar
     """
     dual = coeffs.dual
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    vals = np.zeros(len(points), dtype=complex)
     if dual.group.kind == TORUS:
-        labels = np.array([ir.label for ir in dual.irreps], dtype=float)
-        vec = np.array([b[0, 0] for b in coeffs.blocks])
-        vals = np.zeros(len(points), dtype=complex)
+        labels = dual.labels.astype(float)
+        vec = coeffs.stacks[0][:, 0, 0]
         chunk = max(1, 4_000_000 // max(len(points), 1))
         for lo in range(0, len(labels), chunk):
             lbl = labels[lo : lo + chunk]
@@ -216,52 +238,45 @@ def inverse_evaluate(coeffs: FourierCoefficients, points: np.ndarray) -> np.ndar
         return vals
 
     alpha, beta, gamma = points[:, 0], points[:, 1], points[:, 2]
-    vals = np.zeros(len(points), dtype=complex)
-    for ir, blk in zip(dual.irreps, coeffs.blocks):
+    for dim, stack in zip(dual.run_dims, coeffs.stacks):  # one spin per run
+        blk = stack[0]
         if not blk.any():
             continue
-        two_ell = int(round(2.0 * ir.label))
-        m = (two_ell / 2.0) - np.arange(two_ell + 1)
-        chunk = max(1, 2_000_000 // max((two_ell + 1) ** 2, 1))
+        two_ell = dim - 1
+        m = (two_ell / 2.0) - np.arange(dim)
+        chunk = max(1, 2_000_000 // dim**2)
         for lo in range(0, len(points), chunk):
             sl = slice(lo, lo + chunk)
             dmat = little_d(two_ell, beta[sl])
             ea = np.exp(-1j * np.outer(alpha[sl], m))
             eg = np.exp(-1j * np.outer(gamma[sl], m))
-            vals[sl] += ir.dim * np.einsum("pb,pba,pa,ab->p", ea, dmat, eg, blk, optimize=True)
+            vals[sl] += dim * np.einsum("pb,pba,pa,ab->p", ea, dmat, eg, blk, optimize=True)
     return vals
 
 
 def plancherel_norm(coeffs: FourierCoefficients) -> float:
     """(sum_xi d_xi ||fhat(xi)||_HS^2)^(1/2)."""
-    total = 0.0
-    for ir, blk in zip(coeffs.dual.irreps, coeffs.blocks):
-        total += ir.dim * float(np.sum(np.abs(blk) ** 2))
+    total = sum(d * float(np.sum(np.abs(s) ** 2)) for d, s in zip(coeffs.dual.run_dims, coeffs.stacks))
     return float(np.sqrt(total))
 
 
 def inner_product(f: FourierCoefficients, g: FourierCoefficients) -> complex:
     """Plancherel pairing sum_xi d_xi Tr(fhat(xi) ghat(xi)^*)."""
     require_same_dual(f.dual, g.dual)
-    total = 0.0 + 0.0j
-    for ir, fb, gb in zip(f.dual.irreps, f.blocks, g.blocks):
-        total += ir.dim * np.trace(fb @ gb.conj().T)
+    total = sum(d * np.sum(fs * gs.conj()) for d, fs, gs in zip(f.dual.run_dims, f.stacks, g.stacks))
     return complex(total)
 
 
 def convolve(f: FourierCoefficients, g: FourierCoefficients) -> FourierCoefficients:
     """Right convolution f * g on the shared dual slice: ghat . fhat per irrep."""
     require_same_dual(f.dual, g.dual)
-    return FourierCoefficients(f.dual, [gb @ fb for fb, gb in zip(f.blocks, g.blocks)])
+    return FourierCoefficients(f.dual, [gs @ fs for fs, gs in zip(f.stacks, g.stacks)])
 
 
 def translate_coefficients(coeffs: FourierCoefficients, z: np.ndarray) -> FourierCoefficients:
     """Coefficients of x -> f(zx), namely fhat(xi) xi(z)."""
-    dual = coeffs.dual
-    blocks = [
-        blk @ evaluate_irrep(dual.group, ir, z) for ir, blk in zip(dual.irreps, coeffs.blocks)
-    ]
-    return FourierCoefficients(dual, blocks)
+    reps = representation_stacks(coeffs.dual, z)
+    return FourierCoefficients(coeffs.dual, [s @ r for s, r in zip(coeffs.stacks, reps)])
 
 
 def reality_defect(coeffs: FourierCoefficients) -> float:
@@ -272,23 +287,23 @@ def reality_defect(coeffs: FourierCoefficients) -> float:
     Checked only on demand (for functions declared real).
     """
     dual = coeffs.dual
-    worst = 0.0
     if dual.group.kind == TORUS:
-        for ir, blk in zip(dual.irreps, coeffs.blocks):
-            neg = tuple(-c for c in ir.label)
-            other = coeffs.blocks[dual.index_of[neg]]
-            worst = max(worst, float(np.abs(other[0, 0] - np.conj(blk[0, 0]))))
-        return worst
-    for blk in coeffs.blocks:
-        d = blk.shape[0]
+        # the slice is symmetric: fhat(-xi) is read from the label box
+        bound = int(dual.max_band)
+        vals = coeffs.stacks[0][:, 0, 0]
+        box = np.zeros((2 * bound + 1,) * dual.group.dim, dtype=complex)
+        box[tuple((dual.labels + bound).T)] = vals
+        return float(np.max(np.abs(box[tuple((bound - dual.labels).T)] - np.conj(vals))))
+    worst = 0.0
+    for d, stack in zip(dual.run_dims, coeffs.stacks):
         r = np.arange(d)
         signs = (-1.0) ** (r[:, None] - r[None, :])
-        worst = max(worst, float(np.max(np.abs(np.conj(blk) - signs * blk[::-1, ::-1]))))
+        worst = max(worst, float(np.max(np.abs(np.conj(stack) - signs * stack[:, ::-1, ::-1]))))
     return worst
 
 
 def require_same_dual(left: DualSlice, right: DualSlice):
-    if left.group != right.group or len(left.irreps) != len(right.irreps):
+    if left.group != right.group or len(left) != len(right):
         raise PreconditionError("operands live on different dual slices")
     if abs(left.cutoff - right.cutoff) > 1e-9:
         raise PreconditionError("operands live on different dual slices")

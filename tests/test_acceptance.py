@@ -89,7 +89,7 @@ def test_criterion_02_torus_difference_oracle():
         blocks = [
             np.array([[rng.standard_normal() + 1j * rng.standard_normal()]]) for _ in dual.irreps
         ]
-        sig = Symbol(dual, blocks)
+        sig = Symbol.from_blocks(dual, blocks)
         vals = {ir.label: blk[0, 0] for ir, blk in zip(dual.irreps, blocks)}
         diff = apply_difference(sig, (1,))
         for keep, ir, blk in zip(diff.valid_mask(), dual.irreps, diff.blocks):

@@ -1,6 +1,9 @@
 import json
+import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +54,25 @@ _CHECK_WAVE = {
 }
 
 
+_GAUSSIAN_SWEEP = {
+    "task": "bound-sweep",
+    "group": {"kind": "torus", "dim": 1},
+    "lams": [8.0, 16.0],
+    "symbol": {"type": "wave"},
+    "specs": [{"r": 0, "p": 2, "q": 2}],
+    "ensemble": {"kind": "gaussian-coefficients", "count": 2},
+}
+_TL_NORM = {
+    "task": "tl-norm",
+    "group": {"kind": "torus", "dim": 1},
+    "lam": 16.0,
+    "specs": [{"r": 0, "p": 2, "q": 2}],
+}
+_GAUSSIAN = {"kind": "gaussian-coefficients"}
+_TRANSFORM = {"task": "transform", "group": {"kind": "torus", "dim": 1}, "lam": 8.0}
+_CHECK_HM = {**_CHECK_WAVE, "checker": "hormander-mihlin"}
+
+
 def _without(cfg, key):
     return {k: v for k, v in cfg.items() if k != key}
 
@@ -71,6 +93,18 @@ def _without(cfg, key):
         pytest.param({**_CHECK_WAVE, "lams": []}, id="empty-lams"),
         pytest.param({**_CHECK_WAVE, "lams": 8.0}, id="scalar-lams"),
         pytest.param(_without(_CHECK_WAVE, "lams"), id="no-cutoff"),
+        pytest.param({**_TRANSFORM, "count": 0}, id="transform-count-0"),
+        pytest.param({**_TRANSFORM, "count": -1}, id="transform-count-negative"),
+        pytest.param(_selftest_cfg(count=0), id="selftest-count-0"),
+        pytest.param({**_CHECK_WAVE, "checker": "weak-marcinkiewicz", "s0": 1.5}, id="fractional-s0"),
+        pytest.param({**_CHECK_WAVE, "order": 1.5}, id="fractional-order"),
+        pytest.param({**_CHECK_WAVE, "order": -1}, id="negative-order"),
+        pytest.param({**_KERNEL_DECAY, "windows": [1.5, 2]}, id="fractional-window"),
+        pytest.param({**_KERNEL_DECAY, "windows": [2]}, id="one-window"),
+        pytest.param({**_KERNEL_DECAY, "windows": [2, 2]}, id="one-distinct-window"),
+        pytest.param({**_KERNEL_DECAY, "group": {"kind": "torus", "dim": 1.5}}, id="fractional-dim"),
+        pytest.param({**_GAUSSIAN_SWEEP, "ensemble": {**_GAUSSIAN, "count": 1.5}}, id="fractional-ensemble-count"),
+        pytest.param({**_GAUSSIAN_SWEEP, "ensemble": {**_GAUSSIAN, "count": True}}, id="bool-ensemble-count"),
     ],
 )
 def test_bad_config_exits_1(tmp_path, cfg):
@@ -93,20 +127,6 @@ def test_spin_above_validated_range_refused_before_any_grid(tmp_path, monkeypatc
     assert not (tmp_path / "out" / "transform_report.csv").exists()
 
 
-_GAUSSIAN_SWEEP = {
-    "task": "bound-sweep",
-    "group": {"kind": "torus", "dim": 1},
-    "lams": [8.0, 16.0],
-    "symbol": {"type": "wave"},
-    "specs": [{"r": 0, "p": 2, "q": 2}],
-    "ensemble": {"kind": "gaussian-coefficients", "count": 2},
-}
-_TL_NORM = {
-    "task": "tl-norm",
-    "group": {"kind": "torus", "dim": 1},
-    "lam": 16.0,
-    "specs": [{"r": 0, "p": 2, "q": 2}],
-}
 
 
 @pytest.mark.parametrize(
@@ -123,6 +143,18 @@ _TL_NORM = {
             id="tl-norm-adjoint-dirichlet",
         ),
         pytest.param({**_TL_NORM, "ensemble": ["gaussian-coefficients"]}, "cached_grid", id="ensemble-not-object"),
+        pytest.param({**_CHECK_HM, "s": "NaN"}, "enumerate_dual", id="nan-s"),
+        pytest.param({**_CHECK_HM, "s": "inf"}, "enumerate_dual", id="inf-s"),
+        pytest.param({**_CHECK_HM, "s": "a"}, "enumerate_dual", id="text-s"),
+        pytest.param({**_TL_NORM, "specs": [{"r": "NaN", "p": 2, "q": 2}]}, "cached_grid", id="nan-r"),
+        pytest.param({**_TL_NORM, "specs": [{"r": 0, "p": 2}]}, "cached_grid", id="spec-without-q"),
+        pytest.param({**_TL_NORM, "specs": {"r": 0, "p": 2, "q": 2}}, "cached_grid", id="specs-not-list"),
+        pytest.param({**_TL_NORM, "ensemble": {"count": 2}}, "cached_grid", id="ensemble-without-kind"),
+        pytest.param({**_CHECK_WAVE, "symbol": "wave"}, "enumerate_dual", id="symbol-not-object"),
+        pytest.param({**_CHECK_WAVE, "symbol": {"type": "power_it", "t": "NaN"}}, "enumerate_dual", id="nan-t"),
+        pytest.param({**_CHECK_WAVE, "symbol": {"type": "window", "ell": 1.5}}, "enumerate_dual", id="fractional-ell"),
+        pytest.param({**_GAUSSIAN_SWEEP, "ensemble": _GAUSSIAN}, "boundedness_sweep", id="sweep-without-count"),
+        pytest.param({**_TRANSFORM, "tolerances": {"roundtrip_max": math.nan}}, "cached_grid", id="nan-tolerance"),
     ],
 )
 def test_bad_config_refused_before_any_work(tmp_path, monkeypatch, cfg, stage):
@@ -316,11 +348,17 @@ def test_shipped_example_configs_validate(tmp_path):
 
 
 def test_console_entry_point(tmp_path):
+    import liefourier
+
     path = _write(tmp_path, _selftest_cfg())
+    # the child imports the package the tests import, installed or not
+    src = str(Path(liefourier.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "liefourier.cli", "--config", str(path), "--out", str(tmp_path / "o")],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "selftest: ok" in proc.stderr

@@ -170,3 +170,55 @@ def test_large_spin_unitary(su2):
     x = random_point(su2, rng)
     mat = wigner_matrix(64.0, x)
     assert np.max(np.abs(mat @ mat.conj().T - np.eye(129))) < 1e-10
+
+
+def _enumerate_oracle(group, cutoff):
+    """The per-label enumeration loop: (label, dim, <xi>) per irrep, sorted
+    by (eigenvalue, label)."""
+    irreps = []
+    if group.kind == "torus":
+        max_sq = cutoff * cutoff - 1.0
+        bound = int(np.floor(np.sqrt(max(max_sq, 0.0))))
+        grids = np.meshgrid(*[range(-bound, bound + 1)] * group.dim, indexing="ij")
+        labels = np.stack([g.ravel() for g in grids], axis=-1)
+        norms_sq = np.sum(labels.astype(float) ** 2, axis=-1)
+        for lab, nsq in zip(labels, norms_sq):
+            if nsq <= max_sq + 1e-12:
+                irreps.append((tuple(int(c) for c in lab), 1, float(np.sqrt(1.0 + nsq))))
+    else:
+        two_ell = 0
+        while True:
+            ell = two_ell / 2.0
+            eig = np.sqrt(1.0 + ell * (ell + 1.0))
+            if eig > cutoff + 1e-12:
+                break
+            irreps.append((ell, two_ell + 1, float(eig)))
+            two_ell += 1
+    irreps.sort(key=lambda ir: (ir[2], ir[0]))
+    return irreps
+
+
+_BOUNDARY_CUTOFFS = (1.0, np.sqrt(2.0), np.sqrt(5.0), np.sqrt(3.0), 7.3)
+
+
+@pytest.mark.parametrize(
+    "kind,n,cutoff",
+    [("torus", n, c) for n in (1, 2, 3) for c in _BOUNDARY_CUTOFFS]
+    + [("torus", 2, 256.0), ("torus", 3, 40.0)]
+    + [("su2", 3, c) for c in (1.0, np.sqrt(2.0), spin_cutoff(0.5), spin_cutoff(7.5), spin_cutoff(64))],
+)
+def test_enumerate_dual_equals_per_label_loop(kind, n, cutoff):
+    group = make_group(kind, n)
+    dual = enumerate_dual(group, cutoff)
+    oracle = _enumerate_oracle(group, cutoff)
+    labels, dims, eigs = (np.array(col) for col in zip(*oracle))
+    assert np.array_equal(dual.labels, labels)
+    assert np.array_equal(dual.dims, dims)
+    assert np.array_equal(dual.eigenvalues, eigs)
+    if len(oracle) < 1000:  # the derived per-irrep view
+        assert [(ir.label, ir.dim, ir.eigenvalue) for ir in dual.irreps] == oracle
+    runs = dual.runs
+    assert runs[0].start == 0 and runs[-1].stop == len(dual)
+    assert all(a.stop == b.start for a, b in zip(runs, runs[1:]))
+    assert all(len(set(dual.dims[run])) == 1 for run in runs)
+    assert len(runs) == (1 if kind == "torus" else len(dual))

@@ -41,7 +41,7 @@ def test_mode_projection_symbol(torus1):
         (np.eye(1, dtype=complex) if ir.label == (3,) else np.zeros((1, 1), complex))
         for ir in dual.irreps
     ]
-    sig = Symbol(dual, blocks)
+    sig = Symbol.from_blocks(dual, blocks)
     f = random_coefficients(dual, np.random.default_rng(1))
     out = apply_multiplier(sig, f)
     for ir, fb, ob in zip(dual.irreps, f.blocks, out.blocks):
@@ -64,9 +64,9 @@ def test_l2_contraction_bound(su2):
 def test_multiplier_composition(su2):
     dual = enumerate_dual(su2, spin_cutoff(2))
     rng = np.random.default_rng(3)
-    a = Symbol(dual, [rng.standard_normal((ir.dim, ir.dim)) + 0j for ir in dual.irreps])
-    b = Symbol(dual, [rng.standard_normal((ir.dim, ir.dim)) + 0j for ir in dual.irreps])
-    ab = Symbol(dual, [x @ y for x, y in zip(a.blocks, b.blocks)])
+    a = Symbol.from_blocks(dual, [rng.standard_normal((ir.dim, ir.dim)) + 0j for ir in dual.irreps])
+    b = Symbol.from_blocks(dual, [rng.standard_normal((ir.dim, ir.dim)) + 0j for ir in dual.irreps])
+    ab = Symbol.from_blocks(dual, [x @ y for x, y in zip(a.blocks, b.blocks)])
     f = random_coefficients(dual, rng)
     lhs = apply_multiplier(a, apply_multiplier(b, f))
     rhs = apply_multiplier(ab, f)
@@ -109,7 +109,7 @@ def test_window_zero_mean_except_low_piece(torus1, partition):
     # only the trivial irrep contributes to the mean; psi_0(1) = 1
     dual = enumerate_dual(torus1, 16.0)
     rng = np.random.default_rng(5)
-    sig = Symbol(dual, [np.array([[rng.standard_normal() + 0j]]) for _ in dual.irreps])
+    sig = Symbol.from_blocks(dual, [np.array([[rng.standard_normal() + 0j]]) for _ in dual.irreps])
     k0 = window_kernel(sig, partition, 0)
     trivial = dual.index_of[(0,)]
     assert abs(k0.blocks[trivial][0, 0] - sig.blocks[trivial][0, 0]) < 1e-15
@@ -172,7 +172,7 @@ def test_su2_class_function_path_matches_general(su2, partition):
     kernel = window_kernel(sig, partition, 1)
     z = su2_point_from_distance(0.4)
     fast = kernel_difference_integral(kernel, z, 1.0, grid)
-    bumped = FourierCoefficients(dual, [b.copy() for b in kernel.blocks])
+    bumped = FourierCoefficients.from_blocks(dual, [b.copy() for b in kernel.blocks])
     idx = dual.index_of[1.0]
     bumped.blocks[idx][0, 1] += 1e-300  # makes the block non-scalar only
     general = kernel_difference_integral(bumped, z, 1.0, grid)
@@ -198,7 +198,7 @@ def test_kernel_difference_matches_pointwise_oracle(kind, n, cutoff, z, partitio
     group = make_group(kind, n)
     dual = enumerate_dual(group, cutoff)
     grid = cached_grid(group, dual.max_band)
-    sig = Symbol(dual, random_coefficients(dual, np.random.default_rng(13)).blocks)
+    sig = Symbol.from_blocks(dual, random_coefficients(dual, np.random.default_rng(13)).blocks)
     kernel = window_kernel(sig, partition, 2)
     z = np.array(z)
     value = kernel_difference_integral(kernel, z, 1.0, grid)
@@ -237,7 +237,7 @@ def test_exact_l2_norm_examples(torus1, su2):
     dsu = enumerate_dual(su2, spin_cutoff(1))
     blocks = [np.zeros((ir.dim, ir.dim), complex) for ir in dsu.irreps]
     blocks[dsu.index_of[0.5]] = np.diag([2.0, 0.5]).astype(complex)
-    assert abs(exact_l2_operator_norm(Symbol(dsu, blocks)) - 2.0) < 1e-15
+    assert abs(exact_l2_operator_norm(Symbol.from_blocks(dsu, blocks)) - 2.0) < 1e-15
 
 
 def test_ensemble_kinds_and_determinism(torus1, partition):

@@ -24,7 +24,9 @@ def test_coefficients_roundtrip_bit_exact(torus2, tmp_path):
 def test_su2_symbol_roundtrip(su2, tmp_path):
     dual = enumerate_dual(su2, spin_cutoff(2))
     rng = np.random.default_rng(1)
-    sig = Symbol(dual, [rng.standard_normal((ir.dim, ir.dim)) + 1j * rng.standard_normal((ir.dim, ir.dim)) for ir in dual.irreps])
+    sig = Symbol.from_blocks(
+        dual, [rng.standard_normal((ir.dim, ir.dim)) + 1j * rng.standard_normal((ir.dim, ir.dim)) for ir in dual.irreps]
+    )
     path = tmp_path / "symbol.json"
     save(path, sig)
     back = load(path)

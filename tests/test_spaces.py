@@ -105,14 +105,14 @@ def test_projection_of_disjoint_support_is_zero(torus1, partition):
         (np.eye(1, dtype=complex) if 16.0 <= ir.eigenvalue <= 40.0 else np.zeros((1, 1), complex))
         for ir in dual.irreps
     ]
-    coeffs = FourierCoefficients(dual, blocks)
+    coeffs = FourierCoefficients.from_blocks(dual, blocks)
     piece = lp_project(coeffs, partition, 2)  # window (2, 8), disjoint from [16, 40]
     assert all(np.max(np.abs(b)) < 1e-15 for b in piece.blocks)
 
 
 def test_dirichlet_projection_keeps_exact_band(torus1, partition):
     dual = enumerate_dual(torus1, 32.0)
-    dirichlet = FourierCoefficients(dual, [np.eye(1, dtype=complex) for _ in dual.irreps])
+    dirichlet = FourierCoefficients.from_blocks(dual, [np.eye(1, dtype=complex) for _ in dual.irreps])
     piece = lp_project(dirichlet, partition, 2)
     for ir, blk in zip(dual.irreps, piece.blocks):
         expected = partition.eta(ir.eigenvalue / 4.0)
@@ -179,6 +179,9 @@ def test_norm_spec_validation():
         NormSpec(0.0, 2.0, 1.0)
     with pytest.raises(PreconditionError):
         NormSpec(0.0, math.inf, 2.0)
+    for r in (math.nan, math.inf, -math.inf):
+        with pytest.raises(PreconditionError):
+            NormSpec(r, 2.0, 2.0)
 
 
 def test_single_irrep_function_factors_exactly(torus1, partition):
@@ -191,7 +194,7 @@ def test_single_irrep_function_factors_exactly(torus1, partition):
     lam0 = dual.irreps[pos].eigenvalue
     blocks = [np.zeros((1, 1), complex) for _ in dual.irreps]
     blocks[pos] = np.eye(1, dtype=complex)
-    coeffs = FourierCoefficients(dual, blocks)
+    coeffs = FourierCoefficients.from_blocks(dual, blocks)
     for p in (1.5, 2.0, 4.0):
         for q in (1.5, 2.0, 4.0):
             spec = NormSpec(0.0, p, q)
@@ -297,7 +300,7 @@ def test_weak_norm_constant_level_set(torus1, partition):
         (np.eye(1, dtype=complex) if ir.eigenvalue == 1.0 else np.zeros((1, 1), complex))
         for ir in dual.irreps
     ]
-    coeffs = FourierCoefficients(dual, blocks)  # constant function 1
+    coeffs = FourierCoefficients.from_blocks(dual, blocks)  # constant function 1
     val = weak_tl_norm(coeffs, NormSpec(0.0, 1.0, 2.0), partition, grid)
     assert abs(val - 1.0) < 1e-12
 
@@ -305,7 +308,7 @@ def test_weak_norm_constant_level_set(torus1, partition):
 def test_weak_norm_zero(torus1, partition):
     dual = enumerate_dual(torus1, 4.0)
     grid = default_grid(dual)
-    zero = FourierCoefficients(dual, [np.zeros((1, 1), complex) for _ in dual.irreps])
+    zero = FourierCoefficients.from_blocks(dual, [np.zeros((1, 1), complex) for _ in dual.irreps])
     assert weak_tl_norm(zero, NormSpec(0.0, 1.0, 2.0), partition, grid) == 0.0
 
 

@@ -98,7 +98,7 @@ def test_su2_plan_matches_pointwise_series(su2, extra):
     wigner = [np.stack([wigner_matrix(ir.label, p) for p in grid.points]) for ir in dual.irreps]
     rng = np.random.default_rng(13)
     full = random_coefficients(dual, rng)
-    low = FourierCoefficients(  # nonzero up to spin 1: the inverse stops at that band
+    low = FourierCoefficients.from_blocks(  # nonzero up to spin 1: the inverse stops at that band
         dual, [b if ir.label <= 1 else 0 * b for ir, b in zip(dual.irreps, full.blocks)]
     )
     samples = [rng.standard_normal(len(grid)) + 1j * rng.standard_normal(len(grid))]
@@ -117,7 +117,7 @@ def test_inverse_at_trivial_long_constant(su2):
     dual = enumerate_dual(su2, spin_cutoff(1))
     blocks = [np.zeros((ir.dim, ir.dim), complex) for ir in dual.irreps]
     blocks[0][0, 0] = 1.0
-    coeffs = FourierCoefficients(dual, blocks)
+    coeffs = FourierCoefficients.from_blocks(dual, blocks)
     rng = np.random.default_rng(1)
     pts = np.stack([random_point(dual.group, rng) for _ in range(5)])
     np.testing.assert_allclose(inverse_evaluate(coeffs, pts), np.ones(5), atol=1e-13)
@@ -128,7 +128,7 @@ def test_su2_character_inverse_value(su2):
     dual = enumerate_dual(su2, spin_cutoff(1))
     blocks = [np.zeros((ir.dim, ir.dim), complex) for ir in dual.irreps]
     blocks[dual.index_of[0.5]] = np.eye(2) / 2
-    coeffs = FourierCoefficients(dual, blocks)
+    coeffs = FourierCoefficients.from_blocks(dual, blocks)
     val = inverse_evaluate(coeffs, np.zeros((1, 3)))
     assert abs(val[0] - 2.0) < 1e-12
 
@@ -156,7 +156,7 @@ def test_scalar_block_class_function_path(su2):
     # series must match the explicit Wigner sum on them as on general blocks
     dual = enumerate_dual(su2, spin_cutoff(4))
     rng = np.random.default_rng(3)
-    coeffs = FourierCoefficients(
+    coeffs = FourierCoefficients.from_blocks(
         dual,
         [(rng.standard_normal() + 1j * rng.standard_normal()) * np.eye(ir.dim) for ir in dual.irreps],
     )
@@ -178,7 +178,7 @@ def test_plancherel_examples(su2):
     dual = enumerate_dual(su2, spin_cutoff(1))
     blocks = [np.zeros((ir.dim, ir.dim), complex) for ir in dual.irreps]
     blocks[dual.index_of[0.5]] = np.eye(2) / 2
-    assert abs(plancherel_norm(FourierCoefficients(dual, blocks)) - 1.0) < 1e-14
+    assert abs(plancherel_norm(FourierCoefficients.from_blocks(dual, blocks)) - 1.0) < 1e-14
     assert plancherel_norm(zero_coefficients(dual)) == 0.0
 
 
@@ -223,7 +223,7 @@ def test_convolution_identity_and_scalars(torus1):
     dual = enumerate_dual(torus1, 8.0)
     rng = np.random.default_rng(7)
     f = random_coefficients(dual, rng)
-    dirac = FourierCoefficients(dual, [np.eye(ir.dim, dtype=complex) for ir in dual.irreps])
+    dirac = FourierCoefficients.from_blocks(dual, [np.eye(ir.dim, dtype=complex) for ir in dual.irreps])
     assert _max_block_err(convolve(f, dirac), f) < 1e-14
     g = random_coefficients(dual, rng)
     fg = convolve(f, g)
@@ -269,7 +269,7 @@ def test_linearity_and_conjugation(torus1):
     rng = np.random.default_rng(10)
     f = random_coefficients(dual, rng)
     g = random_coefficients(dual, rng)
-    combo = FourierCoefficients(dual, [2.0 * a - 1j * b for a, b in zip(f.blocks, g.blocks)])
+    combo = FourierCoefficients.from_blocks(dual, [2.0 * a - 1j * b for a, b in zip(f.blocks, g.blocks)])
     lhs = inverse_on_grid(combo, grid).values
     rhs = 2.0 * inverse_on_grid(f, grid).values - 1j * inverse_on_grid(g, grid).values
     assert np.max(np.abs(lhs - rhs)) < 1e-12
@@ -292,9 +292,9 @@ def test_block_shape_guard(su2):
     blocks = [np.zeros((ir.dim, ir.dim), complex) for ir in dual.irreps]
     blocks[-1] = np.zeros((1, 1), complex)  # wrong shape for the top spin
     with pytest.raises(PreconditionError):
-        FourierCoefficients(dual, blocks)
+        FourierCoefficients.from_blocks(dual, blocks)
     with pytest.raises(PreconditionError):
-        FourierCoefficients(dual, blocks[:-1])
+        FourierCoefficients.from_blocks(dual, blocks[:-1])
 
 
 def test_grid_too_coarse_raises(torus1):
@@ -309,3 +309,53 @@ def test_dual_mismatch_raises(torus1):
     g = random_coefficients(enumerate_dual(torus1, 4.0), np.random.default_rng(0))
     with pytest.raises(PreconditionError):
         convolve(f, g)
+
+
+_PER_RUN_SLICES = [("torus", 1, 64.0), ("torus", 2, 16.0), ("torus", 3, 6.0), ("su2", 3, spin_cutoff(7.5))]
+
+
+def _bitwise_equal(blocks, oracle):
+    return len(blocks) == len(oracle) and all(np.array_equal(a, b) for a, b in zip(blocks, oracle))
+
+
+@pytest.mark.parametrize("kind,n,cutoff", _PER_RUN_SLICES)
+def test_per_run_paths_equal_per_block_loops(kind, n, cutoff, partition):
+    from liefourier import apply_multiplier, lp_project
+    from liefourier.symbols import Symbol, operator_norms
+
+    dual = enumerate_dual(make_group(kind, n), cutoff)
+    coeffs = random_coefficients(dual, np.random.default_rng(21))
+    rng = np.random.default_rng(21)
+    drawn = [(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0) for d in dual.dims]
+    assert _bitwise_equal(coeffs.blocks, drawn)
+
+    symbol = Symbol(dual, random_coefficients(dual, np.random.default_rng(22)).stacks)
+    product = apply_multiplier(symbol, coeffs)
+    assert _bitwise_equal(product.blocks, [s @ f for s, f in zip(symbol.blocks, coeffs.blocks)])
+
+    for level in partition.levels(cutoff):
+        scale = partition.psi(level, dual.eigenvalues)
+        piece = lp_project(coeffs, partition, level)
+        assert _bitwise_equal(piece.blocks, [s * blk for s, blk in zip(scale, coeffs.blocks)])
+
+    norms = operator_norms(symbol.stacks)
+    assert np.array_equal(norms, [np.linalg.svd(blk, compute_uv=False)[0] for blk in symbol.blocks])
+
+    total = 0.0
+    for dim, blk in zip(dual.dims, coeffs.blocks):
+        total += dim * float(np.sum(np.abs(blk) ** 2))
+    assert abs(plancherel_norm(coeffs) - np.sqrt(total)) <= 1e-15 * np.sqrt(total)
+
+
+@pytest.mark.parametrize("kind,n,cutoff", _PER_RUN_SLICES)
+def test_from_blocks_round_trip_and_views(kind, n, cutoff):
+    dual = enumerate_dual(make_group(kind, n), cutoff)
+    blocks = random_coefficients(dual, np.random.default_rng(5)).blocks
+    packed = FourierCoefficients.from_blocks(dual, blocks)
+    assert len(packed.stacks) == len(dual.runs)
+    assert _bitwise_equal(packed.blocks, blocks)
+    for i in (0, len(dual) // 2, len(dual) - 1):
+        assert np.shares_memory(packed.blocks[i], packed.stacks[0] if kind == "torus" else packed.stacks[i])
+        packed.blocks[i][0, 0] = 7.0 + 1j
+        assert packed.block(i)[0, 0] == 7.0 + 1j
+        assert blocks[i][0, 0] != 7.0 + 1j  # packing copied the source blocks
