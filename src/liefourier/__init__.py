@@ -32,14 +32,15 @@ from .transform import (
     translate_coefficients,
 )
 from .spaces import (
-    LPPartition,
     NormSpec,
-    build_partition,
+    eta,
     lebesgue_norm,
     lp_project,
+    psi,
     tl_norms,
     triebel_lizorkin_norm,
     weak_tl_norm,
+    window_levels,
 )
 from .symbols import (
     CheckReport,

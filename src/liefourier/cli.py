@@ -40,9 +40,10 @@ from .multipliers import (
     kernel_difference_integral,
     window_kernel,
 )
-from .spaces import NormSpec, build_partition, tl_norms
-from .symbols import cached_grid, check_hormander_mihlin, check_marcinkiewicz, check_weak_marcinkiewicz, symbol_from_config
+from .spaces import NormSpec, psi, tl_norms, window_levels
+from .symbols import check_hormander_mihlin, check_marcinkiewicz, check_weak_marcinkiewicz, symbol_from_config
 from .transform import (
+    default_grid,
     forward_transform,
     inverse_on_grid,
     plancherel_norm,
@@ -169,6 +170,8 @@ def _validate_config(cfg: dict) -> dict:
                 raise ConfigurationError(f"{name} must be a nonempty list")
             for value in values:
                 _finite(name, value)
+                if name in ("ell_max", "ell_maxes") and float(value) < 0:
+                    raise ConfigurationError(f"{name} must hold spins >= 0, got {value!r}")
     _integer("seed", cfg.get("seed", 0))
     for name, low, high in (("count", 1, None), ("order", 0, None), ("s0", 0, group.dim)):
         if name in cfg:
@@ -178,6 +181,9 @@ def _validate_config(cfg: dict) -> dict:
             _integer("each window", level, 0)
         if len(set(cfg["windows"])) < 2:
             raise ConfigurationError("windows must hold at least two distinct levels to fit a slope")
+        levels = window_levels(_cutoff(cfg, group))
+        if not set(cfg["windows"]) <= set(levels):
+            raise ConfigurationError(f"windows must lie among the slice's nonzero windows {levels}")
     if "symbol" in cfg:
         scfg = cfg["symbol"]
         if not isinstance(scfg, dict):
@@ -189,6 +195,8 @@ def _validate_config(cfg: dict) -> dict:
                 _integer(f"symbol {name}", scfg[name], 0)
     if "specs" in cfg:
         _specs(cfg)
+    if cfg.get("format", "csv") not in ("csv", "json"):
+        raise ConfigurationError(f"format must be 'csv' or 'json', got {cfg['format']!r}")
     if cfg.get("trend", "none") not in ("none", "increasing"):
         raise ConfigurationError("trend must be 'none' or 'increasing'")
     checkers = ("marcinkiewicz", "hormander-mihlin", "weak-marcinkiewicz")
@@ -302,21 +310,18 @@ def _roundtrip_residuals(dual, grid, seed: int, count: int) -> list[tuple[float,
     return out
 
 
-def _task_transform(cfg, seed, tol, digest):
+def _task_transform(cfg, seed, tol):
     group = _group(cfg)
     lam = _cutoff(cfg, group)
     count = cfg.get("count", 8)
     dual = enumerate_dual(group, lam)
-    grid = cached_grid(group, dual.max_band)
+    grid = default_grid(dual)
     rows = []
     residuals = _roundtrip_residuals(dual, grid, seed, count)
     for member, (rt, rel) in enumerate(residuals):
         ok = rt <= tol["roundtrip_max"] and rel <= tol["plancherel_max"]
         rows.append(
             {
-                "task": "transform",
-                "digest": digest,
-                "group": group.kind,
                 "lam": lam,
                 "member": member,
                 "roundtrip_error": rt,
@@ -328,21 +333,20 @@ def _task_transform(cfg, seed, tol, digest):
     return rows, headline
 
 
-def _task_check_symbol(cfg, seed, tol, digest):
+def _task_check_symbol(cfg, seed, tol):
     group = _group(cfg)
     lams = _cutoff_list(cfg, group)
     checker = cfg.get("checker", "marcinkiewicz")
-    partition = build_partition()
     rows = []
     per_key: dict = {}
     headline_by_lam = {}
     for lam in lams:
         dual = enumerate_dual(group, lam)
-        symbol = symbol_from_config(cfg["symbol"], dual, partition)
+        symbol = symbol_from_config(cfg["symbol"], dual)
         if checker == "marcinkiewicz":
             rep = check_marcinkiewicz(symbol, cfg.get("order"))
         elif checker == "hormander-mihlin":
-            rep = check_hormander_mihlin(symbol, float(cfg["s"]) if "s" in cfg else None, partition)
+            rep = check_hormander_mihlin(symbol, float(cfg["s"]) if "s" in cfg else None)
         else:
             rep = check_weak_marcinkiewicz(symbol, cfg.get("s0", 1))
         headline_by_lam[lam] = rep.headline
@@ -351,9 +355,6 @@ def _task_check_symbol(cfg, seed, tol, digest):
             per_key.setdefault(str(key), {})[lam] = value
             rows.append(
                 {
-                    "task": "check-symbol",
-                    "digest": digest,
-                    "group": group.kind,
                     "symbol": _symbol_name(cfg),
                     "checker": checker,
                     "lam": lam,
@@ -368,9 +369,6 @@ def _task_check_symbol(cfg, seed, tol, digest):
             growth = hi / lo if lo > 0 else (math.inf if hi > 0 else 0.0)
             rows.append(
                 {
-                    "task": "check-symbol",
-                    "digest": digest,
-                    "group": group.kind,
                     "symbol": _symbol_name(cfg),
                     "checker": checker,
                     "lam": lams[-1],
@@ -383,24 +381,19 @@ def _task_check_symbol(cfg, seed, tol, digest):
     return rows, headline
 
 
-def _task_tl_norm(cfg, seed, tol, digest):
+def _task_tl_norm(cfg, seed, tol):
     group = _group(cfg)
     lam = _cutoff(cfg, group)
     specs = _specs(cfg)
     ensemble = _ensemble(cfg)
     dual = enumerate_dual(group, lam)
-    grid = cached_grid(group, dual.max_band)
-    partition = build_partition()
     rows = []
     for member in range(ensemble.count):
         rng = np.random.default_rng([seed, member])
-        coeffs = ensemble_member(ensemble, member, dual, partition, rng)
-        for spec, (strong, weak) in zip(specs, tl_norms(coeffs, specs, partition, grid)):
+        coeffs = ensemble_member(ensemble, member, dual, rng)
+        for spec, (strong, weak) in zip(specs, tl_norms(coeffs, specs)):
             rows.append(
                 {
-                    "task": "tl-norm",
-                    "digest": digest,
-                    "group": group.kind,
                     "lam": lam,
                     "member": member,
                     "r": spec.r,
@@ -414,16 +407,15 @@ def _task_tl_norm(cfg, seed, tol, digest):
     return rows, {"rows": float(len(rows))}
 
 
-def _task_kernel_decay(cfg, seed, tol, digest):
+def _task_kernel_decay(cfg, seed, tol):
     group = _group(cfg)
     lam = _cutoff(cfg, group)
     windows = cfg["windows"]
     c = float(cfg.get("c", 1.0))
     z_distance = float(cfg["z_distance"])
-    partition = build_partition()
     dual = enumerate_dual(group, lam)
-    grid = cached_grid(group, dual.max_band)
-    symbol = symbol_from_config(cfg["symbol"], dual, partition)
+    grid = default_grid(dual)
+    symbol = symbol_from_config(cfg["symbol"], dual)
     if group.kind == TORUS:
         z = np.zeros(group.dim)
         z[0] = z_distance / (2.0 * np.pi)
@@ -432,14 +424,11 @@ def _task_kernel_decay(cfg, seed, tol, digest):
     rows = []
     integrals = []
     for ell in windows:
-        kernel = window_kernel(symbol, partition, ell)
+        kernel = window_kernel(symbol, ell)
         value = kernel_difference_integral(kernel, z, c, grid)
         integrals.append(value)
         rows.append(
             {
-                "task": "kernel-decay",
-                "digest": digest,
-                "group": group.kind,
                 "symbol": _symbol_name(cfg),
                 "lam": lam,
                 "window": ell,
@@ -450,9 +439,6 @@ def _task_kernel_decay(cfg, seed, tol, digest):
     slope = decay_slope(windows, integrals)
     rows.append(
         {
-            "task": "kernel-decay",
-            "digest": digest,
-            "group": group.kind,
             "symbol": _symbol_name(cfg),
             "lam": lam,
             "window": "slope",
@@ -463,16 +449,13 @@ def _task_kernel_decay(cfg, seed, tol, digest):
     return rows, {"slope": slope}
 
 
-def _task_bound_sweep(cfg, seed, tol, digest):
+def _task_bound_sweep(cfg, seed, tol):
     group = _group(cfg)
     lams = _cutoff_list(cfg, group)
     specs = _specs(cfg)
     ensemble = _ensemble(cfg)
-    partition = build_partition()
-    builder = lambda dual: symbol_from_config(cfg["symbol"], dual, partition)
-    sweeps = boundedness_sweep(
-        group, builder, specs, lams, ensemble, seed, partition, _symbol_name(cfg)
-    )
+    builder = lambda dual: symbol_from_config(cfg["symbol"], dual)
+    sweeps = boundedness_sweep(group, builder, specs, lams, ensemble, seed, _symbol_name(cfg))
     trend = cfg.get("trend", "none")
     rows = []
     worst_spread = 0.0
@@ -485,9 +468,6 @@ def _task_bound_sweep(cfg, seed, tol, digest):
         for lam, ratio, arg in zip(sweep.cutoffs, ratios, sweep.argmax_members):
             rows.append(
                 {
-                    "task": "bound-sweep",
-                    "digest": digest,
-                    "group": group.kind,
                     "symbol": sweep.symbol_id,
                     "r": sweep.spec.r,
                     "p": sweep.spec.p,
@@ -505,7 +485,7 @@ def _task_bound_sweep(cfg, seed, tol, digest):
 def _schur_residual(group) -> float:
     cutoff = math.sqrt(5.0) + 1e-9 if group.kind == TORUS else spin_cutoff(1.5)
     dual = enumerate_dual(group, cutoff)
-    grid = cached_grid(group, dual.max_band)
+    grid = default_grid(dual)
     tables = [
         np.stack([evaluate_irrep(group, ir, p) for p in grid.points]) for ir in dual.irreps
     ]
@@ -523,13 +503,12 @@ def _schur_residual(group) -> float:
     return worst
 
 
-def _task_selftest(cfg, seed, tol, digest):
+def _task_selftest(cfg, seed, tol):
     group = _group(cfg)
     lam = _cutoff(cfg, group)
     count = cfg.get("count", 4)
     dual = enumerate_dual(group, lam)
-    grid = cached_grid(group, dual.max_band)
-    partition = build_partition()
+    grid = default_grid(dual)
 
     checks = {}
     checks["weights_sum"] = abs(float(grid.weights.sum()) - 1.0)
@@ -542,12 +521,12 @@ def _task_selftest(cfg, seed, tol, digest):
     lam_samples = np.geomspace(1.0, 1e6, 400)
     total = np.zeros_like(lam_samples)
     for ell in range(22):
-        total += partition.psi(ell, lam_samples)
+        total += psi(ell, lam_samples)
     checks["partition_sum"] = float(np.max(np.abs(total - 1.0)))
 
     recon = np.zeros(len(dual))
-    for ell in partition.levels(dual.cutoff):
-        recon += partition.psi(ell, dual.eigenvalues)
+    for ell in window_levels(dual.cutoff):
+        recon += psi(ell, dual.eigenvalues)
     checks["reconstruction"] = float(np.max(np.abs(recon - 1.0)))
 
     limits = {
@@ -562,9 +541,6 @@ def _task_selftest(cfg, seed, tol, digest):
     for name, value in checks.items():
         rows.append(
             {
-                "task": "selftest",
-                "digest": digest,
-                "group": group.kind,
                 "lam": lam,
                 "check": name,
                 "residual": value,
@@ -608,23 +584,17 @@ def run_config(cfg: dict, out_dir: str | Path, fmt_kind: str | None = None) -> i
     status = "ok"
     headline: dict = {}
     try:
-        rows, headline = _RUNNERS[task](cfg, seed, tol, digest)
+        rows, headline = _RUNNERS[task](cfg, seed, tol)
         if any(row["status"] == "fail" for row in rows):
             status = "fail"
     except (ConfigurationError, PreconditionError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # flush whatever we have, marked failed
-        rows = [
-            {
-                "task": task,
-                "digest": digest,
-                "group": cfg["group"]["kind"],
-                "status": "failed",
-                "error": f"{type(exc).__name__}: {exc}",
-            }
-        ]
+        rows = [{"status": "failed", "error": f"{type(exc).__name__}: {exc}"}]
         status = "failed"
+    shared = {"task": task, "digest": digest, "group": cfg["group"]["kind"]}
+    rows = [{**shared, **row} for row in rows]
     elapsed = time.perf_counter() - started
 
     report_path = out_dir / f"{task}_report.{ 'json' if fmt_kind == 'json' else 'csv' }"

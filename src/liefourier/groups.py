@@ -52,13 +52,12 @@ def _mod1(x: np.ndarray) -> np.ndarray:
 class GroupDescriptor:
     """Which group we are working on.
 
-    ``dim`` is the manifold dimension (n for the torus, 3 for SU(2));
-    ``haar_normalization`` is the total Haar mass, fixed to 1.
+    ``dim`` is the manifold dimension (n for the torus, 3 for SU(2)); the
+    Haar measure is normalised to total mass 1.
     """
 
     kind: str
     dim: int
-    haar_normalization: float = 1.0
 
 
 def make_group(kind: str, n: int = 1) -> GroupDescriptor:

@@ -29,8 +29,8 @@ from .groups import (
     inverse,
     random_point,
 )
-from .spaces import LPPartition, NormSpec, build_partition, lp_project, tl_norms
-from .symbols import Symbol, cached_grid, operator_norms
+from .spaces import NormSpec, lp_project, psi, tl_norms, window_levels
+from .symbols import Symbol, operator_norms
 from .transform import (
     FourierCoefficients,
     inverse_on_grid,
@@ -55,10 +55,10 @@ def apply_multiplier(symbol: Symbol, coeffs: FourierCoefficients) -> FourierCoef
     return FourierCoefficients(coeffs.dual, [s @ f for s, f in zip(symbol.stacks, coeffs.stacks)])
 
 
-def window_kernel(symbol: Symbol, partition: LPPartition, level: int) -> FourierCoefficients:
+def window_kernel(symbol: Symbol, level: int) -> FourierCoefficients:
     """Right-convolution kernel of A psi_ell(B): coefficients
     sigma(xi) psi_ell(<xi>), vanishing outside <xi> in (2^(ell-1), 2^(ell+1))."""
-    return lp_project(symbol, partition, level)
+    return lp_project(symbol, level)
 
 
 def kernel_difference_integral(
@@ -93,10 +93,15 @@ def kernel_difference_integral(
 
 
 def decay_slope(levels, integrals) -> float:
-    """Least-squares slope of log2(integral) against the window index."""
-    levels = np.asarray(levels, dtype=float)
-    vals = np.log2(np.maximum(np.asarray(integrals, dtype=float), 1e-300))
-    return float(np.polyfit(levels, vals, 1)[0])
+    """Least-squares slope of log2(integral) against the window index.
+
+    Every integral must be positive: a zero (a window outside the slice, or
+    an empty far field) has no logarithm and would fabricate decay.
+    """
+    integrals = np.asarray(integrals, dtype=float)
+    if not np.all(integrals > 0.0):
+        raise PreconditionError(f"the decay slope needs positive integrals, got {integrals.tolist()}")
+    return float(np.polyfit(np.asarray(levels, dtype=float), np.log2(integrals), 1)[0])
 
 
 def exact_l2_operator_norm(symbol: Symbol) -> float:
@@ -126,7 +131,6 @@ def ensemble_member(
     config: EnsembleConfig,
     index: int,
     dual: DualSlice,
-    partition: LPPartition,
     rng: np.random.Generator,
     symbol: Symbol | None = None,
 ) -> FourierCoefficients:
@@ -153,10 +157,10 @@ def ensemble_member(
             full = [s.conj().transpose(0, 2, 1) for s in symbol.stacks]
         return FourierCoefficients(dual, [np.where(keep, f, 0j) for keep, f in zip(inside, full)])
     if config.kind == "translated-windows":
-        levels = partition.levels(dual.cutoff)
+        levels = window_levels(dual.cutoff)
         ell = levels[max(0, len(levels) - 1 - (index % min(3, len(levels))))]
         z = random_point(dual.group, rng)
-        scale = dual.per_run(partition.psi(ell, dual.eigenvalues))
+        scale = dual.per_run(psi(ell, dual.eigenvalues))
         return FourierCoefficients(dual, [s * r for s, r in zip(scale, representation_stacks(dual, z))])
     if config.kind == "directed-irrep":
         if symbol is None:
@@ -195,7 +199,6 @@ def boundedness_sweep(
     cutoffs: list[float],
     ensemble: EnsembleConfig,
     seed: int,
-    partition: LPPartition | None = None,
     symbol_id: str = "symbol",
 ) -> list[BoundednessSweep]:
     """Run the ensemble through T_sigma at each cutoff.
@@ -205,21 +208,19 @@ def boundedness_sweep(
     (seed, cutoff index, member index); reductions run in member order.
     """
     spec_list = [specs] if isinstance(specs, NormSpec) else list(specs)
-    part = partition if partition is not None else build_partition()
     if list(cutoffs) != sorted(cutoffs):
         raise PreconditionError("cutoffs must be ascending")
     ratios = np.zeros((len(spec_list), len(cutoffs)))
     argmax = np.zeros((len(spec_list), len(cutoffs)), dtype=int)
     for ci, lam in enumerate(cutoffs):
         dual = enumerate_dual(group, lam)
-        grid = cached_grid(group, dual.max_band)
         symbol = symbol_builder(dual)
         for mi in range(ensemble.count):
             rng = np.random.default_rng([seed, ci, mi])
-            f = ensemble_member(ensemble, mi, dual, part, rng, symbol)
+            f = ensemble_member(ensemble, mi, dual, rng, symbol)
             tf = apply_multiplier(symbol, f)
-            denoms = tl_norms(f, spec_list, part, grid)
-            nums = tl_norms(tf, spec_list, part, grid)
+            denoms = tl_norms(f, spec_list)
+            nums = tl_norms(tf, spec_list)
             for si, ((denom, _), (strong, weak)) in enumerate(zip(denoms, nums)):
                 num = strong if weak is None else weak
                 if denom <= 0.0:

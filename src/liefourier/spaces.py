@@ -5,8 +5,12 @@ F^r_{1,q} quasi-norm.
 The partition is the standard dyadic one: a fixed smooth bump eta supported
 in [1/2, 2] with sum_j eta(2^-j lam) = 1 for lam > 0, a low piece
 psi_0 = sum_{j<=0} eta_j, and psi_j(lam) = eta(2^-j lam) for j >= 1.  One
-concrete exp-gluing realisation of eta is fixed here so every run of the
-library sees the same windows.
+concrete exp-gluing realisation of eta is fixed here, as the module
+functions :func:`eta`, :func:`psi` and :func:`window_levels`, so every run
+of the library sees the same windows (any admissible resolution gives an
+equivalent quasi-norm).  The Triebel-Lizorkin norms are sampled on the
+slice's :func:`~liefourier.transform.default_grid`, which transforms the
+slice exactly.
 """
 
 from __future__ import annotations
@@ -17,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .groups import QuadratureGrid
-from .transform import FourierCoefficients, GridFunction, inverse_on_grid
+from .transform import FourierCoefficients, GridFunction, default_grid, inverse_on_grid
 
 
 def _transition(lam: np.ndarray) -> np.ndarray:
@@ -36,53 +39,43 @@ def _transition(lam: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class LPPartition:
-    """The fixed dyadic spectral partition of unity.
+def eta(lam) -> np.ndarray:
+    """The dyadic bump: supported in [1/2, 2] with values in [0, 1]."""
+    lam = np.asarray(lam, dtype=float)
+    return _transition(lam) - _transition(2.0 * lam)
 
-    ``eta`` is supported in [1/2, 2] with values in [0, 1];
-    ``psi(0, .)`` equals the transition phi by telescoping, and
-    ``psi(ell, lam) = eta(2**-ell * lam)`` for ell >= 1.
-    """
 
-    def eta(self, lam) -> np.ndarray:
-        lam = np.asarray(lam, dtype=float)
-        return _transition(lam) - _transition(2.0 * lam)
-
-    def psi0(self, lam) -> np.ndarray:
+def psi(level: int, lam) -> np.ndarray:
+    """psi_0 = phi (the telescoped low piece) and psi_ell(lam) = eta(2**-ell lam)
+    for ell >= 1."""
+    if level < 0:
+        raise PreconditionError("window index must be >= 0")
+    if level == 0:
         return _transition(lam)
-
-    def psi(self, level: int, lam) -> np.ndarray:
-        if level < 0:
-            raise PreconditionError("window index must be >= 0")
-        if level == 0:
-            return self.psi0(lam)
-        return self.eta(np.asarray(lam, dtype=float) / 2.0**level)
-
-    def levels(self, cutoff: float) -> list[int]:
-        """Window indices whose piece is not identically zero on a slice
-        with <xi> <= cutoff (pieces with 2**(ell-1) > cutoff are skipped)."""
-        top = int(math.ceil(math.log2(max(cutoff, 1.0)))) + 1
-        return [ell for ell in range(top + 1) if 2.0 ** (ell - 1) < cutoff * (1.0 + 1e-12)]
-
-    def eta_sobolev_norm(self, s_prime: float) -> float:
-        """Sobolev norm ||eta||_{H^{s'}}(R), recorded for reproducibility.
-
-        Computed by FFT quadrature on a zero-padded fine grid; the bump is
-        fixed, so this is a constant of the library.
-        """
-        length = 64.0
-        n = 1 << 16
-        x = np.arange(n) * (length / n)
-        samples = self.eta(x)
-        freq = np.fft.fftfreq(n, d=length / n) * 2.0 * np.pi
-        spec = np.fft.fft(samples) * (length / n) / np.sqrt(2.0 * np.pi)
-        dens = (1.0 + freq**2) ** s_prime * np.abs(spec) ** 2
-        return float(np.sqrt(np.sum(dens) * (2.0 * np.pi / length)))
+    return eta(np.asarray(lam, dtype=float) / 2.0**level)
 
 
-def build_partition() -> LPPartition:
-    return LPPartition()
+def window_levels(cutoff: float) -> list[int]:
+    """Window indices whose piece is not identically zero on a slice
+    with <xi> <= cutoff (pieces with 2**(ell-1) > cutoff are skipped)."""
+    top = int(math.ceil(math.log2(max(cutoff, 1.0)))) + 1
+    return [ell for ell in range(top + 1) if 2.0 ** (ell - 1) < cutoff * (1.0 + 1e-12)]
+
+
+def eta_sobolev_norm(s_prime: float) -> float:
+    """Sobolev norm ||eta||_{H^{s'}}(R), recorded for reproducibility.
+
+    Computed by FFT quadrature on a zero-padded fine grid; the bump is
+    fixed, so this is a constant of the library.
+    """
+    length = 64.0
+    n = 1 << 16
+    x = np.arange(n) * (length / n)
+    samples = eta(x)
+    freq = np.fft.fftfreq(n, d=length / n) * 2.0 * np.pi
+    spec = np.fft.fft(samples) * (length / n) / np.sqrt(2.0 * np.pi)
+    dens = (1.0 + freq**2) ** s_prime * np.abs(spec) ** 2
+    return float(np.sqrt(np.sum(dens) * (2.0 * np.pi / length)))
 
 
 @dataclass(frozen=True)
@@ -106,11 +99,11 @@ class NormSpec:
             raise PreconditionError(f"q = {self.q} outside (1, inf]")
 
 
-def lp_project(coeffs: FourierCoefficients, partition: LPPartition, level: int) -> FourierCoefficients:
+def lp_project(coeffs: FourierCoefficients, level: int) -> FourierCoefficients:
     """Multiply the coefficients per irrep by psi_level(<xi>).  A symbol's
     blocks project the same way (its dyadic window kernel)."""
     dual = coeffs.dual
-    scale = dual.per_run(partition.psi(level, dual.eigenvalues))
+    scale = dual.per_run(psi(level, dual.eigenvalues))
     return FourierCoefficients(dual, [s * stack for s, stack in zip(scale, coeffs.stacks)])
 
 
@@ -130,20 +123,19 @@ def quadrature_lp(values: np.ndarray, weights: np.ndarray, p: float) -> float:
     return float(np.sum(weights * mods**p) ** (1.0 / p))
 
 
-def window_samples(
-    coeffs: FourierCoefficients, partition: LPPartition, grid: QuadratureGrid
-) -> tuple[list[int], np.ndarray]:
-    """|psi_ell(B) f| on the grid for every non-vanishing window.
+def window_samples(coeffs: FourierCoefficients) -> tuple[list[int], np.ndarray]:
+    """|psi_ell(B) f| on the slice's default grid for every non-vanishing window.
 
     Returns (levels, array of shape (len(levels), npoints)).  This is the
     expensive half of every Triebel-Lizorkin norm; callers evaluating many
     (r, p, q) specs on the same function should go through :func:`tl_norms`,
     which makes one pass for all of them.
     """
-    levels = partition.levels(coeffs.dual.cutoff)
+    grid = default_grid(coeffs.dual)
+    levels = window_levels(coeffs.dual.cutoff)
     out = np.empty((len(levels), len(grid)))
     for i, ell in enumerate(levels):
-        piece = lp_project(coeffs, partition, ell)
+        piece = lp_project(coeffs, ell)
         out[i] = np.abs(inverse_on_grid(piece, grid).values)
     return levels, out
 
@@ -156,14 +148,9 @@ def tl_aggregate(levels: list[int], mods: np.ndarray, r: float, q: float) -> np.
     return np.sum(weighted**q, axis=0) ** (1.0 / q)
 
 
-def triebel_lizorkin_norm(
-    coeffs: FourierCoefficients,
-    spec: NormSpec,
-    partition: LPPartition,
-    grid: QuadratureGrid,
-) -> float:
+def triebel_lizorkin_norm(coeffs: FourierCoefficients, spec: NormSpec) -> float:
     """|| (sum_ell 2^{ell r q} |psi_ell(B) f|^q)^{1/q} ||_{L^p} by quadrature."""
-    return tl_norms(coeffs, [spec], partition, grid)[0][0]
+    return tl_norms(coeffs, [spec])[0][0]
 
 
 def weak_sup(agg: np.ndarray, weights: np.ndarray) -> float:
@@ -179,38 +166,29 @@ def weak_sup(agg: np.ndarray, weights: np.ndarray) -> float:
     return float(np.max(values * measure_ge)) if len(values) else 0.0
 
 
-def tl_norms(
-    coeffs: FourierCoefficients,
-    specs: list[NormSpec],
-    partition: LPPartition,
-    grid: QuadratureGrid,
-) -> list[tuple[float, float | None]]:
+def tl_norms(coeffs: FourierCoefficients, specs: list[NormSpec]) -> list[tuple[float, float | None]]:
     """One (strong, weak) pair per spec, in order, for one function.
 
     strong is || (sum_ell 2^{ell r q} |psi_ell(B) f|^q)^{1/q} ||_{L^p} by
-    quadrature; weak is the :func:`weak_sup` of the same aggregate for p = 1
-    specs and None otherwise.  p never enters the aggregate, so one window
-    pass serves every spec and one aggregate every distinct (r, q); only one
-    aggregate is held at a time.
+    quadrature on the slice's default grid; weak is the :func:`weak_sup` of
+    the same aggregate for p = 1 specs and None otherwise.  p never enters
+    the aggregate, so one window pass serves every spec and one aggregate
+    every distinct (r, q); only one aggregate is held at a time.
     """
-    levels, mods = window_samples(coeffs, partition, grid)
+    weights = default_grid(coeffs.dual).weights
+    levels, mods = window_samples(coeffs)
     out: list = [None] * len(specs)
     for r, q in dict.fromkeys((spec.r, spec.q) for spec in specs):
         agg = tl_aggregate(levels, mods, r, q)
         for i, spec in enumerate(specs):
             if (spec.r, spec.q) == (r, q):
-                weak = weak_sup(agg, grid.weights) if spec.p == 1.0 else None
-                out[i] = (quadrature_lp(agg, grid.weights, spec.p), weak)
+                weak = weak_sup(agg, weights) if spec.p == 1.0 else None
+                out[i] = (quadrature_lp(agg, weights, spec.p), weak)
     return out
 
 
-def weak_tl_norm(
-    coeffs: FourierCoefficients,
-    spec: NormSpec,
-    partition: LPPartition,
-    grid: QuadratureGrid,
-) -> float:
+def weak_tl_norm(coeffs: FourierCoefficients, spec: NormSpec) -> float:
     """sup_t t * |{x : aggregate(x) > t}| for the p = 1 spec (see :func:`weak_sup`)."""
     if spec.p != 1.0:
         raise PreconditionError("weak norm is defined for p = 1 specs")
-    return tl_norms(coeffs, [spec], partition, grid)[0][1]
+    return tl_norms(coeffs, [spec])[0][1]

@@ -36,31 +36,15 @@ the standard spin basis); reports are convention relative.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dual import DualSlice, IrrepIndex
 from .errors import ConfigurationError, MarginError, PreconditionError
-from .groups import TORUS, GroupDescriptor, QuadratureGrid, build_grid, grid_q1_weight
-from .spaces import LPPartition, build_partition
-from .transform import FourierCoefficients, inverse_on_grid
-
-_GRID_CACHE: "OrderedDict[tuple, QuadratureGrid]" = OrderedDict()
-_GRID_CACHE_MAX = 24
-
-
-def cached_grid(group: GroupDescriptor, bandlimit: float) -> QuadratureGrid:
-    """Memoised build_grid; grids are immutable so sharing is safe."""
-    key = (group.kind, group.dim, round(float(bandlimit), 9))
-    grid = _GRID_CACHE.get(key)
-    if grid is None:
-        grid = build_grid(group, bandlimit)
-        _GRID_CACHE[key] = grid
-        while len(_GRID_CACHE) > _GRID_CACHE_MAX:
-            _GRID_CACHE.popitem(last=False)
-    return grid
+from .groups import TORUS, GroupDescriptor, grid_q1_weight
+from .spaces import eta, psi
+from .transform import FourierCoefficients, cached_grid, inverse_on_grid
 
 
 @dataclass
@@ -104,7 +88,7 @@ def dyadic_rademacher_symbol(dual: DualSlice, seed: int) -> Symbol:
     return build_spectral_symbol(lambda lam: signs[j], dual)
 
 
-def symbol_from_config(cfg: dict, dual: DualSlice, partition: LPPartition | None = None) -> Symbol:
+def symbol_from_config(cfg: dict, dual: DualSlice) -> Symbol:
     """Build a symbol from a declarative config, e.g. {"type": "power_it",
     "t": 5.0}.  Supported types: identity, power_it, wave, sign, window,
     dyadic_rademacher."""
@@ -119,9 +103,8 @@ def symbol_from_config(cfg: dict, dual: DualSlice, partition: LPPartition | None
     if kind == "sign":
         return sign_symbol(dual)
     if kind == "window":
-        part = partition if partition is not None else build_partition()
         ell = int(cfg["ell"])
-        return build_spectral_symbol(lambda lam: part.psi(ell, lam).astype(complex), dual)
+        return build_spectral_symbol(lambda lam: psi(ell, lam).astype(complex), dual)
     if kind == "dyadic_rademacher":
         return dyadic_rademacher_symbol(dual, int(cfg.get("seed", 0)))
     raise ConfigurationError(f"unknown symbol type {cfg.get('type')!r}")
@@ -368,7 +351,6 @@ def check_marcinkiewicz(symbol: Symbol, kappa: int | None = None, threshold: flo
 def check_hormander_mihlin(
     symbol: Symbol,
     s: float | None = None,
-    partition: LPPartition | None = None,
     threshold: float | None = None,
 ) -> CheckReport:
     """||sigma||_Linf + sup_r r^{s - n/2} ||sigma . eta(<xi>/r)||_{L2_s(dual)}
@@ -384,7 +366,6 @@ def check_hormander_mihlin(
         s = float(n // 2 + 1)
     if s <= n / 2.0:
         raise PreconditionError(f"the Sobolev order must exceed n/2 = {n / 2}")
-    part = partition if partition is not None else build_partition()
     linf = symbol_linf(symbol)
     eigs = symbol.dual.eigenvalues
     constants: dict = {}
@@ -393,7 +374,7 @@ def check_hormander_mihlin(
     j_top = int(math.ceil(2.0 * math.log2(max(symbol.dual.cutoff, 1.0))))
     for j in range(j_top + 1):
         r = 2.0 ** (j / 2.0)
-        window = part.eta(eigs / r)
+        window = eta(eigs / r)
         if not np.any(window > 1e-15):
             continue
         scaled = [w * stack for w, stack in zip(symbol.dual.per_run(window), symbol.stacks)]

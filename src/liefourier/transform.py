@@ -26,13 +26,14 @@ spin.  Both are exact for band-limited functions.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dual import DualSlice, little_d, representation_stacks
 from .errors import PreconditionError
-from .groups import TORUS, QuadratureGrid, build_grid
+from .groups import TORUS, GroupDescriptor, QuadratureGrid, build_grid
 
 
 @dataclass
@@ -102,14 +103,32 @@ def random_coefficients(dual: DualSlice, rng: np.random.Generator) -> FourierCoe
     return FourierCoefficients(dual, stacks)
 
 
+# ---------------------------------------------------------------------------
+# Grids and quadrature plans
+# ---------------------------------------------------------------------------
+
+_GRID_CACHE: "OrderedDict[tuple, QuadratureGrid]" = OrderedDict()
+_GRID_CACHE_MAX = 24
+
+
+def cached_grid(group: GroupDescriptor, bandlimit: float) -> QuadratureGrid:
+    """Memoised build_grid; grids are immutable so sharing is safe (each
+    grid also holds its plans)."""
+    key = (group.kind, group.dim, round(float(bandlimit), 9))
+    grid = _GRID_CACHE.get(key)
+    if grid is None:
+        grid = build_grid(group, bandlimit)
+        _GRID_CACHE[key] = grid
+        while len(_GRID_CACHE) > _GRID_CACHE_MAX:
+            _GRID_CACHE.popitem(last=False)
+    return grid
+
+
 def default_grid(dual: DualSlice) -> QuadratureGrid:
-    """The coarsest grid of :func:`build_grid` that transforms ``dual`` exactly."""
-    return build_grid(dual.group, dual.max_band)
+    """The coarsest grid of :func:`build_grid` that transforms ``dual`` exactly,
+    shared through :func:`cached_grid`."""
+    return cached_grid(dual.group, dual.max_band)
 
-
-# ---------------------------------------------------------------------------
-# Quadrature plans
-# ---------------------------------------------------------------------------
 
 class _TorusPlan:
     """FFT on the uniform (2B+1)^n product grid.

@@ -1,11 +1,6 @@
 import pytest
 
-from liefourier import build_partition, make_group
-
-
-@pytest.fixture(scope="session")
-def partition():
-    return build_partition()
+from liefourier import make_group
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,6 @@ from liefourier import (
     NormSpec,
     Symbol,
     boundedness_sweep,
-    build_partition,
     build_spectral_symbol,
     enumerate_dual,
     exact_l2_operator_norm,
@@ -34,10 +33,9 @@ from liefourier.cli import run_config
 from liefourier.dual import spin_cutoff
 from liefourier.groups import su2_point_from_distance
 from liefourier.multipliers import decay_slope, kernel_difference_integral, window_kernel
-from liefourier.spaces import lebesgue_norm, tl_aggregate, window_samples
+from liefourier.spaces import lebesgue_norm, psi, tl_aggregate, window_levels, window_samples
 from liefourier.symbols import apply_difference, cached_grid, check_marcinkiewicz
 
-PARTITION = build_partition()
 TORUS1 = make_group("torus", 1)
 TORUS2 = make_group("torus", 2)
 SU2 = make_group("su2")
@@ -108,7 +106,7 @@ def test_criterion_03_partition_of_unity():
     lam = np.geomspace(1.0, 1e6, 10_000)
     total = np.zeros_like(lam)
     for ell in range(22):
-        total += PARTITION.psi(ell, lam)
+        total += psi(ell, lam)
     sum_defect = float(np.max(np.abs(total - 1.0)))
 
     recon_defect = 0.0
@@ -117,8 +115,8 @@ def test_criterion_03_partition_of_unity():
         rng = np.random.default_rng(3)
         coeffs = random_coefficients(dual, rng)
         acc = [np.zeros_like(b) for b in coeffs.blocks]
-        for ell in PARTITION.levels(dual.cutoff):
-            scale = PARTITION.psi(ell, dual.eigenvalues)
+        for ell in window_levels(dual.cutoff):
+            scale = psi(ell, dual.eigenvalues)
             acc = [a + s * b for a, s, b in zip(acc, scale, coeffs.blocks)]
         recon_defect = max(
             recon_defect,
@@ -143,7 +141,7 @@ def test_criterion_04_f022_vs_l2():
         for member in range(count):
             rng = np.random.default_rng([4, member])
             coeffs = random_coefficients(dual, rng)
-            levels, mods = window_samples(coeffs, PARTITION, grid)
+            levels, mods = window_samples(coeffs)
             agg = tl_aggregate(levels, mods, spec.r, spec.q)
             tl = lebesgue_norm(GridFunction(grid, agg.astype(complex)), spec.p)
             ratio = tl / plancherel_norm(coeffs)
@@ -170,7 +168,7 @@ def test_criterion_05_embedding_monotonicity():
     for member in range(100):
         rng = np.random.default_rng([5, member])
         coeffs = random_coefficients(dual, rng)
-        levels, mods = window_samples(coeffs, PARTITION, grid)
+        levels, mods = window_samples(coeffs)
         norms = {}
         for r in R_GRID:
             for q in Q_GRID:
@@ -202,7 +200,7 @@ def su2_decay_integrals():
     symbol = build_spectral_symbol(lambda lam: lam ** (1j), dual)
     z = su2_point_from_distance(0.05 * 2.0 * math.pi)
     return {
-        ell: kernel_difference_integral(window_kernel(symbol, PARTITION, ell), z, 1.0, grid)
+        ell: kernel_difference_integral(window_kernel(symbol, ell), z, 1.0, grid)
         for ell in (2, 3, 4, 5)
     }
 
@@ -215,7 +213,7 @@ def test_criterion_06_kernel_decay_torus():
     z = np.array([0.05])  # |z| = 0.05 * 2 pi
     windows = [2, 3, 4, 5, 6]
     integrals = [
-        kernel_difference_integral(window_kernel(symbol, PARTITION, ell), z, 1.0, grid)
+        kernel_difference_integral(window_kernel(symbol, ell), z, 1.0, grid)
         for ell in windows
     ]
     slope = decay_slope(windows, integrals)
@@ -312,7 +310,7 @@ def test_criterion_08_l2_exactness():
         ("directed-irrep", 1),
     ):
         sweep = boundedness_sweep(
-            TORUS1, builder, spec, [cutoff], EnsembleConfig(kind, count), seed=8, partition=PARTITION
+            TORUS1, builder, spec, [cutoff], EnsembleConfig(kind, count), seed=8
         )[0]
         ratio = sweep.max_ratios[0]
         worst_upper = max(worst_upper, ratio / math.sqrt(2.0))
@@ -344,7 +342,7 @@ def test_criterion_09_hm_symbol_stability():
     ):
         sweeps = boundedness_sweep(
             group, hm, SPEC_GRID, cutoffs, EnsembleConfig("gaussian-coefficients", count),
-            seed=9, partition=PARTITION,
+            seed=9,
         )
         for sweep in sweeps:
             ratios = sweep.max_ratios
@@ -364,7 +362,7 @@ def test_criterion_09_wave_symbol_trend():
     ):
         sweep = boundedness_sweep(
             group, wave, spec, cutoffs, EnsembleConfig("adjoint-dirichlet", count),
-            seed=9, partition=PARTITION,
+            seed=9,
         )[0]
         ratios = sweep.max_ratios
         trends[name] = (ratios, all(a < b for a, b in zip(ratios, ratios[1:])))

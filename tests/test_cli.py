@@ -70,6 +70,8 @@ _TL_NORM = {
 }
 _GAUSSIAN = {"kind": "gaussian-coefficients"}
 _TRANSFORM = {"task": "transform", "group": {"kind": "torus", "dim": 1}, "lam": 8.0}
+_SU2_TRANSFORM = {"task": "transform", "group": {"kind": "su2"}, "ell_max": 1.5, "count": 1}
+_SU2_SWEEP = {**_GAUSSIAN_SWEEP, "group": {"kind": "su2"}}
 _CHECK_HM = {**_CHECK_WAVE, "checker": "hormander-mihlin"}
 
 
@@ -105,6 +107,9 @@ def _without(cfg, key):
         pytest.param({**_KERNEL_DECAY, "group": {"kind": "torus", "dim": 1.5}}, id="fractional-dim"),
         pytest.param({**_GAUSSIAN_SWEEP, "ensemble": {**_GAUSSIAN, "count": 1.5}}, id="fractional-ensemble-count"),
         pytest.param({**_GAUSSIAN_SWEEP, "ensemble": {**_GAUSSIAN, "count": True}}, id="bool-ensemble-count"),
+        pytest.param({**_SU2_TRANSFORM, "ell_max": -2}, id="negative-ell-max"),
+        pytest.param({**_SU2_TRANSFORM, "ell_max": -0.5}, id="negative-half-ell-max"),
+        pytest.param({**_without(_SU2_SWEEP, "lams"), "ell_maxes": [-2, 1.5]}, id="negative-in-ell-maxes"),
     ],
 )
 def test_bad_config_exits_1(tmp_path, cfg):
@@ -121,7 +126,7 @@ def test_spin_above_validated_range_refused_before_any_grid(tmp_path, monkeypatc
 
     # an exit 1 proves that no grid was requested: the assertion would be a
     # task failure, exit 2
-    monkeypatch.setattr(cli, "cached_grid", no_grid)
+    monkeypatch.setattr(cli, "default_grid", no_grid)
     cfg = {"task": "transform", "group": {"kind": "su2"}, "ell_max": 64.5, "count": 1}
     assert run_config(cfg, tmp_path / "out") == 1
     assert not (tmp_path / "out" / "transform_report.csv").exists()
@@ -135,26 +140,30 @@ def test_spin_above_validated_range_refused_before_any_grid(tmp_path, monkeypatc
         pytest.param({**_CHECK_WAVE, "checker": "mihlin"}, "enumerate_dual", id="unknown-checker"),
         pytest.param({**_GAUSSIAN_SWEEP, "trend": "decreasing"}, "boundedness_sweep", id="unknown-trend"),
         pytest.param(
-            {**_TL_NORM, "ensemble": {"kind": "directed-irrep", "count": 1}}, "cached_grid", id="tl-norm-directed-irrep"
+            {**_TL_NORM, "ensemble": {"kind": "directed-irrep", "count": 1}},
+            "enumerate_dual",
+            id="tl-norm-directed-irrep",
         ),
         pytest.param(
             {**_TL_NORM, "ensemble": {"kind": "adjoint-dirichlet", "count": 1}},
-            "cached_grid",
+            "enumerate_dual",
             id="tl-norm-adjoint-dirichlet",
         ),
-        pytest.param({**_TL_NORM, "ensemble": ["gaussian-coefficients"]}, "cached_grid", id="ensemble-not-object"),
+        pytest.param({**_TL_NORM, "ensemble": ["gaussian-coefficients"]}, "enumerate_dual", id="ensemble-not-object"),
         pytest.param({**_CHECK_HM, "s": "NaN"}, "enumerate_dual", id="nan-s"),
         pytest.param({**_CHECK_HM, "s": "inf"}, "enumerate_dual", id="inf-s"),
         pytest.param({**_CHECK_HM, "s": "a"}, "enumerate_dual", id="text-s"),
-        pytest.param({**_TL_NORM, "specs": [{"r": "NaN", "p": 2, "q": 2}]}, "cached_grid", id="nan-r"),
-        pytest.param({**_TL_NORM, "specs": [{"r": 0, "p": 2}]}, "cached_grid", id="spec-without-q"),
-        pytest.param({**_TL_NORM, "specs": {"r": 0, "p": 2, "q": 2}}, "cached_grid", id="specs-not-list"),
-        pytest.param({**_TL_NORM, "ensemble": {"count": 2}}, "cached_grid", id="ensemble-without-kind"),
+        pytest.param({**_TL_NORM, "specs": [{"r": "NaN", "p": 2, "q": 2}]}, "enumerate_dual", id="nan-r"),
+        pytest.param({**_TL_NORM, "specs": [{"r": 0, "p": 2}]}, "enumerate_dual", id="spec-without-q"),
+        pytest.param({**_TL_NORM, "specs": {"r": 0, "p": 2, "q": 2}}, "enumerate_dual", id="specs-not-list"),
+        pytest.param({**_TL_NORM, "ensemble": {"count": 2}}, "enumerate_dual", id="ensemble-without-kind"),
         pytest.param({**_CHECK_WAVE, "symbol": "wave"}, "enumerate_dual", id="symbol-not-object"),
         pytest.param({**_CHECK_WAVE, "symbol": {"type": "power_it", "t": "NaN"}}, "enumerate_dual", id="nan-t"),
         pytest.param({**_CHECK_WAVE, "symbol": {"type": "window", "ell": 1.5}}, "enumerate_dual", id="fractional-ell"),
         pytest.param({**_GAUSSIAN_SWEEP, "ensemble": _GAUSSIAN}, "boundedness_sweep", id="sweep-without-count"),
-        pytest.param({**_TRANSFORM, "tolerances": {"roundtrip_max": math.nan}}, "cached_grid", id="nan-tolerance"),
+        pytest.param({**_TRANSFORM, "tolerances": {"roundtrip_max": math.nan}}, "default_grid", id="nan-tolerance"),
+        pytest.param({**_KERNEL_DECAY, "windows": [1, 2, 9]}, "default_grid", id="window-outside-slice"),
+        pytest.param({**_TRANSFORM, "format": "xml"}, "enumerate_dual", id="unknown-format"),
     ],
 )
 def test_bad_config_refused_before_any_work(tmp_path, monkeypatch, cfg, stage):

@@ -24,6 +24,7 @@ from liefourier.dual import spin_cutoff
 from liefourier.errors import ConfigurationError, PreconditionError
 from liefourier.groups import build_grid, distance_to_identity, inverse, multiply, su2_point_from_distance
 from liefourier.multipliers import decay_slope, ensemble_member
+from liefourier.spaces import psi, window_levels
 from liefourier.symbols import cached_grid
 from liefourier.transform import inverse_evaluate
 
@@ -84,45 +85,45 @@ def test_shape_mismatch_raises(torus1):
 # Window kernels
 # ---------------------------------------------------------------------------
 
-def test_window_support_invariant(torus1, partition):
+def test_window_support_invariant(torus1):
     dual = enumerate_dual(torus1, 64.0)
     sig = build_spectral_symbol(lambda lam: lam ** (1j), dual)
     for ell in (1, 2, 3):
-        kernel = window_kernel(sig, partition, ell)
+        kernel = window_kernel(sig, ell)
         for ir, blk in zip(dual.irreps, kernel.blocks):
             if not 2.0 ** (ell - 1) < ir.eigenvalue < 2.0 ** (ell + 1):
                 assert np.max(np.abs(blk)) <= 1e-15
 
 
-def test_window_kernel_positive_at_identity(torus1, partition):
+def test_window_kernel_positive_at_identity(torus1):
     from liefourier.transform import inverse_evaluate
 
     dual = enumerate_dual(torus1, 32.0)
-    kernel = window_kernel(identity_symbol(dual), partition, 2)
+    kernel = window_kernel(identity_symbol(dual), 2)
     val = inverse_evaluate(kernel, np.zeros((1, 1)))
-    expected = sum(partition.psi(2, ir.eigenvalue) for ir in dual.irreps)
+    expected = sum(psi(2, ir.eigenvalue) for ir in dual.irreps)
     assert val[0].real > 0
     assert abs(val[0] - expected) < 1e-10
 
 
-def test_window_zero_mean_except_low_piece(torus1, partition):
+def test_window_zero_mean_except_low_piece(torus1):
     # only the trivial irrep contributes to the mean; psi_0(1) = 1
     dual = enumerate_dual(torus1, 16.0)
     rng = np.random.default_rng(5)
     sig = Symbol.from_blocks(dual, [np.array([[rng.standard_normal() + 0j]]) for _ in dual.irreps])
-    k0 = window_kernel(sig, partition, 0)
+    k0 = window_kernel(sig, 0)
     trivial = dual.index_of[(0,)]
     assert abs(k0.blocks[trivial][0, 0] - sig.blocks[trivial][0, 0]) < 1e-15
-    k2 = window_kernel(sig, partition, 2)
+    k2 = window_kernel(sig, 2)
     assert abs(k2.blocks[trivial][0, 0]) < 1e-15
 
 
-def test_window_sum_reconstructs_symbol(su2, partition):
+def test_window_sum_reconstructs_symbol(su2):
     dual = enumerate_dual(su2, spin_cutoff(4))
     sig = build_spectral_symbol(lambda lam: lam ** (2j), dual)
     acc = [np.zeros_like(b) for b in sig.blocks]
-    for ell in partition.levels(dual.cutoff):
-        kernel = window_kernel(sig, partition, ell)
+    for ell in window_levels(dual.cutoff):
+        kernel = window_kernel(sig, ell)
         acc = [a + b for a, b in zip(acc, kernel.blocks)]
     assert max(np.max(np.abs(a - b)) for a, b in zip(acc, sig.blocks)) < 1e-11
 
@@ -131,29 +132,29 @@ def test_window_sum_reconstructs_symbol(su2, partition):
 # Kernel difference integrals
 # ---------------------------------------------------------------------------
 
-def test_empty_domain_returns_zero(torus1, partition):
+def test_empty_domain_returns_zero(torus1):
     dual = enumerate_dual(torus1, 16.0)
-    kernel = window_kernel(identity_symbol(dual), partition, 1)
+    kernel = window_kernel(identity_symbol(dual), 1)
     grid = cached_grid(torus1, dual.max_band)
     z = np.array([0.3])  # |z| = 0.6 pi, 4|z| = 2.4 pi > pi = diameter
     assert kernel_difference_integral(kernel, z, 1.0, grid) == 0.0
 
 
-def test_oversampling_oracle_torus(torus1, partition):
+def test_oversampling_oracle_torus(torus1):
     # the coarse-grid quadrature must match a 10x denser reference within 1%
     dual = enumerate_dual(torus1, 64.0)
     sig = identity_symbol(dual)
-    kernel = window_kernel(sig, partition, 0)
+    kernel = window_kernel(sig, 0)
     z = np.array([0.07])
     coarse = kernel_difference_integral(kernel, z, 1.0, cached_grid(torus1, dual.max_band))
     dense = kernel_difference_integral(kernel, z, 1.0, build_grid(torus1, 10 * int(dual.max_band)))
     assert abs(coarse - dense) <= 0.01 * dense
 
 
-def test_inverse_symmetry_real_kernel(torus1, partition):
+def test_inverse_symmetry_real_kernel(torus1):
     # real symmetric kernels: the integral is invariant under z -> z^-1
     dual = enumerate_dual(torus1, 32.0)
-    kernel = window_kernel(identity_symbol(dual), partition, 2)
+    kernel = window_kernel(identity_symbol(dual), 2)
     grid = cached_grid(torus1, dual.max_band)
     z = np.array([0.06])
     zi = np.array([1.0 - 0.06])
@@ -162,14 +163,14 @@ def test_inverse_symmetry_real_kernel(torus1, partition):
     assert abs(v1 - v2) < 1e-10 * max(1.0, v1)
 
 
-def test_su2_class_function_path_matches_general(su2, partition):
+def test_su2_class_function_path_matches_general(su2):
     # a class-function kernel (scalar blocks) and the same kernel with a
     # negligible non-scalar perturbation must give the same integral: no
     # path may treat scalar blocks differently from general ones
     dual = enumerate_dual(su2, spin_cutoff(3))
     grid = cached_grid(su2, dual.max_band)
     sig = build_spectral_symbol(lambda lam: lam ** (1j), dual)
-    kernel = window_kernel(sig, partition, 1)
+    kernel = window_kernel(sig, 1)
     z = su2_point_from_distance(0.4)
     fast = kernel_difference_integral(kernel, z, 1.0, grid)
     bumped = FourierCoefficients.from_blocks(dual, [b.copy() for b in kernel.blocks])
@@ -193,13 +194,13 @@ def _pointwise_difference_integral(coeffs, z, c, grid):
     "kind,n,cutoff,z",
     [("torus", 2, 12.0, [0.03, 0.05]), ("su2", 3, spin_cutoff(4), [0.3, 0.2, 0.1])],
 )
-def test_kernel_difference_matches_pointwise_oracle(kind, n, cutoff, z, partition):
+def test_kernel_difference_matches_pointwise_oracle(kind, n, cutoff, z):
     # non-scalar symbol blocks on SU(2), so no class-function structure helps
     group = make_group(kind, n)
     dual = enumerate_dual(group, cutoff)
     grid = cached_grid(group, dual.max_band)
     sig = Symbol.from_blocks(dual, random_coefficients(dual, np.random.default_rng(13)).blocks)
-    kernel = window_kernel(sig, partition, 2)
+    kernel = window_kernel(sig, 2)
     z = np.array(z)
     value = kernel_difference_integral(kernel, z, 1.0, grid)
     oracle = _pointwise_difference_integral(kernel, z, 1.0, grid)
@@ -207,24 +208,33 @@ def test_kernel_difference_matches_pointwise_oracle(kind, n, cutoff, z, partitio
     assert abs(value - oracle) <= 1e-10 * oracle
 
 
-def test_z_must_not_be_identity(torus1, partition):
+def test_z_must_not_be_identity(torus1):
     dual = enumerate_dual(torus1, 8.0)
-    kernel = window_kernel(identity_symbol(dual), partition, 1)
+    kernel = window_kernel(identity_symbol(dual), 1)
     grid = cached_grid(torus1, dual.max_band)
     with pytest.raises(PreconditionError):
         kernel_difference_integral(kernel, np.array([0.0]), 1.0, grid)
 
 
-def test_torus_decay_trend_small(torus1, partition):
+def test_torus_decay_trend_small(torus1):
     dual = enumerate_dual(torus1, 128.0)
     grid = cached_grid(torus1, dual.max_band)
     sig = build_spectral_symbol(lambda lam: lam ** (1j), dual)
     z = np.array([0.05])
     vals = [
-        kernel_difference_integral(window_kernel(sig, partition, ell), z, 1.0, grid)
+        kernel_difference_integral(window_kernel(sig, ell), z, 1.0, grid)
         for ell in (2, 3, 4)
     ]
     assert decay_slope((2, 3, 4), vals) <= -0.2
+
+
+def test_decay_slope_refuses_nonpositive_integrals():
+    # a zero integral (e.g. a window outside the slice) has no logarithm; a
+    # clamp would report it as steep decay
+    assert decay_slope((1, 2, 3), (4.0, 2.0, 1.0)) == pytest.approx(-1.0)
+    for bad in ((0.5, 0.25, 0.0), (0.5, -0.25, 0.1), (0.5, math.nan, 0.1)):
+        with pytest.raises(PreconditionError):
+            decay_slope((1, 2, 9), bad)
 
 
 # ---------------------------------------------------------------------------
@@ -240,21 +250,21 @@ def test_exact_l2_norm_examples(torus1, su2):
     assert abs(exact_l2_operator_norm(Symbol.from_blocks(dsu, blocks)) - 2.0) < 1e-15
 
 
-def test_ensemble_kinds_and_determinism(torus1, partition):
+def test_ensemble_kinds_and_determinism(torus1):
     dual = enumerate_dual(torus1, 16.0)
     sig = build_spectral_symbol(lambda lam: lam ** (1j), dual)
     for kind in ("gaussian-coefficients", "dirichlet-kernels", "translated-windows",
                  "adjoint-dirichlet", "directed-irrep"):
         cfg = EnsembleConfig(kind, 4)
-        m1 = ensemble_member(cfg, 1, dual, partition, np.random.default_rng([3, 0, 1]), sig)
-        m2 = ensemble_member(cfg, 1, dual, partition, np.random.default_rng([3, 0, 1]), sig)
+        m1 = ensemble_member(cfg, 1, dual, np.random.default_rng([3, 0, 1]), sig)
+        m2 = ensemble_member(cfg, 1, dual, np.random.default_rng([3, 0, 1]), sig)
         assert max(np.max(np.abs(a - b)) for a, b in zip(m1.blocks, m2.blocks)) == 0.0
         assert plancherel_norm(m1) > 0
     with pytest.raises(ConfigurationError):
         EnsembleConfig("bogus", 4)
 
 
-def test_sweep_identity_ratios_one(torus1, partition):
+def test_sweep_identity_ratios_one(torus1):
     sweeps = boundedness_sweep(
         torus1,
         identity_symbol,
@@ -262,14 +272,13 @@ def test_sweep_identity_ratios_one(torus1, partition):
         [8.0, 16.0],
         EnsembleConfig("gaussian-coefficients", 3),
         seed=12,
-        partition=partition,
     )
     for sweep in sweeps:
         for ratio in sweep.max_ratios:
             assert abs(ratio - 1.0) <= 1e-9
 
 
-def test_sweep_determinism(torus1, partition):
+def test_sweep_determinism(torus1):
     run = lambda: boundedness_sweep(
         torus1,
         lambda d: build_spectral_symbol(lambda lam: lam ** (3j), d),
@@ -277,12 +286,11 @@ def test_sweep_determinism(torus1, partition):
         [16.0, 32.0],
         EnsembleConfig("gaussian-coefficients", 4),
         seed=99,
-        partition=partition,
     )[0]
     assert run().max_ratios == run().max_ratios
 
 
-def test_sweep_l2_never_exceeds_exact_norm(torus1, partition):
+def test_sweep_l2_never_exceeds_exact_norm(torus1):
     # after the F^0_{2,2} <-> L^2 comparison (ratio in [1/sqrt2, 1]) the
     # sweep lower bounds can reach at most sqrt(2) times the exact norm
     builder = lambda d: build_spectral_symbol(lambda lam: (1.0 + 0.5 * np.sin(lam)) * lam ** (2j), d)
@@ -291,14 +299,14 @@ def test_sweep_l2_never_exceeds_exact_norm(torus1, partition):
     for kind, count in (("gaussian-coefficients", 6), ("dirichlet-kernels", 4), ("directed-irrep", 1)):
         sweep = boundedness_sweep(
             torus1, builder, NormSpec(0.0, 2.0, 2.0), [32.0],
-            EnsembleConfig(kind, count), seed=21, partition=partition,
+            EnsembleConfig(kind, count), seed=21,
         )[0]
         assert sweep.max_ratios[0] / np.sqrt(2.0) <= opnorm + 1e-9
         if kind == "directed-irrep":
             assert sweep.max_ratios[0] >= 0.8 * opnorm
 
 
-def test_multi_spec_sweep_equals_single_spec_sweeps(torus1, su2, partition):
+def test_multi_spec_sweep_equals_single_spec_sweeps(torus1, su2):
     # the specs share window passes and aggregates; each must still get
     # exactly its own single-spec ratios and argmax members
     specs = [
@@ -311,7 +319,7 @@ def test_multi_spec_sweep_equals_single_spec_sweeps(torus1, su2, partition):
     builder = lambda d: build_spectral_symbol(lambda lam: (1.0 + 0.5 * np.sin(lam)) * lam ** (2j), d)
     for group, cutoffs in ((torus1, [16.0, 32.0]), (su2, [spin_cutoff(2.5), spin_cutoff(4.5)])):
         run = lambda spec_arg: boundedness_sweep(
-            group, builder, spec_arg, cutoffs, EnsembleConfig("gaussian-coefficients", 3), seed=5, partition=partition
+            group, builder, spec_arg, cutoffs, EnsembleConfig("gaussian-coefficients", 3), seed=5
         )
         multi = run(specs)
         for spec, sweep in zip(specs, multi):
@@ -321,7 +329,7 @@ def test_multi_spec_sweep_equals_single_spec_sweeps(torus1, su2, partition):
             assert sweep.argmax_members == single.argmax_members
 
 
-def test_weak_numerator_for_p1(torus1, partition):
+def test_weak_numerator_for_p1(torus1):
     # p = 1 rows probe the weak-type ratio; for the identity symbol the weak
     # quasi-norm of Tf = f is Chebyshev-dominated by the strong norm
     sweep = boundedness_sweep(
@@ -331,6 +339,5 @@ def test_weak_numerator_for_p1(torus1, partition):
         [16.0],
         EnsembleConfig("gaussian-coefficients", 4),
         seed=17,
-        partition=partition,
     )[0]
     assert 0.0 < sweep.max_ratios[0] <= 1.0 + 1e-12

@@ -20,7 +20,17 @@ from liefourier import (
 )
 from liefourier.dual import spin_cutoff
 from liefourier.errors import PreconditionError
-from liefourier.spaces import quadrature_lp, tl_aggregate, tl_norms, weak_sup, window_samples
+from liefourier.spaces import (
+    eta,
+    eta_sobolev_norm,
+    psi,
+    quadrature_lp,
+    tl_aggregate,
+    tl_norms,
+    weak_sup,
+    window_levels,
+    window_samples,
+)
 from liefourier.transform import inverse_on_grid
 
 
@@ -28,58 +38,55 @@ from liefourier.transform import inverse_on_grid
 # Partition
 # ---------------------------------------------------------------------------
 
-def test_eta_support(partition):
-    assert partition.eta(0.49) == 0.0
-    assert partition.eta(2.01) == 0.0
+def test_eta_support():
+    assert eta(0.49) == 0.0
+    assert eta(2.01) == 0.0
     lam = np.linspace(0.55, 1.95, 64)
-    vals = partition.eta(lam)
+    vals = eta(lam)
     assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
     assert np.max(vals) > 0.5
 
 
-def test_psi0_construction(partition):
-    assert partition.psi0(0.5) == 1.0
-    assert partition.psi0(1.0) == 1.0
-    assert partition.psi0(2.5) == 0.0
+def test_psi0_construction():
+    assert psi(0, 0.5) == 1.0
+    assert psi(0, 1.0) == 1.0
+    assert psi(0, 2.5) == 0.0
 
 
 @pytest.mark.parametrize("lam", [1.0, 3.7, 100.0])
-def test_partition_sums_to_one(partition, lam):
-    total = sum(partition.psi(ell, lam) for ell in range(20))
+def test_partition_sums_to_one(lam):
+    total = sum(psi(ell, lam) for ell in range(20))
     assert abs(total - 1.0) < 1e-12
 
 
-def test_dyadic_sum_identity(partition):
+def test_dyadic_sum_identity():
     # sum over j in Z of eta(2^-j lam) telescopes to 1 for lam > 0
     lam = np.geomspace(1e-3, 1e6, 200)
     total = np.zeros_like(lam)
     for j in range(-15, 25):
-        total += partition.eta(lam / 2.0**j)
+        total += eta(lam / 2.0**j)
     assert np.max(np.abs(total - 1.0)) < 1e-12
 
 
 @given(lam=st.floats(1.0, 1e6))
 @settings(max_examples=80, deadline=None)
 def test_partition_sum_property(lam):
-    from liefourier import build_partition
-
-    part = build_partition()
-    total = sum(part.psi(ell, lam) for ell in range(22))
+    total = sum(psi(ell, lam) for ell in range(22))
     assert abs(total - 1.0) < 1e-12
 
 
-def test_levels_skip_vanishing_pieces(partition):
-    levels = partition.levels(16.0)
+def test_levels_skip_vanishing_pieces():
+    levels = window_levels(16.0)
     assert levels[0] == 0
     assert 2.0 ** (levels[-1] - 1) < 16.0 * (1 + 1e-9)
     assert all(2.0 ** (ell - 1) < 16.0 * (1 + 1e-9) for ell in levels)
 
 
-def test_eta_sobolev_norm_recorded(partition):
+def test_eta_sobolev_norm_recorded():
     # fixed bump, fixed constant; the value is recorded for the kernel
     # estimates and must be finite and reproducible
-    v1 = partition.eta_sobolev_norm(2.0)
-    v2 = partition.eta_sobolev_norm(2.0)
+    v1 = eta_sobolev_norm(2.0)
+    v2 = eta_sobolev_norm(2.0)
     assert v1 == v2 and 0.1 < v1 < 100.0
 
 
@@ -87,35 +94,35 @@ def test_eta_sobolev_norm_recorded(partition):
 # Projections
 # ---------------------------------------------------------------------------
 
-def test_reconstruction_from_projections(torus1, partition):
+def test_reconstruction_from_projections(torus1):
     dual = enumerate_dual(torus1, 20.0)
     rng = np.random.default_rng(0)
     coeffs = random_coefficients(dual, rng)
     acc = [np.zeros_like(b) for b in coeffs.blocks]
-    for ell in partition.levels(dual.cutoff):
-        piece = lp_project(coeffs, partition, ell)
+    for ell in window_levels(dual.cutoff):
+        piece = lp_project(coeffs, ell)
         acc = [a + p for a, p in zip(acc, piece.blocks)]
     worst = max(np.max(np.abs(a - b)) for a, b in zip(acc, coeffs.blocks))
     assert worst < 1e-11
 
 
-def test_projection_of_disjoint_support_is_zero(torus1, partition):
+def test_projection_of_disjoint_support_is_zero(torus1):
     dual = enumerate_dual(torus1, 40.0)
     blocks = [
         (np.eye(1, dtype=complex) if 16.0 <= ir.eigenvalue <= 40.0 else np.zeros((1, 1), complex))
         for ir in dual.irreps
     ]
     coeffs = FourierCoefficients.from_blocks(dual, blocks)
-    piece = lp_project(coeffs, partition, 2)  # window (2, 8), disjoint from [16, 40]
+    piece = lp_project(coeffs, 2)  # window (2, 8), disjoint from [16, 40]
     assert all(np.max(np.abs(b)) < 1e-15 for b in piece.blocks)
 
 
-def test_dirichlet_projection_keeps_exact_band(torus1, partition):
+def test_dirichlet_projection_keeps_exact_band(torus1):
     dual = enumerate_dual(torus1, 32.0)
     dirichlet = FourierCoefficients.from_blocks(dual, [np.eye(1, dtype=complex) for _ in dual.irreps])
-    piece = lp_project(dirichlet, partition, 2)
+    piece = lp_project(dirichlet, 2)
     for ir, blk in zip(dual.irreps, piece.blocks):
-        expected = partition.eta(ir.eigenvalue / 4.0)
+        expected = eta(ir.eigenvalue / 4.0)
         assert abs(blk[0, 0] - expected) < 1e-14
         if not 2.0 < ir.eigenvalue < 8.0:
             assert abs(blk[0, 0]) < 1e-15
@@ -156,11 +163,11 @@ def test_lebesgue_validates_p(torus1):
         lebesgue_norm(GridFunction(grid, np.zeros(len(grid), complex)), 0.5)
 
 
-def test_real_lp_of_aggregate_equals_complex_cast(su2, partition):
+def test_real_lp_of_aggregate_equals_complex_cast(su2):
     # the real samples give bit for bit what their complex copy gives
     dual = enumerate_dual(su2, spin_cutoff(5.5))
     grid = default_grid(dual)
-    levels, mods = window_samples(random_coefficients(dual, np.random.default_rng(3)), partition, grid)
+    levels, mods = window_samples(random_coefficients(dual, np.random.default_rng(3)))
     agg = tl_aggregate(levels, mods, 0.5, 2.0)
     for p in (1.0, 1.5, 2.0, 4.0, math.inf):
         assert quadrature_lp(agg, grid.weights, p) == lebesgue_norm(GridFunction(grid, agg.astype(complex)), p)
@@ -184,7 +191,7 @@ def test_norm_spec_validation():
             NormSpec(r, 2.0, 2.0)
 
 
-def test_single_irrep_function_factors_exactly(torus1, partition):
+def test_single_irrep_function_factors_exactly(torus1):
     # one spectral value lam0: the aggregate is (sum_l psi_l(lam0)^q)^(1/q)
     # times |f|, so the norm is that constant times the L^p norm; at most two
     # adjacent windows overlap and the constant sits in [2^(1/q - 1), 1]
@@ -198,68 +205,64 @@ def test_single_irrep_function_factors_exactly(torus1, partition):
     for p in (1.5, 2.0, 4.0):
         for q in (1.5, 2.0, 4.0):
             spec = NormSpec(0.0, p, q)
-            weights = [partition.psi(ell, lam0) for ell in partition.levels(dual.cutoff)]
+            weights = [psi(ell, lam0) for ell in window_levels(dual.cutoff)]
             const = float(np.sum(np.asarray(weights) ** q) ** (1.0 / q))
             assert 2.0 ** (1.0 / q - 1.0) - 1e-12 <= const <= 1.0 + 1e-12
-            tl = triebel_lizorkin_norm(coeffs, spec, partition, grid)
+            tl = triebel_lizorkin_norm(coeffs, spec)
             lp = lebesgue_norm(inverse_on_grid(coeffs, grid), p)
             assert abs(tl - const * lp) < 1e-10 * max(1.0, lp)
 
 
-def test_f022_two_sided_l2_comparison(torus1, su2, partition):
+def test_f022_two_sided_l2_comparison(torus1, su2):
     rng = np.random.default_rng(2)
     spec = NormSpec(0.0, 2.0, 2.0)
     for group, cutoff in ((torus1, 32.0), (su2, spin_cutoff(4))):
         dual = enumerate_dual(group, cutoff)
-        grid = default_grid(dual)
         for _ in range(5):
             coeffs = random_coefficients(dual, rng)
-            tl = triebel_lizorkin_norm(coeffs, spec, partition, grid)
+            tl = triebel_lizorkin_norm(coeffs, spec)
             l2 = plancherel_norm(coeffs)
             ratio = tl / l2
             assert 1.0 / math.sqrt(2.0) - 1e-6 <= ratio <= 1.0 + 1e-6
 
 
-def test_q_monotonicity(torus1, partition):
+def test_q_monotonicity(torus1):
     dual = enumerate_dual(torus1, 32.0)
-    grid = default_grid(dual)
     rng = np.random.default_rng(3)
     for _ in range(5):
         coeffs = random_coefficients(dual, rng)
         norms = [
-            triebel_lizorkin_norm(coeffs, NormSpec(0.0, 2.0, q), partition, grid)
+            triebel_lizorkin_norm(coeffs, NormSpec(0.0, 2.0, q))
             for q in (1.5, 2.0, 4.0, math.inf)
         ]
         for a, b in zip(norms, norms[1:]):
             assert b <= a * (1 + 1e-12)
 
 
-def test_r_monotonicity(torus1, partition):
+def test_r_monotonicity(torus1):
     dual = enumerate_dual(torus1, 32.0)
-    grid = default_grid(dual)
     rng = np.random.default_rng(4)
     for _ in range(5):
         coeffs = random_coefficients(dual, rng)
         norms = [
-            triebel_lizorkin_norm(coeffs, NormSpec(r, 2.0, 2.0), partition, grid)
+            triebel_lizorkin_norm(coeffs, NormSpec(r, 2.0, 2.0))
             for r in (-1.0, 0.0, 1.0)
         ]
         assert norms[0] <= norms[1] * (1 + 1e-12) <= norms[2] * (1 + 1e-12) ** 2
 
 
-def test_q_infinity_embedding_pointwise(torus1, partition):
+def test_q_infinity_embedding_pointwise(torus1):
     # the ell^q -> ell^inf inequality holds per sample point
     dual = enumerate_dual(torus1, 32.0)
-    grid = default_grid(dual)
     coeffs = random_coefficients(dual, np.random.default_rng(5))
-    levels, mods = window_samples(coeffs, partition, grid)
+    levels, mods = window_samples(coeffs)
     for q in (1.5, 2.0, 4.0):
         agg_q = tl_aggregate(levels, mods, 0.0, q)
         agg_inf = tl_aggregate(levels, mods, 0.0, math.inf)
         assert np.all(agg_inf <= agg_q * (1 + 1e-12))
 
 
-def test_tl_norms_equal_one_aggregate_per_spec(torus1, su2, partition):
+def test_tl_norms_equal_one_aggregate_per_spec(torus1, su2):
     # one spec list with an (r, q) repeated at another p, a q shared by two
     # r, p = 1 specs and a q = inf spec; the shared aggregates must give
     # exactly what one aggregate per spec gives
@@ -275,59 +278,55 @@ def test_tl_norms_equal_one_aggregate_per_spec(torus1, su2, partition):
         dual = enumerate_dual(group, cutoff)
         grid = default_grid(dual)
         coeffs = random_coefficients(dual, np.random.default_rng(8))
-        levels, mods = window_samples(coeffs, partition, grid)
+        levels, mods = window_samples(coeffs)
         expected = []
         for spec in specs:
             agg = tl_aggregate(levels, mods, spec.r, spec.q)
             weak = weak_sup(agg, grid.weights) if spec.p == 1.0 else None
             expected.append((quadrature_lp(agg, grid.weights, spec.p), weak))
-        assert tl_norms(coeffs, specs, partition, grid) == expected
+        assert tl_norms(coeffs, specs) == expected
         for spec, (strong, weak) in zip(specs, expected):
-            assert triebel_lizorkin_norm(coeffs, spec, partition, grid) == strong
+            assert triebel_lizorkin_norm(coeffs, spec) == strong
             if spec.p == 1.0:
-                assert weak_tl_norm(coeffs, spec, partition, grid) == weak
+                assert weak_tl_norm(coeffs, spec) == weak
 
 
 # ---------------------------------------------------------------------------
 # Weak norm
 # ---------------------------------------------------------------------------
 
-def test_weak_norm_constant_level_set(torus1, partition):
+def test_weak_norm_constant_level_set(torus1):
     # constant aggregate c has sup_t t|{g > t}| = c (approached at t -> c-)
     dual = enumerate_dual(torus1, 2.0)
-    grid = default_grid(dual)
     blocks = [
         (np.eye(1, dtype=complex) if ir.eigenvalue == 1.0 else np.zeros((1, 1), complex))
         for ir in dual.irreps
     ]
     coeffs = FourierCoefficients.from_blocks(dual, blocks)  # constant function 1
-    val = weak_tl_norm(coeffs, NormSpec(0.0, 1.0, 2.0), partition, grid)
+    val = weak_tl_norm(coeffs, NormSpec(0.0, 1.0, 2.0))
     assert abs(val - 1.0) < 1e-12
 
 
-def test_weak_norm_zero(torus1, partition):
+def test_weak_norm_zero(torus1):
     dual = enumerate_dual(torus1, 4.0)
-    grid = default_grid(dual)
     zero = FourierCoefficients.from_blocks(dual, [np.zeros((1, 1), complex) for _ in dual.irreps])
-    assert weak_tl_norm(zero, NormSpec(0.0, 1.0, 2.0), partition, grid) == 0.0
+    assert weak_tl_norm(zero, NormSpec(0.0, 1.0, 2.0)) == 0.0
 
 
-def test_weak_below_strong_chebyshev(torus1, su2, partition):
+def test_weak_below_strong_chebyshev(torus1, su2):
     rng = np.random.default_rng(6)
     for group, cutoff in ((torus1, 32.0), (su2, spin_cutoff(3))):
         dual = enumerate_dual(group, cutoff)
-        grid = default_grid(dual)
         for q in (1.5, 2.0, 4.0):
             spec = NormSpec(0.0, 1.0, q)
             coeffs = random_coefficients(dual, rng)
-            weak = weak_tl_norm(coeffs, spec, partition, grid)
-            strong = triebel_lizorkin_norm(coeffs, spec, partition, grid)
+            weak = weak_tl_norm(coeffs, spec)
+            strong = triebel_lizorkin_norm(coeffs, spec)
             assert weak <= strong * (1 + 1e-12)
 
 
-def test_weak_norm_requires_p1(torus1, partition):
+def test_weak_norm_requires_p1(torus1):
     dual = enumerate_dual(torus1, 4.0)
-    grid = default_grid(dual)
     coeffs = random_coefficients(dual, np.random.default_rng(7))
     with pytest.raises(PreconditionError):
-        weak_tl_norm(coeffs, NormSpec(0.0, 2.0, 2.0), partition, grid)
+        weak_tl_norm(coeffs, NormSpec(0.0, 2.0, 2.0))

@@ -23,6 +23,7 @@ from liefourier import (
 from liefourier.dual import spin_cutoff
 from liefourier.errors import ConfigurationError, MarginError, PreconditionError
 from liefourier.groups import TORUS, build_grid, identity, su2_pair
+from liefourier.spaces import psi
 from liefourier.symbols import (
     _difference_batch,
     cached_grid,
@@ -337,41 +338,41 @@ def test_hormander_mihlin_zero_symbol(torus1):
     assert rep.headline == 0.0
 
 
-def test_hormander_mihlin_windowed_symbol_cutoff_independent(torus1, partition):
+def test_hormander_mihlin_windowed_symbol_cutoff_independent(torus1):
     heads = []
     for cutoff in (32.0, 64.0):
         dual = enumerate_dual(torus1, cutoff)
-        sig = build_spectral_symbol(lambda lam: partition.psi(3, lam).astype(complex), dual)
-        heads.append(check_hormander_mihlin(sig, 1.0, partition).headline)
+        sig = build_spectral_symbol(lambda lam: psi(3, lam).astype(complex), dual)
+        heads.append(check_hormander_mihlin(sig, 1.0).headline)
     assert abs(heads[1] - heads[0]) / heads[0] <= 0.01
 
 
-def test_hormander_mihlin_bounded_by_marcinkiewicz(torus1, partition):
+def test_hormander_mihlin_bounded_by_marcinkiewicz(torus1):
     # windowed Sobolev norms are controlled by the difference constants; the
     # comparison factor is recorded and must be stable across the cutoff
     factors = []
     for cutoff in (32.0, 64.0):
         dual = enumerate_dual(torus1, cutoff)
         sig = build_spectral_symbol(lambda lam: lam ** (3j), dual)
-        hm = check_hormander_mihlin(sig, 1.0, partition).headline
+        hm = check_hormander_mihlin(sig, 1.0).headline
         marc = check_marcinkiewicz(sig, 1).headline
         assert np.isfinite(hm) and marc > 0
         factors.append(hm / marc)
     assert abs(factors[1] - factors[0]) / factors[0] < 0.5
 
 
-def test_hormander_mihlin_torus2(torus2, partition):
+def test_hormander_mihlin_torus2(torus2):
     dual = enumerate_dual(torus2, 8.0)
     sig = build_spectral_symbol(lambda lam: lam ** (1j), dual)
-    rep = check_hormander_mihlin(sig, partition=partition)  # default s = 2 > n/2
+    rep = check_hormander_mihlin(sig)  # default s = 2 > n/2
     assert rep.metadata["s"] == 2.0
     assert np.isfinite(rep.headline) and rep.headline >= 1.0
 
 
-def test_hormander_mihlin_su2(su2, partition):
+def test_hormander_mihlin_su2(su2):
     dual = enumerate_dual(su2, spin_cutoff(4))
     sig = build_spectral_symbol(lambda lam: lam ** (2j), dual)
-    rep = check_hormander_mihlin(sig, 2.0, partition)
+    rep = check_hormander_mihlin(sig, 2.0)
     assert np.isfinite(rep.headline)
     assert rep.headline >= rep.metadata["linf"] == pytest.approx(1.0)
 
@@ -440,7 +441,7 @@ def test_spectral_symbol_values(su2):
         assert abs(np.linalg.norm(blk, 2) - 1.0) < 1e-12  # unimodular
 
 
-def test_symbol_from_config_types(torus1, partition):
+def test_symbol_from_config_types(torus1):
     dual = enumerate_dual(torus1, 16.0)
     for cfg in (
         {"type": "identity"},
@@ -450,10 +451,10 @@ def test_symbol_from_config_types(torus1, partition):
         {"type": "window", "ell": 2},
         {"type": "dyadic_rademacher", "seed": 3},
     ):
-        sig = symbol_from_config(cfg, dual, partition)
+        sig = symbol_from_config(cfg, dual)
         assert len(sig.blocks) == len(dual.irreps)
     with pytest.raises(ConfigurationError):
-        symbol_from_config({"type": "nope"}, dual, partition)
+        symbol_from_config({"type": "nope"}, dual)
 
 
 def test_sign_symbol_su2_rejected(su2):

@@ -26,6 +26,13 @@ def _max_block_err(a, b):
     return max(float(np.max(np.abs(x - y))) for x, y in zip(a.blocks, b.blocks))
 
 
+def test_default_grid_is_shared_per_slice(torus2, su2):
+    # one grid (and so one plan cache) per slice, however often it is asked for
+    for dual in (enumerate_dual(torus2, 4.0), enumerate_dual(su2, spin_cutoff(2))):
+        assert default_grid(dual) is default_grid(dual)
+        assert default_grid(dual) is default_grid(enumerate_dual(dual.group, dual.cutoff))
+
+
 def test_torus_single_mode(torus1):
     dual = enumerate_dual(torus1, 8.0)
     grid = default_grid(dual)
@@ -319,8 +326,8 @@ def _bitwise_equal(blocks, oracle):
 
 
 @pytest.mark.parametrize("kind,n,cutoff", _PER_RUN_SLICES)
-def test_per_run_paths_equal_per_block_loops(kind, n, cutoff, partition):
-    from liefourier import apply_multiplier, lp_project
+def test_per_run_paths_equal_per_block_loops(kind, n, cutoff):
+    from liefourier import apply_multiplier, lp_project, psi, window_levels
     from liefourier.symbols import Symbol, operator_norms
 
     dual = enumerate_dual(make_group(kind, n), cutoff)
@@ -333,9 +340,9 @@ def test_per_run_paths_equal_per_block_loops(kind, n, cutoff, partition):
     product = apply_multiplier(symbol, coeffs)
     assert _bitwise_equal(product.blocks, [s @ f for s, f in zip(symbol.blocks, coeffs.blocks)])
 
-    for level in partition.levels(cutoff):
-        scale = partition.psi(level, dual.eigenvalues)
-        piece = lp_project(coeffs, partition, level)
+    for level in window_levels(cutoff):
+        scale = psi(level, dual.eigenvalues)
+        piece = lp_project(coeffs, level)
         assert _bitwise_equal(piece.blocks, [s * blk for s, blk in zip(scale, coeffs.blocks)])
 
     norms = operator_norms(symbol.stacks)
