@@ -106,8 +106,7 @@ def emit_report(rows: list[dict], path: str | Path, fmt_kind: str = "csv") -> Pa
     """Write rows bit-stably ('\\n' endings, '.' decimal separator)."""
     if not rows:
         raise PreconditionError("cannot emit an empty report")
-    if fmt_kind not in ("csv", "json"):
-        raise ConfigurationError(f"unknown report format {fmt_kind!r}")
+    _format(fmt_kind)
     path = Path(path)
     header = list(rows[0].keys())
     for row in rows:
@@ -160,9 +159,9 @@ def _validate_config(cfg: dict) -> dict:
     missing = _TASK_REQUIRED[task] - set(cfg)
     if missing:
         raise ConfigurationError(f"task {task} needs the fields {sorted(missing)}")
-    cutoffs = [name for name in _CUTOFF_FIELDS if name in _TASK_FIELDS[task]]
-    if not any(name in cfg for name in cutoffs):
-        raise ConfigurationError(f"task {task} needs one of the cutoff fields {cutoffs}")
+    cutoff_fields = [name for name in _CUTOFF_FIELDS if name in _TASK_FIELDS[task]]
+    if not any(name in cfg for name in cutoff_fields):
+        raise ConfigurationError(f"task {task} needs one of the cutoff fields {cutoff_fields}")
     for name in _NUMERIC_FIELDS:
         if name in cfg:
             values = cfg[name] if name in _LIST_FIELDS else [cfg[name]]
@@ -172,6 +171,7 @@ def _validate_config(cfg: dict) -> dict:
                 _finite(name, value)
                 if name in ("ell_max", "ell_maxes") and float(value) < 0:
                     raise ConfigurationError(f"{name} must hold spins >= 0, got {value!r}")
+    cutoffs = _cutoffs(cfg, group)
     _integer("seed", cfg.get("seed", 0))
     for name, low, high in (("count", 1, None), ("order", 0, None), ("s0", 0, group.dim)):
         if name in cfg:
@@ -181,33 +181,39 @@ def _validate_config(cfg: dict) -> dict:
             _integer("each window", level, 0)
         if len(set(cfg["windows"])) < 2:
             raise ConfigurationError("windows must hold at least two distinct levels to fit a slope")
-        levels = window_levels(_cutoff(cfg, group))
+        levels = window_levels(cutoffs[0])
         if not set(cfg["windows"]) <= set(levels):
             raise ConfigurationError(f"windows must lie among the slice's nonzero windows {levels}")
+    if float(cfg.get("c", 1.0)) <= 0.0:
+        raise ConfigurationError(f"c must be positive, got {cfg['c']!r}")
+    # a torus translation by z_distance / (2 pi) wraps above pi
+    if "z_distance" in cfg and not 0.0 < float(cfg["z_distance"]) <= math.pi:
+        raise ConfigurationError(f"z_distance must lie in (0, pi], got {cfg['z_distance']!r}")
     if "symbol" in cfg:
-        scfg = cfg["symbol"]
-        if not isinstance(scfg, dict):
-            raise ConfigurationError("symbol must be a JSON object")
-        if "t" in scfg:
-            _finite("symbol t", scfg["t"])
-        for name in ("ell", "seed"):
-            if name in scfg:
-                _integer(f"symbol {name}", scfg[name], 0)
+        symbol_from_config(cfg["symbol"], group)
     if "specs" in cfg:
         _specs(cfg)
-    if cfg.get("format", "csv") not in ("csv", "json"):
-        raise ConfigurationError(f"format must be 'csv' or 'json', got {cfg['format']!r}")
+    _format(cfg.get("format", "csv"))
     if cfg.get("trend", "none") not in ("none", "increasing"):
         raise ConfigurationError("trend must be 'none' or 'increasing'")
     checkers = ("marcinkiewicz", "hormander-mihlin", "weak-marcinkiewicz")
-    if cfg.get("checker", "marcinkiewicz") not in checkers:
-        raise ConfigurationError(f"checker must be one of {checkers}, got {cfg['checker']!r}")
+    checker = cfg.get("checker", "marcinkiewicz")
+    if checker not in checkers:
+        raise ConfigurationError(f"checker must be one of {checkers}, got {checker!r}")
+    if checker == "hormander-mihlin" and "s" in cfg and float(cfg["s"]) <= group.dim / 2.0:
+        raise ConfigurationError(f"s must exceed n/2 = {group.dim / 2.0:g}, got {cfg['s']!r}")
     if task in ("tl-norm", "bound-sweep"):
         kind = _ensemble(cfg).kind
         # a tl-norm task has no symbol to build these members from
         if task == "tl-norm" and kind in ("adjoint-dirichlet", "directed-irrep"):
             raise ConfigurationError(f"a tl-norm ensemble cannot be {kind!r}: it needs a symbol")
     return cfg
+
+
+def _format(fmt_kind) -> str:
+    if fmt_kind not in ("csv", "json"):
+        raise ConfigurationError(f"format must be 'csv' or 'json', got {fmt_kind!r}")
+    return fmt_kind
 
 
 def _finite(name: str, value):
@@ -232,6 +238,8 @@ def _tolerances(cfg: dict) -> dict:
 
 def _group(cfg):
     gcfg = cfg["group"]
+    if gcfg["kind"] == SU2 and gcfg.get("dim", 3) != 3:
+        raise ConfigurationError(f"su2 has dim 3, got {gcfg['dim']!r}")
     return make_group(gcfg["kind"], _integer("group dim", gcfg.get("dim", 1)))
 
 
@@ -261,24 +269,18 @@ def _digest(cfg: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _cutoff(cfg, group) -> float:
-    if "lam" in cfg:
-        return float(cfg["lam"])
-    if "ell_max" in cfg:
-        if group.kind != SU2:
-            raise ConfigurationError("ell_max applies to su2 only")
-        return spin_cutoff(float(cfg["ell_max"]))
+def _cutoffs(cfg, group) -> list[float]:
+    """The task's cutoffs: ``lams`` or ``lam``, or the exact spin cutoffs of
+    ``ell_maxes`` or ``ell_max`` (su2 only)."""
+    for name in ("lams", "ell_maxes", "lam", "ell_max"):
+        if name in cfg:
+            values = cfg[name] if name in _LIST_FIELDS else [cfg[name]]
+            if not name.startswith("ell"):
+                return [float(v) for v in values]
+            if group.kind != SU2:
+                raise ConfigurationError(f"{name} applies to su2 only")
+            return [spin_cutoff(float(v)) for v in values]
     raise ConfigurationError("config needs 'lam' (or 'ell_max' on su2)")
-
-
-def _cutoff_list(cfg, group) -> list[float]:
-    if "lams" in cfg:
-        return [float(v) for v in cfg["lams"]]
-    if "ell_maxes" in cfg:
-        if group.kind != SU2:
-            raise ConfigurationError("ell_maxes applies to su2 only")
-        return [spin_cutoff(float(v)) for v in cfg["ell_maxes"]]
-    return [_cutoff(cfg, group)]
 
 
 def _symbol_name(cfg) -> str:
@@ -312,7 +314,7 @@ def _roundtrip_residuals(dual, grid, seed: int, count: int) -> list[tuple[float,
 
 def _task_transform(cfg, seed, tol):
     group = _group(cfg)
-    lam = _cutoff(cfg, group)
+    [lam] = _cutoffs(cfg, group)
     count = cfg.get("count", 8)
     dual = enumerate_dual(group, lam)
     grid = default_grid(dual)
@@ -335,14 +337,15 @@ def _task_transform(cfg, seed, tol):
 
 def _task_check_symbol(cfg, seed, tol):
     group = _group(cfg)
-    lams = _cutoff_list(cfg, group)
+    lams = _cutoffs(cfg, group)
     checker = cfg.get("checker", "marcinkiewicz")
     rows = []
     per_key: dict = {}
     headline_by_lam = {}
+    build_symbol = symbol_from_config(cfg["symbol"], group)
     for lam in lams:
         dual = enumerate_dual(group, lam)
-        symbol = symbol_from_config(cfg["symbol"], dual)
+        symbol = build_symbol(dual)
         if checker == "marcinkiewicz":
             rep = check_marcinkiewicz(symbol, cfg.get("order"))
         elif checker == "hormander-mihlin":
@@ -383,7 +386,7 @@ def _task_check_symbol(cfg, seed, tol):
 
 def _task_tl_norm(cfg, seed, tol):
     group = _group(cfg)
-    lam = _cutoff(cfg, group)
+    [lam] = _cutoffs(cfg, group)
     specs = _specs(cfg)
     ensemble = _ensemble(cfg)
     dual = enumerate_dual(group, lam)
@@ -409,13 +412,13 @@ def _task_tl_norm(cfg, seed, tol):
 
 def _task_kernel_decay(cfg, seed, tol):
     group = _group(cfg)
-    lam = _cutoff(cfg, group)
+    [lam] = _cutoffs(cfg, group)
     windows = cfg["windows"]
     c = float(cfg.get("c", 1.0))
     z_distance = float(cfg["z_distance"])
     dual = enumerate_dual(group, lam)
     grid = default_grid(dual)
-    symbol = symbol_from_config(cfg["symbol"], dual)
+    symbol = symbol_from_config(cfg["symbol"], group)(dual)
     if group.kind == TORUS:
         z = np.zeros(group.dim)
         z[0] = z_distance / (2.0 * np.pi)
@@ -451,10 +454,10 @@ def _task_kernel_decay(cfg, seed, tol):
 
 def _task_bound_sweep(cfg, seed, tol):
     group = _group(cfg)
-    lams = _cutoff_list(cfg, group)
+    lams = _cutoffs(cfg, group)
     specs = _specs(cfg)
     ensemble = _ensemble(cfg)
-    builder = lambda dual: symbol_from_config(cfg["symbol"], dual)
+    builder = symbol_from_config(cfg["symbol"], group)
     sweeps = boundedness_sweep(group, builder, specs, lams, ensemble, seed, _symbol_name(cfg))
     trend = cfg.get("trend", "none")
     rows = []
@@ -486,26 +489,21 @@ def _schur_residual(group) -> float:
     cutoff = math.sqrt(5.0) + 1e-9 if group.kind == TORUS else spin_cutoff(1.5)
     dual = enumerate_dual(group, cutoff)
     grid = default_grid(dual)
-    tables = [
-        np.stack([evaluate_irrep(group, ir, p) for p in grid.points]) for ir in dual.irreps
-    ]
+    points = grid.points
+    tables = [evaluate_irrep(group, ir, points) for ir in dual.irreps]
     worst = 0.0
     for i, ir1 in enumerate(dual.irreps):
-        for j, ir2 in enumerate(dual.irreps):
+        for j in range(len(dual)):
             gram = np.einsum("p,pab,pcd->abcd", grid.weights, tables[i], np.conj(tables[j]))
-            expect = np.zeros_like(gram)
-            if i == j:
-                d = ir1.dim
-                for a in range(d):
-                    for b in range(d):
-                        expect[a, b, a, b] = 1.0 / d
+            eye = np.eye(ir1.dim)
+            expect = np.einsum("ac,bd->abcd", eye, eye) / ir1.dim if i == j else 0.0
             worst = max(worst, float(np.max(np.abs(gram - expect))))
     return worst
 
 
 def _task_selftest(cfg, seed, tol):
     group = _group(cfg)
-    lam = _cutoff(cfg, group)
+    [lam] = _cutoffs(cfg, group)
     count = cfg.get("count", 4)
     dual = enumerate_dual(group, lam)
     grid = default_grid(dual)
@@ -569,6 +567,7 @@ def run_config(cfg: dict, out_dir: str | Path, fmt_kind: str | None = None) -> i
     """
     try:
         cfg = _validate_config(cfg)
+        fmt_kind = _format(fmt_kind or cfg.get("format", "csv"))
     except (ConfigurationError, KeyError, TypeError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
@@ -576,7 +575,6 @@ def run_config(cfg: dict, out_dir: str | Path, fmt_kind: str | None = None) -> i
     seed = int(cfg.get("seed", 0))
     tol = _tolerances(cfg)
     digest = _digest(cfg)
-    fmt_kind = fmt_kind or cfg.get("format", "csv")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -597,7 +595,7 @@ def run_config(cfg: dict, out_dir: str | Path, fmt_kind: str | None = None) -> i
     rows = [{**shared, **row} for row in rows]
     elapsed = time.perf_counter() - started
 
-    report_path = out_dir / f"{task}_report.{ 'json' if fmt_kind == 'json' else 'csv' }"
+    report_path = out_dir / f"{task}_report.{fmt_kind}"
     emit_report(rows, report_path, fmt_kind)
     manifest = {
         "task": task,

@@ -15,12 +15,15 @@ exactly the fundamental matrix of the point).  The little-d matrix is
 evaluated as exp(-1j*beta*Jy) through an eigendecomposition of the tridiagonal
 angular-momentum generator Jy; this is overflow-free and numerically stable
 for all spins handled here (validated up to l = 64, enforced).
+
+Representation matrices broadcast over points: one point gives (d, d)
+matrices, (..., dim) points give (..., d, d) stacks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -92,6 +95,12 @@ class DualSlice:
         return {ir.label: i for i, ir in enumerate(self.irreps)}
 
     @cached_property
+    def box_index(self) -> tuple[np.ndarray, ...]:
+        """Torus: the position of every label in the label box [-B, B]^n,
+        B = ``max_band``, as an index tuple into a (2B + 1)^n array."""
+        return tuple((self.labels + int(self.max_band)).T)
+
+    @cached_property
     def max_band(self) -> float:
         """Grid bandlimit needed to transform this slice exactly.
 
@@ -157,15 +166,10 @@ def enumerate_dual(group: GroupDescriptor, cutoff: float) -> DualSlice:
 # Wigner machinery
 # ---------------------------------------------------------------------------
 
-_JY_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@cache
 def _jy_eig(two_ell: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition (eigenvalues, vectors) of Jy for spin two_ell/2,
     in the descending-m basis."""
-    cached = _JY_CACHE.get(two_ell)
-    if cached is not None:
-        return cached
     ell = two_ell / 2.0
     dim = two_ell + 1
     m = ell - np.arange(dim)  # descending
@@ -175,9 +179,7 @@ def _jy_eig(two_ell: int) -> tuple[np.ndarray, np.ndarray]:
     idx = np.arange(1, dim)
     jy[idx - 1, idx] = -0.5j * c
     jy[idx, idx - 1] = 0.5j * c
-    lam, vec = np.linalg.eigh(jy)
-    _JY_CACHE[two_ell] = (lam, vec)
-    return lam, vec
+    return np.linalg.eigh(jy)
 
 
 def little_d(two_ell: int, beta: float | np.ndarray) -> np.ndarray:
@@ -201,26 +203,33 @@ def _check_spin(ell: float) -> int:
     return two_ell
 
 
-def wigner_matrix(ell: float, point: np.ndarray) -> np.ndarray:
-    """Full Wigner D-matrix of one SU(2) point at spin ``ell``."""
+def wigner_matrix(ell: float, points: np.ndarray) -> np.ndarray:
+    """Wigner D-matrices at spin ``ell``: (..., 3) points give (..., d, d)."""
     two_ell = _check_spin(ell)
-    alpha, beta, gamma = np.asarray(point, dtype=float)
+    points = np.asarray(points, dtype=float)
     m = (two_ell / 2.0) - np.arange(two_ell + 1)
-    d = little_d(two_ell, beta)
-    return np.exp(-1j * m * alpha)[:, None] * d * np.exp(-1j * m * gamma)[None, :]
+    left = np.exp(-1j * m * points[..., 0, None])[..., :, None]
+    right = np.exp(-1j * m * points[..., 2, None])[..., None, :]
+    return left * little_d(two_ell, points[..., 1]) * right
 
 
 def representation_stacks(dual: DualSlice, x: np.ndarray) -> list[np.ndarray]:
-    """xi(x) for every irrep of the slice, one (run length, d, d) stack per
-    run (see :func:`evaluate_irrep`)."""
+    """xi(x) for every irrep of the slice, one (..., run length, d, d) stack
+    per run, for one point or (..., dim) points (see :func:`evaluate_irrep`)."""
     x = np.asarray(x, dtype=float)
     if dual.group.kind == TORUS:
-        return [np.exp(2j * np.pi * (dual.labels @ x))[:, None, None]]
-    return [wigner_matrix(ell, x)[None] for ell in dual.labels]
+        return [_torus_phases(x, dual.labels)]
+    return [wigner_matrix(ell, x)[..., None, :, :] for ell in dual.labels]
+
+
+def _torus_phases(x: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """[[exp(2*pi*i x.xi)]] for (m, n) labels: shape (..., m, 1, 1)."""
+    return np.exp(2j * np.pi * np.tensordot(x, labels, axes=(-1, 1)))[..., None, None]
 
 
 def evaluate_irrep(group: GroupDescriptor, irrep: IrrepIndex | tuple | float, x: np.ndarray) -> np.ndarray:
-    """Representation matrix xi(x) (unitary, d x d complex).
+    """Representation matrix xi(x) (unitary, d x d complex), for one point or
+    (..., dim) points (shape (..., d, d)).
 
     ``irrep`` may be an :class:`IrrepIndex` or a raw label.  Torus irreps are
     the 1x1 matrices [[exp(2*pi*i x.xi)]].
@@ -228,7 +237,5 @@ def evaluate_irrep(group: GroupDescriptor, irrep: IrrepIndex | tuple | float, x:
     label = irrep.label if isinstance(irrep, IrrepIndex) else irrep
     x = np.asarray(x, dtype=float)
     if group.kind == TORUS:
-        xi = np.asarray(label, dtype=float)
-        return np.array([[np.exp(2j * np.pi * float(np.dot(x, xi)))]])
+        return _torus_phases(x, np.reshape(np.asarray(label, dtype=float), (1, -1)))[..., 0, :, :]
     return wigner_matrix(float(label), x)
-

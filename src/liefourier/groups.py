@@ -20,6 +20,10 @@ Conventions
   represent -I with alpha restricted to [0, 2*pi).)
 * Haar measure is normalised to total mass 1.
 
+|x| and q1 each have one implementation over broadcasting coordinate arrays:
+points pass their coordinates and grids their ``np.ix_`` axes, so grid and
+pointwise values agree bit for bit.
+
 All functions here are pure; grids are immutable after construction, so
 concurrent readers need no coordination.
 """
@@ -86,9 +90,12 @@ def su2_pair(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     points = np.asarray(points, dtype=float)
     alpha, beta, gamma = points[..., 0], points[..., 1], points[..., 2]
-    a = np.exp(-0.5j * (alpha + gamma)) * np.cos(beta / 2.0)
-    b = np.exp(0.5j * (alpha - gamma)) * np.sin(beta / 2.0)
-    return a, b
+    return _su2_a(alpha, beta, gamma), np.exp(0.5j * (alpha - gamma)) * np.sin(beta / 2.0)
+
+
+def _su2_a(alpha, beta, gamma) -> np.ndarray:
+    """The Cayley-Klein parameter a from broadcasting Euler angle arrays."""
+    return np.exp(-0.5j * (alpha + gamma)) * np.cos(beta / 2.0)
 
 
 def su2_matrix(x: np.ndarray) -> np.ndarray:
@@ -162,28 +169,34 @@ def inverse(group: GroupDescriptor, x: np.ndarray) -> np.ndarray:
 # Geometric weights
 # ---------------------------------------------------------------------------
 
+def _distance(group: GroupDescriptor, coords) -> np.ndarray:
+    """|x| from one coordinate array per axis; the arrays broadcast."""
+    if group.kind == TORUS:
+        frac = [np.mod(c, 1.0) for c in coords]
+        return TWO_PI * np.sqrt(sum(np.minimum(f, 1.0 - f) ** 2 for f in frac))
+    return np.arccos(np.clip(_su2_a(*coords).real, -1.0, 1.0))
+
+
+def _q1(group: GroupDescriptor, coords) -> np.ndarray:
+    """q1 from one coordinate array per axis; the arrays broadcast."""
+    if group.kind == TORUS:
+        return 2.0 * np.sqrt(sum(np.sin(np.pi * np.mod(c, 1.0)) ** 2 for c in coords))
+    return 2.0 * np.abs(np.sin(_distance(group, coords) / 2.0))
+
+
 def distance_to_identity(group: GroupDescriptor, points: np.ndarray) -> np.ndarray:
     """Geodesic distance |x| to the identity, vectorised over (..., dim)."""
-    points = np.asarray(points, dtype=float)
-    if group.kind == TORUS:
-        frac = np.mod(points, 1.0)
-        nearest = np.minimum(frac, 1.0 - frac)
-        return TWO_PI * np.sqrt(np.sum(nearest**2, axis=-1))
-    a, _ = su2_pair(points)
-    return np.arccos(np.clip(a.real, -1.0, 1.0))
+    return _distance(group, np.moveaxis(np.asarray(points, dtype=float), -1, 0))
 
 
 def q1_weight(group: GroupDescriptor, points: np.ndarray) -> np.ndarray:
-    """First-order weight q1, vanishing exactly at the identity.
+    """First-order weight q1, vanishing exactly at the identity, vectorised
+    over (..., dim).
 
     Torus: sqrt(sum_j |exp(2*pi*i*x_j) - 1|^2).  SU(2): sqrt(2 - tr), where
     tr is the fundamental-representation trace.
     """
-    points = np.asarray(points, dtype=float)
-    if group.kind == TORUS:
-        return 2.0 * np.sqrt(np.sum(np.sin(np.pi * np.mod(points, 1.0)) ** 2, axis=-1))
-    theta = distance_to_identity(group, points)
-    return 2.0 * np.abs(np.sin(theta / 2.0))
+    return _q1(group, np.moveaxis(np.asarray(points, dtype=float), -1, 0))
 
 
 def rho_squared(group: GroupDescriptor, points: np.ndarray) -> np.ndarray:
@@ -290,38 +303,16 @@ def build_grid(group: GroupDescriptor, bandlimit: float) -> QuadratureGrid:
     )
 
 
-def _torus_axis_sum(axes: tuple[np.ndarray, ...], term) -> np.ndarray:
-    """sum_k term(x_k) at every node of the product of ``axes`` (flattened
-    C order), broadcast from the per-axis values."""
-    dim = len(axes)
-    total = 0.0
-    for k, ax in enumerate(axes):
-        total = total + term(ax).reshape((1,) * k + (-1,) + (1,) * (dim - k - 1))
-    return total.ravel()
-
-
-def _nearest_squared(x: np.ndarray) -> np.ndarray:
-    frac = np.mod(x, 1.0)
-    return np.minimum(frac, 1.0 - frac) ** 2
-
-
 def grid_distance_to_identity(grid: QuadratureGrid) -> np.ndarray:
     """:func:`distance_to_identity` at every node of ``grid`` (flattened C
     order), broadcast from the per-axis nodes without the point list."""
-    if grid.group.kind == TORUS:
-        return TWO_PI * np.sqrt(_torus_axis_sum(grid.axes, _nearest_squared))
-    alpha, beta, gamma = grid.axes
-    phase = np.exp(-0.5j * (alpha[:, None, None] + gamma[None, None, :]))  # (Na, 1, Ng)
-    re_a = (phase * np.cos(beta / 2.0)[None, :, None]).real
-    return np.arccos(np.clip(re_a, -1.0, 1.0)).ravel()
+    return _distance(grid.group, np.ix_(*grid.axes)).ravel()
 
 
 def grid_q1_weight(grid: QuadratureGrid) -> np.ndarray:
     """:func:`q1_weight` at every node of ``grid`` (flattened C order),
     broadcast from the per-axis nodes without the point list."""
-    if grid.group.kind == TORUS:
-        return 2.0 * np.sqrt(_torus_axis_sum(grid.axes, lambda x: np.sin(np.pi * np.mod(x, 1.0)) ** 2))
-    return 2.0 * np.abs(np.sin(grid_distance_to_identity(grid) / 2.0))
+    return _q1(grid.group, np.ix_(*grid.axes)).ravel()
 
 
 def random_point(group: GroupDescriptor, rng: np.random.Generator) -> np.ndarray:

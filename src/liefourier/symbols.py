@@ -88,26 +88,45 @@ def dyadic_rademacher_symbol(dual: DualSlice, seed: int) -> Symbol:
     return build_spectral_symbol(lambda lam: signs[j], dual)
 
 
-def symbol_from_config(cfg: dict, dual: DualSlice) -> Symbol:
-    """Build a symbol from a declarative config, e.g. {"type": "power_it",
-    "t": 5.0}.  Supported types: identity, power_it, wave, sign, window,
-    dyadic_rademacher."""
+# symbol type -> its fields besides "type" (a window needs its ell)
+_SYMBOL_FIELDS = {
+    "identity": set(), "power_it": {"t"}, "wave": set(), "sign": set(), "window": {"ell"}, "dyadic_rademacher": {"seed"}
+}
+
+
+def symbol_from_config(cfg: dict, group: GroupDescriptor):
+    """Check a declarative symbol config, e.g. {"type": "power_it", "t": 5.0},
+    and return its builder ``dual -> Symbol`` for dual slices of ``group``.
+    Types: identity, power_it (finite t, default 1), wave, sign (torus only),
+    window (ell), dyadic_rademacher (seed, default 0); ell, seed >= 0."""
+    if not isinstance(cfg, dict):
+        raise ConfigurationError("symbol must be a JSON object")
     kind = cfg.get("type")
-    if kind == "identity":
-        return identity_symbol(dual)
-    if kind == "power_it":
-        t = float(cfg.get("t", 1.0))
-        return build_spectral_symbol(lambda lam: lam ** (1j * t), dual)
-    if kind == "wave":
-        return build_spectral_symbol(lambda lam: np.exp(1j * lam), dual)
-    if kind == "sign":
-        return sign_symbol(dual)
-    if kind == "window":
-        ell = int(cfg["ell"])
-        return build_spectral_symbol(lambda lam: psi(ell, lam).astype(complex), dual)
-    if kind == "dyadic_rademacher":
-        return dyadic_rademacher_symbol(dual, int(cfg.get("seed", 0)))
-    raise ConfigurationError(f"unknown symbol type {cfg.get('type')!r}")
+    if kind not in _SYMBOL_FIELDS:
+        raise ConfigurationError(f"unknown symbol type {kind!r}; choose from {sorted(_SYMBOL_FIELDS)}")
+    if kind == "window" and "ell" not in cfg:
+        raise ConfigurationError("a window symbol needs the field 'ell'")
+    unknown = set(cfg) - _SYMBOL_FIELDS[kind] - {"type"}
+    if unknown:
+        raise ConfigurationError(f"unknown fields for a {kind} symbol: {sorted(unknown)}")
+    t = cfg.get("t", 1.0)
+    if isinstance(t, bool) or not math.isfinite(float(t)):
+        raise ConfigurationError(f"symbol t must be a finite number, got {t!r}")
+    for name in ("ell", "seed"):
+        value = cfg.get(name, 0)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise ConfigurationError(f"symbol {name} must be an integer >= 0, got {value!r}")
+    if kind == "sign" and group.kind != TORUS:
+        raise ConfigurationError("the sign symbol is defined on the torus only")
+    t, ell, seed = float(t), cfg.get("ell", 0), cfg.get("seed", 0)
+    return {
+        "identity": identity_symbol,
+        "power_it": lambda dual: build_spectral_symbol(lambda lam: lam ** (1j * t), dual),
+        "wave": lambda dual: build_spectral_symbol(lambda lam: np.exp(1j * lam), dual),
+        "sign": sign_symbol,
+        "window": lambda dual: build_spectral_symbol(lambda lam: psi(ell, lam).astype(complex), dual),
+        "dyadic_rademacher": lambda dual: dyadic_rademacher_symbol(dual, seed),
+    }[kind]
 
 
 def singular_values(stacks: list[np.ndarray]) -> list[np.ndarray]:
@@ -198,11 +217,9 @@ def _torus_box(symbol: Symbol):
     the top face is the exact value there.
     """
     dual = symbol.dual
-    bound = int(dual.max_band)
-    index = tuple((dual.labels + bound).T)
-    box = np.zeros((2 * bound + 1,) * dual.group.dim, dtype=complex)
-    box[index] = symbol.stacks[0][:, 0, 0]
-    return box, lambda box: [box[index].reshape(-1, 1, 1)]
+    box = np.zeros((2 * int(dual.max_band) + 1,) * dual.group.dim, dtype=complex)
+    box[dual.box_index] = symbol.stacks[0][:, 0, 0]
+    return box, lambda box: [box[dual.box_index].reshape(-1, 1, 1)]
 
 
 def _torus_step(box: np.ndarray, axis: int) -> np.ndarray:

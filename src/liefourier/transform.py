@@ -21,13 +21,14 @@ an FFT (``numpy.fft``) with a gather/scatter of the labels.  On SU(2) it is
 separable: phase-table products in alpha and gamma and real little-d tables
 at the Gauss-Legendre nodes in beta; its inverse stops at the largest nonzero
 spin.  Both are exact for band-limited functions.
-:func:`inverse_evaluate` sums the series directly at arbitrary points.
+:func:`inverse_evaluate`, the tests' oracle, sums the series directly at
+arbitrary points over :func:`liefourier.dual.representation_stacks`.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -107,21 +108,12 @@ def random_coefficients(dual: DualSlice, rng: np.random.Generator) -> FourierCoe
 # Grids and quadrature plans
 # ---------------------------------------------------------------------------
 
-_GRID_CACHE: "OrderedDict[tuple, QuadratureGrid]" = OrderedDict()
-_GRID_CACHE_MAX = 24
-
-
+@lru_cache(maxsize=24)
 def cached_grid(group: GroupDescriptor, bandlimit: float) -> QuadratureGrid:
-    """Memoised build_grid; grids are immutable so sharing is safe (each
-    grid also holds its plans)."""
-    key = (group.kind, group.dim, round(float(bandlimit), 9))
-    grid = _GRID_CACHE.get(key)
-    if grid is None:
-        grid = build_grid(group, bandlimit)
-        _GRID_CACHE[key] = grid
-        while len(_GRID_CACHE) > _GRID_CACHE_MAX:
-            _GRID_CACHE.popitem(last=False)
-    return grid
+    """Memoised build_grid over the 24 most recently used (group, bandlimit)
+    pairs; grids are immutable so sharing is safe (each grid also holds its
+    plans).  ``cache_info()`` counts the hits and misses."""
+    return build_grid(group, bandlimit)
 
 
 def default_grid(dual: DualSlice) -> QuadratureGrid:
@@ -238,38 +230,25 @@ def inverse_on_grid(coeffs: FourierCoefficients, grid: QuadratureGrid) -> GridFu
     return GridFunction(grid, _get_plan(grid, coeffs.dual).inverse_on_grid(coeffs.stacks))
 
 
+# points per chunk of inverse_evaluate: about this many matrix entries per chunk
+_EVALUATE_ENTRIES = 2_000_000
+
+
 def inverse_evaluate(coeffs: FourierCoefficients, points: np.ndarray) -> np.ndarray:
     """f(x) = sum_xi d_xi Tr(xi(x) fhat(xi)) at arbitrary points (P, dim).
 
-    The direct pointwise sum: phases on the torus, Wigner matrices per point
-    on SU(2).  Grid evaluation goes through :func:`inverse_on_grid`.
+    The direct pointwise sum over :func:`representation_stacks`, in chunks of
+    points.  Grid evaluation goes through :func:`inverse_on_grid`.
     """
     dual = coeffs.dual
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    # d Tr(xi(x) fhat) = sum_ab xi(x)_ab (d fhat_ba): one dot product per run
+    flat = [d * stack.transpose(0, 2, 1).ravel() for d, stack in zip(dual.run_dims, coeffs.stacks)]
+    chunk = max(1, _EVALUATE_ENTRIES // sum(len(f) for f in flat))
     vals = np.zeros(len(points), dtype=complex)
-    if dual.group.kind == TORUS:
-        labels = dual.labels.astype(float)
-        vec = coeffs.stacks[0][:, 0, 0]
-        chunk = max(1, 4_000_000 // max(len(points), 1))
-        for lo in range(0, len(labels), chunk):
-            lbl = labels[lo : lo + chunk]
-            vals += np.exp(2j * np.pi * (points @ lbl.T)) @ vec[lo : lo + len(lbl)]
-        return vals
-
-    alpha, beta, gamma = points[:, 0], points[:, 1], points[:, 2]
-    for dim, stack in zip(dual.run_dims, coeffs.stacks):  # one spin per run
-        blk = stack[0]
-        if not blk.any():
-            continue
-        two_ell = dim - 1
-        m = (two_ell / 2.0) - np.arange(dim)
-        chunk = max(1, 2_000_000 // dim**2)
-        for lo in range(0, len(points), chunk):
-            sl = slice(lo, lo + chunk)
-            dmat = little_d(two_ell, beta[sl])
-            ea = np.exp(-1j * np.outer(alpha[sl], m))
-            eg = np.exp(-1j * np.outer(gamma[sl], m))
-            vals[sl] += dim * np.einsum("pb,pba,pa,ab->p", ea, dmat, eg, blk, optimize=True)
+    for lo in range(0, len(points), chunk):
+        reps = representation_stacks(dual, points[lo : lo + chunk])
+        vals[lo : lo + chunk] = sum(rep.reshape(len(rep), -1) @ f for rep, f in zip(reps, flat))
     return vals
 
 
@@ -307,12 +286,11 @@ def reality_defect(coeffs: FourierCoefficients) -> float:
     """
     dual = coeffs.dual
     if dual.group.kind == TORUS:
-        # the slice is symmetric: fhat(-xi) is read from the label box
-        bound = int(dual.max_band)
+        # the slice is symmetric: fhat(-xi) is read from the flipped label box
         vals = coeffs.stacks[0][:, 0, 0]
-        box = np.zeros((2 * bound + 1,) * dual.group.dim, dtype=complex)
-        box[tuple((dual.labels + bound).T)] = vals
-        return float(np.max(np.abs(box[tuple((bound - dual.labels).T)] - np.conj(vals))))
+        box = np.zeros((2 * int(dual.max_band) + 1,) * dual.group.dim, dtype=complex)
+        box[dual.box_index] = vals
+        return float(np.max(np.abs(np.flip(box)[dual.box_index] - np.conj(vals))))
     worst = 0.0
     for d, stack in zip(dual.run_dims, coeffs.stacks):
         r = np.arange(d)

@@ -164,6 +164,29 @@ def test_spin_above_validated_range_refused_before_any_grid(tmp_path, monkeypatc
         pytest.param({**_TRANSFORM, "tolerances": {"roundtrip_max": math.nan}}, "default_grid", id="nan-tolerance"),
         pytest.param({**_KERNEL_DECAY, "windows": [1, 2, 9]}, "default_grid", id="window-outside-slice"),
         pytest.param({**_TRANSFORM, "format": "xml"}, "enumerate_dual", id="unknown-format"),
+        pytest.param({**_CHECK_WAVE, "symbol": {"type": "window"}}, "enumerate_dual", id="window-without-ell"),
+        pytest.param({**_CHECK_WAVE, "symbol": {"type": "nope"}}, "enumerate_dual", id="unknown-symbol-type"),
+        pytest.param({**_CHECK_WAVE, "symbol": {"type": "wave", "t": 3}}, "enumerate_dual", id="wave-with-t"),
+        pytest.param(
+            {**_CHECK_WAVE, "group": {"kind": "su2"}, "symbol": {"type": "sign"}}, "enumerate_dual", id="sign-on-su2"
+        ),
+        pytest.param({**_SU2_SWEEP, "symbol": {"type": "sign"}}, "boundedness_sweep", id="sign-on-su2-sweep"),
+        pytest.param({**_CHECK_HM, "s": 0.5}, "enumerate_dual", id="hm-s-at-half-dim"),
+        pytest.param(
+            {**_CHECK_HM, "group": {"kind": "su2"}, "lams": [4.0], "s": 1.5}, "enumerate_dual", id="hm-s-at-half-dim-su2"
+        ),
+        pytest.param({**_KERNEL_DECAY, "c": 0}, "enumerate_dual", id="zero-c"),
+        pytest.param({**_KERNEL_DECAY, "c": -1.0}, "enumerate_dual", id="negative-c"),
+        pytest.param({**_KERNEL_DECAY, "z_distance": 7.0}, "enumerate_dual", id="z-distance-wraps"),
+        pytest.param({**_KERNEL_DECAY, "z_distance": 5.0}, "enumerate_dual", id="z-distance-above-pi"),
+        pytest.param({**_KERNEL_DECAY, "z_distance": -0.3}, "enumerate_dual", id="negative-z-distance"),
+        pytest.param({**_KERNEL_DECAY, "z_distance": 0}, "enumerate_dual", id="zero-z-distance"),
+        pytest.param(
+            {**_KERNEL_DECAY, "group": {"kind": "su2"}, "z_distance": 5.0}, "enumerate_dual", id="z-distance-above-pi-su2"
+        ),
+        pytest.param({**_SU2_TRANSFORM, "group": {"kind": "su2", "dim": 2}}, "enumerate_dual", id="su2-dim-2"),
+        pytest.param({**_without(_TRANSFORM, "lam"), "ell_max": 4.5}, "enumerate_dual", id="ell-max-on-torus"),
+        pytest.param({**_without(_CHECK_WAVE, "lams"), "ell_maxes": [1.5, 2.5]}, "enumerate_dual", id="ell-maxes-on-torus"),
     ],
 )
 def test_bad_config_refused_before_any_work(tmp_path, monkeypatch, cfg, stage):
@@ -178,6 +201,18 @@ def test_bad_config_refused_before_any_work(tmp_path, monkeypatch, cfg, stage):
     out = tmp_path / "out"
     assert run_config(cfg, out) == 1
     assert not any(out.glob("*_report.*"))
+
+
+def test_unknown_report_format_argument_refused_before_any_work(tmp_path, monkeypatch):
+    import liefourier.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("enumerate_dual was called")
+
+    monkeypatch.setattr(cli, "enumerate_dual", no_work)
+    out = tmp_path / "out"
+    assert run_config(dict(_TRANSFORM), out, "xml") == 1
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_oversized_torus_slice_refused_before_any_label_array(tmp_path, monkeypatch, capsys):

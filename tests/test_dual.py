@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from liefourier import enumerate_dual, evaluate_irrep, make_group
-from liefourier.dual import little_d, spin_cutoff, wigner_matrix
+from liefourier.dual import little_d, representation_stacks, spin_cutoff, wigner_matrix
 from liefourier.errors import ConfigurationError, PreconditionError
 from liefourier.groups import distance_to_identity, identity, multiply, random_point, su2_matrix
 
@@ -222,3 +222,46 @@ def test_enumerate_dual_equals_per_label_loop(kind, n, cutoff):
     assert all(a.stop == b.start for a, b in zip(runs, runs[1:]))
     assert all(len(set(dual.dims[run])) == 1 for run in runs)
     assert len(runs) == (1 if kind == "torus" else len(dual))
+
+
+_BATCH_SLICES = [("torus", 1, 9.0), ("torus", 2, 6.0), ("torus", 3, 4.0), ("su2", 3, spin_cutoff(7.5))]
+
+
+@pytest.mark.parametrize("kind,n,cutoff", _BATCH_SLICES)
+def test_representation_batch_equals_per_point(kind, n, cutoff):
+    # one implementation per group: a (P, dim) batch and a (2, P/2, dim)
+    # block of points give the per-point matrices
+    group = make_group(kind, n)
+    dual = enumerate_dual(group, cutoff)
+    rng = np.random.default_rng(11)
+    pts = np.stack([random_point(group, rng) for _ in range(6)])
+    batch = representation_stacks(dual, pts)
+    block = representation_stacks(dual, pts.reshape(2, 3, n))
+    for k, run in enumerate(dual.runs):
+        per_point = np.stack([representation_stacks(dual, p)[k] for p in pts])
+        assert batch[k].shape == (6, run.stop - run.start, dual.run_dims[k], dual.run_dims[k])
+        np.testing.assert_allclose(batch[k], per_point, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(block[k].reshape(batch[k].shape), per_point, rtol=0, atol=1e-13)
+    for ir in dual.irreps[:: max(1, len(dual) // 12)]:
+        per_point = np.stack([evaluate_irrep(group, ir, p) for p in pts])
+        np.testing.assert_allclose(evaluate_irrep(group, ir, pts), per_point, rtol=0, atol=1e-13)
+        if kind == "su2":
+            per_point = np.stack([wigner_matrix(ir.label, p) for p in pts])
+            np.testing.assert_allclose(wigner_matrix(ir.label, pts), per_point, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("kind,n,cutoff", _BATCH_SLICES)
+def test_representation_stacks_at_one_point_equal_evaluate_irrep(kind, n, cutoff):
+    group = make_group(kind, n)
+    dual = enumerate_dual(group, cutoff)
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        x = random_point(group, rng)
+        stacked = np.concatenate([stack.reshape(-1) for stack in representation_stacks(dual, x)])
+        single = np.concatenate([evaluate_irrep(group, ir, x).reshape(-1) for ir in dual.irreps])
+        if kind == "su2" or n == 1:
+            assert np.array_equal(stacked, single)
+        else:
+            # x.xi is one BLAS product against all labels, or a dot product
+            # with one label; with two or three terms they may round apart
+            np.testing.assert_allclose(stacked, single, rtol=0, atol=1e-13)

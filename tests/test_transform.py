@@ -366,3 +366,51 @@ def test_from_blocks_round_trip_and_views(kind, n, cutoff):
         packed.blocks[i][0, 0] = 7.0 + 1j
         assert packed.block(i)[0, 0] == 7.0 + 1j
         assert blocks[i][0, 0] != 7.0 + 1j  # packing copied the source blocks
+
+
+@pytest.mark.parametrize("kind,n,cutoff", [("torus", 2, 5.0), ("torus", 3, 3.0), ("su2", 3, spin_cutoff(3.5))])
+def test_inverse_evaluate_across_chunks_equals_trace_sum(kind, n, cutoff, monkeypatch):
+    import liefourier.transform as transform
+    from liefourier import evaluate_irrep
+
+    group = make_group(kind, n)
+    dual = enumerate_dual(group, cutoff)
+    rng = np.random.default_rng(4)
+    coeffs = random_coefficients(dual, rng)
+    pts = np.stack([random_point(group, rng) for _ in range(11)])
+    entries = sum(d * d for d in dual.dims)
+    # four points per chunk: 11 points end in a partial chunk
+    monkeypatch.setattr(transform, "_EVALUATE_ENTRIES", 4 * entries + entries // 2)
+    fast = inverse_evaluate(coeffs, pts)
+    naive = np.array(
+        [
+            sum(ir.dim * np.trace(evaluate_irrep(group, ir, p) @ blk) for ir, blk in zip(dual.irreps, coeffs.blocks))
+            for p in pts
+        ]
+    )
+    np.testing.assert_allclose(fast, naive, rtol=0, atol=1e-12)
+
+
+def test_cached_grid_hits_and_evicts_after_24_bandlimits(torus1, monkeypatch):
+    import liefourier.transform as transform
+    from liefourier.transform import cached_grid
+
+    built = []
+
+    def spy(group, bandlimit):
+        built.append(bandlimit)
+        return build_grid(group, bandlimit)
+
+    monkeypatch.setattr(transform, "build_grid", spy)
+    cached_grid.cache_clear()
+    try:
+        first = cached_grid(torus1, 1.0)
+        assert cached_grid(torus1, 1.0) is first and built == [1.0]
+        for band in range(2, 26):  # 24 more bandlimits push the first one out
+            cached_grid(torus1, float(band))
+        assert len(built) == 25
+        assert cached_grid(torus1, 25.0) is cached_grid(torus1, 25.0) and len(built) == 25
+        again = cached_grid(torus1, 1.0)
+        assert again is not first and built[-1] == 1.0 and len(built) == 26
+    finally:
+        cached_grid.cache_clear()
