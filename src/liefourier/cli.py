@@ -4,7 +4,10 @@ Usage:  liefourier --config cfg.json [--seed N] [--out DIR] [--tol NAME=VALUE]
                    [--format csv|json]
 
 The config is a single JSON object selecting one task; see the README for
-the schema.  Outputs are a rows report (CSV by default) plus a JSON run
+the schema.  It is read once, at entry: ``_validate_config`` checks,
+defaults and converts every field and returns a frozen :class:`Task`, which
+the task's runner executes; the raw config only feeds the digest and the
+manifest echo.  Outputs are a rows report (CSV by default) plus a JSON run
 manifest (config echo, seed, library version, headline numbers).  Identical
 (config, seed) pairs produce byte-identical reports: floats are written with
 17 significant digits, rows are emitted in a fixed order, and wall time is
@@ -24,14 +27,16 @@ import json
 import math
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .dual import enumerate_dual, evaluate_irrep, spin_cutoff
 from .errors import ConfigurationError, PreconditionError
-from .groups import SU2, TORUS, make_group, su2_point_from_distance
+from .groups import SU2, TORUS, GroupDescriptor, make_group, su2_point_from_distance
 from .multipliers import (
     EnsembleConfig,
     boundedness_sweep,
@@ -50,45 +55,31 @@ from .transform import (
     random_coefficients,
 )
 
-TASKS = ("transform", "check-symbol", "tl-norm", "kernel-decay", "bound-sweep", "selftest")
+_FORMATS = ("csv", "json")
 
-_COMMON_FIELDS = {"task", "group", "seed", "tolerances", "out", "format"}
-_TASK_FIELDS = {
-    "transform": {"lam", "ell_max", "count"},
-    "check-symbol": {"lam", "lams", "ell_max", "ell_maxes", "symbol", "checker", "order", "s", "s0"},
-    "tl-norm": {"lam", "ell_max", "specs", "count", "ensemble"},
-    "kernel-decay": {"lam", "ell_max", "symbol", "windows", "c", "z_distance"},
-    "bound-sweep": {"lams", "ell_maxes", "symbol", "specs", "ensemble", "trend"},
-    "selftest": {"lam", "ell_max", "count"},
-}
-# fields each task cannot run without, besides a cutoff
-_TASK_REQUIRED = {
-    "transform": set(),
-    "check-symbol": {"symbol"},
-    "tl-norm": {"specs"},
-    "kernel-decay": {"symbol", "windows", "z_distance"},
-    "bound-sweep": {"symbol", "specs", "ensemble"},
-    "selftest": set(),
-}
-_CUTOFF_FIELDS = ("lam", "ell_max", "lams", "ell_maxes")
-# fields that must hold finite numbers; the list-valued ones must be nonempty
-_NUMERIC_FIELDS = _CUTOFF_FIELDS + ("windows", "c", "z_distance", "s")
-_LIST_FIELDS = ("lams", "ell_maxes", "windows")
-_TASK_TOLERANCES = {
-    "transform": {"roundtrip_max": 1e-10, "plancherel_max": 1e-10},
-    "check-symbol": {"headline_max": math.inf, "max_growth": math.inf},
-    "tl-norm": {},
-    "kernel-decay": {"slope_max": -0.2},
-    "bound-sweep": {"spread_max": math.inf},
-    "selftest": {
-        "weights_max": 1e-13,
-        "schur_max": 1e-10,
-        "roundtrip_max": 1e-10,
-        "plancherel_max": 1e-10,
-        "partition_max": 1e-12,
-        "reconstruction_max": 1e-11,
-    },
-}
+
+@dataclass(frozen=True)
+class Task:
+    """A config read once: every field the task takes, checked, defaulted
+    and converted.  Fields the task does not take keep their empty values."""
+
+    name: str
+    group: GroupDescriptor
+    cutoffs: tuple[float, ...]  # ascending
+    seed: int
+    tol: dict  # the task's tolerances, defaults merged with the config's
+    format: str
+    count: int | None = None
+    build_symbol: Callable | None = None  # dual -> Symbol
+    symbol_name: str = ""
+    specs: tuple[NormSpec, ...] = ()
+    ensemble: EnsembleConfig | None = None
+    checker: str = ""
+    param: int | float | None = None  # the checker's one parameter; None takes the check's own default
+    windows: tuple[int, ...] = ()
+    c: float | None = None
+    z_distance: float | None = None
+    trend: str = ""
 
 
 def fmt(value) -> str:
@@ -106,7 +97,7 @@ def emit_report(rows: list[dict], path: str | Path, fmt_kind: str = "csv") -> Pa
     """Write rows bit-stably ('\\n' endings, '.' decimal separator)."""
     if not rows:
         raise PreconditionError("cannot emit an empty report")
-    _format(fmt_kind)
+    _choice("format", fmt_kind, _FORMATS)
     path = Path(path)
     header = list(rows[0].keys())
     for row in rows:
@@ -130,95 +121,122 @@ def emit_report(rows: list[dict], path: str | Path, fmt_kind: str = "csv") -> Pa
 # Config handling
 # ---------------------------------------------------------------------------
 
-def _validate_config(cfg: dict) -> dict:
+def _validate_config(cfg: dict, fmt_kind: str | None = None) -> Task:
+    """Read a config once: check, default and convert every field and return
+    the task to run.  ``fmt_kind`` (``--format``) overrides the config's
+    format.  Raises ConfigurationError on the first bad field."""
     if not isinstance(cfg, dict):
         raise ConfigurationError("config must be a JSON object")
-    task = cfg.get("task")
-    if task not in TASKS:
-        raise ConfigurationError(f"task must be one of {TASKS}, got {task!r}")
-    allowed = _COMMON_FIELDS | _TASK_FIELDS[task]
-    unknown = set(cfg) - allowed
+    name = _choice("task", cfg.get("task"), tuple(_TASKS))
+    kind = _TASKS[name]
+    unknown = set(cfg) - _COMMON_FIELDS - set(kind.cutoffs) - kind.required - set(kind.defaults)
     if unknown:
-        raise ConfigurationError(f"unknown config fields for task {task}: {sorted(unknown)}")
-    gcfg = cfg.get("group")
-    if not isinstance(gcfg, dict) or "kind" not in gcfg:
-        raise ConfigurationError("config needs a group object with a 'kind'")
-    extra = set(gcfg) - {"kind", "dim"}
-    if extra:
-        raise ConfigurationError(f"unknown group fields: {sorted(extra)}")
-    group = _group(cfg)  # raises on bad values
-    tol = cfg.get("tolerances", {})
-    if not isinstance(tol, dict):
-        raise ConfigurationError("tolerances must be a JSON object")
-    bad = set(tol) - set(_TASK_TOLERANCES[task])
-    if bad:
-        raise ConfigurationError(f"unknown tolerances for task {task}: {sorted(bad)}")
-    for name, value in tol.items():
-        if isinstance(value, bool) or math.isnan(float(value)):
-            raise ConfigurationError(f"tolerance {name} must be a number, got {value!r}")
-    missing = _TASK_REQUIRED[task] - set(cfg)
+        raise ConfigurationError(f"unknown config fields for task {name}: {sorted(unknown)}")
+    missing = kind.required - set(cfg)
     if missing:
-        raise ConfigurationError(f"task {task} needs the fields {sorted(missing)}")
-    cutoff_fields = [name for name in _CUTOFF_FIELDS if name in _TASK_FIELDS[task]]
-    if not any(name in cfg for name in cutoff_fields):
-        raise ConfigurationError(f"task {task} needs one of the cutoff fields {cutoff_fields}")
-    for name in _NUMERIC_FIELDS:
-        if name in cfg:
-            values = cfg[name] if name in _LIST_FIELDS else [cfg[name]]
-            if not isinstance(values, list) or not values:
-                raise ConfigurationError(f"{name} must be a nonempty list")
-            for value in values:
-                _finite(name, value)
-                if name in ("ell_max", "ell_maxes") and float(value) < 0:
-                    raise ConfigurationError(f"{name} must hold spins >= 0, got {value!r}")
-    cutoffs = _cutoffs(cfg, group)
-    _integer("seed", cfg.get("seed", 0))
-    for name, low, high in (("count", 1, None), ("order", 0, None), ("s0", 0, group.dim)):
-        if name in cfg:
-            _integer(name, cfg[name], low, high)
-    if "windows" in cfg:
-        for level in cfg["windows"]:
-            _integer("each window", level, 0)
-        if len(set(cfg["windows"])) < 2:
+        raise ConfigurationError(f"task {name} needs the fields {sorted(missing)}")
+    given = [field for field in kind.cutoffs if field in cfg]
+    if len(given) != 1:
+        raise ConfigurationError(f"task {name} needs exactly one of the cutoff fields {list(kind.cutoffs)}")
+    gcfg = cfg.get("group")
+    if not isinstance(gcfg, dict) or "kind" not in gcfg or set(gcfg) - {"kind", "dim"}:
+        raise ConfigurationError(f"group must be an object with a 'kind' and at most a 'dim', got {gcfg!r}")
+    if gcfg["kind"] == SU2 and gcfg.get("dim", 3) != 3:
+        raise ConfigurationError(f"su2 has dim 3, got {gcfg['dim']!r}")
+    group = make_group(gcfg["kind"], _integer("group dim", gcfg.get("dim", 1)))
+    tol = cfg.get("tolerances", {})
+    if not isinstance(tol, dict) or set(tol) - set(kind.tolerances):
+        raise ConfigurationError(f"tolerances must be an object over the {name} tolerances {list(kind.tolerances)}")
+    tol = {**kind.tolerances, **{k: _number(f"tolerance {k}", v, infinite=True) for k, v in tol.items()}}
+    fmt_cfg = _choice("format", cfg.get("format", "csv"), _FORMATS)
+    cutoffs = _cutoffs(given[0], cfg[given[0]], group)
+    task = {
+        "name": name,
+        "group": group,
+        "cutoffs": cutoffs,
+        "seed": _integer("seed", cfg.get("seed", 0)),
+        "tol": tol,
+        "format": fmt_cfg if fmt_kind is None else _choice("format", fmt_kind, _FORMATS),
+    }
+
+    fields = {**kind.defaults, **cfg}  # every field the task takes, defaulted
+    if "count" in fields:
+        task["count"] = _integer("count", fields["count"], 1)
+    if "symbol" in fields:
+        symbol = fields["symbol"]
+        task["build_symbol"] = symbol_from_config(symbol, group)
+        # the report's symbol column keeps the config's spelling, e.g. "power_it,t=1.0"
+        spelled = [f"{key}={symbol[key]}" for key in ("t", "ell", "seed") if key in symbol]
+        task["symbol_name"] = ",".join([symbol["type"], *spelled])
+    if "specs" in fields:
+        if not isinstance(fields["specs"], list) or not fields["specs"]:
+            raise ConfigurationError("specs must be a nonempty list")
+        task["specs"] = tuple(_spec(item) for item in fields["specs"])
+    if "ensemble" in fields:
+        ens = fields["ensemble"]
+        if not isinstance(ens, dict) or "kind" not in ens or set(ens) - {"kind", "count"}:
+            raise ConfigurationError(f"ensemble must be an object with a 'kind' and at most a 'count', got {ens!r}")
+        if "count" in ens and "count" in cfg:
+            raise ConfigurationError("give the member count once: as 'count' or as the ensemble's 'count'")
+        if "count" not in ens and "count" not in task:
+            raise ConfigurationError(f"a {name} ensemble needs a 'count'")
+        count = _integer("ensemble count", ens.get("count", task.get("count")), 1)
+        task["ensemble"] = EnsembleConfig(ens["kind"], count)
+        # a tl-norm task has no symbol to build these members from
+        if name == "tl-norm" and ens["kind"] in ("adjoint-dirichlet", "directed-irrep"):
+            raise ConfigurationError(f"a tl-norm ensemble cannot be {ens['kind']!r}: it needs a symbol")
+    if "checker" in fields:
+        checker = _choice("checker", fields["checker"], tuple(_CHECKERS))
+        field = _CHECKERS[checker][0]
+        stray = set(cfg) & ({"order", "s", "s0"} - {field})
+        if stray:
+            raise ConfigurationError(f"the {checker} checker reads {field!r}, not {sorted(stray)}")
+        param = fields[field]
+        if field == "s" and field in cfg:
+            param = _number("s", param)
+            if param <= group.dim / 2.0:
+                raise ConfigurationError(f"s must exceed n/2 = {group.dim / 2.0:g}, got {param!r}")
+        elif field in cfg:
+            param = _integer(field, param, 0, group.dim if field == "s0" else None)
+        task.update(checker=checker, param=param)
+    if "windows" in fields:
+        if not isinstance(fields["windows"], list):
+            raise ConfigurationError("windows must be a list")
+        windows = tuple(_integer("each window", level, 0) for level in fields["windows"])
+        if len(set(windows)) < 2:
             raise ConfigurationError("windows must hold at least two distinct levels to fit a slope")
         levels = window_levels(cutoffs[0])
-        if not set(cfg["windows"]) <= set(levels):
+        if not set(windows) <= set(levels):
             raise ConfigurationError(f"windows must lie among the slice's nonzero windows {levels}")
-    if float(cfg.get("c", 1.0)) <= 0.0:
-        raise ConfigurationError(f"c must be positive, got {cfg['c']!r}")
-    # a torus translation by z_distance / (2 pi) wraps above pi
-    if "z_distance" in cfg and not 0.0 < float(cfg["z_distance"]) <= math.pi:
-        raise ConfigurationError(f"z_distance must lie in (0, pi], got {cfg['z_distance']!r}")
-    if "symbol" in cfg:
-        symbol_from_config(cfg["symbol"], group)
-    if "specs" in cfg:
-        _specs(cfg)
-    _format(cfg.get("format", "csv"))
-    if cfg.get("trend", "none") not in ("none", "increasing"):
-        raise ConfigurationError("trend must be 'none' or 'increasing'")
-    checkers = ("marcinkiewicz", "hormander-mihlin", "weak-marcinkiewicz")
-    checker = cfg.get("checker", "marcinkiewicz")
-    if checker not in checkers:
-        raise ConfigurationError(f"checker must be one of {checkers}, got {checker!r}")
-    if checker == "hormander-mihlin" and "s" in cfg and float(cfg["s"]) <= group.dim / 2.0:
-        raise ConfigurationError(f"s must exceed n/2 = {group.dim / 2.0:g}, got {cfg['s']!r}")
-    if task in ("tl-norm", "bound-sweep"):
-        kind = _ensemble(cfg).kind
-        # a tl-norm task has no symbol to build these members from
-        if task == "tl-norm" and kind in ("adjoint-dirichlet", "directed-irrep"):
-            raise ConfigurationError(f"a tl-norm ensemble cannot be {kind!r}: it needs a symbol")
-    return cfg
+        task["windows"] = windows
+    if "c" in fields:
+        task["c"] = _number("c", fields["c"])
+        if task["c"] <= 0.0:
+            raise ConfigurationError(f"c must be positive, got {fields['c']!r}")
+    if "z_distance" in fields:
+        task["z_distance"] = _number("z_distance", fields["z_distance"])
+        # a torus translation by z_distance / (2 pi) wraps above pi
+        if not 0.0 < task["z_distance"] <= math.pi:
+            raise ConfigurationError(f"z_distance must lie in (0, pi], got {fields['z_distance']!r}")
+    if "trend" in fields:
+        task["trend"] = _choice("trend", fields["trend"], ("none", "increasing"))
+    return Task(**task)
 
 
-def _format(fmt_kind) -> str:
-    if fmt_kind not in ("csv", "json"):
-        raise ConfigurationError(f"format must be 'csv' or 'json', got {fmt_kind!r}")
-    return fmt_kind
+def _choice(name: str, value, options: tuple):
+    if value not in options:
+        raise ConfigurationError(f"{name} must be one of {options}, got {value!r}")
+    return value
 
 
-def _finite(name: str, value):
-    if isinstance(value, bool) or not math.isfinite(float(value)):
-        raise ConfigurationError(f"{name} must hold finite numbers, got {value!r}")
+def _number(name: str, value, infinite: bool = False) -> float:
+    """``value`` as a float if it is a JSON number (not a bool, not NaN),
+    finite unless ``infinite``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
+        raise ConfigurationError(f"{name} must be a number, got {value!r}")
+    if math.isinf(value) and not infinite:
+        raise ConfigurationError(f"{name} must be finite, got {value!r}")
+    return float(value)
 
 
 def _integer(name: str, value, low: int | None = None, high: int | None = None) -> int:
@@ -230,66 +248,34 @@ def _integer(name: str, value, low: int | None = None, high: int | None = None) 
     return value
 
 
-def _tolerances(cfg: dict) -> dict:
-    out = dict(_TASK_TOLERANCES[cfg["task"]])
-    out.update(cfg.get("tolerances", {}))
-    return {k: float(v) for k, v in out.items()}
+def _cutoffs(name: str, value, group) -> tuple[float, ...]:
+    """The ascending cutoffs of the cutoff field ``name``: values of <xi> for
+    ``lam``/``lams``, the exact spin cutoffs of ``ell_max``/``ell_maxes``
+    (su2 only)."""
+    if name in _CUTOFF_LISTS and (not isinstance(value, list) or not value):
+        raise ConfigurationError(f"{name} must be a nonempty list")
+    values = [_number(name, v) for v in (value if name in _CUTOFF_LISTS else [value])]
+    if values != sorted(values):
+        raise ConfigurationError(f"{name} must ascend, got {value}")
+    if not name.startswith("ell"):
+        return tuple(values)
+    if group.kind != SU2:
+        raise ConfigurationError(f"{name} applies to su2 only")
+    if values[0] < 0:
+        raise ConfigurationError(f"{name} must hold spins >= 0, got {value!r}")
+    return tuple(spin_cutoff(v) for v in values)
 
 
-def _group(cfg):
-    gcfg = cfg["group"]
-    if gcfg["kind"] == SU2 and gcfg.get("dim", 3) != 3:
-        raise ConfigurationError(f"su2 has dim 3, got {gcfg['dim']!r}")
-    return make_group(gcfg["kind"], _integer("group dim", gcfg.get("dim", 1)))
-
-
-def _specs(cfg) -> list[NormSpec]:
-    items = cfg["specs"]
-    if not isinstance(items, list) or not items:
-        raise ConfigurationError("specs must be a nonempty list")
-    for item in items:
-        if not isinstance(item, dict) or not {"r", "p", "q"} <= set(item):
-            raise ConfigurationError(f"each spec must be an object with r, p and q, got {item!r}")
-    return [NormSpec(float(item["r"]), float(item["p"]), float(item["q"])) for item in items]
-
-
-def _ensemble(cfg) -> EnsembleConfig:
-    """The probe ensemble; tl-norm defaults to ``count`` Gaussian members."""
-    count = cfg.get("count", 4)
-    ens_cfg = cfg.get("ensemble", {"kind": "gaussian-coefficients", "count": count})
-    if not isinstance(ens_cfg, dict) or "kind" not in ens_cfg:
-        raise ConfigurationError("ensemble must be a JSON object with a 'kind'")
-    if cfg["task"] == "bound-sweep" and "count" not in ens_cfg:
-        raise ConfigurationError("a bound-sweep ensemble needs a 'count'")
-    return EnsembleConfig(ens_cfg["kind"], _integer("ensemble count", ens_cfg.get("count", count), 1))
+def _spec(item) -> NormSpec:
+    if not isinstance(item, dict) or set(item) != {"r", "p", "q"}:
+        raise ConfigurationError(f"each spec must be an object with exactly r, p and q, got {item!r}")
+    r, p = _number("spec r", item["r"]), _number("spec p", item["p"])
+    return NormSpec(r, p, _number("spec q", item["q"], infinite=True))
 
 
 def _digest(cfg: dict) -> str:
     blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
-
-
-def _cutoffs(cfg, group) -> list[float]:
-    """The task's cutoffs: ``lams`` or ``lam``, or the exact spin cutoffs of
-    ``ell_maxes`` or ``ell_max`` (su2 only)."""
-    for name in ("lams", "ell_maxes", "lam", "ell_max"):
-        if name in cfg:
-            values = cfg[name] if name in _LIST_FIELDS else [cfg[name]]
-            if not name.startswith("ell"):
-                return [float(v) for v in values]
-            if group.kind != SU2:
-                raise ConfigurationError(f"{name} applies to su2 only")
-            return [spin_cutoff(float(v)) for v in values]
-    raise ConfigurationError("config needs 'lam' (or 'ell_max' on su2)")
-
-
-def _symbol_name(cfg) -> str:
-    scfg = cfg["symbol"]
-    parts = [str(scfg.get("type"))]
-    for key in ("t", "ell", "seed"):
-        if key in scfg:
-            parts.append(f"{key}={scfg[key]}")
-    return ",".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -312,16 +298,14 @@ def _roundtrip_residuals(dual, grid, seed: int, count: int) -> list[tuple[float,
     return out
 
 
-def _task_transform(cfg, seed, tol):
-    group = _group(cfg)
-    [lam] = _cutoffs(cfg, group)
-    count = cfg.get("count", 8)
-    dual = enumerate_dual(group, lam)
+def _task_transform(task: Task):
+    [lam] = task.cutoffs
+    dual = enumerate_dual(task.group, lam)
     grid = default_grid(dual)
     rows = []
-    residuals = _roundtrip_residuals(dual, grid, seed, count)
+    residuals = _roundtrip_residuals(dual, grid, task.seed, task.count)
     for member, (rt, rel) in enumerate(residuals):
-        ok = rt <= tol["roundtrip_max"] and rel <= tol["plancherel_max"]
+        ok = rt <= task.tol["roundtrip_max"] and rel <= task.tol["plancherel_max"]
         rows.append(
             {
                 "lam": lam,
@@ -335,35 +319,27 @@ def _task_transform(cfg, seed, tol):
     return rows, headline
 
 
-def _task_check_symbol(cfg, seed, tol):
-    group = _group(cfg)
-    lams = _cutoffs(cfg, group)
-    checker = cfg.get("checker", "marcinkiewicz")
+def _task_check_symbol(task: Task):
+    lams = task.cutoffs
+    check = _CHECKERS[task.checker][1]
     rows = []
     per_key: dict = {}
     headline_by_lam = {}
-    build_symbol = symbol_from_config(cfg["symbol"], group)
     for lam in lams:
-        dual = enumerate_dual(group, lam)
-        symbol = build_symbol(dual)
-        if checker == "marcinkiewicz":
-            rep = check_marcinkiewicz(symbol, cfg.get("order"))
-        elif checker == "hormander-mihlin":
-            rep = check_hormander_mihlin(symbol, float(cfg["s"]) if "s" in cfg else None)
-        else:
-            rep = check_weak_marcinkiewicz(symbol, cfg.get("s0", 1))
+        dual = enumerate_dual(task.group, lam)
+        rep = check(task.build_symbol(dual), task.param)
         headline_by_lam[lam] = rep.headline
         for key in sorted(rep.constants, key=str):
             value = rep.constants[key]
             per_key.setdefault(str(key), {})[lam] = value
             rows.append(
                 {
-                    "symbol": _symbol_name(cfg),
-                    "checker": checker,
+                    "symbol": task.symbol_name,
+                    "checker": task.checker,
                     "lam": lam,
                     "key": str(key),
                     "value": value,
-                    "status": "ok" if value <= tol["headline_max"] else "fail",
+                    "status": "ok" if value <= task.tol["headline_max"] else "fail",
                 }
             )
     if len(lams) > 1:
@@ -372,29 +348,26 @@ def _task_check_symbol(cfg, seed, tol):
             growth = hi / lo if lo > 0 else (math.inf if hi > 0 else 0.0)
             rows.append(
                 {
-                    "symbol": _symbol_name(cfg),
-                    "checker": checker,
+                    "symbol": task.symbol_name,
+                    "checker": task.checker,
                     "lam": lams[-1],
                     "key": f"growth[{key}]",
                     "value": growth,
-                    "status": "ok" if growth <= tol["max_growth"] else "fail",
+                    "status": "ok" if growth <= task.tol["max_growth"] else "fail",
                 }
             )
     headline = {"headline": max(headline_by_lam.values())}
     return rows, headline
 
 
-def _task_tl_norm(cfg, seed, tol):
-    group = _group(cfg)
-    [lam] = _cutoffs(cfg, group)
-    specs = _specs(cfg)
-    ensemble = _ensemble(cfg)
-    dual = enumerate_dual(group, lam)
+def _task_tl_norm(task: Task):
+    [lam] = task.cutoffs
+    dual = enumerate_dual(task.group, lam)
     rows = []
-    for member in range(ensemble.count):
-        rng = np.random.default_rng([seed, member])
-        coeffs = ensemble_member(ensemble, member, dual, rng)
-        for spec, (strong, weak) in zip(specs, tl_norms(coeffs, specs)):
+    for member in range(task.ensemble.count):
+        rng = np.random.default_rng([task.seed, member])
+        coeffs = ensemble_member(task.ensemble, member, dual, rng)
+        for spec, (strong, weak) in zip(task.specs, tl_norms(coeffs, task.specs)):
             rows.append(
                 {
                     "lam": lam,
@@ -410,56 +383,48 @@ def _task_tl_norm(cfg, seed, tol):
     return rows, {"rows": float(len(rows))}
 
 
-def _task_kernel_decay(cfg, seed, tol):
-    group = _group(cfg)
-    [lam] = _cutoffs(cfg, group)
-    windows = cfg["windows"]
-    c = float(cfg.get("c", 1.0))
-    z_distance = float(cfg["z_distance"])
-    dual = enumerate_dual(group, lam)
+def _task_kernel_decay(task: Task):
+    [lam] = task.cutoffs
+    dual = enumerate_dual(task.group, lam)
     grid = default_grid(dual)
-    symbol = symbol_from_config(cfg["symbol"], group)(dual)
-    if group.kind == TORUS:
-        z = np.zeros(group.dim)
-        z[0] = z_distance / (2.0 * np.pi)
+    symbol = task.build_symbol(dual)
+    if task.group.kind == TORUS:
+        z = np.zeros(task.group.dim)
+        z[0] = task.z_distance / (2.0 * np.pi)
     else:
-        z = su2_point_from_distance(z_distance)
+        z = su2_point_from_distance(task.z_distance)
     rows = []
     integrals = []
-    for ell in windows:
+    for ell in task.windows:
         kernel = window_kernel(symbol, ell)
-        value = kernel_difference_integral(kernel, z, c, grid)
+        value = kernel_difference_integral(kernel, z, task.c, grid)
         integrals.append(value)
         rows.append(
             {
-                "symbol": _symbol_name(cfg),
+                "symbol": task.symbol_name,
                 "lam": lam,
                 "window": ell,
                 "value": value,
                 "status": "ok",
             }
         )
-    slope = decay_slope(windows, integrals)
+    slope = decay_slope(task.windows, integrals)
     rows.append(
         {
-            "symbol": _symbol_name(cfg),
+            "symbol": task.symbol_name,
             "lam": lam,
             "window": "slope",
             "value": slope,
-            "status": "ok" if slope <= tol["slope_max"] else "fail",
+            "status": "ok" if slope <= task.tol["slope_max"] else "fail",
         }
     )
     return rows, {"slope": slope}
 
 
-def _task_bound_sweep(cfg, seed, tol):
-    group = _group(cfg)
-    lams = _cutoffs(cfg, group)
-    specs = _specs(cfg)
-    ensemble = _ensemble(cfg)
-    builder = symbol_from_config(cfg["symbol"], group)
-    sweeps = boundedness_sweep(group, builder, specs, lams, ensemble, seed, _symbol_name(cfg))
-    trend = cfg.get("trend", "none")
+def _task_bound_sweep(task: Task):
+    sweeps = boundedness_sweep(
+        task.group, task.build_symbol, task.specs, task.cutoffs, task.ensemble, task.seed, task.symbol_name
+    )
     rows = []
     worst_spread = 0.0
     for sweep in sweeps:
@@ -467,7 +432,7 @@ def _task_bound_sweep(cfg, seed, tol):
         spread = (max(ratios) - min(ratios)) / max(ratios) if max(ratios) > 0 else 0.0
         worst_spread = max(worst_spread, spread)
         increasing = all(a < b for a, b in zip(ratios, ratios[1:]))
-        ok = spread <= tol["spread_max"] and (trend != "increasing" or increasing)
+        ok = spread <= task.tol["spread_max"] and (task.trend != "increasing" or increasing)
         for lam, ratio, arg in zip(sweep.cutoffs, ratios, sweep.argmax_members):
             rows.append(
                 {
@@ -478,7 +443,7 @@ def _task_bound_sweep(cfg, seed, tol):
                     "lam": lam,
                     "max_ratio": ratio,
                     "argmax_member": arg,
-                    "seed": seed,
+                    "seed": task.seed,
                     "status": "ok" if ok else "fail",
                 }
             )
@@ -501,18 +466,16 @@ def _schur_residual(group) -> float:
     return worst
 
 
-def _task_selftest(cfg, seed, tol):
-    group = _group(cfg)
-    [lam] = _cutoffs(cfg, group)
-    count = cfg.get("count", 4)
-    dual = enumerate_dual(group, lam)
+def _task_selftest(task: Task):
+    [lam] = task.cutoffs
+    dual = enumerate_dual(task.group, lam)
     grid = default_grid(dual)
 
     checks = {}
     checks["weights_sum"] = abs(float(grid.weights.sum()) - 1.0)
-    checks["schur"] = _schur_residual(group)
+    checks["schur"] = _schur_residual(task.group)
 
-    residuals = _roundtrip_residuals(dual, grid, seed, count)
+    residuals = _roundtrip_residuals(dual, grid, task.seed, task.count)
     checks["roundtrip"] = max(rt for rt, _ in residuals)
     checks["plancherel"] = max(rel for _, rel in residuals)
 
@@ -528,12 +491,12 @@ def _task_selftest(cfg, seed, tol):
     checks["reconstruction"] = float(np.max(np.abs(recon - 1.0)))
 
     limits = {
-        "weights_sum": tol["weights_max"],
-        "schur": tol["schur_max"],
-        "roundtrip": tol["roundtrip_max"],
-        "plancherel": tol["plancherel_max"],
-        "partition_sum": tol["partition_max"],
-        "reconstruction": tol["reconstruction_max"],
+        "weights_sum": task.tol["weights_max"],
+        "schur": task.tol["schur_max"],
+        "roundtrip": task.tol["roundtrip_max"],
+        "plancherel": task.tol["plancherel_max"],
+        "partition_sum": task.tol["partition_max"],
+        "reconstruction": task.tol["reconstruction_max"],
     }
     rows = []
     for name, value in checks.items():
@@ -550,13 +513,55 @@ def _task_selftest(cfg, seed, tol):
     return rows, headline
 
 
-_RUNNERS = {
-    "transform": _task_transform,
-    "check-symbol": _task_check_symbol,
-    "tl-norm": _task_tl_norm,
-    "kernel-decay": _task_kernel_decay,
-    "bound-sweep": _task_bound_sweep,
-    "selftest": _task_selftest,
+class _TaskKind(NamedTuple):
+    """One row of the task table that ``_validate_config`` reads."""
+
+    cutoffs: tuple[str, ...]  # its cutoff fields; a config gives exactly one
+    required: set[str]  # the other fields it cannot run without
+    defaults: dict  # its optional fields -> their defaults (None: the library's own)
+    tolerances: dict  # its tolerances -> their defaults
+    runner: Callable
+
+
+_ONE_CUTOFF = ("lam", "ell_max")
+_CUTOFF_LISTS = ("lams", "ell_maxes")
+_COMMON_FIELDS = {"task", "group", "seed", "tolerances", "out", "format"}
+# the round-trip and Plancherel tolerances of transform and selftest
+_ROUNDTRIP = {"roundtrip_max": 1e-10, "plancherel_max": 1e-10}
+_TASKS = {
+    "transform": _TaskKind(_ONE_CUTOFF, set(), {"count": 8}, _ROUNDTRIP, _task_transform),
+    "check-symbol": _TaskKind(
+        _ONE_CUTOFF + _CUTOFF_LISTS,
+        {"symbol"},
+        {"checker": "marcinkiewicz", "order": None, "s": None, "s0": 1},
+        {"headline_max": math.inf, "max_growth": math.inf},
+        _task_check_symbol,
+    ),
+    # without an ensemble, tl-norm draws ``count`` Gaussian members
+    "tl-norm": _TaskKind(
+        _ONE_CUTOFF, {"specs"}, {"count": 4, "ensemble": {"kind": "gaussian-coefficients"}}, {}, _task_tl_norm
+    ),
+    "kernel-decay": _TaskKind(
+        _ONE_CUTOFF, {"symbol", "windows", "z_distance"}, {"c": 1.0}, {"slope_max": -0.2}, _task_kernel_decay
+    ),
+    "bound-sweep": _TaskKind(
+        _CUTOFF_LISTS, {"symbol", "specs", "ensemble"}, {"trend": "none"}, {"spread_max": math.inf}, _task_bound_sweep
+    ),
+    "selftest": _TaskKind(
+        _ONE_CUTOFF,
+        set(),
+        {"count": 4},
+        {**_ROUNDTRIP, "weights_max": 1e-13, "schur_max": 1e-10, "partition_max": 1e-12, "reconstruction_max": 1e-11},
+        _task_selftest,
+    ),
+}
+# checker -> (the field of its one parameter, the check).  The lambdas look
+# each check up when it runs, so a rebound module name (a tracer's wrapper,
+# a test double) is the one called.
+_CHECKERS = {
+    "marcinkiewicz": ("order", lambda symbol, order: check_marcinkiewicz(symbol, order)),
+    "hormander-mihlin": ("s", lambda symbol, s: check_hormander_mihlin(symbol, s)),
+    "weak-marcinkiewicz": ("s0", lambda symbol, s0: check_weak_marcinkiewicz(symbol, s0)),
 }
 
 
@@ -566,14 +571,10 @@ def run_config(cfg: dict, out_dir: str | Path, fmt_kind: str | None = None) -> i
     Returns the process exit code (0 ok, 1 config error, 2 failure).
     """
     try:
-        cfg = _validate_config(cfg)
-        fmt_kind = _format(fmt_kind or cfg.get("format", "csv"))
-    except (ConfigurationError, KeyError, TypeError, ValueError) as exc:
+        task = _validate_config(cfg, fmt_kind)
+    except (ConfigurationError, KeyError, TypeError, ValueError, OverflowError) as exc:  # JSON ints are unbounded
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    task = cfg["task"]
-    seed = int(cfg.get("seed", 0))
-    tol = _tolerances(cfg)
     digest = _digest(cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -582,7 +583,7 @@ def run_config(cfg: dict, out_dir: str | Path, fmt_kind: str | None = None) -> i
     status = "ok"
     headline: dict = {}
     try:
-        rows, headline = _RUNNERS[task](cfg, seed, tol)
+        rows, headline = _TASKS[task.name].runner(task)
         if any(row["status"] == "fail" for row in rows):
             status = "fail"
     except (ConfigurationError, PreconditionError) as exc:
@@ -591,16 +592,16 @@ def run_config(cfg: dict, out_dir: str | Path, fmt_kind: str | None = None) -> i
     except Exception as exc:  # flush whatever we have, marked failed
         rows = [{"status": "failed", "error": f"{type(exc).__name__}: {exc}"}]
         status = "failed"
-    shared = {"task": task, "digest": digest, "group": cfg["group"]["kind"]}
+    shared = {"task": task.name, "digest": digest, "group": task.group.kind}
     rows = [{**shared, **row} for row in rows]
     elapsed = time.perf_counter() - started
 
-    report_path = out_dir / f"{task}_report.{fmt_kind}"
-    emit_report(rows, report_path, fmt_kind)
+    report_path = out_dir / f"{task.name}_report.{task.format}"
+    emit_report(rows, report_path, task.format)
     manifest = {
-        "task": task,
+        "task": task.name,
         "config": cfg,
-        "seed": seed,
+        "seed": task.seed,
         "version": __version__,
         "digest": digest,
         "headline": {k: fmt(v) for k, v in headline.items()},
@@ -609,7 +610,7 @@ def run_config(cfg: dict, out_dir: str | Path, fmt_kind: str | None = None) -> i
     with open(out_dir / "run_manifest.json", "w", newline="") as fh:
         fh.write(json.dumps(manifest, indent=1, sort_keys=True))
         fh.write("\n")
-    print(f"{task}: {status} ({elapsed:.2f}s wall), report at {report_path}", file=sys.stderr)
+    print(f"{task.name}: {status} ({elapsed:.2f}s wall), report at {report_path}", file=sys.stderr)
     return 0 if status == "ok" else 2
 
 
@@ -618,7 +619,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the JSON task config")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default=None, help="output directory (default: config 'out' or '.')")
-    parser.add_argument("--format", choices=("csv", "json"), default=None, help="rows report format")
+    parser.add_argument("--format", choices=_FORMATS, default=None, help="rows report format")
     parser.add_argument(
         "--tol",
         action="append",
@@ -637,17 +638,11 @@ def main(argv=None) -> int:
         return 1
     if args.seed is not None:
         cfg["seed"] = args.seed
-    overrides = {}
-    for item in args.tol:
-        if "=" not in item:
-            print(f"configuration error: bad --tol {item!r}", file=sys.stderr)
-            return 1
-        name, value = item.split("=", 1)
-        try:
-            overrides[name] = float(value)
-        except ValueError:
-            print(f"configuration error: bad --tol value {value!r}", file=sys.stderr)
-            return 1
+    try:
+        overrides = {name: float(value) for name, value in (item.split("=", 1) for item in args.tol)}
+    except ValueError:  # an item without '=' does not unpack either
+        print(f"configuration error: bad --tol in {args.tol}", file=sys.stderr)
+        return 1
     if overrides:
         cfg.setdefault("tolerances", {}).update(overrides)
     out_dir = args.out or cfg.get("out", ".")

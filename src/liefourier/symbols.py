@@ -110,7 +110,7 @@ def symbol_from_config(cfg: dict, group: GroupDescriptor):
     if unknown:
         raise ConfigurationError(f"unknown fields for a {kind} symbol: {sorted(unknown)}")
     t = cfg.get("t", 1.0)
-    if isinstance(t, bool) or not math.isfinite(float(t)):
+    if isinstance(t, bool) or not isinstance(t, (int, float)) or not math.isfinite(t):
         raise ConfigurationError(f"symbol t must be a finite number, got {t!r}")
     for name in ("ell", "seed"):
         value = cfg.get(name, 0)

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -101,12 +102,14 @@ def _without(cfg, key):
         pytest.param({**_CHECK_WAVE, "checker": "weak-marcinkiewicz", "s0": 1.5}, id="fractional-s0"),
         pytest.param({**_CHECK_WAVE, "order": 1.5}, id="fractional-order"),
         pytest.param({**_CHECK_WAVE, "order": -1}, id="negative-order"),
+        pytest.param({**_CHECK_HM, "s": None}, id="null-s"),
         pytest.param({**_KERNEL_DECAY, "windows": [1.5, 2]}, id="fractional-window"),
         pytest.param({**_KERNEL_DECAY, "windows": [2]}, id="one-window"),
         pytest.param({**_KERNEL_DECAY, "windows": [2, 2]}, id="one-distinct-window"),
         pytest.param({**_KERNEL_DECAY, "group": {"kind": "torus", "dim": 1.5}}, id="fractional-dim"),
         pytest.param({**_GAUSSIAN_SWEEP, "ensemble": {**_GAUSSIAN, "count": 1.5}}, id="fractional-ensemble-count"),
         pytest.param({**_GAUSSIAN_SWEEP, "ensemble": {**_GAUSSIAN, "count": True}}, id="bool-ensemble-count"),
+        pytest.param({**_TRANSFORM, "lam": 10**400}, id="lam-beyond-float"),
         pytest.param({**_SU2_TRANSFORM, "ell_max": -2}, id="negative-ell-max"),
         pytest.param({**_SU2_TRANSFORM, "ell_max": -0.5}, id="negative-half-ell-max"),
         pytest.param({**_without(_SU2_SWEEP, "lams"), "ell_maxes": [-2, 1.5]}, id="negative-in-ell-maxes"),
@@ -187,6 +190,31 @@ def test_spin_above_validated_range_refused_before_any_grid(tmp_path, monkeypatc
         pytest.param({**_SU2_TRANSFORM, "group": {"kind": "su2", "dim": 2}}, "enumerate_dual", id="su2-dim-2"),
         pytest.param({**_without(_TRANSFORM, "lam"), "ell_max": 4.5}, "enumerate_dual", id="ell-max-on-torus"),
         pytest.param({**_without(_CHECK_WAVE, "lams"), "ell_maxes": [1.5, 2.5]}, "enumerate_dual", id="ell-maxes-on-torus"),
+        # numbers written as strings
+        pytest.param({**_TRANSFORM, "lam": "8"}, "enumerate_dual", id="string-lam"),
+        pytest.param({**_TL_NORM, "specs": [{"r": "0", "p": 2, "q": 2}]}, "enumerate_dual", id="string-r"),
+        pytest.param({**_TRANSFORM, "tolerances": {"roundtrip_max": "1e-3"}}, "enumerate_dual", id="string-tolerance"),
+        pytest.param({**_CHECK_WAVE, "symbol": {"type": "power_it", "t": "1"}}, "enumerate_dual", id="string-t"),
+        # descending cutoffs would invert the growth ratio
+        pytest.param({**_CHECK_WAVE, "lams": [16.0, 8.0]}, "enumerate_dual", id="descending-lams"),
+        pytest.param(
+            {**_without(_CHECK_WAVE, "lams"), "group": {"kind": "su2"}, "ell_maxes": [2.5, 1.5]},
+            "enumerate_dual",
+            id="descending-ell-maxes",
+        ),
+        pytest.param({**_GAUSSIAN_SWEEP, "lams": [16.0, 8.0]}, "boundedness_sweep", id="descending-sweep-lams"),
+        # fields the task would ignore
+        pytest.param({**_CHECK_WAVE, "s": 0.5}, "enumerate_dual", id="s-with-marcinkiewicz"),
+        pytest.param({**_CHECK_WAVE, "s0": 1}, "enumerate_dual", id="s0-with-marcinkiewicz"),
+        pytest.param({**_CHECK_HM, "order": 5}, "enumerate_dual", id="order-with-hormander-mihlin"),
+        pytest.param({**_CHECK_WAVE, "lam": 8.0}, "enumerate_dual", id="lam-next-to-lams"),
+        pytest.param({**_TL_NORM, "specs": [{"r": 0, "p": 2, "q": 2, "s": 1}]}, "enumerate_dual", id="spec-extra-field"),
+        pytest.param(
+            {**_TL_NORM, "ensemble": {**_GAUSSIAN, "count": 1, "seed": 3}}, "enumerate_dual", id="ensemble-extra-field"
+        ),
+        pytest.param(
+            {**_TL_NORM, "count": 2, "ensemble": {**_GAUSSIAN, "count": 3}}, "enumerate_dual", id="count-twice"
+        ),
     ],
 )
 def test_bad_config_refused_before_any_work(tmp_path, monkeypatch, cfg, stage):
@@ -228,6 +256,29 @@ def test_oversized_torus_slice_refused_before_any_label_array(tmp_path, monkeypa
     assert run_config(cfg, tmp_path / "out") == 1
     assert "GB" in capsys.readouterr().err
     assert not (tmp_path / "out" / "transform_report.csv").exists()
+
+
+def _rows_without_digest(out):
+    [report] = out.glob("*_report.csv")
+    return [{k: v for k, v in row.items() if k != "digest"} for row in csv.DictReader(report.read_text().splitlines())]
+
+
+@pytest.mark.parametrize(
+    "bare,defaults",
+    [
+        pytest.param(_TRANSFORM, {"count": 8}, id="transform"),
+        pytest.param(_without(_selftest_cfg(), "seed"), {"count": 4}, id="selftest"),
+        pytest.param(_without(_CHECK_WAVE, "checker"), {"checker": "marcinkiewicz"}, id="check-symbol"),
+        pytest.param({**_CHECK_WAVE, "checker": "weak-marcinkiewicz"}, {"s0": 1}, id="check-symbol-weak"),
+        pytest.param(_TL_NORM, {"count": 4}, id="tl-norm"),
+        pytest.param(_without(_KERNEL_DECAY, "seed"), {"c": 1.0}, id="kernel-decay"),
+        pytest.param(_GAUSSIAN_SWEEP, {"trend": "none"}, id="bound-sweep"),
+    ],
+)
+def test_spelled_out_defaults_give_the_bare_rows(tmp_path, bare, defaults):
+    spelled = {**bare, **defaults, "seed": 0, "format": "csv"}
+    assert run_config(dict(bare), tmp_path / "bare") == run_config(spelled, tmp_path / "spelled") != 1
+    assert _rows_without_digest(tmp_path / "bare") == _rows_without_digest(tmp_path / "spelled")
 
 
 def test_determinism_byte_identical(tmp_path):
