@@ -10,7 +10,6 @@ from .groups import (
     GroupDescriptor,
     QuadratureGrid,
     build_grid,
-    geometric_weights,
     identity,
     inverse,
     make_group,

@@ -199,27 +199,6 @@ def q1_weight(group: GroupDescriptor, points: np.ndarray) -> np.ndarray:
     return _q1(group, np.moveaxis(np.asarray(points, dtype=float), -1, 0))
 
 
-def rho_squared(group: GroupDescriptor, points: np.ndarray) -> np.ndarray:
-    """dim(G) - tr(Ad(x)).  Identically zero on the torus (Ad trivial);
-    4*sin(theta)^2 on SU(2).  Vanishes at both e and -e on SU(2), which is
-    why the weighted norms in this library use q1 instead."""
-    points = np.asarray(points, dtype=float)
-    if group.kind == TORUS:
-        return np.zeros(points.shape[:-1])
-    theta = distance_to_identity(group, points)
-    return 4.0 * np.sin(theta) ** 2
-
-
-def geometric_weights(group: GroupDescriptor, x: np.ndarray) -> tuple[float, float, float]:
-    """(|x|, rho^2(x), q1(x)) for a single point."""
-    x = np.asarray(x, dtype=float)
-    return (
-        float(distance_to_identity(group, x)),
-        float(rho_squared(group, x)),
-        float(q1_weight(group, x)),
-    )
-
-
 def group_diameter(group: GroupDescriptor) -> float:
     """sup of |x| over the group."""
     if group.kind == TORUS:

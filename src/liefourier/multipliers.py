@@ -219,7 +219,7 @@ def boundedness_sweep(
             rng = np.random.default_rng([seed, ci, mi])
             f = ensemble_member(ensemble, mi, dual, rng, symbol)
             tf = apply_multiplier(symbol, f)
-            denoms = tl_norms(f, spec_list)
+            denoms = tl_norms(f, spec_list, weak=False)  # strong norms only
             nums = tl_norms(tf, spec_list)
             for si, ((denom, _), (strong, weak)) in enumerate(zip(denoms, nums)):
                 num = strong if weak is None else weak

@@ -10,7 +10,9 @@ functions :func:`eta`, :func:`psi` and :func:`window_levels`, so every run
 of the library sees the same windows (any admissible resolution gives an
 equivalent quasi-norm).  The Triebel-Lizorkin norms are sampled on the
 slice's :func:`~liefourier.transform.default_grid`, which transforms the
-slice exactly.
+slice exactly: :func:`tl_norms` streams the windows one at a time into one
+accumulator per distinct (r, q), so a norm holds a few grid-sized arrays
+whatever the number of windows.
 """
 
 from __future__ import annotations
@@ -56,26 +58,19 @@ def psi(level: int, lam) -> np.ndarray:
 
 
 def window_levels(cutoff: float) -> list[int]:
-    """Window indices whose piece is not identically zero on a slice
-    with <xi> <= cutoff (pieces with 2**(ell-1) > cutoff are skipped)."""
+    """Window indices whose support (2**(ell-1), 2**(ell+1)) meets [0, cutoff],
+    up to a 1e-12 relative margin.
+
+    This is a test on the support interval, not on the samples: the top
+    level can be zero at every eigenvalue of a slice, either because no
+    eigenvalue reaches its support (T^1 at cutoff 32 has <xi> <= 31.02) or
+    because the exp-gluing is so flat at the support's lower edge that psi
+    rounds to exactly zero there (SU(2) at spin 7.5: <xi> = 8.047, yet
+    psi_4 = 0).  :func:`tl_norms` skips such windows; the list itself is
+    kept as is, since the translated-windows ensemble indexes into it.
+    """
     top = int(math.ceil(math.log2(max(cutoff, 1.0)))) + 1
     return [ell for ell in range(top + 1) if 2.0 ** (ell - 1) < cutoff * (1.0 + 1e-12)]
-
-
-def eta_sobolev_norm(s_prime: float) -> float:
-    """Sobolev norm ||eta||_{H^{s'}}(R), recorded for reproducibility.
-
-    Computed by FFT quadrature on a zero-padded fine grid; the bump is
-    fixed, so this is a constant of the library.
-    """
-    length = 64.0
-    n = 1 << 16
-    x = np.arange(n) * (length / n)
-    samples = eta(x)
-    freq = np.fft.fftfreq(n, d=length / n) * 2.0 * np.pi
-    spec = np.fft.fft(samples) * (length / n) / np.sqrt(2.0 * np.pi)
-    dens = (1.0 + freq**2) ** s_prime * np.abs(spec) ** 2
-    return float(np.sqrt(np.sum(dens) * (2.0 * np.pi / length)))
 
 
 @dataclass(frozen=True)
@@ -102,55 +97,33 @@ class NormSpec:
 def lp_project(coeffs: FourierCoefficients, level: int) -> FourierCoefficients:
     """Multiply the coefficients per irrep by psi_level(<xi>).  A symbol's
     blocks project the same way (its dyadic window kernel)."""
+    return _weigh(coeffs, psi(level, coeffs.dual.eigenvalues))
+
+
+def _weigh(coeffs: FourierCoefficients, per_irrep: np.ndarray) -> FourierCoefficients:
+    """Multiply each irrep's block by its entry of ``per_irrep``."""
     dual = coeffs.dual
-    scale = dual.per_run(psi(level, dual.eigenvalues))
-    return FourierCoefficients(dual, [s * stack for s, stack in zip(scale, coeffs.stacks)])
+    return FourierCoefficients(dual, [s * stack for s, stack in zip(dual.per_run(per_irrep), coeffs.stacks)])
 
 
 def lebesgue_norm(gridfn: GridFunction, p: float) -> float:
     """Quadrature L^p norm; p = inf takes the max over the grid."""
-    return quadrature_lp(gridfn.values, gridfn.grid.weights, p)
+    return quadrature_lp(np.abs(gridfn.values), gridfn.grid.weights, p)
 
 
-def quadrature_lp(values: np.ndarray, weights: np.ndarray, p: float) -> float:
-    """(sum_x w(x) |v(x)|^p)^(1/p) for real or complex samples; p = inf
-    takes the max of |v|.  Real samples (an aggregate) need no complex copy."""
+def quadrature_lp(mods: np.ndarray, weights: np.ndarray, p: float) -> float:
+    """(sum_x w(x) m(x)^p)^(1/p) for nonnegative real samples m, such as a
+    Triebel-Lizorkin aggregate; p = inf takes the max."""
     if p < 1.0:
         raise PreconditionError("p must be >= 1")
-    mods = np.abs(values)
     if p == math.inf:
         return float(np.max(mods)) if len(mods) else 0.0
     return float(np.sum(weights * mods**p) ** (1.0 / p))
 
 
-def window_samples(coeffs: FourierCoefficients) -> tuple[list[int], np.ndarray]:
-    """|psi_ell(B) f| on the slice's default grid for every non-vanishing window.
-
-    Returns (levels, array of shape (len(levels), npoints)).  This is the
-    expensive half of every Triebel-Lizorkin norm; callers evaluating many
-    (r, p, q) specs on the same function should go through :func:`tl_norms`,
-    which makes one pass for all of them.
-    """
-    grid = default_grid(coeffs.dual)
-    levels = window_levels(coeffs.dual.cutoff)
-    out = np.empty((len(levels), len(grid)))
-    for i, ell in enumerate(levels):
-        piece = lp_project(coeffs, ell)
-        out[i] = np.abs(inverse_on_grid(piece, grid).values)
-    return levels, out
-
-
-def tl_aggregate(levels: list[int], mods: np.ndarray, r: float, q: float) -> np.ndarray:
-    """Pointwise (sum_ell (2**(ell r) |psi_ell f|)^q)^(1/q); q = inf -> max."""
-    weighted = mods * (2.0 ** (r * np.asarray(levels, dtype=float)))[:, None]
-    if q == math.inf:
-        return np.max(weighted, axis=0)
-    return np.sum(weighted**q, axis=0) ** (1.0 / q)
-
-
 def triebel_lizorkin_norm(coeffs: FourierCoefficients, spec: NormSpec) -> float:
     """|| (sum_ell 2^{ell r q} |psi_ell(B) f|^q)^{1/q} ||_{L^p} by quadrature."""
-    return tl_norms(coeffs, [spec])[0][0]
+    return tl_norms(coeffs, [spec], weak=False)[0][0]
 
 
 def weak_sup(agg: np.ndarray, weights: np.ndarray) -> float:
@@ -166,24 +139,58 @@ def weak_sup(agg: np.ndarray, weights: np.ndarray) -> float:
     return float(np.max(values * measure_ge)) if len(values) else 0.0
 
 
-def tl_norms(coeffs: FourierCoefficients, specs: list[NormSpec]) -> list[tuple[float, float | None]]:
+def tl_norms(
+    coeffs: FourierCoefficients, specs: list[NormSpec], weak: bool = True
+) -> list[tuple[float, float | None]]:
     """One (strong, weak) pair per spec, in order, for one function.
 
     strong is || (sum_ell 2^{ell r q} |psi_ell(B) f|^q)^{1/q} ||_{L^p} by
     quadrature on the slice's default grid; weak is the :func:`weak_sup` of
-    the same aggregate for p = 1 specs and None otherwise.  p never enters
-    the aggregate, so one window pass serves every spec and one aggregate
-    every distinct (r, q); only one aggregate is held at a time.
+    the same aggregate for p = 1 specs when ``weak`` is set, and None
+    otherwise.  p never enters the aggregate, so the windows stream once
+    into one accumulator per distinct (r, q): each window whose psi is not
+    zero at every eigenvalue of the slice is inverted on the grid and its
+    weighted modulus added in level order (q = inf takes the running max),
+    so no (levels x grid) array is held.  Adding row after row is how
+    ``np.sum(axis=0)`` reduces a C-ordered array, and a skipped window
+    would only add exact zeros, so the result is the same bits as one
+    (levels x grid) aggregate of all windows; the tests keep that path as
+    the oracle.
     """
-    weights = default_grid(coeffs.dual).weights
-    levels, mods = window_samples(coeffs)
+    dual = coeffs.dual
+    grid = default_grid(dual)
+    levels = window_levels(dual.cutoff)
+    pairs = list(dict.fromkeys((spec.r, spec.q) for spec in specs))
+    # 2^(ell r) from numpy's array power, which need not round like a
+    # scalar pow: the factors a whole-array aggregate scales its rows by
+    scales = [2.0 ** (r * np.asarray(levels, dtype=float)) for r, _ in pairs]
+    accs: list = [None] * len(pairs)
+    for i, ell in enumerate(levels):
+        window = psi(ell, dual.eigenvalues)
+        if not window.any():
+            continue
+        mods = np.abs(inverse_on_grid(_weigh(coeffs, window), grid).values)
+        for k, (_, q) in enumerate(pairs):
+            term = mods * scales[k][i]
+            if q != math.inf:
+                term **= q
+            if accs[k] is None:
+                accs[k] = term
+            elif q == math.inf:
+                np.maximum(accs[k], term, out=accs[k])
+            else:
+                accs[k] += term
+        mods = term = None  # free before the next window's inverse
     out: list = [None] * len(specs)
-    for r, q in dict.fromkeys((spec.r, spec.q) for spec in specs):
-        agg = tl_aggregate(levels, mods, r, q)
+    for k, (r, q) in enumerate(pairs):
+        agg = accs[k] if accs[k] is not None else np.zeros(len(grid))
+        accs[k] = None  # only one finished aggregate is held at a time
+        if q != math.inf:
+            agg **= 1.0 / q
         for i, spec in enumerate(specs):
             if (spec.r, spec.q) == (r, q):
-                weak = weak_sup(agg, weights) if spec.p == 1.0 else None
-                out[i] = (quadrature_lp(agg, weights, spec.p), weak)
+                w = weak_sup(agg, grid.weights) if weak and spec.p == 1.0 else None
+                out[i] = (quadrature_lp(agg, grid.weights, spec.p), w)
     return out
 
 

@@ -16,7 +16,6 @@ import pytest
 
 from liefourier import (
     EnsembleConfig,
-    GridFunction,
     NormSpec,
     Symbol,
     boundedness_sweep,
@@ -33,7 +32,7 @@ from liefourier.cli import run_config
 from liefourier.dual import spin_cutoff
 from liefourier.groups import su2_point_from_distance
 from liefourier.multipliers import decay_slope, kernel_difference_integral, window_kernel
-from liefourier.spaces import lebesgue_norm, psi, tl_aggregate, window_levels, window_samples
+from liefourier.spaces import psi, tl_norms, window_levels
 from liefourier.symbols import apply_difference, cached_grid, check_marcinkiewicz
 
 TORUS1 = make_group("torus", 1)
@@ -137,13 +136,10 @@ def test_criterion_04_f022_vs_l2():
     lo, hi = 1.0, 1.0
     for group, cutoff, count in ((TORUS1, 64.0, 25), (TORUS2, 8.0, 10), (SU2, spin_cutoff(6), 10)):
         dual = enumerate_dual(group, cutoff)
-        grid = cached_grid(group, dual.max_band)
         for member in range(count):
             rng = np.random.default_rng([4, member])
             coeffs = random_coefficients(dual, rng)
-            levels, mods = window_samples(coeffs)
-            agg = tl_aggregate(levels, mods, spec.r, spec.q)
-            tl = lebesgue_norm(GridFunction(grid, agg.astype(complex)), spec.p)
+            tl = tl_norms(coeffs, [spec])[0][0]
             ratio = tl / plancherel_norm(coeffs)
             lo, hi = min(lo, ratio), max(hi, ratio)
     ok = lo >= 1.0 / math.sqrt(2.0) - 1e-6 and hi <= 1.0 + 1e-6
@@ -163,18 +159,12 @@ Q_GRID = (1.5, 2.0, 4.0)
 
 def test_criterion_05_embedding_monotonicity():
     dual = enumerate_dual(TORUS1, 64.0)
-    grid = cached_grid(TORUS1, dual.max_band)
+    specs = [NormSpec(r, p, q) for r in R_GRID for p in P_GRID for q in Q_GRID]
     violations = 0
     for member in range(100):
         rng = np.random.default_rng([5, member])
         coeffs = random_coefficients(dual, rng)
-        levels, mods = window_samples(coeffs)
-        norms = {}
-        for r in R_GRID:
-            for q in Q_GRID:
-                agg = tl_aggregate(levels, mods, r, q)
-                for p in P_GRID:
-                    norms[(r, p, q)] = lebesgue_norm(GridFunction(grid, agg.astype(complex)), p)
+        norms = {(s.r, s.p, s.q): strong for s, (strong, _) in zip(specs, tl_norms(coeffs, specs))}
         for r in R_GRID:
             for p in P_GRID:
                 seq = [norms[(r, p, q)] for q in Q_GRID]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liefourier import build_grid, enumerate_dual, geometric_weights, make_group
+from liefourier import build_grid, enumerate_dual, make_group
 from liefourier.dual import evaluate_irrep, spin_cutoff
 from liefourier.errors import ConfigurationError
 from liefourier.groups import (
@@ -18,7 +18,6 @@ from liefourier.groups import (
     multiply,
     q1_weight,
     random_point,
-    rho_squared,
     su2_matrix,
     su2_pair,
     su2_point_from_distance,
@@ -129,23 +128,22 @@ def test_su2_gimbal_convention(su2, gap):
 
 
 def test_geometric_weights_identity(torus1, su2):
+    # the library's geometric weights: the distance |x| and q1
     for group in (torus1, su2):
-        assert geometric_weights(group, identity(group)) == (0.0, 0.0, 0.0)
+        assert distance_to_identity(group, identity(group)) == 0.0
+        assert q1_weight(group, identity(group)) == 0.0
 
 
 def test_geometric_weights_su2_quarter_turn(su2):
     x = su2_point_from_distance(np.pi / 2)
-    dist, rho2, q1 = geometric_weights(su2, x)
-    assert abs(dist - np.pi / 2) < 1e-12
-    assert abs(rho2 - 4.0) < 1e-12          # 4 sin(theta)^2 at theta = pi/2
-    assert abs(q1 - np.sqrt(2.0)) < 1e-12   # 2|sin(theta/2)|
+    assert abs(distance_to_identity(su2, x) - np.pi / 2) < 1e-12
+    assert abs(q1_weight(su2, x) - np.sqrt(2.0)) < 1e-12   # 2|sin(theta/2)|
 
 
 def test_geometric_weights_torus_half(torus1):
-    dist, rho2, q1 = geometric_weights(torus1, np.array([0.5]))
-    assert abs(dist - np.pi) < 1e-12
-    assert rho2 == 0.0
-    assert abs(q1 - 2.0) < 1e-12            # |exp(i pi) - 1| = 2
+    x = np.array([0.5])
+    assert abs(distance_to_identity(torus1, x) - np.pi) < 1e-12
+    assert abs(q1_weight(torus1, x) - 2.0) < 1e-12            # |exp(i pi) - 1| = 2
 
 
 def test_distance_symmetry_on_grid(torus2, su2):
@@ -186,14 +184,6 @@ def test_q1_vanishes_only_at_identity(torus1, su2):
         assert np.all(q[at_identity] < 1e-12)
         assert np.all(q[~at_identity] > 1e-12)
         assert q1_weight(group, identity(group)) < 1e-15
-
-
-def test_rho_squared(torus2, su2):
-    rng = np.random.default_rng(2)
-    assert np.all(rho_squared(torus2, rng.random((10, 2))) == 0.0)
-    x = random_point(su2, rng)
-    theta = distance_to_identity(su2, x)
-    assert abs(rho_squared(su2, x) - 4 * np.sin(theta) ** 2) < 1e-12
 
 
 def test_group_diameter(torus1, torus2, su2):

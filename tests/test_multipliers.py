@@ -20,6 +20,7 @@ from liefourier import (
     random_coefficients,
     window_kernel,
 )
+from liefourier import spaces
 from liefourier.dual import spin_cutoff
 from liefourier.errors import ConfigurationError, PreconditionError
 from liefourier.groups import build_grid, distance_to_identity, inverse, multiply, su2_point_from_distance
@@ -27,6 +28,7 @@ from liefourier.multipliers import decay_slope, ensemble_member
 from liefourier.spaces import psi, window_levels
 from liefourier.symbols import cached_grid
 from liefourier.transform import inverse_evaluate
+from tl_oracle import tl_norms as oracle_tl_norms
 
 
 def test_identity_symbol_acts_trivially(torus1):
@@ -341,3 +343,31 @@ def test_weak_numerator_for_p1(torus1):
         seed=17,
     )[0]
     assert 0.0 < sweep.max_ratios[0] <= 1.0 + 1e-12
+
+
+def test_p1_sweep_computes_weak_sup_for_numerators_only(torus1, su2, monkeypatch):
+    # the denominators are strong norms, so weak_sup runs once per p = 1
+    # spec and member on T_sigma f only; the ratios are the bits of the
+    # (strong, weak) pairs of both functions from the whole-array oracle
+    specs = [NormSpec(0.0, 1.0, 2.0), NormSpec(0.5, 2.0, 2.0), NormSpec(-1.0, 1.0, math.inf)]
+    ensemble = EnsembleConfig("gaussian-coefficients", 3)
+    builder = lambda d: build_spectral_symbol(lambda lam: lam ** (3j), d)
+    calls = []
+    weak_sup = spaces.weak_sup
+    monkeypatch.setattr(spaces, "weak_sup", lambda agg, w: calls.append(1) or weak_sup(agg, w))
+    for group, cutoffs in ((torus1, [16.0, 32.0]), (su2, [spin_cutoff(2.5), spin_cutoff(4.5)])):
+        calls.clear()
+        sweeps = boundedness_sweep(group, builder, specs, cutoffs, ensemble, seed=3)
+        assert len(calls) == len(cutoffs) * ensemble.count * 2
+        expected = np.zeros((len(specs), len(cutoffs)))
+        for ci, lam in enumerate(cutoffs):
+            dual = enumerate_dual(group, lam)
+            symbol = builder(dual)
+            for mi in range(ensemble.count):
+                f = ensemble_member(ensemble, mi, dual, np.random.default_rng([3, ci, mi]), symbol)
+                denoms = oracle_tl_norms(f, specs)
+                nums = oracle_tl_norms(apply_multiplier(symbol, f), specs)
+                for si, ((denom, _), (strong, weak)) in enumerate(zip(denoms, nums)):
+                    ratio = (strong if weak is None else weak) / denom
+                    expected[si, ci] = max(expected[si, ci], ratio)
+        assert [sweep.max_ratios for sweep in sweeps] == [tuple(row) for row in expected.tolist()]
