@@ -16,7 +16,7 @@ from .groups import (
     multiply,
     random_point,
 )
-from .dual import DualSlice, IrrepIndex, enumerate_dual, evaluate_irrep, spin_cutoff
+from .dual import DualSlice, enumerate_dual, spin_cutoff
 from .transform import (
     FourierCoefficients,
     GridFunction,
@@ -60,7 +60,6 @@ from .multipliers import (
     boundedness_sweep,
     exact_l2_operator_norm,
     kernel_difference_integral,
-    window_kernel,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

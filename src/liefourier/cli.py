@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .dual import enumerate_dual, evaluate_irrep, spin_cutoff
+from .dual import enumerate_dual, representation_stacks, spin_cutoff
 from .errors import ConfigurationError, PreconditionError
 from .groups import SU2, TORUS, GroupDescriptor, make_group, su2_point_from_distance
 from .multipliers import (
@@ -43,9 +43,8 @@ from .multipliers import (
     decay_slope,
     ensemble_member,
     kernel_difference_integral,
-    window_kernel,
 )
-from .spaces import NormSpec, psi, tl_norms, window_levels
+from .spaces import NormSpec, lp_project, psi, tl_norms, window_levels
 from .symbols import check_hormander_mihlin, check_marcinkiewicz, check_weak_marcinkiewicz, symbol_from_config
 from .transform import (
     default_grid,
@@ -396,7 +395,7 @@ def _task_kernel_decay(task: Task):
     rows = []
     integrals = []
     for ell in task.windows:
-        kernel = window_kernel(symbol, ell)
+        kernel = lp_project(symbol, ell)
         value = kernel_difference_integral(kernel, z, task.c, grid)
         integrals.append(value)
         rows.append(
@@ -454,14 +453,14 @@ def _schur_residual(group) -> float:
     cutoff = math.sqrt(5.0) + 1e-9 if group.kind == TORUS else spin_cutoff(1.5)
     dual = enumerate_dual(group, cutoff)
     grid = default_grid(dual)
-    points = grid.points
-    tables = [evaluate_irrep(group, ir, points) for ir in dual.irreps]
+    # one (points, d, d) table per irrep, cut from the per-run stacks
+    tables = [t for stack in representation_stacks(dual, grid.points) for t in np.moveaxis(stack, 1, 0)]
     worst = 0.0
-    for i, ir1 in enumerate(dual.irreps):
+    for i, d in enumerate(dual.dims):
         for j in range(len(dual)):
             gram = np.einsum("p,pab,pcd->abcd", grid.weights, tables[i], np.conj(tables[j]))
-            eye = np.eye(ir1.dim)
-            expect = np.einsum("ac,bd->abcd", eye, eye) / ir1.dim if i == j else 0.0
+            eye = np.eye(d)
+            expect = np.einsum("ac,bd->abcd", eye, eye) / d if i == j else 0.0
             worst = max(worst, float(np.max(np.abs(gram - expect))))
     return worst
 

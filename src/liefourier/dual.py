@@ -35,15 +35,6 @@ MAX_SPIN = 64.0
 MAX_TORUS_LABELS = 2**24
 
 
-@dataclass(frozen=True)
-class IrrepIndex:
-    """One equivalence class [xi]: label, dimension and <xi>."""
-
-    label: tuple | float
-    dim: int
-    eigenvalue: float
-
-
 @dataclass(frozen=True, eq=False)
 class DualSlice:
     """All irreps with <xi> <= cutoff, sorted by eigenvalue (labels break ties).
@@ -77,22 +68,6 @@ class DualSlice:
         """Per-irrep ``values`` cut into runs, shaped (run length, 1, 1) to
         broadcast against the coefficient stacks."""
         return [values[run, None, None] for run in self.runs]
-
-    def irrep(self, i: int) -> IrrepIndex:
-        """The :class:`IrrepIndex` of irrep ``i``."""
-        label = self.labels[i]
-        label = tuple(int(c) for c in label) if self.group.kind == TORUS else float(label)
-        return IrrepIndex(label, int(self.dims[i]), float(self.eigenvalues[i]))
-
-    @cached_property
-    def irreps(self) -> tuple[IrrepIndex, ...]:
-        """One :class:`IrrepIndex` per irrep: a derived view for serialisation
-        and tests."""
-        return tuple(self.irrep(i) for i in range(len(self)))
-
-    @cached_property
-    def index_of(self) -> dict:
-        return {ir.label: i for i, ir in enumerate(self.irreps)}
 
     @cached_property
     def box_index(self) -> tuple[np.ndarray, ...]:
@@ -215,27 +190,9 @@ def wigner_matrix(ell: float, points: np.ndarray) -> np.ndarray:
 
 def representation_stacks(dual: DualSlice, x: np.ndarray) -> list[np.ndarray]:
     """xi(x) for every irrep of the slice, one (..., run length, d, d) stack
-    per run, for one point or (..., dim) points (see :func:`evaluate_irrep`)."""
+    per run, for one point or (..., dim) points.  Torus irreps are the 1 x 1
+    matrices [[exp(2*pi*i x.xi)]]."""
     x = np.asarray(x, dtype=float)
     if dual.group.kind == TORUS:
-        return [_torus_phases(x, dual.labels)]
+        return [np.exp(2j * np.pi * np.tensordot(x, dual.labels, axes=(-1, 1)))[..., None, None]]
     return [wigner_matrix(ell, x)[..., None, :, :] for ell in dual.labels]
-
-
-def _torus_phases(x: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """[[exp(2*pi*i x.xi)]] for (m, n) labels: shape (..., m, 1, 1)."""
-    return np.exp(2j * np.pi * np.tensordot(x, labels, axes=(-1, 1)))[..., None, None]
-
-
-def evaluate_irrep(group: GroupDescriptor, irrep: IrrepIndex | tuple | float, x: np.ndarray) -> np.ndarray:
-    """Representation matrix xi(x) (unitary, d x d complex), for one point or
-    (..., dim) points (shape (..., d, d)).
-
-    ``irrep`` may be an :class:`IrrepIndex` or a raw label.  Torus irreps are
-    the 1x1 matrices [[exp(2*pi*i x.xi)]].
-    """
-    label = irrep.label if isinstance(irrep, IrrepIndex) else irrep
-    x = np.asarray(x, dtype=float)
-    if group.kind == TORUS:
-        return _torus_phases(x, np.reshape(np.asarray(label, dtype=float), (1, -1)))[..., 0, :, :]
-    return wigner_matrix(float(label), x)

@@ -24,8 +24,10 @@ Conventions
 points pass their coordinates and grids their ``np.ix_`` axes, so grid and
 pointwise values agree bit for bit.
 
-All functions here are pure; grids are immutable after construction, so
-concurrent readers need no coordination.
+All functions here are pure.  A grid's nodes and weights are fixed at
+construction, but a grid is not immutable: it carries a plan cache that
+:mod:`liefourier.transform` fills on first use.  Threads sharing a grid may
+each build the same plan; the last write wins and the plans are equal.
 """
 
 from __future__ import annotations
@@ -219,7 +221,9 @@ class QuadratureGrid:
     (torus: one array per coordinate; SU(2): (alpha, beta, gamma) nodes plus
     the Gauss-Legendre weights in cos(beta)).  The grid stores no point
     list; ``points`` builds the flattened C-order product on each access.
-    Treat instances as immutable after construction.
+    Nodes and weights are fixed after construction; ``_plans`` is the plan
+    cache, keyed by dual slice, that :mod:`liefourier.transform` writes on
+    first use.
     """
 
     group: GroupDescriptor

@@ -1,10 +1,10 @@
-"""Fourier multiplier application, window kernels, the far-field
-kernel-difference integrals, and empirical operator-norm probes.
+"""Fourier multiplier application, the far-field kernel-difference
+integrals, and empirical operator-norm probes.
 
 A multiplier acts per irrep as fhat(xi) -> sigma(xi) fhat(xi) (left product,
-the right-convolution convention).  The window kernel at level ell is the
-right-convolution kernel of A psi_ell(B), i.e. the coefficients
-sigma(xi) psi_ell(<xi>).
+the right-convolution convention).  The window kernel at level ell, the
+right-convolution kernel of A psi_ell(B), is
+:func:`liefourier.spaces.lp_project` of the symbol.
 
 Operator norms on F^r_{p,q} are probed from below with seeded function
 ensembles: no finite ensemble certifies an upper bound, so sweep results are
@@ -14,7 +14,7 @@ symbols) or growth trends (symbols violating the conditions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .groups import (
     inverse,
     random_point,
 )
-from .spaces import NormSpec, lp_project, psi, tl_norms, window_levels
+from .spaces import NormSpec, psi, tl_norms, window_levels
 from .symbols import Symbol, operator_norms
 from .transform import (
     FourierCoefficients,
@@ -53,12 +53,6 @@ def apply_multiplier(symbol: Symbol, coeffs: FourierCoefficients) -> FourierCoef
     """T_sigma on the coefficient side: per-irrep left product sigma . fhat."""
     require_same_dual(symbol.dual, coeffs.dual)
     return FourierCoefficients(coeffs.dual, [s @ f for s, f in zip(symbol.stacks, coeffs.stacks)])
-
-
-def window_kernel(symbol: Symbol, level: int) -> FourierCoefficients:
-    """Right-convolution kernel of A psi_ell(B): coefficients
-    sigma(xi) psi_ell(<xi>), vanishing outside <xi> in (2^(ell-1), 2^(ell+1))."""
-    return lp_project(symbol, level)
 
 
 def kernel_difference_integral(
@@ -189,7 +183,6 @@ class BoundednessSweep:
     argmax_members: tuple[int, ...]
     ensemble: EnsembleConfig
     seed: int
-    metadata: dict = field(default_factory=dict)
 
 
 def boundedness_sweep(

@@ -95,8 +95,10 @@ class NormSpec:
 
 
 def lp_project(coeffs: FourierCoefficients, level: int) -> FourierCoefficients:
-    """Multiply the coefficients per irrep by psi_level(<xi>).  A symbol's
-    blocks project the same way (its dyadic window kernel)."""
+    """Multiply the coefficients per irrep by psi_level(<xi>), which vanishes
+    outside <xi> in (2^(level-1), 2^(level+1)).  A symbol's blocks project
+    the same way: that is its dyadic window kernel, the right-convolution
+    kernel of A psi_level(B)."""
     return _weigh(coeffs, psi(level, coeffs.dual.eigenvalues))
 
 

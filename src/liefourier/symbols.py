@@ -36,11 +36,11 @@ the standard spin basis); reports are convention relative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import DualSlice, IrrepIndex
+from .dual import DualSlice
 from .errors import ConfigurationError, MarginError, PreconditionError
 from .groups import TORUS, GroupDescriptor, grid_q1_weight
 from .spaces import eta, psi
@@ -323,21 +323,14 @@ class CheckReport:
     condition: str
     constants: dict
     headline: float
-    worst_irrep: IrrepIndex | None
-    threshold: float | None = None
-    passed: bool | None = None
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.threshold is not None and self.passed is None:
-            self.passed = bool(self.headline <= self.threshold)
+    metadata: dict
 
 
 def default_kappa(group: GroupDescriptor) -> int:
     return group.dim // 2 + 1
 
 
-def check_marcinkiewicz(symbol: Symbol, kappa: int | None = None, threshold: float | None = None) -> CheckReport:
+def check_marcinkiewicz(symbol: Symbol, kappa: int | None = None) -> CheckReport:
     """C_alpha = sup_xi ||D^alpha sigma(xi)||_op <xi>^{|alpha|} for every
     multi-index with |alpha| <= kappa (default floor(n/2) + 1)."""
     group = symbol.dual.group
@@ -348,28 +341,13 @@ def check_marcinkiewicz(symbol: Symbol, kappa: int | None = None, threshold: flo
     diffs = _difference_batch(symbol, alphas)
     dual = symbol.dual
     constants: dict = {}
-    argmaxes: dict = {}
     for alpha, diff in zip(alphas, diffs):
         vals = np.where(diff.valid_mask(), operator_norms(diff.stacks) * dual.eigenvalues ** sum(alpha), 0.0)
-        argmaxes[alpha] = int(np.argmax(vals))
-        constants[alpha] = float(vals[argmaxes[alpha]])
-    worst = max(constants, key=constants.get)  # the first multi-index attaining the sup
-    headline = constants[worst]
-    return CheckReport(
-        "marcinkiewicz",
-        constants,
-        headline,
-        dual.irrep(argmaxes[worst]) if headline > 0.0 else None,
-        threshold,
-        metadata={"kappa": kappa, "cutoff": symbol.dual.cutoff},
-    )
+        constants[alpha] = float(np.max(vals))
+    return CheckReport("marcinkiewicz", constants, max(constants.values()), {"kappa": kappa, "cutoff": dual.cutoff})
 
 
-def check_hormander_mihlin(
-    symbol: Symbol,
-    s: float | None = None,
-    threshold: float | None = None,
-) -> CheckReport:
+def check_hormander_mihlin(symbol: Symbol, s: float | None = None) -> CheckReport:
     """||sigma||_Linf + sup_r r^{s - n/2} ||sigma . eta(<xi>/r)||_{L2_s(dual)}
     with the sup taken over the half-octave grid r = 2^{j/2}, j = 0 ..
     2*log2(cutoff).
@@ -401,17 +379,11 @@ def check_hormander_mihlin(
         if val > worst_val:
             worst_val, worst_r = val, r
     headline = max(constants.values()) if constants else linf
-    return CheckReport(
-        "hormander-mihlin",
-        constants,
-        headline,
-        None,
-        threshold,
-        metadata={"s": s, "cutoff": symbol.dual.cutoff, "linf": linf, "worst_scale": worst_r},
-    )
+    metadata = {"s": s, "cutoff": symbol.dual.cutoff, "linf": linf, "worst_scale": worst_r}
+    return CheckReport("hormander-mihlin", constants, headline, metadata)
 
 
-def check_weak_marcinkiewicz(symbol: Symbol, s0: int, threshold: float | None = None) -> CheckReport:
+def check_weak_marcinkiewicz(symbol: Symbol, s0: int) -> CheckReport:
     """Per dyadic block j: 2^{-j(n - s0)} sum_{|alpha| = s0}
     sum_{<xi> in block} d_xi Tr|D^alpha sigma(xi)|, headline = sup over j.
 
@@ -447,16 +419,5 @@ def check_weak_marcinkiewicz(symbol: Symbol, s0: int, threshold: float | None = 
         total = float(np.sum(dims[in_block] * nuclear[in_block]))
         constants[j] = total * 2.0 ** (-j * (n - s0))
     headline = max(constants.values()) if constants else 0.0
-    return CheckReport(
-        "weak-marcinkiewicz",
-        constants,
-        headline,
-        None,
-        threshold,
-        metadata={
-            "s0": s0,
-            "cutoff": symbol.dual.cutoff,
-            "linf": symbol_linf(symbol),
-            "skipped_blocks": skipped,
-        },
-    )
+    metadata = {"s0": s0, "cutoff": symbol.dual.cutoff, "linf": symbol_linf(symbol), "skipped_blocks": skipped}
+    return CheckReport("weak-marcinkiewicz", constants, headline, metadata)

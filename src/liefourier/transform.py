@@ -111,8 +111,9 @@ def random_coefficients(dual: DualSlice, rng: np.random.Generator) -> FourierCoe
 @lru_cache(maxsize=24)
 def cached_grid(group: GroupDescriptor, bandlimit: float) -> QuadratureGrid:
     """Memoised build_grid over the 24 most recently used (group, bandlimit)
-    pairs; grids are immutable so sharing is safe (each grid also holds its
-    plans).  ``cache_info()`` counts the hits and misses."""
+    pairs.  Callers share each grid and so its plan cache: nodes and weights
+    never change, plans are only added.  ``cache_info()`` counts the hits
+    and misses."""
     return build_grid(group, bandlimit)
 
 

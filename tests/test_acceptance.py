@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import irrep_labels
 from liefourier import (
     EnsembleConfig,
     NormSpec,
@@ -31,9 +32,10 @@ from liefourier import (
 from liefourier.cli import run_config
 from liefourier.dual import spin_cutoff
 from liefourier.groups import su2_point_from_distance
-from liefourier.multipliers import decay_slope, kernel_difference_integral, window_kernel
-from liefourier.spaces import psi, tl_norms, window_levels
-from liefourier.symbols import apply_difference, cached_grid, check_marcinkiewicz
+from liefourier.multipliers import decay_slope, kernel_difference_integral
+from liefourier.spaces import lp_project, psi, tl_norms, window_levels
+from liefourier.symbols import apply_difference, check_marcinkiewicz
+from liefourier.transform import cached_grid
 
 TORUS1 = make_group("torus", 1)
 TORUS2 = make_group("torus", 2)
@@ -80,18 +82,19 @@ def test_criterion_01_plancherel_inversion():
 
 def test_criterion_02_torus_difference_oracle():
     dual = enumerate_dual(TORUS1, 128.0)
+    labels = irrep_labels(dual)
     worst = 0.0
     for member in range(20):
         rng = np.random.default_rng([2, member])
         blocks = [
-            np.array([[rng.standard_normal() + 1j * rng.standard_normal()]]) for _ in dual.irreps
+            np.array([[rng.standard_normal() + 1j * rng.standard_normal()]]) for _ in range(len(dual))
         ]
         sig = Symbol.from_blocks(dual, blocks)
-        vals = {ir.label: blk[0, 0] for ir, blk in zip(dual.irreps, blocks)}
+        vals = {label: blk[0, 0] for label, blk in zip(labels, blocks)}
         diff = apply_difference(sig, (1,))
-        for keep, ir, blk in zip(diff.valid_mask(), dual.irreps, diff.blocks):
+        for keep, label, blk in zip(diff.valid_mask(), labels, diff.blocks):
             if keep:
-                oracle = vals.get((ir.label[0] + 1,), 0.0) - vals[ir.label]
+                oracle = vals.get((label[0] + 1,), 0.0) - vals[label]
                 worst = max(worst, abs(blk[0, 0] - oracle))
     _report("2 torus difference oracle", worst <= 1e-12, f"entrywise={worst:.2e}")
     assert worst <= 1e-12
@@ -190,7 +193,7 @@ def su2_decay_integrals():
     symbol = build_spectral_symbol(lambda lam: lam ** (1j), dual)
     z = su2_point_from_distance(0.05 * 2.0 * math.pi)
     return {
-        ell: kernel_difference_integral(window_kernel(symbol, ell), z, 1.0, grid)
+        ell: kernel_difference_integral(lp_project(symbol, ell), z, 1.0, grid)
         for ell in (2, 3, 4, 5)
     }
 
@@ -203,7 +206,7 @@ def test_criterion_06_kernel_decay_torus():
     z = np.array([0.05])  # |z| = 0.05 * 2 pi
     windows = [2, 3, 4, 5, 6]
     integrals = [
-        kernel_difference_integral(window_kernel(symbol, ell), z, 1.0, grid)
+        kernel_difference_integral(lp_project(symbol, ell), z, 1.0, grid)
         for ell in windows
     ]
     slope = decay_slope(windows, integrals)

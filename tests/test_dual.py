@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from liefourier import enumerate_dual, evaluate_irrep, make_group
+from conftest import irrep_labels, irrep_matrices
+from liefourier import enumerate_dual, make_group
 from liefourier.dual import little_d, representation_stacks, spin_cutoff, wigner_matrix
 from liefourier.errors import ConfigurationError, PreconditionError
 from liefourier.groups import distance_to_identity, identity, multiply, random_point, su2_matrix
@@ -9,16 +10,16 @@ from liefourier.groups import distance_to_identity, identity, multiply, random_p
 
 def test_enumerate_torus_sqrt2(torus1):
     dual = enumerate_dual(torus1, np.sqrt(2.0))
-    assert [ir.label for ir in dual.irreps] == [(0,), (-1,), (1,)]
-    assert dual.irreps[0].eigenvalue == 1.0
-    assert abs(dual.irreps[1].eigenvalue - np.sqrt(2)) < 1e-15
+    assert irrep_labels(dual) == [(0,), (-1,), (1,)]
+    assert dual.eigenvalues[0] == 1.0
+    assert abs(dual.eigenvalues[1] - np.sqrt(2)) < 1e-15
 
 
 def test_enumerate_su2_cutoff2(su2):
     dual = enumerate_dual(su2, 2.0)
-    assert [ir.label for ir in dual.irreps] == [0.0, 0.5, 1.0]
-    assert [ir.dim for ir in dual.irreps] == [1, 2, 3]
-    assert abs(dual.irreps[2].eigenvalue - np.sqrt(3)) < 1e-15
+    assert irrep_labels(dual) == [0.0, 0.5, 1.0]
+    assert dual.dims.tolist() == [1, 2, 3]
+    assert abs(dual.eigenvalues[2] - np.sqrt(3)) < 1e-15
 
 
 def test_enumerate_su2_enforces_max_spin(su2):
@@ -55,15 +56,14 @@ def test_enumerate_rejects_nonfinite_cutoff(torus1, su2):
 def test_trivial_irrep_present(torus2, su2):
     for group in (torus2, su2):
         dual = enumerate_dual(group, 3.0)
-        first = dual.irreps[0]
-        assert first.dim == 1 and first.eigenvalue == 1.0
+        assert dual.dims[0] == 1 and dual.eigenvalues[0] == 1.0
 
 
 def test_sorted_and_symmetric(torus2):
     dual = enumerate_dual(torus2, 5.0)
-    eigs = [ir.eigenvalue for ir in dual.irreps]
+    eigs = dual.eigenvalues.tolist()
     assert eigs == sorted(eigs)
-    labels = {ir.label for ir in dual.irreps}
+    labels = set(irrep_labels(dual))
     assert all(tuple(-c for c in lab) in labels for lab in labels)
 
 
@@ -75,9 +75,8 @@ def test_cutoff_precondition(torus1):
 def test_identity_matrix_everywhere(torus2, su2):
     for group in (torus2, su2):
         dual = enumerate_dual(group, 8.0 if group.kind == "torus" else spin_cutoff(4))
-        for ir in dual.irreps:
-            mat = evaluate_irrep(group, ir, identity(group))
-            assert np.max(np.abs(mat - np.eye(ir.dim))) < 1e-13
+        for d, mat in zip(dual.dims, irrep_matrices(dual, identity(group))):
+            assert np.max(np.abs(mat - np.eye(d))) < 1e-13
 
 
 def test_spin_half_is_fundamental(su2):
@@ -105,10 +104,8 @@ def test_homomorphism_all_small_irreps(torus2, su2):
             x = random_point(group, rng)
             y = random_point(group, rng)
             xy = multiply(group, x, y)
-            for ir in dual.irreps:
-                lhs = evaluate_irrep(group, ir, xy)
-                rhs = evaluate_irrep(group, ir, x) @ evaluate_irrep(group, ir, y)
-                assert np.max(np.abs(lhs - rhs)) < 1e-10
+            for lhs, a, b in zip(*(irrep_matrices(dual, p) for p in (xy, x, y))):
+                assert np.max(np.abs(lhs - a @ b)) < 1e-10
 
 
 def test_character_formula(su2):
@@ -125,7 +122,7 @@ def test_character_formula(su2):
 
 def test_eigenvalue_monotone_in_spin(su2):
     dual = enumerate_dual(su2, spin_cutoff(10))
-    eigs = [ir.eigenvalue for ir in dual.irreps]
+    eigs = dual.eigenvalues
     assert all(a < b for a, b in zip(eigs, eigs[1:]))
 
 
@@ -215,8 +212,8 @@ def test_enumerate_dual_equals_per_label_loop(kind, n, cutoff):
     assert np.array_equal(dual.labels, labels)
     assert np.array_equal(dual.dims, dims)
     assert np.array_equal(dual.eigenvalues, eigs)
-    if len(oracle) < 1000:  # the derived per-irrep view
-        assert [(ir.label, ir.dim, ir.eigenvalue) for ir in dual.irreps] == oracle
+    if len(oracle) < 1000:  # the per-irrep view of the arrays
+        assert list(zip(irrep_labels(dual), dual.dims.tolist(), dual.eigenvalues.tolist())) == oracle
     runs = dual.runs
     assert runs[0].start == 0 and runs[-1].stop == len(dual)
     assert all(a.stop == b.start for a, b in zip(runs, runs[1:]))
@@ -242,26 +239,8 @@ def test_representation_batch_equals_per_point(kind, n, cutoff):
         assert batch[k].shape == (6, run.stop - run.start, dual.run_dims[k], dual.run_dims[k])
         np.testing.assert_allclose(batch[k], per_point, rtol=0, atol=1e-13)
         np.testing.assert_allclose(block[k].reshape(batch[k].shape), per_point, rtol=0, atol=1e-13)
-    for ir in dual.irreps[:: max(1, len(dual) // 12)]:
-        per_point = np.stack([evaluate_irrep(group, ir, p) for p in pts])
-        np.testing.assert_allclose(evaluate_irrep(group, ir, pts), per_point, rtol=0, atol=1e-13)
-        if kind == "su2":
-            per_point = np.stack([wigner_matrix(ir.label, p) for p in pts])
-            np.testing.assert_allclose(wigner_matrix(ir.label, pts), per_point, rtol=0, atol=1e-13)
+    if kind == "su2":
+        for ell in dual.labels[:: max(1, len(dual) // 12)]:
+            per_point = np.stack([wigner_matrix(ell, p) for p in pts])
+            np.testing.assert_allclose(wigner_matrix(ell, pts), per_point, rtol=0, atol=1e-13)
 
-
-@pytest.mark.parametrize("kind,n,cutoff", _BATCH_SLICES)
-def test_representation_stacks_at_one_point_equal_evaluate_irrep(kind, n, cutoff):
-    group = make_group(kind, n)
-    dual = enumerate_dual(group, cutoff)
-    rng = np.random.default_rng(12)
-    for _ in range(5):
-        x = random_point(group, rng)
-        stacked = np.concatenate([stack.reshape(-1) for stack in representation_stacks(dual, x)])
-        single = np.concatenate([evaluate_irrep(group, ir, x).reshape(-1) for ir in dual.irreps])
-        if kind == "su2" or n == 1:
-            assert np.array_equal(stacked, single)
-        else:
-            # x.xi is one BLAS product against all labels, or a dot product
-            # with one label; with two or three terms they may round apart
-            np.testing.assert_allclose(stacked, single, rtol=0, atol=1e-13)

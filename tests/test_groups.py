@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import irrep_matrices
 from liefourier import build_grid, enumerate_dual, make_group
-from liefourier.dual import evaluate_irrep, spin_cutoff
+from liefourier.dual import spin_cutoff, wigner_matrix
 from liefourier.errors import ConfigurationError
 from liefourier.groups import (
     canonicalize,
@@ -59,17 +60,15 @@ def test_schur_orthogonality_exhaustive(kind, n, cutoff):
     group = make_group(kind, n)
     dual = enumerate_dual(group, cutoff)
     grid = build_grid(group, dual.max_band)
-    tables = [
-        np.stack([evaluate_irrep(group, ir, p) for p in grid.points]) for ir in dual.irreps
-    ]
-    for i, ir1 in enumerate(dual.irreps):
-        for j in range(len(dual.irreps)):
+    tables = irrep_matrices(dual, grid.points)
+    for i, d in enumerate(dual.dims):
+        for j in range(len(dual)):
             gram = np.einsum("p,pab,pcd->abcd", grid.weights, tables[i], np.conj(tables[j]))
             expect = np.zeros_like(gram)
             if i == j:
-                for a in range(ir1.dim):
-                    for b in range(ir1.dim):
-                        expect[a, b, a, b] = 1.0 / ir1.dim
+                for a in range(d):
+                    for b in range(d):
+                        expect[a, b, a, b] = 1.0 / d
             assert np.max(np.abs(gram - expect)) < 1e-10
 
 
@@ -77,7 +76,7 @@ def test_su2_spin1_entry_integral(su2):
     # Schur orthogonality gives integral |D^1_{00}|^2 = 1/d = 1/3
     dual = enumerate_dual(su2, spin_cutoff(2))
     grid = build_grid(su2, dual.max_band)
-    table = np.stack([evaluate_irrep(su2, 1.0, p) for p in grid.points])
+    table = wigner_matrix(1.0, grid.points)
     val = np.sum(grid.weights * np.abs(table[:, 0, 0]) ** 2)
     assert abs(val - 1.0 / 3.0) < 1e-10
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import index_of, irrep_labels
 from liefourier import (
     EnsembleConfig,
     FourierCoefficients,
@@ -18,16 +19,14 @@ from liefourier import (
     make_group,
     plancherel_norm,
     random_coefficients,
-    window_kernel,
 )
 from liefourier import spaces
 from liefourier.dual import spin_cutoff
 from liefourier.errors import ConfigurationError, PreconditionError
 from liefourier.groups import build_grid, distance_to_identity, inverse, multiply, su2_point_from_distance
 from liefourier.multipliers import decay_slope, ensemble_member
-from liefourier.spaces import psi, window_levels
-from liefourier.symbols import cached_grid
-from liefourier.transform import inverse_evaluate
+from liefourier.spaces import lp_project, psi, window_levels
+from liefourier.transform import cached_grid, inverse_evaluate
 from tl_oracle import tl_norms as oracle_tl_norms
 
 
@@ -41,14 +40,14 @@ def test_identity_symbol_acts_trivially(torus1):
 def test_mode_projection_symbol(torus1):
     dual = enumerate_dual(torus1, 8.0)
     blocks = [
-        (np.eye(1, dtype=complex) if ir.label == (3,) else np.zeros((1, 1), complex))
-        for ir in dual.irreps
+        (np.eye(1, dtype=complex) if label == (3,) else np.zeros((1, 1), complex))
+        for label in irrep_labels(dual)
     ]
     sig = Symbol.from_blocks(dual, blocks)
     f = random_coefficients(dual, np.random.default_rng(1))
     out = apply_multiplier(sig, f)
-    for ir, fb, ob in zip(dual.irreps, f.blocks, out.blocks):
-        if ir.label == (3,):
+    for label, fb, ob in zip(irrep_labels(dual), f.blocks, out.blocks):
+        if label == (3,):
             assert abs(ob[0, 0] - fb[0, 0]) < 1e-15
         else:
             assert abs(ob[0, 0]) < 1e-15
@@ -67,8 +66,8 @@ def test_l2_contraction_bound(su2):
 def test_multiplier_composition(su2):
     dual = enumerate_dual(su2, spin_cutoff(2))
     rng = np.random.default_rng(3)
-    a = Symbol.from_blocks(dual, [rng.standard_normal((ir.dim, ir.dim)) + 0j for ir in dual.irreps])
-    b = Symbol.from_blocks(dual, [rng.standard_normal((ir.dim, ir.dim)) + 0j for ir in dual.irreps])
+    a = Symbol.from_blocks(dual, [rng.standard_normal((d, d)) + 0j for d in dual.dims])
+    b = Symbol.from_blocks(dual, [rng.standard_normal((d, d)) + 0j for d in dual.dims])
     ab = Symbol.from_blocks(dual, [x @ y for x, y in zip(a.blocks, b.blocks)])
     f = random_coefficients(dual, rng)
     lhs = apply_multiplier(a, apply_multiplier(b, f))
@@ -91,19 +90,17 @@ def test_window_support_invariant(torus1):
     dual = enumerate_dual(torus1, 64.0)
     sig = build_spectral_symbol(lambda lam: lam ** (1j), dual)
     for ell in (1, 2, 3):
-        kernel = window_kernel(sig, ell)
-        for ir, blk in zip(dual.irreps, kernel.blocks):
-            if not 2.0 ** (ell - 1) < ir.eigenvalue < 2.0 ** (ell + 1):
+        kernel = lp_project(sig, ell)
+        for lam, blk in zip(dual.eigenvalues, kernel.blocks):
+            if not 2.0 ** (ell - 1) < lam < 2.0 ** (ell + 1):
                 assert np.max(np.abs(blk)) <= 1e-15
 
 
 def test_window_kernel_positive_at_identity(torus1):
-    from liefourier.transform import inverse_evaluate
-
     dual = enumerate_dual(torus1, 32.0)
-    kernel = window_kernel(identity_symbol(dual), 2)
+    kernel = lp_project(identity_symbol(dual), 2)
     val = inverse_evaluate(kernel, np.zeros((1, 1)))
-    expected = sum(psi(2, ir.eigenvalue) for ir in dual.irreps)
+    expected = sum(psi(2, lam) for lam in dual.eigenvalues)
     assert val[0].real > 0
     assert abs(val[0] - expected) < 1e-10
 
@@ -112,11 +109,11 @@ def test_window_zero_mean_except_low_piece(torus1):
     # only the trivial irrep contributes to the mean; psi_0(1) = 1
     dual = enumerate_dual(torus1, 16.0)
     rng = np.random.default_rng(5)
-    sig = Symbol.from_blocks(dual, [np.array([[rng.standard_normal() + 0j]]) for _ in dual.irreps])
-    k0 = window_kernel(sig, 0)
-    trivial = dual.index_of[(0,)]
+    sig = Symbol.from_blocks(dual, [np.array([[rng.standard_normal() + 0j]]) for _ in range(len(dual))])
+    k0 = lp_project(sig, 0)
+    trivial = index_of(dual, (0,))
     assert abs(k0.blocks[trivial][0, 0] - sig.blocks[trivial][0, 0]) < 1e-15
-    k2 = window_kernel(sig, 2)
+    k2 = lp_project(sig, 2)
     assert abs(k2.blocks[trivial][0, 0]) < 1e-15
 
 
@@ -125,7 +122,7 @@ def test_window_sum_reconstructs_symbol(su2):
     sig = build_spectral_symbol(lambda lam: lam ** (2j), dual)
     acc = [np.zeros_like(b) for b in sig.blocks]
     for ell in window_levels(dual.cutoff):
-        kernel = window_kernel(sig, ell)
+        kernel = lp_project(sig, ell)
         acc = [a + b for a, b in zip(acc, kernel.blocks)]
     assert max(np.max(np.abs(a - b)) for a, b in zip(acc, sig.blocks)) < 1e-11
 
@@ -136,7 +133,7 @@ def test_window_sum_reconstructs_symbol(su2):
 
 def test_empty_domain_returns_zero(torus1):
     dual = enumerate_dual(torus1, 16.0)
-    kernel = window_kernel(identity_symbol(dual), 1)
+    kernel = lp_project(identity_symbol(dual), 1)
     grid = cached_grid(torus1, dual.max_band)
     z = np.array([0.3])  # |z| = 0.6 pi, 4|z| = 2.4 pi > pi = diameter
     assert kernel_difference_integral(kernel, z, 1.0, grid) == 0.0
@@ -146,7 +143,7 @@ def test_oversampling_oracle_torus(torus1):
     # the coarse-grid quadrature must match a 10x denser reference within 1%
     dual = enumerate_dual(torus1, 64.0)
     sig = identity_symbol(dual)
-    kernel = window_kernel(sig, 0)
+    kernel = lp_project(sig, 0)
     z = np.array([0.07])
     coarse = kernel_difference_integral(kernel, z, 1.0, cached_grid(torus1, dual.max_band))
     dense = kernel_difference_integral(kernel, z, 1.0, build_grid(torus1, 10 * int(dual.max_band)))
@@ -156,7 +153,7 @@ def test_oversampling_oracle_torus(torus1):
 def test_inverse_symmetry_real_kernel(torus1):
     # real symmetric kernels: the integral is invariant under z -> z^-1
     dual = enumerate_dual(torus1, 32.0)
-    kernel = window_kernel(identity_symbol(dual), 2)
+    kernel = lp_project(identity_symbol(dual), 2)
     grid = cached_grid(torus1, dual.max_band)
     z = np.array([0.06])
     zi = np.array([1.0 - 0.06])
@@ -172,11 +169,11 @@ def test_su2_class_function_path_matches_general(su2):
     dual = enumerate_dual(su2, spin_cutoff(3))
     grid = cached_grid(su2, dual.max_band)
     sig = build_spectral_symbol(lambda lam: lam ** (1j), dual)
-    kernel = window_kernel(sig, 1)
+    kernel = lp_project(sig, 1)
     z = su2_point_from_distance(0.4)
     fast = kernel_difference_integral(kernel, z, 1.0, grid)
     bumped = FourierCoefficients.from_blocks(dual, [b.copy() for b in kernel.blocks])
-    idx = dual.index_of[1.0]
+    idx = index_of(dual, 1.0)
     bumped.blocks[idx][0, 1] += 1e-300  # makes the block non-scalar only
     general = kernel_difference_integral(bumped, z, 1.0, grid)
     assert abs(fast - general) < 1e-9 * max(1.0, fast)
@@ -202,7 +199,7 @@ def test_kernel_difference_matches_pointwise_oracle(kind, n, cutoff, z):
     dual = enumerate_dual(group, cutoff)
     grid = cached_grid(group, dual.max_band)
     sig = Symbol.from_blocks(dual, random_coefficients(dual, np.random.default_rng(13)).blocks)
-    kernel = window_kernel(sig, 2)
+    kernel = lp_project(sig, 2)
     z = np.array(z)
     value = kernel_difference_integral(kernel, z, 1.0, grid)
     oracle = _pointwise_difference_integral(kernel, z, 1.0, grid)
@@ -212,7 +209,7 @@ def test_kernel_difference_matches_pointwise_oracle(kind, n, cutoff, z):
 
 def test_z_must_not_be_identity(torus1):
     dual = enumerate_dual(torus1, 8.0)
-    kernel = window_kernel(identity_symbol(dual), 1)
+    kernel = lp_project(identity_symbol(dual), 1)
     grid = cached_grid(torus1, dual.max_band)
     with pytest.raises(PreconditionError):
         kernel_difference_integral(kernel, np.array([0.0]), 1.0, grid)
@@ -224,7 +221,7 @@ def test_torus_decay_trend_small(torus1):
     sig = build_spectral_symbol(lambda lam: lam ** (1j), dual)
     z = np.array([0.05])
     vals = [
-        kernel_difference_integral(window_kernel(sig, ell), z, 1.0, grid)
+        kernel_difference_integral(lp_project(sig, ell), z, 1.0, grid)
         for ell in (2, 3, 4)
     ]
     assert decay_slope((2, 3, 4), vals) <= -0.2
@@ -247,8 +244,8 @@ def test_exact_l2_norm_examples(torus1, su2):
     dual = enumerate_dual(torus1, 8.0)
     assert exact_l2_operator_norm(identity_symbol(dual)) == 1.0
     dsu = enumerate_dual(su2, spin_cutoff(1))
-    blocks = [np.zeros((ir.dim, ir.dim), complex) for ir in dsu.irreps]
-    blocks[dsu.index_of[0.5]] = np.diag([2.0, 0.5]).astype(complex)
+    blocks = [np.zeros((d, d), complex) for d in dsu.dims]
+    blocks[index_of(dsu, 0.5)] = np.diag([2.0, 0.5]).astype(complex)
     assert abs(exact_l2_operator_norm(Symbol.from_blocks(dsu, blocks)) - 2.0) < 1e-15
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import index_of
 from liefourier import (
     FourierCoefficients,
     GridFunction,
@@ -95,8 +96,8 @@ def test_reconstruction_from_projections(torus1):
 def test_projection_of_disjoint_support_is_zero(torus1):
     dual = enumerate_dual(torus1, 40.0)
     blocks = [
-        (np.eye(1, dtype=complex) if 16.0 <= ir.eigenvalue <= 40.0 else np.zeros((1, 1), complex))
-        for ir in dual.irreps
+        (np.eye(1, dtype=complex) if 16.0 <= lam <= 40.0 else np.zeros((1, 1), complex))
+        for lam in dual.eigenvalues
     ]
     coeffs = FourierCoefficients.from_blocks(dual, blocks)
     piece = lp_project(coeffs, 2)  # window (2, 8), disjoint from [16, 40]
@@ -105,12 +106,12 @@ def test_projection_of_disjoint_support_is_zero(torus1):
 
 def test_dirichlet_projection_keeps_exact_band(torus1):
     dual = enumerate_dual(torus1, 32.0)
-    dirichlet = FourierCoefficients.from_blocks(dual, [np.eye(1, dtype=complex) for _ in dual.irreps])
+    dirichlet = FourierCoefficients.from_blocks(dual, [np.eye(1, dtype=complex) for _ in range(len(dual))])
     piece = lp_project(dirichlet, 2)
-    for ir, blk in zip(dual.irreps, piece.blocks):
-        expected = eta(ir.eigenvalue / 4.0)
+    for lam, blk in zip(dual.eigenvalues, piece.blocks):
+        expected = eta(lam / 4.0)
         assert abs(blk[0, 0] - expected) < 1e-14
-        if not 2.0 < ir.eigenvalue < 8.0:
+        if not 2.0 < lam < 8.0:
             assert abs(blk[0, 0]) < 1e-15
 
 
@@ -183,9 +184,9 @@ def test_single_irrep_function_factors_exactly(torus1):
     # adjacent windows overlap and the constant sits in [2^(1/q - 1), 1]
     dual = enumerate_dual(torus1, 16.0)
     grid = default_grid(dual)
-    pos = dual.index_of[(6,)]
-    lam0 = dual.irreps[pos].eigenvalue
-    blocks = [np.zeros((1, 1), complex) for _ in dual.irreps]
+    pos = index_of(dual, (6,))
+    lam0 = dual.eigenvalues[pos]
+    blocks = [np.zeros((1, 1), complex) for _ in range(len(dual))]
     blocks[pos] = np.eye(1, dtype=complex)
     coeffs = FourierCoefficients.from_blocks(dual, blocks)
     for p in (1.5, 2.0, 4.0):
@@ -316,8 +317,8 @@ def test_weak_norm_constant_level_set(torus1):
     # constant aggregate c has sup_t t|{g > t}| = c (approached at t -> c-)
     dual = enumerate_dual(torus1, 2.0)
     blocks = [
-        (np.eye(1, dtype=complex) if ir.eigenvalue == 1.0 else np.zeros((1, 1), complex))
-        for ir in dual.irreps
+        (np.eye(1, dtype=complex) if lam == 1.0 else np.zeros((1, 1), complex))
+        for lam in dual.eigenvalues
     ]
     coeffs = FourierCoefficients.from_blocks(dual, blocks)  # constant function 1
     val = weak_tl_norm(coeffs, NormSpec(0.0, 1.0, 2.0))
@@ -326,7 +327,7 @@ def test_weak_norm_constant_level_set(torus1):
 
 def test_weak_norm_zero(torus1):
     dual = enumerate_dual(torus1, 4.0)
-    zero = FourierCoefficients.from_blocks(dual, [np.zeros((1, 1), complex) for _ in dual.irreps])
+    zero = FourierCoefficients.from_blocks(dual, [np.zeros((1, 1), complex) for _ in range(len(dual))])
     assert weak_tl_norm(zero, NormSpec(0.0, 1.0, 2.0)) == 0.0
 
 

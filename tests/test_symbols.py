@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import irrep_labels
 from liefourier import (
     FourierCoefficients,
     GridFunction,
@@ -26,7 +27,6 @@ from liefourier.groups import TORUS, build_grid, identity, su2_pair
 from liefourier.spaces import psi
 from liefourier.symbols import (
     _difference_batch,
-    cached_grid,
     difference_validity,
     dyadic_rademacher_symbol,
     generator_count,
@@ -37,16 +37,17 @@ from liefourier.symbols import (
     symbol_from_config,
     symbol_linf,
 )
+from liefourier.transform import cached_grid
 
 
 def _scalar_symbol_from_map(dual, mapping):
-    return Symbol.from_blocks(dual, [np.array([[mapping[ir.label]]], dtype=complex) for ir in dual.irreps])
+    return Symbol.from_blocks(dual, [np.array([[mapping[label]]], dtype=complex) for label in irrep_labels(dual)])
 
 
 def _random_scalar_symbol(dual, rng):
     return Symbol.from_blocks(
         dual,
-        [np.array([[rng.standard_normal() + 1j * rng.standard_normal()]]) for _ in dual.irreps],
+        [np.array([[rng.standard_normal() + 1j * rng.standard_normal()]]) for _ in range(len(dual))],
     )
 
 
@@ -108,7 +109,7 @@ def test_difference_matches_grid_oracle(kind, n, cutoff):
     group = make_group(kind, n)
     dual = enumerate_dual(group, cutoff)
     rng = np.random.default_rng([7, n, len(dual)])
-    blocks = [rng.standard_normal((ir.dim, ir.dim)) + 1j * rng.standard_normal((ir.dim, ir.dim)) for ir in dual.irreps]
+    blocks = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in dual.dims]
     symbol = Symbol.from_blocks(dual, blocks)
     alphas = [a for k in range(3) for a in multi_indices(generator_count(group), k)]
     for alpha, diff in zip(alphas, _difference_batch(symbol, alphas)):
@@ -130,11 +131,11 @@ def test_multi_indices():
 
 def test_torus_difference_is_forward_shift(torus1):
     dual = enumerate_dual(torus1, 16.0)
-    values = {ir.label: 0.0 for ir in dual.irreps}
+    values = {label: 0.0 for label in irrep_labels(dual)}
     values[(0,)] = 1.0
     sig = _scalar_symbol_from_map(dual, values)
     diff = apply_difference(sig, (1,))
-    got = {ir.label: blk[0, 0] for ir, blk in zip(dual.irreps, diff.blocks)}
+    got = {label: blk[0, 0] for label, blk in zip(irrep_labels(dual), diff.blocks)}
     assert abs(got[(-1,)] - 1.0) < 1e-12
     assert abs(got[(0,)] + 1.0) < 1e-12
     for label, val in got.items():
@@ -147,11 +148,11 @@ def test_torus_difference_matches_shift_oracle(torus1):
     dual = enumerate_dual(torus1, 24.0)
     for _ in range(5):
         sig = _random_scalar_symbol(dual, rng)
-        vals = {ir.label: blk[0, 0] for ir, blk in zip(dual.irreps, sig.blocks)}
+        vals = {label: blk[0, 0] for label, blk in zip(irrep_labels(dual), sig.blocks)}
         diff = apply_difference(sig, (1,))
-        for keep, ir, blk in zip(diff.valid_mask(), dual.irreps, diff.blocks):
+        for keep, label, blk in zip(diff.valid_mask(), irrep_labels(dual), diff.blocks):
             if keep:
-                oracle = vals.get((ir.label[0] + 1,), 0.0) - vals[ir.label]
+                oracle = vals.get((label[0] + 1,), 0.0) - vals[label]
                 assert abs(blk[0, 0] - oracle) < 1e-12
 
 
@@ -159,15 +160,14 @@ def test_torus2_mixed_difference_oracle(torus2):
     rng = np.random.default_rng(1)
     dual = enumerate_dual(torus2, 6.0)
     sig = _random_scalar_symbol(dual, rng)
-    vals = {ir.label: blk[0, 0] for ir, blk in zip(dual.irreps, sig.blocks)}
+    vals = {label: blk[0, 0] for label, blk in zip(irrep_labels(dual), sig.blocks)}
 
     def get(label):
         return vals.get(label, 0.0)
 
     diff = apply_difference(sig, (1, 1))
-    for keep, ir, blk in zip(diff.valid_mask(), dual.irreps, diff.blocks):
+    for keep, (a, b), blk in zip(diff.valid_mask(), irrep_labels(dual), diff.blocks):
         if keep:
-            a, b = ir.label
             oracle = get((a + 1, b + 1)) - get((a + 1, b)) - get((a, b + 1)) + get((a, b))
             assert abs(blk[0, 0] - oracle) < 1e-12
 
@@ -191,12 +191,12 @@ def test_first_order_leibniz_on_torus(torus1):
     d_prod = apply_difference(prod, (1,))
     d_sig = apply_difference(sig, (1,))
     d_tau = apply_difference(tau, (1,))
-    tau_vals = {ir.label: blk[0, 0] for ir, blk in zip(dual.irreps, tau.blocks)}
-    for keep, ir, dp, ds, s, dt in zip(
-        d_prod.valid_mask(), dual.irreps, d_prod.blocks, d_sig.blocks, sig.blocks, d_tau.blocks
+    tau_vals = {label: blk[0, 0] for label, blk in zip(irrep_labels(dual), tau.blocks)}
+    for keep, label, dp, ds, s, dt in zip(
+        d_prod.valid_mask(), irrep_labels(dual), d_prod.blocks, d_sig.blocks, sig.blocks, d_tau.blocks
     ):
         if keep:
-            shifted_tau = tau_vals.get((ir.label[0] + 1,), 0.0)
+            shifted_tau = tau_vals.get((label[0] + 1,), 0.0)
             rhs = ds[0, 0] * shifted_tau + s[0, 0] * dt[0, 0]
             assert abs(dp[0, 0] - rhs) < 1e-12
 
@@ -237,12 +237,12 @@ def test_validity_mask_margins(torus1, su2):
     dual = enumerate_dual(torus1, 16.0)
     diff = apply_difference(identity_symbol(dual), (1,))
     max_norm = np.sqrt(16.0**2 - 1.0)
-    for keep, ir in zip(diff.valid_mask(), dual.irreps):
-        assert keep == (abs(ir.label[0]) <= max_norm - 1.0 + 1e-9)
+    for keep, (xi,) in zip(diff.valid_mask(), irrep_labels(dual)):
+        assert keep == (abs(xi) <= max_norm - 1.0 + 1e-9)
     dsu = enumerate_dual(su2, spin_cutoff(3))
     diff = apply_difference(identity_symbol(dsu), (1, 0, 0, 1))
-    for keep, ir in zip(diff.valid_mask(), dsu.irreps):
-        assert keep == (ir.label <= 2.0 + 1e-9)
+    for keep, ell in zip(diff.valid_mask(), irrep_labels(dsu)):
+        assert keep == (ell <= 2.0 + 1e-9)
 
 
 def test_margin_error_lists_requirement(torus1):
@@ -258,7 +258,7 @@ def test_margin_error_lists_requirement(torus1):
 
 def test_sobolev_zero_symbol(torus1):
     dual = enumerate_dual(torus1, 8.0)
-    zero = Symbol.from_blocks(dual, [np.zeros((1, 1), complex) for _ in dual.irreps])
+    zero = Symbol.from_blocks(dual, [np.zeros((1, 1), complex) for _ in range(len(dual))])
     assert dual_sobolev_norm(zero, 1.0) == 0.0
 
 
@@ -323,17 +323,9 @@ def test_marcinkiewicz_wave_diverges(torus1):
     assert c1[1] >= 8.0 * c1[0]
 
 
-def test_marcinkiewicz_threshold_flag(torus1):
-    dual = enumerate_dual(torus1, 32.0)
-    sig = build_spectral_symbol(lambda lam: np.exp(1j * lam), dual)
-    rep = check_marcinkiewicz(sig, 1, threshold=5.0)
-    assert rep.passed is False
-    assert rep.worst_irrep is not None
-
-
 def test_hormander_mihlin_zero_symbol(torus1):
     dual = enumerate_dual(torus1, 16.0)
-    zero = Symbol.from_blocks(dual, [np.zeros((1, 1), complex) for _ in dual.irreps])
+    zero = Symbol.from_blocks(dual, [np.zeros((1, 1), complex) for _ in range(len(dual))])
     rep = check_hormander_mihlin(zero, 1.0)
     assert rep.headline == 0.0
 
@@ -436,8 +428,8 @@ def test_batched_norms_equal_per_block_calls():
 def test_spectral_symbol_values(su2):
     dual = enumerate_dual(su2, spin_cutoff(2))
     sig = build_spectral_symbol(lambda lam: lam ** (1j * 2.0), dual)
-    for ir, blk in zip(dual.irreps, sig.blocks):
-        assert np.max(np.abs(blk - ir.eigenvalue ** (2j) * np.eye(ir.dim))) < 1e-14
+    for lam, d, blk in zip(dual.eigenvalues, dual.dims, sig.blocks):
+        assert np.max(np.abs(blk - lam ** (2j) * np.eye(d))) < 1e-14
         assert abs(np.linalg.norm(blk, 2) - 1.0) < 1e-12  # unimodular
 
 
@@ -452,7 +444,7 @@ def test_symbol_from_config_types(torus1, su2):
         {"type": "dyadic_rademacher", "seed": 3},
     ):
         sig = symbol_from_config(cfg, torus1)(dual)
-        assert len(sig.blocks) == len(dual.irreps)
+        assert len(sig.blocks) == len(dual)
     # refused when the config is read, before any slice exists
     for cfg, group in (
         ({"type": "nope"}, torus1),

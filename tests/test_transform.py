@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import index_of, irrep_labels, irrep_matrices
 from liefourier import (
     FourierCoefficients,
     GridFunction,
@@ -38,8 +39,8 @@ def test_torus_single_mode(torus1):
     grid = default_grid(dual)
     f = GridFunction(grid, np.exp(2j * np.pi * 3 * grid.points[:, 0]))
     coeffs = forward_transform(f, dual)
-    for ir, blk in zip(dual.irreps, coeffs.blocks):
-        target = 1.0 if ir.label == (3,) else 0.0
+    for label, blk in zip(irrep_labels(dual), coeffs.blocks):
+        target = 1.0 if label == (3,) else 0.0
         assert abs(blk[0, 0] - target) < 1e-12
 
 
@@ -47,8 +48,8 @@ def test_constant_function(torus2):
     dual = enumerate_dual(torus2, 4.0)
     grid = default_grid(dual)
     coeffs = forward_transform(GridFunction(grid, np.ones(len(grid), complex)), dual)
-    for ir, blk in zip(dual.irreps, coeffs.blocks):
-        target = 1.0 if ir.eigenvalue == 1.0 else 0.0
+    for lam, blk in zip(dual.eigenvalues, coeffs.blocks):
+        target = 1.0 if lam == 1.0 else 0.0
         assert abs(blk[0, 0] - target) < 1e-12
 
 
@@ -58,8 +59,8 @@ def test_su2_character_coefficients(su2):
     grid = default_grid(dual)
     vals = np.array([np.trace(wigner_matrix(0.5, p)) for p in grid.points])
     coeffs = forward_transform(GridFunction(grid, vals), dual)
-    for ir, blk in zip(dual.irreps, coeffs.blocks):
-        if ir.label == 0.5:
+    for ell, blk in zip(dual.labels, coeffs.blocks):
+        if ell == 0.5:
             assert np.max(np.abs(blk - np.eye(2) / 2)) < 1e-10
         else:
             assert np.max(np.abs(blk)) < 1e-10
@@ -85,7 +86,7 @@ def test_torus_fft_matches_direct_sums(n, cutoff, extra):
     group = make_group("torus", n)
     dual = enumerate_dual(group, cutoff)
     grid = build_grid(group, dual.max_band + extra)
-    labels = np.array([ir.label for ir in dual.irreps], dtype=float)
+    labels = dual.labels.astype(float)
     rng = np.random.default_rng(12)
     coeffs = random_coefficients(dual, rng)
     vals = inverse_on_grid(coeffs, grid).values
@@ -102,11 +103,11 @@ def test_su2_plan_matches_pointwise_series(su2, extra):
     # weighted sum against conj(D^l(x))^T from wigner_matrix (forward)
     dual = enumerate_dual(su2, spin_cutoff(3.5))
     grid = build_grid(su2, dual.max_band + extra)
-    wigner = [np.stack([wigner_matrix(ir.label, p) for p in grid.points]) for ir in dual.irreps]
+    wigner = [np.stack([wigner_matrix(ell, p) for p in grid.points]) for ell in dual.labels]
     rng = np.random.default_rng(13)
     full = random_coefficients(dual, rng)
     low = FourierCoefficients.from_blocks(  # nonzero up to spin 1: the inverse stops at that band
-        dual, [b if ir.label <= 1 else 0 * b for ir, b in zip(dual.irreps, full.blocks)]
+        dual, [b if ell <= 1 else 0 * b for ell, b in zip(dual.labels, full.blocks)]
     )
     samples = [rng.standard_normal(len(grid)) + 1j * rng.standard_normal(len(grid))]
     for coeffs in (full, low, zero_coefficients(dual)):
@@ -122,7 +123,7 @@ def test_su2_plan_matches_pointwise_series(su2, extra):
 
 def test_inverse_at_trivial_long_constant(su2):
     dual = enumerate_dual(su2, spin_cutoff(1))
-    blocks = [np.zeros((ir.dim, ir.dim), complex) for ir in dual.irreps]
+    blocks = [np.zeros((d, d), complex) for d in dual.dims]
     blocks[0][0, 0] = 1.0
     coeffs = FourierCoefficients.from_blocks(dual, blocks)
     rng = np.random.default_rng(1)
@@ -133,8 +134,8 @@ def test_inverse_at_trivial_long_constant(su2):
 def test_su2_character_inverse_value(su2):
     # coefficients I/2 at spin 1/2 reproduce Tr D^(1/2); at the identity = 2
     dual = enumerate_dual(su2, spin_cutoff(1))
-    blocks = [np.zeros((ir.dim, ir.dim), complex) for ir in dual.irreps]
-    blocks[dual.index_of[0.5]] = np.eye(2) / 2
+    blocks = [np.zeros((d, d), complex) for d in dual.dims]
+    blocks[index_of(dual, 0.5)] = np.eye(2) / 2
     coeffs = FourierCoefficients.from_blocks(dual, blocks)
     val = inverse_evaluate(coeffs, np.zeros((1, 3)))
     assert abs(val[0] - 2.0) < 1e-12
@@ -149,8 +150,8 @@ def test_inverse_evaluate_matches_naive(su2):
     naive = np.array(
         [
             sum(
-                ir.dim * np.trace(wigner_matrix(ir.label, p) @ blk)
-                for ir, blk in zip(dual.irreps, coeffs.blocks)
+                d * np.trace(wigner_matrix(ell, p) @ blk)
+                for ell, d, blk in zip(dual.labels, dual.dims, coeffs.blocks)
             )
             for p in pts
         ]
@@ -165,15 +166,15 @@ def test_scalar_block_class_function_path(su2):
     rng = np.random.default_rng(3)
     coeffs = FourierCoefficients.from_blocks(
         dual,
-        [(rng.standard_normal() + 1j * rng.standard_normal()) * np.eye(ir.dim) for ir in dual.irreps],
+        [(rng.standard_normal() + 1j * rng.standard_normal()) * np.eye(d) for d in dual.dims],
     )
     pts = np.stack([random_point(su2, rng) for _ in range(9)])
     fast = inverse_evaluate(coeffs, pts)
     naive = np.array(
         [
             sum(
-                ir.dim * np.trace(wigner_matrix(ir.label, p) @ blk)
-                for ir, blk in zip(dual.irreps, coeffs.blocks)
+                d * np.trace(wigner_matrix(ell, p) @ blk)
+                for ell, d, blk in zip(dual.labels, dual.dims, coeffs.blocks)
             )
             for p in pts
         ]
@@ -183,8 +184,8 @@ def test_scalar_block_class_function_path(su2):
 
 def test_plancherel_examples(su2):
     dual = enumerate_dual(su2, spin_cutoff(1))
-    blocks = [np.zeros((ir.dim, ir.dim), complex) for ir in dual.irreps]
-    blocks[dual.index_of[0.5]] = np.eye(2) / 2
+    blocks = [np.zeros((d, d), complex) for d in dual.dims]
+    blocks[index_of(dual, 0.5)] = np.eye(2) / 2
     assert abs(plancherel_norm(FourierCoefficients.from_blocks(dual, blocks)) - 1.0) < 1e-14
     assert plancherel_norm(zero_coefficients(dual)) == 0.0
 
@@ -230,7 +231,7 @@ def test_convolution_identity_and_scalars(torus1):
     dual = enumerate_dual(torus1, 8.0)
     rng = np.random.default_rng(7)
     f = random_coefficients(dual, rng)
-    dirac = FourierCoefficients.from_blocks(dual, [np.eye(ir.dim, dtype=complex) for ir in dual.irreps])
+    dirac = FourierCoefficients.from_blocks(dual, [np.eye(d, dtype=complex) for d in dual.dims])
     assert _max_block_err(convolve(f, dirac), f) < 1e-14
     g = random_coefficients(dual, rng)
     fg = convolve(f, g)
@@ -296,7 +297,7 @@ def test_reality_symmetry(torus2, su2):
 
 def test_block_shape_guard(su2):
     dual = enumerate_dual(su2, spin_cutoff(1))
-    blocks = [np.zeros((ir.dim, ir.dim), complex) for ir in dual.irreps]
+    blocks = [np.zeros((d, d), complex) for d in dual.dims]
     blocks[-1] = np.zeros((1, 1), complex)  # wrong shape for the top spin
     with pytest.raises(PreconditionError):
         FourierCoefficients.from_blocks(dual, blocks)
@@ -371,7 +372,6 @@ def test_from_blocks_round_trip_and_views(kind, n, cutoff):
 @pytest.mark.parametrize("kind,n,cutoff", [("torus", 2, 5.0), ("torus", 3, 3.0), ("su2", 3, spin_cutoff(3.5))])
 def test_inverse_evaluate_across_chunks_equals_trace_sum(kind, n, cutoff, monkeypatch):
     import liefourier.transform as transform
-    from liefourier import evaluate_irrep
 
     group = make_group(kind, n)
     dual = enumerate_dual(group, cutoff)
@@ -384,7 +384,7 @@ def test_inverse_evaluate_across_chunks_equals_trace_sum(kind, n, cutoff, monkey
     fast = inverse_evaluate(coeffs, pts)
     naive = np.array(
         [
-            sum(ir.dim * np.trace(evaluate_irrep(group, ir, p) @ blk) for ir, blk in zip(dual.irreps, coeffs.blocks))
+            sum(d * np.trace(mat @ blk) for d, mat, blk in zip(dual.dims, irrep_matrices(dual, p), coeffs.blocks))
             for p in pts
         ]
     )
