@@ -157,16 +157,26 @@ def _jy_eig(two_ell: int) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(jy)
 
 
+def _little_d_rows(two_ell: int, beta: float | np.ndarray, rows: slice) -> np.ndarray:
+    """The rows ``rows`` of :func:`little_d`, built without the other rows.
+
+    One batched matmul (V[rows] e^{-i beta lam}) V^H over all betas, so a
+    slice of rows costs its share of the full table's flops and bytes.  The
+    SU(2) grid plan builds only its stored rows m' >= 0 this way.
+    """
+    lam, vec = _jy_eig(two_ell)
+    beta = np.asarray(beta, dtype=float)
+    d = (vec[rows] * np.exp(-1j * beta[..., None] * lam)[..., None, :]) @ vec.conj().T
+    return d.real.copy()  # a bare ``.real`` view would keep the complex buffer alive
+
+
 def little_d(two_ell: int, beta: float | np.ndarray) -> np.ndarray:
     """Wigner little-d matrix d^l(beta) (real), descending-m ordering.
 
     ``beta`` may be an array; the matrix axes are appended last.  One batched
     matmul V e^{-i beta lam} V^H over all betas.
     """
-    lam, vec = _jy_eig(two_ell)
-    beta = np.asarray(beta, dtype=float)
-    d = (vec * np.exp(-1j * beta[..., None] * lam)[..., None, :]) @ vec.conj().T
-    return d.real.copy()  # a bare ``.real`` view would keep the complex buffer alive
+    return _little_d_rows(two_ell, beta, slice(None))
 
 
 def _check_spin(ell: float) -> int:

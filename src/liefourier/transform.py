@@ -20,7 +20,10 @@ grid.  On the torus the quadrature grid is a uniform lattice and the plan is
 an FFT (``numpy.fft``) with a gather/scatter of the labels.  On SU(2) it is
 separable: phase-table products in alpha and gamma and real little-d tables
 at the Gauss-Legendre nodes in beta; its inverse stops at the largest nonzero
-spin.  Both are exact for band-limited functions.
+spin.  Each spin stores a quarter of its little-d table, the rows m' >= 0 at
+half the nodes, and reads the rest through d_{-m',-m} = (-1)^(m'-m) d_{m'm}
+and d_{m'm}(pi - beta) = (-1)^(l+m') d_{m',-m}(beta), as the nodes are
+symmetric about pi/2.  Both plans are exact for band-limited functions.
 :func:`inverse_evaluate`, the tests' oracle, sums the series directly at
 arbitrary points over :func:`liefourier.dual.representation_stacks`.
 """
@@ -32,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dual import DualSlice, little_d, representation_stacks
+from .dual import DualSlice, _little_d_rows, representation_stacks
 from .errors import PreconditionError
 from .groups import TORUS, GroupDescriptor, QuadratureGrid, build_grid
 
@@ -150,10 +153,30 @@ class _Su2Plan:
     """Separable transform on the (alpha, beta, gamma) product grid.
 
     The alpha/gamma sums are plain matrix products against phase tables over
-    the half-integer frequency ladder; the beta sum contracts with cached
-    real little-d tables at the Gauss-Legendre nodes.  Spin l sits on every
+    the half-integer frequency ladder; the beta sum contracts with real
+    little-d tables at the Gauss-Legendre nodes.  Spin l sits on every
     other ladder entry within 2l of the centre, a strided view of the cube.
     The inverse multiplies only the square of the largest nonzero spin.
+
+    Each spin stores a quarter of its table d^l_{m'm}(beta_j), as [b, j, a]
+    with rows b (m' = l - b) and columns a (m = l - a): the rows m' >= 0
+    (b <= k//2, k = 2l) at the first ceil(Nb/2) nodes.  Two symmetries give
+    the other three quarters as reversed views of it times signs:
+
+    * d_{-m',-m} = (-1)^(m'-m) d_{m'm}: row b > k//2 is stored row k - b
+      with the columns reversed, times (-1)^(b-a);
+    * the Gauss-Legendre nodes are symmetric, beta_{Nb-1-j} = pi - beta_j,
+      and d_{m'm}(pi - beta) = (-1)^(l+m') d_{m',-m}(beta): node Nb - 1 - j
+      of row b is stored node j with the columns reversed, times (-1)^(k-b);
+      for rows b > k//2 both reflections combine into (-1)^a.  With Nb odd
+      the middle node pi/2 is stored once.
+
+    ``pieces[k]`` lists four (side, rows, nodes, view) rectangles that tile
+    spin k's full table, side 0 on the stored nodes and side 1 on the
+    mirrored ones: the [rows, nodes] part of the table is
+    ``signs[k][side, rows, None] * view``.  The signs scale the coefficient
+    block (inverse) or the per-side sums (forward), so no unfolded copy of a
+    table is made.
     """
 
     def __init__(self, grid: QuadratureGrid, dual: DualSlice):
@@ -167,8 +190,28 @@ class _Su2Plan:
         self.e_inv_g = np.exp(-1j * np.outer(m, gamma))
         self.c_beta = grid.beta_weights
         self.two_ells = [d - 1 for d in dual.run_dims]  # one spin per run
-        # d^l_{ba}(beta_j) stored as [b, j, a], the axis order of the ladder cube
-        self.d_tables = {k: little_d(k, beta).transpose(1, 0, 2) for k in self.two_ells}
+        half, mirror = (len(beta) + 1) // 2, len(beta) // 2  # stored and mirrored nodes
+        stored, mirrored = slice(0, half), slice(half, None)
+        self.pieces, self.signs = {}, {}
+        for k in self.two_ells:
+            low = k // 2 + 1  # stored rows; rows b >= low read row k - b
+            up, down = slice(0, low), slice(low, None)
+            q = _little_d_rows(k, beta[:half], up).transpose(1, 0, 2)  # [b, j, a]
+            flip = q[: k + 1 - low, :, ::-1][::-1]
+            # node Nb - 1 - j reads node j with the columns reversed
+            self.pieces[k] = [
+                (0, up, stored, q),
+                (1, up, mirrored, q[:, :mirror][:, ::-1, ::-1]),
+                (0, down, stored, flip),
+                (1, down, mirrored, flip[:, :mirror][:, ::-1, ::-1]),
+            ]
+            parity = (-1.0) ** np.arange(k + 1)  # (-1)^b, also (-1)^a
+            above = np.arange(k + 1)[:, None] < low
+            # [stored/mirrored nodes, b, a]; complex, so that they scale complex blocks without casts
+            self.signs[k] = np.stack([
+                np.where(above, 1.0, np.outer(parity, parity)),
+                np.where(above, (-1) ** k * parity[:, None], parity),
+            ]).astype(complex)
 
     def forward(self, values: np.ndarray) -> list[np.ndarray]:
         f3 = values.reshape(self.shape)
@@ -178,7 +221,11 @@ class _Su2Plan:
         stacks = []
         for k in self.two_ells:
             ids = slice(self.top - k, self.top + k + 1, 2)
-            stacks.append(np.einsum("bja,bja->ab", self.d_tables[k], t[ids, :, ids])[None])
+            spin = t[ids, :, ids]
+            sums = np.empty((2, k + 1, k + 1), dtype=complex)  # [stored/mirrored nodes, b, a]
+            for side, rows, nodes, view in self.pieces[k]:
+                np.einsum("bja,bja->ba", view, spin[rows, nodes], out=sums[side, rows])
+            stacks.append(np.einsum("xba,xba->ab", self.signs[k], sums)[None])
         return stacks
 
     def inverse_on_grid(self, stacks: list[np.ndarray]) -> np.ndarray:
@@ -190,7 +237,11 @@ class _Su2Plan:
         acc = np.zeros((2 * band + 1, self.shape[1], 2 * band + 1), dtype=complex)
         for k, blk in live:
             ids = slice(band - k, band + k + 1, 2)
-            acc[ids, :, ids] += self.d_tables[k] * ((k + 1) * blk.T[:, None, :])
+            spin = acc[ids, :, ids]
+            c = (k + 1) * (self.signs[k] * blk.T)  # [stored/mirrored nodes, b, a]
+            for side, rows, nodes, view in self.pieces[k]:
+                part = spin[rows, nodes]
+                part += view * c[side, rows, None]
         square = slice(self.top - band, self.top + band + 1)
         out = np.tensordot(self.e_inv_a[:, square], acc, axes=(1, 0))  # (Na, Nb, 2 band + 1)
         out = np.tensordot(out, self.e_inv_g[square], axes=(2, 0))  # (Na, Nb, Ng)

@@ -17,10 +17,11 @@ from liefourier import (
     random_coefficients,
     translate_coefficients,
 )
-from liefourier.dual import spin_cutoff, wigner_matrix
+from liefourier.dual import little_d, spin_cutoff, wigner_matrix
 from liefourier.errors import PreconditionError
 from liefourier.groups import build_grid, multiply, random_point
-from liefourier.transform import reality_defect, zero_coefficients
+from liefourier.transform import _get_plan, reality_defect, zero_coefficients
+from su2_plan_oracle import FullTablePlan
 
 
 def _max_block_err(a, b):
@@ -97,13 +98,17 @@ def test_torus_fft_matches_direct_sums(n, cutoff, extra):
     np.testing.assert_allclose(fft, direct, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("extra", [0, 1])
-def test_su2_plan_matches_pointwise_series(su2, extra):
+@pytest.mark.parametrize(
+    "top,extra",
+    # Nb 8 and 10 (ids kept from the half-integer-only version), then Nb 7 and 9
+    [pytest.param(3.5, 0, id="0"), pytest.param(3.5, 1, id="1"), (3.0, 0), (3.0, 1)],
+)
+def test_su2_plan_matches_pointwise_series(su2, top, extra):
     # oracles: the pointwise series at the grid nodes (inverse) and the explicit
     # weighted sum against conj(D^l(x))^T from wigner_matrix (forward)
-    dual = enumerate_dual(su2, spin_cutoff(3.5))
+    dual = enumerate_dual(su2, spin_cutoff(top))
     grid = build_grid(su2, dual.max_band + extra)
-    wigner = [np.stack([wigner_matrix(ell, p) for p in grid.points]) for ell in dual.labels]
+    wigner = [wigner_matrix(ell, grid.points) for ell in dual.labels]
     rng = np.random.default_rng(13)
     full = random_coefficients(dual, rng)
     low = FourierCoefficients.from_blocks(  # nonzero up to spin 1: the inverse stops at that band
@@ -119,6 +124,54 @@ def test_su2_plan_matches_pointwise_series(su2, extra):
         for blk, mats in zip(blocks, wigner):
             direct = np.einsum("p,pba->ab", grid.weights * vals, mats.conj())
             np.testing.assert_allclose(blk, direct, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("two_top", range(32))
+def test_su2_plan_matches_full_table_oracle(su2, two_top):
+    # the quarter-table plan against the full-table arithmetic it replaced, on
+    # default grids: Nb = two_top + 1 is even for half-integer top spins and odd,
+    # with a self-mirrored pi/2 node, for integer ones.  The function has unit
+    # Plancherel norm, so 1e-12 absolute is about 1e-12 relative.
+    dual = enumerate_dual(su2, spin_cutoff(two_top / 2))
+    grid = default_grid(dual)
+    plan = _get_plan(grid, dual)
+    oracle = FullTablePlan(plan, grid)
+    rng = np.random.default_rng(two_top)
+    coeffs = random_coefficients(dual, rng)
+    stacks = [s / plancherel_norm(coeffs) for s in coeffs.stacks]
+    vals = plan.inverse_on_grid(stacks)
+    np.testing.assert_allclose(vals, oracle.inverse_on_grid(stacks), rtol=0, atol=1e-12)
+    noise = rng.standard_normal(len(grid)) + 1j * rng.standard_normal(len(grid))
+    for samples in (vals, noise):
+        for got, want in zip(plan.forward(samples), oracle.forward(samples)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("bandlimit", [15.5, 16.0])  # Nb 32 and 33
+def test_su2_plan_quarters_unfold_to_little_d(su2, bandlimit):
+    # the plan's own views and signs tile every table, and equal little_d at every node
+    dual = enumerate_dual(su2, spin_cutoff(15.5))
+    grid = build_grid(su2, bandlimit)
+    plan = _get_plan(grid, dual)
+    beta = grid.axes[1]
+    assert plan.two_ells == list(range(32))
+    for k in plan.two_ells:
+        table = np.full((k + 1, len(beta), k + 1), np.nan)
+        for side, rows, nodes, view in plan.pieces[k]:
+            table[rows, nodes] = plan.signs[k][side, rows, None].real * view
+        np.testing.assert_allclose(table, little_d(k, beta).transpose(1, 0, 2), rtol=0, atol=1e-13)
+
+
+def test_su2_plan_tables_hold_a_quarter(su2):
+    # at spin 31.5 the full tables took 45.8 MB; the stored quarters take 11.6 MB
+    dual = enumerate_dual(su2, spin_cutoff(31.5))
+    plan = _get_plan(default_grid(dual), dual)
+    owners = {}
+    for pieces in plan.pieces.values():
+        for *_, view in pieces:
+            assert view.base is pieces[0][3].base  # a view of the spin's one stored array
+            owners[id(view.base)] = view.base.nbytes
+    assert sum(owners.values()) <= 12e6
 
 
 def test_inverse_at_trivial_long_constant(su2):
