@@ -20,10 +20,8 @@ from .dual import DualSlice, enumerate_dual, spin_cutoff
 from .transform import (
     FourierCoefficients,
     GridFunction,
-    convolve,
     default_grid,
     forward_transform,
-    inner_product,
     inverse_evaluate,
     inverse_on_grid,
     plancherel_norm,
@@ -33,12 +31,9 @@ from .transform import (
 from .spaces import (
     NormSpec,
     eta,
-    lebesgue_norm,
     lp_project,
     psi,
     tl_norms,
-    triebel_lizorkin_norm,
-    weak_tl_norm,
     window_levels,
 )
 from .symbols import (
@@ -58,7 +53,6 @@ from .multipliers import (
     EnsembleConfig,
     apply_multiplier,
     boundedness_sweep,
-    exact_l2_operator_norm,
     kernel_difference_integral,
 )
 

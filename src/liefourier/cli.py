@@ -153,7 +153,7 @@ def _validate_config(cfg: dict, fmt_kind: str | None = None) -> Task:
         "name": name,
         "group": group,
         "cutoffs": cutoffs,
-        "seed": _integer("seed", cfg.get("seed", 0)),
+        "seed": _integer("seed", cfg.get("seed", 0), 0),
         "tol": tol,
         "format": fmt_cfg if fmt_kind is None else _choice("format", fmt_kind, _FORMATS),
     }
@@ -204,9 +204,6 @@ def _validate_config(cfg: dict, fmt_kind: str | None = None) -> Task:
         windows = tuple(_integer("each window", level, 0) for level in fields["windows"])
         if len(set(windows)) < 2:
             raise ConfigurationError("windows must hold at least two distinct levels to fit a slope")
-        levels = window_levels(cutoffs[0])
-        if not set(windows) <= set(levels):
-            raise ConfigurationError(f"windows must lie among the slice's nonzero windows {levels}")
         task["windows"] = windows
     if "c" in fields:
         task["c"] = _number("c", fields["c"])
@@ -385,6 +382,10 @@ def _task_tl_norm(task: Task):
 def _task_kernel_decay(task: Task):
     [lam] = task.cutoffs
     dual = enumerate_dual(task.group, lam)
+    # a window psi_ell that is zero at every eigenvalue has no integral to fit
+    nonzero = [ell for ell in window_levels(lam) if psi(ell, dual.eigenvalues).any()]
+    if not set(task.windows) <= set(nonzero):
+        raise ConfigurationError(f"windows must lie among the slice's nonzero windows {nonzero}")
     grid = default_grid(dual)
     symbol = task.build_symbol(dual)
     if task.group.kind == TORUS:
@@ -421,9 +422,7 @@ def _task_kernel_decay(task: Task):
 
 
 def _task_bound_sweep(task: Task):
-    sweeps = boundedness_sweep(
-        task.group, task.build_symbol, task.specs, task.cutoffs, task.ensemble, task.seed, task.symbol_name
-    )
+    sweeps = boundedness_sweep(task.group, task.build_symbol, task.specs, task.cutoffs, task.ensemble, task.seed)
     rows = []
     worst_spread = 0.0
     for sweep in sweeps:
@@ -435,7 +434,7 @@ def _task_bound_sweep(task: Task):
         for lam, ratio, arg in zip(sweep.cutoffs, ratios, sweep.argmax_members):
             rows.append(
                 {
-                    "symbol": sweep.symbol_id,
+                    "symbol": task.symbol_name,
                     "r": sweep.spec.r,
                     "p": sweep.spec.p,
                     "q": sweep.spec.q,

@@ -1,10 +1,11 @@
 """Fourier multiplier application, the far-field kernel-difference
 integrals, and empirical operator-norm probes.
 
-A multiplier acts per irrep as fhat(xi) -> sigma(xi) fhat(xi) (left product,
-the right-convolution convention).  The window kernel at level ell, the
-right-convolution kernel of A psi_ell(B), is
-:func:`liefourier.spaces.lp_project` of the symbol.
+:func:`apply_multiplier` acts per irrep as fhat(xi) -> sigma(xi) fhat(xi),
+the left product of the right-convolution convention of
+:mod:`liefourier.transform`: T_sigma f = f * k with khat = sigma.  The
+window kernel at level ell, the right-convolution kernel of A psi_ell(B),
+is :func:`liefourier.spaces.lp_project` of the symbol.
 
 Operator norms on F^r_{p,q} are probed from below with seeded function
 ensembles: no finite ensemble certifies an upper bound, so sweep results are
@@ -98,11 +99,6 @@ def decay_slope(levels, integrals) -> float:
     return float(np.polyfit(np.asarray(levels, dtype=float), np.log2(integrals), 1)[0])
 
 
-def exact_l2_operator_norm(symbol: Symbol) -> float:
-    """sup_xi ||sigma(xi)||_op: the exact L2 -> L2 operator norm."""
-    return float(np.max(operator_norms(symbol.stacks), initial=0.0))
-
-
 # ---------------------------------------------------------------------------
 # Seeded ensembles and boundedness sweeps
 # ---------------------------------------------------------------------------
@@ -176,13 +172,10 @@ class BoundednessSweep:
     strong F^r_{1,q} norm of the input.
     """
 
-    symbol_id: str
     spec: NormSpec
     cutoffs: tuple[float, ...]
     max_ratios: tuple[float, ...]
     argmax_members: tuple[int, ...]
-    ensemble: EnsembleConfig
-    seed: int
 
 
 def boundedness_sweep(
@@ -192,7 +185,6 @@ def boundedness_sweep(
     cutoffs: list[float],
     ensemble: EnsembleConfig,
     seed: int,
-    symbol_id: str = "symbol",
 ) -> list[BoundednessSweep]:
     """Run the ensemble through T_sigma at each cutoff.
 
@@ -224,4 +216,4 @@ def boundedness_sweep(
                     argmax[si, ci] = mi
     cutoffs = tuple(float(c) for c in cutoffs)
     per_spec = zip(spec_list, ratios.tolist(), argmax.tolist())
-    return [BoundednessSweep(symbol_id, spec, cutoffs, tuple(r), tuple(a), ensemble, seed) for spec, r, a in per_spec]
+    return [BoundednessSweep(spec, cutoffs, tuple(r), tuple(a)) for spec, r, a in per_spec]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .transform import FourierCoefficients, GridFunction, default_grid, inverse_on_grid
+from .transform import FourierCoefficients, default_grid, inverse_on_grid
 
 
 def _transition(lam: np.ndarray) -> np.ndarray:
@@ -108,11 +108,6 @@ def _weigh(coeffs: FourierCoefficients, per_irrep: np.ndarray) -> FourierCoeffic
     return FourierCoefficients(dual, [s * stack for s, stack in zip(dual.per_run(per_irrep), coeffs.stacks)])
 
 
-def lebesgue_norm(gridfn: GridFunction, p: float) -> float:
-    """Quadrature L^p norm; p = inf takes the max over the grid."""
-    return quadrature_lp(np.abs(gridfn.values), gridfn.grid.weights, p)
-
-
 def quadrature_lp(mods: np.ndarray, weights: np.ndarray, p: float) -> float:
     """(sum_x w(x) m(x)^p)^(1/p) for nonnegative real samples m, such as a
     Triebel-Lizorkin aggregate; p = inf takes the max."""
@@ -121,11 +116,6 @@ def quadrature_lp(mods: np.ndarray, weights: np.ndarray, p: float) -> float:
     if p == math.inf:
         return float(np.max(mods)) if len(mods) else 0.0
     return float(np.sum(weights * mods**p) ** (1.0 / p))
-
-
-def triebel_lizorkin_norm(coeffs: FourierCoefficients, spec: NormSpec) -> float:
-    """|| (sum_ell 2^{ell r q} |psi_ell(B) f|^q)^{1/q} ||_{L^p} by quadrature."""
-    return tl_norms(coeffs, [spec], weak=False)[0][0]
 
 
 def weak_sup(agg: np.ndarray, weights: np.ndarray) -> float:
@@ -195,9 +185,3 @@ def tl_norms(
                 out[i] = (quadrature_lp(agg, grid.weights, spec.p), w)
     return out
 
-
-def weak_tl_norm(coeffs: FourierCoefficients, spec: NormSpec) -> float:
-    """sup_t t * |{x : aggregate(x) > t}| for the p = 1 spec (see :func:`weak_sup`)."""
-    if spec.p != 1.0:
-        raise PreconditionError("weak norm is defined for p = 1 specs")
-    return tl_norms(coeffs, [spec])[0][1]

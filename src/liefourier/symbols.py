@@ -320,7 +320,6 @@ class CheckReport:
     block indices) to nonnegative constants; ``headline`` is their max.
     """
 
-    condition: str
     constants: dict
     headline: float
     metadata: dict
@@ -344,7 +343,7 @@ def check_marcinkiewicz(symbol: Symbol, kappa: int | None = None) -> CheckReport
     for alpha, diff in zip(alphas, diffs):
         vals = np.where(diff.valid_mask(), operator_norms(diff.stacks) * dual.eigenvalues ** sum(alpha), 0.0)
         constants[alpha] = float(np.max(vals))
-    return CheckReport("marcinkiewicz", constants, max(constants.values()), {"kappa": kappa, "cutoff": dual.cutoff})
+    return CheckReport(constants, max(constants.values()), {"kappa": kappa, "cutoff": dual.cutoff})
 
 
 def check_hormander_mihlin(symbol: Symbol, s: float | None = None) -> CheckReport:
@@ -380,7 +379,7 @@ def check_hormander_mihlin(symbol: Symbol, s: float | None = None) -> CheckRepor
             worst_val, worst_r = val, r
     headline = max(constants.values()) if constants else linf
     metadata = {"s": s, "cutoff": symbol.dual.cutoff, "linf": linf, "worst_scale": worst_r}
-    return CheckReport("hormander-mihlin", constants, headline, metadata)
+    return CheckReport(constants, headline, metadata)
 
 
 def check_weak_marcinkiewicz(symbol: Symbol, s0: int) -> CheckReport:
@@ -419,5 +418,5 @@ def check_weak_marcinkiewicz(symbol: Symbol, s0: int) -> CheckReport:
         total = float(np.sum(dims[in_block] * nuclear[in_block]))
         constants[j] = total * 2.0 ** (-j * (n - s0))
     headline = max(constants.values()) if constants else 0.0
-    metadata = {"s0": s0, "cutoff": symbol.dual.cutoff, "linf": symbol_linf(symbol), "skipped_blocks": skipped}
-    return CheckReport("weak-marcinkiewicz", constants, headline, metadata)
+    metadata = {"s0": s0, "cutoff": symbol.dual.cutoff, "skipped_blocks": skipped}
+    return CheckReport(constants, headline, metadata)

@@ -1,4 +1,4 @@
-"""Matrix-valued Fourier transform, Plancherel norm and convolution.
+"""Matrix-valued Fourier transform and Plancherel norm.
 
 Orientation conventions, fixed globally:
 
@@ -6,7 +6,8 @@ Orientation conventions, fixed globally:
   band-limited samples on a sufficient grid),
 * inverse:  f(x) = sum_xi d_xi Tr(xi(x) fhat(xi)),
 * right convolution: (f * k)(x) = integral f(y) k(y^{-1} x) dy, so that
-  widehat(f * k) = khat . fhat (matrix product in that order),
+  widehat(f * k) = khat . fhat (matrix product in that order); this is the
+  product :func:`liefourier.multipliers.apply_multiplier` takes,
 * translation: the coefficients of x -> f(zx) are fhat(xi) xi(z).
 
 All functions are identified with their band-limited truncation at the
@@ -72,12 +73,12 @@ class FourierCoefficients:
             raise PreconditionError("one (run length, d, d) stack per run of equal dimension required")
 
     @classmethod
-    def from_blocks(cls, dual: DualSlice, blocks: list[np.ndarray], *args):
+    def from_blocks(cls, dual: DualSlice, blocks: list[np.ndarray]):
         """Pack one block per irrep, aligned with the slice order, into stacks."""
         blocks = [np.asarray(b, dtype=complex) for b in blocks]
         if [b.shape for b in blocks] != [(d, d) for d in dual.dims]:
             raise PreconditionError("one d_xi x d_xi block per irrep required")
-        return cls(dual, [np.stack(blocks[run]) for run in dual.runs], *args)
+        return cls(dual, [np.stack(blocks[run]) for run in dual.runs])
 
     @property
     def blocks(self) -> list[np.ndarray]:
@@ -310,45 +311,10 @@ def plancherel_norm(coeffs: FourierCoefficients) -> float:
     return float(np.sqrt(total))
 
 
-def inner_product(f: FourierCoefficients, g: FourierCoefficients) -> complex:
-    """Plancherel pairing sum_xi d_xi Tr(fhat(xi) ghat(xi)^*)."""
-    require_same_dual(f.dual, g.dual)
-    total = sum(d * np.sum(fs * gs.conj()) for d, fs, gs in zip(f.dual.run_dims, f.stacks, g.stacks))
-    return complex(total)
-
-
-def convolve(f: FourierCoefficients, g: FourierCoefficients) -> FourierCoefficients:
-    """Right convolution f * g on the shared dual slice: ghat . fhat per irrep."""
-    require_same_dual(f.dual, g.dual)
-    return FourierCoefficients(f.dual, [gs @ fs for fs, gs in zip(f.stacks, g.stacks)])
-
-
 def translate_coefficients(coeffs: FourierCoefficients, z: np.ndarray) -> FourierCoefficients:
     """Coefficients of x -> f(zx), namely fhat(xi) xi(z)."""
     reps = representation_stacks(coeffs.dual, z)
     return FourierCoefficients(coeffs.dual, [s @ r for s, r in zip(coeffs.stacks, reps)])
-
-
-def reality_defect(coeffs: FourierCoefficients) -> float:
-    """How far the coefficients are from those of a real-valued function.
-
-    Torus: max |fhat(-xi) - conj(fhat(xi))|.  SU(2): the corresponding Wigner
-    conjugation symmetry conj(fhat[r, c]) = (-1)^(r-c) fhat[d-1-r, d-1-c].
-    Checked only on demand (for functions declared real).
-    """
-    dual = coeffs.dual
-    if dual.group.kind == TORUS:
-        # the slice is symmetric: fhat(-xi) is read from the flipped label box
-        vals = coeffs.stacks[0][:, 0, 0]
-        box = np.zeros((2 * int(dual.max_band) + 1,) * dual.group.dim, dtype=complex)
-        box[dual.box_index] = vals
-        return float(np.max(np.abs(np.flip(box)[dual.box_index] - np.conj(vals))))
-    worst = 0.0
-    for d, stack in zip(dual.run_dims, coeffs.stacks):
-        r = np.arange(d)
-        signs = (-1.0) ** (r[:, None] - r[None, :])
-        worst = max(worst, float(np.max(np.abs(np.conj(stack) - signs * stack[:, ::-1, ::-1]))))
-    return worst
 
 
 def require_same_dual(left: DualSlice, right: DualSlice):

@@ -22,7 +22,6 @@ from liefourier import (
     boundedness_sweep,
     build_spectral_symbol,
     enumerate_dual,
-    exact_l2_operator_norm,
     forward_transform,
     inverse_on_grid,
     make_group,
@@ -34,7 +33,7 @@ from liefourier.dual import spin_cutoff
 from liefourier.groups import su2_point_from_distance
 from liefourier.multipliers import decay_slope, kernel_difference_integral
 from liefourier.spaces import lp_project, psi, tl_norms, window_levels
-from liefourier.symbols import apply_difference, check_marcinkiewicz
+from liefourier.symbols import apply_difference, check_marcinkiewicz, symbol_linf
 from liefourier.transform import cached_grid
 
 TORUS1 = make_group("torus", 1)
@@ -292,7 +291,7 @@ def test_criterion_07_checker_coherence():
 def test_criterion_08_l2_exactness():
     builder = lambda d: build_spectral_symbol(lambda lam: (1.0 + 0.5 * np.sin(lam)) * lam ** (2j), d)
     cutoff = 64.0
-    opnorm = exact_l2_operator_norm(builder(enumerate_dual(TORUS1, cutoff)))
+    opnorm = symbol_linf(builder(enumerate_dual(TORUS1, cutoff)))
     spec = NormSpec(0.0, 2.0, 2.0)
     worst_upper = 0.0
     directed_ratio = 0.0

@@ -1,0 +1,69 @@
+"""Every public function and class of the library is called or read by the
+library's own code, or kept on purpose for a stated reason (ROADMAP, "Kept
+on purpose")."""
+
+import ast
+import inspect
+from pathlib import Path
+
+import liefourier
+
+SRC = Path(liefourier.__file__).resolve().parent
+
+# public names that no library code uses, each kept for its reason
+KEPT = {
+    "apply_difference",  # the only public form of the difference operator
+    "identity",  # with multiply: the group-law oracles
+    "multiply",
+    "q1_weight",  # the pointwise oracle of grid_q1_weight
+    "inverse_evaluate",  # the pointwise inverse, the grid transforms' oracle
+    "su2_matrix",  # the fundamental representation at a point
+}
+
+
+def _definitions_and_uses() -> tuple[set[str], set[str]]:
+    """The public module-level functions and classes of the library's modules,
+    and every name their code reads outside the definition of that name.
+    ``__init__.py`` only re-exports, so it counts for neither."""
+    defined, used = set(), set()
+
+    class Uses(ast.NodeVisitor):
+        def __init__(self):
+            self.inside = []
+
+        def visit_FunctionDef(self, node):
+            self.inside.append(node.name)
+            self.generic_visit(node)
+            self.inside.pop()
+
+        visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+        def visit_Name(self, node):
+            if isinstance(node.ctx, ast.Load) and node.id not in self.inside:
+                used.add(node.id)
+
+        def visit_Attribute(self, node):
+            if node.attr not in self.inside:
+                used.add(node.attr)
+            self.generic_visit(node)
+
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        defined |= {
+            node.name
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        }
+        Uses().visit(tree)
+    return defined, used
+
+
+def test_public_api_is_used_or_kept():
+    defined, used = _definitions_and_uses()
+    exported = [getattr(liefourier, name) for name in liefourier.__all__]
+    assert {obj.__name__ for obj in exported if inspect.isfunction(obj) or inspect.isclass(obj)} <= defined
+    unused = defined - used
+    assert sorted(unused - KEPT) == [], "public API that nothing in the library calls"
+    assert sorted(KEPT - unused) == [], "kept names that the library now uses leave KEPT"

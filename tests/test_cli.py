@@ -166,7 +166,15 @@ def test_spin_above_validated_range_refused_before_any_grid(tmp_path, monkeypatc
         pytest.param({**_GAUSSIAN_SWEEP, "ensemble": _GAUSSIAN}, "boundedness_sweep", id="sweep-without-count"),
         pytest.param({**_TRANSFORM, "tolerances": {"roundtrip_max": math.nan}}, "default_grid", id="nan-tolerance"),
         pytest.param({**_KERNEL_DECAY, "windows": [1, 2, 9]}, "default_grid", id="window-outside-slice"),
+        # psi_4 is zero at every eigenvalue up to spin 7.5, psi_6 at every one up to <xi> = 32
+        pytest.param(
+            {**_without(_KERNEL_DECAY, "lam"), "group": {"kind": "su2"}, "ell_max": 7.5, "windows": [2, 3, 4]},
+            "default_grid",
+            id="window-zero-on-su2-slice",
+        ),
+        pytest.param({**_KERNEL_DECAY, "lam": 32.0, "windows": [5, 6]}, "default_grid", id="window-zero-on-torus-slice"),
         pytest.param({**_TRANSFORM, "format": "xml"}, "enumerate_dual", id="unknown-format"),
+        pytest.param({**_TRANSFORM, "seed": -1}, "enumerate_dual", id="negative-seed"),
         pytest.param({**_CHECK_WAVE, "symbol": {"type": "window"}}, "enumerate_dual", id="window-without-ell"),
         pytest.param({**_CHECK_WAVE, "symbol": {"type": "nope"}}, "enumerate_dual", id="unknown-symbol-type"),
         pytest.param({**_CHECK_WAVE, "symbol": {"type": "wave", "t": 3}}, "enumerate_dual", id="wave-with-t"),
@@ -390,6 +398,8 @@ def test_transform_task_and_seed_override(tmp_path):
     assert main(["--config", str(path), "--out", str(out), "--seed", "9"]) == 0
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["seed"] == 9
+    assert main(["--config", str(path), "--out", str(tmp_path / "o2"), "--seed", "-1"]) == 1
+    assert not (tmp_path / "o2" / "transform_report.csv").exists()
 
 
 def test_tol_override_can_fail_run(tmp_path):

@@ -13,7 +13,6 @@ from liefourier import (
     boundedness_sweep,
     build_spectral_symbol,
     enumerate_dual,
-    exact_l2_operator_norm,
     identity_symbol,
     kernel_difference_integral,
     make_group,
@@ -26,6 +25,7 @@ from liefourier.errors import ConfigurationError, PreconditionError
 from liefourier.groups import build_grid, distance_to_identity, inverse, multiply, su2_point_from_distance
 from liefourier.multipliers import decay_slope, ensemble_member
 from liefourier.spaces import lp_project, psi, window_levels
+from liefourier.symbols import symbol_linf
 from liefourier.transform import cached_grid, inverse_evaluate
 from tl_oracle import tl_norms as oracle_tl_norms
 
@@ -57,7 +57,7 @@ def test_l2_contraction_bound(su2):
     dual = enumerate_dual(su2, spin_cutoff(3))
     rng = np.random.default_rng(2)
     sig = build_spectral_symbol(lambda lam: np.exp(1j * lam) / np.sqrt(lam), dual)
-    bound = exact_l2_operator_norm(sig)
+    bound = symbol_linf(sig)
     for _ in range(5):
         f = random_coefficients(dual, rng)
         assert plancherel_norm(apply_multiplier(sig, f)) <= bound * plancherel_norm(f) * (1 + 1e-12)
@@ -242,11 +242,11 @@ def test_decay_slope_refuses_nonpositive_integrals():
 
 def test_exact_l2_norm_examples(torus1, su2):
     dual = enumerate_dual(torus1, 8.0)
-    assert exact_l2_operator_norm(identity_symbol(dual)) == 1.0
+    assert symbol_linf(identity_symbol(dual)) == 1.0
     dsu = enumerate_dual(su2, spin_cutoff(1))
     blocks = [np.zeros((d, d), complex) for d in dsu.dims]
     blocks[index_of(dsu, 0.5)] = np.diag([2.0, 0.5]).astype(complex)
-    assert abs(exact_l2_operator_norm(Symbol.from_blocks(dsu, blocks)) - 2.0) < 1e-15
+    assert abs(symbol_linf(Symbol.from_blocks(dsu, blocks)) - 2.0) < 1e-15
 
 
 def test_ensemble_kinds_and_determinism(torus1):
@@ -294,7 +294,7 @@ def test_sweep_l2_never_exceeds_exact_norm(torus1):
     # sweep lower bounds can reach at most sqrt(2) times the exact norm
     builder = lambda d: build_spectral_symbol(lambda lam: (1.0 + 0.5 * np.sin(lam)) * lam ** (2j), d)
     dual = enumerate_dual(torus1, 32.0)
-    opnorm = exact_l2_operator_norm(builder(dual))
+    opnorm = symbol_linf(builder(dual))
     for kind, count in (("gaussian-coefficients", 6), ("dirichlet-kernels", 4), ("directed-irrep", 1)):
         sweep = boundedness_sweep(
             torus1, builder, NormSpec(0.0, 2.0, 2.0), [32.0],

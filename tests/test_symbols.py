@@ -75,7 +75,7 @@ def grid_difference(symbol, alpha):
     for idx, power in enumerate(alpha):
         values = values * generator_values(dual.group, idx, grid.points) ** power
     blocks = forward_transform(GridFunction(grid, values), dual).blocks
-    return Symbol.from_blocks(dual, blocks, symbol.valid_mask() & difference_validity(dual, order))
+    return Symbol(dual, Symbol.from_blocks(dual, blocks).stacks, symbol.valid_mask() & difference_validity(dual, order))
 
 
 def test_generators_vanish_at_identity(torus2, su2):

@@ -5,11 +5,11 @@ from conftest import index_of, irrep_labels, irrep_matrices
 from liefourier import (
     FourierCoefficients,
     GridFunction,
-    convolve,
+    Symbol,
+    apply_multiplier,
     default_grid,
     enumerate_dual,
     forward_transform,
-    inner_product,
     inverse_evaluate,
     inverse_on_grid,
     make_group,
@@ -20,12 +20,17 @@ from liefourier import (
 from liefourier.dual import little_d, spin_cutoff, wigner_matrix
 from liefourier.errors import PreconditionError
 from liefourier.groups import build_grid, multiply, random_point
-from liefourier.transform import _get_plan, reality_defect, zero_coefficients
+from liefourier.transform import _get_plan, zero_coefficients
 from su2_plan_oracle import FullTablePlan
 
 
 def _max_block_err(a, b):
     return max(float(np.max(np.abs(x - y))) for x, y in zip(a.blocks, b.blocks))
+
+
+def _convolve(f, g):
+    """Right convolution f * g: T_sigma f with sigma = ghat, i.e. ghat . fhat per irrep."""
+    return apply_multiplier(Symbol(g.dual, g.stacks), f)
 
 
 def test_default_grid_is_shared_per_slice(torus2, su2):
@@ -263,7 +268,9 @@ def test_parseval_polarization(su2):
     fv = inverse_on_grid(f, grid).values
     gv = inverse_on_grid(g, grid).values
     quad = np.sum(grid.weights * fv * np.conj(gv))
-    assert abs(quad - inner_product(f, g)) < 1e-10
+    # Plancherel pairing sum_xi d_xi Tr(fhat(xi) ghat(xi)^*)
+    pairing = sum(d * np.sum(fs * gs.conj()) for d, fs, gs in zip(dual.run_dims, f.stacks, g.stacks))
+    assert abs(quad - pairing) < 1e-10
 
 
 def test_translation_rule(torus1, su2):
@@ -285,9 +292,9 @@ def test_convolution_identity_and_scalars(torus1):
     rng = np.random.default_rng(7)
     f = random_coefficients(dual, rng)
     dirac = FourierCoefficients.from_blocks(dual, [np.eye(d, dtype=complex) for d in dual.dims])
-    assert _max_block_err(convolve(f, dirac), f) < 1e-14
+    assert _max_block_err(_convolve(f, dirac), f) < 1e-14
     g = random_coefficients(dual, rng)
-    fg = convolve(f, g)
+    fg = _convolve(f, g)
     for fb, gb, ob in zip(f.blocks, g.blocks, fg.blocks):
         assert abs(ob[0, 0] - fb[0, 0] * gb[0, 0]) < 1e-14
 
@@ -309,7 +316,7 @@ def test_convolution_against_double_quadrature(kind, n, cutoff):
         translated = multiply(group, np.stack([point_inverse(group, y) for y in grid.points]), x)
         direct[i] = np.sum(grid.weights * fv * inverse_evaluate(g, translated))
     oracle = forward_transform(GridFunction(grid, direct), dual)
-    assert _max_block_err(oracle, convolve(f, g)) < 1e-9
+    assert _max_block_err(oracle, _convolve(f, g)) < 1e-9
 
 
 def test_young_inequality_sanity(torus1):
@@ -320,7 +327,7 @@ def test_young_inequality_sanity(torus1):
         f = random_coefficients(dual, rng)
         g = random_coefficients(dual, rng)
         l1_f = np.sum(grid.weights * np.abs(inverse_on_grid(f, grid).values))
-        lhs = plancherel_norm(convolve(f, g))
+        lhs = plancherel_norm(_convolve(f, g))
         assert lhs <= l1_f * plancherel_norm(g) * (1 + 1e-9)
 
 
@@ -336,6 +343,27 @@ def test_linearity_and_conjugation(torus1):
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
+def _reality_defect(coeffs):
+    """How far the coefficients are from those of a real-valued function.
+
+    Torus: max |fhat(-xi) - conj(fhat(xi))|.  SU(2): the corresponding Wigner
+    conjugation symmetry conj(fhat[r, c]) = (-1)^(r-c) fhat[d-1-r, d-1-c].
+    """
+    dual = coeffs.dual
+    if dual.group.kind == "torus":
+        # the slice is symmetric: fhat(-xi) is read from the flipped label box
+        vals = coeffs.stacks[0][:, 0, 0]
+        box = np.zeros((2 * int(dual.max_band) + 1,) * dual.group.dim, dtype=complex)
+        box[dual.box_index] = vals
+        return float(np.max(np.abs(np.flip(box)[dual.box_index] - np.conj(vals))))
+    worst = 0.0
+    for d, stack in zip(dual.run_dims, coeffs.stacks):
+        r = np.arange(d)
+        signs = (-1.0) ** (r[:, None] - r[None, :])
+        worst = max(worst, float(np.max(np.abs(np.conj(stack) - signs * stack[:, ::-1, ::-1]))))
+    return worst
+
+
 def test_reality_symmetry(torus2, su2):
     rng = np.random.default_rng(11)
     for group, cutoff in ((torus2, 4.0), (su2, spin_cutoff(2))):
@@ -343,9 +371,9 @@ def test_reality_symmetry(torus2, su2):
         grid = default_grid(dual)
         vals = rng.standard_normal(len(grid))  # real samples
         coeffs = forward_transform(GridFunction(grid, vals.astype(complex)), dual)
-        assert reality_defect(coeffs) < 1e-12
+        assert _reality_defect(coeffs) < 1e-12
         coeffs.blocks[1][0, 0] += 0.1  # break the symmetry
-        assert reality_defect(coeffs) > 1e-3
+        assert _reality_defect(coeffs) > 1e-3
 
 
 def test_block_shape_guard(su2):
@@ -369,7 +397,7 @@ def test_dual_mismatch_raises(torus1):
     f = random_coefficients(enumerate_dual(torus1, 8.0), np.random.default_rng(0))
     g = random_coefficients(enumerate_dual(torus1, 4.0), np.random.default_rng(0))
     with pytest.raises(PreconditionError):
-        convolve(f, g)
+        _convolve(f, g)
 
 
 _PER_RUN_SLICES = [("torus", 1, 64.0), ("torus", 2, 16.0), ("torus", 3, 6.0), ("su2", 3, spin_cutoff(7.5))]
@@ -381,8 +409,8 @@ def _bitwise_equal(blocks, oracle):
 
 @pytest.mark.parametrize("kind,n,cutoff", _PER_RUN_SLICES)
 def test_per_run_paths_equal_per_block_loops(kind, n, cutoff):
-    from liefourier import apply_multiplier, lp_project, psi, window_levels
-    from liefourier.symbols import Symbol, operator_norms
+    from liefourier import lp_project, psi, window_levels
+    from liefourier.symbols import operator_norms
 
     dual = enumerate_dual(make_group(kind, n), cutoff)
     coeffs = random_coefficients(dual, np.random.default_rng(21))
