@@ -63,9 +63,10 @@ def kernel_difference_integral(
     grid: QuadratureGrid,
 ) -> float:
     """integral over {|x| > 4c|z|} of |kappa(z^{-1} x) - kappa(x)| dx,
-    by quadrature on the grid.  The translated kernel is synthesised on the
-    grid from its exact coefficients kappa_hat(xi) xi(z^{-1}) (never grid
-    interpolation).
+    by quadrature on the grid.  The difference is synthesised on the grid
+    once, from its exact coefficients kappa_hat(xi) (xi(z^{-1}) - I): those
+    of the translated kernel (:func:`translate_coefficients`, never grid
+    interpolation) minus the kernel's own.
 
     Returns 0 when the domain is empty (4c|z| at least the diameter).
     """
@@ -82,9 +83,10 @@ def kernel_difference_integral(
     mask = dist > threshold
     if not np.any(mask):
         return 0.0
-    base = inverse_on_grid(kernel, grid).values[mask]
-    moved = inverse_on_grid(translate_coefficients(kernel, inverse(group, z)), grid).values[mask]
-    return float(np.sum(grid.weights[mask] * np.abs(moved - base)))
+    moved = translate_coefficients(kernel, inverse(group, z))
+    diff = FourierCoefficients(kernel.dual, [m - s for m, s in zip(moved.stacks, kernel.stacks)])
+    values = inverse_on_grid(diff, grid).values[mask]
+    return float(np.sum(grid.weights[mask] * np.abs(values)))
 
 
 def decay_slope(levels, integrals) -> float:
@@ -128,7 +130,8 @@ def ensemble_member(
 
     gaussian-coefficients: white complex Gaussian blocks.
     dirichlet-kernels: identity blocks up to a member-dependent cutoff.
-    translated-windows: a dyadic window kernel translated by a random point.
+    translated-windows: a dyadic window kernel translated by a random point,
+        cycling through the top three windows that are nonzero on the slice.
     adjoint-dirichlet: sigma(xi)^* times a Dirichlet cutoff (probes T_sigma
         through its adjoint; the natural growth witness for chirp symbols).
     directed-irrep: the rank-one block aligned with the top singular
@@ -147,8 +150,8 @@ def ensemble_member(
             full = [s.conj().transpose(0, 2, 1) for s in symbol.stacks]
         return FourierCoefficients(dual, [np.where(keep, f, 0j) for keep, f in zip(inside, full)])
     if config.kind == "translated-windows":
-        levels = window_levels(dual.cutoff)
-        ell = levels[max(0, len(levels) - 1 - (index % min(3, len(levels))))]
+        levels = [ell for ell in window_levels(dual.cutoff) if psi(ell, dual.eigenvalues).any()]
+        ell = levels[-1 - index % min(3, len(levels))]
         z = random_point(dual.group, rng)
         scale = dual.per_run(psi(ell, dual.eigenvalues))
         return FourierCoefficients(dual, [s * r for s, r in zip(scale, representation_stacks(dual, z))])

@@ -66,8 +66,8 @@ def window_levels(cutoff: float) -> list[int]:
     eigenvalue reaches its support (T^1 at cutoff 32 has <xi> <= 31.02) or
     because the exp-gluing is so flat at the support's lower edge that psi
     rounds to exactly zero there (SU(2) at spin 7.5: <xi> = 8.047, yet
-    psi_4 = 0).  :func:`tl_norms` skips such windows; the list itself is
-    kept as is, since the translated-windows ensemble indexes into it.
+    psi_4 = 0).  :func:`tl_norms` and the translated-windows ensemble skip
+    such windows.
     """
     top = int(math.ceil(math.log2(max(cutoff, 1.0)))) + 1
     return [ell for ell in range(top + 1) if 2.0 ** (ell - 1) < cutoff * (1.0 + 1e-12)]

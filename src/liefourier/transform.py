@@ -21,9 +21,14 @@ grid.  On the torus the quadrature grid is a uniform lattice and the plan is
 an FFT (``numpy.fft``) with a gather/scatter of the labels.  On SU(2) it is
 separable: phase-table products in alpha and gamma and real little-d tables
 at the Gauss-Legendre nodes in beta; its inverse stops at the largest nonzero
-spin.  Each spin stores a quarter of its little-d table, the rows m' >= 0 at
-half the nodes, and reads the rest through d_{-m',-m} = (-1)^(m'-m) d_{m'm}
-and d_{m'm}(pi - beta) = (-1)^(l+m') d_{m',-m}(beta), as the nodes are
+spin.  Integer and half-integer spins sit on alternate entries of the
+alpha/gamma frequency ladder, so the plan keeps the two parity classes in
+separate compact arrays and never forms the zero half of the ladder square:
+the inverse runs one gamma product per class and then one alpha product, the
+forward one alpha product and then one gamma product per class.  Each spin
+stores a quarter of its little-d table, the rows m' >= 0 at half the nodes,
+and reads the rest through d_{-m',-m} = (-1)^(m'-m) d_{m'm} and
+d_{m'm}(pi - beta) = (-1)^(l+m') d_{m',-m}(beta), as the nodes are
 symmetric about pi/2.  Both plans are exact for band-limited functions.
 :func:`inverse_evaluate`, the tests' oracle, sums the series directly at
 arbitrary points over :func:`liefourier.dual.representation_stacks`.
@@ -153,11 +158,23 @@ class _TorusPlan:
 class _Su2Plan:
     """Separable transform on the (alpha, beta, gamma) product grid.
 
-    The alpha/gamma sums are plain matrix products against phase tables over
-    the half-integer frequency ladder; the beta sum contracts with real
-    little-d tables at the Gauss-Legendre nodes.  Spin l sits on every
-    other ladder entry within 2l of the centre, a strided view of the cube.
-    The inverse multiplies only the square of the largest nonzero spin.
+    The alpha/gamma sums are matrix products against phase tables over the
+    half-integer frequency ladder m = top/2, top/2 - 1/2, ..., -top/2; the
+    beta sum contracts with real little-d tables at the Gauss-Legendre
+    nodes.  Spin k = 2l sits on every other ladder entry within k of the
+    centre, in alpha and in gamma alike, so the square of a largest spin
+    ``band`` is a checkerboard of two parity classes: class 0 holds the
+    spins k = band (mod 2) on the band + 1 entries of even offset, class 1
+    the others on the band entries of odd offset.  Each class is a compact
+    (n, Nb, n) array in which spin k is the contiguous block at offset
+    (band - k) // 2; the zero half of the square is never formed.
+
+    * Inverse, on the square of the largest nonzero spin: one gamma product
+      per class into its row block of a (2 band + 1, Nb, Ng) buffer, then
+      one alpha product of the class-ordered alpha table columns with it.
+    * Forward, on the square of the top spin: one alpha product with the
+      class-ordered rows, then one gamma product per class onto the compact
+      arrays that the beta contraction reads.
 
     Each spin stores a quarter of its table d^l_{m'm}(beta_j), as [b, j, a]
     with rows b (m' = l - b) and columns a (m = l - a): the rows m' >= 0
@@ -185,7 +202,7 @@ class _Su2Plan:
         self.shape = (len(alpha), len(beta), len(gamma))
         self.top = int(round(2.0 * dual.max_band))  # largest two_ell
         m = (self.top - np.arange(2 * self.top + 1)) / 2.0  # descending, half steps
-        self.p_fwd_a = np.exp(1j * np.outer(m, alpha))
+        self.p_fwd_a = np.exp(1j * np.outer(m[np.r_[self._classes(self.top)]], alpha))  # class-ordered rows
         self.p_fwd_g = np.exp(1j * np.outer(m, gamma))
         self.e_inv_a = np.exp(-1j * np.outer(alpha, m))
         self.e_inv_g = np.exp(-1j * np.outer(m, gamma))
@@ -214,15 +231,25 @@ class _Su2Plan:
                 np.where(above, (-1) ** k * parity[:, None], parity),
             ]).astype(complex)
 
+    def _classes(self, band: int) -> tuple[slice, slice]:
+        """The ladder slices of parity classes 0 and 1 in the square of spin k = band."""
+        lo = self.top - band
+        return slice(lo, lo + 2 * band + 1, 2), slice(lo + 1, lo + 2 * band, 2)
+
     def forward(self, values: np.ndarray) -> list[np.ndarray]:
-        f3 = values.reshape(self.shape)
-        t = np.tensordot(self.p_fwd_a, f3, axes=(1, 0))       # (nf, Nb, Ng)
-        t = np.tensordot(t, self.p_fwd_g, axes=(2, 1))        # (nf, Nb, nf) [b, j, a]
-        t *= self.c_beta[:, None]
+        na, nb, ng = self.shape
+        t = (self.p_fwd_a @ values.reshape(na, nb * ng)).reshape(-1, nb, ng)  # class-ordered rows
+        compact, row = [], 0
+        for parity, ladder in enumerate(self._classes(self.top)):
+            n = self.top + 1 - parity
+            cls = (t[row : row + n].reshape(n * nb, ng) @ self.p_fwd_g[ladder].T).reshape(n, nb, n)  # [b, j, a]
+            cls *= self.c_beta[:, None]
+            compact.append(cls)
+            row += n
         stacks = []
         for k in self.two_ells:
-            ids = slice(self.top - k, self.top + k + 1, 2)
-            spin = t[ids, :, ids]
+            ids = slice((self.top - k) // 2, (self.top - k) // 2 + k + 1)
+            spin = compact[(self.top - k) % 2][ids, :, ids]
             sums = np.empty((2, k + 1, k + 1), dtype=complex)  # [stored/mirrored nodes, b, a]
             for side, rows, nodes, view in self.pieces[k]:
                 np.einsum("bja,bja->ba", view, spin[rows, nodes], out=sums[side, rows])
@@ -235,18 +262,25 @@ class _Su2Plan:
         if not live:
             return np.zeros(int(np.prod(self.shape)), dtype=complex)
         band = max(k for k, _ in live)
-        acc = np.zeros((2 * band + 1, self.shape[1], 2 * band + 1), dtype=complex)
-        for k, blk in live:
-            ids = slice(band - k, band + k + 1, 2)
-            spin = acc[ids, :, ids]
-            c = (k + 1) * (self.signs[k] * blk.T)  # [stored/mirrored nodes, b, a]
-            for side, rows, nodes, view in self.pieces[k]:
-                part = spin[rows, nodes]
-                part += view * c[side, rows, None]
-        square = slice(self.top - band, self.top + band + 1)
-        out = np.tensordot(self.e_inv_a[:, square], acc, axes=(1, 0))  # (Na, Nb, 2 band + 1)
-        out = np.tensordot(out, self.e_inv_g[square], axes=(2, 0))  # (Na, Nb, Ng)
-        return out.ravel()
+        _, nb, ng = self.shape
+        classes = self._classes(band)
+        buf = np.empty((2 * band + 1, nb, ng), dtype=complex)  # gamma done, rows in class order
+        row = 0
+        for parity, ladder in enumerate(classes):
+            n = band + 1 - parity
+            acc = np.zeros((n, nb, n), dtype=complex)  # [b, j, a]
+            for k, blk in live:
+                if (band - k) % 2 != parity:
+                    continue
+                ids = slice((band - k) // 2, (band - k) // 2 + k + 1)
+                spin = acc[ids, :, ids]
+                c = (k + 1) * (self.signs[k] * blk.T)  # [stored/mirrored nodes, b, a]
+                for side, rows, nodes, view in self.pieces[k]:
+                    part = spin[rows, nodes]
+                    part += view * c[side, rows, None]
+            np.matmul(acc.reshape(n * nb, n), self.e_inv_g[ladder], out=buf[row : row + n].reshape(n * nb, ng))
+            row += n
+        return (self.e_inv_a[:, np.r_[classes]] @ buf.reshape(2 * band + 1, nb * ng)).ravel()
 
 
 def _get_plan(grid: QuadratureGrid, dual: DualSlice):

@@ -1,7 +1,8 @@
-"""The full-table SU(2) plan arithmetic, kept as the oracle of the
-quarter-table ``transform._Su2Plan``: every spin's whole little-d table
-d^l_{ba}(beta_j) at every Gauss-Legendre node, built by ``little_d`` and
-contracted in one piece."""
+"""The full-table, full-square SU(2) plan arithmetic, kept as the oracle of
+``transform._Su2Plan``: every spin's whole little-d table d^l_{ba}(beta_j)
+at every Gauss-Legendre node, built by ``little_d``, and the alpha/gamma
+products over the whole (2 top + 1)^2 ladder square in ladder order, zero
+checkerboard half included."""
 
 import numpy as np
 
@@ -9,17 +10,23 @@ from liefourier.dual import little_d
 
 
 class FullTablePlan:
-    """Reads the phase tables of ``plan`` and holds its own full tables."""
+    """Reads the spins, weights and shape of ``plan`` and holds its own tables."""
 
     def __init__(self, plan, grid):
         self.plan = plan
+        alpha, beta, gamma = grid.axes
+        m = (plan.top - np.arange(2 * plan.top + 1)) / 2.0
+        self.p_fwd_a = np.exp(1j * np.outer(m, alpha))
+        self.p_fwd_g = np.exp(1j * np.outer(m, gamma))
+        self.e_inv_a = np.exp(-1j * np.outer(alpha, m))
+        self.e_inv_g = np.exp(-1j * np.outer(m, gamma))
         # d^l_{ba}(beta_j) stored as [b, j, a], the axis order of the ladder cube
-        self.d_tables = {k: little_d(k, grid.axes[1]).transpose(1, 0, 2) for k in plan.two_ells}
+        self.d_tables = {k: little_d(k, beta).transpose(1, 0, 2) for k in plan.two_ells}
 
     def forward(self, values):
         plan, top = self.plan, self.plan.top
-        t = np.tensordot(plan.p_fwd_a, values.reshape(plan.shape), axes=(1, 0))
-        t = np.tensordot(t, plan.p_fwd_g, axes=(2, 1))
+        t = np.tensordot(self.p_fwd_a, values.reshape(plan.shape), axes=(1, 0))
+        t = np.tensordot(t, self.p_fwd_g, axes=(2, 1))
         t *= plan.c_beta[:, None]
         stacks = []
         for k in plan.two_ells:
@@ -33,5 +40,5 @@ class FullTablePlan:
         for k, stack in zip(plan.two_ells, stacks):
             ids = slice(top - k, top + k + 1, 2)
             acc[ids, :, ids] += self.d_tables[k] * ((k + 1) * stack[0].T[:, None, :])
-        out = np.tensordot(plan.e_inv_a, acc, axes=(1, 0))
-        return np.tensordot(out, plan.e_inv_g, axes=(2, 0)).ravel()
+        out = np.tensordot(self.e_inv_a, acc, axes=(1, 0))
+        return np.tensordot(out, self.e_inv_g, axes=(2, 0)).ravel()

@@ -22,11 +22,18 @@ from liefourier import (
 from liefourier import spaces
 from liefourier.dual import spin_cutoff
 from liefourier.errors import ConfigurationError, PreconditionError
-from liefourier.groups import build_grid, distance_to_identity, inverse, multiply, su2_point_from_distance
+from liefourier.groups import (
+    build_grid,
+    distance_to_identity,
+    grid_distance_to_identity,
+    inverse,
+    multiply,
+    su2_point_from_distance,
+)
 from liefourier.multipliers import decay_slope, ensemble_member
 from liefourier.spaces import lp_project, psi, window_levels
 from liefourier.symbols import symbol_linf
-from liefourier.transform import cached_grid, inverse_evaluate
+from liefourier.transform import cached_grid, inverse_evaluate, inverse_on_grid, translate_coefficients
 from tl_oracle import tl_norms as oracle_tl_norms
 
 
@@ -207,6 +214,45 @@ def test_kernel_difference_matches_pointwise_oracle(kind, n, cutoff, z):
     assert abs(value - oracle) <= 1e-10 * oracle
 
 
+def _two_synthesis_difference_integral(kernel, z, c, grid):
+    # oracle: the kernel and its translate synthesised on the grid one by one
+    # and subtracted there, the path that one synthesis of the difference replaced
+    group = kernel.dual.group
+    mask = grid_distance_to_identity(grid) > 4.0 * c * distance_to_identity(group, z)
+    base = inverse_on_grid(kernel, grid).values[mask]
+    moved = inverse_on_grid(translate_coefficients(kernel, inverse(group, z)), grid).values[mask]
+    return float(np.sum(grid.weights[mask] * np.abs(moved - base)))
+
+
+@pytest.mark.parametrize(
+    "kind,n,top,z,c",
+    [
+        ("torus", 1, 64.0, [0.07], 1.0),
+        ("torus", 2, 12.0, [0.03, 0.05], 1.0),
+        ("su2", 3, 7.5, [0.3, 0.2, 0.1], 0.5),
+        # 4c|z| = 0.99992 pi is below the diameter pi, but no node of the
+        # 33-point grid lies that far out: the far field is empty
+        ("torus", 1, 16.0, [0.1], 1.2499),
+    ],
+)
+def test_kernel_difference_matches_two_synthesis_oracle(kind, n, top, z, c):
+    # non-scalar symbol blocks on SU(2) (top is its top spin), every window
+    # that is nonzero on the slice
+    group = make_group(kind, n)
+    dual = enumerate_dual(group, top if kind == "torus" else spin_cutoff(top))
+    grid = cached_grid(group, dual.max_band)
+    sig = Symbol.from_blocks(dual, random_coefficients(dual, np.random.default_rng(21)).blocks)
+    z = np.array(z)
+    for ell in window_levels(dual.cutoff):
+        if not psi(ell, dual.eigenvalues).any():
+            continue
+        kernel = lp_project(sig, ell)
+        value = kernel_difference_integral(kernel, z, c, grid)
+        oracle = _two_synthesis_difference_integral(kernel, z, c, grid)
+        assert abs(value - oracle) <= 1e-12 * oracle
+        assert (value == 0.0) == (c > 1.0)
+
+
 def test_z_must_not_be_identity(torus1):
     dual = enumerate_dual(torus1, 8.0)
     kernel = lp_project(identity_symbol(dual), 1)
@@ -261,6 +307,18 @@ def test_ensemble_kinds_and_determinism(torus1):
         assert plancherel_norm(m1) > 0
     with pytest.raises(ConfigurationError):
         EnsembleConfig("bogus", 4)
+
+
+@pytest.mark.parametrize("kind,top", [("torus", 32.0), ("torus", 64.0), ("su2", 7.5), ("su2", 31.5)])
+def test_translated_windows_are_never_zero(kind, top):
+    # the top window of these slices (T^1 cutoffs, SU(2) top spins) is zero at
+    # every eigenvalue; no member may pick it
+    group = make_group(kind, 1 if kind == "torus" else 3)
+    dual = enumerate_dual(group, top if kind == "torus" else spin_cutoff(top))
+    cfg = EnsembleConfig("translated-windows", 6)
+    for index in range(cfg.count):
+        member = ensemble_member(cfg, index, dual, np.random.default_rng([4, 0, index]))
+        assert plancherel_norm(member) > 0
 
 
 def test_sweep_identity_ratios_one(torus1):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from liefourier import (
 from liefourier.dual import little_d, spin_cutoff, wigner_matrix
 from liefourier.errors import PreconditionError
 from liefourier.groups import build_grid, multiply, random_point
+from liefourier.spaces import lp_project, psi, window_levels
 from liefourier.transform import _get_plan, zero_coefficients
 from su2_plan_oracle import FullTablePlan
 
@@ -137,15 +140,24 @@ def test_su2_plan_matches_full_table_oracle(su2, two_top):
     # default grids: Nb = two_top + 1 is even for half-integer top spins and odd,
     # with a self-mirrored pi/2 node, for integer ones.  The function has unit
     # Plancherel norm, so 1e-12 absolute is about 1e-12 relative.
+    # Beyond full coefficients, the inverse also sees each parity class alone,
+    # every nonzero dyadic window (a band of live spins, most of them cut
+    # below the top) and no live spin at all.
     dual = enumerate_dual(su2, spin_cutoff(two_top / 2))
     grid = default_grid(dual)
     plan = _get_plan(grid, dual)
     oracle = FullTablePlan(plan, grid)
     rng = np.random.default_rng(two_top)
     coeffs = random_coefficients(dual, rng)
-    stacks = [s / plancherel_norm(coeffs) for s in coeffs.stacks]
+    coeffs = FourierCoefficients(dual, [s / plancherel_norm(coeffs) for s in coeffs.stacks])
+    stacks = coeffs.stacks
+    inputs = [stacks, zero_coefficients(dual).stacks]
+    inputs += [[s if k % 2 == parity else 0 * s for k, s in zip(plan.two_ells, stacks)] for parity in (0, 1)]
+    inputs += [lp_project(coeffs, ell).stacks for ell in window_levels(dual.cutoff)
+               if psi(ell, dual.eigenvalues).any()]
+    for given in inputs:
+        np.testing.assert_allclose(plan.inverse_on_grid(given), oracle.inverse_on_grid(given), rtol=0, atol=1e-12)
     vals = plan.inverse_on_grid(stacks)
-    np.testing.assert_allclose(vals, oracle.inverse_on_grid(stacks), rtol=0, atol=1e-12)
     noise = rng.standard_normal(len(grid)) + 1j * rng.standard_normal(len(grid))
     for samples in (vals, noise):
         for got, want in zip(plan.forward(samples), oracle.forward(samples)):
@@ -177,6 +189,30 @@ def test_su2_plan_tables_hold_a_quarter(su2):
             assert view.base is pieces[0][3].base  # a view of the spin's one stored array
             owners[id(view.base)] = view.base.nbytes
     assert sum(owners.values()) <= 12e6
+
+
+def test_su2_plan_transient_peaks(su2):
+    # tracemalloc peaks of one warm inverse and one warm forward at spin 15.5,
+    # in units of N x 8 bytes for N grid points (the inverse's output alone
+    # is 2): 5.94 and 3.90 when both products ran over the full ladder square
+    dual = enumerate_dual(su2, spin_cutoff(15.5))
+    grid = default_grid(dual)
+    plan = _get_plan(grid, dual)
+    stacks = random_coefficients(dual, np.random.default_rng(5)).stacks
+    vals = plan.inverse_on_grid(stacks)
+    plan.forward(vals)
+    unit = len(grid) * 8
+    tracemalloc.start()
+    try:
+        plan.inverse_on_grid(stacks)
+        inverse_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        plan.forward(vals)
+        forward_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inverse_peak <= 5.0 * unit
+    assert forward_peak <= 3.5 * unit
 
 
 def test_inverse_at_trivial_long_constant(su2):
