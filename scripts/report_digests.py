@@ -1,13 +1,13 @@
-"""Print a sha256 digest of every report and manifest of the shipped and
-benchmark configs, to check that a change keeps reports byte-identical, and
-list the report cells that moved between two such runs.
+"""Print a sha256 digest of every report and manifest of the shipped,
+benchmark and ``CHECKS`` configs, to check that a change keeps reports
+byte-identical, and list the report cells that moved between two such runs.
 
 Usage:  PYTHONPATH=src python scripts/report_digests.py OUT
         PYTHONPATH=src python scripts/report_digests.py --compare OLD NEW
 
-Runs ``scripts/configs/*.json`` and the task configs of every
-``perfbench/workloads.tasks(workload, seed=1)`` through
-``liefourier.cli.run_config``, writing under OUT, and prints one line per
+Runs ``scripts/configs/*.json``, the task configs of every
+``perfbench/workloads.tasks(workload, seed=1)`` and the ``CHECKS`` below
+through ``liefourier.cli.run_config``, writing under OUT, and prints one line per
 written file: its sha256, the config's name, the file name and the exit
 code.  The library comes from ``PYTHONPATH``, so running the script against
 two source trees and diffing the output compares their reports:
@@ -41,12 +41,32 @@ from liefourier.cli import run_config  # noqa: E402
 from perfbench.workloads import WORKLOADS, tasks  # noqa: E402
 
 
+_T2, _T3, _SU2 = ({"kind": "torus", "dim": 2}, {"kind": "torus", "dim": 3}, {"kind": "su2", "dim": 3})
+
+
+def _check(group: dict, cutoffs: dict, symbol: dict, checker: str, **param) -> dict:
+    return {"task": "check-symbol", "group": group, **cutoffs, "symbol": symbol, "checker": checker, **param, "seed": 1}
+
+
+# checker configs that the shipped and benchmark configs leave out: orders and
+# s0 above 1, mixed differences on T^3, Hormander-Mihlin on the torus
+CHECKS = [
+    ("marcinkiewicz_t3_order2", _check(_T3, {"lams": [8.0, 16.0]}, {"type": "power_it", "t": 1.0}, "marcinkiewicz", order=2)),
+    ("marcinkiewicz_su2_order2", _check(_SU2, {"ell_maxes": [7.5, 15.5]}, {"type": "wave"}, "marcinkiewicz", order=2)),
+    ("marcinkiewicz_t2_order3", _check(_T2, {"lams": [16.0, 32.0]}, {"type": "wave"}, "marcinkiewicz", order=3)),
+    ("weak_t2_s0_2", _check(_T2, {"lams": [16.0, 32.0]}, {"type": "power_it", "t": 3.0}, "weak-marcinkiewicz", s0=2)),
+    ("weak_su2_s0_3", _check(_SU2, {"ell_maxes": [7.5, 15.5]}, {"type": "window", "ell": 3}, "weak-marcinkiewicz", s0=3)),
+    ("hm_t2", _check(_T2, {"lams": [8.0, 16.0]}, {"type": "power_it", "t": 2.0}, "hormander-mihlin")),
+]
+
+
 def configs() -> list[tuple[str, dict]]:
-    """(name, config) for every shipped config, then every benchmark task."""
+    """(name, config) for every shipped config, every benchmark task, then
+    every ``CHECKS`` config."""
     out = [(path.stem, json.loads(path.read_text())) for path in sorted((ROOT / "scripts" / "configs").glob("*.json"))]
     for workload in WORKLOADS:
         out += [(f"{workload}/{name}", cfg) for name, cfg, _ in tasks(workload, seed=1)]
-    return out
+    return out + [(f"checks/{name}", cfg) for name, cfg in CHECKS]
 
 
 def ulps(a: float, b: float) -> int:

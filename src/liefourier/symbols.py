@@ -24,6 +24,12 @@ every difference is computed exactly on the coefficient side:
   diagonal generators then subtract fhat.  Intermediate spins run up to
   the top spin + |alpha|/2 and the slice is kept at the end.
 
+The checkers walk the multi-indices as a tree, depth first: Delta^alpha is
+one generator step applied to its parent, the multi-index with one step
+fewer of alpha's last generator.  Only the label boxes or ladders on the
+current path are alive (at most order + 1), and each difference is read as
+soon as it is made.
+
 A degree-one generator couples <xi>-neighbours only, so a difference of
 order |alpha| is trusted on irreps whose neighbours within |alpha| coupling
 steps stay inside the working cutoff; every returned symbol carries that
@@ -172,41 +178,51 @@ def apply_difference(symbol: Symbol, alpha: tuple[int, ...]) -> Symbol:
     margin to the cutoff; if no irrep has that margin a :class:`MarginError`
     states the required cutoff.
     """
-    return _difference_batch(symbol, [tuple(alpha)])[0]
-
-
-def _difference_batch(symbol: Symbol, alphas: list[tuple[int, ...]]) -> list[Symbol]:
-    """Differences for several multi-indices; a multi-index is one generator
-    step applied to a smaller one, and shared prefixes are composed once."""
     dual = symbol.dual
+    alpha = tuple(alpha)
+    if len(alpha) != generator_count(dual.group):
+        raise PreconditionError(f"multi-index {alpha} has wrong length for {dual.group.kind}")
+    if any(a < 0 for a in alpha):
+        raise PreconditionError("multi-index entries must be nonnegative")
+    order = int(sum(alpha))
+    _require_margin(dual, order)
+    state, gather, step = _stencil(symbol, order)
+    for k, power in enumerate(alpha):  # generator 0 first, as the walk composes them
+        for _ in range(power):
+            state = step(state, k)
+    return Symbol(dual, gather(state), symbol.valid_mask() & difference_validity(dual, order))
+
+
+def _differences(symbol: Symbol, order: int):
+    """Yield (alpha, Delta^alpha sigma) for every |alpha| <= order, depth first.
+
+    A child adds one step of a generator k at or after its parent's last
+    generator; children come in descending k, so each order comes out in
+    ascending lexicographic order.  Only the states on the current path are
+    alive, at most order + 1 label boxes or ladders.
+    """
+    dual = symbol.dual
+    _require_margin(dual, order)
+    start, gather, step = _stencil(symbol, order)
+    masks = [symbol.valid_mask() & difference_validity(dual, k) for k in range(order + 1)]
     count = generator_count(dual.group)
-    orders = []
-    for alpha in alphas:
-        if len(alpha) != count:
-            raise PreconditionError(f"multi-index {alpha} has wrong length for {dual.group.kind}")
-        if any(a < 0 for a in alpha):
-            raise PreconditionError("multi-index entries must be nonnegative")
-        orders.append(int(sum(alpha)))
-    _require_margin(dual, max(orders))
-    base_valid = symbol.valid_mask()
-    if dual.group.kind == TORUS:
-        start, gather = _torus_box(symbol)
-        step = _torus_step
-    else:
-        start, gather = _su2_ladder(symbol, max(orders))
-        step = _su2_step
-    states = {tuple([0] * count): start}
 
-    def state(alpha):
-        if alpha not in states:
-            k = max(i for i, a in enumerate(alpha) if a)
-            states[alpha] = step(state(alpha[:k] + (alpha[k] - 1,) + alpha[k + 1 :]), k)
-        return states[alpha]
+    def walk(alpha, state, last):
+        depth = sum(alpha)
+        yield alpha, Symbol(dual, gather(state), masks[depth])
+        if depth < order:
+            for k in range(count - 1, last - 1, -1):
+                yield from walk(alpha[:k] + (alpha[k] + 1,) + alpha[k + 1 :], step(state, k), k)
 
-    return [
-        Symbol(dual, gather(state(alpha)), base_valid & difference_validity(dual, order))
-        for alpha, order in zip(alphas, orders)
-    ]
+    yield from walk((0,) * count, start, 0)
+
+
+def _stencil(symbol: Symbol, order: int):
+    """The start state, the slice gather and the generator step of the
+    symbol's group, for differences up to ``order``."""
+    if symbol.dual.group.kind == TORUS:
+        return (*_torus_box(symbol), _torus_step)
+    return (*_su2_ladder(symbol, order), _su2_step)
 
 
 def _torus_box(symbol: Symbol):
@@ -282,13 +298,6 @@ def _require_margin(dual: DualSlice, order: int):
         )
 
 
-def multi_indices(count: int, order: int) -> list[tuple[int, ...]]:
-    """All multi-indices over ``count`` generators with |alpha| = order."""
-    if count == 1:
-        return [(order,)]
-    return [(head,) + tail for head in range(order + 1) for tail in multi_indices(count - 1, order - head)]
-
-
 # ---------------------------------------------------------------------------
 # Dual-side Sobolev norms
 # ---------------------------------------------------------------------------
@@ -322,7 +331,6 @@ class CheckReport:
 
     constants: dict
     headline: float
-    metadata: dict
 
 
 def default_kappa(group: GroupDescriptor) -> int:
@@ -332,18 +340,14 @@ def default_kappa(group: GroupDescriptor) -> int:
 def check_marcinkiewicz(symbol: Symbol, kappa: int | None = None) -> CheckReport:
     """C_alpha = sup_xi ||D^alpha sigma(xi)||_op <xi>^{|alpha|} for every
     multi-index with |alpha| <= kappa (default floor(n/2) + 1)."""
-    group = symbol.dual.group
-    if kappa is None:
-        kappa = default_kappa(group)
-    count = generator_count(group)
-    alphas = [a for k in range(kappa + 1) for a in multi_indices(count, k)]
-    diffs = _difference_batch(symbol, alphas)
     dual = symbol.dual
+    if kappa is None:
+        kappa = default_kappa(dual.group)
     constants: dict = {}
-    for alpha, diff in zip(alphas, diffs):
+    for alpha, diff in _differences(symbol, kappa):
         vals = np.where(diff.valid_mask(), operator_norms(diff.stacks) * dual.eigenvalues ** sum(alpha), 0.0)
         constants[alpha] = float(np.max(vals))
-    return CheckReport(constants, max(constants.values()), {"kappa": kappa, "cutoff": dual.cutoff})
+    return CheckReport(constants, max(constants.values()))
 
 
 def check_hormander_mihlin(symbol: Symbol, s: float | None = None) -> CheckReport:
@@ -363,8 +367,6 @@ def check_hormander_mihlin(symbol: Symbol, s: float | None = None) -> CheckRepor
     linf = symbol_linf(symbol)
     eigs = symbol.dual.eigenvalues
     constants: dict = {}
-    worst_r = None
-    worst_val = -1.0
     j_top = int(math.ceil(2.0 * math.log2(max(symbol.dual.cutoff, 1.0))))
     for j in range(j_top + 1):
         r = 2.0 ** (j / 2.0)
@@ -373,13 +375,8 @@ def check_hormander_mihlin(symbol: Symbol, s: float | None = None) -> CheckRepor
             continue
         scaled = [w * stack for w, stack in zip(symbol.dual.per_run(window), symbol.stacks)]
         tau = Symbol(symbol.dual, scaled, symbol.valid)
-        val = r ** (s - n / 2.0) * dual_sobolev_norm(tau, s)
-        constants[r] = linf + val
-        if val > worst_val:
-            worst_val, worst_r = val, r
-    headline = max(constants.values()) if constants else linf
-    metadata = {"s": s, "cutoff": symbol.dual.cutoff, "linf": linf, "worst_scale": worst_r}
-    return CheckReport(constants, headline, metadata)
+        constants[r] = linf + r ** (s - n / 2.0) * dual_sobolev_norm(tau, s)
+    return CheckReport(constants, max(constants.values()) if constants else linf)
 
 
 def check_weak_marcinkiewicz(symbol: Symbol, s0: int) -> CheckReport:
@@ -389,34 +386,28 @@ def check_weak_marcinkiewicz(symbol: Symbol, s0: int) -> CheckReport:
     Differences are taken of the full symbol and then summed over the block
     (the classical torus condition sums |sigma(xi+1) - sigma(xi)| over
     blocks), so blocks where the symbol is locally constant contribute 0.
-    Blocks touching irreps without the order-s0 margin are skipped and
-    listed in the metadata.
+    Blocks touching irreps without the order-s0 margin are skipped.
     """
-    group = symbol.dual.group
-    n = group.dim
+    dual = symbol.dual
+    n = dual.group.dim
     if s0 != int(s0) or not 0 <= s0 <= n:
         raise PreconditionError(f"s0 must be an integer in [0, {n}]")
     s0 = int(s0)
-    count = generator_count(group)
-    alphas = multi_indices(count, s0)
-    diffs = _difference_batch(symbol, alphas)
-    valid = diffs[0].valid_mask()  # every multi-index has order s0
-    eigs = symbol.dual.eigenvalues
-    dims = symbol.dual.dims
-    # trace norms summed over the multi-indices; blocks with untrusted irreps are skipped below
-    nuclear = sum(np.concatenate([sv.sum(axis=1) for sv in singular_values(diff.stacks)]) for diff in diffs)
+    valid = symbol.valid_mask() & difference_validity(dual, s0)
+    eigs = dual.eigenvalues
+    dims = dual.dims
+    # trace norms summed over the order-s0 multi-indices in walk order; blocks with untrusted irreps are skipped below
+    nuclear = sum(
+        np.concatenate([sv.sum(axis=1) for sv in singular_values(diff.stacks)])
+        for alpha, diff in _differences(symbol, s0)
+        if sum(alpha) == s0
+    )
     constants: dict = {}
-    skipped = []
-    j_top = int(math.ceil(math.log2(max(symbol.dual.cutoff, 1.0)))) + 1
+    j_top = int(math.ceil(math.log2(max(dual.cutoff, 1.0)))) + 1
     for j in range(j_top + 1):
         in_block = (eigs >= 2.0 ** (j - 1)) & (eigs < 2.0**j)
-        if not np.any(in_block):
-            continue
-        if not valid[in_block].all():
-            skipped.append(j)
+        if not np.any(in_block) or not valid[in_block].all():
             continue
         total = float(np.sum(dims[in_block] * nuclear[in_block]))
         constants[j] = total * 2.0 ** (-j * (n - s0))
-    headline = max(constants.values()) if constants else 0.0
-    metadata = {"s0": s0, "cutoff": symbol.dual.cutoff, "skipped_blocks": skipped}
-    return CheckReport(constants, headline, metadata)
+    return CheckReport(constants, max(constants.values()) if constants else 0.0)

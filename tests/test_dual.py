@@ -1,9 +1,12 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from conftest import irrep_labels, irrep_matrices
 from liefourier import enumerate_dual, make_group
-from liefourier.dual import little_d, representation_stacks, spin_cutoff, wigner_matrix
+from liefourier.dual import _little_d_rows, little_d, representation_stacks, spin_cutoff, wigner_matrix
 from liefourier.errors import ConfigurationError, PreconditionError
 from liefourier.groups import distance_to_identity, identity, multiply, random_point, su2_matrix
 
@@ -159,6 +162,42 @@ def test_little_d_orthogonal_at_top_spin():
     tables = little_d(128, beta)
     assert tables.shape == (129, 129, 129) and tables.flags.owndata
     assert np.max(np.abs(tables @ tables.transpose(0, 2, 1) - np.eye(129))) < 1e-10
+
+
+def wigner_d_half_pi(two_j, two_mp, two_m):
+    """d^j_{m'm}(pi/2) from Wigner's sum in exact arithmetic: at beta = pi/2
+    every cos/sin power is 2^(-j), so d = S sqrt(N) 2^(-j) with S a rational
+    sum and N = (j+m')!(j-m')!(j+m)!(j-m)!; only the last square root rounds."""
+    fact = math.factorial
+    jpm, jmm = (two_j + two_m) // 2, (two_j - two_m) // 2
+    jpmp, jmmp = (two_j + two_mp) // 2, (two_j - two_mp) // 2
+    shift = (two_mp - two_m) // 2  # m' - m
+    total = Fraction(0)
+    for s in range(max(0, -shift), min(jpm, jmmp) + 1):
+        term = Fraction(1, fact(jpm - s) * fact(s) * fact(shift + s) * fact(jmmp - s))
+        total += -term if (shift + s) % 2 else term
+    square = total**2 * fact(jpmp) * fact(jmmp) * fact(jpm) * fact(jmm) / 2**two_j
+    root = math.isqrt(square.numerator * 4**200 // square.denominator) / 2**200
+    return math.copysign(root, total)
+
+
+@pytest.mark.parametrize("two_j", [128, 127])
+def test_little_d_exact_at_top_spin(two_j):
+    # orthogonality and unitarity pass under a sign-convention error; exact
+    # values do not.  Rows and columns run over descending m, index a <-> m = j - a
+    full = little_d(two_j, np.pi / 2)
+    low = two_j // 2 + 1  # the plan stores the rows m' >= 0
+    stored = _little_d_rows(two_j, np.pi / 2, slice(0, low))
+    last, mid = two_j, two_j // 2
+    corners = [(0, 0), (0, last), (last, 0), (last, last)]
+    centre = [(mid, mid), (mid, last - mid), (last - mid, mid)]
+    mirrored = [(a, a) for a in (5, 30, 50)] + [(a, last - a) for a in (5, 30, 50)]  # m' = m and m' = -m
+    interior = [(60, 70), (50, 64), (70, 55), (64, 30), (45, 80), (40, 47), (20, 45)]  # |d| of 0.008 to 0.11
+    for a, b in corners + centre + mirrored + interior:
+        exact = wigner_d_half_pi(two_j, two_j - 2 * a, two_j - 2 * b)
+        assert abs(full[a, b] - exact) < 1e-13, (a, b)
+        if a < low:
+            assert abs(stored[a, b] - exact) < 1e-13, (a, b)
 
 
 def test_large_spin_unitary(su2):

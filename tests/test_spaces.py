@@ -14,6 +14,7 @@ from liefourier import (
     default_grid,
     enumerate_dual,
     lp_project,
+    make_group,
     plancherel_norm,
     random_coefficients,
 )
@@ -209,6 +210,20 @@ def test_f022_two_sided_l2_comparison(torus1, su2):
             l2 = plancherel_norm(coeffs)
             ratio = tl / l2
             assert 1.0 / math.sqrt(2.0) - 1e-6 <= ratio <= 1.0 + 1e-6
+
+
+@pytest.mark.parametrize("kind,n,cutoff", [("torus", 1, 64.0), ("torus", 2, 24.0), ("su2", 3, spin_cutoff(15.5))])
+def test_f_r22_equals_plancherel_identity(kind, n, cutoff):
+    # the default grid integrates |psi_l f|^2 exactly, so ||f||_{F^r_{2,2}}^2
+    # = sum_xi d_xi ||fhat(xi)||_HS^2 sum_l 2^(2lr) psi_l(<xi>)^2
+    dual = enumerate_dual(make_group(kind, n), cutoff)
+    coeffs = random_coefficients(dual, np.random.default_rng([6, n]))
+    hs = np.concatenate([np.sum(np.abs(stack) ** 2, axis=(1, 2)) for stack in coeffs.stacks])
+    for r in (-1.0, 0.0, 1.0):
+        weight = sum(2.0 ** (2 * ell * r) * psi(ell, dual.eigenvalues) ** 2 for ell in window_levels(dual.cutoff))
+        expected = math.sqrt(np.sum(dual.dims * hs * weight))
+        [(tl, _)] = tl_norms(coeffs, [NormSpec(r, 2.0, 2.0)], weak=False)
+        assert abs(tl - expected) <= 1e-12 * expected, r
 
 
 def test_q_monotonicity(torus1):

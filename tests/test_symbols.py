@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,11 +28,15 @@ from liefourier.errors import ConfigurationError, MarginError, PreconditionError
 from liefourier.groups import TORUS, build_grid, identity, su2_pair
 from liefourier.spaces import psi
 from liefourier.symbols import (
-    _difference_batch,
+    _differences,
+    _require_margin,
+    _su2_ladder,
+    _su2_step,
+    _torus_box,
+    _torus_step,
     difference_validity,
     dyadic_rademacher_symbol,
     generator_count,
-    multi_indices,
     operator_norms,
     sign_symbol,
     singular_values,
@@ -111,18 +117,110 @@ def test_difference_matches_grid_oracle(kind, n, cutoff):
     rng = np.random.default_rng([7, n, len(dual)])
     blocks = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in dual.dims]
     symbol = Symbol.from_blocks(dual, blocks)
-    alphas = [a for k in range(3) for a in multi_indices(generator_count(group), k)]
-    for alpha, diff in zip(alphas, _difference_batch(symbol, alphas)):
+    for alpha, diff in _differences(symbol, 2):
         oracle = grid_difference(symbol, alpha)
         assert np.array_equal(diff.valid_mask(), oracle.valid_mask())
         for got, want in zip(diff.blocks, oracle.blocks):
             assert np.max(np.abs(got - want)) < 1e-12, alpha
 
 
-def test_multi_indices():
-    assert multi_indices(2, 0) == [(0, 0)]
-    assert set(multi_indices(2, 2)) == {(2, 0), (1, 1), (0, 2)}
-    assert len(multi_indices(4, 2)) == 10
+# ---------------------------------------------------------------------------
+# The depth-first walk against the memoised batch it replaced
+# ---------------------------------------------------------------------------
+
+def batch_differences(symbol, alphas):
+    """Differences for several multi-indices, every prefix state memoised
+    until the end: a multi-index is one step of its last generator applied
+    to its parent, composed once per shared prefix."""
+    dual = symbol.dual
+    count = generator_count(dual.group)
+    orders = [int(sum(alpha)) for alpha in alphas]
+    _require_margin(dual, max(orders))
+    base_valid = symbol.valid_mask()
+    if dual.group.kind == TORUS:
+        start, gather = _torus_box(symbol)
+        step = _torus_step
+    else:
+        start, gather = _su2_ladder(symbol, max(orders))
+        step = _su2_step
+    states = {tuple([0] * count): start}
+
+    def state(alpha):
+        if alpha not in states:
+            k = max(i for i, a in enumerate(alpha) if a)
+            states[alpha] = step(state(alpha[:k] + (alpha[k] - 1,) + alpha[k + 1 :]), k)
+        return states[alpha]
+
+    return [
+        Symbol(dual, gather(state(alpha)), base_valid & difference_validity(dual, order))
+        for alpha, order in zip(alphas, orders)
+    ]
+
+
+def lexicographic_indices(count, order):
+    """Every multi-index over ``count`` generators with |alpha| = order, in
+    ascending lexicographic order."""
+    return sorted(a for a in itertools.product(range(order + 1), repeat=count) if sum(a) == order)
+
+
+@pytest.mark.parametrize(
+    "kind,n,cutoff",
+    [("torus", 1, 12.0), ("torus", 2, 7.0), ("torus", 3, 5.0), ("su2", 3, spin_cutoff(7.5))],
+)
+def test_walk_matches_batch_oracle(kind, n, cutoff):
+    # every node of order <= 3 bitwise, stacks and masks; apply_difference
+    # composes its own steps and must land on the same bits
+    group = make_group(kind, n)
+    dual = enumerate_dual(group, cutoff)
+    rng = np.random.default_rng([11, n, len(dual)])
+    blocks = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in dual.dims]
+    symbol = Symbol.from_blocks(dual, blocks)
+    walk = list(_differences(symbol, 3))
+    alphas = [alpha for alpha, _ in walk]
+    for (alpha, got), want in zip(walk, batch_differences(symbol, alphas)):
+        assert np.array_equal(got.valid_mask(), want.valid_mask()), alpha
+        assert all(np.array_equal(a, b) for a, b in zip(got.stacks, want.stacks)), alpha
+        single = apply_difference(symbol, alpha)
+        assert np.array_equal(single.valid_mask(), got.valid_mask()), alpha
+        assert all(np.array_equal(a, b) for a, b in zip(single.stacks, got.stacks)), alpha
+
+
+@pytest.mark.parametrize("kind,n", [("torus", 1), ("torus", 2), ("torus", 3), ("su2", 3)])
+def test_walk_yields_each_multi_index_once_in_lexicographic_order(kind, n):
+    group = make_group(kind, n)
+    dual = enumerate_dual(group, 8.0)
+    count = generator_count(group)
+    for order in range(4):
+        alphas = [alpha for alpha, _ in _differences(identity_symbol(dual), order)]
+        assert len(alphas) == len(set(alphas))
+        for k in range(order + 1):
+            assert [a for a in alphas if sum(a) == k] == lexicographic_indices(count, k)
+        assert all(sum(a) <= order for a in alphas)
+
+
+@pytest.mark.parametrize(
+    "kind,n,cutoff,kappa",
+    [("torus", 3, 16.0, 2), ("torus", 2, 64.0, 3), ("su2", 3, 32.6, 2)],
+)
+def test_marcinkiewicz_holds_only_the_current_path(kind, n, cutoff, kappa):
+    # tracemalloc peak of a warm check in units of one difference state: a
+    # (2B + 1)^n label box on T^n, a ladder of spins k/2, k <= 2 l_max +
+    # kappa, on SU(2).  Keeping every prefix state took 17 / 20 / 28 units
+    group = make_group(kind, n)
+    dual = enumerate_dual(group, cutoff)
+    symbol = build_spectral_symbol(lambda lam: lam ** (1j), dual)
+    if kind == TORUS:
+        state = (2 * int(dual.max_band) + 1) ** n * 16
+    else:
+        state = sum((k + 1) ** 2 for k in range(int(2 * dual.max_band) + kappa + 1)) * 16
+    expected = check_marcinkiewicz(symbol, kappa)  # warms the slice's cached arrays
+    tracemalloc.start()
+    try:
+        assert check_marcinkiewicz(symbol, kappa) == expected
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * state, f"peak {peak / state:.1f} states"
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +455,7 @@ def test_hormander_mihlin_torus2(torus2):
     dual = enumerate_dual(torus2, 8.0)
     sig = build_spectral_symbol(lambda lam: lam ** (1j), dual)
     rep = check_hormander_mihlin(sig)  # default s = 2 > n/2
-    assert rep.metadata["s"] == 2.0
+    assert rep == check_hormander_mihlin(sig, 2.0)
     assert np.isfinite(rep.headline) and rep.headline >= 1.0
 
 
@@ -366,7 +464,7 @@ def test_hormander_mihlin_su2(su2):
     sig = build_spectral_symbol(lambda lam: lam ** (2j), dual)
     rep = check_hormander_mihlin(sig, 2.0)
     assert np.isfinite(rep.headline)
-    assert rep.headline >= rep.metadata["linf"] == pytest.approx(1.0)
+    assert rep.headline >= symbol_linf(sig) == pytest.approx(1.0)
 
 
 def test_hormander_mihlin_rejects_low_order(torus1, su2):
