@@ -9,8 +9,9 @@ Runs ``scripts/configs/*.json``, the task configs of every
 ``perfbench/workloads.tasks(workload, seed=1)`` and the ``CHECKS`` below
 through ``liefourier.cli.run_config``, writing under OUT, and prints one line per
 written file: its sha256, the config's name, the file name and the exit
-code.  The library comes from ``PYTHONPATH``, so running the script against
-two source trees and diffing the output compares their reports:
+code.  A config that writes no file gets one line with its exit code.  The
+library comes from ``PYTHONPATH``, so running the script against two source
+trees and diffing the output compares their reports:
 
     PYTHONPATH=/path/to/old/src python scripts/report_digests.py /tmp/a > a.txt
     PYTHONPATH=src python scripts/report_digests.py /tmp/b > b.txt
@@ -41,15 +42,23 @@ from liefourier.cli import run_config  # noqa: E402
 from perfbench.workloads import WORKLOADS, tasks  # noqa: E402
 
 
-_T2, _T3, _SU2 = ({"kind": "torus", "dim": 2}, {"kind": "torus", "dim": 3}, {"kind": "su2", "dim": 3})
+_T1, _T2, _T3 = ({"kind": "torus", "dim": n} for n in (1, 2, 3))
+_SU2 = {"kind": "su2", "dim": 3}
 
 
 def _check(group: dict, cutoffs: dict, symbol: dict, checker: str, **param) -> dict:
     return {"task": "check-symbol", "group": group, **cutoffs, "symbol": symbol, "checker": checker, **param, "seed": 1}
 
 
-# checker configs that the shipped and benchmark configs leave out: orders and
-# s0 above 1, mixed differences on T^3, Hormander-Mihlin on the torus
+def _decay(group: dict, cutoff: dict, windows: list[int], z_distance: float, **param) -> dict:
+    fields = {"symbol": {"type": "power_it", "t": 1.0}, "windows": windows, "z_distance": z_distance}
+    return {"task": "kernel-decay", "group": group, **cutoff, **fields, **param, "seed": 1}
+
+
+# configs that the shipped and benchmark configs leave out: checker orders and
+# s0 above 1, mixed differences on T^3, Hormander-Mihlin on the torus; kernel
+# decay on T^2 and T^3, with c != 1, and with an empty far field (4c|z| >= pi
+# on T^1, which exits 1 through the decay slope)
 CHECKS = [
     ("marcinkiewicz_t3_order2", _check(_T3, {"lams": [8.0, 16.0]}, {"type": "power_it", "t": 1.0}, "marcinkiewicz", order=2)),
     ("marcinkiewicz_su2_order2", _check(_SU2, {"ell_maxes": [7.5, 15.5]}, {"type": "wave"}, "marcinkiewicz", order=2)),
@@ -57,6 +66,10 @@ CHECKS = [
     ("weak_t2_s0_2", _check(_T2, {"lams": [16.0, 32.0]}, {"type": "power_it", "t": 3.0}, "weak-marcinkiewicz", s0=2)),
     ("weak_su2_s0_3", _check(_SU2, {"ell_maxes": [7.5, 15.5]}, {"type": "window", "ell": 3}, "weak-marcinkiewicz", s0=3)),
     ("hm_t2", _check(_T2, {"lams": [8.0, 16.0]}, {"type": "power_it", "t": 2.0}, "hormander-mihlin")),
+    ("decay_t2", _decay(_T2, {"lam": 24.0}, [1, 2, 3], 0.3)),
+    ("decay_t3", _decay(_T3, {"lam": 8.0}, [1, 2], 0.3)),
+    ("decay_su2_c05", _decay(_SU2, {"ell_max": 15.5}, [1, 2, 3], 0.3, c=0.5)),
+    ("decay_t1_empty", _decay(_T1, {"lam": 64.0}, [2, 3, 4], 0.8)),
 ]
 
 
@@ -124,9 +137,12 @@ def main(argv: list[str]) -> int:
     for name, cfg in configs():
         out = root / name
         code = run_config(cfg, out)
-        for path in sorted(out.glob("*")):
+        paths = sorted(out.glob("*"))
+        for path in paths:
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest}  {name}/{path.name}  exit={code}")
+        if not paths:
+            print(f"(no files)  {name}  exit={code}")
     return 0
 
 

@@ -26,7 +26,6 @@ from .transform import (
     inverse_on_grid,
     plancherel_norm,
     random_coefficients,
-    translate_coefficients,
 )
 from .spaces import (
     NormSpec,
@@ -53,7 +52,7 @@ from .multipliers import (
     EnsembleConfig,
     apply_multiplier,
     boundedness_sweep,
-    kernel_difference_integral,
+    kernel_difference_integrals,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

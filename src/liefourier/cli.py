@@ -42,9 +42,9 @@ from .multipliers import (
     boundedness_sweep,
     decay_slope,
     ensemble_member,
-    kernel_difference_integral,
+    kernel_difference_integrals,
 )
-from .spaces import NormSpec, lp_project, psi, tl_norms, window_levels
+from .spaces import NormSpec, psi, tl_norms, window_levels
 from .symbols import check_hormander_mihlin, check_marcinkiewicz, check_weak_marcinkiewicz, symbol_from_config
 from .transform import (
     default_grid,
@@ -393,21 +393,11 @@ def _task_kernel_decay(task: Task):
         z[0] = task.z_distance / (2.0 * np.pi)
     else:
         z = su2_point_from_distance(task.z_distance)
-    rows = []
-    integrals = []
-    for ell in task.windows:
-        kernel = lp_project(symbol, ell)
-        value = kernel_difference_integral(kernel, z, task.c, grid)
-        integrals.append(value)
-        rows.append(
-            {
-                "symbol": task.symbol_name,
-                "lam": lam,
-                "window": ell,
-                "value": value,
-                "status": "ok",
-            }
-        )
+    integrals = kernel_difference_integrals(symbol, task.windows, z, task.c, grid)
+    rows = [
+        {"symbol": task.symbol_name, "lam": lam, "window": ell, "value": value, "status": "ok"}
+        for ell, value in zip(task.windows, integrals)
+    ]
     slope = decay_slope(task.windows, integrals)
     rows.append(
         {

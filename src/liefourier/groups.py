@@ -201,13 +201,6 @@ def q1_weight(group: GroupDescriptor, points: np.ndarray) -> np.ndarray:
     return _q1(group, np.moveaxis(np.asarray(points, dtype=float), -1, 0))
 
 
-def group_diameter(group: GroupDescriptor) -> float:
-    """sup of |x| over the group."""
-    if group.kind == TORUS:
-        return np.pi * np.sqrt(group.dim)
-    return np.pi
-
-
 # ---------------------------------------------------------------------------
 # Quadrature grids
 # ---------------------------------------------------------------------------

@@ -6,6 +6,9 @@ the left product of the right-convolution convention of
 :mod:`liefourier.transform`: T_sigma f = f * k with khat = sigma.  The
 window kernel at level ell, the right-convolution kernel of A psi_ell(B),
 is :func:`liefourier.spaces.lp_project` of the symbol.
+:func:`kernel_difference_integrals` takes one symbol, one z and a list of
+levels: the far-field mask and xi(z^{-1}) are computed once per call, and
+each window's difference is synthesised once.
 
 Operator norms on F^r_{p,q} are probed from below with seeded function
 ensembles: no finite ensemble certifies an upper bound, so sweep results are
@@ -26,18 +29,16 @@ from .groups import (
     QuadratureGrid,
     distance_to_identity,
     grid_distance_to_identity,
-    group_diameter,
     inverse,
     random_point,
 )
-from .spaces import NormSpec, psi, tl_norms, window_levels
+from .spaces import NormSpec, lp_project, psi, tl_norms, window_levels
 from .symbols import Symbol, operator_norms
 from .transform import (
     FourierCoefficients,
     inverse_on_grid,
     random_coefficients,
     require_same_dual,
-    translate_coefficients,
     zero_coefficients,
 )
 
@@ -56,37 +57,42 @@ def apply_multiplier(symbol: Symbol, coeffs: FourierCoefficients) -> FourierCoef
     return FourierCoefficients(coeffs.dual, [s @ f for s, f in zip(symbol.stacks, coeffs.stacks)])
 
 
-def kernel_difference_integral(
-    kernel: FourierCoefficients,
+def kernel_difference_integrals(
+    symbol: Symbol,
+    levels,
     z: np.ndarray,
     c: float,
     grid: QuadratureGrid,
-) -> float:
-    """integral over {|x| > 4c|z|} of |kappa(z^{-1} x) - kappa(x)| dx,
-    by quadrature on the grid.  The difference is synthesised on the grid
-    once, from its exact coefficients kappa_hat(xi) (xi(z^{-1}) - I): those
-    of the translated kernel (:func:`translate_coefficients`, never grid
-    interpolation) minus the kernel's own.
+) -> list[float]:
+    """For each level ell, the integral over {|x| > 4c|z|} of
+    |kappa_ell(z^{-1} x) - kappa_ell(x)| dx, kappa_ell the window kernel
+    ``lp_project(symbol, ell)``, by quadrature on the grid.
 
-    Returns 0 when the domain is empty (4c|z| at least the diameter).
+    The far-field mask and the matrices xi(z^{-1}) are computed once per
+    call.  Per level, the difference is synthesised on the grid once, from
+    its exact coefficients kappa_hat(xi) (xi(z^{-1}) - I), never by grid
+    interpolation.  Every level gets 0 when no grid node lies in the far
+    field.
     """
-    group = kernel.dual.group
+    dual = symbol.dual
+    group = dual.group
     if c <= 0:
         raise PreconditionError("c must be positive")
     zlen = float(distance_to_identity(group, np.asarray(z, dtype=float)))
     if zlen == 0.0:
         raise PreconditionError("z must differ from the identity")
-    threshold = 4.0 * c * zlen
-    if threshold >= group_diameter(group):
-        return 0.0
-    dist = grid_distance_to_identity(grid)
-    mask = dist > threshold
+    mask = grid_distance_to_identity(grid) > 4.0 * c * zlen
     if not np.any(mask):
-        return 0.0
-    moved = translate_coefficients(kernel, inverse(group, z))
-    diff = FourierCoefficients(kernel.dual, [m - s for m, s in zip(moved.stacks, kernel.stacks)])
-    values = inverse_on_grid(diff, grid).values[mask]
-    return float(np.sum(grid.weights[mask] * np.abs(values)))
+        return [0.0] * len(levels)
+    reps = representation_stacks(dual, inverse(group, z))
+    integrals = []
+    for ell in levels:
+        kernel = lp_project(symbol, ell)
+        diff = FourierCoefficients(dual, [k @ r - k for k, r in zip(kernel.stacks, reps)])
+        values = inverse_on_grid(diff, grid).values[mask]
+        integrals.append(float(np.sum(grid.weights[mask] * np.abs(values))))
+        del values  # not alive through the next window's inverse
+    return integrals
 
 
 def decay_slope(levels, integrals) -> float:
@@ -155,15 +161,14 @@ def ensemble_member(
         z = random_point(dual.group, rng)
         scale = dual.per_run(psi(ell, dual.eigenvalues))
         return FourierCoefficients(dual, [s * r for s, r in zip(scale, representation_stacks(dual, z))])
-    if config.kind == "directed-irrep":
-        if symbol is None:
-            raise PreconditionError("directed-irrep members need the symbol")
-        best_i = int(np.argmax(operator_norms(symbol.stacks)))
-        _, _, vh = np.linalg.svd(symbol.block(best_i))
-        member = zero_coefficients(dual)
-        member.block(best_i)[:, 0] = vh[0].conj()
-        return member
-    raise ConfigurationError(f"unknown ensemble kind {config.kind!r}")
+    # directed-irrep, the last kind EnsembleConfig admits
+    if symbol is None:
+        raise PreconditionError("directed-irrep members need the symbol")
+    best_i = int(np.argmax(operator_norms(symbol.stacks)))
+    _, _, vh = np.linalg.svd(symbol.block(best_i))
+    member = zero_coefficients(dual)
+    member.block(best_i)[:, 0] = vh[0].conj()
+    return member
 
 
 @dataclass

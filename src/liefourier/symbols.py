@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import DualSlice
+from .dual import DualSlice, spin_cutoff
 from .errors import ConfigurationError, MarginError, PreconditionError
 from .groups import TORUS, GroupDescriptor, grid_q1_weight
 from .spaces import eta, psi
@@ -290,8 +290,7 @@ def _require_margin(dual: DualSlice, order: int):
         if dual.group.kind == TORUS:
             needed = math.sqrt(1.0 + float(order) ** 2)
         else:
-            ell = order / 2.0
-            needed = math.sqrt(1.0 + ell * (ell + 1.0))
+            needed = spin_cutoff(order / 2.0)
         raise MarginError(
             f"no irrep has an order-{order} margin inside cutoff {dual.cutoff:g}; "
             f"the cutoff must be at least {needed:g} (and larger to trust useful irreps)"
@@ -361,7 +360,7 @@ def check_hormander_mihlin(symbol: Symbol, s: float | None = None) -> CheckRepor
     group = symbol.dual.group
     n = group.dim
     if s is None:
-        s = float(n // 2 + 1)
+        s = float(default_kappa(group))
     if s <= n / 2.0:
         raise PreconditionError(f"the Sobolev order must exceed n/2 = {n / 2}")
     linf = symbol_linf(symbol)

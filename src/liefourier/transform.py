@@ -345,12 +345,6 @@ def plancherel_norm(coeffs: FourierCoefficients) -> float:
     return float(np.sqrt(total))
 
 
-def translate_coefficients(coeffs: FourierCoefficients, z: np.ndarray) -> FourierCoefficients:
-    """Coefficients of x -> f(zx), namely fhat(xi) xi(z)."""
-    reps = representation_stacks(coeffs.dual, z)
-    return FourierCoefficients(coeffs.dual, [s @ r for s, r in zip(coeffs.stacks, reps)])
-
-
 def require_same_dual(left: DualSlice, right: DualSlice):
     if left.group != right.group or len(left) != len(right):
         raise PreconditionError("operands live on different dual slices")

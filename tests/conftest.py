@@ -3,6 +3,7 @@ import pytest
 
 from liefourier import make_group
 from liefourier.dual import representation_stacks
+from liefourier.transform import FourierCoefficients
 
 
 @pytest.fixture(scope="session")
@@ -43,6 +44,13 @@ def irrep_labels(dual):
 def index_of(dual, label):
     """The position in the slice of ``label``, given as in :func:`irrep_labels`."""
     return irrep_labels(dual).index(label)
+
+
+def translate_coefficients(coeffs, z):
+    """Coefficients of x -> f(zx), namely fhat(xi) xi(z): the translation
+    convention, as the tests' oracle."""
+    reps = representation_stacks(coeffs.dual, z)
+    return FourierCoefficients(coeffs.dual, [s @ r for s, r in zip(coeffs.stacks, reps)])
 
 
 def irrep_matrices(dual, x):

@@ -13,7 +13,6 @@ from liefourier.groups import (
     euler_from_pair,
     grid_distance_to_identity,
     grid_q1_weight,
-    group_diameter,
     identity,
     inverse,
     multiply,
@@ -183,12 +182,6 @@ def test_q1_vanishes_only_at_identity(torus1, su2):
         assert np.all(q[at_identity] < 1e-12)
         assert np.all(q[~at_identity] > 1e-12)
         assert q1_weight(group, identity(group)) < 1e-15
-
-
-def test_group_diameter(torus1, torus2, su2):
-    assert abs(group_diameter(torus1) - np.pi) < 1e-15
-    assert abs(group_diameter(torus2) - np.pi * np.sqrt(2)) < 1e-15
-    assert abs(group_diameter(su2) - np.pi) < 1e-15
 
 
 @pytest.mark.parametrize("kind,n,cutoff", [("torus", 1, 8.0), ("su2", 3, spin_cutoff(3))])

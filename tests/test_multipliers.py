@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import index_of, irrep_labels
+from conftest import index_of, irrep_labels, translate_coefficients
 from liefourier import (
     EnsembleConfig,
     FourierCoefficients,
@@ -14,12 +14,12 @@ from liefourier import (
     build_spectral_symbol,
     enumerate_dual,
     identity_symbol,
-    kernel_difference_integral,
+    kernel_difference_integrals,
     make_group,
     plancherel_norm,
     random_coefficients,
 )
-from liefourier import spaces
+from liefourier import multipliers, spaces
 from liefourier.dual import spin_cutoff
 from liefourier.errors import ConfigurationError, PreconditionError
 from liefourier.groups import (
@@ -33,7 +33,7 @@ from liefourier.groups import (
 from liefourier.multipliers import decay_slope, ensemble_member
 from liefourier.spaces import lp_project, psi, window_levels
 from liefourier.symbols import symbol_linf
-from liefourier.transform import cached_grid, inverse_evaluate, inverse_on_grid, translate_coefficients
+from liefourier.transform import cached_grid, inverse_evaluate, inverse_on_grid
 from tl_oracle import tl_norms as oracle_tl_norms
 
 
@@ -140,32 +140,30 @@ def test_window_sum_reconstructs_symbol(su2):
 
 def test_empty_domain_returns_zero(torus1):
     dual = enumerate_dual(torus1, 16.0)
-    kernel = lp_project(identity_symbol(dual), 1)
     grid = cached_grid(torus1, dual.max_band)
     z = np.array([0.3])  # |z| = 0.6 pi, 4|z| = 2.4 pi > pi = diameter
-    assert kernel_difference_integral(kernel, z, 1.0, grid) == 0.0
+    assert kernel_difference_integrals(identity_symbol(dual), [1], z, 1.0, grid) == [0.0]
 
 
 def test_oversampling_oracle_torus(torus1):
     # the coarse-grid quadrature must match a 10x denser reference within 1%
     dual = enumerate_dual(torus1, 64.0)
     sig = identity_symbol(dual)
-    kernel = lp_project(sig, 0)
     z = np.array([0.07])
-    coarse = kernel_difference_integral(kernel, z, 1.0, cached_grid(torus1, dual.max_band))
-    dense = kernel_difference_integral(kernel, z, 1.0, build_grid(torus1, 10 * int(dual.max_band)))
+    [coarse] = kernel_difference_integrals(sig, [0], z, 1.0, cached_grid(torus1, dual.max_band))
+    [dense] = kernel_difference_integrals(sig, [0], z, 1.0, build_grid(torus1, 10 * int(dual.max_band)))
     assert abs(coarse - dense) <= 0.01 * dense
 
 
 def test_inverse_symmetry_real_kernel(torus1):
     # real symmetric kernels: the integral is invariant under z -> z^-1
     dual = enumerate_dual(torus1, 32.0)
-    kernel = lp_project(identity_symbol(dual), 2)
+    sig = identity_symbol(dual)
     grid = cached_grid(torus1, dual.max_band)
     z = np.array([0.06])
     zi = np.array([1.0 - 0.06])
-    v1 = kernel_difference_integral(kernel, z, 1.0, grid)
-    v2 = kernel_difference_integral(kernel, zi, 1.0, grid)
+    [v1] = kernel_difference_integrals(sig, [2], z, 1.0, grid)
+    [v2] = kernel_difference_integrals(sig, [2], zi, 1.0, grid)
     assert abs(v1 - v2) < 1e-10 * max(1.0, v1)
 
 
@@ -176,13 +174,12 @@ def test_su2_class_function_path_matches_general(su2):
     dual = enumerate_dual(su2, spin_cutoff(3))
     grid = cached_grid(su2, dual.max_band)
     sig = build_spectral_symbol(lambda lam: lam ** (1j), dual)
-    kernel = lp_project(sig, 1)
     z = su2_point_from_distance(0.4)
-    fast = kernel_difference_integral(kernel, z, 1.0, grid)
-    bumped = FourierCoefficients.from_blocks(dual, [b.copy() for b in kernel.blocks])
+    [fast] = kernel_difference_integrals(sig, [1], z, 1.0, grid)
+    bumped = Symbol.from_blocks(dual, [b.copy() for b in sig.blocks])
     idx = index_of(dual, 1.0)
     bumped.blocks[idx][0, 1] += 1e-300  # makes the block non-scalar only
-    general = kernel_difference_integral(bumped, z, 1.0, grid)
+    [general] = kernel_difference_integrals(bumped, [1], z, 1.0, grid)
     assert abs(fast - general) < 1e-9 * max(1.0, fast)
 
 
@@ -206,10 +203,9 @@ def test_kernel_difference_matches_pointwise_oracle(kind, n, cutoff, z):
     dual = enumerate_dual(group, cutoff)
     grid = cached_grid(group, dual.max_band)
     sig = Symbol.from_blocks(dual, random_coefficients(dual, np.random.default_rng(13)).blocks)
-    kernel = lp_project(sig, 2)
     z = np.array(z)
-    value = kernel_difference_integral(kernel, z, 1.0, grid)
-    oracle = _pointwise_difference_integral(kernel, z, 1.0, grid)
+    [value] = kernel_difference_integrals(sig, [2], z, 1.0, grid)
+    oracle = _pointwise_difference_integral(lp_project(sig, 2), z, 1.0, grid)
     assert oracle > 0
     assert abs(value - oracle) <= 1e-10 * oracle
 
@@ -243,22 +239,93 @@ def test_kernel_difference_matches_two_synthesis_oracle(kind, n, top, z, c):
     grid = cached_grid(group, dual.max_band)
     sig = Symbol.from_blocks(dual, random_coefficients(dual, np.random.default_rng(21)).blocks)
     z = np.array(z)
-    for ell in window_levels(dual.cutoff):
-        if not psi(ell, dual.eigenvalues).any():
-            continue
-        kernel = lp_project(sig, ell)
-        value = kernel_difference_integral(kernel, z, c, grid)
-        oracle = _two_synthesis_difference_integral(kernel, z, c, grid)
+    levels = _nonzero_windows(dual)
+    for ell, value in zip(levels, kernel_difference_integrals(sig, levels, z, c, grid)):
+        oracle = _two_synthesis_difference_integral(lp_project(sig, ell), z, c, grid)
         assert abs(value - oracle) <= 1e-12 * oracle
         assert (value == 0.0) == (c > 1.0)
 
 
+def _nonzero_windows(dual):
+    return [ell for ell in window_levels(dual.cutoff) if psi(ell, dual.eigenvalues).any()]
+
+
+def _per_window_difference_integral(kernel, z, c, grid):
+    # oracle: one window kernel per call, with the distance, the far-field
+    # mask and xi(z^-1) made anew each time and the diameter shortcut in front
+    group = kernel.dual.group
+    if c <= 0:
+        raise PreconditionError("c must be positive")
+    zlen = float(distance_to_identity(group, np.asarray(z, dtype=float)))
+    if zlen == 0.0:
+        raise PreconditionError("z must differ from the identity")
+    threshold = 4.0 * c * zlen
+    if threshold >= (np.pi * np.sqrt(group.dim) if group.kind == "torus" else np.pi):
+        return 0.0
+    dist = grid_distance_to_identity(grid)
+    mask = dist > threshold
+    if not np.any(mask):
+        return 0.0
+    moved = translate_coefficients(kernel, inverse(group, z))
+    diff = FourierCoefficients(kernel.dual, [m - s for m, s in zip(moved.stacks, kernel.stacks)])
+    values = inverse_on_grid(diff, grid).values[mask]
+    return float(np.sum(grid.weights[mask] * np.abs(values)))
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0, 1.2499])
+@pytest.mark.parametrize(
+    "kind,n,top,z",
+    [
+        ("torus", 1, 64.0, [0.07]),
+        ("torus", 2, 12.0, [0.03, 0.05]),
+        ("torus", 3, 6.0, [0.03, 0.05, 0.02]),
+        ("su2", 3, 7.5, [0.3, 0.2, 0.1]),
+        # no node of the 33-point grid lies beyond 4c|z| at c = 1.2499
+        ("torus", 1, 16.0, [0.1]),
+    ],
+)
+def test_one_call_equals_per_window_oracle_bitwise(kind, n, top, z, c):
+    # non-scalar symbol blocks on SU(2) (top is its top spin), every window
+    # that is nonzero on the slice, in one call
+    group = make_group(kind, n)
+    dual = enumerate_dual(group, top if kind == "torus" else spin_cutoff(top))
+    grid = cached_grid(group, dual.max_band)
+    sig = Symbol.from_blocks(dual, random_coefficients(dual, np.random.default_rng(23)).blocks)
+    z = np.array(z)
+    levels = _nonzero_windows(dual)
+    oracle = [_per_window_difference_integral(lp_project(sig, ell), z, c, grid) for ell in levels]
+    assert kernel_difference_integrals(sig, levels, z, c, grid) == oracle
+    empty_far_field = top == 16.0 and c > 1.0
+    assert (max(oracle) == 0.0) == empty_far_field
+
+
+def test_one_call_builds_distance_and_translation_once(torus1, monkeypatch):
+    calls = {"grid_distance_to_identity": 0, "representation_stacks": 0}
+
+    def counted(name):
+        original = getattr(multipliers, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(multipliers, name, counted(name))
+    dual = enumerate_dual(torus1, 64.0)
+    grid = cached_grid(torus1, dual.max_band)
+    sig = build_spectral_symbol(lambda lam: lam ** (1j), dual)
+    values = kernel_difference_integrals(sig, [1, 2, 3, 4], np.array([0.05]), 1.0, grid)
+    assert all(v > 0.0 for v in values)
+    assert calls == {"grid_distance_to_identity": 1, "representation_stacks": 1}
+
+
 def test_z_must_not_be_identity(torus1):
     dual = enumerate_dual(torus1, 8.0)
-    kernel = lp_project(identity_symbol(dual), 1)
     grid = cached_grid(torus1, dual.max_band)
     with pytest.raises(PreconditionError):
-        kernel_difference_integral(kernel, np.array([0.0]), 1.0, grid)
+        kernel_difference_integrals(identity_symbol(dual), [1], np.array([0.0]), 1.0, grid)
 
 
 def test_torus_decay_trend_small(torus1):
@@ -266,10 +333,7 @@ def test_torus_decay_trend_small(torus1):
     grid = cached_grid(torus1, dual.max_band)
     sig = build_spectral_symbol(lambda lam: lam ** (1j), dual)
     z = np.array([0.05])
-    vals = [
-        kernel_difference_integral(lp_project(sig, ell), z, 1.0, grid)
-        for ell in (2, 3, 4)
-    ]
+    vals = kernel_difference_integrals(sig, (2, 3, 4), z, 1.0, grid)
     assert decay_slope((2, 3, 4), vals) <= -0.2
 
 

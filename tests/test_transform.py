@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import index_of, irrep_labels, irrep_matrices
+from conftest import index_of, irrep_labels, irrep_matrices, translate_coefficients
 from liefourier import (
     FourierCoefficients,
     GridFunction,
@@ -17,7 +17,6 @@ from liefourier import (
     make_group,
     plancherel_norm,
     random_coefficients,
-    translate_coefficients,
 )
 from liefourier.dual import little_d, spin_cutoff, wigner_matrix
 from liefourier.errors import PreconditionError
