@@ -58,7 +58,9 @@ def _decay(group: dict, cutoff: dict, windows: list[int], z_distance: float, **p
 # configs that the shipped and benchmark configs leave out: checker orders and
 # s0 above 1, mixed differences on T^3, Hormander-Mihlin on the torus; kernel
 # decay on T^2 and T^3, with c != 1, and with an empty far field (4c|z| >= pi
-# on T^1, which exits 1 through the decay slope)
+# on T^1, which exits 1 through the decay slope); a T^3 transform and
+# tl-norm, whose random members are drawn in slice order and so move if the
+# tie order of enumeration changes
 CHECKS = [
     ("marcinkiewicz_t3_order2", _check(_T3, {"lams": [8.0, 16.0]}, {"type": "power_it", "t": 1.0}, "marcinkiewicz", order=2)),
     ("marcinkiewicz_su2_order2", _check(_SU2, {"ell_maxes": [7.5, 15.5]}, {"type": "wave"}, "marcinkiewicz", order=2)),
@@ -70,6 +72,8 @@ CHECKS = [
     ("decay_t3", _decay(_T3, {"lam": 8.0}, [1, 2], 0.3)),
     ("decay_su2_c05", _decay(_SU2, {"ell_max": 15.5}, [1, 2, 3], 0.3, c=0.5)),
     ("decay_t1_empty", _decay(_T1, {"lam": 64.0}, [2, 3, 4], 0.8)),
+    ("transform_t3", {"task": "transform", "group": _T3, "lam": 24.0, "count": 1, "seed": 1}),
+    ("tl_norm_t3", {"task": "tl-norm", "group": _T3, "lam": 16.0, "specs": [{"r": 0, "p": 4, "q": 2}], "count": 1, "seed": 1}),
 ]
 
 

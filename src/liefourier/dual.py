@@ -70,12 +70,6 @@ class DualSlice:
         return [values[run, None, None] for run in self.runs]
 
     @cached_property
-    def box_index(self) -> tuple[np.ndarray, ...]:
-        """Torus: the position of every label in the label box [-B, B]^n,
-        B = ``max_band``, as an index tuple into a (2B + 1)^n array."""
-        return tuple((self.labels + int(self.max_band)).T)
-
-    @cached_property
     def max_band(self) -> float:
         """Grid bandlimit needed to transform this slice exactly.
 
@@ -105,23 +99,22 @@ def enumerate_dual(group: GroupDescriptor, cutoff: float) -> DualSlice:
         n = group.dim
         max_sq = cutoff * cutoff - 1.0
         bound = int(np.floor(np.sqrt(max(max_sq, 0.0))))
+        shape = (2 * bound + 1,) * n
         box = (2 * bound + 1) ** n
         if box > MAX_TORUS_LABELS:
             raise ConfigurationError(
                 f"cutoff {cutoff:g} on T^{n} needs a box of {box} labels, about "
-                f"{box * n * 8 / 1e9:.1f} GB for the label array alone; the limit is "
+                f"{box * 8 / 1e9:.1f} GB for the float64 norm box alone; the limit is "
                 f"{MAX_TORUS_LABELS} labels"
             )
-        ranges = [range(-bound, bound + 1)] * n
-        grids = np.meshgrid(*ranges, indexing="ij")
-        labels = np.stack([g.ravel() for g in grids], axis=-1)
-        norms_sq = np.sum(labels.astype(float) ** 2, axis=-1)
-        keep = norms_sq <= max_sq + 1e-12
-        labels = labels[keep]
-        eigenvalues = np.sqrt(1.0 + norms_sq[keep])
-        # sort by eigenvalue, ties by label (lexsort reads its last key first)
-        order = np.lexsort((*labels.T[::-1], eigenvalues))
-        labels, eigenvalues = labels[order], eigenvalues[order]
+        norms_sq = sum(np.ix_(*[np.arange(-bound, bound + 1, dtype=float) ** 2] * n)).ravel()
+        # the ball's cells in C order, which is ascending label order; the
+        # stable sort by norm keeps that order among equal eigenvalues
+        cells = np.flatnonzero(norms_sq <= max_sq + 1e-12)
+        cells = cells[np.argsort(norms_sq[cells], kind="stable")]
+        eigenvalues = np.sqrt(1.0 + norms_sq[cells])
+        del norms_sq  # the box goes before the labels are laid out
+        labels = np.stack(np.unravel_index(cells, shape), axis=-1) - bound
         dims = np.ones(len(labels), dtype=np.int64)
     elif group.kind == SU2:
         # one candidate past the validated top spin, to refuse cutoffs that admit it

@@ -136,22 +136,23 @@ class _TorusPlan:
     """FFT on the uniform (2B+1)^n product grid.
 
     Every label has |xi_j| <= max_band <= B, so the labels stay distinct
-    modulo the grid shape: the forward transform gathers them from ``fftn``
-    of the weighted samples and the inverse scatters them into ``ifftn``.
+    modulo the grid shape.  ``index`` holds the flat C-order cell of each
+    label's residue: the forward transform gathers them from ``fftn`` of the
+    weighted samples and the inverse scatters them into ``ifftn``.
     """
 
     def __init__(self, grid: QuadratureGrid, dual: DualSlice):
         self.shape = grid.shape
         self.weights = grid.weights.reshape(self.shape)
-        self.index = tuple(np.mod(dual.labels, self.shape).T)
+        self.index = np.ravel_multi_index(np.mod(dual.labels, self.shape).T, self.shape)
 
     def forward(self, values: np.ndarray) -> list[np.ndarray]:
         spectrum = np.fft.fftn(self.weights * values.reshape(self.shape))
-        return [spectrum[self.index].reshape(-1, 1, 1)]
+        return [np.take(spectrum, self.index).reshape(-1, 1, 1)]
 
     def inverse_on_grid(self, stacks: list[np.ndarray]) -> np.ndarray:
         spectrum = np.zeros(self.shape, dtype=complex)
-        spectrum[self.index] = stacks[0][:, 0, 0]
+        np.put(spectrum, self.index, stacks[0][:, 0, 0])
         return np.fft.ifftn(spectrum, norm="forward").ravel()
 
 

@@ -254,12 +254,13 @@ def test_unknown_report_format_argument_refused_before_any_work(tmp_path, monkey
 def test_oversized_torus_slice_refused_before_any_label_array(tmp_path, monkeypatch, capsys):
     import numpy as np
 
-    def no_meshgrid(*args, **kwargs):
-        raise AssertionError("a label meshgrid was requested")
+    def no_box(*args, **kwargs):
+        raise AssertionError("the label box was requested")
 
-    # T^3 at lam 512 would lay out about 10^9 labels (26 GB); an exit 1 proves
-    # the refusal came first, since the assertion would be a task failure
-    monkeypatch.setattr(np, "meshgrid", no_meshgrid)
+    # T^3 at lam 512 would lay out a norm box of about 10^9 float64 cells
+    # (8.6 GB); an exit 1 proves the refusal came first, since the assertion
+    # would be a task failure
+    monkeypatch.setattr(np, "ix_", no_box)
     cfg = {"task": "transform", "group": {"kind": "torus", "dim": 3}, "lam": 512.0, "count": 1}
     assert run_config(cfg, tmp_path / "out") == 1
     assert "GB" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -33,15 +34,15 @@ def test_enumerate_su2_enforces_max_spin(su2):
 
 
 def test_enumerate_torus_label_ceiling(monkeypatch):
-    # the advertised sizes reach the label meshgrid (stubbed, so nothing is
-    # allocated); T^3 at lam 512 is refused with its byte estimate first
+    # the advertised sizes reach the norm box's np.ix_ (stubbed, so nothing
+    # is allocated); T^3 at lam 512 is refused with its byte estimate first
     class Admitted(Exception):
         pass
 
     def admitted(*args, **kwargs):
         raise Admitted
 
-    monkeypatch.setattr(np, "meshgrid", admitted)
+    monkeypatch.setattr(np, "ix_", admitted)
     for n, lam in ((1, 512.0), (2, 256.0), (3, 40.0)):
         with pytest.raises(Admitted):
             enumerate_dual(make_group("torus", n), lam)
@@ -208,6 +209,20 @@ def test_large_spin_unitary(su2):
     assert np.max(np.abs(mat @ mat.conj().T - np.eye(129))) < 1e-10
 
 
+def _enumerate_lexsort_oracle(group, cutoff):
+    """Torus enumeration through the whole label box: every label of
+    [-B, B]^n, filtered to the ball, then one lexsort by (eigenvalue, label)."""
+    max_sq = cutoff * cutoff - 1.0
+    bound = int(np.floor(np.sqrt(max(max_sq, 0.0))))
+    grids = np.meshgrid(*[range(-bound, bound + 1)] * group.dim, indexing="ij")
+    labels = np.stack([g.ravel() for g in grids], axis=-1)
+    norms_sq = np.sum(labels.astype(float) ** 2, axis=-1)
+    keep = norms_sq <= max_sq + 1e-12
+    labels, eigenvalues = labels[keep], np.sqrt(1.0 + norms_sq[keep])
+    order = np.lexsort((*labels.T[::-1], eigenvalues))  # the last key sorts first
+    return labels[order], np.ones(len(order), dtype=np.int64), eigenvalues[order]
+
+
 def _enumerate_oracle(group, cutoff):
     """The per-label enumeration loop: (label, dim, <xi>) per irrep, sorted
     by (eigenvalue, label)."""
@@ -240,19 +255,22 @@ _BOUNDARY_CUTOFFS = (1.0, np.sqrt(2.0), np.sqrt(5.0), np.sqrt(3.0), 7.3)
 @pytest.mark.parametrize(
     "kind,n,cutoff",
     [("torus", n, c) for n in (1, 2, 3) for c in _BOUNDARY_CUTOFFS]
-    + [("torus", 2, 256.0), ("torus", 3, 40.0)]
+    + [("torus", 2, 256.0), ("torus", 3, 40.0), ("torus", 3, 64.0)]
     + [("su2", 3, c) for c in (1.0, np.sqrt(2.0), spin_cutoff(0.5), spin_cutoff(7.5), spin_cutoff(64))],
 )
 def test_enumerate_dual_equals_per_label_loop(kind, n, cutoff):
     group = make_group(kind, n)
     dual = enumerate_dual(group, cutoff)
-    oracle = _enumerate_oracle(group, cutoff)
-    labels, dims, eigs = (np.array(col) for col in zip(*oracle))
+    if cutoff == 64.0:  # the per-label loop is too slow here; the label-box lexsort is the oracle
+        labels, dims, eigs = _enumerate_lexsort_oracle(group, cutoff)
+    else:
+        oracle = _enumerate_oracle(group, cutoff)
+        labels, dims, eigs = (np.array(col) for col in zip(*oracle))
+        if len(oracle) < 1000:  # the per-irrep view of the arrays
+            assert list(zip(irrep_labels(dual), dual.dims.tolist(), dual.eigenvalues.tolist())) == oracle
     assert np.array_equal(dual.labels, labels)
     assert np.array_equal(dual.dims, dims)
     assert np.array_equal(dual.eigenvalues, eigs)
-    if len(oracle) < 1000:  # the per-irrep view of the arrays
-        assert list(zip(irrep_labels(dual), dual.dims.tolist(), dual.eigenvalues.tolist())) == oracle
     runs = dual.runs
     assert runs[0].start == 0 and runs[-1].stop == len(dual)
     assert all(a.stop == b.start for a, b in zip(runs, runs[1:]))
@@ -283,3 +301,16 @@ def test_representation_batch_equals_per_point(kind, n, cutoff):
             per_point = np.stack([wigner_matrix(ell, p) for p in pts])
             np.testing.assert_allclose(wigner_matrix(ell, pts), per_point, rtol=0, atol=1e-13)
 
+
+def test_enumerate_torus_peak_memory():
+    # no box-sized label array is made and the norm box goes before the
+    # labels are laid out, so the peak stays within twice the returned arrays
+    group = make_group("torus", 3)
+    tracemalloc.start()
+    try:
+        dual = enumerate_dual(group, 32.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = dual.labels.nbytes + dual.dims.nbytes + dual.eigenvalues.nbytes
+    assert peak <= 2.0 * returned, peak / returned

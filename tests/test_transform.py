@@ -388,9 +388,11 @@ def _reality_defect(coeffs):
     if dual.group.kind == "torus":
         # the slice is symmetric: fhat(-xi) is read from the flipped label box
         vals = coeffs.stacks[0][:, 0, 0]
-        box = np.zeros((2 * int(dual.max_band) + 1,) * dual.group.dim, dtype=complex)
-        box[dual.box_index] = vals
-        return float(np.max(np.abs(np.flip(box)[dual.box_index] - np.conj(vals))))
+        bound = int(dual.max_band)
+        box = np.zeros((2 * bound + 1,) * dual.group.dim, dtype=complex)
+        cells = np.ravel_multi_index((dual.labels + bound).T, box.shape)
+        np.put(box, cells, vals)
+        return float(np.max(np.abs(np.take(np.flip(box), cells) - np.conj(vals))))
     worst = 0.0
     for d, stack in zip(dual.run_dims, coeffs.stacks):
         r = np.arange(d)
