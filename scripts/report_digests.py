@@ -56,11 +56,12 @@ def _decay(group: dict, cutoff: dict, windows: list[int], z_distance: float, **p
 
 
 # configs that the shipped and benchmark configs leave out: checker orders and
-# s0 above 1, mixed differences on T^3, Hormander-Mihlin on the torus; kernel
-# decay on T^2 and T^3, with c != 1, and with an empty far field (4c|z| >= pi
-# on T^1, which exits 1 through the decay slope); a T^3 transform and
-# tl-norm, whose random members are drawn in slice order and so move if the
-# tie order of enumeration changes
+# s0 above 1, mixed differences on T^3, Hormander-Mihlin on the torus and at
+# odd and fractional s (integer s comes from the q1^2 stencil, fractional s
+# from the grid); kernel decay on T^2 and T^3, with c != 1, and with an
+# empty far field (4c|z| >= pi on T^1, which exits 1 through the decay
+# slope); a T^3 transform and tl-norm, whose random members are drawn in
+# slice order and so move if the tie order of enumeration changes
 CHECKS = [
     ("marcinkiewicz_t3_order2", _check(_T3, {"lams": [8.0, 16.0]}, {"type": "power_it", "t": 1.0}, "marcinkiewicz", order=2)),
     ("marcinkiewicz_su2_order2", _check(_SU2, {"ell_maxes": [7.5, 15.5]}, {"type": "wave"}, "marcinkiewicz", order=2)),
@@ -68,6 +69,10 @@ CHECKS = [
     ("weak_t2_s0_2", _check(_T2, {"lams": [16.0, 32.0]}, {"type": "power_it", "t": 3.0}, "weak-marcinkiewicz", s0=2)),
     ("weak_su2_s0_3", _check(_SU2, {"ell_maxes": [7.5, 15.5]}, {"type": "window", "ell": 3}, "weak-marcinkiewicz", s0=3)),
     ("hm_t2", _check(_T2, {"lams": [8.0, 16.0]}, {"type": "power_it", "t": 2.0}, "hormander-mihlin")),
+    ("hm_su2_s3", _check(_SU2, {"ell_maxes": [7.5, 15.5]}, {"type": "power_it", "t": 1.0}, "hormander-mihlin", s=3)),
+    ("hm_t1_s1", _check(_T1, {"lams": [32.0, 64.0]}, {"type": "wave"}, "hormander-mihlin", s=1)),
+    ("hm_t3_s2", _check(_T3, {"lams": [6.0, 10.0]}, {"type": "power_it", "t": 2.0}, "hormander-mihlin", s=2)),
+    ("hm_su2_s2_5", _check(_SU2, {"ell_maxes": [7.5, 15.5]}, {"type": "power_it", "t": 1.0}, "hormander-mihlin", s=2.5)),
     ("decay_t2", _decay(_T2, {"lam": 24.0}, [1, 2, 3], 0.3)),
     ("decay_t3", _decay(_T3, {"lam": 8.0}, [1, 2], 0.3)),
     ("decay_su2_c05", _decay(_SU2, {"ell_max": 15.5}, [1, 2, 3], 0.3, c=0.5)),

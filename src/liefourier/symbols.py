@@ -30,6 +30,13 @@ fewer of alpha's last generator.  Only the label boxes or ladders on the
 current path are alive (at most order + 1), and each difference is read as
 soon as it is made.
 
+The dual-side Sobolev norm ||q1^s f||_2 is exact on the coefficient side
+for integer s: q1^2 is a one-step stencil, sum_j (2 fhat(xi) -
+fhat(xi + e_j) - fhat(xi - e_j)) on the torus and 2 - tr xi0 =
+-(q_00 + q_11) on SU(2), and the norm is a Plancherel pairing of stencil
+powers on a box or ladder padded by floor(s/2) steps.  Fractional s is a
+quadrature approximation on an oversampled grid.
+
 A degree-one generator couples <xi>-neighbours only, so a difference of
 order |alpha| is trusted on irreps whose neighbours within |alpha| coupling
 steps stay inside the working cutoff; every returned symbol carries that
@@ -43,10 +50,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .dual import DualSlice, spin_cutoff
+from .dual import MAX_TORUS_LABELS, DualSlice, spin_cutoff
 from .errors import ConfigurationError, MarginError, PreconditionError
 from .groups import TORUS, GroupDescriptor, grid_q1_weight
 from .spaces import eta, psi
@@ -225,15 +233,17 @@ def _stencil(symbol: Symbol, order: int):
     return (*_su2_ladder(symbol, order), _su2_step)
 
 
-def _torus_box(symbol: Symbol):
-    """The coefficients on the label box [-B, B]^n, and the slice gather.
+def _torus_box(symbol: Symbol, pad: int = 0):
+    """The coefficients on the label box [-B - pad, B + pad]^n, and the slice
+    gather.
 
     A shift reads only the next label up, and every difference of f vanishes
-    above B, so the box needs no padding: the zero that the shift reads past
-    the top face is the exact value there.
+    above B, so the differences need no padding: the zero that the shift
+    reads past the top face is the exact value there.  The q1^2 stencil of
+    the Sobolev norms shifts both ways and grows the support, so it pads.
     """
     dual = symbol.dual
-    bound = int(dual.max_band)
+    bound = int(dual.max_band) + pad
     box = np.zeros((2 * bound + 1,) * dual.group.dim, dtype=complex)
     cells = np.ravel_multi_index((dual.labels + bound).T, box.shape)  # flat C-order cell of each label
     np.put(box, cells, symbol.stacks[0][:, 0, 0])
@@ -245,16 +255,17 @@ def _torus_step(box: np.ndarray, axis: int) -> np.ndarray:
     return np.diff(box, axis=axis, append=0)
 
 
-def _su2_ladder(symbol: Symbol, order: int):
-    """One block per spin k/2, k = 0 .. 2 l_max + order (zero above the
+def _su2_ladder(symbol: Symbol, pad: int):
+    """One block per spin k/2, k = 0 .. 2 l_max + pad (zero above the
     slice), and the slice gather.  The slice holds one spin per run, k = 0,
     1, 2, ... in order."""
     ladder = [stack[0] for stack in symbol.stacks]
     top = len(ladder) - 1
-    ladder += [np.zeros((k + 1, k + 1), dtype=complex) for k in range(top + 1, top + order + 1)]
+    ladder += [np.zeros((k + 1, k + 1), dtype=complex) for k in range(top + 1, top + pad + 1)]
     return ladder, lambda ladder: [blk[None].copy() for blk in ladder[: top + 1]]
 
 
+@lru_cache(maxsize=2048)  # every step of every difference and stencil reads the same rows
 def _cg_rows(k: int, up: bool, m_index: int) -> tuple[slice, slice, np.ndarray]:
     """Nonzero rows of C = <1/2 m; k/2 m_a | L m_s> for L = (k +- 1)/2 and
     m = +1/2 (m_index 0) or -1/2 (m_index 1), in descending-m order: the
@@ -306,16 +317,87 @@ def _require_margin(dual: DualSlice, order: int):
 def dual_sobolev_norm(symbol: Symbol, s: float) -> float:
     """|| q1^s f ||_{L^2(G)} with sigma = fhat (homogeneous dual Sobolev norm).
 
-    Exact quadrature for integer s (q1^2 is band limited); fractional s uses
-    the same oversampled grid as an approximation.
+    Exact on the dual side for integer s (see :func:`_stencil_sobolev_norm`);
+    fractional s is approximated by quadrature on the oversampled grid of
+    bandlimit max_band + ceil(s).
     """
     if s < 0:
         raise PreconditionError("the Sobolev order must be >= 0")
+    if float(s).is_integer():
+        return _stencil_sobolev_norm(symbol, int(s))
     group = symbol.dual.group
-    grid = cached_grid(group, symbol.dual.max_band + math.ceil(max(s, 0.0)))
+    grid = cached_grid(group, symbol.dual.max_band + math.ceil(s))
     f = inverse_on_grid(symbol, grid)
-    weight = grid_q1_weight(grid) ** (2.0 * s) if s > 0 else 1.0
+    weight = grid_q1_weight(grid) ** (2.0 * s)
     return float(np.sqrt(np.sum(grid.weights * weight * np.abs(f.values) ** 2)))
+
+
+def _stencil_sobolev_norm(symbol: Symbol, s: int) -> float:
+    """|| q1^s f ||_2 for integer s from the q1^2 difference stencil.
+
+    q1^2 is a combination of degree-one matrix coefficients, so it acts on
+    the coefficients by a stencil that reaches one step: on the torus
+    sum_j (2 fhat(xi) - fhat(xi + e_j) - fhat(xi - e_j)), on SU(2)
+    2 - tr xi0 = -(q_00 + q_11).  With s = 2h + o, g = q1^(2h) sigma is h
+    stencil steps on a box or ladder padded by h, and by Plancherel
+    ||q1^s f||^2 = <g, g> for o = 0 and <q1^2 g, g> for o = 1.  Every
+    stencil reads zero past the padded faces, which is the exact value of
+    g there, and the odd pairing reads q1^2 g only where g can be nonzero,
+    so h steps of padding are exact.
+    """
+    half, odd = divmod(s, 2)
+    _require_stencil_room(symbol.dual, s)
+    state, q1_squared, pairing = _sobolev_stencil(symbol, half)
+    for _ in range(half):
+        state = q1_squared(state)
+    norm_sq = pairing(q1_squared(state), state) if odd else pairing(state, state)
+    return math.sqrt(max(norm_sq, 0.0))
+
+
+def _sobolev_stencil(symbol: Symbol, pad: int):
+    """The start state padded by ``pad`` steps, the q1^2 step and the real
+    Plancherel pairing Re sum_xi d_xi tr(a b^*) of the symbol's group."""
+    if symbol.dual.group.kind == TORUS:
+        box, _ = _torus_box(symbol, pad)
+        return box, _torus_q1_squared, lambda a, b: np.vdot(b, a).real
+    ladder, _ = _su2_ladder(symbol, pad)
+    # spin k/2 has dimension k + 1
+    return ladder, _su2_q1_squared, lambda a, b: sum((k + 1) * np.vdot(y, x).real for k, (x, y) in enumerate(zip(a, b)))
+
+
+def _torus_q1_squared(box: np.ndarray) -> np.ndarray:
+    # (q1^2 f)^(xi) = sum_j 2 fhat(xi) - fhat(xi + e_j) - fhat(xi - e_j), zero past the faces
+    return -sum(np.diff(box, 2, axis=axis, prepend=0, append=0) for axis in range(box.ndim))
+
+
+def _su2_q1_squared(ladder: list[np.ndarray]) -> list[np.ndarray]:
+    # q1^2 = 2 - tr xi0 = -(q_00 + q_11)
+    out = _su2_step(ladder, 0)
+    for blk, other in zip(out, _su2_step(ladder, 3)):
+        blk += other
+        np.negative(blk, out=blk)
+    return out
+
+
+def _require_stencil_room(dual: DualSlice, s: int):
+    """Refuse an order whose q1^2 steps, counted as cells of the padded state
+    times steps, exceed ``MAX_TORUS_LABELS``: both the memory of one state
+    and the time of the steps grow with the order."""
+    half, odd = divmod(s, 2)
+    steps = half + odd
+    pad = min(half, MAX_TORUS_LABELS)  # a larger pad is refused anyway; the clamp keeps cells printable as a float
+    if dual.group.kind == TORUS:
+        cells = (2 * (int(dual.max_band) + pad) + 1) ** dual.group.dim
+        state = f"a label box of {cells:.3g} cells"
+    else:
+        top = round(2 * dual.max_band) + pad
+        cells = (top + 1) * (top + 2) * (2 * top + 3) // 6  # sum of (k + 1)^2 over the ladder
+        state = f"a ladder to spin {top / 2:g} of {cells:.3g} cells"
+    if cells * max(steps, 1) > MAX_TORUS_LABELS:
+        raise PreconditionError(
+            f"a Sobolev order of {s:.3g} takes {steps:.3g} q1^2 step(s) on {state}, about "
+            f"{cells * 16 / 1e9:.3g} GB per complex state; the limit is {MAX_TORUS_LABELS} cell steps"
+        )
 
 
 # ---------------------------------------------------------------------------

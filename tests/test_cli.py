@@ -267,6 +267,33 @@ def test_oversized_torus_slice_refused_before_any_label_array(tmp_path, monkeypa
     assert not (tmp_path / "out" / "transform_report.csv").exists()
 
 
+_SU2_HM = {**_without(_CHECK_HM, "lams"), "group": {"kind": "su2"}}
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        pytest.param({**_SU2_HM, "ell_maxes": [7.5], "s": 1e6}, id="su2-7.5"),
+        pytest.param({**_SU2_HM, "ell_maxes": [63.5], "s": 1e6}, id="su2-63.5"),
+        pytest.param({**_CHECK_HM, "lams": [64.0], "s": 1e6}, id="t1-64"),
+    ],
+)
+def test_oversized_sobolev_stencil_refused_before_any_state(tmp_path, monkeypatch, capsys, cfg):
+    import liefourier.symbols as symbols
+
+    def no_state(*args, **kwargs):
+        raise AssertionError("a padded state or a grid was requested")
+
+    # s = 1e6 pads the SU(2) ladder by 500000 half-spins (about 4e16 cells)
+    # and on T^1 takes 500000 steps over 10^6 cells; an exit 1 proves the
+    # refusal came first, since the assertion would be a task failure
+    for name in ("_su2_ladder", "_torus_box", "cached_grid"):
+        monkeypatch.setattr(symbols, name, no_state)
+    assert run_config(cfg, tmp_path / "out") == 1
+    assert "GB per complex state" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "check-symbol_report.csv").exists()
+
+
 def _rows_without_digest(out):
     [report] = out.glob("*_report.csv")
     return [{k: v for k, v in row.items() if k != "digest"} for row in csv.DictReader(report.read_text().splitlines())]

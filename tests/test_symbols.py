@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,11 +26,12 @@ from liefourier import (
 )
 from liefourier.dual import spin_cutoff
 from liefourier.errors import ConfigurationError, MarginError, PreconditionError
-from liefourier.groups import TORUS, build_grid, identity, su2_pair
+from liefourier.groups import TORUS, build_grid, grid_q1_weight, identity, su2_pair
 from liefourier.spaces import psi
 from liefourier.symbols import (
     _differences,
     _require_margin,
+    _require_stencil_room,
     _su2_ladder,
     _su2_step,
     _torus_box,
@@ -389,6 +391,88 @@ def test_sobolev_rejects_negative_order(torus1):
     dual = enumerate_dual(torus1, 8.0)
     with pytest.raises(PreconditionError):
         dual_sobolev_norm(identity_symbol(dual), -1.0)
+
+
+def grid_sobolev_norm(symbol, s):
+    """|| q1^s f ||_2 by quadrature: f on the grid of bandlimit max_band +
+    ceil(s), weighted by q1^(2s).  Exact for integer s, where q1^(2s) f is
+    band limited; the library's own path for fractional s."""
+    grid = build_grid(symbol.dual.group, symbol.dual.max_band + math.ceil(max(s, 0.0)))
+    f = inverse_on_grid(symbol, grid)
+    weight = grid_q1_weight(grid) ** (2.0 * s) if s > 0 else 1.0
+    return float(np.sqrt(np.sum(grid.weights * weight * np.abs(f.values) ** 2)))
+
+
+def _random_block_symbol(kind, n, cutoff):
+    dual = enumerate_dual(make_group(kind, n), cutoff)
+    rng = np.random.default_rng([11, n, len(dual)])
+    return Symbol.from_blocks(dual, [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in dual.dims])
+
+
+@pytest.mark.parametrize(
+    "kind,n,cutoff",
+    [
+        pytest.param("su2", 3, spin_cutoff(7.5), id="su2-7.5"),
+        pytest.param("su2", 3, spin_cutoff(15.5), id="su2-15.5"),
+        pytest.param("su2", 3, spin_cutoff(31.5), id="su2-31.5"),
+        pytest.param("torus", 1, 64.0, id="t1-64"),
+        pytest.param("torus", 2, 24.0, id="t2-24"),
+        pytest.param("torus", 3, 10.0, id="t3-10"),
+    ],
+)
+def test_integer_sobolev_stencil_matches_grid_oracle(kind, n, cutoff):
+    # random non-scalar blocks, so every block entry and every Clebsch-Gordan
+    # coupling of the SU(2) stencil is exercised
+    symbol = _random_block_symbol(kind, n, cutoff)
+    for s in (1, 2, 3):
+        got, want = dual_sobolev_norm(symbol, float(s)), grid_sobolev_norm(symbol, float(s))
+        assert abs(got - want) <= 1e-12 * want, s
+        assert dual_sobolev_norm(symbol, s) == got
+
+
+@pytest.mark.parametrize("kind,n,cutoff", [("su2", 3, spin_cutoff(7.5)), ("torus", 1, 64.0), ("torus", 3, 6.0)])
+def test_fractional_sobolev_stays_on_the_grid(kind, n, cutoff):
+    symbol = _random_block_symbol(kind, n, cutoff)
+    for s in (1.6, 2.5):
+        assert dual_sobolev_norm(symbol, s) == grid_sobolev_norm(symbol, s)
+
+
+def test_integer_hormander_mihlin_builds_no_grid(torus1, torus2, su2, monkeypatch):
+    import liefourier.symbols as symbols
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was requested")
+
+    monkeypatch.setattr(symbols, "cached_grid", no_grid)
+    monkeypatch.setattr(symbols, "inverse_on_grid", no_grid)
+    for group, cutoff in ((torus1, 64.0), (torus2, 16.0), (make_group("torus", 3), 8.0), (su2, spin_cutoff(15.5))):
+        sig = build_spectral_symbol(lambda lam: lam ** (1j), enumerate_dual(group, cutoff))
+        assert np.isfinite(check_hormander_mihlin(sig).headline)
+
+
+@pytest.mark.parametrize(
+    "kind,n,max_band,s,refused",
+    [
+        pytest.param("torus", 3, 126.0, 2, False, id="t3-126"),
+        pytest.param("torus", 3, 127.0, 2, True, id="t3-127"),  # 257^3 cells > 2^24
+        pytest.param("torus", 2, 2046.0, 2, False, id="t2-2046"),
+        pytest.param("torus", 2, 2047.0, 2, True, id="t2-2047"),  # 4097^2 cells > 2^24
+        pytest.param("torus", 1, 4095.0, 1, False, id="t1-4095"),
+        pytest.param("torus", 1, 64.0, 10**6, True, id="t1-steps"),  # few cells, many steps
+        pytest.param("su2", 3, 64.0, 2, False, id="su2-64"),
+        pytest.param("su2", 3, 63.5, 10**6, True, id="su2-1e6"),
+        pytest.param("su2", 3, 7.5, 10**300, True, id="su2-1e300"),
+    ],
+)
+def test_stencil_room_counts_padded_cells_times_steps(kind, n, max_band, s, refused):
+    # a stand-in slice: only the group and max_band are read, and the slices
+    # at the edge would take hundreds of MB to enumerate
+    dual = SimpleNamespace(group=make_group(kind, n), max_band=max_band)
+    if refused:
+        with pytest.raises(PreconditionError, match="GB per complex state"):
+            _require_stencil_room(dual, s)
+    else:
+        _require_stencil_room(dual, s)
 
 
 # ---------------------------------------------------------------------------
