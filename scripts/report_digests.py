@@ -22,7 +22,9 @@ trees and diffing the output compares their reports:
 report that differs it prints each moved cell (file, row, column), the two
 values, their relative movement and their distance in units in the last
 place; any other file that differs, or exists on one side only, gets one
-line.  Identical files print nothing.
+line.  Identical files print nothing.  It exits 0 when the two directories
+hold the same files with the same bytes and 1 otherwise, so it is the
+byte-identity gate of a change on its own.
 """
 
 from __future__ import annotations
@@ -122,23 +124,27 @@ def moved_cells(old: Path, new: Path) -> list[str]:
     return lines
 
 
-def compare(old_root: Path, new_root: Path) -> None:
-    """Print what differs between two output directories of this script."""
+def compare(old_root: Path, new_root: Path) -> bool:
+    """Print what differs between two output directories of this script;
+    True if nothing does."""
     names = sorted({p.relative_to(root) for root in (old_root, new_root) for p in root.rglob("*") if p.is_file()})
+    same = True
     for name in names:
         old, new = old_root / name, new_root / name
         if not (old.is_file() and new.is_file()):
             print(f"{name}: only in {old_root if old.is_file() else new_root}")
+            same = False
         elif old.read_bytes() != new.read_bytes():
             print(f"{name}: differs")
             if name.suffix == ".csv":
                 print("\n".join(moved_cells(old, new)))
+            same = False
+    return same
 
 
 def main(argv: list[str]) -> int:
     if len(argv) == 3 and argv[0] == "--compare":
-        compare(Path(argv[1]), Path(argv[2]))
-        return 0
+        return 0 if compare(Path(argv[1]), Path(argv[2])) else 1
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 1

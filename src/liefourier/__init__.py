@@ -33,7 +33,7 @@ from .spaces import (
     lp_project,
     psi,
     tl_norms,
-    window_levels,
+    windows,
 )
 from .symbols import (
     CheckReport,

@@ -44,7 +44,7 @@ from .multipliers import (
     ensemble_member,
     kernel_difference_integrals,
 )
-from .spaces import NormSpec, psi, tl_norms, window_levels
+from .spaces import NormSpec, psi, tl_norms, windows
 from .symbols import check_hormander_mihlin, check_marcinkiewicz, check_weak_marcinkiewicz, symbol_from_config
 from .transform import (
     default_grid,
@@ -201,10 +201,10 @@ def _validate_config(cfg: dict, fmt_kind: str | None = None) -> Task:
     if "windows" in fields:
         if not isinstance(fields["windows"], list):
             raise ConfigurationError("windows must be a list")
-        windows = tuple(_integer("each window", level, 0) for level in fields["windows"])
-        if len(set(windows)) < 2:
+        levels = tuple(_integer("each window", level, 0) for level in fields["windows"])
+        if len(set(levels)) < 2:
             raise ConfigurationError("windows must hold at least two distinct levels to fit a slope")
-        task["windows"] = windows
+        task["windows"] = levels
     if "c" in fields:
         task["c"] = _number("c", fields["c"])
         if task["c"] <= 0.0:
@@ -278,9 +278,10 @@ def _digest(cfg: dict) -> str:
 # Tasks
 # ---------------------------------------------------------------------------
 
-def _roundtrip_residuals(dual, grid, seed: int, count: int) -> list[tuple[float, float]]:
+def _roundtrip_residuals(dual, seed: int, count: int) -> list[tuple[float, float]]:
     """(round-trip max block error, Plancherel relative error) for each of
-    ``count`` seeded random members: coefficients -> grid samples -> back."""
+    ``count`` seeded random members: coefficients -> default grid -> back."""
+    grid = default_grid(dual)
     out = []
     for member in range(count):
         rng = np.random.default_rng([seed, member])
@@ -297,9 +298,8 @@ def _roundtrip_residuals(dual, grid, seed: int, count: int) -> list[tuple[float,
 def _task_transform(task: Task):
     [lam] = task.cutoffs
     dual = enumerate_dual(task.group, lam)
-    grid = default_grid(dual)
     rows = []
-    residuals = _roundtrip_residuals(dual, grid, task.seed, task.count)
+    residuals = _roundtrip_residuals(dual, task.seed, task.count)
     for member, (rt, rel) in enumerate(residuals):
         ok = rt <= task.tol["roundtrip_max"] and rel <= task.tol["plancherel_max"]
         rows.append(
@@ -383,17 +383,16 @@ def _task_kernel_decay(task: Task):
     [lam] = task.cutoffs
     dual = enumerate_dual(task.group, lam)
     # a window psi_ell that is zero at every eigenvalue has no integral to fit
-    nonzero = [ell for ell in window_levels(lam) if psi(ell, dual.eigenvalues).any()]
+    nonzero = [ell for ell, _ in windows(dual)]
     if not set(task.windows) <= set(nonzero):
         raise ConfigurationError(f"windows must lie among the slice's nonzero windows {nonzero}")
-    grid = default_grid(dual)
     symbol = task.build_symbol(dual)
     if task.group.kind == TORUS:
         z = np.zeros(task.group.dim)
         z[0] = task.z_distance / (2.0 * np.pi)
     else:
         z = su2_point_from_distance(task.z_distance)
-    integrals = kernel_difference_integrals(symbol, task.windows, z, task.c, grid)
+    integrals = kernel_difference_integrals(symbol, task.windows, z, task.c)
     rows = [
         {"symbol": task.symbol_name, "lam": lam, "window": ell, "value": value, "status": "ok"}
         for ell, value in zip(task.windows, integrals)
@@ -457,13 +456,12 @@ def _schur_residual(group) -> float:
 def _task_selftest(task: Task):
     [lam] = task.cutoffs
     dual = enumerate_dual(task.group, lam)
-    grid = default_grid(dual)
 
     checks = {}
-    checks["weights_sum"] = abs(float(grid.weights.sum()) - 1.0)
+    checks["weights_sum"] = abs(float(default_grid(dual).weights.sum()) - 1.0)
     checks["schur"] = _schur_residual(task.group)
 
-    residuals = _roundtrip_residuals(dual, grid, task.seed, task.count)
+    residuals = _roundtrip_residuals(dual, task.seed, task.count)
     checks["roundtrip"] = max(rt for rt, _ in residuals)
     checks["plancherel"] = max(rel for _, rel in residuals)
 
@@ -473,9 +471,7 @@ def _task_selftest(task: Task):
         total += psi(ell, lam_samples)
     checks["partition_sum"] = float(np.max(np.abs(total - 1.0)))
 
-    recon = np.zeros(len(dual))
-    for ell in window_levels(dual.cutoff):
-        recon += psi(ell, dual.eigenvalues)
+    recon = sum(window for _, window in windows(dual))
     checks["reconstruction"] = float(np.max(np.abs(recon - 1.0)))
 
     limits = {

@@ -240,6 +240,14 @@ class QuadratureGrid:
         return len(self.weights)
 
 
+def grid_shape(group: GroupDescriptor, bandlimit: float) -> tuple[int, ...]:
+    """The node count per axis of ``build_grid(group, bandlimit)``."""
+    if group.kind == TORUS:
+        return (2 * int(np.ceil(bandlimit)) + 1,) * group.dim
+    two_l = int(np.ceil(2.0 * bandlimit))
+    return (2 * two_l + 2, two_l + 1, 2 * two_l + 2)
+
+
 def build_grid(group: GroupDescriptor, bandlimit: float) -> QuadratureGrid:
     """Quadrature grid integrating products of two matrix coefficients of
     irreps within ``bandlimit`` exactly.
@@ -252,15 +260,13 @@ def build_grid(group: GroupDescriptor, bandlimit: float) -> QuadratureGrid:
     if bandlimit < 0:
         raise ConfigurationError("bandlimit must be >= 0")
     if group.kind == TORUS:
-        npts = 2 * int(np.ceil(bandlimit)) + 1
+        npts = grid_shape(group, bandlimit)[0]
         nodes = np.arange(npts) / npts
         axes = tuple(nodes for _ in range(group.dim))
         weights = np.full(npts**group.dim, 1.0 / npts**group.dim)
         return QuadratureGrid(group, float(bandlimit), weights, axes)
 
-    two_l = int(np.ceil(2.0 * bandlimit))
-    n_ag = 2 * two_l + 2
-    n_b = two_l + 1
+    n_ag, n_b, _ = grid_shape(group, bandlimit)
     alpha = TWO_PI * np.arange(n_ag) / n_ag
     gamma = FOUR_PI * np.arange(n_ag) / n_ag
     u, w_gl = np.polynomial.legendre.leggauss(n_b)

@@ -7,8 +7,9 @@ the left product of the right-convolution convention of
 window kernel at level ell, the right-convolution kernel of A psi_ell(B),
 is :func:`liefourier.spaces.lp_project` of the symbol.
 :func:`kernel_difference_integrals` takes one symbol, one z and a list of
-levels: the far-field mask and xi(z^{-1}) are computed once per call, and
-each window's difference is synthesised once.
+levels and integrates on the slice's default grid: the far-field mask and
+xi(z^{-1}) are computed once per call, and each window's difference is
+synthesised once.
 
 Operator norms on F^r_{p,q} are probed from below with seeded function
 ensembles: no finite ensemble certifies an upper bound, so sweep results are
@@ -26,16 +27,16 @@ from .dual import DualSlice, enumerate_dual, representation_stacks
 from .errors import ConfigurationError, PreconditionError
 from .groups import (
     GroupDescriptor,
-    QuadratureGrid,
     distance_to_identity,
     grid_distance_to_identity,
     inverse,
     random_point,
 )
-from .spaces import NormSpec, lp_project, psi, tl_norms, window_levels
+from .spaces import NormSpec, _weigh, lp_project, psi, tl_norms, windows
 from .symbols import Symbol, operator_norms
 from .transform import (
     FourierCoefficients,
+    default_grid,
     inverse_on_grid,
     random_coefficients,
     require_same_dual,
@@ -57,16 +58,10 @@ def apply_multiplier(symbol: Symbol, coeffs: FourierCoefficients) -> FourierCoef
     return FourierCoefficients(coeffs.dual, [s @ f for s, f in zip(symbol.stacks, coeffs.stacks)])
 
 
-def kernel_difference_integrals(
-    symbol: Symbol,
-    levels,
-    z: np.ndarray,
-    c: float,
-    grid: QuadratureGrid,
-) -> list[float]:
+def kernel_difference_integrals(symbol: Symbol, levels, z: np.ndarray, c: float) -> list[float]:
     """For each level ell, the integral over {|x| > 4c|z|} of
     |kappa_ell(z^{-1} x) - kappa_ell(x)| dx, kappa_ell the window kernel
-    ``lp_project(symbol, ell)``, by quadrature on the grid.
+    ``lp_project(symbol, ell)``, by quadrature on the slice's default grid.
 
     The far-field mask and the matrices xi(z^{-1}) are computed once per
     call.  Per level, the difference is synthesised on the grid once, from
@@ -81,6 +76,7 @@ def kernel_difference_integrals(
     zlen = float(distance_to_identity(group, np.asarray(z, dtype=float)))
     if zlen == 0.0:
         raise PreconditionError("z must differ from the identity")
+    grid = default_grid(dual)
     mask = grid_distance_to_identity(grid) > 4.0 * c * zlen
     if not np.any(mask):
         return [0.0] * len(levels)
@@ -156,11 +152,10 @@ def ensemble_member(
             full = [s.conj().transpose(0, 2, 1) for s in symbol.stacks]
         return FourierCoefficients(dual, [np.where(keep, f, 0j) for keep, f in zip(inside, full)])
     if config.kind == "translated-windows":
-        levels = [ell for ell in window_levels(dual.cutoff) if psi(ell, dual.eigenvalues).any()]
+        levels = [ell for ell, _ in windows(dual)]
         ell = levels[-1 - index % min(3, len(levels))]
         z = random_point(dual.group, rng)
-        scale = dual.per_run(psi(ell, dual.eigenvalues))
-        return FourierCoefficients(dual, [s * r for s, r in zip(scale, representation_stacks(dual, z))])
+        return _weigh(FourierCoefficients(dual, representation_stacks(dual, z)), psi(ell, dual.eigenvalues))
     # directed-irrep, the last kind EnsembleConfig admits
     if symbol is None:
         raise PreconditionError("directed-irrep members need the symbol")
@@ -189,7 +184,7 @@ class BoundednessSweep:
 def boundedness_sweep(
     group: GroupDescriptor,
     symbol_builder,
-    specs: NormSpec | list[NormSpec],
+    specs: list[NormSpec],
     cutoffs: list[float],
     ensemble: EnsembleConfig,
     seed: int,
@@ -200,11 +195,10 @@ def boundedness_sweep(
     rebuilt per cutoff).  Members are deterministic functions of
     (seed, cutoff index, member index); reductions run in member order.
     """
-    spec_list = [specs] if isinstance(specs, NormSpec) else list(specs)
     if list(cutoffs) != sorted(cutoffs):
         raise PreconditionError("cutoffs must be ascending")
-    ratios = np.zeros((len(spec_list), len(cutoffs)))
-    argmax = np.zeros((len(spec_list), len(cutoffs)), dtype=int)
+    ratios = np.zeros((len(specs), len(cutoffs)))
+    argmax = np.zeros((len(specs), len(cutoffs)), dtype=int)
     for ci, lam in enumerate(cutoffs):
         dual = enumerate_dual(group, lam)
         symbol = symbol_builder(dual)
@@ -212,8 +206,8 @@ def boundedness_sweep(
             rng = np.random.default_rng([seed, ci, mi])
             f = ensemble_member(ensemble, mi, dual, rng, symbol)
             tf = apply_multiplier(symbol, f)
-            denoms = tl_norms(f, spec_list, weak=False)  # strong norms only
-            nums = tl_norms(tf, spec_list)
+            denoms = tl_norms(f, specs, weak=False)  # strong norms only
+            nums = tl_norms(tf, specs)
             for si, ((denom, _), (strong, weak)) in enumerate(zip(denoms, nums)):
                 num = strong if weak is None else weak
                 if denom <= 0.0:
@@ -223,5 +217,5 @@ def boundedness_sweep(
                     ratios[si, ci] = ratio
                     argmax[si, ci] = mi
     cutoffs = tuple(float(c) for c in cutoffs)
-    per_spec = zip(spec_list, ratios.tolist(), argmax.tolist())
+    per_spec = zip(specs, ratios.tolist(), argmax.tolist())
     return [BoundednessSweep(spec, cutoffs, tuple(r), tuple(a)) for spec, r, a in per_spec]

@@ -6,11 +6,12 @@ The partition is the standard dyadic one: a fixed smooth bump eta supported
 in [1/2, 2] with sum_j eta(2^-j lam) = 1 for lam > 0, a low piece
 psi_0 = sum_{j<=0} eta_j, and psi_j(lam) = eta(2^-j lam) for j >= 1.  One
 concrete exp-gluing realisation of eta is fixed here, as the module
-functions :func:`eta`, :func:`psi` and :func:`window_levels`, so every run
-of the library sees the same windows (any admissible resolution gives an
-equivalent quasi-norm).  The Triebel-Lizorkin norms are sampled on the
-slice's :func:`~liefourier.transform.default_grid`, which transforms the
-slice exactly: :func:`tl_norms` streams the windows one at a time into one
+functions :func:`eta` and :func:`psi`, so every run of the library sees
+the same windows (any admissible resolution gives an equivalent
+quasi-norm).  :func:`windows` decides which windows a dual slice has.  The
+Triebel-Lizorkin norms are sampled on the slice's
+:func:`~liefourier.transform.default_grid`, which transforms the slice
+exactly: :func:`tl_norms` streams the windows one at a time into one
 accumulator per distinct (r, q), so a norm holds a few grid-sized arrays
 whatever the number of windows.
 """
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dual import DualSlice
 from .errors import PreconditionError
 from .transform import FourierCoefficients, default_grid, inverse_on_grid
 
@@ -54,23 +56,25 @@ def psi(level: int, lam) -> np.ndarray:
         raise PreconditionError("window index must be >= 0")
     if level == 0:
         return _transition(lam)
-    return eta(np.asarray(lam, dtype=float) / 2.0**level)
+    # 2**-level exactly, also past the float range of 2.0**level (JSON levels are unbounded)
+    return eta(np.asarray(lam, dtype=float) * math.ldexp(1.0, -level))
 
 
-def window_levels(cutoff: float) -> list[int]:
-    """Window indices whose support (2**(ell-1), 2**(ell+1)) meets [0, cutoff],
-    up to a 1e-12 relative margin.
-
-    This is a test on the support interval, not on the samples: the top
-    level can be zero at every eigenvalue of a slice, either because no
-    eigenvalue reaches its support (T^1 at cutoff 32 has <xi> <= 31.02) or
-    because the exp-gluing is so flat at the support's lower edge that psi
-    rounds to exactly zero there (SU(2) at spin 7.5: <xi> = 8.047, yet
-    psi_4 = 0).  :func:`tl_norms` and the translated-windows ensemble skip
-    such windows.
-    """
+def _window_levels(cutoff: float) -> list[int]:
+    """Window indices 0, 1, 2, ... whose support (2**(ell-1), 2**(ell+1))
+    meets [0, cutoff], up to a 1e-12 relative margin."""
     top = int(math.ceil(math.log2(max(cutoff, 1.0)))) + 1
     return [ell for ell in range(top + 1) if 2.0 ** (ell - 1) < cutoff * (1.0 + 1e-12)]
+
+
+def windows(dual: DualSlice):
+    """Yield (ell, psi_ell(<xi>)) lazily and in level order for every window
+    that is not zero at every eigenvalue of the slice, although its support
+    may meet [0, cutoff]."""
+    for ell in _window_levels(dual.cutoff):
+        window = psi(ell, dual.eigenvalues)
+        if window.any():
+            yield ell, window
 
 
 @dataclass(frozen=True)
@@ -139,31 +143,27 @@ def tl_norms(
     strong is || (sum_ell 2^{ell r q} |psi_ell(B) f|^q)^{1/q} ||_{L^p} by
     quadrature on the slice's default grid; weak is the :func:`weak_sup` of
     the same aggregate for p = 1 specs when ``weak`` is set, and None
-    otherwise.  p never enters the aggregate, so the windows stream once
-    into one accumulator per distinct (r, q): each window whose psi is not
-    zero at every eigenvalue of the slice is inverted on the grid and its
-    weighted modulus added in level order (q = inf takes the running max),
-    so no (levels x grid) array is held.  Adding row after row is how
-    ``np.sum(axis=0)`` reduces a C-ordered array, and a skipped window
-    would only add exact zeros, so the result is the same bits as one
-    (levels x grid) aggregate of all windows; the tests keep that path as
-    the oracle.
+    otherwise.  p never enters the aggregate, so the :func:`windows` stream
+    once into one accumulator per distinct (r, q): each is inverted on the
+    grid and its weighted modulus added in level order (q = inf takes the
+    running max), so no (levels x grid) array is held.  Adding row after
+    row is how ``np.sum(axis=0)`` reduces a C-ordered array, and a window
+    that is zero on the slice would only add exact zeros, so the result is
+    the same bits as one (levels x grid) aggregate over every level whose
+    support meets the slice; the tests keep that path as the oracle.
     """
     dual = coeffs.dual
     grid = default_grid(dual)
-    levels = window_levels(dual.cutoff)
+    levels = np.asarray(_window_levels(dual.cutoff), dtype=float)
     pairs = list(dict.fromkeys((spec.r, spec.q) for spec in specs))
-    # 2^(ell r) from numpy's array power, which need not round like a
-    # scalar pow: the factors a whole-array aggregate scales its rows by
-    scales = [2.0 ** (r * np.asarray(levels, dtype=float)) for r, _ in pairs]
+    # 2^(ell r) over every level of _window_levels (a level is its own index) by numpy's array
+    # power, which need not round like a scalar pow: as a whole-array aggregate scales its rows
+    scales = [2.0 ** (r * levels) for r, _ in pairs]
     accs: list = [None] * len(pairs)
-    for i, ell in enumerate(levels):
-        window = psi(ell, dual.eigenvalues)
-        if not window.any():
-            continue
+    for ell, window in windows(dual):
         mods = np.abs(inverse_on_grid(_weigh(coeffs, window), grid).values)
         for k, (_, q) in enumerate(pairs):
-            term = mods * scales[k][i]
+            term = mods * scales[k][ell]
             if q != math.inf:
                 term **= q
             if accs[k] is None:

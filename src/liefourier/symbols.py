@@ -56,8 +56,8 @@ import numpy as np
 
 from .dual import MAX_TORUS_LABELS, DualSlice, spin_cutoff
 from .errors import ConfigurationError, MarginError, PreconditionError
-from .groups import TORUS, GroupDescriptor, grid_q1_weight
-from .spaces import eta, psi
+from .groups import TORUS, GroupDescriptor, grid_q1_weight, grid_shape
+from .spaces import _weigh, eta, psi
 from .transform import FourierCoefficients, cached_grid, inverse_on_grid
 
 
@@ -314,25 +314,25 @@ def _require_margin(dual: DualSlice, order: int):
 # Dual-side Sobolev norms
 # ---------------------------------------------------------------------------
 
-def dual_sobolev_norm(symbol: Symbol, s: float) -> float:
+def dual_sobolev_norm(symbol: FourierCoefficients, s: float) -> float:
     """|| q1^s f ||_{L^2(G)} with sigma = fhat (homogeneous dual Sobolev norm).
 
     Exact on the dual side for integer s (see :func:`_stencil_sobolev_norm`);
     fractional s is approximated by quadrature on the oversampled grid of
-    bandlimit max_band + ceil(s).
+    bandlimit max_band + ceil(s).  :func:`_require_sobolev_room` refuses first.
     """
     if s < 0:
         raise PreconditionError("the Sobolev order must be >= 0")
+    _require_sobolev_room(symbol.dual, s)
     if float(s).is_integer():
         return _stencil_sobolev_norm(symbol, int(s))
-    group = symbol.dual.group
-    grid = cached_grid(group, symbol.dual.max_band + math.ceil(s))
+    grid = cached_grid(symbol.dual.group, symbol.dual.max_band + math.ceil(s))
     f = inverse_on_grid(symbol, grid)
     weight = grid_q1_weight(grid) ** (2.0 * s)
     return float(np.sqrt(np.sum(grid.weights * weight * np.abs(f.values) ** 2)))
 
 
-def _stencil_sobolev_norm(symbol: Symbol, s: int) -> float:
+def _stencil_sobolev_norm(symbol: FourierCoefficients, s: int) -> float:
     """|| q1^s f ||_2 for integer s from the q1^2 difference stencil.
 
     q1^2 is a combination of degree-one matrix coefficients, so it acts on
@@ -346,7 +346,6 @@ def _stencil_sobolev_norm(symbol: Symbol, s: int) -> float:
     so h steps of padding are exact.
     """
     half, odd = divmod(s, 2)
-    _require_stencil_room(symbol.dual, s)
     state, q1_squared, pairing = _sobolev_stencil(symbol, half)
     for _ in range(half):
         state = q1_squared(state)
@@ -379,24 +378,29 @@ def _su2_q1_squared(ladder: list[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
-def _require_stencil_room(dual: DualSlice, s: int):
-    """Refuse an order whose q1^2 steps, counted as cells of the padded state
-    times steps, exceed ``MAX_TORUS_LABELS``: both the memory of one state
-    and the time of the steps grow with the order."""
-    half, odd = divmod(s, 2)
-    steps = half + odd
-    pad = min(half, MAX_TORUS_LABELS)  # a larger pad is refused anyway; the clamp keeps cells printable as a float
-    if dual.group.kind == TORUS:
-        cells = (2 * (int(dual.max_band) + pad) + 1) ** dual.group.dim
-        state = f"a label box of {cells:.3g} cells"
+def _require_sobolev_room(dual: DualSlice, s: float):
+    """Refuse an order whose passes over a complex state (the q1^2 steps on
+    the padded box or ladder for integer s, one synthesis on the grid for
+    fractional s), counted as cells times passes, exceed ``MAX_TORUS_LABELS``."""
+    if not float(s).is_integer():
+        bandlimit = dual.max_band + math.ceil(s)
+        cells, steps = math.prod(grid_shape(dual.group, bandlimit)), 1
+        work = f"one synthesis on a grid of bandlimit {bandlimit:g} with {cells:.3g} nodes"
     else:
-        top = round(2 * dual.max_band) + pad
-        cells = (top + 1) * (top + 2) * (2 * top + 3) // 6  # sum of (k + 1)^2 over the ladder
-        state = f"a ladder to spin {top / 2:g} of {cells:.3g} cells"
+        half, odd = divmod(int(s), 2)
+        steps = half + odd
+        pad = min(half, MAX_TORUS_LABELS)  # a larger pad is refused anyway; the clamp keeps cells printable as a float
+        if dual.group.kind == TORUS:
+            cells = (2 * (int(dual.max_band) + pad) + 1) ** dual.group.dim
+            work = f"{steps:.3g} q1^2 step(s) on a label box of {cells:.3g} cells"
+        else:
+            top = round(2 * dual.max_band) + pad
+            cells = (top + 1) * (top + 2) * (2 * top + 3) // 6  # sum of (k + 1)^2 over the ladder
+            work = f"{steps:.3g} q1^2 step(s) on a ladder to spin {top / 2:g} of {cells:.3g} cells"
     if cells * max(steps, 1) > MAX_TORUS_LABELS:
         raise PreconditionError(
-            f"a Sobolev order of {s:.3g} takes {steps:.3g} q1^2 step(s) on {state}, about "
-            f"{cells * 16 / 1e9:.3g} GB per complex state; the limit is {MAX_TORUS_LABELS} cell steps"
+            f"a Sobolev order of {s:g} takes {work}, about {cells * 16 / 1e9:.3g} GB per complex state; "
+            f"the limit is {MAX_TORUS_LABELS} cell steps"
         )
 
 
@@ -456,9 +460,7 @@ def check_hormander_mihlin(symbol: Symbol, s: float | None = None) -> CheckRepor
         window = eta(eigs / r)
         if not np.any(window > 1e-15):
             continue
-        scaled = [w * stack for w, stack in zip(symbol.dual.per_run(window), symbol.stacks)]
-        tau = Symbol(symbol.dual, scaled, symbol.valid)
-        constants[r] = linf + r ** (s - n / 2.0) * dual_sobolev_norm(tau, s)
+        constants[r] = linf + r ** (s - n / 2.0) * dual_sobolev_norm(_weigh(symbol, window), s)
     return CheckReport(constants, max(constants.values()) if constants else linf)
 
 

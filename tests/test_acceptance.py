@@ -32,7 +32,7 @@ from liefourier.cli import run_config
 from liefourier.dual import spin_cutoff
 from liefourier.groups import su2_point_from_distance
 from liefourier.multipliers import decay_slope, kernel_difference_integrals
-from liefourier.spaces import lp_project, psi, tl_norms, window_levels
+from liefourier.spaces import psi, tl_norms, windows
 from liefourier.symbols import apply_difference, check_marcinkiewicz, symbol_linf
 from liefourier.transform import cached_grid
 
@@ -116,8 +116,7 @@ def test_criterion_03_partition_of_unity():
         rng = np.random.default_rng(3)
         coeffs = random_coefficients(dual, rng)
         acc = [np.zeros_like(b) for b in coeffs.blocks]
-        for ell in window_levels(dual.cutoff):
-            scale = psi(ell, dual.eigenvalues)
+        for _, scale in windows(dual):
             acc = [a + s * b for a, s, b in zip(acc, scale, coeffs.blocks)]
         recon_defect = max(
             recon_defect,
@@ -188,21 +187,19 @@ def test_criterion_05_embedding_monotonicity():
 @pytest.fixture(scope="module")
 def su2_decay_integrals():
     dual = enumerate_dual(SU2, spin_cutoff(32))
-    grid = cached_grid(SU2, dual.max_band)
     symbol = build_spectral_symbol(lambda lam: lam ** (1j), dual)
     z = su2_point_from_distance(0.05 * 2.0 * math.pi)
     levels = (2, 3, 4, 5)
-    return dict(zip(levels, kernel_difference_integrals(symbol, levels, z, 1.0, grid)))
+    return dict(zip(levels, kernel_difference_integrals(symbol, levels, z, 1.0)))
 
 
 def test_criterion_06_kernel_decay_torus():
     started = time.perf_counter()
     dual = enumerate_dual(TORUS1, 512.0)
-    grid = cached_grid(TORUS1, dual.max_band)
     symbol = build_spectral_symbol(lambda lam: lam ** (1j), dual)
     z = np.array([0.05])  # |z| = 0.05 * 2 pi
     windows = [2, 3, 4, 5, 6]
-    integrals = kernel_difference_integrals(symbol, windows, z, 1.0, grid)
+    integrals = kernel_difference_integrals(symbol, windows, z, 1.0)
     slope = decay_slope(windows, integrals)
     elapsed = time.perf_counter() - started
     ok = slope <= -0.2 and elapsed <= 600.0
@@ -297,7 +294,7 @@ def test_criterion_08_l2_exactness():
         ("directed-irrep", 1),
     ):
         sweep = boundedness_sweep(
-            TORUS1, builder, spec, [cutoff], EnsembleConfig(kind, count), seed=8
+            TORUS1, builder, [spec], [cutoff], EnsembleConfig(kind, count), seed=8
         )[0]
         ratio = sweep.max_ratios[0]
         worst_upper = max(worst_upper, ratio / math.sqrt(2.0))
@@ -348,7 +345,7 @@ def test_criterion_09_wave_symbol_trend():
         ("su2", SU2, [spin_cutoff(7.5), spin_cutoff(15.5), spin_cutoff(31.5)], 4),
     ):
         sweep = boundedness_sweep(
-            group, wave, spec, cutoffs, EnsembleConfig("adjoint-dirichlet", count),
+            group, wave, [spec], cutoffs, EnsembleConfig("adjoint-dirichlet", count),
             seed=9,
         )[0]
         ratios = sweep.max_ratios

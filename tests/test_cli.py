@@ -165,14 +165,16 @@ def test_spin_above_validated_range_refused_before_any_grid(tmp_path, monkeypatc
         pytest.param({**_CHECK_WAVE, "symbol": {"type": "window", "ell": 1.5}}, "enumerate_dual", id="fractional-ell"),
         pytest.param({**_GAUSSIAN_SWEEP, "ensemble": _GAUSSIAN}, "boundedness_sweep", id="sweep-without-count"),
         pytest.param({**_TRANSFORM, "tolerances": {"roundtrip_max": math.nan}}, "default_grid", id="nan-tolerance"),
-        pytest.param({**_KERNEL_DECAY, "windows": [1, 2, 9]}, "default_grid", id="window-outside-slice"),
+        pytest.param({**_KERNEL_DECAY, "windows": [1, 2, 9]}, "kernel_difference_integrals", id="window-outside-slice"),
         # psi_4 is zero at every eigenvalue up to spin 7.5, psi_6 at every one up to <xi> = 32
         pytest.param(
             {**_without(_KERNEL_DECAY, "lam"), "group": {"kind": "su2"}, "ell_max": 7.5, "windows": [2, 3, 4]},
-            "default_grid",
+            "kernel_difference_integrals",
             id="window-zero-on-su2-slice",
         ),
-        pytest.param({**_KERNEL_DECAY, "lam": 32.0, "windows": [5, 6]}, "default_grid", id="window-zero-on-torus-slice"),
+        pytest.param(
+            {**_KERNEL_DECAY, "lam": 32.0, "windows": [5, 6]}, "kernel_difference_integrals", id="window-zero-on-torus-slice"
+        ),
         pytest.param({**_TRANSFORM, "format": "xml"}, "enumerate_dual", id="unknown-format"),
         pytest.param({**_TRANSFORM, "seed": -1}, "enumerate_dual", id="negative-seed"),
         pytest.param({**_CHECK_WAVE, "symbol": {"type": "window"}}, "enumerate_dual", id="window-without-ell"),
@@ -276,6 +278,10 @@ _SU2_HM = {**_without(_CHECK_HM, "lams"), "group": {"kind": "su2"}}
         pytest.param({**_SU2_HM, "ell_maxes": [7.5], "s": 1e6}, id="su2-7.5"),
         pytest.param({**_SU2_HM, "ell_maxes": [63.5], "s": 1e6}, id="su2-63.5"),
         pytest.param({**_CHECK_HM, "lams": [64.0], "s": 1e6}, id="t1-64"),
+        # a fractional s synthesises on the grid of bandlimit max_band + ceil(s):
+        # 1060 x 530 x 1060 nodes at 63.5 + 201, 257^3 at 7 + 121 on T^3
+        pytest.param({**_SU2_HM, "ell_maxes": [63.5], "s": 200.5}, id="su2-63.5-fractional"),
+        pytest.param({**_CHECK_HM, "group": {"kind": "torus", "dim": 3}, "lams": [8.0], "s": 120.5}, id="t3-8-fractional"),
     ],
 )
 def test_oversized_sobolev_stencil_refused_before_any_state(tmp_path, monkeypatch, capsys, cfg):
@@ -292,6 +298,38 @@ def test_oversized_sobolev_stencil_refused_before_any_state(tmp_path, monkeypatc
     assert run_config(cfg, tmp_path / "out") == 1
     assert "GB per complex state" in capsys.readouterr().err
     assert not (tmp_path / "out" / "check-symbol_report.csv").exists()
+
+
+def test_window_symbol_above_every_slice_checks_to_zero(tmp_path):
+    # psi_2000 is zero on every slice, and 2.0**2000 is past the float range
+    cfg = {**_without(_CHECK_WAVE, "lams"), "lam": 16.0, "symbol": {"type": "window", "ell": 2000}}
+    out = tmp_path / "out"
+    assert run_config(cfg, out) == 0
+    rows = list(csv.DictReader((out / "check-symbol_report.csv").read_text().splitlines()))
+    assert rows and all(float(row["value"]) == 0.0 for row in rows)
+
+
+def test_report_digest_compare_exits_1_on_any_difference(tmp_path):
+    # --compare is a byte-identity gate: 0 only for the same files with the same bytes
+    import liefourier
+
+    script = Path(__file__).resolve().parents[1] / "scripts" / "report_digests.py"
+    # the script imports the package the tests import, installed or not
+    src = str(Path(liefourier.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    old, new = tmp_path / "old", tmp_path / "new"
+    for root in (old, new):
+        root.mkdir()
+        (root / "x_report.csv").write_text("value\n1.0\n")
+    argv = [sys.executable, str(script), "--compare", str(old), str(new)]
+    compare = lambda: subprocess.run(argv, capture_output=True, env=env)
+    same = compare()
+    assert (same.returncode, same.stdout) == (0, b"")
+    (new / "x_report.csv").write_text("value\n2.0\n")
+    assert compare().returncode == 1
+    (new / "x_report.csv").write_text("value\n1.0\n")
+    (new / "run_manifest.json").write_text("{}\n")
+    assert compare().returncode == 1
 
 
 def _rows_without_digest(out):

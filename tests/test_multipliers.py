@@ -31,7 +31,7 @@ from liefourier.groups import (
     su2_point_from_distance,
 )
 from liefourier.multipliers import decay_slope, ensemble_member
-from liefourier.spaces import lp_project, psi, window_levels
+from liefourier.spaces import lp_project, psi, windows
 from liefourier.symbols import symbol_linf
 from liefourier.transform import cached_grid, inverse_evaluate, inverse_on_grid
 from tl_oracle import tl_norms as oracle_tl_norms
@@ -128,7 +128,7 @@ def test_window_sum_reconstructs_symbol(su2):
     dual = enumerate_dual(su2, spin_cutoff(4))
     sig = build_spectral_symbol(lambda lam: lam ** (2j), dual)
     acc = [np.zeros_like(b) for b in sig.blocks]
-    for ell in window_levels(dual.cutoff):
+    for ell, _ in windows(dual):
         kernel = lp_project(sig, ell)
         acc = [a + b for a, b in zip(acc, kernel.blocks)]
     assert max(np.max(np.abs(a - b)) for a, b in zip(acc, sig.blocks)) < 1e-11
@@ -140,9 +140,8 @@ def test_window_sum_reconstructs_symbol(su2):
 
 def test_empty_domain_returns_zero(torus1):
     dual = enumerate_dual(torus1, 16.0)
-    grid = cached_grid(torus1, dual.max_band)
     z = np.array([0.3])  # |z| = 0.6 pi, 4|z| = 2.4 pi > pi = diameter
-    assert kernel_difference_integrals(identity_symbol(dual), [1], z, 1.0, grid) == [0.0]
+    assert kernel_difference_integrals(identity_symbol(dual), [1], z, 1.0) == [0.0]
 
 
 def test_oversampling_oracle_torus(torus1):
@@ -150,8 +149,8 @@ def test_oversampling_oracle_torus(torus1):
     dual = enumerate_dual(torus1, 64.0)
     sig = identity_symbol(dual)
     z = np.array([0.07])
-    [coarse] = kernel_difference_integrals(sig, [0], z, 1.0, cached_grid(torus1, dual.max_band))
-    [dense] = kernel_difference_integrals(sig, [0], z, 1.0, build_grid(torus1, 10 * int(dual.max_band)))
+    [coarse] = kernel_difference_integrals(sig, [0], z, 1.0)
+    dense = _two_synthesis_difference_integral(lp_project(sig, 0), z, 1.0, build_grid(torus1, 10 * int(dual.max_band)))
     assert abs(coarse - dense) <= 0.01 * dense
 
 
@@ -159,11 +158,10 @@ def test_inverse_symmetry_real_kernel(torus1):
     # real symmetric kernels: the integral is invariant under z -> z^-1
     dual = enumerate_dual(torus1, 32.0)
     sig = identity_symbol(dual)
-    grid = cached_grid(torus1, dual.max_band)
     z = np.array([0.06])
     zi = np.array([1.0 - 0.06])
-    [v1] = kernel_difference_integrals(sig, [2], z, 1.0, grid)
-    [v2] = kernel_difference_integrals(sig, [2], zi, 1.0, grid)
+    [v1] = kernel_difference_integrals(sig, [2], z, 1.0)
+    [v2] = kernel_difference_integrals(sig, [2], zi, 1.0)
     assert abs(v1 - v2) < 1e-10 * max(1.0, v1)
 
 
@@ -172,14 +170,13 @@ def test_su2_class_function_path_matches_general(su2):
     # negligible non-scalar perturbation must give the same integral: no
     # path may treat scalar blocks differently from general ones
     dual = enumerate_dual(su2, spin_cutoff(3))
-    grid = cached_grid(su2, dual.max_band)
     sig = build_spectral_symbol(lambda lam: lam ** (1j), dual)
     z = su2_point_from_distance(0.4)
-    [fast] = kernel_difference_integrals(sig, [1], z, 1.0, grid)
+    [fast] = kernel_difference_integrals(sig, [1], z, 1.0)
     bumped = Symbol.from_blocks(dual, [b.copy() for b in sig.blocks])
     idx = index_of(dual, 1.0)
     bumped.blocks[idx][0, 1] += 1e-300  # makes the block non-scalar only
-    [general] = kernel_difference_integrals(bumped, [1], z, 1.0, grid)
+    [general] = kernel_difference_integrals(bumped, [1], z, 1.0)
     assert abs(fast - general) < 1e-9 * max(1.0, fast)
 
 
@@ -204,7 +201,7 @@ def test_kernel_difference_matches_pointwise_oracle(kind, n, cutoff, z):
     grid = cached_grid(group, dual.max_band)
     sig = Symbol.from_blocks(dual, random_coefficients(dual, np.random.default_rng(13)).blocks)
     z = np.array(z)
-    [value] = kernel_difference_integrals(sig, [2], z, 1.0, grid)
+    [value] = kernel_difference_integrals(sig, [2], z, 1.0)
     oracle = _pointwise_difference_integral(lp_project(sig, 2), z, 1.0, grid)
     assert oracle > 0
     assert abs(value - oracle) <= 1e-10 * oracle
@@ -240,14 +237,14 @@ def test_kernel_difference_matches_two_synthesis_oracle(kind, n, top, z, c):
     sig = Symbol.from_blocks(dual, random_coefficients(dual, np.random.default_rng(21)).blocks)
     z = np.array(z)
     levels = _nonzero_windows(dual)
-    for ell, value in zip(levels, kernel_difference_integrals(sig, levels, z, c, grid)):
+    for ell, value in zip(levels, kernel_difference_integrals(sig, levels, z, c)):
         oracle = _two_synthesis_difference_integral(lp_project(sig, ell), z, c, grid)
         assert abs(value - oracle) <= 1e-12 * oracle
         assert (value == 0.0) == (c > 1.0)
 
 
 def _nonzero_windows(dual):
-    return [ell for ell in window_levels(dual.cutoff) if psi(ell, dual.eigenvalues).any()]
+    return [ell for ell, _ in windows(dual)]
 
 
 def _per_window_difference_integral(kernel, z, c, grid):
@@ -294,7 +291,7 @@ def test_one_call_equals_per_window_oracle_bitwise(kind, n, top, z, c):
     z = np.array(z)
     levels = _nonzero_windows(dual)
     oracle = [_per_window_difference_integral(lp_project(sig, ell), z, c, grid) for ell in levels]
-    assert kernel_difference_integrals(sig, levels, z, c, grid) == oracle
+    assert kernel_difference_integrals(sig, levels, z, c) == oracle
     empty_far_field = top == 16.0 and c > 1.0
     assert (max(oracle) == 0.0) == empty_far_field
 
@@ -314,26 +311,23 @@ def test_one_call_builds_distance_and_translation_once(torus1, monkeypatch):
     for name in calls:
         monkeypatch.setattr(multipliers, name, counted(name))
     dual = enumerate_dual(torus1, 64.0)
-    grid = cached_grid(torus1, dual.max_band)
     sig = build_spectral_symbol(lambda lam: lam ** (1j), dual)
-    values = kernel_difference_integrals(sig, [1, 2, 3, 4], np.array([0.05]), 1.0, grid)
+    values = kernel_difference_integrals(sig, [1, 2, 3, 4], np.array([0.05]), 1.0)
     assert all(v > 0.0 for v in values)
     assert calls == {"grid_distance_to_identity": 1, "representation_stacks": 1}
 
 
 def test_z_must_not_be_identity(torus1):
     dual = enumerate_dual(torus1, 8.0)
-    grid = cached_grid(torus1, dual.max_band)
     with pytest.raises(PreconditionError):
-        kernel_difference_integrals(identity_symbol(dual), [1], np.array([0.0]), 1.0, grid)
+        kernel_difference_integrals(identity_symbol(dual), [1], np.array([0.0]), 1.0)
 
 
 def test_torus_decay_trend_small(torus1):
     dual = enumerate_dual(torus1, 128.0)
-    grid = cached_grid(torus1, dual.max_band)
     sig = build_spectral_symbol(lambda lam: lam ** (1j), dual)
     z = np.array([0.05])
-    vals = kernel_difference_integrals(sig, (2, 3, 4), z, 1.0, grid)
+    vals = kernel_difference_integrals(sig, (2, 3, 4), z, 1.0)
     assert decay_slope((2, 3, 4), vals) <= -0.2
 
 
@@ -403,7 +397,7 @@ def test_sweep_determinism(torus1):
     run = lambda: boundedness_sweep(
         torus1,
         lambda d: build_spectral_symbol(lambda lam: lam ** (3j), d),
-        NormSpec(0.0, 4.0, 2.0),
+        [NormSpec(0.0, 4.0, 2.0)],
         [16.0, 32.0],
         EnsembleConfig("gaussian-coefficients", 4),
         seed=99,
@@ -419,7 +413,7 @@ def test_sweep_l2_never_exceeds_exact_norm(torus1):
     opnorm = symbol_linf(builder(dual))
     for kind, count in (("gaussian-coefficients", 6), ("dirichlet-kernels", 4), ("directed-irrep", 1)):
         sweep = boundedness_sweep(
-            torus1, builder, NormSpec(0.0, 2.0, 2.0), [32.0],
+            torus1, builder, [NormSpec(0.0, 2.0, 2.0)], [32.0],
             EnsembleConfig(kind, count), seed=21,
         )[0]
         assert sweep.max_ratios[0] / np.sqrt(2.0) <= opnorm + 1e-9
@@ -444,7 +438,7 @@ def test_multi_spec_sweep_equals_single_spec_sweeps(torus1, su2):
         )
         multi = run(specs)
         for spec, sweep in zip(specs, multi):
-            single = run(spec)[0]
+            single = run([spec])[0]
             assert sweep.spec == spec
             assert sweep.max_ratios == single.max_ratios
             assert sweep.argmax_members == single.argmax_members
@@ -456,7 +450,7 @@ def test_weak_numerator_for_p1(torus1):
     sweep = boundedness_sweep(
         torus1,
         identity_symbol,
-        NormSpec(0.0, 1.0, 2.0),
+        [NormSpec(0.0, 1.0, 2.0)],
         [16.0],
         EnsembleConfig("gaussian-coefficients", 4),
         seed=17,

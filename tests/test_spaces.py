@@ -21,7 +21,7 @@ from liefourier import (
 from liefourier import spaces
 from liefourier.dual import spin_cutoff
 from liefourier.errors import PreconditionError
-from liefourier.spaces import eta, psi, quadrature_lp, tl_norms, window_levels
+from liefourier.spaces import _transition, _window_levels, eta, psi, quadrature_lp, tl_norms, windows
 from liefourier.transform import inverse_on_grid
 from tl_oracle import tl_aggregate, window_samples
 from tl_oracle import tl_norms as oracle_tl_norms
@@ -69,10 +69,35 @@ def test_partition_sum_property(lam):
 
 
 def test_levels_skip_vanishing_pieces():
-    levels = window_levels(16.0)
+    levels = _window_levels(16.0)
     assert levels[0] == 0
     assert 2.0 ** (levels[-1] - 1) < 16.0 * (1 + 1e-9)
     assert all(2.0 ** (ell - 1) < 16.0 * (1 + 1e-9) for ell in levels)
+
+
+def test_windows_are_the_support_levels_not_zero_on_the_slice(torus1, su2):
+    # no eigenvalue of T^1 at cutoff 32 reaches the support of psi_6, and
+    # psi_4 rounds to zero at the top <xi> = 8.047 of SU(2) at spin 7.5
+    for group, cutoff, dropped in ((torus1, 32.0, {6}), (torus1, 20.0, set()), (su2, spin_cutoff(7.5), {4})):
+        dual = enumerate_dual(group, cutoff)
+        pairs = list(windows(dual))
+        assert [ell for ell, _ in pairs] == [ell for ell in _window_levels(dual.cutoff) if ell not in dropped]
+        for ell, window in pairs:
+            assert np.array_equal(window, psi(ell, dual.eigenvalues))
+
+
+def test_psi_scales_by_exact_powers_of_two():
+    # lam * 2**-ell is the same bits as lam / 2.0**ell wherever 2.0**ell is
+    # a float, and stays defined past it: a window symbol's ell is unbounded
+    rng = np.random.default_rng(0)
+    for level in range(1024):
+        lam = np.ldexp(rng.uniform(0.4, 1.99, 200), level)
+        old = _transition(lam) if level == 0 else eta(lam / 2.0**level)
+        assert np.array_equal(psi(level, lam), old), level
+    lam = np.array([1.0, 1e300, 1.7e308])
+    assert psi(1024, lam)[2] > 0.0  # 1.7e308 lies in the support (2**1023, 2**1025)
+    for level in (1100, 2000, 10**30):
+        assert np.array_equal(psi(level, lam), np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +109,7 @@ def test_reconstruction_from_projections(torus1):
     rng = np.random.default_rng(0)
     coeffs = random_coefficients(dual, rng)
     acc = [np.zeros_like(b) for b in coeffs.blocks]
-    for ell in window_levels(dual.cutoff):
+    for ell, _ in windows(dual):
         piece = lp_project(coeffs, ell)
         acc = [a + p for a, p in zip(acc, piece.blocks)]
     worst = max(np.max(np.abs(a - b)) for a, b in zip(acc, coeffs.blocks))
@@ -191,7 +216,7 @@ def test_single_irrep_function_factors_exactly(torus1):
     for p in (1.5, 2.0, 4.0):
         for q in (1.5, 2.0, 4.0):
             spec = NormSpec(0.0, p, q)
-            weights = [psi(ell, lam0) for ell in window_levels(dual.cutoff)]
+            weights = [psi(ell, lam0) for ell in _window_levels(dual.cutoff)]
             const = float(np.sum(np.asarray(weights) ** q) ** (1.0 / q))
             assert 2.0 ** (1.0 / q - 1.0) - 1e-12 <= const <= 1.0 + 1e-12
             [(tl, _)] = tl_norms(coeffs, [spec], weak=False)
@@ -220,7 +245,7 @@ def test_f_r22_equals_plancherel_identity(kind, n, cutoff):
     coeffs = random_coefficients(dual, np.random.default_rng([6, n]))
     hs = np.concatenate([np.sum(np.abs(stack) ** 2, axis=(1, 2)) for stack in coeffs.stacks])
     for r in (-1.0, 0.0, 1.0):
-        weight = sum(2.0 ** (2 * ell * r) * psi(ell, dual.eigenvalues) ** 2 for ell in window_levels(dual.cutoff))
+        weight = sum(2.0 ** (2 * ell * r) * window**2 for ell, window in windows(dual))
         expected = math.sqrt(np.sum(dual.dims * hs * weight))
         [(tl, _)] = tl_norms(coeffs, [NormSpec(r, 2.0, 2.0)], weak=False)
         assert abs(tl - expected) <= 1e-12 * expected, r
@@ -293,7 +318,7 @@ def test_tl_norms_skip_only_vanishing_windows(torus1, su2, monkeypatch):
         calls = []
         monkeypatch.setattr(spaces, "inverse_on_grid", lambda c, g: calls.append(1) or inverse_on_grid(c, g))
         tl_norms(coeffs, [NormSpec(0.0, 2.0, 2.0)])
-        assert len(calls) == len(window_levels(dual.cutoff)) - skipped
+        assert len(calls) == len(_window_levels(dual.cutoff)) - skipped
 
 
 def test_tl_norms_hold_no_levels_by_grid_array(su2):

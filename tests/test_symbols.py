@@ -31,7 +31,7 @@ from liefourier.spaces import psi
 from liefourier.symbols import (
     _differences,
     _require_margin,
-    _require_stencil_room,
+    _require_sobolev_room,
     _su2_ladder,
     _su2_step,
     _torus_box,
@@ -462,6 +462,12 @@ def test_integer_hormander_mihlin_builds_no_grid(torus1, torus2, su2, monkeypatc
         pytest.param("su2", 3, 64.0, 2, False, id="su2-64"),
         pytest.param("su2", 3, 63.5, 10**6, True, id="su2-1e6"),
         pytest.param("su2", 3, 7.5, 10**300, True, id="su2-1e300"),
+        # fractional s: one synthesis on the grid of bandlimit max_band + ceil(s)
+        pytest.param("su2", 3, 63.5, 2.5, False, id="su2-63.5-grid"),  # 268 x 134 x 268 nodes
+        pytest.param("su2", 3, 63.5, 200.5, True, id="su2-63.5-s200.5-grid"),  # 1060 x 530 x 1060 nodes
+        pytest.param("torus", 3, 124.0, 2.5, False, id="t3-124-grid"),  # 255^3 nodes
+        pytest.param("torus", 3, 125.0, 2.5, True, id="t3-125-grid"),  # 257^3 nodes > 2^24
+        pytest.param("torus", 1, 64.0, 1e15 + 0.5, True, id="t1-huge-s-grid"),
     ],
 )
 def test_stencil_room_counts_padded_cells_times_steps(kind, n, max_band, s, refused):
@@ -470,9 +476,9 @@ def test_stencil_room_counts_padded_cells_times_steps(kind, n, max_band, s, refu
     dual = SimpleNamespace(group=make_group(kind, n), max_band=max_band)
     if refused:
         with pytest.raises(PreconditionError, match="GB per complex state"):
-            _require_stencil_room(dual, s)
+            _require_sobolev_room(dual, s)
     else:
-        _require_stencil_room(dual, s)
+        _require_sobolev_room(dual, s)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from liefourier import (
 from liefourier.dual import little_d, spin_cutoff, wigner_matrix
 from liefourier.errors import PreconditionError
 from liefourier.groups import build_grid, multiply, random_point
-from liefourier.spaces import lp_project, psi, window_levels
+from liefourier.spaces import lp_project, windows
 from liefourier.transform import _get_plan, zero_coefficients
 from su2_plan_oracle import FullTablePlan
 
@@ -152,8 +152,7 @@ def test_su2_plan_matches_full_table_oracle(su2, two_top):
     stacks = coeffs.stacks
     inputs = [stacks, zero_coefficients(dual).stacks]
     inputs += [[s if k % 2 == parity else 0 * s for k, s in zip(plan.two_ells, stacks)] for parity in (0, 1)]
-    inputs += [lp_project(coeffs, ell).stacks for ell in window_levels(dual.cutoff)
-               if psi(ell, dual.eigenvalues).any()]
+    inputs += [lp_project(coeffs, ell).stacks for ell, _ in windows(dual)]
     for given in inputs:
         np.testing.assert_allclose(plan.inverse_on_grid(given), oracle.inverse_on_grid(given), rtol=0, atol=1e-12)
     vals = plan.inverse_on_grid(stacks)
@@ -446,7 +445,7 @@ def _bitwise_equal(blocks, oracle):
 
 @pytest.mark.parametrize("kind,n,cutoff", _PER_RUN_SLICES)
 def test_per_run_paths_equal_per_block_loops(kind, n, cutoff):
-    from liefourier import lp_project, psi, window_levels
+    from liefourier import lp_project, windows
     from liefourier.symbols import operator_norms
 
     dual = enumerate_dual(make_group(kind, n), cutoff)
@@ -459,8 +458,7 @@ def test_per_run_paths_equal_per_block_loops(kind, n, cutoff):
     product = apply_multiplier(symbol, coeffs)
     assert _bitwise_equal(product.blocks, [s @ f for s, f in zip(symbol.blocks, coeffs.blocks)])
 
-    for level in window_levels(cutoff):
-        scale = psi(level, dual.eigenvalues)
+    for level, scale in windows(dual):
         piece = lp_project(coeffs, level)
         assert _bitwise_equal(piece.blocks, [s * blk for s, blk in zip(scale, coeffs.blocks)])
 

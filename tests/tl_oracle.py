@@ -6,15 +6,15 @@ import math
 
 import numpy as np
 
-from liefourier.spaces import lp_project, quadrature_lp, weak_sup, window_levels
+from liefourier.spaces import _window_levels, lp_project, quadrature_lp, weak_sup
 from liefourier.transform import default_grid, inverse_on_grid
 
 
 def window_samples(coeffs):
     """(levels, |psi_ell(B) f| on the default grid, one row per level of
-    ``window_levels``, vanishing windows included)."""
+    ``_window_levels``, the windows that are zero on the slice included)."""
     grid = default_grid(coeffs.dual)
-    levels = window_levels(coeffs.dual.cutoff)
+    levels = _window_levels(coeffs.dual.cutoff)
     out = np.empty((len(levels), len(grid)))
     for i, ell in enumerate(levels):
         out[i] = np.abs(inverse_on_grid(lp_project(coeffs, ell), grid).values)
