@@ -57,13 +57,22 @@ def _decay(group: dict, cutoff: dict, windows: list[int], z_distance: float, **p
     return {"task": "kernel-decay", "group": group, **cutoff, **fields, **param, "seed": 1}
 
 
+_L2 = [{"r": 0, "p": 2, "q": 2}]
+_TL_NORM_T1 = {"task": "tl-norm", "group": _T1, "lam": 16.0, "specs": _L2, "seed": 1}
+_SWEEP_T1 = {"task": "bound-sweep", "group": _T1, "lams": [16.0, 32.0], "symbol": {"type": "wave"}, "specs": _L2, "seed": 1}
+
+
 # configs that the shipped and benchmark configs leave out: checker orders and
 # s0 above 1, mixed differences on T^3, Hormander-Mihlin on the torus and at
 # odd and fractional s (integer s comes from the q1^2 stencil, fractional s
 # from the grid); kernel decay on T^2 and T^3, with c != 1, and with an
 # empty far field (4c|z| >= pi on T^1, which exits 1 through the decay
 # slope); a T^3 transform and tl-norm, whose random members are drawn in
-# slice order and so move if the tie order of enumeration changes
+# slice order and so move if the tie order of enumeration changes; the
+# symbol types and spellings that no other config uses (identity, sign,
+# dyadic_rademacher, an integer t), a tl-norm asking for an ensemble that
+# needs a symbol (exit 1, no files), a directed-irrep sweep and an SU(2)
+# selftest
 CHECKS = [
     ("marcinkiewicz_t3_order2", _check(_T3, {"lams": [8.0, 16.0]}, {"type": "power_it", "t": 1.0}, "marcinkiewicz", order=2)),
     ("marcinkiewicz_su2_order2", _check(_SU2, {"ell_maxes": [7.5, 15.5]}, {"type": "wave"}, "marcinkiewicz", order=2)),
@@ -81,6 +90,21 @@ CHECKS = [
     ("decay_t1_empty", _decay(_T1, {"lam": 64.0}, [2, 3, 4], 0.8)),
     ("transform_t3", {"task": "transform", "group": _T3, "lam": 24.0, "count": 1, "seed": 1}),
     ("tl_norm_t3", {"task": "tl-norm", "group": _T3, "lam": 16.0, "specs": [{"r": 0, "p": 4, "q": 2}], "count": 1, "seed": 1}),
+    ("marcinkiewicz_t1_identity", _check(_T1, {"lams": [16.0, 32.0]}, {"type": "identity"}, "marcinkiewicz", order=1)),
+    ("marcinkiewicz_t1_sign", _check(_T1, {"lams": [16.0, 32.0]}, {"type": "sign"}, "marcinkiewicz", order=1)),
+    (
+        "weak_t2_rademacher",
+        _check(_T2, {"lams": [16.0, 32.0]}, {"type": "dyadic_rademacher", "seed": 9}, "weak-marcinkiewicz"),
+    ),
+    # an integer t spells t=1, not t=1.0
+    (
+        "marcinkiewicz_su2_integer_t",
+        _check(_SU2, {"ell_maxes": [7.5, 15.5]}, {"type": "power_it", "t": 1}, "marcinkiewicz", order=1),
+    ),
+    ("tl_norm_adjoint_dirichlet", {**_TL_NORM_T1, "ensemble": {"kind": "adjoint-dirichlet", "count": 1}}),
+    ("tl_norm_directed_irrep", {**_TL_NORM_T1, "ensemble": {"kind": "directed-irrep", "count": 1}}),
+    ("sweep_t1_directed_irrep", {**_SWEEP_T1, "ensemble": {"kind": "directed-irrep", "count": 2}}),
+    ("selftest_su2", {"task": "selftest", "group": _SU2, "ell_max": 3.5, "count": 1, "seed": 1}),
 ]
 
 

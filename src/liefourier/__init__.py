@@ -45,7 +45,6 @@ from .symbols import (
     check_weak_marcinkiewicz,
     dual_sobolev_norm,
     identity_symbol,
-    symbol_from_config,
 )
 from .multipliers import (
     BoundednessSweep,

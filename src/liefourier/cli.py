@@ -14,8 +14,8 @@ manifest (config echo, seed, library version, headline numbers).  Identical
 logged to stderr only.
 
 Exit codes: 0 success, 1 configuration error, 2 a declared tolerance was
-violated (or the task aborted; partial rows are flushed with a ``failed``
-marker row).
+violated (or the task aborted, a Triebel-Lizorkin norm past float64
+included; its rows are replaced by one ``failed`` marker row).
 """
 
 from __future__ import annotations
@@ -36,8 +36,9 @@ import numpy as np
 from . import __version__
 from .dual import enumerate_dual, representation_stacks, spin_cutoff
 from .errors import ConfigurationError, PreconditionError
-from .groups import SU2, TORUS, GroupDescriptor, make_group, su2_point_from_distance
+from .groups import SU2, TORUS, GroupDescriptor, make_group, point_at_distance
 from .multipliers import (
+    SYMBOL_ENSEMBLE_KINDS,
     EnsembleConfig,
     boundedness_sweep,
     decay_slope,
@@ -45,7 +46,15 @@ from .multipliers import (
     kernel_difference_integrals,
 )
 from .spaces import NormSpec, psi, tl_norms, windows
-from .symbols import check_hormander_mihlin, check_marcinkiewicz, check_weak_marcinkiewicz, symbol_from_config
+from .symbols import (
+    build_spectral_symbol,
+    check_hormander_mihlin,
+    check_marcinkiewicz,
+    check_weak_marcinkiewicz,
+    dyadic_rademacher_symbol,
+    identity_symbol,
+    sign_symbol,
+)
 from .transform import (
     default_grid,
     forward_transform,
@@ -162,11 +171,7 @@ def _validate_config(cfg: dict, fmt_kind: str | None = None) -> Task:
     if "count" in fields:
         task["count"] = _integer("count", fields["count"], 1)
     if "symbol" in fields:
-        symbol = fields["symbol"]
-        task["build_symbol"] = symbol_from_config(symbol, group)
-        # the report's symbol column keeps the config's spelling, e.g. "power_it,t=1.0"
-        spelled = [f"{key}={symbol[key]}" for key in ("t", "ell", "seed") if key in symbol]
-        task["symbol_name"] = ",".join([symbol["type"], *spelled])
+        task["build_symbol"], task["symbol_name"] = _symbol(fields["symbol"], group)
     if "specs" in fields:
         if not isinstance(fields["specs"], list) or not fields["specs"]:
             raise ConfigurationError("specs must be a nonempty list")
@@ -181,9 +186,8 @@ def _validate_config(cfg: dict, fmt_kind: str | None = None) -> Task:
             raise ConfigurationError(f"a {name} ensemble needs a 'count'")
         count = _integer("ensemble count", ens.get("count", task.get("count")), 1)
         task["ensemble"] = EnsembleConfig(ens["kind"], count)
-        # a tl-norm task has no symbol to build these members from
-        if name == "tl-norm" and ens["kind"] in ("adjoint-dirichlet", "directed-irrep"):
-            raise ConfigurationError(f"a tl-norm ensemble cannot be {ens['kind']!r}: it needs a symbol")
+        if "symbol" not in fields and ens["kind"] in SYMBOL_ENSEMBLE_KINDS:
+            raise ConfigurationError(f"a {name} ensemble cannot be {ens['kind']!r}: it needs a symbol")
     if "checker" in fields:
         checker = _choice("checker", fields["checker"], tuple(_CHECKERS))
         field = _CHECKERS[checker][0]
@@ -267,6 +271,52 @@ def _spec(item) -> NormSpec:
         raise ConfigurationError(f"each spec must be an object with exactly r, p and q, got {item!r}")
     r, p = _number("spec r", item["r"]), _number("spec p", item["p"])
     return NormSpec(r, p, _number("spec q", item["q"], infinite=True))
+
+
+# symbol type -> its fields besides "type" and their defaults (None: required)
+_SYMBOLS = {
+    "identity": {},
+    "power_it": {"t": 1.0},
+    "wave": {},
+    "sign": {},
+    "window": {"ell": None},
+    "dyadic_rademacher": {"seed": 0},
+}
+
+
+def _symbol(cfg, group) -> tuple[Callable, str]:
+    """The builder ``dual -> Symbol`` of a symbol config, e.g.
+    {"type": "power_it", "t": 5.0}, and its report spelling, which keeps the
+    config's own values ("power_it,t=5.0")."""
+    if not isinstance(cfg, dict):
+        raise ConfigurationError(f"symbol must be an object with a 'type', got {cfg!r}")
+    kind = _choice("symbol type", cfg.get("type"), tuple(_SYMBOLS))
+    fields = _SYMBOLS[kind]
+    unknown = set(cfg) - {"type"} - set(fields)
+    if unknown:
+        raise ConfigurationError(f"unknown fields for a {kind} symbol: {sorted(unknown)}")
+    missing = sorted(key for key, default in fields.items() if default is None and key not in cfg)
+    if missing:
+        raise ConfigurationError(f"a {kind} symbol needs the fields {missing}")
+    value = {**fields, **cfg}
+    if kind == "power_it":
+        t = _number("symbol t", value["t"])
+        build = lambda dual: build_spectral_symbol(lambda lam: lam ** (1j * t), dual)
+    elif kind == "wave":
+        build = lambda dual: build_spectral_symbol(lambda lam: np.exp(1j * lam), dual)
+    elif kind == "window":
+        ell = _integer("symbol ell", value["ell"], 0)
+        build = lambda dual: build_spectral_symbol(lambda lam: psi(ell, lam).astype(complex), dual)
+    elif kind == "dyadic_rademacher":
+        seed = _integer("symbol seed", value["seed"], 0)
+        build = lambda dual: dyadic_rademacher_symbol(dual, seed)
+    elif kind == "sign":
+        if group.kind != TORUS:
+            raise ConfigurationError("the sign symbol is defined on the torus only")
+        build = sign_symbol
+    else:
+        build = identity_symbol
+    return build, ",".join([kind, *(f"{key}={cfg[key]}" for key in fields if key in cfg)])
 
 
 def _digest(cfg: dict) -> str:
@@ -386,13 +436,8 @@ def _task_kernel_decay(task: Task):
     nonzero = [ell for ell, _ in windows(dual)]
     if not set(task.windows) <= set(nonzero):
         raise ConfigurationError(f"windows must lie among the slice's nonzero windows {nonzero}")
-    symbol = task.build_symbol(dual)
-    if task.group.kind == TORUS:
-        z = np.zeros(task.group.dim)
-        z[0] = task.z_distance / (2.0 * np.pi)
-    else:
-        z = su2_point_from_distance(task.z_distance)
-    integrals = kernel_difference_integrals(symbol, task.windows, z, task.c)
+    z = point_at_distance(task.group, task.z_distance)
+    integrals = kernel_difference_integrals(task.build_symbol(dual), task.windows, z, task.c)
     rows = [
         {"symbol": task.symbol_name, "lam": lam, "window": ell, "value": value, "status": "ok"}
         for ell, value in zip(task.windows, integrals)
@@ -456,45 +501,30 @@ def _schur_residual(group) -> float:
 def _task_selftest(task: Task):
     [lam] = task.cutoffs
     dual = enumerate_dual(task.group, lam)
-
-    checks = {}
-    checks["weights_sum"] = abs(float(default_grid(dual).weights.sum()) - 1.0)
-    checks["schur"] = _schur_residual(task.group)
-
     residuals = _roundtrip_residuals(dual, task.seed, task.count)
-    checks["roundtrip"] = max(rt for rt, _ in residuals)
-    checks["plancherel"] = max(rel for _, rel in residuals)
-
     lam_samples = np.geomspace(1.0, 1e6, 400)
-    total = np.zeros_like(lam_samples)
-    for ell in range(22):
-        total += psi(ell, lam_samples)
-    checks["partition_sum"] = float(np.max(np.abs(total - 1.0)))
-
+    partition = sum(psi(ell, lam_samples) for ell in range(22))
     recon = sum(window for _, window in windows(dual))
-    checks["reconstruction"] = float(np.max(np.abs(recon - 1.0)))
-
-    limits = {
-        "weights_sum": task.tol["weights_max"],
-        "schur": task.tol["schur_max"],
-        "roundtrip": task.tol["roundtrip_max"],
-        "plancherel": task.tol["plancherel_max"],
-        "partition_sum": task.tol["partition_max"],
-        "reconstruction": task.tol["reconstruction_max"],
-    }
-    rows = []
-    for name, value in checks.items():
-        rows.append(
-            {
-                "lam": lam,
-                "check": name,
-                "residual": value,
-                "tolerance": limits[name],
-                "status": "ok" if value <= limits[name] else "fail",
-            }
-        )
-    headline = {f"{k}_residual": v for k, v in checks.items()}
-    return rows, headline
+    # (check, residual, the key of its tolerance), in report order
+    checks = [
+        ("weights_sum", abs(float(default_grid(dual).weights.sum()) - 1.0), "weights_max"),
+        ("schur", _schur_residual(task.group), "schur_max"),
+        ("roundtrip", max(rt for rt, _ in residuals), "roundtrip_max"),
+        ("plancherel", max(rel for _, rel in residuals), "plancherel_max"),
+        ("partition_sum", float(np.max(np.abs(partition - 1.0))), "partition_max"),
+        ("reconstruction", float(np.max(np.abs(recon - 1.0))), "reconstruction_max"),
+    ]
+    rows = [
+        {
+            "lam": lam,
+            "check": name,
+            "residual": value,
+            "tolerance": task.tol[key],
+            "status": "ok" if value <= task.tol[key] else "fail",
+        }
+        for name, value, key in checks
+    ]
+    return rows, {f"{name}_residual": value for name, value, _ in checks}
 
 
 class _TaskKind(NamedTuple):

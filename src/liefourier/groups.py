@@ -308,9 +308,14 @@ def random_point(group: GroupDescriptor, rng: np.random.Generator) -> np.ndarray
     return euler_from_pair(a, b)
 
 
-def su2_point_from_distance(distance: float) -> np.ndarray:
-    """An SU(2) point at prescribed geodesic distance from the identity
-    (a rotation about the z-axis)."""
+def point_at_distance(group: GroupDescriptor, distance: float) -> np.ndarray:
+    """A point at geodesic distance ``distance`` in [0, pi] from the identity:
+    a translation along the first torus axis, a rotation about the z-axis
+    on SU(2)."""
     if not 0.0 <= distance <= np.pi:
-        raise ConfigurationError("su2 distances lie in [0, pi]")
-    return canonicalize(make_group(SU2), np.array([2.0 * distance, 0.0, 0.0]))
+        raise ConfigurationError(f"distances to the identity lie in [0, pi], got {distance!r}")
+    if group.kind == TORUS:
+        point = np.zeros(group.dim)
+        point[0] = distance / TWO_PI
+        return point
+    return canonicalize(group, np.array([2.0 * distance, 0.0, 0.0]))

@@ -43,13 +43,9 @@ from .transform import (
     zero_coefficients,
 )
 
-ENSEMBLE_KINDS = (
-    "gaussian-coefficients",
-    "dirichlet-kernels",
-    "translated-windows",
-    "adjoint-dirichlet",
-    "directed-irrep",
-)
+# the kinds whose members are drawn from the symbol
+SYMBOL_ENSEMBLE_KINDS = ("adjoint-dirichlet", "directed-irrep")
+ENSEMBLE_KINDS = ("gaussian-coefficients", "dirichlet-kernels", "translated-windows", *SYMBOL_ENSEMBLE_KINDS)
 
 
 def apply_multiplier(symbol: Symbol, coeffs: FourierCoefficients) -> FourierCoefficients:
@@ -139,11 +135,11 @@ def ensemble_member(
     directed-irrep: the rank-one block aligned with the top singular
         direction at the irrep attaining ||sigma||_Linf.
     """
+    if symbol is None and config.kind in SYMBOL_ENSEMBLE_KINDS:
+        raise PreconditionError(f"{config.kind} members need the symbol")
     if config.kind == "gaussian-coefficients":
         return random_coefficients(dual, rng)
     if config.kind in ("dirichlet-kernels", "adjoint-dirichlet"):
-        if config.kind == "adjoint-dirichlet" and symbol is None:
-            raise PreconditionError("adjoint-dirichlet members need the symbol")
         frac = (index + 1) / config.count
         inside = dual.per_run(dual.eigenvalues <= 1.0 + frac * (dual.cutoff - 1.0))
         if config.kind == "dirichlet-kernels":
@@ -157,8 +153,6 @@ def ensemble_member(
         z = random_point(dual.group, rng)
         return _weigh(FourierCoefficients(dual, representation_stacks(dual, z)), psi(ell, dual.eigenvalues))
     # directed-irrep, the last kind EnsembleConfig admits
-    if symbol is None:
-        raise PreconditionError("directed-irrep members need the symbol")
     best_i = int(np.argmax(operator_norms(symbol.stacks)))
     _, _, vh = np.linalg.svd(symbol.block(best_i))
     member = zero_coefficients(dual)

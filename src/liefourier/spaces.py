@@ -150,7 +150,9 @@ def tl_norms(
     row is how ``np.sum(axis=0)`` reduces a C-ordered array, and a window
     that is zero on the slice would only add exact zeros, so the result is
     the same bits as one (levels x grid) aggregate over every level whose
-    support meets the slice; the tests keep that path as the oracle.
+    support meets the slice; the tests keep that path as the oracle.  A
+    strong norm that float64 cannot hold (the scales 2^(ell r) or the q-th
+    powers overflow) raises FloatingPointError.
     """
     dual = coeffs.dual
     grid = default_grid(dual)
@@ -175,13 +177,16 @@ def tl_norms(
         mods = term = None  # free before the next window's inverse
     out: list = [None] * len(specs)
     for k, (r, q) in enumerate(pairs):
-        agg = accs[k] if accs[k] is not None else np.zeros(len(grid))
+        agg = accs[k]  # level 0 holds the trivial irrep, so every accumulator has a term
         accs[k] = None  # only one finished aggregate is held at a time
         if q != math.inf:
             agg **= 1.0 / q
         for i, spec in enumerate(specs):
             if (spec.r, spec.q) == (r, q):
+                strong = quadrature_lp(agg, grid.weights, spec.p)
+                if not math.isfinite(strong):
+                    raise FloatingPointError(f"the F^r_(p,q) norm at r = {r:g}, p = {spec.p:g}, q = {q:g} overflows")
                 w = weak_sup(agg, grid.weights) if weak and spec.p == 1.0 else None
-                out[i] = (quadrature_lp(agg, grid.weights, spec.p), w)
+                out[i] = (strong, w)
     return out
 

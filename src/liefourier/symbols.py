@@ -57,7 +57,7 @@ import numpy as np
 from .dual import MAX_TORUS_LABELS, DualSlice, spin_cutoff
 from .errors import ConfigurationError, MarginError, PreconditionError
 from .groups import TORUS, GroupDescriptor, grid_q1_weight, grid_shape
-from .spaces import _weigh, eta, psi
+from .spaces import _weigh, eta
 from .transform import FourierCoefficients, cached_grid, inverse_on_grid
 
 
@@ -100,47 +100,6 @@ def dyadic_rademacher_symbol(dual: DualSlice, seed: int) -> Symbol:
     # <xi> >= 1, so its binary exponent is exactly j = floor(log2 <xi>) + 1
     j = np.frexp(dual.eigenvalues)[1]
     return build_spectral_symbol(lambda lam: signs[j], dual)
-
-
-# symbol type -> its fields besides "type" (a window needs its ell)
-_SYMBOL_FIELDS = {
-    "identity": set(), "power_it": {"t"}, "wave": set(), "sign": set(), "window": {"ell"}, "dyadic_rademacher": {"seed"}
-}
-
-
-def symbol_from_config(cfg: dict, group: GroupDescriptor):
-    """Check a declarative symbol config, e.g. {"type": "power_it", "t": 5.0},
-    and return its builder ``dual -> Symbol`` for dual slices of ``group``.
-    Types: identity, power_it (finite t, default 1), wave, sign (torus only),
-    window (ell), dyadic_rademacher (seed, default 0); ell, seed >= 0."""
-    if not isinstance(cfg, dict):
-        raise ConfigurationError("symbol must be a JSON object")
-    kind = cfg.get("type")
-    if kind not in _SYMBOL_FIELDS:
-        raise ConfigurationError(f"unknown symbol type {kind!r}; choose from {sorted(_SYMBOL_FIELDS)}")
-    if kind == "window" and "ell" not in cfg:
-        raise ConfigurationError("a window symbol needs the field 'ell'")
-    unknown = set(cfg) - _SYMBOL_FIELDS[kind] - {"type"}
-    if unknown:
-        raise ConfigurationError(f"unknown fields for a {kind} symbol: {sorted(unknown)}")
-    t = cfg.get("t", 1.0)
-    if isinstance(t, bool) or not isinstance(t, (int, float)) or not math.isfinite(t):
-        raise ConfigurationError(f"symbol t must be a finite number, got {t!r}")
-    for name in ("ell", "seed"):
-        value = cfg.get(name, 0)
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise ConfigurationError(f"symbol {name} must be an integer >= 0, got {value!r}")
-    if kind == "sign" and group.kind != TORUS:
-        raise ConfigurationError("the sign symbol is defined on the torus only")
-    t, ell, seed = float(t), cfg.get("ell", 0), cfg.get("seed", 0)
-    return {
-        "identity": identity_symbol,
-        "power_it": lambda dual: build_spectral_symbol(lambda lam: lam ** (1j * t), dual),
-        "wave": lambda dual: build_spectral_symbol(lambda lam: np.exp(1j * lam), dual),
-        "sign": sign_symbol,
-        "window": lambda dual: build_spectral_symbol(lambda lam: psi(ell, lam).astype(complex), dual),
-        "dyadic_rademacher": lambda dual: dyadic_rademacher_symbol(dual, seed),
-    }[kind]
 
 
 def singular_values(stacks: list[np.ndarray]) -> list[np.ndarray]:
@@ -455,13 +414,13 @@ def check_hormander_mihlin(symbol: Symbol, s: float | None = None) -> CheckRepor
     eigs = symbol.dual.eigenvalues
     constants: dict = {}
     j_top = int(math.ceil(2.0 * math.log2(max(symbol.dual.cutoff, 1.0))))
-    for j in range(j_top + 1):
+    for j in range(j_top + 1):  # r = 1 has the trivial irrep, eta(1) = 1, so constants is never empty
         r = 2.0 ** (j / 2.0)
         window = eta(eigs / r)
         if not np.any(window > 1e-15):
             continue
         constants[r] = linf + r ** (s - n / 2.0) * dual_sobolev_norm(_weigh(symbol, window), s)
-    return CheckReport(constants, max(constants.values()) if constants else linf)
+    return CheckReport(constants, max(constants.values()))
 
 
 def check_weak_marcinkiewicz(symbol: Symbol, s0: int) -> CheckReport:

@@ -30,7 +30,7 @@ from liefourier import (
 )
 from liefourier.cli import run_config
 from liefourier.dual import spin_cutoff
-from liefourier.groups import su2_point_from_distance
+from liefourier.groups import point_at_distance
 from liefourier.multipliers import decay_slope, kernel_difference_integrals
 from liefourier.spaces import psi, tl_norms, windows
 from liefourier.symbols import apply_difference, check_marcinkiewicz, symbol_linf
@@ -61,8 +61,8 @@ def test_criterion_01_plancherel_inversion():
             coeffs = random_coefficients(dual, rng)
             samples = inverse_on_grid(coeffs, grid)
             back = forward_transform(samples, dual)
-            rt = max(float(np.max(np.abs(a - b))) for a, b in zip(coeffs.blocks, back.blocks))
-            scale = max(float(np.max(np.abs(b))) for b in coeffs.blocks)
+            rt = max(float(np.max(np.abs(a - b))) for a, b in zip(coeffs.stacks, back.stacks))
+            scale = max(float(np.max(np.abs(stack))) for stack in coeffs.stacks)
             worst_rt = max(worst_rt, rt / scale)
             pl = plancherel_norm(coeffs)
             l2 = float(np.sqrt(np.sum(grid.weights * np.abs(samples.values) ** 2)))
@@ -188,7 +188,7 @@ def test_criterion_05_embedding_monotonicity():
 def su2_decay_integrals():
     dual = enumerate_dual(SU2, spin_cutoff(32))
     symbol = build_spectral_symbol(lambda lam: lam ** (1j), dual)
-    z = su2_point_from_distance(0.05 * 2.0 * math.pi)
+    z = point_at_distance(SU2, 0.05 * 2.0 * math.pi)
     levels = (2, 3, 4, 5)
     return dict(zip(levels, kernel_difference_integrals(symbol, levels, z, 1.0)))
 

@@ -163,6 +163,13 @@ def test_spin_above_validated_range_refused_before_any_grid(tmp_path, monkeypatc
         pytest.param({**_CHECK_WAVE, "symbol": "wave"}, "enumerate_dual", id="symbol-not-object"),
         pytest.param({**_CHECK_WAVE, "symbol": {"type": "power_it", "t": "NaN"}}, "enumerate_dual", id="nan-t"),
         pytest.param({**_CHECK_WAVE, "symbol": {"type": "window", "ell": 1.5}}, "enumerate_dual", id="fractional-ell"),
+        pytest.param({**_CHECK_WAVE, "symbol": {"type": "power_it", "t": math.nan}}, "enumerate_dual", id="float-nan-t"),
+        pytest.param(
+            {**_CHECK_WAVE, "symbol": {"type": "dyadic_rademacher", "seed": -1}}, "enumerate_dual", id="negative-symbol-seed"
+        ),
+        pytest.param(
+            {**_CHECK_WAVE, "symbol": {"type": "dyadic_rademacher", "seed": True}}, "enumerate_dual", id="bool-symbol-seed"
+        ),
         pytest.param({**_GAUSSIAN_SWEEP, "ensemble": _GAUSSIAN}, "boundedness_sweep", id="sweep-without-count"),
         pytest.param({**_TRANSFORM, "tolerances": {"roundtrip_max": math.nan}}, "default_grid", id="nan-tolerance"),
         pytest.param({**_KERNEL_DECAY, "windows": [1, 2, 9]}, "kernel_difference_integrals", id="window-outside-slice"),
@@ -298,6 +305,59 @@ def test_oversized_sobolev_stencil_refused_before_any_state(tmp_path, monkeypatc
     assert run_config(cfg, tmp_path / "out") == 1
     assert "GB per complex state" in capsys.readouterr().err
     assert not (tmp_path / "out" / "check-symbol_report.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "symbol,spelled",
+    [
+        ({"type": "identity"}, "identity"),
+        ({"type": "power_it", "t": 5.0}, "power_it,t=5.0"),
+        ({"type": "power_it", "t": 1}, "power_it,t=1"),  # the config's own values
+        ({"type": "power_it"}, "power_it"),
+        ({"type": "wave"}, "wave"),
+        ({"type": "sign"}, "sign"),
+        ({"type": "window", "ell": 2}, "window,ell=2"),
+        ({"type": "dyadic_rademacher", "seed": 3}, "dyadic_rademacher,seed=3"),
+    ],
+)
+def test_symbol_config_builds_on_the_slice(torus1, symbol, spelled):
+    from liefourier import enumerate_dual
+    from liefourier.cli import _validate_config
+
+    task = _validate_config({**_CHECK_WAVE, "symbol": symbol})
+    dual = enumerate_dual(torus1, 16.0)
+    assert len(task.build_symbol(dual).blocks) == len(dual)
+    assert task.symbol_name == spelled
+
+
+# (r, p, q) = (1, 2, 300) on T^1 at lam 64: 2^(ell r) |f_ell| raised to the
+# power 300 overflows float64 although the norm itself does not
+_OVERFLOW_SPEC = [{"r": 1, "p": 2, "q": 300}]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        pytest.param({**_TL_NORM, "lam": 64.0, "specs": _OVERFLOW_SPEC, "count": 2}, id="tl-norm"),
+        pytest.param(
+            {**_GAUSSIAN_SWEEP, "lams": [32.0, 64.0], "symbol": {"type": "power_it", "t": 1.0}, "specs": _OVERFLOW_SPEC},
+            id="bound-sweep",
+        ),
+    ],
+)
+def test_overflowing_tl_norm_fails_with_exit_2(tmp_path, cfg):
+    out = tmp_path / "out"
+    assert run_config(cfg, out) == 2
+    [row] = csv.DictReader((out / f"{cfg['task']}_report.csv").read_text().splitlines())
+    assert row["status"] == "failed" and row["error"].startswith("FloatingPointError")
+
+
+def test_tl_norm_below_overflow_keeps_its_bits(tmp_path):
+    cfg = {**_TL_NORM, "lam": 64.0, "specs": [{"r": 1, "p": 2, "q": 100}], "count": 2}
+    out = tmp_path / "out"
+    assert run_config(cfg, out) == 0
+    rows = csv.DictReader((out / "tl-norm_report.csv").read_text().splitlines())
+    assert [row["norm"] for row in rows] == ["385.51013025942626", "314.85341050031241"]
 
 
 def test_window_symbol_above_every_slice_checks_to_zero(tmp_path):

@@ -16,11 +16,11 @@ from liefourier.groups import (
     identity,
     inverse,
     multiply,
+    point_at_distance,
     q1_weight,
     random_point,
     su2_matrix,
     su2_pair,
-    su2_point_from_distance,
 )
 from liefourier.transform import inverse_evaluate, random_coefficients
 
@@ -133,7 +133,7 @@ def test_geometric_weights_identity(torus1, su2):
 
 
 def test_geometric_weights_su2_quarter_turn(su2):
-    x = su2_point_from_distance(np.pi / 2)
+    x = point_at_distance(su2, np.pi / 2)
     assert abs(distance_to_identity(su2, x) - np.pi / 2) < 1e-12
     assert abs(q1_weight(su2, x) - np.sqrt(2.0)) < 1e-12   # 2|sin(theta/2)|
 
@@ -142,6 +142,16 @@ def test_geometric_weights_torus_half(torus1):
     x = np.array([0.5])
     assert abs(distance_to_identity(torus1, x) - np.pi) < 1e-12
     assert abs(q1_weight(torus1, x) - 2.0) < 1e-12            # |exp(i pi) - 1| = 2
+
+
+@pytest.mark.parametrize("kind,n", [("torus", 1), ("torus", 2), ("torus", 3), ("su2", 3)])
+def test_point_at_distance_has_that_distance(kind, n):
+    group = make_group(kind, n)
+    for d in (0.0, 0.05 * 2.0 * np.pi, 0.3, 1.0, np.pi / 2, 3.0, np.pi):
+        assert abs(distance_to_identity(group, point_at_distance(group, d)) - d) < 1e-12
+    for d in (-0.3, np.pi + 1e-9, 7.0, np.nan):
+        with pytest.raises(ConfigurationError):
+            point_at_distance(group, d)
 
 
 def test_distance_symmetry_on_grid(torus2, su2):

@@ -28,7 +28,7 @@ from liefourier.groups import (
     grid_distance_to_identity,
     inverse,
     multiply,
-    su2_point_from_distance,
+    point_at_distance,
 )
 from liefourier.multipliers import decay_slope, ensemble_member
 from liefourier.spaces import lp_project, psi, windows
@@ -171,7 +171,7 @@ def test_su2_class_function_path_matches_general(su2):
     # path may treat scalar blocks differently from general ones
     dual = enumerate_dual(su2, spin_cutoff(3))
     sig = build_spectral_symbol(lambda lam: lam ** (1j), dual)
-    z = su2_point_from_distance(0.4)
+    z = point_at_distance(su2, 0.4)
     [fast] = kernel_difference_integrals(sig, [1], z, 1.0)
     bumped = Symbol.from_blocks(dual, [b.copy() for b in sig.blocks])
     idx = index_of(dual, 1.0)
@@ -363,6 +363,9 @@ def test_ensemble_kinds_and_determinism(torus1):
         m2 = ensemble_member(cfg, 1, dual, np.random.default_rng([3, 0, 1]), sig)
         assert max(np.max(np.abs(a - b)) for a, b in zip(m1.blocks, m2.blocks)) == 0.0
         assert plancherel_norm(m1) > 0
+    for kind in multipliers.SYMBOL_ENSEMBLE_KINDS:
+        with pytest.raises(PreconditionError, match="need the symbol"):
+            ensemble_member(EnsembleConfig(kind, 4), 1, dual, np.random.default_rng([3, 0, 1]))
     with pytest.raises(ConfigurationError):
         EnsembleConfig("bogus", 4)
 

@@ -309,6 +309,21 @@ def test_tl_norms_equal_one_aggregate_per_spec(torus1, torus2, su2):
             assert tl_norms(coeffs, [spec]) == [(strong, weak)]
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        pytest.param(NormSpec(2000.0, 2.0, 2.0), id="scales"),  # 2^(ell r) past the float range
+        pytest.param(NormSpec(200.0, 2.0, math.inf), id="scales-q-inf"),
+        pytest.param(NormSpec(1.0, 1.0, 300.0), id="q-th-powers"),
+    ],
+)
+def test_tl_norms_refuse_a_norm_that_overflows(torus1, spec):
+    dual = enumerate_dual(torus1, 64.0)
+    coeffs = random_coefficients(dual, np.random.default_rng([0, 0]))
+    with pytest.raises(FloatingPointError, match=f"r = {spec.r:g}, p = {spec.p:g}, q = {spec.q:g}"):
+        tl_norms(coeffs, [NormSpec(0.0, 2.0, 2.0), spec])
+
+
 def test_tl_norms_skip_only_vanishing_windows(torus1, su2, monkeypatch):
     # the streamed sum inverts exactly the windows whose psi is nonzero at
     # some eigenvalue of the slice

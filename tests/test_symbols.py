@@ -42,7 +42,6 @@ from liefourier.symbols import (
     operator_norms,
     sign_symbol,
     singular_values,
-    symbol_from_config,
     symbol_linf,
 )
 from liefourier.transform import cached_grid
@@ -619,34 +618,6 @@ def test_spectral_symbol_values(su2):
     for lam, d, blk in zip(dual.eigenvalues, dual.dims, sig.blocks):
         assert np.max(np.abs(blk - lam ** (2j) * np.eye(d))) < 1e-14
         assert abs(np.linalg.norm(blk, 2) - 1.0) < 1e-12  # unimodular
-
-
-def test_symbol_from_config_types(torus1, su2):
-    dual = enumerate_dual(torus1, 16.0)
-    for cfg in (
-        {"type": "identity"},
-        {"type": "power_it", "t": 5.0},
-        {"type": "wave"},
-        {"type": "sign"},
-        {"type": "window", "ell": 2},
-        {"type": "dyadic_rademacher", "seed": 3},
-    ):
-        sig = symbol_from_config(cfg, torus1)(dual)
-        assert len(sig.blocks) == len(dual)
-    # refused when the config is read, before any slice exists
-    for cfg, group in (
-        ({"type": "nope"}, torus1),
-        ("wave", torus1),
-        ({"type": "window"}, torus1),
-        ({"type": "wave", "t": 3}, torus1),
-        ({"type": "power_it", "t": float("nan")}, torus1),
-        ({"type": "window", "ell": 1.5}, torus1),
-        ({"type": "dyadic_rademacher", "seed": -1}, torus1),
-        ({"type": "dyadic_rademacher", "seed": True}, torus1),
-        ({"type": "sign"}, su2),
-    ):
-        with pytest.raises(ConfigurationError):
-            symbol_from_config(cfg, group)
 
 
 def test_sign_symbol_su2_rejected(su2):
