@@ -3,7 +3,7 @@ benchmark and ``CHECKS`` configs, to check that a change keeps reports
 byte-identical, and list the report cells that moved between two such runs.
 
 Usage:  PYTHONPATH=src python scripts/report_digests.py OUT
-        PYTHONPATH=src python scripts/report_digests.py --compare OLD NEW
+        python scripts/report_digests.py --compare OLD NEW
 
 Runs ``scripts/configs/*.json``, the task configs of every
 ``perfbench/workloads.tasks(workload, seed=1)`` and the ``CHECKS`` below
@@ -16,9 +16,10 @@ trees and diffing the output compares their reports:
     PYTHONPATH=/path/to/old/src python scripts/report_digests.py /tmp/a > a.txt
     PYTHONPATH=src python scripts/report_digests.py /tmp/b > b.txt
     diff a.txt b.txt
-    PYTHONPATH=src python scripts/report_digests.py --compare /tmp/a /tmp/b
+    python scripts/report_digests.py --compare /tmp/a /tmp/b
 
-``--compare OLD NEW`` reads two such output directories.  For every CSV
+``--compare OLD NEW`` reads two such output directories and imports
+neither the library nor the benchmark.  For every CSV
 report that differs it prints each moved cell (file, row, column), the two
 values, their relative movement and their distance in units in the last
 place; any other file that differs, or exists on one side only, gets one
@@ -39,9 +40,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT))
-
-from liefourier.cli import run_config  # noqa: E402
-from perfbench.workloads import WORKLOADS, tasks  # noqa: E402
 
 
 _T1, _T2, _T3 = ({"kind": "torus", "dim": n} for n in (1, 2, 3))
@@ -111,6 +109,8 @@ CHECKS = [
 def configs() -> list[tuple[str, dict]]:
     """(name, config) for every shipped config, every benchmark task, then
     every ``CHECKS`` config."""
+    from perfbench.workloads import WORKLOADS, tasks
+
     out = [(path.stem, json.loads(path.read_text())) for path in sorted((ROOT / "scripts" / "configs").glob("*.json"))]
     for workload in WORKLOADS:
         out += [(f"{workload}/{name}", cfg) for name, cfg, _ in tasks(workload, seed=1)]
@@ -172,6 +172,8 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 1
+    from liefourier.cli import run_config  # the digest mode only: --compare reads files
+
     root = Path(argv[0])
     for name, cfg in configs():
         out = root / name

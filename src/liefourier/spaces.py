@@ -13,7 +13,8 @@ Triebel-Lizorkin norms are sampled on the slice's
 :func:`~liefourier.transform.default_grid`, which transforms the slice
 exactly: :func:`tl_norms` streams the windows one at a time into one
 accumulator per distinct (r, q), so a norm holds a few grid-sized arrays
-whatever the number of windows.
+whatever the number of windows; central SU(2) functions with even p and
+q = 2 take an exact 1-D rule in the rotation angle instead.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ import numpy as np
 
 from .dual import DualSlice
 from .errors import PreconditionError
-from .transform import FourierCoefficients, default_grid, inverse_on_grid
+from .groups import SU2, grid_shape
+from .transform import FourierCoefficients, _su2_class_rule, default_grid, inverse_on_grid
 
 
 def _transition(lam: np.ndarray) -> np.ndarray:
@@ -135,27 +137,53 @@ def weak_sup(agg: np.ndarray, weights: np.ndarray) -> float:
     return float(np.max(values * measure_ge)) if len(values) else 0.0
 
 
+def _central_rule(coeffs: FourierCoefficients, specs: list[NormSpec]):
+    """(real and imaginary d_l c_l, character table, weights) of the theta rule
+    of :func:`tl_norms`, or None.  B is c I when |B - (tr B / d) I|_max <=
+    8 eps |B|_max, as a product of scalar blocks rounds its diagonal apart."""
+    dual = coeffs.dual
+    if dual.group.kind != SU2 or any(spec.q != 2.0 or spec.p % 2.0 for spec in specs):
+        return None
+    nodes = int(max((spec.p for spec in specs), default=2)) * (len(dual) - 1) // 2 + 2  # p top / 2 + 2
+    if nodes * len(dual) > math.prod(grid_shape(dual.group, dual.max_band)):
+        return None  # a table larger than the default grid (p in the hundreds)
+    scalars = [np.trace(stack, axis1=1, axis2=2) / d for d, stack in zip(dual.run_dims, coeffs.stacks)]
+    for d, stack, c in zip(dual.run_dims, coeffs.stacks, scalars):
+        dev = np.abs(stack - c[:, None, None] * np.eye(d)).max(axis=(1, 2))
+        if np.any(dev > 8 * np.finfo(float).eps * np.abs(stack).max(axis=(1, 2))):
+            return None
+    return ((dual.dims * np.concatenate(scalars)).view(float).reshape(-1, 2), *_su2_class_rule(dual.dims, nodes))
+
+
 def tl_norms(
     coeffs: FourierCoefficients, specs: list[NormSpec], weak: bool = True
 ) -> list[tuple[float, float | None]]:
     """One (strong, weak) pair per spec, in order, for one function.
 
     strong is || (sum_ell 2^{ell r q} |psi_ell(B) f|^q)^{1/q} ||_{L^p} by
-    quadrature on the slice's default grid; weak is the :func:`weak_sup` of
-    the same aggregate for p = 1 specs when ``weak`` is set, and None
-    otherwise.  p never enters the aggregate, so the :func:`windows` stream
-    once into one accumulator per distinct (r, q): each is inverted on the
-    grid and its weighted modulus added in level order (q = inf takes the
-    running max), so no (levels x grid) array is held.  Adding row after
+    quadrature; weak is the :func:`weak_sup` of the same aggregate for p = 1
+    specs when ``weak`` is set, and None otherwise.  p never enters the
+    aggregate, so the :func:`windows` stream once into one accumulator per
+    distinct (r, q): each is synthesised and its weighted modulus added in
+    level order (q = inf takes the running max), so no (levels x nodes)
+    array is held.  The nodes are the slice's default grid: adding row after
     row is how ``np.sum(axis=0)`` reduces a C-ordered array, and a window
-    that is zero on the slice would only add exact zeros, so the result is
-    the same bits as one (levels x grid) aggregate over every level whose
-    support meets the slice; the tests keep that path as the oracle.  A
-    strong norm that float64 cannot hold (the scales 2^(ell r) or the q-th
-    powers overflow) raises FloatingPointError.
+    that is zero on the slice adds exact zeros, so the result is the same
+    bits as one (levels x grid) aggregate, the tests' oracle.  Except: with
+    even p and q = 2 in every spec, a central SU(2) function (every block
+    c_l I to 8 eps relative) has windows sum_l d_l c_l psi_ell chi_l(theta)
+    of degree top = 2 l_max in the rotation angle, so agg^p sin^2 has degree
+    p top + 2, and the Weyl integration formula on p top / 2 + 2 midpoint
+    nodes gives the norm exactly, with no grid.  A strong norm past float64
+    (2^(ell r) or the q-th powers overflow) raises FloatingPointError.
     """
     dual = coeffs.dual
-    grid = default_grid(dual)
+    central = _central_rule(coeffs, specs)
+    if central is None:
+        grid = default_grid(dual)
+        weights = grid.weights
+    else:
+        parts, chi, weights = central
     levels = np.asarray(_window_levels(dual.cutoff), dtype=float)
     pairs = list(dict.fromkeys((spec.r, spec.q) for spec in specs))
     # 2^(ell r) over every level of _window_levels (a level is its own index) by numpy's array
@@ -163,7 +191,10 @@ def tl_norms(
     scales = [2.0 ** (r * levels) for r, _ in pairs]
     accs: list = [None] * len(pairs)
     for ell, window in windows(dual):
-        mods = np.abs(inverse_on_grid(_weigh(coeffs, window), grid).values)
+        if central is None:
+            mods = np.abs(inverse_on_grid(_weigh(coeffs, window), grid).values)
+        else:
+            mods = np.hypot(*(chi @ (window[:, None] * parts)).T)  # no complex copy of the table
         for k, (_, q) in enumerate(pairs):
             term = mods * scales[k][ell]
             if q != math.inf:
@@ -183,10 +214,10 @@ def tl_norms(
             agg **= 1.0 / q
         for i, spec in enumerate(specs):
             if (spec.r, spec.q) == (r, q):
-                strong = quadrature_lp(agg, grid.weights, spec.p)
+                strong = quadrature_lp(agg, weights, spec.p)
                 if not math.isfinite(strong):
                     raise FloatingPointError(f"the F^r_(p,q) norm at r = {r:g}, p = {spec.p:g}, q = {q:g} overflows")
-                w = weak_sup(agg, grid.weights) if weak and spec.p == 1.0 else None
+                w = weak_sup(agg, weights) if weak and spec.p == 1.0 else None
                 out[i] = (strong, w)
     return out
 

@@ -284,6 +284,18 @@ class _Su2Plan:
         return (self.e_inv_a[:, np.r_[classes]] @ buf.reshape(2 * band + 1, nb * ng)).ravel()
 
 
+def _su2_class_rule(dims: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoint nodes theta_j = (j + 1/2) pi / n in the rotation angle of SU(2)
+    (``distance_to_identity``): the characters sin(d theta_j) / sin(theta_j)
+    of dimension d in ``dims``, and the Weyl weights (2/n) sin^2(theta_j),
+    exact for the Haar integral of cosine polynomials of degree < 2n - 2."""
+    theta = (np.arange(n) + 0.5) * (np.pi / n)
+    sin = np.sin(theta)
+    chi = np.sin(np.outer(theta, dims))
+    chi /= sin[:, None]
+    return chi, (2.0 / n) * sin**2
+
+
 def _get_plan(grid: QuadratureGrid, dual: DualSlice):
     if grid.group != dual.group:
         raise PreconditionError("grid and dual slice belong to different groups")

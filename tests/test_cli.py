@@ -374,9 +374,10 @@ def test_report_digest_compare_exits_1_on_any_difference(tmp_path):
     import liefourier
 
     script = Path(__file__).resolve().parents[1] / "scripts" / "report_digests.py"
-    # the script imports the package the tests import, installed or not
-    src = str(Path(liefourier.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    # --compare only reads files, so it runs without the package's source tree on the path
+    src = Path(liefourier.__file__).parents[1].resolve()
+    kept = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p and Path(p).resolve() != src]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(kept)}
     old, new = tmp_path / "old", tmp_path / "new"
     for root in (old, new):
         root.mkdir()

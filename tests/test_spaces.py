@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 
 from conftest import index_of
 from liefourier import (
+    EnsembleConfig,
     FourierCoefficients,
     GridFunction,
     NormSpec,
+    apply_multiplier,
+    build_spectral_symbol,
     default_grid,
     enumerate_dual,
     lp_project,
@@ -21,8 +24,9 @@ from liefourier import (
 from liefourier import spaces
 from liefourier.dual import spin_cutoff
 from liefourier.errors import PreconditionError
+from liefourier.multipliers import ensemble_member
 from liefourier.spaces import _transition, _window_levels, eta, psi, quadrature_lp, tl_norms, windows
-from liefourier.transform import inverse_on_grid
+from liefourier.transform import _su2_class_rule, inverse_on_grid
 from tl_oracle import tl_aggregate, window_samples
 from tl_oracle import tl_norms as oracle_tl_norms
 
@@ -354,6 +358,130 @@ def test_tl_norms_hold_no_levels_by_grid_array(su2):
     finally:
         tracemalloc.stop()
     assert peak < 10 * n * 8, f"peak {peak / (n * 8):.1f} x N x 8 bytes"
+
+
+def _central_members(dual):
+    """Class functions on an SU(2) slice: a dirichlet-kernels and an
+    adjoint-dirichlet member, each with its images under the wave symbol and
+    under power_it (t = 1), whose products round their diagonals apart."""
+    out = []
+    for profile in (lambda lam: np.exp(1j * lam), lambda lam: lam ** 1j):
+        symbol = build_spectral_symbol(profile, dual)
+        for kind in ("dirichlet-kernels", "adjoint-dirichlet"):
+            f = ensemble_member(EnsembleConfig(kind, 3), 1, dual, np.random.default_rng(0), symbol)
+            out += [f, apply_multiplier(symbol, f)]
+    return out
+
+
+def _grid_calls(monkeypatch):
+    calls = []
+    monkeypatch.setattr(spaces, "inverse_on_grid", lambda c, g: calls.append(1) or inverse_on_grid(c, g))
+    return calls
+
+
+@pytest.mark.parametrize("spin", [3.5, 7.5, 15.5, 31.5])
+def test_central_su2_norms_equal_the_grid_path(su2, spin, monkeypatch):
+    # class functions with even p and q = 2 take the theta rule, which the
+    # 3-D grid path matches within 1e-12 for (0,2,2), exact on both, and for
+    # (0.5,4,2) (measured within 2.8e-13); (r,2,2) is the Plancherel sum
+    # (sum_ell 2^(2 ell r) sum_l d_l^2 |c_l psi_ell|^2)^(1/2)
+    dual = enumerate_dual(su2, spin_cutoff(spin))
+    specs = [NormSpec(0.0, 2.0, 2.0), NormSpec(0.5, 4.0, 2.0), NormSpec(-1.0, 2.0, 2.0), NormSpec(1.0, 2.0, 2.0)]
+    calls = _grid_calls(monkeypatch)
+    for f in _central_members(dual):
+        fast = tl_norms(f, specs)
+        assert calls == []
+        with monkeypatch.context() as m:
+            m.setattr(spaces, "_central_rule", lambda coeffs, specs: None)
+            slow = tl_norms(f, specs)
+        assert len(calls) == len(list(windows(dual)))
+        del calls[:]
+        for (a, weak), (b, _) in zip(fast, slow):
+            assert weak is None and abs(a - b) <= 1e-12 * b
+        c = np.concatenate([np.trace(stack, axis1=1, axis2=2) for stack in f.stacks]) / dual.dims
+        for spec, (strong, _) in zip(specs, fast):
+            if spec.p == 2.0:
+                terms = [2.0 ** (2 * ell * spec.r) * np.abs(dual.dims * c * w) ** 2 for ell, w in windows(dual)]
+                assert abs(strong - math.sqrt(np.sum(terms))) <= 1e-12 * strong
+
+
+def test_central_su2_norms_are_exact_at_high_even_p(su2, monkeypatch):
+    # n = p top / 2 + 2 nodes integrate agg^p sin^2 exactly, so twice the
+    # nodes give the same norm; the default grid, which is not exact past
+    # p = 4, is off by up to 3.9e-4 on these members
+    specs = [NormSpec(0.0, 6.0, 2.0), NormSpec(0.5, 8.0, 2.0)]
+    for spin in (7.5, 31.5):
+        members = _central_members(enumerate_dual(su2, spin_cutoff(spin)))
+        norms = [tl_norms(f, specs) for f in members]
+        with monkeypatch.context() as m:
+            m.setattr(spaces, "_su2_class_rule", lambda dims, n: _su2_class_rule(dims, 2 * n))
+            doubled = [tl_norms(f, specs) for f in members]
+        for pairs, twice in zip(norms, doubled):
+            for (a, _), (b, _) in zip(pairs, twice):
+                assert abs(a - b) <= 1e-13 * b
+
+
+def test_centrality_threshold_decides_the_path(su2, monkeypatch):
+    # |B - (tr B / d) I|_max <= 8 eps |B|_max takes the theta rule, which
+    # agrees with the grid path there; one float above it the grid path runs
+    dual = enumerate_dual(su2, spin_cutoff(7.5))
+    f = ensemble_member(EnsembleConfig("dirichlet-kernels", 1), 0, dual, np.random.default_rng(0))
+    specs = [NormSpec(0.0, 2.0, 2.0), NormSpec(0.5, 4.0, 2.0)]
+    calls = _grid_calls(monkeypatch)
+    at = 8 * np.finfo(float).eps  # |B|_max = 1 and tr B / d = 1 with an off-diagonal perturbation
+    for delta, grid_windows in ((at, 0), (np.nextafter(at, 1.0), len(list(windows(dual))))):
+        g = FourierCoefficients(dual, [stack.copy() for stack in f.stacks])
+        g.block(len(dual) - 1)[0, 1] = delta
+        del calls[:]
+        fast = tl_norms(g, specs)
+        assert len(calls) == grid_windows
+        for (a, _), (b, _) in zip(fast, oracle_tl_norms(g, specs)):
+            assert abs(a - b) <= 1e-12 * b
+
+
+def test_tl_norms_keep_the_grid_path_outside_the_central_class(torus1, su2, monkeypatch):
+    # the torus, non-central members, odd p, q != 2, a mixed spec list and a
+    # p whose theta table would hold more numbers than the grid has nodes
+    # (p top / 2 + 2 = 1037 nodes x 16 spins at spin 7.5, against 16,384)
+    # give exactly the whole-array grid oracle
+    central = _central_members(enumerate_dual(su2, spin_cutoff(7.5)))[1]
+    gaussian = random_coefficients(enumerate_dual(su2, spin_cutoff(7.5)), np.random.default_rng(3))
+    torus = random_coefficients(enumerate_dual(torus1, 32.0), np.random.default_rng(3))
+    p4q2, p1q2 = NormSpec(0.0, 4.0, 2.0), NormSpec(0.0, 1.0, 2.0)
+    cases = [
+        (torus, [p4q2]),
+        (gaussian, [p4q2]),
+        (central, [p1q2]),
+        (central, [NormSpec(0.0, 4.0, 3.0)]),
+        (central, [p4q2, p1q2]),
+        (central, [NormSpec(0.0, 3.0, 2.0)]),
+        (central, [NormSpec(-2.0, 138.0, 2.0)]),
+    ]
+    calls = _grid_calls(monkeypatch)
+    for coeffs, specs in cases:
+        del calls[:]
+        assert tl_norms(coeffs, specs) == oracle_tl_norms(coeffs, specs)
+        assert calls
+
+
+def test_central_tl_norms_build_no_grid(su2, monkeypatch):
+    # the theta rule at spin 63.5 holds a 256 x 128 character table and
+    # 256-node arrays, against 8.4M nodes on the default grid
+    dual = enumerate_dual(su2, spin_cutoff(63.5))
+    f = ensemble_member(EnsembleConfig("dirichlet-kernels", 1), 0, dual, np.random.default_rng(0))
+
+    def refuse(*args):
+        raise AssertionError("a central norm built a grid")
+
+    monkeypatch.setattr(spaces, "default_grid", refuse)
+    monkeypatch.setattr(spaces, "inverse_on_grid", refuse)
+    tracemalloc.start()
+    try:
+        [(strong, _)] = tl_norms(f, [NormSpec(0.0, 4.0, 2.0)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert strong > 0.0 and peak < 2**20, f"peak {peak} bytes"
 
 
 # ---------------------------------------------------------------------------
