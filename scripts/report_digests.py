@@ -56,6 +56,7 @@ def _decay(group: dict, cutoff: dict, windows: list[int], z_distance: float, **p
 
 
 _L2 = [{"r": 0, "p": 2, "q": 2}]
+_GAUSSIAN_1 = {"kind": "gaussian-coefficients", "count": 1}
 _TL_NORM_T1 = {"task": "tl-norm", "group": _T1, "lam": 16.0, "specs": _L2, "seed": 1}
 _SWEEP_T1 = {"task": "bound-sweep", "group": _T1, "lams": [16.0, 32.0], "symbol": {"type": "wave"}, "specs": _L2, "seed": 1}
 
@@ -87,7 +88,10 @@ CHECKS = [
     ("decay_su2_c05", _decay(_SU2, {"ell_max": 15.5}, [1, 2, 3], 0.3, c=0.5)),
     ("decay_t1_empty", _decay(_T1, {"lam": 64.0}, [2, 3, 4], 0.8)),
     ("transform_t3", {"task": "transform", "group": _T3, "lam": 24.0, "count": 1, "seed": 1}),
-    ("tl_norm_t3", {"task": "tl-norm", "group": _T3, "lam": 16.0, "specs": [{"r": 0, "p": 4, "q": 2}], "count": 1, "seed": 1}),
+    (
+        "tl_norm_t3",
+        {"task": "tl-norm", "group": _T3, "lam": 16.0, "specs": [{"r": 0, "p": 4, "q": 2}], "ensemble": _GAUSSIAN_1, "seed": 1},
+    ),
     ("marcinkiewicz_t1_identity", _check(_T1, {"lams": [16.0, 32.0]}, {"type": "identity"}, "marcinkiewicz", order=1)),
     ("marcinkiewicz_t1_sign", _check(_T1, {"lams": [16.0, 32.0]}, {"type": "sign"}, "marcinkiewicz", order=1)),
     (

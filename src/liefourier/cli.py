@@ -7,10 +7,12 @@ The config is a single JSON object selecting one task; see the README for
 the schema.  It is read once, at entry: ``_validate_config`` checks,
 defaults and converts every field and returns a frozen :class:`Task`, which
 the task's runner executes; the raw config only feeds the digest and the
-manifest echo.  Outputs are a rows report (CSV by default) plus a JSON run
-manifest (config echo, seed, library version, headline numbers).  Identical
-(config, seed) pairs produce byte-identical reports: floats are written with
-17 significant digits, rows are emitted in a fixed order, and wall time is
+manifest echo.  ``--seed``, ``--format`` and ``--tol`` edit the config
+before it is read; ``--out`` (default ``.``) is the output directory.
+Outputs are a rows report (CSV by default) plus a JSON run manifest (config
+echo, seed, library version, headline numbers).  Identical (config, seed)
+pairs produce byte-identical reports: floats are written with 17
+significant digits, rows are emitted in a fixed order, and wall time is
 logged to stderr only.
 
 Exit codes: 0 success, 1 configuration error, 2 a declared tolerance was
@@ -129,10 +131,9 @@ def emit_report(rows: list[dict], path: str | Path, fmt_kind: str = "csv") -> Pa
 # Config handling
 # ---------------------------------------------------------------------------
 
-def _validate_config(cfg: dict, fmt_kind: str | None = None) -> Task:
+def _validate_config(cfg: dict) -> Task:
     """Read a config once: check, default and convert every field and return
-    the task to run.  ``fmt_kind`` (``--format``) overrides the config's
-    format.  Raises ConfigurationError on the first bad field."""
+    the task to run.  Raises ConfigurationError on the first bad field."""
     if not isinstance(cfg, dict):
         raise ConfigurationError("config must be a JSON object")
     name = _choice("task", cfg.get("task"), tuple(_TASKS))
@@ -156,7 +157,6 @@ def _validate_config(cfg: dict, fmt_kind: str | None = None) -> Task:
     if not isinstance(tol, dict) or set(tol) - set(kind.tolerances):
         raise ConfigurationError(f"tolerances must be an object over the {name} tolerances {list(kind.tolerances)}")
     tol = {**kind.tolerances, **{k: _number(f"tolerance {k}", v, infinite=True) for k, v in tol.items()}}
-    fmt_cfg = _choice("format", cfg.get("format", "csv"), _FORMATS)
     cutoffs = _cutoffs(given[0], cfg[given[0]], group)
     task = {
         "name": name,
@@ -164,7 +164,7 @@ def _validate_config(cfg: dict, fmt_kind: str | None = None) -> Task:
         "cutoffs": cutoffs,
         "seed": _integer("seed", cfg.get("seed", 0), 0),
         "tol": tol,
-        "format": fmt_cfg if fmt_kind is None else _choice("format", fmt_kind, _FORMATS),
+        "format": _choice("format", cfg.get("format", "csv"), _FORMATS),
     }
 
     fields = {**kind.defaults, **cfg}  # every field the task takes, defaulted
@@ -178,14 +178,9 @@ def _validate_config(cfg: dict, fmt_kind: str | None = None) -> Task:
         task["specs"] = tuple(_spec(item) for item in fields["specs"])
     if "ensemble" in fields:
         ens = fields["ensemble"]
-        if not isinstance(ens, dict) or "kind" not in ens or set(ens) - {"kind", "count"}:
-            raise ConfigurationError(f"ensemble must be an object with a 'kind' and at most a 'count', got {ens!r}")
-        if "count" in ens and "count" in cfg:
-            raise ConfigurationError("give the member count once: as 'count' or as the ensemble's 'count'")
-        if "count" not in ens and "count" not in task:
-            raise ConfigurationError(f"a {name} ensemble needs a 'count'")
-        count = _integer("ensemble count", ens.get("count", task.get("count")), 1)
-        task["ensemble"] = EnsembleConfig(ens["kind"], count)
+        if not isinstance(ens, dict) or set(ens) != {"kind", "count"}:
+            raise ConfigurationError(f"ensemble must be an object with exactly a 'kind' and a 'count', got {ens!r}")
+        task["ensemble"] = EnsembleConfig(ens["kind"], _integer("ensemble count", ens["count"], 1))
         if "symbol" not in fields and ens["kind"] in SYMBOL_ENSEMBLE_KINDS:
             raise ConfigurationError(f"a {name} ensemble cannot be {ens['kind']!r}: it needs a symbol")
     if "checker" in fields:
@@ -539,7 +534,7 @@ class _TaskKind(NamedTuple):
 
 _ONE_CUTOFF = ("lam", "ell_max")
 _CUTOFF_LISTS = ("lams", "ell_maxes")
-_COMMON_FIELDS = {"task", "group", "seed", "tolerances", "out", "format"}
+_COMMON_FIELDS = {"task", "group", "seed", "tolerances", "format"}
 # the round-trip and Plancherel tolerances of transform and selftest
 _ROUNDTRIP = {"roundtrip_max": 1e-10, "plancherel_max": 1e-10}
 _TASKS = {
@@ -551,10 +546,7 @@ _TASKS = {
         {"headline_max": math.inf, "max_growth": math.inf},
         _task_check_symbol,
     ),
-    # without an ensemble, tl-norm draws ``count`` Gaussian members
-    "tl-norm": _TaskKind(
-        _ONE_CUTOFF, {"specs"}, {"count": 4, "ensemble": {"kind": "gaussian-coefficients"}}, {}, _task_tl_norm
-    ),
+    "tl-norm": _TaskKind(_ONE_CUTOFF, {"specs"}, {"ensemble": {"kind": "gaussian-coefficients", "count": 4}}, {}, _task_tl_norm),
     "kernel-decay": _TaskKind(
         _ONE_CUTOFF, {"symbol", "windows", "z_distance"}, {"c": 1.0}, {"slope_max": -0.2}, _task_kernel_decay
     ),
@@ -579,13 +571,13 @@ _CHECKERS = {
 }
 
 
-def run_config(cfg: dict, out_dir: str | Path, fmt_kind: str | None = None) -> int:
+def run_config(cfg: dict, out_dir: str | Path) -> int:
     """Validate and execute one task; write the rows report and manifest.
 
     Returns the process exit code (0 ok, 1 config error, 2 failure).
     """
     try:
-        task = _validate_config(cfg, fmt_kind)
+        task = _validate_config(cfg)
     except (ConfigurationError, KeyError, TypeError, ValueError, OverflowError) as exc:  # JSON ints are unbounded
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
@@ -631,36 +623,30 @@ def run_config(cfg: dict, out_dir: str | Path, fmt_kind: str | None = None) -> i
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="liefourier", description=__doc__)
     parser.add_argument("--config", required=True, help="path to the JSON task config")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--out", default=None, help="output directory (default: config 'out' or '.')")
-    parser.add_argument("--format", choices=_FORMATS, default=None, help="rows report format")
-    parser.add_argument(
-        "--tol",
-        action="append",
-        default=[],
-        metavar="NAME=VALUE",
-        help="override a named tolerance (repeatable)",
-    )
+    parser.add_argument("--seed", type=int, default=None, help="set the config's seed")
+    parser.add_argument("--out", default=".", help="output directory (default: .)")
+    parser.add_argument("--format", choices=_FORMATS, default=None, help="set the config's report format")
+    parser.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE", help="set one of the config's tolerances")
     args = parser.parse_args(argv)
     try:
         cfg = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, bad UTF-8, an integer of too many digits
         print(f"configuration error: cannot read config: {exc}", file=sys.stderr)
         return 1
-    if not isinstance(cfg, dict):
-        print("configuration error: config must be a JSON object", file=sys.stderr)
-        return 1
-    if args.seed is not None:
-        cfg["seed"] = args.seed
     try:
         overrides = {name: float(value) for name, value in (item.split("=", 1) for item in args.tol)}
     except ValueError:  # an item without '=' does not unpack either
         print(f"configuration error: bad --tol in {args.tol}", file=sys.stderr)
         return 1
-    if overrides:
-        cfg.setdefault("tolerances", {}).update(overrides)
-    out_dir = args.out or cfg.get("out", ".")
-    return run_config(cfg, out_dir, args.format)
+    # the flags only edit the config; anything that is not an object is left for the validator to refuse
+    if isinstance(cfg, dict):
+        if args.seed is not None:
+            cfg["seed"] = args.seed
+        if args.format is not None:
+            cfg["format"] = args.format
+        if overrides and isinstance(cfg.setdefault("tolerances", {}), dict):
+            cfg["tolerances"].update(overrides)
+    return run_config(cfg, args.out)
 
 
 if __name__ == "__main__":

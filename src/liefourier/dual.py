@@ -97,6 +97,9 @@ def enumerate_dual(group: GroupDescriptor, cutoff: float) -> DualSlice:
         raise PreconditionError("cutoff must be finite and >= 1 (the trivial irrep has <xi> = 1)")
     if group.kind == TORUS:
         n = group.dim
+        # an axis holds 2 floor(sqrt(cutoff^2 - 1)) + 1 >= 2 cutoff - 3 labels; refuse before squaring
+        if cutoff > MAX_TORUS_LABELS:
+            raise ConfigurationError(f"cutoff {cutoff:g} on T^{n} needs more than {MAX_TORUS_LABELS} labels on each axis")
         max_sq = cutoff * cutoff - 1.0
         bound = int(np.floor(np.sqrt(max(max_sq, 0.0))))
         shape = (2 * bound + 1,) * n

@@ -272,7 +272,7 @@ def build_grid(group: GroupDescriptor, bandlimit: float) -> QuadratureGrid:
     u, w_gl = np.polynomial.legendre.leggauss(n_b)
     beta = np.arccos(u)
     w_beta = 0.5 * w_gl / (n_ag * n_ag)
-    weights = np.broadcast_to(w_beta[None, :, None], (n_ag, n_b, n_ag)).ravel().copy()
+    weights = np.broadcast_to(w_beta[None, :, None], (n_ag, n_b, n_ag)).ravel()  # ravel copies the broadcast view
     total = weights.sum()
     weights /= total
     w_beta = w_beta / total

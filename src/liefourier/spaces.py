@@ -188,7 +188,9 @@ def tl_norms(
     pairs = list(dict.fromkeys((spec.r, spec.q) for spec in specs))
     # 2^(ell r) over every level of _window_levels (a level is its own index) by numpy's array
     # power, which need not round like a scalar pow: as a whole-array aggregate scales its rows
-    scales = [2.0 ** (r * levels) for r, _ in pairs]
+    # an overflow here or in the q-th powers is left to the finiteness check below to report
+    with np.errstate(over="ignore"):
+        scales = [2.0 ** (r * levels) for r, _ in pairs]
     accs: list = [None] * len(pairs)
     for ell, window in windows(dual):
         if central is None:
@@ -198,7 +200,8 @@ def tl_norms(
         for k, (_, q) in enumerate(pairs):
             term = mods * scales[k][ell]
             if q != math.inf:
-                term **= q
+                with np.errstate(over="ignore"):
+                    term **= q
             if accs[k] is None:
                 accs[k] = term
             elif q == math.inf:

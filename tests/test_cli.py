@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from liefourier.cli import emit_report, fmt, main, run_config
 from liefourier.errors import ConfigurationError, PreconditionError
@@ -232,6 +234,11 @@ def test_spin_above_validated_range_refused_before_any_grid(tmp_path, monkeypatc
         pytest.param(
             {**_TL_NORM, "count": 2, "ensemble": {**_GAUSSIAN, "count": 3}}, "enumerate_dual", id="count-twice"
         ),
+        # tl-norm takes its member count only as the ensemble's count
+        pytest.param({**_TL_NORM, "count": 2}, "enumerate_dual", id="tl-norm-top-level-count"),
+        pytest.param({**_TL_NORM, "ensemble": _GAUSSIAN}, "enumerate_dual", id="tl-norm-ensemble-without-count"),
+        # the output directory is --out, not a config field
+        pytest.param({**_TRANSFORM, "out": "elsewhere"}, "enumerate_dual", id="out-field"),
     ],
 )
 def test_bad_config_refused_before_any_work(tmp_path, monkeypatch, cfg, stage):
@@ -248,16 +255,137 @@ def test_bad_config_refused_before_any_work(tmp_path, monkeypatch, cfg, stage):
     assert not any(out.glob("*_report.*"))
 
 
+_CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+# every shipped config and one tl-norm config, each a valid start for one edit
+_FUZZ_BASES = [json.loads(path.read_text()) for path in sorted(_CONFIG_DIR.glob("*.json"))] + [_TL_NORM]
+# the field names of each place a field can be edited; "out" and a top-level
+# "count" are there because a config must not be able to use them
+_FUZZ_FIELDS = {
+    None: (
+        "task", "group", "seed", "tolerances", "out", "format", "lam", "lams", "ell_max", "ell_maxes", "count",
+        "symbol", "specs", "ensemble", "checker", "order", "s", "s0", "windows", "c", "z_distance", "trend",
+    ),
+    "group": ("kind", "dim"),
+    "symbol": ("type", "t", "ell", "seed"),
+    "ensemble": ("kind", "count", "seed"),
+    "specs": ("r", "p", "q", "s"),
+    "tolerances": ("roundtrip_max", "plancherel_max", "spread_max", "slope_max", "max_growth", "headline_max"),
+}
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(-1e308, 1e308) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _edited_config(draw):
+    """A shipped config with one field replaced or added, at the top level
+    (drawn half the time) or inside one of its objects."""
+    cfg = json.loads(json.dumps(draw(st.sampled_from(_FUZZ_BASES))))
+    where = draw(st.none() | st.sampled_from([place for place in _FUZZ_FIELDS if place is not None]))
+    key = draw(st.sampled_from(_FUZZ_FIELDS[where]) | st.text(max_size=6))
+    target = cfg if where is None else cfg.setdefault(where, {})
+    if isinstance(target, list):  # specs: edit the first spec
+        target = target[0]
+    target[key] = draw(_JSON_VALUES)
+    return cfg
+
+
+_FLAGS = st.tuples(
+    st.none() | st.integers().map(lambda seed: f"--seed={seed}"),
+    st.none() | st.sampled_from(["--format=csv", "--format=json"]),
+    st.lists(
+        st.tuples(st.sampled_from(_FUZZ_FIELDS["tolerances"]) | st.text(max_size=6), st.floats() | st.text(max_size=6)),
+        max_size=2,
+    ).map(lambda items: [f"--tol={name}={value}" for name, value in items]),
+)
+
+
+@given(cfg=_edited_config(), flags=_FLAGS)
+@settings(max_examples=400, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_no_config_or_flag_reaches_a_traceback(tmp_path, monkeypatch, cfg, flags):
+    import liefourier.cli as cli
+
+    # every runner is stubbed: what is tested is reading the config and the flags
+    for name, kind in cli._TASKS.items():
+        monkeypatch.setitem(cli._TASKS, name, kind._replace(runner=lambda task: ([{"status": "ok"}], {})))
+    monkeypatch.chdir(tmp_path)  # without --out the outputs go to "."
+    seed, report_format, tols = flags
+    assert main(["--config", str(_write(tmp_path, cfg)), *filter(None, [seed, report_format]), *tols]) in (0, 1, 2)
+
+
 def test_unknown_report_format_argument_refused_before_any_work(tmp_path, monkeypatch):
     import liefourier.cli as cli
 
     def no_work(*args, **kwargs):
         raise AssertionError("enumerate_dual was called")
 
+    # --format takes csv or json only; the parser refuses any other value before the config is read
     monkeypatch.setattr(cli, "enumerate_dual", no_work)
     out = tmp_path / "out"
-    assert run_config(dict(_TRANSFORM), out, "xml") == 1
-    assert not out.exists() or not any(out.iterdir())
+    with pytest.raises(SystemExit):
+        main(["--config", str(_write(tmp_path, _TRANSFORM)), "--out", str(out), "--format", "xml"])
+    assert not out.exists()
+
+
+def test_flags_edit_the_config(tmp_path):
+    # --seed, --format and --tol are edits of the config: the run equals the edited config's, digest included
+    path = _write(tmp_path, {**_TRANSFORM, "count": 1, "format": "csv", "tolerances": {"plancherel_max": 1e-9}})
+    flags = ["--seed", "3", "--format", "json", "--tol", "roundtrip_max=1e-3"]
+    assert main(["--config", str(path), "--out", str(tmp_path / "flags"), *flags]) == 0
+    edited = {**_TRANSFORM, "count": 1, "format": "json", "tolerances": {"plancherel_max": 1e-9, "roundtrip_max": 1e-3}}
+    assert run_config({**edited, "seed": 3}, tmp_path / "edited") == 0
+    for name in ("transform_report.json", "run_manifest.json"):
+        assert (tmp_path / "flags" / name).read_bytes() == (tmp_path / "edited" / name).read_bytes()
+    manifest = json.loads((tmp_path / "flags" / "run_manifest.json").read_text())
+    assert manifest["config"]["seed"] == 3 and manifest["config"]["format"] == "json"
+    assert manifest["config"]["tolerances"] == {"plancherel_max": 1e-9, "roundtrip_max": 1e-3}
+
+
+_TOL = ["--tol", "roundtrip_max=1"]
+
+
+@pytest.mark.parametrize(
+    "text,flags",
+    [
+        pytest.param(json.dumps({**_TRANSFORM, "out": 5}), [], id="out-number"),
+        pytest.param(json.dumps({**_TRANSFORM, "out": ["a"]}), [], id="out-list"),
+        pytest.param(json.dumps({**_TRANSFORM, "tolerances": [1]}), _TOL, id="tolerances-list-with-tol"),
+        pytest.param(json.dumps({**_TRANSFORM, "tolerances": None}), _TOL, id="tolerances-null-with-tol"),
+        pytest.param(json.dumps({**_TRANSFORM, "tolerances": "x"}), _TOL, id="tolerances-text-with-tol"),
+        pytest.param("[1]", ["--seed", "2", *_TOL], id="config-not-object"),
+        # past the interpreter's limit on the digits of an int parsed from text
+        pytest.param('{"task": "transform", "count": ' + "9" * 5000 + "}", [], id="integer-of-5000-digits"),
+        pytest.param('{"task": "\xff"}', [], id="not-utf-8"),
+    ],
+)
+def test_bad_config_through_main_is_one_error_line(tmp_path, capsys, text, flags):
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    path.write_bytes(text.encode("latin-1"))
+    assert main(["--config", str(path), "--out", str(out), *flags]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("configuration error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "dim,lam",
+    [
+        # each squares past float64 (T^1), or its label box count past it (T^2, T^3)
+        pytest.param(1, 1e200, id="t1-1e200"),
+        pytest.param(2, 1e154, id="t2-1e154"),
+        pytest.param(3, 1e110, id="t3-1e110"),
+        pytest.param(3, 1e100, id="t3-1e100"),
+        pytest.param(1, float(2**24 + 1), id="t1-just-above-the-limit"),
+    ],
+)
+def test_huge_torus_cutoff_refused_with_a_short_message(tmp_path, capsys, dim, lam):
+    cfg = {"task": "transform", "group": {"kind": "torus", "dim": dim}, "lam": lam, "count": 1}
+    assert run_config(cfg, tmp_path / "out") == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("configuration error:") and len(line) < 160
+    assert not (tmp_path / "out" / "transform_report.csv").exists()
 
 
 def test_oversized_torus_slice_refused_before_any_label_array(tmp_path, monkeypatch, capsys):
@@ -338,7 +466,7 @@ _OVERFLOW_SPEC = [{"r": 1, "p": 2, "q": 300}]
 @pytest.mark.parametrize(
     "cfg",
     [
-        pytest.param({**_TL_NORM, "lam": 64.0, "specs": _OVERFLOW_SPEC, "count": 2}, id="tl-norm"),
+        pytest.param({**_TL_NORM, "lam": 64.0, "specs": _OVERFLOW_SPEC, "ensemble": {**_GAUSSIAN, "count": 2}}, id="tl-norm"),
         pytest.param(
             {**_GAUSSIAN_SWEEP, "lams": [32.0, 64.0], "symbol": {"type": "power_it", "t": 1.0}, "specs": _OVERFLOW_SPEC},
             id="bound-sweep",
@@ -353,7 +481,7 @@ def test_overflowing_tl_norm_fails_with_exit_2(tmp_path, cfg):
 
 
 def test_tl_norm_below_overflow_keeps_its_bits(tmp_path):
-    cfg = {**_TL_NORM, "lam": 64.0, "specs": [{"r": 1, "p": 2, "q": 100}], "count": 2}
+    cfg = {**_TL_NORM, "lam": 64.0, "specs": [{"r": 1, "p": 2, "q": 100}], "ensemble": {**_GAUSSIAN, "count": 2}}
     out = tmp_path / "out"
     assert run_config(cfg, out) == 0
     rows = csv.DictReader((out / "tl-norm_report.csv").read_text().splitlines())
@@ -405,7 +533,7 @@ def _rows_without_digest(out):
         pytest.param(_without(_selftest_cfg(), "seed"), {"count": 4}, id="selftest"),
         pytest.param(_without(_CHECK_WAVE, "checker"), {"checker": "marcinkiewicz"}, id="check-symbol"),
         pytest.param({**_CHECK_WAVE, "checker": "weak-marcinkiewicz"}, {"s0": 1}, id="check-symbol-weak"),
-        pytest.param(_TL_NORM, {"count": 4}, id="tl-norm"),
+        pytest.param(_TL_NORM, {"ensemble": {**_GAUSSIAN, "count": 4}}, id="tl-norm"),
         pytest.param(_without(_KERNEL_DECAY, "seed"), {"c": 1.0}, id="kernel-decay"),
         pytest.param(_GAUSSIAN_SWEEP, {"trend": "none"}, id="bound-sweep"),
     ],
@@ -491,7 +619,7 @@ def test_tl_norm_task(tmp_path):
         "group": {"kind": "torus", "dim": 1},
         "lam": 16.0,
         "specs": [{"r": 0, "p": 2, "q": 2}, {"r": 0, "p": 1, "q": 2}],
-        "count": 2,
+        "ensemble": {"kind": "gaussian-coefficients", "count": 2},
         "seed": 3,
     }
     out = tmp_path / "out"

@@ -50,6 +50,25 @@ def test_enumerate_torus_label_ceiling(monkeypatch):
         enumerate_dual(make_group("torus", 3), 512.0)
 
 
+def test_enumerate_torus_label_limit_is_exact(monkeypatch):
+    # the half-width B with (2B + 1)^n <= 2^24 is the last admitted one, on
+    # every torus and on both sides of the cutoff past which the square of a
+    # cutoff is not formed (np.ix_ is stubbed, so nothing is allocated)
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args, **kwargs):
+        raise Admitted
+
+    monkeypatch.setattr(np, "ix_", admitted)
+    for n, last in ((1, 2**23 - 1), (2, 2047), (3, 127)):
+        with pytest.raises(Admitted):
+            enumerate_dual(make_group("torus", n), math.sqrt(1.0 + last**2))
+        for refused in (math.sqrt(1.0 + (last + 1) ** 2), 2.0**24, 2.0**24 + 2.0, 1e200):
+            with pytest.raises(ConfigurationError, match="labels"):
+                enumerate_dual(make_group("torus", n), refused)
+
+
 def test_enumerate_rejects_nonfinite_cutoff(torus1, su2):
     for group in (torus1, su2):
         for cutoff in (np.nan, np.inf):
