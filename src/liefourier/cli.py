@@ -620,16 +620,24 @@ def run_config(cfg: dict, out_dir: str | Path) -> int:
     return 0 if status == "ok" else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a bad or missing flag is a configuration error, not argparse's usage exit 2
+        raise ConfigurationError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="liefourier", description=__doc__)
+    parser = _Parser(prog="liefourier", description=__doc__)
     parser.add_argument("--config", required=True, help="path to the JSON task config")
-    parser.add_argument("--seed", type=int, default=None, help="set the config's seed")
+    parser.add_argument("--seed", default=None, help="set the config's seed")
     parser.add_argument("--out", default=".", help="output directory (default: .)")
-    parser.add_argument("--format", choices=_FORMATS, default=None, help="set the config's report format")
+    parser.add_argument("--format", default=None, help="set the config's report format")
     parser.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE", help="set one of the config's tolerances")
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         cfg = json.loads(Path(args.config).read_text())
+    except ConfigurationError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 1
     except (OSError, ValueError) as exc:  # ValueError: bad JSON, bad UTF-8, an integer of too many digits
         print(f"configuration error: cannot read config: {exc}", file=sys.stderr)
         return 1
@@ -641,7 +649,10 @@ def main(argv=None) -> int:
     # the flags only edit the config; anything that is not an object is left for the validator to refuse
     if isinstance(cfg, dict):
         if args.seed is not None:
-            cfg["seed"] = args.seed
+            try:  # an int when the text is one; other text is left for the validator to refuse
+                cfg["seed"] = int(args.seed)
+            except ValueError:
+                cfg["seed"] = args.seed
         if args.format is not None:
             cfg["format"] = args.format
         if overrides and isinstance(cfg.setdefault("tolerances", {}), dict):

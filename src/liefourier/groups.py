@@ -24,15 +24,13 @@ Conventions
 points pass their coordinates and grids their ``np.ix_`` axes, so grid and
 pointwise values agree bit for bit.
 
-All functions here are pure.  A grid's nodes and weights are fixed at
-construction, but a grid is not immutable: it carries a plan cache that
-:mod:`liefourier.transform` fills on first use.  Threads sharing a grid may
-each build the same plan; the last write wins and the plans are equal.
+All functions here are pure, and grids are frozen: their nodes and weights
+are fixed by (group, bandlimit).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -205,7 +203,7 @@ def q1_weight(group: GroupDescriptor, points: np.ndarray) -> np.ndarray:
 # Quadrature grids
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class QuadratureGrid:
     """Haar quadrature nodes, exact for products of two matrix coefficients
     of irreps within ``bandlimit``.
@@ -214,9 +212,6 @@ class QuadratureGrid:
     (torus: one array per coordinate; SU(2): (alpha, beta, gamma) nodes plus
     the Gauss-Legendre weights in cos(beta)).  The grid stores no point
     list; ``points`` builds the flattened C-order product on each access.
-    Nodes and weights are fixed after construction; ``_plans`` is the plan
-    cache, keyed by dual slice, that :mod:`liefourier.transform` writes on
-    first use.
     """
 
     group: GroupDescriptor
@@ -224,7 +219,6 @@ class QuadratureGrid:
     weights: np.ndarray
     axes: tuple[np.ndarray, ...]
     beta_weights: np.ndarray | None = None
-    _plans: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def shape(self) -> tuple[int, ...]:

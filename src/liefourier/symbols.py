@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -58,7 +58,7 @@ from .dual import MAX_TORUS_LABELS, DualSlice, spin_cutoff
 from .errors import ConfigurationError, MarginError, PreconditionError
 from .groups import TORUS, GroupDescriptor, grid_q1_weight, grid_shape
 from .spaces import _weigh, eta
-from .transform import FourierCoefficients, cached_grid, inverse_on_grid
+from .transform import FourierCoefficients, inverse_on_grid, slice_grid
 
 
 @dataclass
@@ -224,7 +224,9 @@ def _su2_ladder(symbol: Symbol, pad: int):
     return ladder, lambda ladder: [blk[None].copy() for blk in ladder[: top + 1]]
 
 
-@lru_cache(maxsize=2048)  # every step of every difference and stencil reads the same rows
+# Every difference and stencil step reads the same rows.  Unbounded, as k <= 256 on a difference ladder
+# (_require_margin) and k <= 367 on a padded one (2^24 cells, _require_sobolev_room): at most 4 x 368 keys.
+@cache
 def _cg_rows(k: int, up: bool, m_index: int) -> tuple[slice, slice, np.ndarray]:
     """Nonzero rows of C = <1/2 m; k/2 m_a | L m_s> for L = (k +- 1)/2 and
     m = +1/2 (m_index 0) or -1/2 (m_index 1), in descending-m order: the
@@ -285,7 +287,7 @@ def dual_sobolev_norm(symbol: FourierCoefficients, s: float) -> float:
     _require_sobolev_room(symbol.dual, s)
     if float(s).is_integer():
         return _stencil_sobolev_norm(symbol, int(s))
-    grid = cached_grid(symbol.dual.group, symbol.dual.max_band + math.ceil(s))
+    grid = slice_grid(symbol.dual, symbol.dual.max_band + math.ceil(s))
     f = inverse_on_grid(symbol, grid)
     weight = grid_q1_weight(grid) ** (2.0 * s)
     return float(np.sqrt(np.sum(grid.weights * weight * np.abs(f.values) ** 2)))

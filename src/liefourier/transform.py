@@ -16,34 +16,34 @@ live in one (run length, d, d) stack per run of equal dimension of the
 slice (a single run of 1 x 1 blocks on the torus, one run per spin on
 SU(2)), so every per-irrep operation is one batched numpy call per run.
 
-Grid transforms go through one plan per (grid, dual slice), cached on the
-grid.  On the torus the quadrature grid is a uniform lattice and the plan is
-an FFT (``numpy.fft``) with a gather/scatter of the labels.  On SU(2) it is
-separable: phase-table products in alpha and gamma and real little-d tables
-at the Gauss-Legendre nodes in beta; its inverse stops at the largest nonzero
-spin.  Integer and half-integer spins sit on alternate entries of the
-alpha/gamma frequency ladder, so the plan keeps the two parity classes in
-separate compact arrays and never forms the zero half of the ladder square:
-the inverse runs one gamma product per class and then one alpha product, the
-forward one alpha product and then one gamma product per class.  Each spin
-stores a quarter of its little-d table, the rows m' >= 0 at half the nodes,
-and reads the rest through d_{-m',-m} = (-1)^(m'-m) d_{m'm} and
-d_{m'm}(pi - beta) = (-1)^(l+m') d_{m',-m}(beta), as the nodes are
-symmetric about pi/2.  Both plans are exact for band-limited functions.
+A dual slice holds the grids and plans it asks for, each built once and
+freed with the slice.  On the torus the quadrature grid is a uniform lattice
+and the plan is an FFT (``numpy.fft``) with a gather/scatter of the labels.
+On SU(2) it is separable: phase-table products in alpha and gamma and real
+little-d tables at the Gauss-Legendre nodes in beta; its inverse stops at the
+largest nonzero spin.  Integer and half-integer spins sit on alternate
+entries of the alpha/gamma frequency ladder, so the plan keeps the two parity
+classes in separate compact arrays and never forms the zero half of the
+ladder square: the inverse runs one gamma product per class and then one
+alpha product, the forward one alpha product and then one gamma product per
+class.  Each spin stores a quarter of its little-d table, the rows m' >= 0
+at half the nodes, and reads the rest through d_{-m',-m} = (-1)^(m'-m)
+d_{m'm} and d_{m'm}(pi - beta) = (-1)^(l+m') d_{m',-m}(beta), as the nodes
+are symmetric about pi/2.  Both plans are exact for band-limited functions.
 :func:`inverse_evaluate`, the tests' oracle, sums the series directly at
 arbitrary points over :func:`liefourier.dual.representation_stacks`.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .dual import DualSlice, _little_d_rows, representation_stacks
 from .errors import PreconditionError
-from .groups import TORUS, GroupDescriptor, QuadratureGrid, build_grid
+from .groups import TORUS, QuadratureGrid, build_grid
 
 
 @dataclass
@@ -117,19 +117,21 @@ def random_coefficients(dual: DualSlice, rng: np.random.Generator) -> FourierCoe
 # Grids and quadrature plans
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=24)
-def cached_grid(group: GroupDescriptor, bandlimit: float) -> QuadratureGrid:
-    """Memoised build_grid over the 24 most recently used (group, bandlimit)
-    pairs.  Callers share each grid and so its plan cache: nodes and weights
-    never change, plans are only added.  ``cache_info()`` counts the hits
-    and misses."""
-    return build_grid(group, bandlimit)
+# dual slice -> {bandlimit: [grid, plan or None]}; neither references the slice, so an entry dies with it
+_HELD: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def slice_grid(dual: DualSlice, bandlimit: float) -> QuadratureGrid:
+    """:func:`build_grid` for ``dual``'s group, built once per bandlimit and held by the slice."""
+    held = _HELD.setdefault(dual, {})
+    if bandlimit not in held:
+        held[bandlimit] = [build_grid(dual.group, bandlimit), None]
+    return held[bandlimit][0]
 
 
 def default_grid(dual: DualSlice) -> QuadratureGrid:
-    """The coarsest grid of :func:`build_grid` that transforms ``dual`` exactly,
-    shared through :func:`cached_grid`."""
-    return cached_grid(dual.group, dual.max_band)
+    """The coarsest grid that transforms ``dual`` exactly, from :func:`slice_grid`."""
+    return slice_grid(dual, dual.max_band)
 
 
 class _TorusPlan:
@@ -299,19 +301,13 @@ def _su2_class_rule(dims: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _get_plan(grid: QuadratureGrid, dual: DualSlice):
     if grid.group != dual.group:
         raise PreconditionError("grid and dual slice belong to different groups")
-    key = (round(dual.cutoff, 9), len(dual))
-    plan = grid._plans.get(key)
-    if plan is None:
-        plan = _TorusPlan(grid, dual) if grid.group.kind == TORUS else _Su2Plan(grid, dual)
-        grid._plans[key] = plan
-    return plan
-
-
-def _require_resolves(grid: QuadratureGrid, dual: DualSlice):
     if grid.bandlimit < dual.max_band - 1e-9:
-        raise PreconditionError(
-            f"grid bandlimit {grid.bandlimit} too coarse for dual slice (needs {dual.max_band})"
-        )
+        raise PreconditionError(f"grid bandlimit {grid.bandlimit} too coarse for dual slice (needs {dual.max_band})")
+    # build_grid is fixed by (group, bandlimit), so the plan sits next to the slice's grid of that bandlimit
+    entry = _HELD.setdefault(dual, {}).setdefault(grid.bandlimit, [grid, None])
+    if entry[1] is None:
+        entry[1] = _TorusPlan(grid, dual) if grid.group.kind == TORUS else _Su2Plan(grid, dual)
+    return entry[1]
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +316,11 @@ def _require_resolves(grid: QuadratureGrid, dual: DualSlice):
 
 def forward_transform(gridfn: GridFunction, dual: DualSlice) -> FourierCoefficients:
     """fhat(xi) = sum_x w(x) f(x) xi(x)^*, exact for band-limited samples."""
-    _require_resolves(gridfn.grid, dual)
     return FourierCoefficients(dual, _get_plan(gridfn.grid, dual).forward(gridfn.values))
 
 
 def inverse_on_grid(coeffs: FourierCoefficients, grid: QuadratureGrid) -> GridFunction:
-    """Evaluate the inversion series at every grid node through the grid's plan."""
-    _require_resolves(grid, coeffs.dual)
+    """Evaluate the inversion series at every grid node through the slice's plan for the grid."""
     return GridFunction(grid, _get_plan(grid, coeffs.dual).inverse_on_grid(coeffs.stacks))
 
 
@@ -359,7 +353,5 @@ def plancherel_norm(coeffs: FourierCoefficients) -> float:
 
 
 def require_same_dual(left: DualSlice, right: DualSlice):
-    if left.group != right.group or len(left) != len(right):
-        raise PreconditionError("operands live on different dual slices")
-    if abs(left.cutoff - right.cutoff) > 1e-9:
+    if left.group != right.group or len(left) != len(right) or abs(left.cutoff - right.cutoff) > 1e-9:
         raise PreconditionError("operands live on different dual slices")

@@ -34,7 +34,7 @@ from liefourier.groups import point_at_distance
 from liefourier.multipliers import decay_slope, kernel_difference_integrals
 from liefourier.spaces import psi, tl_norms, windows
 from liefourier.symbols import apply_difference, check_marcinkiewicz, symbol_linf
-from liefourier.transform import cached_grid
+from liefourier.transform import default_grid
 
 TORUS1 = make_group("torus", 1)
 TORUS2 = make_group("torus", 2)
@@ -55,7 +55,7 @@ def test_criterion_01_plancherel_inversion():
     cases = [(TORUS1, 256.0), (TORUS2, 32.0), (SU2, spin_cutoff(16))]
     for group, cutoff in cases:
         dual = enumerate_dual(group, cutoff)
-        grid = cached_grid(group, dual.max_band)
+        grid = default_grid(dual)
         for member in range(50):
             rng = np.random.default_rng([1, member])
             coeffs = random_coefficients(dual, rng)

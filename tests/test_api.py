@@ -67,3 +67,31 @@ def test_public_api_is_used_or_kept():
     unused = defined - used
     assert sorted(unused - KEPT) == [], "public API that nothing in the library calls"
     assert sorted(KEPT - unused) == [], "kept names that the library now uses leave KEPT"
+
+
+def _wide_cache_keys(tree: ast.AST) -> list[str]:
+    """The functions of ``tree`` that ``functools.cache`` or ``lru_cache``
+    decorates and that take a parameter not annotated ``int`` or ``bool``."""
+    offenders = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        targets = [dec.func if isinstance(dec, ast.Call) else dec for dec in node.decorator_list]
+        names = {target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None) for target in targets}
+        if not names & {"cache", "lru_cache"}:
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, *filter(None, [args.vararg, args.kwarg])]
+        if any(not (isinstance(a.annotation, ast.Name) and a.annotation.id in ("int", "bool")) for a in params):
+            offenders.append(node.name)
+    return offenders
+
+
+def test_process_wide_caches_take_only_ints_and_bools():
+    # a functools cache holds its keys and values for the life of the process;
+    # grids, plans and anything keyed by a slice are held by the slice instead
+    # (transform.slice_grid), so they are freed with it
+    assert _wide_cache_keys(ast.parse("@functools.lru_cache(maxsize=24)\ndef f(group: G, b: float): pass")) == ["f"]
+    assert _wide_cache_keys(ast.parse("@cache\ndef f(k: int, up: bool): pass")) == []
+    offenders = [name for path in sorted(SRC.glob("*.py")) for name in _wide_cache_keys(ast.parse(path.read_text()))]
+    assert offenders == [], "a process-wide cache keyed by more than ints and bools"

@@ -209,6 +209,9 @@ def test_spin_above_validated_range_refused_before_any_grid(tmp_path, monkeypatc
         pytest.param({**_SU2_TRANSFORM, "group": {"kind": "su2", "dim": 2}}, "enumerate_dual", id="su2-dim-2"),
         pytest.param({**_without(_TRANSFORM, "lam"), "ell_max": 4.5}, "enumerate_dual", id="ell-max-on-torus"),
         pytest.param({**_without(_CHECK_WAVE, "lams"), "ell_maxes": [1.5, 2.5]}, "enumerate_dual", id="ell-maxes-on-torus"),
+        # json.loads reads the literal Infinity as a float
+        pytest.param({**_TRANSFORM, "lam": math.inf}, "enumerate_dual", id="infinite-lam"),
+        pytest.param({**_KERNEL_DECAY, "windows": 3}, "enumerate_dual", id="windows-not-a-list"),
         # numbers written as strings
         pytest.param({**_TRANSFORM, "lam": "8"}, "enumerate_dual", id="string-lam"),
         pytest.param({**_TL_NORM, "specs": [{"r": "0", "p": 2, "q": 2}]}, "enumerate_dual", id="string-r"),
@@ -293,8 +296,8 @@ def _edited_config(draw):
 
 
 _FLAGS = st.tuples(
-    st.none() | st.integers().map(lambda seed: f"--seed={seed}"),
-    st.none() | st.sampled_from(["--format=csv", "--format=json"]),
+    st.none() | (st.integers() | st.text(max_size=6)).map(lambda seed: f"--seed={seed}"),
+    st.none() | (st.sampled_from(["csv", "json"]) | st.text(max_size=6)).map(lambda fmt: f"--format={fmt}"),
     st.lists(
         st.tuples(st.sampled_from(_FUZZ_FIELDS["tolerances"]) | st.text(max_size=6), st.floats() | st.text(max_size=6)),
         max_size=2,
@@ -321,12 +324,39 @@ def test_unknown_report_format_argument_refused_before_any_work(tmp_path, monkey
     def no_work(*args, **kwargs):
         raise AssertionError("enumerate_dual was called")
 
-    # --format takes csv or json only; the parser refuses any other value before the config is read
+    # --format takes csv or json only; the validator refuses any other value before any work
     monkeypatch.setattr(cli, "enumerate_dual", no_work)
     out = tmp_path / "out"
-    with pytest.raises(SystemExit):
-        main(["--config", str(_write(tmp_path, _TRANSFORM)), "--out", str(out), "--format", "xml"])
+    assert main(["--config", str(_write(tmp_path, _TRANSFORM)), "--out", str(out), "--format", "xml"]) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        pytest.param(["--seed", "x"], id="seed-text"),
+        pytest.param(["--seed", "1.5"], id="seed-float"),
+        pytest.param(["--seed", "-3"], id="seed-negative"),
+        pytest.param(["--format", "xml"], id="format-xml"),
+        pytest.param(["--colour"], id="unknown-flag"),
+        pytest.param(["--seed"], id="seed-without-value"),
+        pytest.param(None, id="no-config"),
+    ],
+)
+def test_bad_flag_is_a_configuration_error(tmp_path, capsys, flags):
+    # argparse's own refusals exit 1 with one line, like every other configuration error
+    out = tmp_path / "out"
+    argv = ["--out", str(out)] + (["--config", str(_write(tmp_path, _TRANSFORM)), *flags] if flags else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0 and "--config" in capsys.readouterr().out
 
 
 def test_flags_edit_the_config(tmp_path):
@@ -428,7 +458,7 @@ def test_oversized_sobolev_stencil_refused_before_any_state(tmp_path, monkeypatc
     # s = 1e6 pads the SU(2) ladder by 500000 half-spins (about 4e16 cells)
     # and on T^1 takes 500000 steps over 10^6 cells; an exit 1 proves the
     # refusal came first, since the assertion would be a task failure
-    for name in ("_su2_ladder", "_torus_box", "cached_grid"):
+    for name in ("_su2_ladder", "_torus_box", "slice_grid"):
         monkeypatch.setattr(symbols, name, no_state)
     assert run_config(cfg, tmp_path / "out") == 1
     assert "GB per complex state" in capsys.readouterr().err

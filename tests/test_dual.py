@@ -155,6 +155,8 @@ def test_spin_range_guard(su2):
     wigner_matrix(64.0, x)  # validated boundary
     with pytest.raises(ConfigurationError):
         wigner_matrix(64.5, x)
+    with pytest.raises(ConfigurationError, match="half-integer"):
+        wigner_matrix(0.3, x)
 
 
 @pytest.mark.parametrize("ell", [0.5, 1.0, 7.5])

@@ -39,6 +39,8 @@ def test_torus_grid_counts(torus1):
     grid = build_grid(torus1, 4)
     assert len(grid) == 9  # Nyquist count 2*4+1
     np.testing.assert_allclose(grid.weights, 1 / 9)
+    with pytest.raises(ConfigurationError, match="bandlimit"):
+        build_grid(torus1, -1)
 
 
 @pytest.mark.parametrize("kind,n,band", [("torus", 1, 4), ("torus", 2, 2), ("su2", 3, 2.0)])

@@ -33,7 +33,7 @@ from liefourier.groups import (
 from liefourier.multipliers import decay_slope, ensemble_member
 from liefourier.spaces import lp_project, psi, windows
 from liefourier.symbols import symbol_linf
-from liefourier.transform import cached_grid, inverse_evaluate, inverse_on_grid
+from liefourier.transform import default_grid, inverse_evaluate, inverse_on_grid
 from tl_oracle import tl_norms as oracle_tl_norms
 
 
@@ -198,7 +198,7 @@ def test_kernel_difference_matches_pointwise_oracle(kind, n, cutoff, z):
     # non-scalar symbol blocks on SU(2), so no class-function structure helps
     group = make_group(kind, n)
     dual = enumerate_dual(group, cutoff)
-    grid = cached_grid(group, dual.max_band)
+    grid = default_grid(dual)
     sig = Symbol.from_blocks(dual, random_coefficients(dual, np.random.default_rng(13)).blocks)
     z = np.array(z)
     [value] = kernel_difference_integrals(sig, [2], z, 1.0)
@@ -233,7 +233,7 @@ def test_kernel_difference_matches_two_synthesis_oracle(kind, n, top, z, c):
     # that is nonzero on the slice
     group = make_group(kind, n)
     dual = enumerate_dual(group, top if kind == "torus" else spin_cutoff(top))
-    grid = cached_grid(group, dual.max_band)
+    grid = default_grid(dual)
     sig = Symbol.from_blocks(dual, random_coefficients(dual, np.random.default_rng(21)).blocks)
     z = np.array(z)
     levels = _nonzero_windows(dual)
@@ -286,7 +286,7 @@ def test_one_call_equals_per_window_oracle_bitwise(kind, n, top, z, c):
     # that is nonzero on the slice, in one call
     group = make_group(kind, n)
     dual = enumerate_dual(group, top if kind == "torus" else spin_cutoff(top))
-    grid = cached_grid(group, dual.max_band)
+    grid = default_grid(dual)
     sig = Symbol.from_blocks(dual, random_coefficients(dual, np.random.default_rng(23)).blocks)
     z = np.array(z)
     levels = _nonzero_windows(dual)
@@ -321,6 +321,13 @@ def test_z_must_not_be_identity(torus1):
     dual = enumerate_dual(torus1, 8.0)
     with pytest.raises(PreconditionError):
         kernel_difference_integrals(identity_symbol(dual), [1], np.array([0.0]), 1.0)
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0])
+def test_kernel_difference_integrals_refuse_nonpositive_c(torus1, c):
+    dual = enumerate_dual(torus1, 8.0)
+    with pytest.raises(PreconditionError, match="c must be positive"):
+        kernel_difference_integrals(identity_symbol(dual), [1], np.array([0.1]), c)
 
 
 def test_torus_decay_trend_small(torus1):
@@ -368,6 +375,8 @@ def test_ensemble_kinds_and_determinism(torus1):
             ensemble_member(EnsembleConfig(kind, 4), 1, dual, np.random.default_rng([3, 0, 1]))
     with pytest.raises(ConfigurationError):
         EnsembleConfig("bogus", 4)
+    with pytest.raises(ConfigurationError, match="count"):
+        EnsembleConfig("gaussian-coefficients", 0)
 
 
 @pytest.mark.parametrize("kind,top", [("torus", 32.0), ("torus", 64.0), ("su2", 7.5), ("su2", 31.5)])
@@ -394,6 +403,13 @@ def test_sweep_identity_ratios_one(torus1):
     for sweep in sweeps:
         for ratio in sweep.max_ratios:
             assert abs(ratio - 1.0) <= 1e-9
+
+
+def test_sweep_refuses_descending_cutoffs(torus1):
+    with pytest.raises(PreconditionError, match="ascending"):
+        boundedness_sweep(
+            torus1, identity_symbol, [NormSpec(0.0, 2.0, 2.0)], [16.0, 8.0], EnsembleConfig("gaussian-coefficients", 1), 0
+        )
 
 
 def test_sweep_determinism(torus1):

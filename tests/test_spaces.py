@@ -48,6 +48,8 @@ def test_psi0_construction():
     assert psi(0, 0.5) == 1.0
     assert psi(0, 1.0) == 1.0
     assert psi(0, 2.5) == 0.0
+    with pytest.raises(PreconditionError, match="window index"):
+        psi(-1, 1.0)
 
 
 @pytest.mark.parametrize("lam", [1.0, 3.7, 100.0])

@@ -44,7 +44,7 @@ from liefourier.symbols import (
     singular_values,
     symbol_linf,
 )
-from liefourier.transform import cached_grid
+from liefourier.transform import slice_grid
 
 
 def _scalar_symbol_from_map(dual, mapping):
@@ -77,7 +77,7 @@ def grid_difference(symbol, alpha):
     dual = symbol.dual
     order = sum(alpha)
     extension = order if dual.group.kind == TORUS else order / 2.0
-    grid = cached_grid(dual.group, dual.max_band + math.ceil(extension))
+    grid = slice_grid(dual, dual.max_band + math.ceil(extension))
     values = inverse_on_grid(symbol, grid).values
     for idx, power in enumerate(alpha):
         values = values * generator_values(dual.group, idx, grid.points) ** power
@@ -349,6 +349,18 @@ def test_margin_error_lists_requirement(torus1):
     sig = identity_symbol(dual)
     with pytest.raises(MarginError, match="cutoff"):
         apply_difference(sig, (1,))
+    spin_zero = identity_symbol(enumerate_dual(make_group("su2"), 1.0))
+    with pytest.raises(MarginError, match="at least 1.32288"):  # spin_cutoff(1/2)
+        apply_difference(spin_zero, (1, 0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "kind,alpha", [("torus", (1, 0)), ("torus", (-1,)), ("su2", (1, 0, 0)), ("su2", (0, 0, -1, 1))]
+)
+def test_apply_difference_refuses_bad_multi_index(kind, alpha):
+    sig = identity_symbol(enumerate_dual(make_group(kind, 1), 8.0))
+    with pytest.raises(PreconditionError, match="multi-index"):
+        apply_difference(sig, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +454,7 @@ def test_integer_hormander_mihlin_builds_no_grid(torus1, torus2, su2, monkeypatc
     def no_grid(*args, **kwargs):
         raise AssertionError("a grid was requested")
 
-    monkeypatch.setattr(symbols, "cached_grid", no_grid)
+    monkeypatch.setattr(symbols, "slice_grid", no_grid)
     monkeypatch.setattr(symbols, "inverse_on_grid", no_grid)
     for group, cutoff in ((torus1, 64.0), (torus2, 16.0), (make_group("torus", 3), 8.0), (su2, spin_cutoff(15.5))):
         sig = build_spectral_symbol(lambda lam: lam ** (1j), enumerate_dual(group, cutoff))
@@ -515,6 +527,13 @@ def test_hormander_mihlin_zero_symbol(torus1):
     zero = Symbol.from_blocks(dual, [np.zeros((1, 1), complex) for _ in range(len(dual))])
     rep = check_hormander_mihlin(zero, 1.0)
     assert rep.headline == 0.0
+
+
+def test_hormander_mihlin_skips_windows_empty_on_the_slice(torus1):
+    # at cutoff 2.1 the eigenvalues are 1 and sqrt 2: the half-octave window
+    # at r = 2^1.5 vanishes at both, so it gets no constant
+    sig = build_spectral_symbol(lambda lam: lam ** (1j), enumerate_dual(torus1, 2.1))
+    assert list(check_hormander_mihlin(sig, 1.0).constants) == [1.0, 2.0**0.5, 2.0]
 
 
 def test_hormander_mihlin_windowed_symbol_cutoff_independent(torus1):

@@ -36,10 +36,10 @@ def _convolve(f, g):
 
 
 def test_default_grid_is_shared_per_slice(torus2, su2):
-    # one grid (and so one plan cache) per slice, however often it is asked for
+    # one grid (and so one plan) per slice, however often it is asked for; another slice holds its own
     for dual in (enumerate_dual(torus2, 4.0), enumerate_dual(su2, spin_cutoff(2))):
         assert default_grid(dual) is default_grid(dual)
-        assert default_grid(dual) is default_grid(enumerate_dual(dual.group, dual.cutoff))
+        assert default_grid(dual) is not default_grid(enumerate_dual(dual.group, dual.cutoff))
 
 
 def test_torus_single_mode(torus1):
@@ -420,6 +420,12 @@ def test_block_shape_guard(su2):
         FourierCoefficients.from_blocks(dual, blocks)
     with pytest.raises(PreconditionError):
         FourierCoefficients.from_blocks(dual, blocks[:-1])
+    stacks = zero_coefficients(dual).stacks
+    with pytest.raises(PreconditionError, match="stack per run"):
+        FourierCoefficients(dual, stacks[:-1] + [np.zeros((2, 3, 3), complex)])
+    grid = default_grid(dual)
+    with pytest.raises(PreconditionError, match="sample count"):
+        GridFunction(grid, np.zeros(len(grid) - 1, complex))
 
 
 def test_grid_too_coarse_raises(torus1):
@@ -434,6 +440,13 @@ def test_dual_mismatch_raises(torus1):
     g = random_coefficients(enumerate_dual(torus1, 4.0), np.random.default_rng(0))
     with pytest.raises(PreconditionError):
         _convolve(f, g)
+    # as many irreps, another cutoff
+    h = random_coefficients(enumerate_dual(torus1, 8.05), np.random.default_rng(0))
+    assert len(h.dual) == len(f.dual)
+    with pytest.raises(PreconditionError, match="different dual slices"):
+        apply_multiplier(Symbol(h.dual, h.stacks), f)
+    with pytest.raises(PreconditionError, match="different groups"):
+        inverse_on_grid(f, build_grid(make_group("su2"), f.dual.max_band))
 
 
 _PER_RUN_SLICES = [("torus", 1, 64.0), ("torus", 2, 16.0), ("torus", 3, 6.0), ("su2", 3, spin_cutoff(7.5))]
@@ -507,9 +520,12 @@ def test_inverse_evaluate_across_chunks_equals_trace_sum(kind, n, cutoff, monkey
     np.testing.assert_allclose(fast, naive, rtol=0, atol=1e-12)
 
 
-def test_cached_grid_hits_and_evicts_after_24_bandlimits(torus1, monkeypatch):
+def test_slice_holds_its_grids_and_plans(su2, monkeypatch):
+    import gc
+    import weakref
+
     import liefourier.transform as transform
-    from liefourier.transform import cached_grid
+    from liefourier import build_spectral_symbol, check_hormander_mihlin
 
     built = []
 
@@ -518,15 +534,17 @@ def test_cached_grid_hits_and_evicts_after_24_bandlimits(torus1, monkeypatch):
         return build_grid(group, bandlimit)
 
     monkeypatch.setattr(transform, "build_grid", spy)
-    cached_grid.cache_clear()
-    try:
-        first = cached_grid(torus1, 1.0)
-        assert cached_grid(torus1, 1.0) is first and built == [1.0]
-        for band in range(2, 26):  # 24 more bandlimits push the first one out
-            cached_grid(torus1, float(band))
-        assert len(built) == 25
-        assert cached_grid(torus1, 25.0) is cached_grid(torus1, 25.0) and len(built) == 25
-        again = cached_grid(torus1, 1.0)
-        assert again is not first and built[-1] == 1.0 and len(built) == 26
-    finally:
-        cached_grid.cache_clear()
+    dual = enumerate_dual(su2, spin_cutoff(3.5))
+    grid = default_grid(dual)
+    plan = _get_plan(grid, dual)
+    assert default_grid(dual) is grid and _get_plan(default_grid(dual), dual) is plan and built == [3.5]
+    # every half-octave window of a fractional-s check synthesises on the one oversampled grid
+    symbol = build_spectral_symbol(lambda lam: lam ** (1j), dual)
+    check_hormander_mihlin(symbol, 2.5)
+    assert built == [3.5, 6.5]
+    # a second enumeration of the same cutoff is another slice, with its own grid
+    assert default_grid(enumerate_dual(su2, dual.cutoff)) is not grid and built == [3.5, 6.5, 3.5]
+    held = [weakref.ref(grid), weakref.ref(plan)]
+    del dual, grid, plan, symbol
+    gc.collect()
+    assert [ref() for ref in held] == [None, None]
