@@ -104,8 +104,11 @@ def dyadic_rademacher_symbol(dual: DualSlice, seed: int) -> Symbol:
 
 def singular_values(stacks: list[np.ndarray]) -> list[np.ndarray]:
     """The singular values of every block, descending: one (run length, d)
-    array per stack, from one batched ``np.linalg.svd`` call."""
-    return [np.linalg.svd(stack, compute_uv=False) for stack in stacks]
+    array per stack.  A run of 1 x 1 blocks (every torus irrep, the SU(2)
+    spin 0) is |sigma|, ``np.abs`` of its entries, which is within 2 ulps of
+    LAPACK's value (4 near 1e+-150, where LAPACK rescales); larger blocks take
+    one batched ``np.linalg.svd`` call per run."""
+    return [np.abs(stack[:, 0]) if stack.shape[1:] == (1, 1) else np.linalg.svd(stack, compute_uv=False) for stack in stacks]
 
 
 def operator_norms(stacks: list[np.ndarray]) -> np.ndarray:
@@ -210,8 +213,13 @@ def _torus_box(symbol: Symbol, pad: int = 0):
 
 
 def _torus_step(box: np.ndarray, axis: int) -> np.ndarray:
-    # (q_j f)^(xi) = fhat(xi + e_j) - fhat(xi)
-    return np.diff(box, axis=axis, append=0)
+    # (q_j f)^(xi) = fhat(xi + e_j) - fhat(xi), reading zero past the top face: np.diff(box, axis=axis,
+    # append=0) without the padded copy of the box that np.diff concatenates first
+    out = np.empty_like(box)
+    src, dst = np.moveaxis(box, axis, 0), np.moveaxis(out, axis, 0)
+    np.subtract(src[1:], src[:-1], out=dst[:-1])
+    np.subtract(0, src[-1:], out=dst[-1:])
+    return out
 
 
 def _su2_ladder(symbol: Symbol, pad: int):

@@ -53,6 +53,13 @@ def translate_coefficients(coeffs, z):
     return FourierCoefficients(coeffs.dual, [s @ r for s, r in zip(coeffs.stacks, reps)])
 
 
+def ulp_distance(a, b):
+    """How many float64 values lie between nonnegative ``a`` and ``b``,
+    elementwise (0 when they are bitwise equal)."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
 def irrep_matrices(dual, x):
     """xi(x) for every irrep of the slice, in order: one (..., d, d) array
     each, cut from the per-run stacks of ``representation_stacks``."""

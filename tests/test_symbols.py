@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import irrep_labels
+from conftest import irrep_labels, ulp_distance
 from liefourier import (
     FourierCoefficients,
     GridFunction,
@@ -625,6 +625,92 @@ def test_batched_norms_equal_per_block_calls():
     for blk, norm, sv in zip(blocks, norms, [sv for svs in singular_values(stacks) for sv in svs]):
         assert norm == np.linalg.norm(blk, 2)
         assert np.sum(sv) == np.sum(np.linalg.svd(blk, compute_uv=False))
+
+
+def _assert_scalar_rule(su2, entries, ulps):
+    """|sigma| of 1 x 1 blocks is within ``ulps`` of LAPACK's singular value,
+    on a torus-like run of them and as the spin-0 run of an SU(2) symbol,
+    whose larger blocks keep LAPACK's bits."""
+    stack = entries.reshape(-1, 1, 1)
+    (fast,) = singular_values([stack])
+    assert fast.shape == (len(entries), 1)
+    assert np.max(ulp_distance(fast, np.linalg.svd(stack, compute_uv=False))) <= ulps
+    symbol = _random_block_symbol("su2", 3, spin_cutoff(2))
+    for entry in entries[:64]:
+        symbol.stacks[0][0, 0, 0] = entry
+        fast = singular_values(symbol.stacks)
+        assert ulp_distance(fast[0], np.linalg.svd(symbol.stacks[0], compute_uv=False)).item() <= ulps
+        assert all(np.array_equal(sv, np.linalg.svd(stack, compute_uv=False)) for sv, stack in zip(fast[1:], symbol.stacks[1:]))
+
+
+@pytest.mark.parametrize(
+    "scale,ulps",
+    [(1e-20, 2), (1e-8, 2), (1.0, 2), (1e8, 2), (1e20, 2), (1e-150, 4), (1e150, 4), (1e-300, 4), (1e300, 4)],
+)
+def test_scalar_singular_values_within_ulps_of_lapack(su2, scale, ulps):
+    # LAPACK rescales near 1e+-150 and beyond, which costs it up to 4 ulps there
+    rng = np.random.default_rng([12, int(math.log10(scale)) + 300])
+    _assert_scalar_rule(su2, scale * (rng.standard_normal(4000) + 1j * rng.standard_normal(4000)), ulps)
+
+
+@pytest.mark.parametrize("decades,ulps", [(20, 0), (300, 4)])
+def test_scalar_singular_values_on_the_axes(su2, decades, ulps):
+    # |x +- 0i| and |+-0 + xi| are |x| exactly; LAPACK agrees until it rescales, beyond about 1e+-140
+    rng = np.random.default_rng([13, decades])
+    parts = rng.standard_normal(1000) * 10.0 ** rng.integers(-decades, decades + 1, 1000)
+    parts[::7], parts[1::7] = 0.0, -0.0
+    zeros = np.resize([0.0, -0.0], parts.size)
+    real_only, imaginary_only = parts + 0j, np.empty(parts.size, dtype=complex)
+    real_only.imag = zeros
+    imaginary_only.real, imaginary_only.imag = zeros, parts
+    for entries in (real_only, imaginary_only):
+        assert np.array_equal(singular_values([entries.reshape(-1, 1, 1)])[0][:, 0], np.abs(parts))
+        _assert_scalar_rule(su2, entries, ulps)
+
+
+@pytest.mark.parametrize("n,cutoff", [(1, 64.0), (2, 16.0), (3, 8.0)])
+def test_torus_checkers_call_no_lapack(n, cutoff, monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("LAPACK svd was called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    sig = build_spectral_symbol(lambda lam: lam ** (1j), enumerate_dual(make_group("torus", n), cutoff))
+    for kappa in (1, 2):
+        assert np.isfinite(check_marcinkiewicz(sig, kappa).headline)
+    assert np.isfinite(check_weak_marcinkiewicz(sig, 1).headline)
+    assert np.isfinite(check_hormander_mihlin(sig).headline)
+
+
+def _signed_box(rng, shape):
+    box = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for part in (box.real, box.imag):
+        flat = part.reshape(-1)
+        flat[rng.random(flat.size) < 0.2] = 0.0
+        flat[rng.random(flat.size) < 0.2] = -0.0
+    return box
+
+
+@pytest.mark.parametrize("shape", [(1,), (9,), (1, 1), (5, 7), (7, 7), (3, 4, 5), (5, 5, 5)])
+def test_torus_step_is_np_diff_bitwise(shape):
+    box = _signed_box(np.random.default_rng([14, *shape]), shape)
+    for axis in range(len(shape)):
+        want = np.diff(box, axis=axis, append=0)
+        got = _torus_step(box, axis)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), axis
+
+
+def test_torus_step_makes_no_padded_copy():
+    # besides the output, only numpy's fixed ufunc buffers (3 x 8192 elements, off axis 0) are allocated
+    box = _signed_box(np.random.default_rng(15), (81, 81, 81))
+    for axis in range(3):
+        tracemalloc.start()
+        try:
+            _torus_step(box, axis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * box.nbytes, (axis, peak / box.nbytes)
 
 
 # ---------------------------------------------------------------------------
