@@ -242,6 +242,14 @@ def grid_shape(group: GroupDescriptor, bandlimit: float) -> tuple[int, ...]:
     return (2 * two_l + 2, two_l + 1, 2 * two_l + 2)
 
 
+def _su2_beta_rule(group: GroupDescriptor, bandlimit: float) -> tuple[int, np.ndarray, np.ndarray]:
+    """n_ag, the Gauss-Legendre nodes in beta and the Haar weight of one node (alpha, beta_j, gamma)
+    of the SU(2) grid, (1/2) w_j / n_ag^2 before :func:`build_grid` renormalises the total to 1."""
+    n_ag, n_b, _ = grid_shape(group, bandlimit)
+    u, w_gl = np.polynomial.legendre.leggauss(n_b)
+    return n_ag, np.arccos(u), 0.5 * w_gl / (n_ag * n_ag)
+
+
 def build_grid(group: GroupDescriptor, bandlimit: float) -> QuadratureGrid:
     """Quadrature grid integrating products of two matrix coefficients of
     irreps within ``bandlimit`` exactly.
@@ -260,13 +268,10 @@ def build_grid(group: GroupDescriptor, bandlimit: float) -> QuadratureGrid:
         weights = np.full(npts**group.dim, 1.0 / npts**group.dim)
         return QuadratureGrid(group, float(bandlimit), weights, axes)
 
-    n_ag, n_b, _ = grid_shape(group, bandlimit)
+    n_ag, beta, w_beta = _su2_beta_rule(group, bandlimit)
     alpha = TWO_PI * np.arange(n_ag) / n_ag
     gamma = FOUR_PI * np.arange(n_ag) / n_ag
-    u, w_gl = np.polynomial.legendre.leggauss(n_b)
-    beta = np.arccos(u)
-    w_beta = 0.5 * w_gl / (n_ag * n_ag)
-    weights = np.broadcast_to(w_beta[None, :, None], (n_ag, n_b, n_ag)).ravel()  # ravel copies the broadcast view
+    weights = np.broadcast_to(w_beta[None, :, None], (n_ag, len(beta), n_ag)).ravel()  # ravel copies the broadcast view
     total = weights.sum()
     weights /= total
     w_beta = w_beta / total

@@ -7,9 +7,10 @@ the left product of the right-convolution convention of
 window kernel at level ell, the right-convolution kernel of A psi_ell(B),
 is :func:`liefourier.spaces.lp_project` of the symbol.
 :func:`kernel_difference_integrals` takes one symbol, one z and a list of
-levels and integrates on the slice's default grid: the far-field mask and
-xi(z^{-1}) are computed once per call, and each window's difference is
-synthesised once.
+levels and sums on the nodes of the slice's default grid, with the far-field
+mask and xi(z^{-1}) computed once per call and one synthesis per window; a
+central SU(2) symbol with z on the diagonal torus needs no grid, plan or
+inverse, as its kernels are class functions of |x|.
 
 Operator norms on F^r_{p,q} are probed from below with seeded function
 ensembles: no finite ensemble certifies an upper bound, so sweep results are
@@ -26,16 +27,20 @@ import numpy as np
 from .dual import DualSlice, enumerate_dual, representation_stacks
 from .errors import ConfigurationError, PreconditionError
 from .groups import (
+    SU2,
     GroupDescriptor,
+    _su2_beta_rule,
     distance_to_identity,
     grid_distance_to_identity,
     inverse,
     random_point,
+    su2_pair,
 )
-from .spaces import NormSpec, _weigh, lp_project, psi, tl_norms, windows
+from .spaces import NormSpec, _central_scalars, _weigh, lp_project, psi, tl_norms, windows
 from .symbols import Symbol, operator_norms
 from .transform import (
     FourierCoefficients,
+    _su2_characters,
     default_grid,
     inverse_on_grid,
     random_coefficients,
@@ -63,7 +68,11 @@ def kernel_difference_integrals(symbol: Symbol, levels, z: np.ndarray, c: float)
     call.  Per level, the difference is synthesised on the grid once, from
     its exact coefficients kappa_hat(xi) (xi(z^{-1}) - I), never by grid
     interpolation.  Every level gets 0 when no grid node lies in the far
-    field.
+    field.  On SU(2), with blocks c_l I and b(z) = 0, the same node sum needs
+    no grid: |x| and |z^{-1} x| at node (alpha_i, beta_j, gamma_k) depend on
+    beta_j and r = (i + 2k) mod 2 n_ag only, so it runs over the classes
+    (beta_j, r), n_ag / 2 nodes each, of the class functions
+    K = sum_l d_l c_l psi_ell(<xi>_l) chi_l, and moves by roundoff only.
     """
     dual = symbol.dual
     group = dual.group
@@ -72,19 +81,42 @@ def kernel_difference_integrals(symbol: Symbol, levels, z: np.ndarray, c: float)
     zlen = float(distance_to_identity(group, np.asarray(z, dtype=float)))
     if zlen == 0.0:
         raise PreconditionError("z must differ from the identity")
+    if group.kind == SU2 and su2_pair(z)[1] == 0 and (scalars := _central_scalars(symbol)) is not None:
+        return _central_difference_integrals(dual, scalars, levels, su2_pair(z)[0], 4.0 * c * zlen)
     grid = default_grid(dual)
     mask = grid_distance_to_identity(grid) > 4.0 * c * zlen
     if not np.any(mask):
         return [0.0] * len(levels)
+    weights = grid.weights[mask]
     reps = representation_stacks(dual, inverse(group, z))
     integrals = []
     for ell in levels:
         kernel = lp_project(symbol, ell)
         diff = FourierCoefficients(dual, [k @ r - k for k, r in zip(kernel.stacks, reps)])
         values = inverse_on_grid(diff, grid).values[mask]
-        integrals.append(float(np.sum(grid.weights[mask] * np.abs(values))))
+        integrals.append(float(np.sum(weights * np.abs(values))))
         del values  # not alive through the next window's inverse
     return integrals
+
+
+def _central_difference_integrals(dual: DualSlice, scalars, levels, a_z, radius: float) -> list[float]:
+    """The class sum of :func:`kernel_difference_integrals`, in chunks of 8 MB character tables."""
+    n_ag, beta, w_beta = _su2_beta_rule(dual.group, dual.max_band)
+    # a(x) = cos(beta_j / 2) e^{-i pi r / n_ag} on the classes, and a(z^{-1} x) = conj(a(z)) a(x)
+    a = np.cos(beta / 2.0)[:, None] * np.exp(-1j * np.pi / n_ag * np.arange(2 * n_ag))
+    theta, moved = (np.arccos(np.clip(b.real, -1.0, 1.0)).ravel() for b in (a, np.conj(a_z) * a))
+    far = theta > radius
+    theta, moved, weights = theta[far], moved[far], np.repeat(w_beta * (n_ag / 2), 2 * n_ag)[far]
+    psis = np.reshape([psi(ell, dual.eigenvalues) for ell in levels], (len(levels), len(dual)))
+    # (spins, 2 levels): the real and imaginary parts of d_l c_l psi_ell(<xi>_l) side by side
+    coeffs = np.ascontiguousarray((psis * (dual.dims * scalars)).T).view(float)
+    sums = np.zeros(len(levels))
+    step = max(1, 1_000_000 // len(dual))
+    for lo in range(0, len(theta), step):
+        chi = _su2_characters(moved[lo : lo + step], dual.dims)
+        chi -= _su2_characters(theta[lo : lo + step], dual.dims)
+        sums += weights[lo : lo + step] @ np.abs((chi @ coeffs).view(complex))
+    return sums.tolist()
 
 
 def decay_slope(levels, integrals) -> float:

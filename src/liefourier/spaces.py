@@ -137,22 +137,29 @@ def weak_sup(agg: np.ndarray, weights: np.ndarray) -> float:
     return float(np.max(values * measure_ge)) if len(values) else 0.0
 
 
+def _central_scalars(coeffs: FourierCoefficients) -> np.ndarray | None:
+    """c per irrep if every block B is c I, else None.  B is c I when |B - (tr B / d) I|_max <=
+    8 eps |B|_max, as a product of scalar blocks rounds its diagonal apart."""
+    dual = coeffs.dual
+    scalars = [np.trace(stack, axis1=1, axis2=2) / d for d, stack in zip(dual.run_dims, coeffs.stacks)]
+    for d, stack, c in zip(dual.run_dims, coeffs.stacks, scalars):
+        dev = np.abs(stack - c[:, None, None] * np.eye(d)).max(axis=(1, 2))
+        if np.any(dev > 8 * np.finfo(float).eps * np.abs(stack).max(axis=(1, 2))):
+            return None
+    return np.concatenate(scalars)
+
+
 def _central_rule(coeffs: FourierCoefficients, specs: list[NormSpec]):
     """(real and imaginary d_l c_l, character table, weights) of the theta rule
-    of :func:`tl_norms`, or None.  B is c I when |B - (tr B / d) I|_max <=
-    8 eps |B|_max, as a product of scalar blocks rounds its diagonal apart."""
+    of :func:`tl_norms` for :func:`_central_scalars` c_l, or None."""
     dual = coeffs.dual
     if dual.group.kind != SU2 or any(spec.q != 2.0 or spec.p % 2.0 for spec in specs):
         return None
     nodes = int(max((spec.p for spec in specs), default=2)) * (len(dual) - 1) // 2 + 2  # p top / 2 + 2
     if nodes * len(dual) > math.prod(grid_shape(dual.group, dual.max_band)):
         return None  # a table larger than the default grid (p in the hundreds)
-    scalars = [np.trace(stack, axis1=1, axis2=2) / d for d, stack in zip(dual.run_dims, coeffs.stacks)]
-    for d, stack, c in zip(dual.run_dims, coeffs.stacks, scalars):
-        dev = np.abs(stack - c[:, None, None] * np.eye(d)).max(axis=(1, 2))
-        if np.any(dev > 8 * np.finfo(float).eps * np.abs(stack).max(axis=(1, 2))):
-            return None
-    return ((dual.dims * np.concatenate(scalars)).view(float).reshape(-1, 2), *_su2_class_rule(dual.dims, nodes))
+    scalars = _central_scalars(coeffs)
+    return None if scalars is None else ((dual.dims * scalars).view(float).reshape(-1, 2), *_su2_class_rule(dual.dims, nodes))
 
 
 def tl_norms(

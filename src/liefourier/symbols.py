@@ -134,8 +134,8 @@ def difference_validity(dual: DualSlice, order: int) -> np.ndarray:
     if order == 0:
         return np.ones(len(dual), dtype=bool)
     if dual.group.kind == TORUS:
-        max_norm = math.sqrt(max(dual.cutoff**2 - 1.0, 0.0))
-        return np.sqrt(np.sum(dual.labels**2, axis=1)) <= max_norm - order + 1e-9
+        reach = math.sqrt(max(dual.cutoff**2 - 1.0, 0.0)) - order + 1e-9  # |xi| <= reach, read off <xi>
+        return (dual.eigenvalues <= math.hypot(1.0, reach)) & (reach >= 0.0)
     return dual.labels <= dual.max_band - order / 2.0 + 1e-9
 
 

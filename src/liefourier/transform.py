@@ -292,10 +292,16 @@ def _su2_class_rule(dims: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     of dimension d in ``dims``, and the Weyl weights (2/n) sin^2(theta_j),
     exact for the Haar integral of cosine polynomials of degree < 2n - 2."""
     theta = (np.arange(n) + 0.5) * (np.pi / n)
-    sin = np.sin(theta)
-    chi = np.sin(np.outer(theta, dims))
-    chi /= sin[:, None]
-    return chi, (2.0 / n) * sin**2
+    return _su2_characters(theta, dims), (2.0 / n) * np.sin(theta) ** 2
+
+
+def _su2_characters(theta: np.ndarray, dims: np.ndarray) -> np.ndarray:
+    """The characters chi_d(theta) = sin(d theta) / sin(theta) of SU(2), one row per rotation
+    angle theta in (0, pi) (``distance_to_identity``) and one column per dimension d in ``dims``."""
+    chi = np.outer(theta, dims)
+    np.sin(chi, out=chi)
+    chi /= np.sin(theta)[:, None]
+    return chi
 
 
 def _get_plan(grid: QuadratureGrid, dual: DualSlice):

@@ -19,7 +19,8 @@ from liefourier import (
     plancherel_norm,
     random_coefficients,
 )
-from liefourier import multipliers, spaces
+from liefourier import multipliers, spaces, transform
+from liefourier.cli import run_config
 from liefourier.dual import spin_cutoff
 from liefourier.errors import ConfigurationError, PreconditionError
 from liefourier.groups import (
@@ -165,19 +166,76 @@ def test_inverse_symmetry_real_kernel(torus1):
     assert abs(v1 - v2) < 1e-10 * max(1.0, v1)
 
 
-def test_su2_class_function_path_matches_general(su2):
-    # a class-function kernel (scalar blocks) and the same kernel with a
-    # negligible non-scalar perturbation must give the same integral: no
-    # path may treat scalar blocks differently from general ones
+def test_su2_class_function_path_matches_general(su2, monkeypatch):
+    # a class-function kernel (scalar blocks) must give the same integral on
+    # the class sum and on the general grid path, forced for the second call
     dual = enumerate_dual(su2, spin_cutoff(3))
     sig = build_spectral_symbol(lambda lam: lam ** (1j), dual)
     z = point_at_distance(su2, 0.4)
     [fast] = kernel_difference_integrals(sig, [1], z, 1.0)
-    bumped = Symbol.from_blocks(dual, [b.copy() for b in sig.blocks])
-    idx = index_of(dual, 1.0)
-    bumped.blocks[idx][0, 1] += 1e-300  # makes the block non-scalar only
-    [general] = kernel_difference_integrals(bumped, [1], z, 1.0)
+    monkeypatch.setattr(multipliers, "_central_scalars", lambda coeffs: None)
+    [general] = kernel_difference_integrals(sig, [1], z, 1.0)
     assert abs(fast - general) < 1e-9 * max(1.0, fast)
+
+
+def _grid_spy(monkeypatch):
+    # counts the grid builds and plan lookups of the transform layer
+    calls = []
+    for name in ("build_grid", "_get_plan"):
+        original = getattr(transform, name)
+        monkeypatch.setattr(transform, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+    return calls
+
+
+@pytest.mark.parametrize("spin", [3.5, 7.5, 15.5, 31.5])
+def test_central_su2_integrals_equal_the_grid_path(su2, spin, monkeypatch):
+    # a spectral symbol has blocks c_l I and point_at_distance puts z on the
+    # diagonal torus, so the integrals are class sums with no grid; the grid
+    # path, forced by hiding the centrality, agrees within 1e-12 per integral.
+    # At z distance 1.0 and c = 1.0 the far field 4c|z| > pi is empty
+    dual = enumerate_dual(su2, spin_cutoff(spin))
+    sig = build_spectral_symbol(lambda lam: lam ** (1j), dual)
+    levels = _nonzero_windows(dual)
+    calls = _grid_spy(monkeypatch)
+    for distance in (0.05 * 2.0 * math.pi, 0.3, 1.0):
+        z = point_at_distance(su2, distance)
+        for c in (0.5, 1.0):
+            fast = kernel_difference_integrals(sig, levels, z, c)
+            assert calls == []
+            with monkeypatch.context() as m:
+                m.setattr(multipliers, "_central_scalars", lambda coeffs: None)
+                slow = kernel_difference_integrals(sig, levels, z, c)
+            del calls[:]
+            empty = 4.0 * c * distance > math.pi
+            assert all((value == 0.0) == empty for value in slow)
+            for a, b in zip(fast, slow):
+                assert abs(a - b) <= 1e-12 * b
+
+
+def test_su2_kernel_decay_config_builds_no_grid(su2, tmp_path, monkeypatch):
+    # the kernel-decay task of the su2-session benchmark: a spectral symbol
+    # and z from point_at_distance take the class sum, with no grid or plan
+    cfg = {
+        "task": "kernel-decay",
+        "group": {"kind": "su2", "dim": 3},
+        "ell_max": 31.5,
+        "symbol": {"type": "power_it", "t": 1.0},
+        "windows": [1, 2, 3, 4],
+        "z_distance": 0.3,
+    }
+    calls = _grid_spy(monkeypatch)
+    assert run_config(cfg, tmp_path) == 0
+    assert calls == []
+    # a non-central symbol, or z off the diagonal torus, takes the grid path
+    dual = enumerate_dual(su2, spin_cutoff(3.5))
+    general = Symbol.from_blocks(dual, random_coefficients(dual, np.random.default_rng(5)).blocks)
+    kernel_difference_integrals(general, [1, 2], point_at_distance(su2, 0.3), 1.0)
+    assert calls.count("build_grid") == 1 and "_get_plan" in calls
+    del calls[:]
+    # a new slice, as the first one already holds its grid and plan
+    central = build_spectral_symbol(lambda lam: lam ** (1j), enumerate_dual(su2, spin_cutoff(3.5)))
+    kernel_difference_integrals(central, [1, 2], np.array([0.3, 0.2, 0.1]), 1.0)
+    assert calls.count("build_grid") == 1 and "_get_plan" in calls
 
 
 def _pointwise_difference_integral(coeffs, z, c, grid):

@@ -344,6 +344,21 @@ def test_validity_mask_margins(torus1, su2):
         assert keep == (ell <= 2.0 + 1e-9)
 
 
+@pytest.mark.parametrize(
+    "n,cutoffs",
+    [(1, [1.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0]), (2, [8.0, 12.0, 16.0, 24.0, 32.0, 40.0]), (3, [6.0, 8.0, 10.0, 16.0, 24.0, 64.0])],
+)
+def test_torus_validity_read_off_eigenvalues_equals_label_norms(n, cutoffs):
+    # the torus mask reads |xi| off <xi> = sqrt(1 + |xi|^2); the oracle is
+    # the norm of the integer labels, at the shipped and benchmark cutoffs
+    for cutoff in cutoffs:
+        dual = enumerate_dual(make_group("torus", n), cutoff)
+        reach = math.sqrt(max(cutoff**2 - 1.0, 0.0))
+        for order in range(4):
+            oracle = np.sqrt(np.sum(dual.labels**2, axis=1)) <= reach - order + 1e-9
+            assert np.array_equal(difference_validity(dual, order), oracle if order else np.ones(len(dual), dtype=bool))
+
+
 def test_margin_error_lists_requirement(torus1):
     dual = enumerate_dual(torus1, 1.0)  # only the trivial irrep
     sig = identity_symbol(dual)
