@@ -326,18 +326,19 @@ def _digest(cfg: dict) -> str:
 def _roundtrip_residuals(dual, seed: int, count: int) -> list[tuple[float, float]]:
     """(round-trip max block error, Plancherel relative error) for each of
     ``count`` seeded random members: coefficients -> default grid -> back."""
+    return [_roundtrip_residual(dual, np.random.default_rng([seed, member])) for member in range(count)]
+
+
+def _roundtrip_residual(dual, rng: np.random.Generator) -> tuple[float, float]:
+    """One member of :func:`_roundtrip_residuals`; its samples die on return, before the next member's."""
     grid = default_grid(dual)
-    out = []
-    for member in range(count):
-        rng = np.random.default_rng([seed, member])
-        coeffs = random_coefficients(dual, rng)
-        samples = inverse_on_grid(coeffs, grid)
-        back = forward_transform(samples, dual)
-        rt = max(float(np.max(np.abs(a - b))) for a, b in zip(coeffs.stacks, back.stacks))
-        pl = plancherel_norm(coeffs)
-        l2 = float(np.sqrt(np.sum(grid.weights * np.abs(samples.values) ** 2)))
-        out.append((rt, abs(pl - l2) / pl if pl > 0 else 0.0))
-    return out
+    coeffs = random_coefficients(dual, rng)
+    samples = inverse_on_grid(coeffs, grid)
+    back = forward_transform(samples, dual)
+    rt = max(float(np.max(np.abs(a - b))) for a, b in zip(coeffs.stacks, back.stacks))
+    pl = plancherel_norm(coeffs)
+    l2 = float(np.sqrt(np.sum(grid.weights * np.abs(samples.values) ** 2)))
+    return rt, abs(pl - l2) / pl if pl > 0 else 0.0
 
 
 def _task_transform(task: Task):

@@ -11,15 +11,17 @@ the same windows (any admissible resolution gives an equivalent
 quasi-norm).  :func:`windows` decides which windows a dual slice has.  The
 Triebel-Lizorkin norms are sampled on the slice's
 :func:`~liefourier.transform.default_grid`, which transforms the slice
-exactly: :func:`tl_norms` streams the windows one at a time into one
-accumulator per distinct (r, q), so a norm holds a few grid-sized arrays
-whatever the number of windows; central SU(2) functions with even p and
-q = 2 take an exact 1-D rule in the rotation angle instead.
+exactly: :func:`tl_norms` streams the windows one at a time, and each
+window slab by slab, into one real accumulator per distinct (r, q), so a
+norm holds those accumulators and a slab workspace whatever the number of
+windows; central SU(2) functions with even p and q = 2 take an exact 1-D
+rule in the rotation angle instead.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +29,7 @@ import numpy as np
 from .dual import DualSlice
 from .errors import PreconditionError
 from .groups import SU2, grid_shape
-from .transform import FourierCoefficients, _su2_class_rule, default_grid, inverse_on_grid
+from .transform import FourierCoefficients, _su2_class_rule, default_grid, inverse_slabs
 
 
 def _transition(lam: np.ndarray) -> np.ndarray:
@@ -53,7 +55,8 @@ def eta(lam) -> np.ndarray:
 
 def psi(level: int, lam) -> np.ndarray:
     """psi_0 = phi (the telescoped low piece) and psi_ell(lam) = eta(2**-ell lam)
-    for ell >= 1."""
+    for ell >= 1; ``level`` is any integer, numpy's included."""
+    level = operator.index(level)
     if level < 0:
         raise PreconditionError("window index must be >= 0")
     if level == 0:
@@ -132,9 +135,12 @@ def weak_sup(agg: np.ndarray, weights: np.ndarray) -> float:
     weight(agg >= v).
     """
     order = np.argsort(agg)
+    measure = weights[order[::-1]]
+    np.cumsum(measure, out=measure)  # reversed: measure[-1 - i] is the weight of {agg >= agg[order[i]]}
     values = agg[order]
-    measure_ge = np.cumsum(weights[order][::-1])[::-1]  # weight of {agg >= values[i]}
-    return float(np.max(values * measure_ge)) if len(values) else 0.0
+    del order  # three grid-sized temporaries at most
+    values *= measure[::-1]
+    return float(np.max(values)) if len(values) else 0.0
 
 
 def _central_scalars(coeffs: FourierCoefficients) -> np.ndarray | None:
@@ -173,7 +179,11 @@ def tl_norms(
     aggregate, so the :func:`windows` stream once into one accumulator per
     distinct (r, q): each is synthesised and its weighted modulus added in
     level order (q = inf takes the running max), so no (levels x nodes)
-    array is held.  The nodes are the slice's default grid: adding row after
+    array is held.  A window arrives slab by slab from
+    :func:`~liefourier.transform.inverse_slabs`; the modulus, the scale and
+    the q-th power go in place into one slab buffer, which is added into
+    that slab of the accumulator, so no complex, modulus or term array of
+    the grid's size exists.  The nodes are the slice's default grid: adding row after
     row is how ``np.sum(axis=0)`` reduces a C-ordered array, and a window
     that is zero on the slice adds exact zeros, so the result is the same
     bits as one (levels x grid) aggregate, the tests' oracle.  Except: with
@@ -188,9 +198,10 @@ def tl_norms(
     central = _central_rule(coeffs, specs)
     if central is None:
         grid = default_grid(dual)
-        weights = grid.weights
+        weights, shape = grid.weights, grid.shape
     else:
         parts, chi, weights = central
+        shape = weights.shape
     levels = np.asarray(_window_levels(dual.cutoff), dtype=float)
     pairs = list(dict.fromkeys((spec.r, spec.q) for spec in specs))
     # 2^(ell r) over every level of _window_levels (a level is its own index) by numpy's array
@@ -198,27 +209,37 @@ def tl_norms(
     # an overflow here or in the q-th powers is left to the finiteness check below to report
     with np.errstate(over="ignore"):
         scales = [2.0 ** (r * levels) for r, _ in pairs]
-    accs: list = [None] * len(pairs)
+    accs = [np.zeros(shape) for _ in pairs]
+    copies = min(len(pairs), 2)
+    work = np.empty(0)  # per slab: the moduli, then the terms of every pair but the last
     for ell, window in windows(dual):
         if central is None:
-            mods = np.abs(inverse_on_grid(_weigh(coeffs, window), grid).values)
+            slabs = inverse_slabs(_weigh(coeffs, window), grid)
         else:
-            mods = np.hypot(*(chi @ (window[:, None] * parts)).T)  # no complex copy of the table
-        for k, (_, q) in enumerate(pairs):
-            term = mods * scales[k][ell]
-            if q != math.inf:
-                with np.errstate(over="ignore"):
-                    term **= q
-            if accs[k] is None:
-                accs[k] = term
-            elif q == math.inf:
-                np.maximum(accs[k], term, out=accs[k])
-            else:
-                accs[k] += term
-        mods = term = None  # free before the next window's inverse
+            slabs = [(..., np.hypot(*(chi @ (window[:, None] * parts)).T))]  # no complex copy of the table
+        for where, values in slabs:
+            n = values.size
+            if len(work) < copies * n:
+                work = np.empty(copies * n)
+            mods = np.abs(values, out=work[:n].reshape(values.shape))
+            for k, (_, q) in enumerate(pairs):
+                term = mods  # the last pair scales the moduli in place
+                if k < len(pairs) - 1:
+                    term = work[n : 2 * n].reshape(values.shape)
+                    term[...] = mods
+                term *= scales[k][ell]
+                if q != math.inf:
+                    with np.errstate(over="ignore"):
+                        term **= q
+                acc = accs[k][where]
+                if q == math.inf:
+                    np.maximum(acc, term, out=acc)
+                else:
+                    acc += term
+        values = None  # frees the window's workspace before the next window's inverse
     out: list = [None] * len(specs)
     for k, (r, q) in enumerate(pairs):
-        agg = accs[k]  # level 0 holds the trivial irrep, so every accumulator has a term
+        agg = accs[k].reshape(-1)
         accs[k] = None  # only one finished aggregate is held at a time
         if q != math.inf:
             agg **= 1.0 / q

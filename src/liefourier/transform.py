@@ -24,9 +24,17 @@ little-d tables at the Gauss-Legendre nodes in beta; its inverse stops at the
 largest nonzero spin.  Integer and half-integer spins sit on alternate
 entries of the alpha/gamma frequency ladder, so the plan keeps the two parity
 classes in separate compact arrays and never forms the zero half of the
-ladder square: the inverse runs one gamma product per class and then one
-alpha product, the forward one alpha product and then one gamma product per
-class.  Each spin stores a quarter of its little-d table, the rows m' >= 0
+ladder square.  The plan is separable per beta node, so its alpha and gamma
+products run over slabs of beta nodes, through one workspace of about
+``_SLAB_BYTES`` that each call allocates once and reuses slab after slab:
+the inverse fills the compact arrays (the beta sum) and then, per slab, runs
+one gamma product per class and one alpha product, writing the slab's
+columns of its output; the forward runs, per slab, one alpha product and
+one gamma product per class into the compact arrays, and the beta sum reads
+them whole.  :func:`inverse_slabs` hands the slabs out one at a time, so a
+caller that reduces over nodes (``spaces.tl_norms``) never holds a complex
+grid-sized array; on the torus the one slab is the whole grid.  Each spin
+stores a quarter of its little-d table, the rows m' >= 0
 at half the nodes, and reads the rest through d_{-m',-m} = (-1)^(m'-m)
 d_{m'm} and d_{m'm}(pi - beta) = (-1)^(l+m') d_{m',-m}(beta), as the nodes
 are symmetric about pi/2.  Both plans are exact for band-limited functions.
@@ -117,6 +125,11 @@ def random_coefficients(dual: DualSlice, rng: np.random.Generator) -> FourierCoe
 # Grids and quadrature plans
 # ---------------------------------------------------------------------------
 
+# about the bytes of complex samples in one slab of beta nodes of an SU(2) plan; its workspace
+# holds one slab of gamma products (and, when streamed, one of samples).  A fixed constant: at
+# spin 31.5 it makes 8 slabs of 8 nodes, as fast as one product over the whole grid
+_SLAB_BYTES = 2**21
+
 # dual slice -> {bandlimit: [grid, plan or None]}; neither references the slice, so an entry dies with it
 _HELD: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -157,6 +170,10 @@ class _TorusPlan:
         np.put(spectrum, self.index, stacks[0][:, 0, 0])
         return np.fft.ifftn(spectrum, norm="forward").ravel()
 
+    def inverse_slabs(self, stacks: list[np.ndarray]):
+        """The inverse as one slab: the whole grid."""
+        yield ..., self.inverse_on_grid(stacks).reshape(self.shape)
+
 
 class _Su2Plan:
     """Separable transform on the (alpha, beta, gamma) product grid.
@@ -169,17 +186,25 @@ class _Su2Plan:
     ``band`` is a checkerboard of two parity classes: class 0 holds the
     spins k = band (mod 2) on the band + 1 entries of even offset, class 1
     the others on the band entries of odd offset.  Each class is a compact
-    (n, Nb, n) array in which spin k is the contiguous block at offset
-    (band - k) // 2; the zero half of the square is never formed.
+    (Nb, n, n) array, one [b, a] square per beta node, in which spin k is
+    the block at offset (band - k) // 2; the zero half of the ladder square
+    is never formed.
 
-    * Inverse, on the square of the largest nonzero spin: one gamma product
-      per class into its row block of a (2 band + 1, Nb, Ng) buffer, then
-      one alpha product of the class-ordered alpha table columns with it.
-    * Forward, on the square of the top spin: one alpha product with the
-      class-ordered rows, then one gamma product per class onto the compact
-      arrays that the beta contraction reads.
+    The alpha and gamma products run slab by slab over ``slabs``, runs of
+    beta nodes of about ``_SLAB_BYTES`` of complex samples each, through one
+    (2 band + 1, slab, Ng) workspace allocated per call and reused by every
+    slab, so no grid-sized intermediate exists:
 
-    Each spin stores a quarter of its table d^l_{m'm}(beta_j), as [b, j, a]
+    * Inverse, on the square of the largest nonzero spin: the beta sum fills
+      both compact arrays; then per slab, one gamma product per class (one
+      matrix product per node) into its row block of the workspace, and one
+      alpha product of the class-ordered alpha table columns with it, into
+      the slab's columns of the output.
+    * Forward, on the square of the top spin: per slab, one alpha product of
+      the class-ordered rows with the slab's samples, then one gamma product
+      per class into the compact arrays; the beta sum reads them whole.
+
+    Each spin stores a quarter of its table d^l_{m'm}(beta_j), as [j, b, a]
     with rows b (m' = l - b) and columns a (m = l - a): the rows m' >= 0
     (b <= k//2, k = 2l) at the first ceil(Nb/2) nodes.  Two symmetries give
     the other three quarters as reversed views of it times signs:
@@ -194,8 +219,8 @@ class _Su2Plan:
 
     ``pieces[k]`` lists four (side, rows, nodes, view) rectangles that tile
     spin k's full table, side 0 on the stored nodes and side 1 on the
-    mirrored ones: the [rows, nodes] part of the table is
-    ``signs[k][side, rows, None] * view``.  The signs scale the coefficient
+    mirrored ones: the [nodes, rows] part of the table is
+    ``signs[k][side, rows] * view``.  The signs scale the coefficient
     block (inverse) or the per-side sums (forward), so no unfolded copy of a
     table is made.
     """
@@ -210,6 +235,13 @@ class _Su2Plan:
         self.e_inv_a = np.exp(-1j * np.outer(alpha, m))
         self.e_inv_g = np.exp(-1j * np.outer(m, gamma))
         self.c_beta = grid.beta_weights
+        # slabs of about _SLAB_BYTES of complex samples, as even as Nb allows; the wider ones
+        # first, so a buffer sized for the first slab holds every slab
+        count = min(len(beta), -(-16 * len(alpha) * len(beta) * len(gamma) // _SLAB_BYTES))
+        wide, extra = divmod(len(beta), count)
+        edges = np.cumsum([0] + [wide + 1] * extra + [wide] * (count - extra)).tolist()
+        self.slabs = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+        self.width = edges[1]  # the widest slab
         self.two_ells = [d - 1 for d in dual.run_dims]  # one spin per run
         half, mirror = (len(beta) + 1) // 2, len(beta) // 2  # stored and mirrored nodes
         stored, mirrored = slice(0, half), slice(half, None)
@@ -217,14 +249,14 @@ class _Su2Plan:
         for k in self.two_ells:
             low = k // 2 + 1  # stored rows; rows b >= low read row k - b
             up, down = slice(0, low), slice(low, None)
-            q = _little_d_rows(k, beta[:half], up).transpose(1, 0, 2)  # [b, j, a]
-            flip = q[: k + 1 - low, :, ::-1][::-1]
+            q = _little_d_rows(k, beta[:half], up)  # [j, b, a]
+            flip = q[:, : k + 1 - low, ::-1][:, ::-1]
             # node Nb - 1 - j reads node j with the columns reversed
             self.pieces[k] = [
                 (0, up, stored, q),
-                (1, up, mirrored, q[:, :mirror][:, ::-1, ::-1]),
+                (1, up, mirrored, q[:mirror][::-1, :, ::-1]),
                 (0, down, stored, flip),
-                (1, down, mirrored, flip[:, :mirror][:, ::-1, ::-1]),
+                (1, down, mirrored, flip[:mirror][::-1, :, ::-1]),
             ]
             parity = (-1.0) ** np.arange(k + 1)  # (-1)^b, also (-1)^a
             above = np.arange(k + 1)[:, None] < low
@@ -241,49 +273,68 @@ class _Su2Plan:
 
     def forward(self, values: np.ndarray) -> list[np.ndarray]:
         na, nb, ng = self.shape
-        t = (self.p_fwd_a @ values.reshape(na, nb * ng)).reshape(-1, nb, ng)  # class-ordered rows
-        compact, row = [], 0
-        for parity, ladder in enumerate(self._classes(self.top)):
-            n = self.top + 1 - parity
-            cls = (t[row : row + n].reshape(n * nb, ng) @ self.p_fwd_g[ladder].T).reshape(n, nb, n)  # [b, j, a]
-            cls *= self.c_beta[:, None]
-            compact.append(cls)
-            row += n
+        rows, classes = 2 * self.top + 1, self._classes(self.top)
+        compact = [np.empty((nb, n, n), dtype=complex) for n in (self.top + 1, self.top)]  # [j, b, a]
+        work = np.empty(rows * self.width * ng, dtype=complex)
+        columns = values.reshape(na, nb * ng)
+        for j in self.slabs:
+            t = work[: rows * (j.stop - j.start) * ng].reshape(rows, -1, ng)  # class-ordered rows
+            np.matmul(self.p_fwd_a, columns[:, j.start * ng : j.stop * ng], out=t.reshape(rows, -1))
+            row = 0
+            for parity, ladder in enumerate(classes):
+                n = self.top + 1 - parity
+                np.matmul(t[row : row + n].transpose(1, 0, 2), self.p_fwd_g[ladder].T, out=compact[parity][j])
+                row += n
+        for cls in compact:
+            cls *= self.c_beta[:, None, None]
         stacks = []
         for k in self.two_ells:
             ids = slice((self.top - k) // 2, (self.top - k) // 2 + k + 1)
-            spin = compact[(self.top - k) % 2][ids, :, ids]
+            spin = compact[(self.top - k) % 2][:, ids, ids]
             sums = np.empty((2, k + 1, k + 1), dtype=complex)  # [stored/mirrored nodes, b, a]
-            for side, rows, nodes, view in self.pieces[k]:
-                np.einsum("bja,bja->ba", view, spin[rows, nodes], out=sums[side, rows])
+            for side, rows_k, nodes, view in self.pieces[k]:
+                np.einsum("jba,jba->ba", view, spin[nodes, rows_k], out=sums[side, rows_k])
             stacks.append(np.einsum("xba,xba->ab", self.signs[k], sums)[None])
         return stacks
 
-    def inverse_on_grid(self, stacks: list[np.ndarray]) -> np.ndarray:
+    def inverse_slabs(self, stacks: list[np.ndarray], out: np.ndarray | None = None):
+        """Yield (index, values) per slab: ``values`` is the inverse on the nodes ``index`` of an
+        array of ``self.shape``, ``out[index]`` when ``out`` is given and otherwise a workspace
+        that the next slab overwrites."""
         # one spin per run
         live = [(k, stack[0]) for k, stack in zip(self.two_ells, stacks) if stack.any()]
-        if not live:
-            return np.zeros(int(np.prod(self.shape)), dtype=complex)
-        band = max(k for k, _ in live)
-        _, nb, ng = self.shape
-        classes = self._classes(band)
-        buf = np.empty((2 * band + 1, nb, ng), dtype=complex)  # gamma done, rows in class order
-        row = 0
-        for parity, ladder in enumerate(classes):
-            n = band + 1 - parity
-            acc = np.zeros((n, nb, n), dtype=complex)  # [b, j, a]
-            for k, blk in live:
-                if (band - k) % 2 != parity:
-                    continue
-                ids = slice((band - k) // 2, (band - k) // 2 + k + 1)
-                spin = acc[ids, :, ids]
-                c = (k + 1) * (self.signs[k] * blk.T)  # [stored/mirrored nodes, b, a]
-                for side, rows, nodes, view in self.pieces[k]:
-                    part = spin[rows, nodes]
-                    part += view * c[side, rows, None]
-            np.matmul(acc.reshape(n * nb, n), self.e_inv_g[ladder], out=buf[row : row + n].reshape(n * nb, ng))
-            row += n
-        return (self.e_inv_a[:, np.r_[classes]] @ buf.reshape(2 * band + 1, nb * ng)).ravel()
+        band = max((k for k, _ in live), default=0)
+        na, nb, ng = self.shape
+        rows, classes = 2 * band + 1, self._classes(band)
+        compact = [np.zeros((nb, n, n), dtype=complex) for n in (band + 1, band)]  # [j, b, a]
+        for k, blk in live:
+            ids = slice((band - k) // 2, (band - k) // 2 + k + 1)
+            spin = compact[(band - k) % 2][:, ids, ids]
+            c = (k + 1) * (self.signs[k] * blk.T)  # [stored/mirrored nodes, b, a]
+            for side, rows_k, nodes, view in self.pieces[k]:
+                part = spin[nodes, rows_k]
+                part += view * c[side, rows_k]
+        e_inv_a = self.e_inv_a[:, np.r_[classes]]
+        work = np.empty(rows * self.width * ng, dtype=complex)  # gamma done, rows in class order
+        # (alpha, nodes x gamma) columns: the output's, or a slab's worth at the workspace's start
+        flat = (np.empty((na, self.width, ng), dtype=complex) if out is None else out).reshape(na, -1)
+        for j in self.slabs:
+            t = work[: rows * (j.stop - j.start) * ng].reshape(rows, -1, ng)
+            row = 0
+            for parity, ladder in enumerate(classes):
+                n = band + 1 - parity
+                np.matmul(compact[parity][j], self.e_inv_g[ladder], out=t[row : row + n].transpose(1, 0, 2))
+                row += n
+            lo = j.start * ng if out is not None else 0
+            cols = flat[:, lo : lo + (j.stop - j.start) * ng]
+            np.matmul(e_inv_a, t.reshape(rows, -1), out=cols)
+            yield np.s_[:, j], cols.reshape(na, -1, ng)
+
+    def inverse_on_grid(self, stacks: list[np.ndarray]) -> np.ndarray:
+        out = np.empty(self.shape, dtype=complex)
+        for _ in self.inverse_slabs(stacks, out):
+            pass
+        return out.ravel()
 
 
 def _su2_class_rule(dims: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -328,6 +379,12 @@ def forward_transform(gridfn: GridFunction, dual: DualSlice) -> FourierCoefficie
 def inverse_on_grid(coeffs: FourierCoefficients, grid: QuadratureGrid) -> GridFunction:
     """Evaluate the inversion series at every grid node through the slice's plan for the grid."""
     return GridFunction(grid, _get_plan(grid, coeffs.dual).inverse_on_grid(coeffs.stacks))
+
+
+def inverse_slabs(coeffs: FourierCoefficients, grid: QuadratureGrid):
+    """Yield (index, values): the inversion series on the nodes ``index`` of an array of
+    ``grid.shape``, slab after slab.  ``values`` may be overwritten by the next slab."""
+    return _get_plan(grid, coeffs.dual).inverse_slabs(coeffs.stacks)
 
 
 # points per chunk of inverse_evaluate: about this many matrix entries per chunk

@@ -212,6 +212,19 @@ def test_central_su2_integrals_equal_the_grid_path(su2, spin, monkeypatch):
                 assert abs(a - b) <= 1e-12 * b
 
 
+def test_kernel_difference_integrals_take_numpy_integer_levels(su2, monkeypatch):
+    # levels from a numpy array are np.int64, on the class sum and on the grid path alike
+    dual = enumerate_dual(su2, spin_cutoff(3.5))
+    sig = build_spectral_symbol(lambda lam: lam ** (1j), dual)
+    z = point_at_distance(su2, 0.3)
+    central = kernel_difference_integrals(sig, np.array([1, 2]), z, 1.0)
+    assert central == kernel_difference_integrals(sig, [1, 2], z, 1.0)
+    monkeypatch.setattr(multipliers, "_central_scalars", lambda coeffs: None)
+    grid = kernel_difference_integrals(sig, np.array([1, 2]), z, 1.0)
+    assert grid == kernel_difference_integrals(sig, [1, 2], z, 1.0)
+    assert all(abs(a - b) <= 1e-12 * b for a, b in zip(central, grid))
+
+
 def test_su2_kernel_decay_config_builds_no_grid(su2, tmp_path, monkeypatch):
     # the kernel-decay task of the su2-session benchmark: a spectral symbol
     # and z from point_at_distance take the class sum, with no grid or plan

@@ -21,12 +21,13 @@ from liefourier import (
     plancherel_norm,
     random_coefficients,
 )
-from liefourier import spaces
+from liefourier import spaces, transform
 from liefourier.dual import spin_cutoff
 from liefourier.errors import PreconditionError
 from liefourier.multipliers import ensemble_member
-from liefourier.spaces import _transition, _window_levels, eta, psi, quadrature_lp, tl_norms, windows
-from liefourier.transform import _su2_class_rule, inverse_on_grid
+from liefourier.spaces import _transition, _window_levels, eta, psi, quadrature_lp, tl_norms, weak_sup, windows
+from liefourier.transform import _get_plan, _su2_class_rule, inverse_on_grid, inverse_slabs
+from su2_plan_oracle import WholeArrayPlan
 from tl_oracle import tl_aggregate, window_samples
 from tl_oracle import tl_norms as oracle_tl_norms
 
@@ -104,6 +105,18 @@ def test_psi_scales_by_exact_powers_of_two():
     assert psi(1024, lam)[2] > 0.0  # 1.7e308 lies in the support (2**1023, 2**1025)
     for level in (1100, 2000, 10**30):
         assert np.array_equal(psi(level, lam), np.zeros(3))
+
+
+def test_psi_and_lp_project_take_numpy_integer_levels(torus1):
+    # a level read from a numpy array is an np.int64, which math.ldexp refuses
+    lam = np.linspace(0.0, 9.0, 37)
+    for level in (0, 2):
+        assert np.array_equal(psi(np.int64(level), lam), psi(level, lam))
+    with pytest.raises(TypeError):
+        psi(2.0, lam)
+    coeffs = random_coefficients(enumerate_dual(torus1, 8.0), np.random.default_rng(0))
+    got, want = lp_project(coeffs, np.int64(2)), lp_project(coeffs, 2)
+    assert all(np.array_equal(a, b) for a, b in zip(got.stacks, want.stacks))
 
 
 # ---------------------------------------------------------------------------
@@ -331,24 +344,33 @@ def test_tl_norms_refuse_a_norm_that_overflows(torus1, spec):
 
 
 def test_tl_norms_skip_only_vanishing_windows(torus1, su2, monkeypatch):
-    # the streamed sum inverts exactly the windows whose psi is nonzero at
-    # some eigenvalue of the slice
+    # the streamed sum synthesises exactly the windows whose psi is nonzero at
+    # some eigenvalue of the slice, each once
     for group, cutoff, skipped in ((torus1, 32.0, 1), (torus1, 20.0, 0), (su2, spin_cutoff(7.5), 1)):
         dual = enumerate_dual(group, cutoff)
         coeffs = random_coefficients(dual, np.random.default_rng(2))
         calls = []
-        monkeypatch.setattr(spaces, "inverse_on_grid", lambda c, g: calls.append(1) or inverse_on_grid(c, g))
+        monkeypatch.setattr(spaces, "inverse_slabs", lambda c, g: calls.append(1) or inverse_slabs(c, g))
         tl_norms(coeffs, [NormSpec(0.0, 2.0, 2.0)])
         assert len(calls) == len(_window_levels(dual.cutoff)) - skipped
 
 
-def test_tl_norms_hold_no_levels_by_grid_array(su2):
-    # numpy reports its buffers to tracemalloc; with a warm grid and plan
-    # one spec must peak at a few grid-sized arrays (the inverse's complex
-    # output and its intermediate, the modulus, one term and one
-    # accumulator), well below the 7 x N x 8 bytes the window rows alone
-    # took in the whole-array path
+def _slabs_of(monkeypatch, dual, count):
+    """Patch the SU(2) plan's workspace constant to 1 / count of a complex array of
+    ``dual``'s default grid, so the plan that ``dual`` builds next streams ``count`` slabs."""
+    monkeypatch.setattr(transform, "_SLAB_BYTES", -(-len(default_grid(dual)) * 16 // count))
+
+
+def test_tl_norms_hold_no_levels_by_grid_array(su2, monkeypatch):
+    # numpy reports its buffers to tracemalloc; with a warm grid and plan on
+    # 16 slabs, one spec peaks at the real accumulator and the L^p sum's
+    # temporary (1 + 1 x N x 8 bytes), next to the compact class arrays (about
+    # 1 x N x 8 bytes, freed before the sum) and the slab workspace while the
+    # windows stream: measured 2.69 x N x 8 bytes, against 5.7 when each
+    # window was synthesised on the whole grid and 7 for the window rows alone
+    # of the whole-array path
     dual = enumerate_dual(su2, spin_cutoff(15.5))
+    _slabs_of(monkeypatch, dual, 16)
     coeffs = random_coefficients(dual, np.random.default_rng(4))
     spec = NormSpec(0.5, 2.0, 2.0)
     expected = tl_norms(coeffs, [spec])  # warms the grid and the plan
@@ -359,7 +381,30 @@ def test_tl_norms_hold_no_levels_by_grid_array(su2):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 10 * n * 8, f"peak {peak / (n * 8):.1f} x N x 8 bytes"
+    assert peak < 3 * n * 8, f"peak {peak / (n * 8):.2f} x N x 8 bytes"
+
+
+@pytest.mark.parametrize("spin", [8.0, 15.5])
+def test_streamed_tl_norms_equal_the_whole_array_path(su2, spin, monkeypatch):
+    # five slabs per window against every window synthesised on the whole grid
+    # at once (transform's whole-array plan arithmetic) and one (levels x N)
+    # aggregate: the same bits at 15.5, where the two inverses are bitwise
+    # equal; at 8 (odd Nb) BLAS may round a product's last rows apart
+    dual = enumerate_dual(su2, spin_cutoff(spin))
+    _slabs_of(monkeypatch, dual, 5)
+    coeffs = random_coefficients(dual, np.random.default_rng(7))
+    specs = [NormSpec(0.0, 2.0, 2.0), NormSpec(0.5, 1.0, 2.0), NormSpec(-1.0, 3.0, math.inf), NormSpec(1.0, 1.0, 3.0)]
+    got = tl_norms(coeffs, specs)
+    plan = _get_plan(default_grid(dual), dual)
+    assert len(plan.slabs) == 5
+    whole = WholeArrayPlan(plan)
+    want = oracle_tl_norms(coeffs, specs, lambda c, grid: whole.inverse_on_grid(c.stacks))
+    for (strong, weak), (strong_o, weak_o) in zip(got, want):
+        if spin == 15.5:
+            assert (strong, weak) == (strong_o, weak_o)
+        else:
+            assert abs(strong - strong_o) <= 1e-14 * strong_o
+            assert weak is weak_o is None or abs(weak - weak_o) <= 1e-14 * weak_o
 
 
 def _central_members(dual):
@@ -377,7 +422,7 @@ def _central_members(dual):
 
 def _grid_calls(monkeypatch):
     calls = []
-    monkeypatch.setattr(spaces, "inverse_on_grid", lambda c, g: calls.append(1) or inverse_on_grid(c, g))
+    monkeypatch.setattr(spaces, "inverse_slabs", lambda c, g: calls.append(1) or inverse_slabs(c, g))
     return calls
 
 
@@ -476,7 +521,7 @@ def test_central_tl_norms_build_no_grid(su2, monkeypatch):
         raise AssertionError("a central norm built a grid")
 
     monkeypatch.setattr(spaces, "default_grid", refuse)
-    monkeypatch.setattr(spaces, "inverse_on_grid", refuse)
+    monkeypatch.setattr(spaces, "inverse_slabs", refuse)
     tracemalloc.start()
     try:
         [(strong, _)] = tl_norms(f, [NormSpec(0.0, 4.0, 2.0)])
@@ -525,3 +570,36 @@ def test_weak_norm_requires_p1(torus1):
     coeffs = random_coefficients(dual, np.random.default_rng(7))
     [(strong, weak)] = tl_norms(coeffs, [NormSpec(0.0, 2.0, 2.0)])
     assert strong > 0.0 and weak is None
+
+
+def _weak_sup_formula(agg, weights):
+    """weak_sup as first written: four grid-sized temporaries."""
+    order = np.argsort(agg)
+    values = agg[order]
+    measure_ge = np.cumsum(weights[order][::-1])[::-1]
+    return float(np.max(values * measure_ge)) if len(values) else 0.0
+
+
+def test_weak_sup_equals_its_first_formula():
+    # the same bits on random samples with many ties, and agg left as it was
+    rng = np.random.default_rng(11)
+    for n in (0, 1, 7, 1000, 50_000):
+        agg = rng.integers(0, 1 + n // 10, n) * rng.uniform(0.5, 2.0)
+        weights = rng.uniform(0.0, 1.0, n) / max(n, 1)
+        kept = agg.copy()
+        assert weak_sup(agg, weights) == _weak_sup_formula(agg, weights)
+        assert np.array_equal(agg, kept)
+
+
+def test_weak_sup_holds_three_temporaries():
+    # the argsort, the gathered weights (summed in place) and the gathered samples
+    n = 1 << 18
+    rng = np.random.default_rng(12)
+    agg, weights = rng.uniform(size=n), rng.uniform(size=n) / n
+    tracemalloc.start()
+    try:
+        weak_sup(agg, weights)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.2 * n * 8, f"peak {peak / (n * 8):.2f} x n x 8 bytes"

@@ -10,14 +10,17 @@ from liefourier.spaces import _window_levels, lp_project, quadrature_lp, weak_su
 from liefourier.transform import default_grid, inverse_on_grid
 
 
-def window_samples(coeffs):
+def window_samples(coeffs, inverse=None):
     """(levels, |psi_ell(B) f| on the default grid, one row per level of
-    ``_window_levels``, the windows that are zero on the slice included)."""
+    ``_window_levels``, the windows that are zero on the slice included).
+    ``inverse`` maps (coefficients, grid) to the samples, by default
+    ``inverse_on_grid``'s."""
     grid = default_grid(coeffs.dual)
     levels = _window_levels(coeffs.dual.cutoff)
     out = np.empty((len(levels), len(grid)))
     for i, ell in enumerate(levels):
-        out[i] = np.abs(inverse_on_grid(lp_project(coeffs, ell), grid).values)
+        projected = lp_project(coeffs, ell)
+        out[i] = np.abs(inverse(projected, grid) if inverse else inverse_on_grid(projected, grid).values)
     return levels, out
 
 
@@ -29,11 +32,11 @@ def tl_aggregate(levels, mods, r, q):
     return np.sum(weighted**q, axis=0) ** (1.0 / q)
 
 
-def tl_norms(coeffs, specs):
+def tl_norms(coeffs, specs, inverse=None):
     """(strong, weak) per spec from one aggregate per spec; weak is None
     unless p = 1.  The L^p sum takes the modulus of the aggregate again."""
     weights = default_grid(coeffs.dual).weights
-    levels, mods = window_samples(coeffs)
+    levels, mods = window_samples(coeffs, inverse)
     out = []
     for spec in specs:
         agg = tl_aggregate(levels, mods, spec.r, spec.q)
