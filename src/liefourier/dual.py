@@ -162,8 +162,12 @@ def _little_d_rows(two_ell: int, beta: float | np.ndarray, rows: slice) -> np.nd
     """
     lam, vec = _jy_eig(two_ell)
     beta = np.asarray(beta, dtype=float)
-    d = (vec[rows] * np.exp(-1j * beta[..., None] * lam)[..., None, :]) @ vec.conj().T
-    return d.real.copy()  # a bare ``.real`` view would keep the complex buffer alive
+    scaled = vec[rows] * np.exp(-1j * beta[..., None] * lam)[..., None, :]
+    shape = scaled.shape
+    # one matrix product over every beta and row, as one GEMM rather than one per beta
+    d = scaled.reshape(-1, len(lam)) @ vec.conj().T
+    del scaled
+    return d.real.reshape(shape).copy()  # a bare ``.real`` view would keep the complex buffer alive
 
 
 def little_d(two_ell: int, beta: float | np.ndarray) -> np.ndarray:

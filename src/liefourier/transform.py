@@ -33,11 +33,15 @@ columns of its output; the forward runs, per slab, one alpha product and
 one gamma product per class into the compact arrays, and the beta sum reads
 them whole.  :func:`inverse_slabs` hands the slabs out one at a time, so a
 caller that reduces over nodes (``spaces.tl_norms``) never holds a complex
-grid-sized array; on the torus the one slab is the whole grid.  Each spin
-stores a quarter of its little-d table, the rows m' >= 0
-at half the nodes, and reads the rest through d_{-m',-m} = (-1)^(m'-m)
-d_{m'm} and d_{m'm}(pi - beta) = (-1)^(l+m') d_{m',-m}(beta), as the nodes
-are symmetric about pi/2.  Both plans are exact for band-limited functions.
+grid-sized array; on the torus the one slab is the whole grid.  The beta
+sum runs over (m', m) shells: a position (m', m) of the ladder square
+belongs to every spin l >= max(|m'|, |m|), so its sum over spins is one
+small real matrix product, and the positions of a shell (max(|m'|, |m|)
+fixed) make one batched product, each way.  The tables hold a quarter of
+every little-d table, the positions m' > 0 (and m' = 0, m >= 0) at half
+the nodes, and read the rest through d_{-m',-m} = (-1)^(m'-m) d_{m'm} and
+d_{m'm}(pi - beta) = (-1)^(l+m') d_{m',-m}(beta), as the nodes are
+symmetric about pi/2.  Both plans are exact for band-limited functions.
 :func:`inverse_evaluate`, the tests' oracle, sums the series directly at
 arbitrary points over :func:`liefourier.dual.representation_stacks`.
 """
@@ -175,6 +179,32 @@ class _TorusPlan:
         yield ..., self.inverse_on_grid(stacks).reshape(self.shape)
 
 
+def _shell_positions(top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The positions (u, v) = (2m', 2m) of the ladder square of spin ``top`` whose little-d
+    values an SU(2) plan stores, u > 0 or u = 0 and v >= 0, and their shells s = max(|u|, |v|):
+    by shell, row-major within a shell."""
+    ladder = np.arange(top, -top - 1, -1)
+    u, v = np.repeat(ladder, len(ladder)), np.tile(ladder, len(ladder))
+    keep = ((u - v) % 2 == 0) & ((u > 0) | ((u == 0) & (v >= 0)))
+    u, v = u[keep], v[keep]
+    s = np.maximum(np.abs(u), np.abs(v))
+    order = np.argsort(s, kind="stable")
+    return u[order], v[order], s[order]
+
+
+def _cell_index(offsets: np.ndarray, u: np.ndarray, v: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """[stored / mirrored nodes, row, cell]: for the row of position (u, v) and spin k, the flat
+    index t of each cell's target, ~t where the cell's sign is negative.  Entry [a, b] of spin k,
+    the target (k - 2b, k - 2a), sits at offsets[k] + a (k + 1) + b."""
+    w, twice = v * (k + 1), 2 * offsets[k] + k * (k + 2)
+    index = np.empty((2, len(k), 2), dtype=np.intp)
+    index[0, :, 0] = (twice - w - u) >> 1  # (u, v), sign 1
+    index[0, :, 1] = ((twice + w + u) >> 1) ^ -(((u - v) >> 1) & 1)  # (-u, -v), (-1)^(m' - m)
+    index[1, :, 0] = ((twice + w - u) >> 1) ^ -(((k + u) >> 1) & 1)  # (u, -v), (-1)^(l + m')
+    index[1, :, 1] = ((twice - w + u) >> 1) ^ -(((k - v) >> 1) & 1)  # (-u, v), (-1)^(l - m)
+    return index
+
+
 class _Su2Plan:
     """Separable transform on the (alpha, beta, gamma) product grid.
 
@@ -202,35 +232,44 @@ class _Su2Plan:
       the slab's columns of the output.
     * Forward, on the square of the top spin: per slab, one alpha product of
       the class-ordered rows with the slab's samples, then one gamma product
-      per class into the compact arrays; the beta sum reads them whole.
+      per class into the compact arrays, weighted by node; the beta sum
+      reads them whole.
 
-    Each spin stores a quarter of its table d^l_{m'm}(beta_j), as [j, b, a]
-    with rows b (m' = l - b) and columns a (m = l - a): the rows m' >= 0
-    (b <= k//2, k = 2l) at the first ceil(Nb/2) nodes.  Two symmetries give
-    the other three quarters as reversed views of it times signs:
+    The beta sum runs over shells.  A position (u, v) = (2m', 2m) of the
+    ladder square belongs to every spin k >= s = max(|u|, |v|) with
+    k = s (mod 2), so its sum over spins is one small matrix product, and a
+    shell's positions make one batched product.  The tables store a quarter
+    of every little-d table d^l_{m'm}(beta_j): the positions u > 0, or u = 0
+    and v >= 0, at the first ceil(Nb/2) nodes.  ``tables[s]`` is shell s's
+    (positions, spins s, s + 2, ..., top, stored nodes) view of one buffer,
+    so a run of live spins is a slice of its middle axis.  The nodes are
+    symmetric, beta_{Nb-1-j} = pi - beta_j, and with d_{-m',-m} =
+    (-1)^(m'-m) d_{m'm} and d_{m'm}(pi - beta) = (-1)^(l+m') d_{m',-m}(beta)
+    one stored row serves four cells: the targets (u, v) and (-u, -v) at
+    the stored nodes, with signs 1 and (-1)^(m'-m), and (u, -v) and (-u, v)
+    at the mirrored nodes Nb - 1 - j, with signs (-1)^(l+m') and (-1)^(l-m).
+    With Nb odd the middle node pi/2 is stored once.
 
-    * d_{-m',-m} = (-1)^(m'-m) d_{m'm}: row b > k//2 is stored row k - b
-      with the columns reversed, times (-1)^(b-a);
-    * the Gauss-Legendre nodes are symmetric, beta_{Nb-1-j} = pi - beta_j,
-      and d_{m'm}(pi - beta) = (-1)^(l+m') d_{m',-m}(beta): node Nb - 1 - j
-      of row b is stored node j with the columns reversed, times (-1)^(k-b);
-      for rows b > k//2 both reflections combine into (-1)^a.  With Nb odd
-      the middle node pi/2 is stored once.
-
-    ``pieces[k]`` lists four (side, rows, nodes, view) rectangles that tile
-    spin k's full table, side 0 on the stored nodes and side 1 on the
-    mirrored ones: the [nodes, rows] part of the table is
-    ``signs[k][side, rows] * view``.  The signs scale the coefficient
-    block (inverse) or the per-side sums (forward), so no unfolded copy of a
-    table is made.
+    The coefficients enter in one flat order, spin after spin and each block
+    in C order.  ``index[s]`` holds, for the stored and for the mirrored
+    cells of shell s, each cell's target t in that order, ~t where its sign
+    is negative (:func:`_cell_index`).  The inverse gathers its (k + 1) blk
+    entries from the flat blocks followed by their negatives in reverse
+    order, where ~t reads -blk[t]; the forward scatters its sums into the
+    same layout.  Per shell each way takes two real products, the stored
+    cells at the stored nodes and the mirrored cells at the mirrored ones:
+    (positions, nodes, spins) by (positions, spins, 2 cells x re/im) in the
+    inverse, the transposed table by (positions, nodes, 2 cells x re/im) in
+    the forward.  They write and read the compact arrays in place, in shell
+    order (:meth:`_reorder`), so the class arrays are (Nb, n^2 + 1) planes.
     """
 
     def __init__(self, grid: QuadratureGrid, dual: DualSlice):
         alpha, beta, gamma = grid.axes
         self.shape = (len(alpha), len(beta), len(gamma))
-        self.top = int(round(2.0 * dual.max_band))  # largest two_ell
-        m = (self.top - np.arange(2 * self.top + 1)) / 2.0  # descending, half steps
-        self.p_fwd_a = np.exp(1j * np.outer(m[np.r_[self._classes(self.top)]], alpha))  # class-ordered rows
+        self.top = top = int(round(2.0 * dual.max_band))  # largest two_ell
+        m = (top - np.arange(2 * top + 1)) / 2.0  # descending, half steps
+        self.p_fwd_a = np.exp(1j * np.outer(m[np.r_[self._classes(top)]], alpha))  # class-ordered rows
         self.p_fwd_g = np.exp(1j * np.outer(m, gamma))
         self.e_inv_a = np.exp(-1j * np.outer(alpha, m))
         self.e_inv_g = np.exp(-1j * np.outer(m, gamma))
@@ -242,39 +281,153 @@ class _Su2Plan:
         edges = np.cumsum([0] + [wide + 1] * extra + [wide] * (count - extra)).tolist()
         self.slabs = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
         self.width = edges[1]  # the widest slab
-        self.two_ells = [d - 1 for d in dual.run_dims]  # one spin per run
-        half, mirror = (len(beta) + 1) // 2, len(beta) // 2  # stored and mirrored nodes
-        stored, mirrored = slice(0, half), slice(half, None)
-        self.pieces, self.signs = {}, {}
+        self.two_ells = [d - 1 for d in dual.run_dims]  # one spin per run: 0, 1, ..., top
+        self.half, self.mirror = (len(beta) + 1) // 2, len(beta) // 2  # stored and mirrored nodes
+        self.offsets = np.cumsum([0] + [(k + 1) ** 2 for k in self.two_ells]).tolist()  # the flat order
+        u, v, s = _shell_positions(top)
+        self.uv = [np.stack([u[s % 2 == parity], v[s % 2 == parity]], axis=1) for parity in (0, 1)]
+        counts = np.bincount(s, minlength=top + 1).tolist()  # positions per shell
+        # shell k's positions in the list of its parity
+        self.spans = [slice(sum(counts[k % 2 : k : 2]), sum(counts[k % 2 : k + 1 : 2])) for k in self.two_ells]
+        # one row per (position, spin): the spins s, s + 2, ..., top of each position in turn
+        spins = (top - s) // 2 + 1
+        first = np.cumsum(spins) - spins
+        pos = np.repeat(np.arange(len(s)), spins)
+        cells = _cell_index(np.asarray(self.offsets), u[pos], v[pos], 2 * np.arange(len(pos)) + (s - 2 * first)[pos])
+        # the tables, filled spin by spin: row_of[top - u, top - v] + k // 2 is the row of spin k
+        d = np.empty((len(pos), self.half))
+        del pos
+        row_of = np.full((2 * top + 1, 2 * top + 1), -1)
+        row_of[top - u, top - v] = first - s // 2
+        nodes = beta[: self.half]
         for k in self.two_ells:
-            low = k // 2 + 1  # stored rows; rows b >= low read row k - b
-            up, down = slice(0, low), slice(low, None)
-            q = _little_d_rows(k, beta[:half], up)  # [j, b, a]
-            flip = q[:, : k + 1 - low, ::-1][:, ::-1]
-            # node Nb - 1 - j reads node j with the columns reversed
-            self.pieces[k] = [
-                (0, up, stored, q),
-                (1, up, mirrored, q[:mirror][::-1, :, ::-1]),
-                (0, down, stored, flip),
-                (1, down, mirrored, flip[:mirror][::-1, :, ::-1]),
-            ]
-            parity = (-1.0) ** np.arange(k + 1)  # (-1)^b, also (-1)^a
-            above = np.arange(k + 1)[:, None] < low
-            # [stored/mirrored nodes, b, a]; complex, so that they scale complex blocks without casts
-            self.signs[k] = np.stack([
-                np.where(above, 1.0, np.outer(parity, parity)),
-                np.where(above, (-1) ** k * parity[:, None], parity),
-            ]).astype(complex)
+            q = _little_d_rows(k, nodes, slice(0, k // 2 + 1))  # [j, b, a], the rows u = k - 2b >= 0
+            rows = row_of[top - k : top + 1 : 2, top - k : top + k + 1 : 2] + k // 2
+            if k % 2 == 0:  # the row u = 0 of an integer spin, stored for v >= 0
+                d[rows[-1, : k // 2 + 1]] = q[:, -1, : k // 2 + 1].T
+                rows, q = rows[:-1], q[:, :-1]
+            d[rows] = q.transpose(1, 2, 0)
+        self.tables, self.index = [], []
+        for k in self.two_ells:
+            lo, count = sum(counts[:k]), (top - k) // 2 + 1  # its first position, its spins
+            rows = slice(first[lo], first[lo] + counts[k] * count)
+            self.tables.append(d[rows].reshape(counts[k], count, self.half))
+            self.index.append([cells[side, rows].reshape(counts[k], count, 2) for side in (0, 1)])
+        self._orders = {}  # memo of _reorder's indices: the windows of tl_norms ask for a few bands, member after member
 
     def _classes(self, band: int) -> tuple[slice, slice]:
         """The ladder slices of parity classes 0 and 1 in the square of spin k = band."""
         lo = self.top - band
         return slice(lo, lo + 2 * band + 1, 2), slice(lo + 1, lo + 2 * band, 2)
 
+    def _compact(self, band: int, allocs=(np.empty, np.empty)) -> list[np.ndarray]:
+        """Both class arrays on the square of spin ``band``, as (Nb, n^2 + 1) planes: a node's
+        [b, a] square and one spare entry, which the shell order needs for the target (0, 0)."""
+        return [alloc((self.shape[1], n * n + 1), dtype=complex) for alloc, n in zip(allocs, (band + 1, band))]
+
+    @staticmethod
+    def _squares(planes: list[np.ndarray], band: int) -> list[np.ndarray]:
+        """The (Nb, n, n) [j, b, a] views of :meth:`_compact`'s planes."""
+        return [cls[:, : n * n].reshape(len(cls), n, n) for cls, n in zip(planes, (band + 1, band))]
+
+    def _reorder(self, planes: np.ndarray, edge: int, to_shells: bool):
+        """Move a class's planes (its largest spin ``edge``) between [b, a] order and shell order.
+
+        In shell order, the plane of stored node j holds cells 0 and 1 of each position of the
+        class, position after position, and plane half + j cells 2 and 3 of mirrored node
+        Nb - 1 - j, so that both blocks ascend with j.  The four cells of (0, 0) share one
+        target, which takes two slots of a plane: hence the spare entry.
+        """
+        if edge < 0:
+            return
+        key = (edge, to_shells)
+        if key not in self._orders:
+            n = edge + 1
+            u, v = self.uv[edge % 2][: self.spans[edge].stop].T
+            b0, b1, a0, a1 = (edge - u) // 2, (edge + u) // 2, (edge - v) // 2, (edge + v) // 2
+            # the [b, a] entry of each slot, in the stored and in the mirrored planes
+            slots = np.stack([b0 * n + a0, b1 * n + a1, b0 * n + a1, b1 * n + a0], axis=1)
+            slots = slots.reshape(-1, 2, 2).transpose(1, 0, 2).reshape(2, -1)
+            if not to_shells:  # the slot of each entry (of (0, 0), one of its two equal ones)
+                entries = np.empty((2, n * n), dtype=np.intp)
+                entries[0, slots[0]], entries[1, slots[1]] = np.arange(slots.shape[1]), np.arange(slots.shape[1])
+                slots = entries
+            self._orders[key] = slots
+        index = self._orders[key]
+        count = index.shape[1]
+        nb, half, rows = len(planes), self.half, max(1, _SLAB_BYTES // (16 * planes.shape[1]))
+        for j0 in range(0, half, rows):  # a stored node's plane holds its own cells
+            block = planes[j0 : min(j0 + rows, half)]
+            block[:, :count] = np.take(block, index[0], axis=1)
+        end = (self.mirror + 1) // 2
+        for j0 in range(0, end, rows):  # planes half + j and Nb - 1 - j trade places
+            j1 = min(j0 + rows, end)
+            low, high = planes[half + j0 : half + j1], planes[nb - j1 : nb - j0]
+            swapped = np.take(high, index[1], axis=1)[::-1], np.take(low, index[1], axis=1)[::-1]
+            low[:, :count], high[:, :count] = swapped
+
+    def _products(self, cls: np.ndarray, shell: int) -> tuple[np.ndarray, np.ndarray]:
+        """A shell's (positions, nodes, 2 cells x re/im) real views of a class's planes in shell
+        order: its stored cells at the stored nodes, its mirrored cells at the mirrored ones."""
+        span, size = self.spans[shell], self.spans[shell].stop - self.spans[shell].start
+        return tuple(
+            cls[nodes, 2 * span.start : 2 * span.stop].view(float).reshape(-1, size, 4).transpose(1, 0, 2)
+            for nodes in (slice(0, self.half), slice(self.half, self.half + self.mirror))
+        )
+
+    def _beta_inverse(self, stacks: list[np.ndarray]) -> tuple[int, list[np.ndarray]]:
+        """The beta sum of the inverse: the largest nonzero spin and both class arrays on its
+        square, as :meth:`_compact`'s planes in [b, a] order."""
+        live = [k for k, stack in zip(self.two_ells, stacks) if stack.any()]
+        band = max(live, default=0)
+        # each parity's lowest and highest live spin; the spins between them may be zero
+        ranges = [[k for k in live if k % 2 == parity] for parity in (0, 1)]
+        ranges = [(ks[0], ks[-1]) if ks else (0, -1) for ks in ranges]
+        # a class is written whole when its parity is live up to the class's largest spin
+        planes = self._compact(band, [np.empty if ranges[edge % 2][1] == edge else np.zeros for edge in (band, band - 1)])
+        if not live:
+            return band, planes
+        # the (k + 1) blk of spins min(live)..band in the flat order, then their negatives reversed
+        size, lo = self.offsets[band + 1], self.offsets[min(live)]
+        coef = np.empty(2 * size, dtype=complex)
+        np.concatenate([stack.reshape(-1) for stack in stacks[min(live) : band + 1]], out=coef[lo:size])
+        for k in range(min(live), band + 1):
+            coef[self.offsets[k] : self.offsets[k + 1]] *= k + 1
+        np.negative(coef[lo:size][::-1], out=coef[size : 2 * size - lo])
+        for s in range(band + 1):
+            low, high = ranges[s % 2]
+            if s > high:
+                continue
+            spins = slice((max(s, low) - s) // 2, (high - s) // 2 + 1)
+            table = self.tables[s][:, spins].transpose(0, 2, 1)  # (positions, nodes, spins)
+            stored, mirrored = self._products(planes[(band - s) % 2], s)
+            np.matmul(table, coef[self.index[s][0][:, spins]].view(float), out=stored)
+            np.matmul(table[:, : self.mirror], coef[self.index[s][1][:, spins]].view(float), out=mirrored)
+        del coef
+        for c, cls in enumerate(planes):
+            self._reorder(cls, band - c, to_shells=False)
+        return band, planes
+
+    def _beta_forward(self, planes: list[np.ndarray]) -> list[np.ndarray]:
+        """The beta sum of the forward: one (1, k + 1, k + 1) stack per spin, from both weighted
+        class arrays on the square of the top spin (:meth:`_compact`'s planes in [b, a] order,
+        which it leaves in shell order)."""
+        for c, cls in enumerate(planes):
+            self._reorder(cls, self.top - c, to_shells=True)
+        size = self.offsets[-1]
+        sums = np.zeros(2 * size, dtype=complex)  # each target's sum, or its negative at ~t
+        for s, (table, (stored_cells, mirrored_cells)) in enumerate(zip(self.tables, self.index)):
+            stored, mirrored = self._products(planes[(self.top - s) % 2], s)
+            sums[stored_cells] = np.matmul(table, stored).view(complex)
+            sums[mirrored_cells] += np.matmul(table[:, :, : self.mirror], mirrored).view(complex)
+        flat = sums[:size] - sums[size:][::-1]
+        return [flat[lo:hi].reshape(1, k + 1, k + 1) for k, lo, hi in zip(self.two_ells, self.offsets, self.offsets[1:])]
+
     def forward(self, values: np.ndarray) -> list[np.ndarray]:
         na, nb, ng = self.shape
         rows, classes = 2 * self.top + 1, self._classes(self.top)
-        compact = [np.empty((nb, n, n), dtype=complex) for n in (self.top + 1, self.top)]  # [j, b, a]
+        planes = self._compact(self.top)
+        compact = self._squares(planes, self.top)  # [j, b, a]
         work = np.empty(rows * self.width * ng, dtype=complex)
         columns = values.reshape(na, nb * ng)
         for j in self.slabs:
@@ -284,36 +437,19 @@ class _Su2Plan:
             for parity, ladder in enumerate(classes):
                 n = self.top + 1 - parity
                 np.matmul(t[row : row + n].transpose(1, 0, 2), self.p_fwd_g[ladder].T, out=compact[parity][j])
+                compact[parity][j] *= self.c_beta[j, None, None]
                 row += n
-        for cls in compact:
-            cls *= self.c_beta[:, None, None]
-        stacks = []
-        for k in self.two_ells:
-            ids = slice((self.top - k) // 2, (self.top - k) // 2 + k + 1)
-            spin = compact[(self.top - k) % 2][:, ids, ids]
-            sums = np.empty((2, k + 1, k + 1), dtype=complex)  # [stored/mirrored nodes, b, a]
-            for side, rows_k, nodes, view in self.pieces[k]:
-                np.einsum("jba,jba->ba", view, spin[nodes, rows_k], out=sums[side, rows_k])
-            stacks.append(np.einsum("xba,xba->ab", self.signs[k], sums)[None])
-        return stacks
+        del work, t
+        return self._beta_forward(planes)
 
     def inverse_slabs(self, stacks: list[np.ndarray], out: np.ndarray | None = None):
         """Yield (index, values) per slab: ``values`` is the inverse on the nodes ``index`` of an
         array of ``self.shape``, ``out[index]`` when ``out`` is given and otherwise a workspace
         that the next slab overwrites."""
-        # one spin per run
-        live = [(k, stack[0]) for k, stack in zip(self.two_ells, stacks) if stack.any()]
-        band = max((k for k, _ in live), default=0)
+        band, planes = self._beta_inverse(stacks)
+        compact = self._squares(planes, band)  # [j, b, a]
         na, nb, ng = self.shape
         rows, classes = 2 * band + 1, self._classes(band)
-        compact = [np.zeros((nb, n, n), dtype=complex) for n in (band + 1, band)]  # [j, b, a]
-        for k, blk in live:
-            ids = slice((band - k) // 2, (band - k) // 2 + k + 1)
-            spin = compact[(band - k) % 2][:, ids, ids]
-            c = (k + 1) * (self.signs[k] * blk.T)  # [stored/mirrored nodes, b, a]
-            for side, rows_k, nodes, view in self.pieces[k]:
-                part = spin[nodes, rows_k]
-                part += view * c[side, rows_k]
         e_inv_a = self.e_inv_a[:, np.r_[classes]]
         work = np.empty(rows * self.width * ng, dtype=complex)  # gamma done, rows in class order
         # (alpha, nodes x gamma) columns: the output's, or a slab's worth at the workspace's start

@@ -48,9 +48,9 @@ class WholeArrayPlan:
     """The compact-class arithmetic of ``plan`` over the whole grid at once, on
     (n, Nb, n) class arrays: the inverse fills one (2 band + 1, Nb, Ng) array
     of gamma products and takes one alpha product of it, the forward one alpha
-    product of all the samples and one gamma product per class.  It reads the
-    plan's quarter tables, signs and phase tables, so it differs from the plan
-    only in streaming and in the axis order of the class arrays."""
+    product of all the samples and one gamma product per class.  Its beta sums
+    are the plan's own (``_beta_inverse``, ``_beta_forward``), so it differs
+    from the plan only in streaming and in the axis order of the class arrays."""
 
     def __init__(self, plan):
         self.plan = plan
@@ -59,45 +59,25 @@ class WholeArrayPlan:
         plan, top = self.plan, self.plan.top
         na, nb, ng = plan.shape
         t = (plan.p_fwd_a @ values.reshape(na, nb * ng)).reshape(-1, nb, ng)
-        compact, row = [], 0
-        for parity, ladder in enumerate(plan._classes(top)):
+        planes, row = plan._compact(top), 0
+        for parity, (ladder, square) in enumerate(zip(plan._classes(top), plan._squares(planes, top))):
             n = top + 1 - parity
             cls = (t[row : row + n].reshape(n * nb, ng) @ plan.p_fwd_g[ladder].T).reshape(n, nb, n)
             cls *= plan.c_beta[:, None]
-            compact.append(cls)
+            square[...] = cls.transpose(1, 0, 2)
             row += n
-        stacks = []
-        for k in plan.two_ells:
-            ids = slice((top - k) // 2, (top - k) // 2 + k + 1)
-            spin = compact[(top - k) % 2][ids, :, ids]
-            sums = np.empty((2, k + 1, k + 1), dtype=complex)
-            for side, rows, nodes, view in plan.pieces[k]:
-                np.einsum("jba,bja->ba", view, spin[rows, nodes], out=sums[side, rows])
-            stacks.append(np.einsum("xba,xba->ab", plan.signs[k], sums)[None])
-        return stacks
+        return plan._beta_forward(planes)
 
     def inverse_on_grid(self, stacks):
         plan = self.plan
-        live = [(k, stack[0]) for k, stack in zip(plan.two_ells, stacks) if stack.any()]
-        if not live:
-            return np.zeros(int(np.prod(plan.shape)), dtype=complex)
-        band = max(k for k, _ in live)
+        band, planes = plan._beta_inverse(stacks)
         _, nb, ng = plan.shape
         classes = plan._classes(band)
         buf = np.empty((2 * band + 1, nb, ng), dtype=complex)
         row = 0
-        for parity, ladder in enumerate(classes):
+        for parity, (ladder, square) in enumerate(zip(classes, plan._squares(planes, band))):
             n = band + 1 - parity
-            acc = np.zeros((n, nb, n), dtype=complex)
-            for k, blk in live:
-                if (band - k) % 2 != parity:
-                    continue
-                ids = slice((band - k) // 2, (band - k) // 2 + k + 1)
-                spin = acc[ids, :, ids]
-                c = (k + 1) * (plan.signs[k] * blk.T)
-                for side, rows, nodes, view in plan.pieces[k]:
-                    part = spin[rows, nodes]
-                    part += view.transpose(1, 0, 2) * c[side, rows, None]
+            acc = np.ascontiguousarray(square.transpose(1, 0, 2))  # [b, j, a]
             np.matmul(acc.reshape(n * nb, n), plan.e_inv_g[ladder], out=buf[row : row + n].reshape(n * nb, ng))
             row += n
         return (plan.e_inv_a[:, np.r_[classes]] @ buf.reshape(2 * band + 1, nb * ng)).ravel()

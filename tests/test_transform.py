@@ -166,30 +166,77 @@ def test_su2_plan_matches_full_table_oracle(su2, two_top):
 
 @pytest.mark.parametrize("bandlimit", [15.5, 16.0])  # Nb 32 and 33
 def test_su2_plan_quarters_unfold_to_little_d(su2, bandlimit):
-    # the plan's own views and signs tile every table, and equal little_d at every node
+    # the shell tables, unfolded through the four cells of each stored row, tile
+    # every spin's table and equal little_d at every node
     dual = enumerate_dual(su2, spin_cutoff(15.5))
     grid = build_grid(su2, bandlimit)
     plan = _get_plan(grid, dual)
     beta = grid.axes[1]
-    assert plan.two_ells == list(range(32))
+    nb, half, mirror = len(beta), plan.half, plan.mirror
+    assert plan.two_ells == list(range(32)) and (half, mirror) == ((nb + 1) // 2, nb // 2)
+    stored, mirrored = slice(0, half), slice(nb - 1, nb - 1 - mirror, -1)  # node Nb - 1 - j
+
+    def sign(exponent):  # (-1)^(exponent / 2)
+        return np.where((exponent // 2) % 2, -1.0, 1.0)
+
     for k in plan.two_ells:
-        table = np.full((len(beta), k + 1, k + 1), np.nan)
-        for side, rows, nodes, view in plan.pieces[k]:
-            table[nodes, rows] = plan.signs[k][side, rows].real * view
+        table = np.full((nb, k + 1, k + 1), np.nan)  # [j, b, a]
+        for s in range(k % 2, k + 1, 2):
+            u, v = plan.uv[s % 2][plan.spans[s]].T
+            d = plan.tables[s][:, (k - s) // 2]  # (positions, stored nodes)
+            cells = [
+                ((u, v), stored, 1.0),
+                ((-u, -v), stored, sign(u - v)),  # (-1)^(m' - m)
+                ((u, -v), mirrored, sign(k + u)),  # (-1)^(l + m')
+                ((-u, v), mirrored, sign(k - v)),  # (-1)^(l - m)
+            ]
+            for (tu, tv), nodes, factor in cells:
+                count = half if nodes is stored else mirror
+                table[nodes, (k - tu) // 2, (k - tv) // 2] = factor * d[:, :count].T
         np.testing.assert_allclose(table, little_d(k, beta), rtol=0, atol=1e-13)
 
 
 def test_su2_plan_tables_hold_a_quarter(su2):
-    # at spin 31.5 the full tables took 45.8 MB; the stored quarters take 11.6 MB
+    # at spin 31.5 the full tables took 45.8 MB; the stored quarters take 11.5 MB,
+    # shell views of one buffer that hold each stored (spin, position) once
     dual = enumerate_dual(su2, spin_cutoff(31.5))
     plan = _get_plan(default_grid(dual), dual)
-    owners = {}
-    for pieces in plan.pieces.values():
-        stored = pieces[0][3]
-        for *_, view in pieces:
-            assert view is stored or view.base is stored  # a view of the spin's one stored array
-        owners[id(stored)] = stored.nbytes
-    assert sum(owners.values()) <= 12e6
+    buffer = plan.tables[0].base
+    assert all(table.base is buffer for table in plan.tables)
+    assert sum(table.size for table in plan.tables) == buffer.size
+    assert buffer.shape[1] == plan.half and buffer.nbytes <= 12e6
+    held = []
+    for s, table in enumerate(plan.tables):
+        u, v = plan.uv[s % 2][plan.spans[s]].T
+        assert table.shape[:2] == (len(u), (plan.top - s) // 2 + 1)
+        held += [(k, a, b) for a, b in zip(u.tolist(), v.tolist()) for k in range(s, plan.top + 1, 2)]
+    quarter = {
+        (k, a, b)
+        for k in plan.two_ells
+        for a in range(-k, k + 1, 2)
+        for b in range(-k, k + 1, 2)
+        if a > 0 or (a == 0 and b >= 0)
+    }
+    assert len(held) == len(set(held)) and set(held) == quarter
+
+
+def test_su2_plan_build_holds_no_second_copy(su2):
+    # the build fills the shell tables spin by spin from _little_d_rows: at spin 31.5 its
+    # tracemalloc peak exceeds what the plan keeps (tables, cell index, phase tables) by one
+    # spin's little-d evaluation, 0.26 of the tables; a second copy would add a whole one
+    dual = enumerate_dual(su2, spin_cutoff(31.5))
+    grid = default_grid(dual)
+    _Su2Plan(grid, dual)  # warm the eigendecompositions _little_d_rows caches
+    tracemalloc.start()
+    try:
+        plan = _Su2Plan(grid, dual)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tables = plan.tables[0].base.nbytes
+    phase = sum(t.nbytes for t in (plan.p_fwd_a, plan.p_fwd_g, plan.e_inv_a, plan.e_inv_g))
+    kept = tables + plan.index[0][0].base.nbytes + phase
+    assert peak <= kept + 0.4 * tables
 
 
 def _slab_plan(monkeypatch, grid, dual, count):
