@@ -30,6 +30,20 @@ fewer of alpha's last generator.  Only the label boxes or ladders on the
 current path are alive (at most order + 1), and each difference is read as
 soon as it is made.
 
+An SU(2) step keeps a block on one diagonal.  Each C_i has one nonzero
+per row, at column s = a + shift_i with shift_m = m up a spin and m - 1
+down one, so C_j^T B C_i moves entry (a, a + delta) of B to (a + shift_j,
+a + delta + shift_i): a block supported on the diagonal of offset delta =
+column - row lands on offset delta + i - j, in both directions.  Every
+difference of a symbol whose blocks are zero off their main diagonal (each
+spectral symbol g(<xi>) I, for one) thus has one nonzero per row and
+column, and its singular values are the moduli of that diagonal.  For such
+a symbol (tested exactly: any nonzero off-diagonal entry keeps the ladder)
+the difference walk and the integer Sobolev stencil hold one complex
+(spins, rows) array and the offset, row a of spin k/2 holding
+B_k[a, a + delta]; each step is two shifted whole-array products that form
+every entry with the ladder step's own operations, in its order.
+
 The dual-side Sobolev norm ||q1^s f||_2 is exact on the coefficient side
 for integer s: q1^2 is a one-step stencil, sum_j (2 fhat(xi) -
 fhat(xi + e_j) - fhat(xi - e_j)) on the torus and 2 - tr xi0 =
@@ -164,27 +178,42 @@ def apply_difference(symbol: Symbol, alpha: tuple[int, ...]) -> Symbol:
 
 
 def _differences(symbol: Symbol, order: int):
-    """Yield (alpha, Delta^alpha sigma) for every |alpha| <= order, depth first.
+    """Yield (alpha, singular values, valid mask) of Delta^alpha sigma for
+    every |alpha| <= order, depth first; the singular values are per run and
+    descending, as :func:`singular_values` gives them.
 
     A child adds one step of a generator k at or after its parent's last
     generator; children come in descending k, so each order comes out in
     ascending lexicographic order.  Only the states on the current path are
-    alive, at most order + 1 label boxes or ladders.
+    alive, at most order + 1 label boxes, ladders or diagonal states.
     """
     dual = symbol.dual
     _require_margin(dual, order)
-    start, gather, step = _stencil(symbol, order)
+    start, read, step = _walk_stencil(symbol, order)
     masks = [symbol.valid_mask() & difference_validity(dual, k) for k in range(order + 1)]
     count = generator_count(dual.group)
 
     def walk(alpha, state, last):
         depth = sum(alpha)
-        yield alpha, Symbol(dual, gather(state), masks[depth])
+        yield alpha, read(state), masks[depth]
         if depth < order:
             for k in range(count - 1, last - 1, -1):
                 yield from walk(alpha[:k] + (alpha[k] + 1,) + alpha[k + 1 :], step(state, k), k)
 
     yield from walk((0,) * count, start, 0)
+
+
+def _walk_stencil(symbol: Symbol, order: int):
+    """The start state, the singular-value read and the generator step of
+    the difference walk: the diagonal state on SU(2) when every block is zero
+    off its main diagonal, else the stencil of :func:`apply_difference`."""
+    if symbol.dual.group.kind != TORUS:
+        diagonal = _su2_diagonal(symbol, order)
+        if diagonal is not None:
+            runs = len(symbol.stacks)
+            return (diagonal, 0), lambda state: _diagonal_singular_values(state[0], runs), _su2_diagonal_step
+    start, gather, step = _stencil(symbol, order)
+    return start, lambda state: singular_values(gather(state)), step
 
 
 def _stencil(symbol: Symbol, order: int):
@@ -265,6 +294,74 @@ def _su2_step(ladder: list[np.ndarray], index: int) -> list[np.ndarray]:
     return out
 
 
+def _su2_diagonal(symbol: Symbol, pad: int) -> np.ndarray | None:
+    """The diagonal state of a symbol whose blocks are all exactly zero off
+    their main diagonal: row a of spin k/2, k = 0 .. 2 l_max + pad, holds
+    B_k[a, a] (zero above the slice and past row k).  None for any other
+    symbol."""
+    stacks = symbol.stacks
+    spins = len(stacks) + pad
+    state = np.zeros((spins, spins), dtype=complex)
+    for k, stack in enumerate(stacks):
+        # the flat (k + 1) x (k + 1) block after its first entry, as k rows of k + 2: the last column
+        # holds the rest of the diagonal, the others every entry off it
+        if stack.reshape(-1)[1:].reshape(k, k + 2)[:, :-1].any():
+            return None
+        state[k, : k + 1] = np.diagonal(stack[0])
+    return state
+
+
+def _diagonal_singular_values(state: np.ndarray, runs: int) -> list[np.ndarray]:
+    # a block with one nonzero per row and column has the moduli of its entries as singular values; row
+    # k of the state holds spin k/2's diagonal and zeros, so its k + 1 largest moduli are the block's
+    moduli = -np.sort(-np.abs(state[:runs]), axis=1)
+    return [moduli[k : k + 1, : k + 1] for k in range(runs)]
+
+
+# Powers of two up to 512, as k <= 367 (_cg_rows): at most 4 x 10 keys, the largest table 2 MB, 11 MB in all.
+@cache
+def _cg_table(size: int, up: bool, m_index: int) -> np.ndarray:
+    """The values of ``_cg_rows(k, up, m_index)`` for every spin k < size,
+    by source row a < size: zero where a is not a source row of spin k."""
+    k = np.arange(size)[:, None]
+    a = np.arange(size)
+    if up:
+        numerator = k + 1 - a if m_index == 0 else a + 1
+    else:
+        numerator = a if m_index == 0 else k - a
+    table = np.sqrt(np.where(a <= k, numerator, 0) / (k + 1))
+    return -table if not up and m_index == 0 else table
+
+
+def _su2_diagonal_step(state: tuple[np.ndarray, int], index: int) -> tuple[np.ndarray, int]:
+    # _su2_step on a diagonal state (x, offset), x[k, a] = B_k[a, a + offset]: the term of spin k into
+    # k +- 1 moves x[k, a] to row a + shift_j and offset offset + i - j (module docstring), with the
+    # ladder step's factors ((ratio * c_j) * x) * c_i, added after the init in its order, up first
+    x, offset = state
+    i, j = divmod(index, 2)
+    spins = len(x)
+    size = 1 << (spins - 1).bit_length()
+    out = -x if i == j else np.zeros_like(x)
+    for up in (True, False):
+        source, target = (slice(None, -1), slice(1, None)) if up else (slice(1, None), slice(None, -1))
+        k = np.arange(spins)[source]
+        ratio = (k + 1) / (k + 2 if up else k)
+        c_j = ratio[:, None] * _cg_table(size, up, j)[:spins][source, :spins]
+        c_i = np.zeros_like(c_j)  # c_i of column a + offset on row a
+        dst, src = _shifted(spins, -offset)
+        c_i[:, dst] = _cg_table(size, up, i)[:spins][source, src]
+        term = c_j * x[source]
+        term *= c_i
+        dst, src = _shifted(spins, j if up else j - 1)
+        out[target, dst] += term[:, src]
+    return out, offset + i - j
+
+
+def _shifted(n: int, by: int) -> tuple[slice, slice]:
+    # the (destination, source) slices that move entry a of a length-n axis to a + by, dropping what leaves
+    return slice(max(by, 0), n + min(by, 0)), slice(max(-by, 0), n - max(by, 0))
+
+
 def _require_margin(dual: DualSlice, order: int):
     if order == 0:
         return
@@ -328,6 +425,10 @@ def _sobolev_stencil(symbol: Symbol, pad: int):
     if symbol.dual.group.kind == TORUS:
         box, _ = _torus_box(symbol, pad)
         return box, _torus_q1_squared, lambda a, b: np.vdot(b, a).real
+    diagonal = _su2_diagonal(symbol, pad)
+    if diagonal is not None:  # q1^2 keeps the offset at 0; spin k/2 has dimension k + 1
+        dims = np.arange(1.0, len(diagonal) + 1)
+        return diagonal, _su2_diagonal_q1_squared, lambda a, b: float(dims @ (a * b.conj()).real.sum(axis=1))
     ladder, _ = _su2_ladder(symbol, pad)
     # spin k/2 has dimension k + 1
     return ladder, _su2_q1_squared, lambda a, b: sum((k + 1) * np.vdot(y, x).real for k, (x, y) in enumerate(zip(a, b)))
@@ -345,6 +446,13 @@ def _su2_q1_squared(ladder: list[np.ndarray]) -> list[np.ndarray]:
         blk += other
         np.negative(blk, out=blk)
     return out
+
+
+def _su2_diagonal_q1_squared(state: np.ndarray) -> np.ndarray:
+    # _su2_q1_squared on a diagonal state of offset 0
+    out, _ = _su2_diagonal_step((state, 0), 0)
+    out += _su2_diagonal_step((state, 0), 3)[0]
+    return np.negative(out, out=out)
 
 
 def _require_sobolev_room(dual: DualSlice, s: float):
@@ -400,9 +508,9 @@ def check_marcinkiewicz(symbol: Symbol, kappa: int | None = None) -> CheckReport
     if kappa is None:
         kappa = default_kappa(dual.group)
     constants: dict = {}
-    for alpha, diff in _differences(symbol, kappa):
-        vals = np.where(diff.valid_mask(), operator_norms(diff.stacks) * dual.eigenvalues ** sum(alpha), 0.0)
-        constants[alpha] = float(np.max(vals))
+    for alpha, values, valid in _differences(symbol, kappa):
+        norms = np.concatenate([sv[:, 0] for sv in values])
+        constants[alpha] = float(np.max(np.where(valid, norms * dual.eigenvalues ** sum(alpha), 0.0)))
     return CheckReport(constants, max(constants.values()))
 
 
@@ -450,8 +558,8 @@ def check_weak_marcinkiewicz(symbol: Symbol, s0: int) -> CheckReport:
     valid = symbol.valid_mask() & difference_validity(dual, s0)
     # trace norms summed over the order-s0 multi-indices in walk order; blocks with untrusted irreps are skipped below
     nuclear = sum(
-        np.concatenate([sv.sum(axis=1) for sv in singular_values(diff.stacks)])
-        for alpha, diff in _differences(symbol, s0)
+        np.concatenate([sv.sum(axis=1) for sv in values])
+        for alpha, values, _ in _differences(symbol, s0)
         if sum(alpha) == s0
     )
     constants: dict = {}

@@ -457,12 +457,58 @@ def test_oversized_sobolev_stencil_refused_before_any_state(tmp_path, monkeypatc
 
     # s = 1e6 pads the SU(2) ladder by 500000 half-spins (about 4e16 cells)
     # and on T^1 takes 500000 steps over 10^6 cells; an exit 1 proves the
-    # refusal came first, since the assertion would be a task failure
-    for name in ("_su2_ladder", "_torus_box", "slice_grid"):
+    # refusal came first, since the assertion would be a task failure.  A
+    # spectral symbol on SU(2) starts from the diagonal state, not the ladder
+    for name in ("_su2_ladder", "_su2_diagonal", "_torus_box", "slice_grid"):
         monkeypatch.setattr(symbols, name, no_state)
     assert run_config(cfg, tmp_path / "out") == 1
     assert "GB per complex state" in capsys.readouterr().err
     assert not (tmp_path / "out" / "check-symbol_report.csv").exists()
+
+
+_SU2_CHECK = {"task": "check-symbol", "group": {"kind": "su2", "dim": 3}, "ell_maxes": [15.5, 31.5], "seed": 1}
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        pytest.param({**_SU2_CHECK, "symbol": {"type": "power_it", "t": 1.0}, "checker": "marcinkiewicz", "order": 1}, id="power_it"),
+        pytest.param({**_SU2_CHECK, "symbol": {"type": "wave"}, "checker": "marcinkiewicz", "order": 1}, id="wave"),
+        pytest.param({**_SU2_CHECK, "symbol": {"type": "wave"}, "checker": "weak-marcinkiewicz", "s0": 1}, id="weak-wave"),
+        pytest.param(
+            {**_SU2_CHECK, "ell_maxes": [7.5, 15.5], "symbol": {"type": "power_it", "t": 1.0}, "checker": "hormander-mihlin"},
+            id="hm-power_it",
+        ),
+    ],
+)
+def test_su2_checks_of_spectral_symbols_build_no_ladder(tmp_path, monkeypatch, cfg):
+    # the SU(2) checker configs of the benchmark's session workload: every
+    # difference and Sobolev step runs on the diagonal state, so no ladder
+    # step and no SVD of a difference is made.  The Hormander-Mihlin sup norm
+    # reads the symbol's own blocks through symbol_linf, which keeps LAPACK
+    import traceback
+
+    import numpy as np
+
+    import liefourier.symbols as symbols
+
+    svd_callers, ladder_steps = [], []
+    svd, step = np.linalg.svd, symbols._su2_step
+
+    def spy_svd(*args, **kwargs):
+        svd_callers.append({frame.name for frame in traceback.extract_stack()})
+        return svd(*args, **kwargs)
+
+    def spy_step(*args, **kwargs):
+        ladder_steps.append(args[1])
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy_svd)
+    monkeypatch.setattr(symbols, "_su2_step", spy_step)
+    assert run_config(cfg, tmp_path / "out") == 0
+    assert ladder_steps == []
+    assert all("symbol_linf" in callers for callers in svd_callers)
+    assert bool(svd_callers) == (cfg["checker"] == "hormander-mihlin")
 
 
 @pytest.mark.parametrize(

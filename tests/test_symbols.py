@@ -32,6 +32,8 @@ from liefourier.symbols import (
     _differences,
     _require_margin,
     _require_sobolev_room,
+    _su2_diagonal,
+    _su2_diagonal_step,
     _su2_ladder,
     _su2_step,
     _torus_box,
@@ -118,7 +120,8 @@ def test_difference_matches_grid_oracle(kind, n, cutoff):
     rng = np.random.default_rng([7, n, len(dual)])
     blocks = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in dual.dims]
     symbol = Symbol.from_blocks(dual, blocks)
-    for alpha, diff in _differences(symbol, 2):
+    for alpha in (a for order in range(3) for a in lexicographic_indices(generator_count(group), order)):
+        diff = apply_difference(symbol, alpha)
         oracle = grid_difference(symbol, alpha)
         assert np.array_equal(diff.valid_mask(), oracle.valid_mask())
         for got, want in zip(diff.blocks, oracle.blocks):
@@ -169,21 +172,21 @@ def lexicographic_indices(count, order):
     [("torus", 1, 12.0), ("torus", 2, 7.0), ("torus", 3, 5.0), ("su2", 3, spin_cutoff(7.5))],
 )
 def test_walk_matches_batch_oracle(kind, n, cutoff):
-    # every node of order <= 3 bitwise, stacks and masks; apply_difference
-    # composes its own steps and must land on the same bits
+    # every node of order <= 3 bitwise, singular values and masks;
+    # apply_difference composes its own steps and must land on the batch's bits
     group = make_group(kind, n)
     dual = enumerate_dual(group, cutoff)
     rng = np.random.default_rng([11, n, len(dual)])
     blocks = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in dual.dims]
     symbol = Symbol.from_blocks(dual, blocks)
     walk = list(_differences(symbol, 3))
-    alphas = [alpha for alpha, _ in walk]
-    for (alpha, got), want in zip(walk, batch_differences(symbol, alphas)):
-        assert np.array_equal(got.valid_mask(), want.valid_mask()), alpha
-        assert all(np.array_equal(a, b) for a, b in zip(got.stacks, want.stacks)), alpha
+    alphas = [alpha for alpha, _, _ in walk]
+    for (alpha, values, valid), want in zip(walk, batch_differences(symbol, alphas)):
+        assert np.array_equal(valid, want.valid_mask()), alpha
+        assert all(np.array_equal(a, b) for a, b in zip(values, singular_values(want.stacks))), alpha
         single = apply_difference(symbol, alpha)
-        assert np.array_equal(single.valid_mask(), got.valid_mask()), alpha
-        assert all(np.array_equal(a, b) for a, b in zip(single.stacks, got.stacks)), alpha
+        assert np.array_equal(single.valid_mask(), want.valid_mask()), alpha
+        assert all(np.array_equal(a, b) for a, b in zip(single.stacks, want.stacks)), alpha
 
 
 @pytest.mark.parametrize("kind,n", [("torus", 1), ("torus", 2), ("torus", 3), ("su2", 3)])
@@ -192,7 +195,7 @@ def test_walk_yields_each_multi_index_once_in_lexicographic_order(kind, n):
     dual = enumerate_dual(group, 8.0)
     count = generator_count(group)
     for order in range(4):
-        alphas = [alpha for alpha, _ in _differences(identity_symbol(dual), order)]
+        alphas = [alpha for alpha, _, _ in _differences(identity_symbol(dual), order)]
         assert len(alphas) == len(set(alphas))
         for k in range(order + 1):
             assert [a for a in alphas if sum(a) == k] == lexicographic_indices(count, k)
@@ -222,6 +225,125 @@ def test_marcinkiewicz_holds_only_the_current_path(kind, n, cutoff, kappa):
     finally:
         tracemalloc.stop()
     assert peak < 10 * state, f"peak {peak / state:.1f} states"
+
+
+def _off_diagonal_entry(dual, value=1e-300):
+    """A spectral symbol with one nonzero entry off the diagonal of spin 5/2."""
+    symbol = build_spectral_symbol(lambda lam: lam ** (1j), dual)
+    symbol.stacks[5][0, 0, 1] = value
+    return symbol
+
+
+@pytest.mark.parametrize("path", ["diagonal", "ladder"])
+def test_su2_walk_holds_only_the_current_path(path):
+    # tracemalloc peak of a warm kappa-2 check at spin 31.5: a spectral symbol
+    # takes the diagonal state, (2 l_max + kappa + 1)^2 complex entries; one
+    # entry off a diagonal keeps the ladder, of sum (k + 1)^2 such entries
+    dual = enumerate_dual(make_group("su2"), spin_cutoff(31.5))
+    spins = int(2 * dual.max_band) + 2 + 1
+    if path == "diagonal":
+        symbol, state = build_spectral_symbol(lambda lam: lam ** (1j), dual), spins**2 * 16
+    else:
+        symbol, state = _off_diagonal_entry(dual), sum((k + 1) ** 2 for k in range(spins)) * 16
+    expected = check_marcinkiewicz(symbol, 2)  # warms the slice's cached arrays and the coupling tables
+    tracemalloc.start()
+    try:
+        assert check_marcinkiewicz(symbol, 2) == expected
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * state, f"peak {peak / state:.1f} states"
+
+
+# ---------------------------------------------------------------------------
+# The diagonal SU(2) state against the ladder
+# ---------------------------------------------------------------------------
+
+def _diagonal_symbols(dual):
+    """A spectral symbol and random non-scalar diagonal blocks."""
+    rng = np.random.default_rng([13, len(dual)])
+    return [
+        build_spectral_symbol(lambda lam: lam ** (1j), dual),
+        Symbol.from_blocks(dual, [np.diag(rng.standard_normal(d) + 1j * rng.standard_normal(d)) for d in dual.dims]),
+    ]
+
+
+@pytest.mark.parametrize("ell_max", [0.5, 1.0, 1.5, 3.0, 7.5, 15.5])
+def test_diagonal_state_is_the_ladder_diagonal(ell_max):
+    # every multi-index of order <= 3, composed as apply_difference composes
+    # it: the ladder is exactly zero off the state's diagonal and equal to the
+    # state on it (np.array_equal: the same bits, but a zero of either sign)
+    dual = enumerate_dual(make_group("su2"), spin_cutoff(ell_max))
+    for symbol in _diagonal_symbols(dual):
+        for alpha in (a for order in range(4) for a in lexicographic_indices(4, order)):
+            ladder, _ = _su2_ladder(symbol, 3)
+            state = (_su2_diagonal(symbol, 3), 0)
+            for index, power in enumerate(alpha):
+                for _ in range(power):
+                    ladder, state = _su2_step(ladder, index), _su2_diagonal_step(state, index)
+            diagonal, offset = state
+            assert offset == alpha[2] - alpha[1], alpha  # q_ij moves the offset by i - j
+            assert diagonal.shape == (len(ladder), len(ladder))
+            for k, blk in enumerate(ladder):
+                rows = np.arange(k + 1)
+                inside = (rows + offset >= 0) & (rows + offset <= k)
+                on = np.zeros_like(blk, dtype=bool)
+                on[rows[inside], rows[inside] + offset] = True
+                want = np.where(inside, blk[rows, np.clip(rows + offset, 0, k)], 0)
+                assert np.array_equal(diagonal[k, : k + 1], want), (alpha, k)
+                assert not blk[~on].any() and not diagonal[k, k + 1 :].any(), (alpha, k)
+
+
+def _check_constants(symbol):
+    return (
+        {kappa: check_marcinkiewicz(symbol, kappa).constants for kappa in (1, 2, 3)},
+        {s0: check_weak_marcinkiewicz(symbol, s0).constants for s0 in (0, 1, 2, 3)},
+        {s: check_hormander_mihlin(symbol, float(s)).constants for s in (2, 3, 4)},
+    )
+
+
+def _matrix_path(monkeypatch):
+    import liefourier.symbols as symbols
+
+    monkeypatch.setattr(symbols, "_su2_diagonal", lambda symbol, pad: None)
+
+
+@pytest.mark.parametrize("ell_max", [7.5, 15.5])
+def test_diagonal_checkers_match_the_matrix_path(ell_max, monkeypatch):
+    # the diagonal state's moduli against LAPACK's singular values of the
+    # ladder blocks: within 4 ulps, the gate of np.abs for 1 x 1 blocks; the
+    # Sobolev pairings sum in another order, within 1e-13
+    dual = enumerate_dual(make_group("su2"), spin_cutoff(ell_max))
+    symbols = [*_diagonal_symbols(dual), build_spectral_symbol(lambda lam: np.exp(1j * lam), dual)]
+    fast = [_check_constants(symbol) for symbol in symbols]
+    _matrix_path(monkeypatch)
+    slow = [_check_constants(symbol) for symbol in symbols]
+    for (marc, weak, hm), (marc_want, weak_want, hm_want) in zip(fast, slow):
+        for got, want in (*zip(marc.values(), marc_want.values()), *zip(weak.values(), weak_want.values())):
+            assert list(got) == list(want)
+            assert np.max(ulp_distance(list(got.values()), list(want.values()))) <= 4
+        for got, want in zip(hm.values(), hm_want.values()):
+            assert list(got) == list(want)
+            assert all(abs(got[r] - want[r]) <= 1e-13 * want[r] for r in want)
+
+
+def test_one_off_diagonal_entry_keeps_the_matrix_path(monkeypatch):
+    # 1e-300 off one diagonal is not zero: the symbol keeps the ladder and
+    # the difference checkers keep the bits of the forced matrix path.  The
+    # Hormander-Mihlin windows weigh the entry by eta(<xi>/r), which is 0 or
+    # underflows it in some windows: those windows are diagonal and take
+    # the diagonal state, within the 1e-13 gate
+    dual = enumerate_dual(make_group("su2"), spin_cutoff(7.5))
+    symbol = _off_diagonal_entry(dual)
+    assert _su2_diagonal(symbol, 0) is None
+    assert _su2_diagonal(build_spectral_symbol(lambda lam: lam ** (1j), dual), 0) is not None
+    marc, weak, hm = _check_constants(symbol)
+    _matrix_path(monkeypatch)
+    marc_want, weak_want, hm_want = _check_constants(symbol)
+    assert marc == marc_want and weak == weak_want
+    for got, want in zip(hm.values(), hm_want.values()):
+        assert list(got) == list(want)
+        assert all(abs(got[r] - want[r]) <= 1e-13 * want[r] for r in want)
 
 
 # ---------------------------------------------------------------------------
@@ -429,27 +551,33 @@ def grid_sobolev_norm(symbol, s):
     return float(np.sqrt(np.sum(grid.weights * weight * np.abs(f.values) ** 2)))
 
 
-def _random_block_symbol(kind, n, cutoff):
+def _random_block_symbol(kind, n, cutoff, diagonal=False):
     dual = enumerate_dual(make_group(kind, n), cutoff)
     rng = np.random.default_rng([11, n, len(dual)])
-    return Symbol.from_blocks(dual, [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in dual.dims])
+    blocks = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in dual.dims]
+    return Symbol.from_blocks(dual, [np.diag(np.diagonal(b)) for b in blocks] if diagonal else blocks)
 
 
 @pytest.mark.parametrize(
-    "kind,n,cutoff",
+    "kind,n,cutoff,diagonal",
     [
-        pytest.param("su2", 3, spin_cutoff(7.5), id="su2-7.5"),
-        pytest.param("su2", 3, spin_cutoff(15.5), id="su2-15.5"),
-        pytest.param("su2", 3, spin_cutoff(31.5), id="su2-31.5"),
-        pytest.param("torus", 1, 64.0, id="t1-64"),
-        pytest.param("torus", 2, 24.0, id="t2-24"),
-        pytest.param("torus", 3, 10.0, id="t3-10"),
+        pytest.param("su2", 3, spin_cutoff(7.5), False, id="su2-7.5"),
+        pytest.param("su2", 3, spin_cutoff(15.5), False, id="su2-15.5"),
+        pytest.param("su2", 3, spin_cutoff(31.5), False, id="su2-31.5"),
+        pytest.param("su2", 3, spin_cutoff(15.5), True, id="su2-15.5-diagonal"),
+        pytest.param("su2", 3, spin_cutoff(31.5), True, id="su2-31.5-diagonal"),
+        pytest.param("torus", 1, 64.0, False, id="t1-64"),
+        pytest.param("torus", 2, 24.0, False, id="t2-24"),
+        pytest.param("torus", 3, 10.0, False, id="t3-10"),
     ],
 )
-def test_integer_sobolev_stencil_matches_grid_oracle(kind, n, cutoff):
+def test_integer_sobolev_stencil_matches_grid_oracle(kind, n, cutoff, diagonal):
     # random non-scalar blocks, so every block entry and every Clebsch-Gordan
-    # coupling of the SU(2) stencil is exercised
-    symbol = _random_block_symbol(kind, n, cutoff)
+    # coupling of the SU(2) stencil is exercised; random diagonal blocks take
+    # the diagonal state
+    symbol = _random_block_symbol(kind, n, cutoff, diagonal)
+    if diagonal:
+        assert _su2_diagonal(symbol, 0) is not None
     for s in (1, 2, 3):
         got, want = dual_sobolev_norm(symbol, float(s)), grid_sobolev_norm(symbol, float(s))
         assert abs(got - want) <= 1e-12 * want, s
