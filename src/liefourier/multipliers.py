@@ -73,6 +73,9 @@ def kernel_difference_integrals(symbol: Symbol, levels, z: np.ndarray, c: float)
     beta_j and r = (i + 2k) mod 2 n_ag only, so it runs over the classes
     (beta_j, r), n_ag / 2 nodes each, of the class functions
     K = sum_l d_l c_l psi_ell(<xi>_l) chi_l, and moves by roundoff only.
+    The characters there are U_{d-1}(x) at x = Re a = cos(theta), half the
+    trace, of each class and of its translate, built by the Chebyshev
+    recurrence, so no angle is taken but the far-field mask's.
     """
     dual = symbol.dual
     group = dual.group
@@ -100,22 +103,24 @@ def kernel_difference_integrals(symbol: Symbol, levels, z: np.ndarray, c: float)
 
 
 def _central_difference_integrals(dual: DualSlice, scalars, levels, a_z, radius: float) -> list[float]:
-    """The class sum of :func:`kernel_difference_integrals`, in chunks of 8 MB character tables."""
+    """The class sum of :func:`kernel_difference_integrals`, in chunks of 8 MB character tables
+    U_{d-1}(x) at x = Re a(x) and Re a(z^{-1} x), one row per dimension, contracted with one
+    GEMM on their transpose."""
     n_ag, beta, w_beta = _su2_beta_rule(dual.group, dual.max_band)
     # a(x) = cos(beta_j / 2) e^{-i pi r / n_ag} on the classes, and a(z^{-1} x) = conj(a(z)) a(x)
     a = np.cos(beta / 2.0)[:, None] * np.exp(-1j * np.pi / n_ag * np.arange(2 * n_ag))
-    theta, moved = (np.arccos(np.clip(b.real, -1.0, 1.0)).ravel() for b in (a, np.conj(a_z) * a))
-    far = theta > radius
-    theta, moved, weights = theta[far], moved[far], np.repeat(w_beta * (n_ag / 2), 2 * n_ag)[far]
+    x, moved = (b.real.ravel() for b in (a, np.conj(a_z) * a))
+    far = np.arccos(np.clip(x, -1.0, 1.0)) > radius
+    x, moved, weights = x[far], moved[far], np.repeat(w_beta * (n_ag / 2), 2 * n_ag)[far]
     psis = np.reshape([psi(ell, dual.eigenvalues) for ell in levels], (len(levels), len(dual)))
     # (spins, 2 levels): the real and imaginary parts of d_l c_l psi_ell(<xi>_l) side by side
     coeffs = np.ascontiguousarray((psis * (dual.dims * scalars)).T).view(float)
     sums = np.zeros(len(levels))
     step = max(1, 1_000_000 // len(dual))
-    for lo in range(0, len(theta), step):
-        chi = _su2_characters(moved[lo : lo + step], dual.dims)
-        chi -= _su2_characters(theta[lo : lo + step], dual.dims)
-        sums += weights[lo : lo + step] @ np.abs((chi @ coeffs).view(complex))
+    for lo in range(0, len(x), step):
+        chi = _su2_characters(moved[lo : lo + step], len(dual))
+        chi -= _su2_characters(x[lo : lo + step], len(dual))
+        sums += weights[lo : lo + step] @ np.abs((chi.T @ coeffs).view(complex))
     return sums.tolist()
 
 

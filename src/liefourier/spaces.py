@@ -191,8 +191,10 @@ def tl_norms(
     c_l I to 8 eps relative) has windows sum_l d_l c_l psi_ell chi_l(theta)
     of degree top = 2 l_max in the rotation angle, so agg^p sin^2 has degree
     p top + 2, and the Weyl integration formula on p top / 2 + 2 midpoint
-    nodes gives the norm exactly, with no grid.  A strong norm past float64
-    (2^(ell r) or the q-th powers overflow) raises FloatingPointError.
+    nodes gives the norm exactly, with no grid; its characters
+    chi_l(theta) = U_{2l}(cos theta) come from the Chebyshev recurrence.  A
+    strong norm past float64 (2^(ell r) or the q-th powers overflow) raises
+    FloatingPointError.
     """
     dual = coeffs.dual
     central = _central_rule(coeffs, specs)

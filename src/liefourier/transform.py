@@ -475,19 +475,29 @@ class _Su2Plan:
 
 def _su2_class_rule(dims: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Midpoint nodes theta_j = (j + 1/2) pi / n in the rotation angle of SU(2)
-    (``distance_to_identity``): the characters sin(d theta_j) / sin(theta_j)
-    of dimension d in ``dims``, and the Weyl weights (2/n) sin^2(theta_j),
-    exact for the Haar integral of cosine polynomials of degree < 2n - 2."""
+    (``distance_to_identity``): the characters U_{d-1}(cos theta_j) of the
+    dimensions ``dims`` of an SU(2) slice, one row per node (the transpose of
+    the :func:`_su2_characters` table, not a copy), and the Weyl weights
+    (2/n) sin^2(theta_j), exact for the Haar integral of cosine polynomials of
+    degree < 2n - 2."""
     theta = (np.arange(n) + 0.5) * (np.pi / n)
-    return _su2_characters(theta, dims), (2.0 / n) * np.sin(theta) ** 2
+    return _su2_characters(np.cos(theta), len(dims)).T, (2.0 / n) * np.sin(theta) ** 2
 
 
-def _su2_characters(theta: np.ndarray, dims: np.ndarray) -> np.ndarray:
-    """The characters chi_d(theta) = sin(d theta) / sin(theta) of SU(2), one row per rotation
-    angle theta in (0, pi) (``distance_to_identity``) and one column per dimension d in ``dims``."""
-    chi = np.outer(theta, dims)
-    np.sin(chi, out=chi)
-    chi /= np.sin(theta)[:, None]
+def _su2_characters(x: np.ndarray, top: int) -> np.ndarray:
+    """The characters chi_d(theta) = sin(d theta) / sin(theta) = U_{d-1}(x) of SU(2), the
+    Chebyshev polynomials of the second kind at x = cos(theta), theta the rotation angle
+    (``distance_to_identity``), for the dimensions d = 1 ... ``top`` of an SU(2) slice: one
+    contiguous row per dimension and one column per point, filled row by row by the
+    recurrence U_{k+1} = 2x U_k - U_{k-1}, with no trigonometry."""
+    chi = np.empty((top, len(x)))
+    chi[0] = 1.0
+    twox = 2.0 * x
+    if top > 1:
+        chi[1] = twox
+    for k in range(2, top):
+        np.multiply(twox, chi[k - 1], out=chi[k])
+        chi[k] -= chi[k - 2]
     return chi
 
 

@@ -64,3 +64,22 @@ def irrep_matrices(dual, x):
     """xi(x) for every irrep of the slice, in order: one (..., d, d) array
     each, cut from the per-run stacks of ``representation_stacks``."""
     return [m for stack in representation_stacks(dual, x) for m in np.moveaxis(stack, -3, 0)]
+
+
+# an extended long double (x87, 64-bit mantissa) or wider; on platforms where
+# np.longdouble is float64 the long-double oracles have nothing to say
+LONG_DOUBLE = np.finfo(np.longdouble).eps < 1e-17
+
+
+def chebyshev_u_long_double(x, top):
+    """U_0 ... U_{top-1} at the float64 points x, one row per degree, by the
+    three-term recurrence in np.longdouble: the characters of SU(2) of
+    dimensions 1 ... top at x = cos(theta)."""
+    x = np.asarray(x, dtype=np.longdouble)
+    u = np.empty((top, len(x)), dtype=np.longdouble)
+    u[0] = 1
+    if top > 1:
+        u[1] = 2 * x
+    for k in range(2, top):
+        u[k] = 2 * x * u[k - 1] - u[k - 2]
+    return u

@@ -21,11 +21,12 @@ KEPT = {
 }
 
 
-def _definitions_and_uses() -> tuple[set[str], set[str]]:
-    """The public module-level functions and classes of the library's modules,
-    and every name their code reads outside the definition of that name.
-    ``__init__.py`` only re-exports, so it counts for neither."""
-    defined, used = set(), set()
+def _uses(tree: ast.AST) -> set[str]:
+    """Every name the code of ``tree`` reads outside the definition of that
+    name.  An attribute reached from numpy (``np.multiply``, ``numpy.multiply``,
+    ``np.linalg.svd``) names numpy's, so it is no use of a library name
+    spelled the same."""
+    used = set()
 
     class Uses(ast.NodeVisitor):
         def __init__(self):
@@ -43,10 +44,23 @@ def _definitions_and_uses() -> tuple[set[str], set[str]]:
                 used.add(node.id)
 
         def visit_Attribute(self, node):
-            if node.attr not in self.inside:
+            base = node.value
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            of_numpy = isinstance(base, ast.Name) and base.id in ("np", "numpy")
+            if not of_numpy and node.attr not in self.inside:
                 used.add(node.attr)
             self.generic_visit(node)
 
+    Uses().visit(tree)
+    return used
+
+
+def _definitions_and_uses() -> tuple[set[str], set[str]]:
+    """The public module-level functions and classes of the library's modules,
+    and every name their code reads (:func:`_uses`).  ``__init__.py`` only
+    re-exports, so it counts for neither."""
+    defined, used = set(), set()
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
@@ -56,8 +70,17 @@ def _definitions_and_uses() -> tuple[set[str], set[str]]:
             for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
         }
-        Uses().visit(tree)
+        used |= _uses(tree)
     return defined, used
+
+
+def test_numpy_attributes_are_no_uses():
+    # np.multiply is numpy's, so it must not hide that nothing calls groups.multiply
+    assert "multiply" not in _uses(ast.parse("np.multiply(a, b, out=c)\nnumpy.multiply(a, b)"))
+    assert "multiply" in _uses(ast.parse("groups.multiply(group, x, y)"))
+    assert "multiply" in _uses(ast.parse("multiply(group, x, y)"))
+    assert _uses(ast.parse("np.linalg.svd(a)")) == {"np", "a"}
+    assert "svd" in _uses(ast.parse("np.asarray(a).svd()"))
 
 
 def test_public_api_is_used_or_kept():

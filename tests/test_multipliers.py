@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import index_of, irrep_labels, translate_coefficients
+from conftest import LONG_DOUBLE, chebyshev_u_long_double, index_of, irrep_labels, translate_coefficients
 from liefourier import (
     EnsembleConfig,
     FourierCoefficients,
@@ -24,6 +25,7 @@ from liefourier.cli import run_config
 from liefourier.dual import spin_cutoff
 from liefourier.errors import ConfigurationError, PreconditionError
 from liefourier.groups import (
+    _su2_beta_rule,
     build_grid,
     distance_to_identity,
     grid_distance_to_identity,
@@ -210,6 +212,56 @@ def test_central_su2_integrals_equal_the_grid_path(su2, spin, monkeypatch):
             assert all((value == 0.0) == empty for value in slow)
             for a, b in zip(fast, slow):
                 assert abs(a - b) <= 1e-12 * b
+
+
+@pytest.mark.skipif(not LONG_DOUBLE, reason="np.longdouble is no wider than float64 here")
+@pytest.mark.parametrize("spin", [15.5, 31.5])
+def test_central_su2_integrals_match_a_long_double_class_sum(su2, spin, monkeypatch):
+    # the kernel-decay task of the su2-session benchmark (power_it t = 1,
+    # windows 1-4, z distance 0.3, c = 1) against the same node sum in long
+    # double: the class coordinates x = Re a and x' = Re(conj(a_z) a) that the
+    # library hands to _su2_characters, cast to long double, the characters by
+    # the long-double recurrence, and the library's float64 coefficients
+    # psi_ell (d_l c_l), in its order of products (a product rounded another
+    # way moves window 4 at spin 31.5 by 1e-14), cast too.  Within 1e-14
+    # relative (measured 2.0e-15); the sin(d theta) / sin(theta) table read
+    # from arccos(x) missed it at spin 31.5, window 4 (1.7e-14)
+    dual = enumerate_dual(su2, spin_cutoff(spin))
+    sig = build_spectral_symbol(lambda lam: lam ** (1j), dual)
+    levels, z, c = [1, 2, 3, 4], point_at_distance(su2, 0.3), 1.0
+    seen = []
+    characters = multipliers._su2_characters
+    monkeypatch.setattr(multipliers, "_su2_characters", lambda x, top: seen.append(x) or characters(x, top))
+    integrals = kernel_difference_integrals(sig, levels, z, c)
+    moved, x = (np.concatenate(seen[k::2]).astype(np.longdouble) for k in (0, 1))
+    n_ag, beta, w_beta = _su2_beta_rule(su2, dual.max_band)
+    radius = 4.0 * c * distance_to_identity(su2, z)
+    a = np.cos(beta / 2.0)[:, None] * np.exp(-1j * np.pi / n_ag * np.arange(2 * n_ag))
+    weights = np.repeat(w_beta * (n_ag / 2), 2 * n_ag)[np.arccos(np.clip(a.real.ravel(), -1.0, 1.0)) > radius]
+    assert len(weights) == len(x) == len(moved) > 0
+    chi = chebyshev_u_long_double(moved, len(dual)) - chebyshev_u_long_double(x, len(dual))
+    coeffs = np.array([psi(ell, dual.eigenvalues) for ell in levels]) * (dual.dims * multipliers._central_scalars(sig))
+    re, im = (part.astype(np.longdouble) @ chi for part in (coeffs.real, coeffs.imag))
+    exact = np.sqrt(re * re + im * im) @ weights.astype(np.longdouble)
+    for value, reference in zip(integrals, exact):
+        assert abs(value - reference) <= 1e-14 * reference
+
+
+def test_central_su2_integrals_peak_memory(su2):
+    # the class sum holds two character tables of 1e6 entries (8 MB each) at
+    # a time, whatever the spin: tracemalloc read 18.4 MB at spin 63.5,
+    # windows 1-4 (18.5 MB with the sin(d theta) / sin(theta) tables)
+    dual = enumerate_dual(su2, spin_cutoff(63.5))
+    sig = build_spectral_symbol(lambda lam: lam ** (1j), dual)
+    z = point_at_distance(su2, 0.3)
+    expected = kernel_difference_integrals(sig, [1, 2, 3, 4], z, 1.0)
+    tracemalloc.start()
+    try:
+        assert kernel_difference_integrals(sig, [1, 2, 3, 4], z, 1.0) == expected
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 22e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_kernel_difference_integrals_take_numpy_integer_levels(su2, monkeypatch):

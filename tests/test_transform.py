@@ -3,7 +3,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import index_of, irrep_labels, irrep_matrices, translate_coefficients, ulp_distance
+from conftest import (
+    LONG_DOUBLE,
+    chebyshev_u_long_double,
+    index_of,
+    irrep_labels,
+    irrep_matrices,
+    translate_coefficients,
+    ulp_distance,
+)
 from liefourier import (
     FourierCoefficients,
     GridFunction,
@@ -24,7 +32,7 @@ from liefourier.dual import little_d, spin_cutoff, wigner_matrix
 from liefourier.errors import PreconditionError
 from liefourier.groups import build_grid, multiply, random_point
 from liefourier.spaces import lp_project, windows
-from liefourier.transform import _get_plan, _Su2Plan, zero_coefficients
+from liefourier.transform import _get_plan, _su2_characters, _Su2Plan, zero_coefficients
 from su2_plan_oracle import FullTablePlan, WholeArrayPlan
 
 
@@ -685,3 +693,33 @@ def test_slice_holds_its_grids_and_plans(su2, monkeypatch):
     del dual, grid, plan, symbol
     gc.collect()
     assert [ref() for ref in held] == [None, None]
+
+
+@pytest.mark.skipif(not LONG_DOUBLE, reason="np.longdouble is no wider than float64 here")
+@pytest.mark.parametrize("top", [64, 128])
+def test_su2_characters_match_long_double_oracles(top):
+    # at the 2 top midpoints of the theta rule (the p = 4 rule of tl_norms),
+    # each error scaled by d, as |U_{d-1}| <= d: against the same recurrence
+    # in long double from the same float64 x (measured 3.5e-15 / 2.1e-14 at
+    # top 64 / 128), and against sin(d theta) / sin(theta) in long double at
+    # the exact theta_j (measured 5.2e-14 / 1.5e-13, set by the rounding of
+    # x = cos(theta_j); the float64 sin / sin table read 2.3e-14 / 4.1e-14)
+    n = 2 * top
+    x = np.cos((np.arange(n) + 0.5) * (np.pi / n))
+    chi = _su2_characters(x, top)
+    assert chi.shape == (top, n) and chi.flags.c_contiguous
+    d = np.arange(1, top + 1, dtype=np.longdouble)[:, None]
+    assert np.max(np.abs(chi - chebyshev_u_long_double(x, top)) / d) <= 1e-13
+    theta = (np.arange(n, dtype=np.longdouble) + 0.5) * (np.arccos(np.longdouble(-1)) / n)
+    assert np.max(np.abs(chi - np.sin(d * theta) / np.sin(theta)) / d) <= 5e-13
+
+
+@pytest.mark.parametrize("top", [1, 2, 64, 128])
+def test_su2_characters_exact_values(top):
+    # U_{d-1}(1) = d (the dimension), U_{d-1}(-1) = (-1)^(d-1) d, and
+    # U_{d-1}(0) = cos((d - 1) pi / 2): the recurrence is exact in integers
+    d = np.arange(1, top + 1)
+    chi = _su2_characters(np.array([1.0, -1.0, 0.0]), top)
+    assert np.array_equal(chi[:, 0], d)
+    assert np.array_equal(chi[:, 1], (-1.0) ** (d - 1) * d)
+    assert np.array_equal(chi[:, 2], np.where(d % 2, (-1.0) ** ((d - 1) // 2), 0.0))
