@@ -31,6 +31,7 @@ are fixed by (group, bandlimit).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -242,11 +243,21 @@ def grid_shape(group: GroupDescriptor, bandlimit: float) -> tuple[int, ...]:
     return (2 * two_l + 2, two_l + 1, 2 * two_l + 2)
 
 
+# One entry per beta node count of an SU(2) grid or kernel-decay class sum: two arrays of n floats each.
+@cache
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.polynomial.legendre.leggauss(n)``, computed once per node count; read-only, as every
+    caller shares them."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _su2_beta_rule(group: GroupDescriptor, bandlimit: float) -> tuple[int, np.ndarray, np.ndarray]:
     """n_ag, the Gauss-Legendre nodes in beta and the Haar weight of one node (alpha, beta_j, gamma)
     of the SU(2) grid, (1/2) w_j / n_ag^2 before :func:`build_grid` renormalises the total to 1."""
     n_ag, n_b, _ = grid_shape(group, bandlimit)
-    u, w_gl = np.polynomial.legendre.leggauss(n_b)
+    u, w_gl = _leggauss(n_b)
     return n_ag, np.arccos(u), 0.5 * w_gl / (n_ag * n_ag)
 
 

@@ -137,8 +137,8 @@ def weak_sup(agg: np.ndarray, weights: np.ndarray) -> float:
     order = np.argsort(agg)
     measure = weights[order[::-1]]
     np.cumsum(measure, out=measure)  # reversed: measure[-1 - i] is the weight of {agg >= agg[order[i]]}
-    values = agg[order]
-    del order  # three grid-sized temporaries at most
+    del order
+    values = np.sort(agg)  # agg[order], ties included, without a third grid-sized temporary
     values *= measure[::-1]
     return float(np.max(values)) if len(values) else 0.0
 
@@ -229,7 +229,8 @@ def tl_norms(
                 if k < len(pairs) - 1:
                     term = work[n : 2 * n].reshape(values.shape)
                     term[...] = mods
-                term *= scales[k][ell]
+                if scales[k][ell] != 1.0:  # every r = 0 spec: x * 1.0 is x
+                    term *= scales[k][ell]
                 if q != math.inf:
                     with np.errstate(over="ignore"):
                         term **= q

@@ -24,13 +24,21 @@ little-d tables at the Gauss-Legendre nodes in beta; its inverse stops at the
 largest nonzero spin.  Integer and half-integer spins sit on alternate
 entries of the alpha/gamma frequency ladder, so the plan keeps the two parity
 classes in separate compact arrays and never forms the zero half of the
-ladder square.  The plan is separable per beta node, so its alpha and gamma
-products run over slabs of beta nodes, through one workspace of about
-``_SLAB_BYTES`` that each call allocates once and reuses slab after slab:
-the inverse fills the compact arrays (the beta sum) and then, per slab, runs
-one gamma product per class and one alpha product, writing the slab's
-columns of its output; the forward runs, per slab, one alpha product and
-one gamma product per class into the compact arrays, and the beta sum reads
+ladder square.  The gamma axis spans 4 pi, and e^{-im(gamma + 2 pi)} =
+(-1)^(2m) e^{-im gamma}, so a class's samples at gamma + 2 pi are its
+samples at gamma times its sign, 1 for integer m and -1 for half-integer m:
+the plan folds the gamma circle in half and holds its gamma phase tables on
+the nodes gamma < 2 pi alone, as SO(3) FFTs do (Kostelec & Rockmore, *FFTs
+on the rotation group*, JFAA 14, 2008).  The plan is separable per beta
+node, so its alpha and gamma products run over slabs of beta nodes, through
+one workspace of about ``_SLAB_BYTES`` that each call allocates once and
+reuses slab after slab: the inverse fills the compact arrays (the beta sum)
+and then, per slab, runs one gamma product per class on the half circle and
+the alpha product, writing the slab's columns of its output (a wide band
+takes the class signs after its alpha product, which then also runs on the
+half circle, a narrow one before it); the forward folds each slab per
+class, v(gamma) +- v(gamma + 2 pi), and runs that class's alpha and gamma
+products on the half circle into the compact arrays, and the beta sum reads
 them whole.  :func:`inverse_slabs` hands the slabs out one at a time, so a
 caller that reduces over nodes (``spaces.tl_norms``) never holds a complex
 grid-sized array; on the torus the one slab is the whole grid.  The beta
@@ -130,8 +138,8 @@ def random_coefficients(dual: DualSlice, rng: np.random.Generator) -> FourierCoe
 # ---------------------------------------------------------------------------
 
 # about the bytes of complex samples in one slab of beta nodes of an SU(2) plan; its workspace
-# holds one slab of gamma products (and, when streamed, one of samples).  A fixed constant: at
-# spin 31.5 it makes 8 slabs of 8 nodes, as fast as one product over the whole grid
+# holds one slab of gamma or alpha products (and, when streamed, one of samples).  A fixed
+# constant: at spin 31.5 it makes 8 slabs of 8 nodes, as fast as one product over the whole grid
 _SLAB_BYTES = 2**21
 
 # dual slice -> {bandlimit: [grid, plan or None]}; neither references the slice, so an entry dies with it
@@ -220,20 +228,38 @@ class _Su2Plan:
     the block at offset (band - k) // 2; the zero half of the ladder square
     is never formed.
 
+    The gamma axis spans 4 pi in Ng nodes, and the node g + Ng/2 is the node
+    g shifted by 2 pi, where the phase of ladder entry m is (-1)^(2m) times
+    the phase at g.  Class c of the square of spin ``band`` holds the m with
+    2m = band - c (mod 2), so at gamma + 2 pi its samples are its samples at
+    gamma times s_c = (-1)^(band - c): the gamma tables ``e_inv_g`` and
+    ``p_fwd_g`` hold the Ng/2 nodes gamma < 2 pi only, and every gamma
+    product runs on them.  The alpha tables are class-ordered (rows of
+    ``p_fwd_a``, columns of ``e_inv_a``: the top spin's class 0, then its
+    class 1), so each class of any band is a run of one of them
+    (:meth:`_alpha_columns`).
+
     The alpha and gamma products run slab by slab over ``slabs``, runs of
     beta nodes of about ``_SLAB_BYTES`` of complex samples each, through one
-    (2 band + 1, slab, Ng) workspace allocated per call and reused by every
-    slab, so no grid-sized intermediate exists:
+    workspace allocated per call and reused by every slab, so no grid-sized
+    intermediate exists:
 
     * Inverse, on the square of the largest nonzero spin: the beta sum fills
       both compact arrays; then per slab, one gamma product per class (one
-      matrix product per node) into its row block of the workspace, and one
-      alpha product of the class-ordered alpha table columns with it, into
-      the slab's columns of the output.
-    * Forward, on the square of the top spin: per slab, one alpha product of
-      the class-ordered rows with the slab's samples, then one gamma product
-      per class into the compact arrays, weighted by node; the beta sum
-      reads them whole.
+      matrix product per node) on the half circle, and the signs s_c go in
+      one of two places, chosen by :meth:`_butterfly` from the shapes.  The
+      butterfly parks the gamma products in the slab's output columns, takes
+      each class's alpha product P_c on the half circle into the (Na, slab,
+      Ng) workspace, and writes P_0 + P_1 below 2 pi and s_0 (P_0 - P_1)
+      above (s_1 = -s_0).  Otherwise the gamma products fill the first half
+      of each row of a (2 band + 1, slab, Ng) workspace, s_c times them the
+      second half, and one alpha product of the class-ordered alpha columns
+      with it writes the slab's columns of the output.
+    * Forward, on the square of the top spin: per slab and class, the
+      slab's samples folded onto the half circle, v(gamma) + s_c v(gamma +
+      2 pi), in an (Na, slab, Ng/2) workspace, then the class's alpha
+      product with its rows of ``p_fwd_a`` and its gamma product into the
+      compact arrays, weighted by node; the beta sum reads them whole.
 
     The beta sum runs over shells.  A position (u, v) = (2m', 2m) of the
     ladder square belongs to every spin k >= s = max(|u|, |v|) with
@@ -269,10 +295,12 @@ class _Su2Plan:
         self.shape = (len(alpha), len(beta), len(gamma))
         self.top = top = int(round(2.0 * dual.max_band))  # largest two_ell
         m = (top - np.arange(2 * top + 1)) / 2.0  # descending, half steps
-        self.p_fwd_a = np.exp(1j * np.outer(m[np.r_[self._classes(top)]], alpha))  # class-ordered rows
-        self.p_fwd_g = np.exp(1j * np.outer(m, gamma))
-        self.e_inv_a = np.exp(-1j * np.outer(alpha, m))
-        self.e_inv_g = np.exp(-1j * np.outer(m, gamma))
+        ordered = m[np.r_[self._classes(top)]]  # the classes of the top spin, one after the other
+        self.p_fwd_a = np.exp(1j * np.outer(ordered, alpha))  # class-ordered rows
+        self.e_inv_a = np.exp(-1j * np.outer(alpha, ordered))  # class-ordered columns
+        circle = gamma[: len(gamma) // 2]  # gamma < 2 pi: the plan folds gamma + 2 pi onto it
+        self.p_fwd_g = np.exp(1j * np.outer(m, circle))
+        self.e_inv_g = np.exp(-1j * np.outer(m, circle))
         self.c_beta = grid.beta_weights
         # slabs of about _SLAB_BYTES of complex samples, as even as Nb allows; the wider ones
         # first, so a buffer sized for the first slab holds every slab
@@ -319,6 +347,15 @@ class _Su2Plan:
         """The ladder slices of parity classes 0 and 1 in the square of spin k = band."""
         lo = self.top - band
         return slice(lo, lo + 2 * band + 1, 2), slice(lo + 1, lo + 2 * band, 2)
+
+    def _alpha_columns(self, band: int) -> list[np.ndarray]:
+        """The columns of ``e_inv_a`` of parity classes 0 and 1 in the square of spin ``band``:
+        each class's ladder entries are a run of one class of the top spin, so a view."""
+        views = []
+        for ladder, n in zip(self._classes(band), (band + 1, band)):
+            first = (ladder.start % 2) * (self.top + 1) + ladder.start // 2
+            views.append(self.e_inv_a[:, first : first + n])
+        return views
 
     def _compact(self, band: int, allocs=(np.empty, np.empty)) -> list[np.ndarray]:
         """Both class arrays on the square of spin ``band``, as (Nb, n^2 + 1) planes: a node's
@@ -423,23 +460,37 @@ class _Su2Plan:
         flat = sums[:size] - sums[size:][::-1]
         return [flat[lo:hi].reshape(1, k + 1, k + 1) for k, lo, hi in zip(self.two_ells, self.offsets, self.offsets[1:])]
 
+    def _butterfly(self, band: int) -> bool:
+        """Whether the inverse on the square of spin ``band`` applies the class signs after its
+        alpha product, which then runs on half the gamma circle, rather than before it.  The
+        butterfly saves Na (2 band + 1) multiply-adds per node pair (gamma, gamma + 2 pi) and
+        costs one more pass over the (Na, slab, Ng) output, so it pays once the 2 band ladder
+        rows exceed a quarter of the Na alpha nodes (measured at spins 15.5 to 63.5)."""
+        return 8 * band > self.shape[0]
+
     def forward(self, values: np.ndarray) -> list[np.ndarray]:
         na, nb, ng = self.shape
-        rows, classes = 2 * self.top + 1, self._classes(self.top)
-        planes = self._compact(self.top)
-        compact = self._squares(planes, self.top)  # [j, b, a]
-        work = np.empty(rows * self.width * ng, dtype=complex)
-        columns = values.reshape(na, nb * ng)
+        h, top = ng // 2, self.top
+        planes = self._compact(top)
+        compact = self._squares(planes, top)  # [j, b, a]
+        # a class's folded samples, then its alpha products
+        work = np.empty((na + top + 1) * self.width * h, dtype=complex)
+        samples = values.reshape(na, nb, ng)
         for j in self.slabs:
-            t = work[: rows * (j.stop - j.start) * ng].reshape(rows, -1, ng)  # class-ordered rows
-            np.matmul(self.p_fwd_a, columns[:, j.start * ng : j.stop * ng], out=t.reshape(rows, -1))
+            v, w = samples[:, j], j.stop - j.start
+            size = w * h
+            folded = work[: na * size].reshape(na, w, h)
             row = 0
-            for parity, ladder in enumerate(classes):
-                n = self.top + 1 - parity
-                np.matmul(t[row : row + n].transpose(1, 0, 2), self.p_fwd_g[ladder].T, out=compact[parity][j])
+            for parity, ladder in enumerate(self._classes(top)):
+                n = top + 1 - parity
+                # v(gamma) + s v(gamma + 2 pi) on gamma < 2 pi, s = (-1)^(top - parity) the class's sign
+                (np.subtract if (top - parity) % 2 else np.add)(v[:, :, :h], v[:, :, h:], out=folded)
+                t = work[na * size : (na + n) * size].reshape(n, w, h)
+                np.matmul(self.p_fwd_a[row : row + n], folded.reshape(na, size), out=t.reshape(n, size))
+                np.matmul(t.transpose(1, 0, 2), self.p_fwd_g[ladder].T, out=compact[parity][j])
                 compact[parity][j] *= self.c_beta[j, None, None]
                 row += n
-        del work, t
+        del work, folded, t
         return self._beta_forward(planes)
 
     def inverse_slabs(self, stacks: list[np.ndarray], out: np.ndarray | None = None):
@@ -449,21 +500,43 @@ class _Su2Plan:
         band, planes = self._beta_inverse(stacks)
         compact = self._squares(planes, band)  # [j, b, a]
         na, nb, ng = self.shape
-        rows, classes = 2 * band + 1, self._classes(band)
-        e_inv_a = self.e_inv_a[:, np.r_[classes]]
-        work = np.empty(rows * self.width * ng, dtype=complex)  # gamma done, rows in class order
+        h, rows, classes = ng // 2, 2 * band + 1, self._classes(band)
+        butterfly = self._butterfly(band)
+        e_inv_a = self._alpha_columns(band)
+        if not butterfly:
+            e_inv_a = np.concatenate(e_inv_a, axis=1)
+        # the butterfly's two alpha products on the half circle, or the gamma products on the whole one
+        work = np.empty((na if butterfly else rows) * self.width * ng, dtype=complex)
         # (alpha, nodes x gamma) columns: the output's, or a slab's worth at the workspace's start
         flat = (np.empty((na, self.width, ng), dtype=complex) if out is None else out).reshape(na, -1)
         for j in self.slabs:
-            t = work[: rows * (j.stop - j.start) * ng].reshape(rows, -1, ng)
+            w = j.stop - j.start
+            size = w * h
+            lo = j.start * ng if out is not None else 0
+            cols = flat[:, lo : lo + 2 * size]
+            # the class-ordered gamma products on gamma < 2 pi: parked in the slab's output columns,
+            # which the butterfly writes last, or in the first half of each row of the workspace
+            t = cols[:rows, :size].reshape(rows, w, h) if butterfly else work[: 2 * rows * size].reshape(rows, w, ng)
             row = 0
             for parity, ladder in enumerate(classes):
                 n = band + 1 - parity
-                np.matmul(compact[parity][j], self.e_inv_g[ladder], out=t[row : row + n].transpose(1, 0, 2))
+                g = t[row : row + n, :, :h]
+                np.matmul(compact[parity][j], self.e_inv_g[ladder], out=g.transpose(1, 0, 2))
+                if not butterfly:  # gamma + 2 pi, times the class's sign (-1)^(band - parity)
+                    if (band - parity) % 2:
+                        np.negative(g, out=t[row : row + n, :, h:])
+                    else:
+                        t[row : row + n, :, h:] = g
                 row += n
-            lo = j.start * ng if out is not None else 0
-            cols = flat[:, lo : lo + (j.stop - j.start) * ng]
-            np.matmul(e_inv_a, t.reshape(rows, -1), out=cols)
+            if butterfly:  # P and Q, the classes' alpha products: P + Q below 2 pi, (-1)^band (P - Q) above
+                p, q = work[: 2 * na * size].reshape(2, na, size)
+                np.matmul(e_inv_a[0], t[: band + 1].reshape(band + 1, size), out=p)
+                np.matmul(e_inv_a[1], t[band + 1 :].reshape(band, size), out=q)
+                p, q, res = p.reshape(na, w, h), q.reshape(na, w, h), cols.reshape(na, w, ng)
+                np.add(p, q, out=res[:, :, :h])
+                np.subtract(*((q, p) if band % 2 else (p, q)), out=res[:, :, h:])
+            else:
+                np.matmul(e_inv_a, t.reshape(rows, -1), out=cols)
             yield np.s_[:, j], cols.reshape(na, -1, ng)
 
     def inverse_on_grid(self, stacks: list[np.ndarray]) -> np.ndarray:

@@ -46,11 +46,16 @@ class FullTablePlan:
 
 class WholeArrayPlan:
     """The compact-class arithmetic of ``plan`` over the whole grid at once, on
-    (n, Nb, n) class arrays: the inverse fills one (2 band + 1, Nb, Ng) array
-    of gamma products and takes one alpha product of it, the forward one alpha
-    product of all the samples and one gamma product per class.  Its beta sums
-    are the plan's own (``_beta_inverse``, ``_beta_forward``), so it differs
-    from the plan only in streaming and in the axis order of the class arrays."""
+    (n, Nb, n) class arrays, folded onto gamma < 2 pi as the plan folds it: a
+    class whose m are integers (half-integers) takes the sign 1 (-1) at
+    gamma + 2 pi.  The inverse fills one (2 band + 1, Nb, Ng/2) array of gamma
+    products; where ``plan._butterfly(band)`` holds it takes each class's
+    alpha product, P and Q, and writes P + Q below 2 pi and +-(P - Q) above,
+    and otherwise it extends the gamma products by their signs and takes one
+    alpha product.  The forward folds all the samples once per class and
+    takes that class's alpha and gamma products.  Its beta sums are the
+    plan's own (``_beta_inverse``, ``_beta_forward``), so it differs from the
+    plan only in streaming and in the axis order of the class arrays."""
 
     def __init__(self, plan):
         self.plan = plan
@@ -58,11 +63,14 @@ class WholeArrayPlan:
     def forward(self, values):
         plan, top = self.plan, self.plan.top
         na, nb, ng = plan.shape
-        t = (plan.p_fwd_a @ values.reshape(na, nb * ng)).reshape(-1, nb, ng)
+        h = ng // 2
+        v = values.reshape(na, nb, ng)
         planes, row = plan._compact(top), 0
         for parity, (ladder, square) in enumerate(zip(plan._classes(top), plan._squares(planes, top))):
             n = top + 1 - parity
-            cls = (t[row : row + n].reshape(n * nb, ng) @ plan.p_fwd_g[ladder].T).reshape(n, nb, n)
+            folded = v[:, :, :h] - v[:, :, h:] if (top - parity) % 2 else v[:, :, :h] + v[:, :, h:]
+            t = plan.p_fwd_a[row : row + n] @ folded.reshape(na, nb * h)
+            cls = (t.reshape(n * nb, h) @ plan.p_fwd_g[ladder].T).reshape(n, nb, n)
             cls *= plan.c_beta[:, None]
             square[...] = cls.transpose(1, 0, 2)
             row += n
@@ -71,13 +79,21 @@ class WholeArrayPlan:
     def inverse_on_grid(self, stacks):
         plan = self.plan
         band, planes = plan._beta_inverse(stacks)
-        _, nb, ng = plan.shape
-        classes = plan._classes(band)
-        buf = np.empty((2 * band + 1, nb, ng), dtype=complex)
+        na, nb, ng = plan.shape
+        h, classes = ng // 2, plan._classes(band)
+        buf = np.empty((2 * band + 1, nb, h), dtype=complex)
         row = 0
         for parity, (ladder, square) in enumerate(zip(classes, plan._squares(planes, band))):
             n = band + 1 - parity
             acc = np.ascontiguousarray(square.transpose(1, 0, 2))  # [b, j, a]
-            np.matmul(acc.reshape(n * nb, n), plan.e_inv_g[ladder], out=buf[row : row + n].reshape(n * nb, ng))
+            np.matmul(acc.reshape(n * nb, n), plan.e_inv_g[ladder], out=buf[row : row + n].reshape(n * nb, h))
             row += n
-        return (plan.e_inv_a[:, np.r_[classes]] @ buf.reshape(2 * band + 1, nb * ng)).ravel()
+        e_inv_a = plan._alpha_columns(band)
+        if plan._butterfly(band):
+            p = (e_inv_a[0] @ buf[: band + 1].reshape(band + 1, nb * h)).reshape(na, nb, h)
+            q = (e_inv_a[1] @ buf[band + 1 :].reshape(band, nb * h)).reshape(na, nb, h)
+            return np.concatenate([p + q, q - p if band % 2 else p - q], axis=2).ravel()
+        sign = -1.0 if band % 2 else 1.0  # class 0's, (-1)^band; class 1 takes the other
+        signs = np.r_[np.full(band + 1, sign), np.full(band, -sign)]
+        whole = np.concatenate([buf, signs[:, None, None] * buf], axis=2)
+        return (np.concatenate(e_inv_a, axis=1) @ whole.reshape(2 * band + 1, nb * ng)).ravel()

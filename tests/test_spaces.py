@@ -591,8 +591,10 @@ def test_weak_sup_equals_its_first_formula():
         assert np.array_equal(agg, kept)
 
 
-def test_weak_sup_holds_three_temporaries():
-    # the argsort, the gathered weights (summed in place) and the gathered samples
+def test_weak_sup_holds_two_temporaries():
+    # the argsort and the gathered weights (summed in place), then, the argsort freed,
+    # the sorted samples: measured 2.00 x n x 8 bytes (3.00 when the samples were
+    # gathered through the argsort)
     n = 1 << 18
     rng = np.random.default_rng(12)
     agg, weights = rng.uniform(size=n), rng.uniform(size=n) / n
@@ -602,4 +604,4 @@ def test_weak_sup_holds_three_temporaries():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3.2 * n * 8, f"peak {peak / (n * 8):.2f} x n x 8 bytes"
+    assert peak < 2.2 * n * 8, f"peak {peak / (n * 8):.2f} x n x 8 bytes"

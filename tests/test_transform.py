@@ -299,6 +299,47 @@ def test_su2_slabs_match_the_whole_array_plan(su2, spin, monkeypatch):
                     assert float(np.max(np.abs(g - w))) <= 1e-15 * scale
 
 
+@pytest.mark.parametrize("spin", [0.5, 7.5, 8.0, 31.5])  # Nb 2, 16, 17 (odd, top spin an integer), 64
+def test_su2_plan_folds_gamma_by_spin_parity(su2, spin):
+    # spin l has e^{-im(gamma + 2 pi)} = (-1)^(2l) e^{-im gamma}, and the plan computes
+    # only gamma < 2 pi.  A slice live on integer spins alone inverts to samples that are
+    # bitwise 2 pi-periodic in gamma, one live on half-integer spins alone to bitwise
+    # anti-periodic ones; the forward of periodic samples has exactly zero half-integer
+    # blocks, that of anti-periodic ones exactly zero integer ones.  Narrow windows take
+    # the class signs before one alpha product over the whole circle, whose columns gamma
+    # and gamma + 2 pi BLAS may round apart (by 2e-15 of the largest at spin 8, where Ng/2
+    # is odd; bitwise at the other spins here)
+    dual = enumerate_dual(su2, spin_cutoff(spin))
+    grid = default_grid(dual)
+    plan = _get_plan(grid, dual)
+    na, nb, ng = grid.shape
+    h = ng // 2
+    rng = np.random.default_rng(int(2 * spin))
+    coeffs = random_coefficients(dual, rng)
+    given = [coeffs] + [lp_project(coeffs, ell) for ell, _ in windows(dual)]
+    modes = set()
+    for parity, sign in ((0, 1.0), (1, -1.0)):  # k = 2l even: the integer spins
+        for i, f in enumerate(given):
+            stacks = [s if k % 2 == parity else 0 * s for k, s in zip(plan.two_ells, f.stacks)]
+            live = [k for k, s in zip(plan.two_ells, stacks) if s.any()]
+            if not live:
+                continue
+            butterfly = plan._butterfly(max(live))
+            assert butterfly or i > 0 or spin == 0.5  # every whole slice past spin 0 takes the butterfly
+            modes.add(butterfly)
+            vals = plan.inverse_on_grid(stacks).reshape(na, nb, ng)
+            if butterfly or spin != 8.0:
+                assert np.array_equal(vals[:, :, h:], sign * vals[:, :, :h])
+            else:
+                assert np.max(np.abs(vals[:, :, h:] - sign * vals[:, :, :h])) <= 1e-14 * np.max(np.abs(vals))
+        half = rng.standard_normal((na, nb, h)) + 1j * rng.standard_normal((na, nb, h))
+        samples = np.concatenate([half, sign * half], axis=2).ravel()
+        for k, block in zip(plan.two_ells, plan.forward(samples)):
+            if k % 2 != parity:
+                assert not block.any()
+    assert modes == {False, True}
+
+
 def test_su2_plan_transient_peaks(su2, monkeypatch):
     # tracemalloc peaks of one warm inverse and one warm forward at spin 15.5, in units
     # of N x 8 bytes for N grid points, on 16 slabs of two nodes: the inverse's output
