@@ -36,7 +36,7 @@ from .groups import (
     random_point,
     su2_pair,
 )
-from .spaces import NormSpec, _central_scalars, _weigh, lp_project, psi, tl_norms, windows
+from .spaces import NormSpec, _weigh, lp_project, psi, tl_norms, windows
 from .symbols import Symbol, operator_norms
 from .transform import (
     FourierCoefficients,
@@ -54,8 +54,10 @@ ENSEMBLE_KINDS = ("gaussian-coefficients", "dirichlet-kernels", "translated-wind
 
 
 def apply_multiplier(symbol: Symbol, coeffs: FourierCoefficients) -> FourierCoefficients:
-    """T_sigma on the coefficient side: per-irrep left product sigma . fhat."""
+    """T_sigma on the coefficient side: per-irrep left product sigma . fhat, c_sigma c_f for class functions."""
     require_same_dual(symbol.dual, coeffs.dual)
+    if symbol.scalars is not None and coeffs.scalars is not None:
+        return FourierCoefficients(coeffs.dual, scalars=symbol.scalars * coeffs.scalars)
     return FourierCoefficients(coeffs.dual, [s @ f for s, f in zip(symbol.stacks, coeffs.stacks)])
 
 
@@ -68,13 +70,13 @@ def kernel_difference_integrals(symbol: Symbol, levels, z: np.ndarray, c: float)
     call.  Per level, the difference is synthesised on the grid once, from
     its exact coefficients kappa_hat(xi) (xi(z^{-1}) - I), never by grid
     interpolation.  Every level gets 0 when no grid node lies in the far
-    field.  On SU(2), with blocks c_l I and b(z) = 0, the same node sum needs
-    no grid: |x| and |z^{-1} x| at node (alpha_i, beta_j, gamma_k) depend on
-    beta_j and r = (i + 2k) mod 2 n_ag only, so it runs over the classes
-    (beta_j, r), n_ag / 2 nodes each, of the class functions
-    K = sum_l d_l c_l psi_ell(<xi>_l) chi_l, and moves by roundoff only.
-    The characters there are U_{d-1}(x) at x = Re a = cos(theta), half the
-    trace, of each class and of its translate, built by the Chebyshev
+    field.  On SU(2), a symbol that records its scalars c_l (blocks c_l I)
+    needs no grid at b(z) = 0: |x| and |z^{-1} x| at node (alpha_i, beta_j,
+    gamma_k) depend on beta_j and r = (i + 2k) mod 2 n_ag only, so the node
+    sum runs over the classes (beta_j, r), n_ag / 2 nodes each, of the class
+    functions K = sum_l d_l c_l psi_ell(<xi>_l) chi_l, and moves by roundoff
+    only.  The characters there are U_{d-1}(x) at x = Re a = cos(theta), half
+    the trace, of each class and of its translate, built by the Chebyshev
     recurrence, so no angle is taken but the far-field mask's.
     """
     dual = symbol.dual
@@ -84,8 +86,8 @@ def kernel_difference_integrals(symbol: Symbol, levels, z: np.ndarray, c: float)
     zlen = float(distance_to_identity(group, np.asarray(z, dtype=float)))
     if zlen == 0.0:
         raise PreconditionError("z must differ from the identity")
-    if group.kind == SU2 and su2_pair(z)[1] == 0 and (scalars := _central_scalars(symbol)) is not None:
-        return _central_difference_integrals(dual, scalars, levels, su2_pair(z)[0], 4.0 * c * zlen)
+    if group.kind == SU2 and su2_pair(z)[1] == 0 and symbol.scalars is not None:
+        return _central_difference_integrals(dual, symbol.scalars, levels, su2_pair(z)[0], 4.0 * c * zlen)
     grid = default_grid(dual)
     mask = grid_distance_to_identity(grid) > 4.0 * c * zlen
     if not np.any(mask):
@@ -178,12 +180,12 @@ def ensemble_member(
         return random_coefficients(dual, rng)
     if config.kind in ("dirichlet-kernels", "adjoint-dirichlet"):
         frac = (index + 1) / config.count
-        inside = dual.per_run(dual.eigenvalues <= 1.0 + frac * (dual.cutoff - 1.0))
-        if config.kind == "dirichlet-kernels":
-            full = [np.eye(d, dtype=complex) for d in dual.run_dims]
-        else:
-            full = [s.conj().transpose(0, 2, 1) for s in symbol.stacks]
-        return FourierCoefficients(dual, [np.where(keep, f, 0j) for keep, f in zip(inside, full)])
+        inside = dual.eigenvalues <= 1.0 + frac * (dual.cutoff - 1.0)
+        if config.kind == "dirichlet-kernels" or symbol.scalars is not None:
+            scalars = np.where(inside, 1.0 if config.kind == "dirichlet-kernels" else symbol.scalars.conj(), 0j)
+            return FourierCoefficients(dual, scalars=scalars)
+        full = [s.conj().transpose(0, 2, 1) for s in symbol.stacks]
+        return FourierCoefficients(dual, [np.where(keep, f, 0j) for keep, f in zip(dual.per_run(inside), full)])
     if config.kind == "translated-windows":
         levels = [ell for ell, _ in windows(dual)]
         ell = levels[-1 - index % min(3, len(levels))]

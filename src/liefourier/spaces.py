@@ -14,8 +14,8 @@ Triebel-Lizorkin norms are sampled on the slice's
 exactly: :func:`tl_norms` streams the windows one at a time, and each
 window slab by slab, into one real accumulator per distinct (r, q), so a
 norm holds those accumulators and a slab workspace whatever the number of
-windows; central SU(2) functions with even p and q = 2 take an exact 1-D
-rule in the rotation angle instead.
+windows; SU(2) class functions that record their scalars take, with even
+p and q = 2, an exact 1-D rule in the rotation angle instead.
 """
 
 from __future__ import annotations
@@ -112,9 +112,9 @@ def lp_project(coeffs: FourierCoefficients, level: int) -> FourierCoefficients:
 
 
 def _weigh(coeffs: FourierCoefficients, per_irrep: np.ndarray) -> FourierCoefficients:
-    """Multiply each irrep's block by its entry of ``per_irrep``."""
-    dual = coeffs.dual
-    return FourierCoefficients(dual, [s * stack for s, stack in zip(dual.per_run(per_irrep), coeffs.stacks)])
+    """Multiply each irrep's block, and its recorded scalar if any, by its entry of ``per_irrep``."""
+    stacks = [s * stack for s, stack in zip(coeffs.dual.per_run(per_irrep), coeffs.stacks)]
+    return FourierCoefficients(coeffs.dual, stacks, scalars=None if coeffs.scalars is None else per_irrep * coeffs.scalars)
 
 
 def quadrature_lp(mods: np.ndarray, weights: np.ndarray, p: float) -> float:
@@ -143,29 +143,16 @@ def weak_sup(agg: np.ndarray, weights: np.ndarray) -> float:
     return float(np.max(values)) if len(values) else 0.0
 
 
-def _central_scalars(coeffs: FourierCoefficients) -> np.ndarray | None:
-    """c per irrep if every block B is c I, else None.  B is c I when |B - (tr B / d) I|_max <=
-    8 eps |B|_max, as a product of scalar blocks rounds its diagonal apart."""
-    dual = coeffs.dual
-    scalars = [np.trace(stack, axis1=1, axis2=2) / d for d, stack in zip(dual.run_dims, coeffs.stacks)]
-    for d, stack, c in zip(dual.run_dims, coeffs.stacks, scalars):
-        dev = np.abs(stack - c[:, None, None] * np.eye(d)).max(axis=(1, 2))
-        if np.any(dev > 8 * np.finfo(float).eps * np.abs(stack).max(axis=(1, 2))):
-            return None
-    return np.concatenate(scalars)
-
-
 def _central_rule(coeffs: FourierCoefficients, specs: list[NormSpec]):
-    """(real and imaginary d_l c_l, character table, weights) of the theta rule
-    of :func:`tl_norms` for :func:`_central_scalars` c_l, or None."""
+    """(real and imaginary d_l c_l, character table, weights) of the theta rule of
+    :func:`tl_norms` for the recorded scalars c_l of an SU(2) class function, or None."""
     dual = coeffs.dual
-    if dual.group.kind != SU2 or any(spec.q != 2.0 or spec.p % 2.0 for spec in specs):
+    if dual.group.kind != SU2 or coeffs.scalars is None or any(spec.q != 2.0 or spec.p % 2.0 for spec in specs):
         return None
     nodes = int(max((spec.p for spec in specs), default=2)) * (len(dual) - 1) // 2 + 2  # p top / 2 + 2
     if nodes * len(dual) > math.prod(grid_shape(dual.group, dual.max_band)):
         return None  # a table larger than the default grid (p in the hundreds)
-    scalars = _central_scalars(coeffs)
-    return None if scalars is None else ((dual.dims * scalars).view(float).reshape(-1, 2), *_su2_class_rule(dual.dims, nodes))
+    return (dual.dims * coeffs.scalars).view(float).reshape(-1, 2), *_su2_class_rule(dual.dims, nodes)
 
 
 def tl_norms(
@@ -187,8 +174,8 @@ def tl_norms(
     row is how ``np.sum(axis=0)`` reduces a C-ordered array, and a window
     that is zero on the slice adds exact zeros, so the result is the same
     bits as one (levels x grid) aggregate, the tests' oracle.  Except: with
-    even p and q = 2 in every spec, a central SU(2) function (every block
-    c_l I to 8 eps relative) has windows sum_l d_l c_l psi_ell chi_l(theta)
+    even p and q = 2 in every spec, a central SU(2) function (recorded
+    scalars c_l, blocks c_l I) has windows sum_l d_l c_l psi_ell chi_l(theta)
     of degree top = 2 l_max in the rotation angle, so agg^p sin^2 has degree
     p top + 2, and the Weyl integration formula on p top / 2 + 2 midpoint
     nodes gives the norm exactly, with no grid; its characters

@@ -94,9 +94,8 @@ def identity_symbol(dual: DualSlice) -> Symbol:
 
 
 def build_spectral_symbol(profile, dual: DualSlice) -> Symbol:
-    """sigma(xi) = g(<xi>) * I for a scalar profile g defined on [1, inf)."""
-    values = np.asarray(profile(dual.eigenvalues), dtype=complex)
-    return Symbol(dual, [v * np.eye(d) for v, d in zip(dual.per_run(values), dual.run_dims)])
+    """sigma(xi) = g(<xi>) * I for a scalar profile g on [1, inf), its scalars g(<xi>) recorded."""
+    return Symbol(dual, scalars=profile(dual.eigenvalues))
 
 
 def sign_symbol(dual: DualSlice) -> Symbol:

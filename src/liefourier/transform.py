@@ -57,7 +57,7 @@ arbitrary points over :func:`liefourier.dual.representation_stacks`.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,13 +86,24 @@ class FourierCoefficients:
     The blocks are stored per run of ``dual.runs``: ``stacks[k]`` is a
     complex (run length, d, d) array, so per-irrep operations are one
     batched numpy call per run.  ``blocks`` lists the single blocks as views.
+    ``scalars``, the c of every block c I of a class function, is recorded
+    by the constructors that know it (``build_spectral_symbol``, ``_weigh``,
+    ``apply_multiplier`` of two class functions, the central ensemble
+    members) and read by the central paths; given alone, it builds the blocks.
     """
 
     dual: DualSlice
-    stacks: list[np.ndarray]
+    stacks: list[np.ndarray] | None = None
+    scalars: np.ndarray | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
-        self.stacks = [np.asarray(s, dtype=complex) for s in self.stacks]
+        if self.scalars is not None:
+            self.scalars = np.asarray(self.scalars, dtype=complex)
+            if self.scalars.shape != (len(self.dual),):
+                raise PreconditionError("one scalar per irrep required")
+            if self.stacks is None:
+                self.stacks = [c * np.eye(d) for c, d in zip(self.dual.per_run(self.scalars), self.dual.run_dims)]
+        self.stacks = [np.asarray(s, dtype=complex) for s in (() if self.stacks is None else self.stacks)]
         shapes = [(run.stop - run.start, d, d) for run, d in zip(self.dual.runs, self.dual.run_dims)]
         if [s.shape for s in self.stacks] != shapes:
             raise PreconditionError("one (run length, d, d) stack per run of equal dimension required")

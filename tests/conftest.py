@@ -68,7 +68,7 @@ def irrep_matrices(dual, x):
 
 # an extended long double (x87, 64-bit mantissa) or wider; on platforms where
 # np.longdouble is float64 the long-double oracles have nothing to say
-LONG_DOUBLE = np.finfo(np.longdouble).eps < 1e-17
+LONG_DOUBLE = np.longdouble(1) + np.longdouble(2.0**-57) > 1  # a mantissa of 58 bits or more
 
 
 def chebyshev_u_long_double(x, top):

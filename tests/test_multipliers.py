@@ -1,5 +1,7 @@
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,15 +170,15 @@ def test_inverse_symmetry_real_kernel(torus1):
     assert abs(v1 - v2) < 1e-10 * max(1.0, v1)
 
 
-def test_su2_class_function_path_matches_general(su2, monkeypatch):
+def test_su2_class_function_path_matches_general(su2):
     # a class-function kernel (scalar blocks) must give the same integral on
-    # the class sum and on the general grid path, forced for the second call
+    # the class sum and on the general grid path, taken by the same blocks
+    # with no scalars recorded
     dual = enumerate_dual(su2, spin_cutoff(3))
     sig = build_spectral_symbol(lambda lam: lam ** (1j), dual)
     z = point_at_distance(su2, 0.4)
     [fast] = kernel_difference_integrals(sig, [1], z, 1.0)
-    monkeypatch.setattr(multipliers, "_central_scalars", lambda coeffs: None)
-    [general] = kernel_difference_integrals(sig, [1], z, 1.0)
+    [general] = kernel_difference_integrals(Symbol(dual, sig.stacks), [1], z, 1.0)
     assert abs(fast - general) < 1e-9 * max(1.0, fast)
 
 
@@ -191,12 +193,14 @@ def _grid_spy(monkeypatch):
 
 @pytest.mark.parametrize("spin", [3.5, 7.5, 15.5, 31.5])
 def test_central_su2_integrals_equal_the_grid_path(su2, spin, monkeypatch):
-    # a spectral symbol has blocks c_l I and point_at_distance puts z on the
-    # diagonal torus, so the integrals are class sums with no grid; the grid
-    # path, forced by hiding the centrality, agrees within 1e-12 per integral.
+    # a spectral symbol records its scalars c_l and point_at_distance puts z
+    # on the diagonal torus, so the integrals are class sums with no grid; the
+    # grid path, taken by the same blocks c_l I with no scalars recorded,
+    # agrees within 1e-12 per integral.
     # At z distance 1.0 and c = 1.0 the far field 4c|z| > pi is empty
     dual = enumerate_dual(su2, spin_cutoff(spin))
     sig = build_spectral_symbol(lambda lam: lam ** (1j), dual)
+    blocks = Symbol(dual, sig.stacks)
     levels = _nonzero_windows(dual)
     calls = _grid_spy(monkeypatch)
     for distance in (0.05 * 2.0 * math.pi, 0.3, 1.0):
@@ -204,9 +208,7 @@ def test_central_su2_integrals_equal_the_grid_path(su2, spin, monkeypatch):
         for c in (0.5, 1.0):
             fast = kernel_difference_integrals(sig, levels, z, c)
             assert calls == []
-            with monkeypatch.context() as m:
-                m.setattr(multipliers, "_central_scalars", lambda coeffs: None)
-                slow = kernel_difference_integrals(sig, levels, z, c)
+            slow = kernel_difference_integrals(blocks, levels, z, c)
             del calls[:]
             empty = 4.0 * c * distance > math.pi
             assert all((value == 0.0) == empty for value in slow)
@@ -240,7 +242,7 @@ def test_central_su2_integrals_match_a_long_double_class_sum(su2, spin, monkeypa
     weights = np.repeat(w_beta * (n_ag / 2), 2 * n_ag)[np.arccos(np.clip(a.real.ravel(), -1.0, 1.0)) > radius]
     assert len(weights) == len(x) == len(moved) > 0
     chi = chebyshev_u_long_double(moved, len(dual)) - chebyshev_u_long_double(x, len(dual))
-    coeffs = np.array([psi(ell, dual.eigenvalues) for ell in levels]) * (dual.dims * multipliers._central_scalars(sig))
+    coeffs = np.array([psi(ell, dual.eigenvalues) for ell in levels]) * (dual.dims * sig.scalars)
     re, im = (part.astype(np.longdouble) @ chi for part in (coeffs.real, coeffs.imag))
     exact = np.sqrt(re * re + im * im) @ weights.astype(np.longdouble)
     for value, reference in zip(integrals, exact):
@@ -264,16 +266,16 @@ def test_central_su2_integrals_peak_memory(su2):
     assert peak <= 22e6, f"peak {peak / 1e6:.1f} MB"
 
 
-def test_kernel_difference_integrals_take_numpy_integer_levels(su2, monkeypatch):
+def test_kernel_difference_integrals_take_numpy_integer_levels(su2):
     # levels from a numpy array are np.int64, on the class sum and on the grid path alike
     dual = enumerate_dual(su2, spin_cutoff(3.5))
     sig = build_spectral_symbol(lambda lam: lam ** (1j), dual)
     z = point_at_distance(su2, 0.3)
     central = kernel_difference_integrals(sig, np.array([1, 2]), z, 1.0)
     assert central == kernel_difference_integrals(sig, [1, 2], z, 1.0)
-    monkeypatch.setattr(multipliers, "_central_scalars", lambda coeffs: None)
-    grid = kernel_difference_integrals(sig, np.array([1, 2]), z, 1.0)
-    assert grid == kernel_difference_integrals(sig, [1, 2], z, 1.0)
+    blocks = Symbol(dual, sig.stacks)
+    grid = kernel_difference_integrals(blocks, np.array([1, 2]), z, 1.0)
+    assert grid == kernel_difference_integrals(blocks, [1, 2], z, 1.0)
     assert all(abs(a - b) <= 1e-12 * b for a, b in zip(central, grid))
 
 
@@ -301,6 +303,16 @@ def test_su2_kernel_decay_config_builds_no_grid(su2, tmp_path, monkeypatch):
     central = build_spectral_symbol(lambda lam: lam ** (1j), enumerate_dual(su2, spin_cutoff(3.5)))
     kernel_difference_integrals(central, [1, 2], np.array([0.3, 0.2, 0.1]), 1.0)
     assert calls.count("build_grid") == 1 and "_get_plan" in calls
+
+
+def test_su2_wave_sweep_config_builds_no_grid(tmp_path, monkeypatch):
+    # the shipped SU(2) sweep (spins 7.5-31.5, adjoint-dirichlet members of
+    # the wave symbol, F^0_{4,2}): every member and image records its
+    # scalars by construction, so every norm takes the theta rule
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "scripts" / "configs" / "wave_sweep_su2.json").read_text())
+    calls = _grid_spy(monkeypatch)
+    assert run_config(cfg, tmp_path) == 0
+    assert calls == []
 
 
 def _pointwise_difference_integral(coeffs, z, c, grid):

@@ -12,6 +12,7 @@ from liefourier import (
     FourierCoefficients,
     GridFunction,
     NormSpec,
+    apply_difference,
     apply_multiplier,
     build_spectral_symbol,
     default_grid,
@@ -24,8 +25,9 @@ from liefourier import (
 from liefourier import spaces, transform
 from liefourier.dual import spin_cutoff
 from liefourier.errors import PreconditionError
-from liefourier.multipliers import ensemble_member
+from liefourier.multipliers import ENSEMBLE_KINDS, ensemble_member
 from liefourier.spaces import _transition, _window_levels, eta, psi, quadrature_lp, tl_norms, weak_sup, windows
+from liefourier.symbols import sign_symbol
 from liefourier.transform import _get_plan, _su2_class_rule, inverse_on_grid, inverse_slabs
 from su2_plan_oracle import WholeArrayPlan
 from tl_oracle import tl_aggregate, window_samples
@@ -410,7 +412,8 @@ def test_streamed_tl_norms_equal_the_whole_array_path(su2, spin, monkeypatch):
 def _central_members(dual):
     """Class functions on an SU(2) slice: a dirichlet-kernels and an
     adjoint-dirichlet member, each with its images under the wave symbol and
-    under power_it (t = 1), whose products round their diagonals apart."""
+    under power_it (t = 1), every one of them central by construction: the
+    members and the images record their scalars."""
     out = []
     for profile in (lambda lam: np.exp(1j * lam), lambda lam: lam ** 1j):
         symbol = build_spectral_symbol(profile, dual)
@@ -438,9 +441,7 @@ def test_central_su2_norms_equal_the_grid_path(su2, spin, monkeypatch):
     for f in _central_members(dual):
         fast = tl_norms(f, specs)
         assert calls == []
-        with monkeypatch.context() as m:
-            m.setattr(spaces, "_central_rule", lambda coeffs, specs: None)
-            slow = tl_norms(f, specs)
+        slow = tl_norms(FourierCoefficients(dual, f.stacks), specs)  # the same blocks, nothing recorded
         assert len(calls) == len(list(windows(dual)))
         del calls[:]
         for (a, weak), (b, _) in zip(fast, slow):
@@ -468,22 +469,66 @@ def test_central_su2_norms_are_exact_at_high_even_p(su2, monkeypatch):
                 assert abs(a - b) <= 1e-13 * b
 
 
-def test_centrality_threshold_decides_the_path(su2, monkeypatch):
-    # |B - (tr B / d) I|_max <= 8 eps |B|_max takes the theta rule, which
-    # agrees with the grid path there; one float above it the grid path runs
+def _records_scalars(f):
+    # the recorded c per irrep, and every block exactly c I
+    return f.scalars is not None and all(
+        np.array_equal(stack, c * np.eye(d)) for c, d, stack in zip(f.dual.per_run(f.scalars), f.dual.run_dims, f.stacks)
+    )
+
+
+def test_class_functions_record_their_scalars_by_construction(torus1, su2):
+    # the constructors that know a class function record its scalars, and the
+    # blocks they hold are c I to the bit; every other member, a difference,
+    # a spectral symbol applied to a non-central f and the adjoint of a
+    # non-spectral symbol record nothing
     dual = enumerate_dual(su2, spin_cutoff(7.5))
-    f = ensemble_member(EnsembleConfig("dirichlet-kernels", 1), 0, dual, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    symbol = build_spectral_symbol(lambda lam: lam**1j, dual)
+    members = {kind: ensemble_member(EnsembleConfig(kind, 3), 1, dual, rng, symbol) for kind in ENSEMBLE_KINDS}
+    central = [
+        symbol,
+        lp_project(symbol, 2),
+        spaces._weigh(symbol, np.linspace(-1.0, 1.0, len(dual))),
+        members["dirichlet-kernels"],
+        members["adjoint-dirichlet"],
+        apply_multiplier(symbol, members["dirichlet-kernels"]),
+        lp_project(apply_multiplier(symbol, members["adjoint-dirichlet"]), 3),
+        FourierCoefficients(dual, scalars=np.arange(len(dual)) * (1 + 2j)),
+    ]
+    assert all(_records_scalars(f) for f in central)
+    assert np.array_equal(members["adjoint-dirichlet"].scalars[:3], symbol.scalars[:3].conj())
+    torus = enumerate_dual(torus1, 16.0)
+    others = [
+        members["gaussian-coefficients"],
+        members["translated-windows"],
+        members["directed-irrep"],
+        apply_difference(symbol, (1, 0, 0, 0)),
+        apply_multiplier(symbol, members["gaussian-coefficients"]),
+        lp_project(members["gaussian-coefficients"], 2),
+        ensemble_member(EnsembleConfig("adjoint-dirichlet", 1), 0, torus, rng, sign_symbol(torus)),
+    ]
+    assert all(f.scalars is None for f in others)
+    for wrong in (np.ones(len(dual) - 1), np.ones((len(dual), 1))):
+        with pytest.raises(PreconditionError):
+            FourierCoefficients(dual, scalars=wrong)
+    with pytest.raises(PreconditionError):
+        FourierCoefficients(dual)  # neither blocks nor scalars
+
+
+def test_unrecorded_scalar_blocks_take_the_grid_path(su2, monkeypatch):
+    # blocks exactly c I with nothing recorded are read as blocks: the grid
+    # path, bit for bit the whole-array oracle, with no centrality guessed
+    dual = enumerate_dual(su2, spin_cutoff(7.5))
     specs = [NormSpec(0.0, 2.0, 2.0), NormSpec(0.5, 4.0, 2.0)]
     calls = _grid_calls(monkeypatch)
-    at = 8 * np.finfo(float).eps  # |B|_max = 1 and tr B / d = 1 with an off-diagonal perturbation
-    for delta, grid_windows in ((at, 0), (np.nextafter(at, 1.0), len(list(windows(dual))))):
-        g = FourierCoefficients(dual, [stack.copy() for stack in f.stacks])
-        g.block(len(dual) - 1)[0, 1] = delta
+    for f in _central_members(dual):
+        g = FourierCoefficients(dual, f.stacks)
         del calls[:]
-        fast = tl_norms(g, specs)
-        assert len(calls) == grid_windows
-        for (a, _), (b, _) in zip(fast, oracle_tl_norms(g, specs)):
-            assert abs(a - b) <= 1e-12 * b
+        assert tl_norms(g, specs) == oracle_tl_norms(g, specs)
+        assert len(calls) == len(list(windows(dual)))
+        del calls[:]
+        tl_norms(f, specs)
+        assert calls == []
 
 
 def test_tl_norms_keep_the_grid_path_outside_the_central_class(torus1, su2, monkeypatch):
