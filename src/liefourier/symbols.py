@@ -35,14 +35,15 @@ per row, at column s = a + shift_i with shift_m = m up a spin and m - 1
 down one, so C_j^T B C_i moves entry (a, a + delta) of B to (a + shift_j,
 a + delta + shift_i): a block supported on the diagonal of offset delta =
 column - row lands on offset delta + i - j, in both directions.  Every
-difference of a symbol whose blocks are zero off their main diagonal (each
-spectral symbol g(<xi>) I, for one) thus has one nonzero per row and
-column, and its singular values are the moduli of that diagonal.  For such
-a symbol (tested exactly: any nonzero off-diagonal entry keeps the ladder)
-the difference walk and the integer Sobolev stencil hold one complex
+difference of a symbol whose blocks are zero off their main diagonal thus
+has one nonzero per row and column, and its singular values are the
+moduli of that diagonal.  A class function records its scalars c_k (blocks
+c_k I, each spectral symbol g(<xi>) I for one), and from them alone the
+difference walk and the integer Sobolev stencil build one complex
 (spins, rows) array and the offset, row a of spin k/2 holding
-B_k[a, a + delta]; each step is two shifted whole-array products that form
-every entry with the ladder step's own operations, in its order.
+B_k[a, a + delta], and read no block; each step is two shifted whole-array
+products that form every entry with the ladder step's own operations, in
+its order.  Blocks with nothing recorded keep the ladder, diagonal or not.
 
 The dual-side Sobolev norm ||q1^s f||_2 is exact on the coefficient side
 for integer s: q1^2 is a one-step stencil, sum_j (2 fhat(xi) -
@@ -204,12 +205,13 @@ def _differences(symbol: Symbol, order: int):
 
 def _walk_stencil(symbol: Symbol, order: int):
     """The start state, the singular-value read and the generator step of
-    the difference walk: the diagonal state on SU(2) when every block is zero
-    off its main diagonal, else the stencil of :func:`apply_difference`."""
+    the difference walk: on SU(2) the diagonal state of a symbol that records
+    its scalars, which reads no block, else the stencil of
+    :func:`apply_difference`."""
     if symbol.dual.group.kind != TORUS:
         diagonal = _su2_diagonal(symbol, order)
         if diagonal is not None:
-            runs = len(symbol.stacks)
+            runs = len(symbol.dual)  # one spin per run
             return (diagonal, 0), lambda state: _diagonal_singular_values(state[0], runs), _su2_diagonal_step
     start, gather, step = _stencil(symbol, order)
     return start, lambda state: singular_values(gather(state)), step
@@ -294,20 +296,14 @@ def _su2_step(ladder: list[np.ndarray], index: int) -> list[np.ndarray]:
 
 
 def _su2_diagonal(symbol: Symbol, pad: int) -> np.ndarray | None:
-    """The diagonal state of a symbol whose blocks are all exactly zero off
-    their main diagonal: row a of spin k/2, k = 0 .. 2 l_max + pad, holds
-    B_k[a, a] (zero above the slice and past row k).  None for any other
-    symbol."""
-    stacks = symbol.stacks
-    spins = len(stacks) + pad
-    state = np.zeros((spins, spins), dtype=complex)
-    for k, stack in enumerate(stacks):
-        # the flat (k + 1) x (k + 1) block after its first entry, as k rows of k + 2: the last column
-        # holds the rest of the diagonal, the others every entry off it
-        if stack.reshape(-1)[1:].reshape(k, k + 2)[:, :-1].any():
-            return None
-        state[k, : k + 1] = np.diagonal(stack[0])
-    return state
+    """The diagonal state of a symbol that records its scalars c_k (blocks
+    c_k I): row k, k = 0 .. 2 l_max + pad, holds c_k on its first k + 1
+    entries (zero above the slice and past entry k).  None for a symbol that
+    records none, whose blocks keep the ladder."""
+    if symbol.scalars is None:
+        return None
+    c = np.concatenate([symbol.scalars, np.zeros(pad, dtype=complex)])
+    return np.tril(np.broadcast_to(c[:, None], (len(c), len(c))))
 
 
 def _diagonal_singular_values(state: np.ndarray, runs: int) -> list[np.ndarray]:

@@ -1,6 +1,6 @@
-"""Every public function and class of the library is called or read by the
-library's own code, or kept on purpose for a stated reason (ROADMAP, "Kept
-on purpose")."""
+"""Every public function and class of the library, and every public method
+and property of its classes, is called or read by the library's own code,
+or kept on purpose for a stated reason (ROADMAP, "Kept on purpose")."""
 
 import ast
 import inspect
@@ -18,6 +18,9 @@ KEPT = {
     "q1_weight",  # the pointwise oracle of grid_q1_weight
     "inverse_evaluate",  # the pointwise inverse, the grid transforms' oracle
     "su2_matrix",  # the fundamental representation at a point
+    # the per-irrep block view that tests and users build coefficients from
+    "FourierCoefficients.from_blocks",
+    "FourierCoefficients.blocks",
 }
 
 
@@ -26,7 +29,15 @@ def _uses(tree: ast.AST) -> set[str]:
     name.  An attribute reached from numpy (``np.multiply``, ``numpy.multiply``,
     ``np.linalg.svd``) names numpy's, so it is no use of a library name
     spelled the same."""
-    used = set()
+    names, attributes = _reads(tree)
+    return names | attributes
+
+
+def _reads(tree: ast.AST) -> tuple[set[str], set[str]]:
+    """The names and the attributes that :func:`_uses` counts, apart: a
+    method or property is reached as an attribute only, so a local variable
+    spelled like it is no use of it."""
+    names, attributes = set(), set()
 
     class Uses(ast.NodeVisitor):
         def __init__(self):
@@ -41,7 +52,7 @@ def _uses(tree: ast.AST) -> set[str]:
 
         def visit_Name(self, node):
             if isinstance(node.ctx, ast.Load) and node.id not in self.inside:
-                used.add(node.id)
+                names.add(node.id)
 
         def visit_Attribute(self, node):
             base = node.value
@@ -49,29 +60,39 @@ def _uses(tree: ast.AST) -> set[str]:
                 base = base.value
             of_numpy = isinstance(base, ast.Name) and base.id in ("np", "numpy")
             if not of_numpy and node.attr not in self.inside:
-                used.add(node.attr)
+                attributes.add(node.attr)
             self.generic_visit(node)
 
     Uses().visit(tree)
-    return used
+    return names, attributes
 
 
-def _definitions_and_uses() -> tuple[set[str], set[str]]:
-    """The public module-level functions and classes of the library's modules,
-    and every name their code reads (:func:`_uses`).  ``__init__.py`` only
-    re-exports, so it counts for neither."""
-    defined, used = set(), set()
+def _public(nodes) -> list:
+    return [node for node in nodes if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
+
+
+def _definitions_and_unused() -> tuple[set[str], set[str]]:
+    """The public module-level functions and classes of the library's modules
+    and the public methods and properties of those classes, spelled
+    ``Class.member``, and the unused ones among them: a function or class is
+    used if any code reads its name (:func:`_uses`), a member if any code
+    reads it as an attribute.  ``__init__.py`` only re-exports, so it counts
+    for neither."""
+    defined, members, names, attributes = set(), {}, set(), set()
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
-        defined |= {
-            node.name
-            for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
-        }
-        used |= _uses(tree)
-    return defined, used
+        for node in _public(tree.body):
+            defined.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                members |= {f"{node.name}.{member.name}": member.name for member in _public(node.body)}
+        read_names, read_attributes = _reads(tree)
+        names |= read_names
+        attributes |= read_attributes
+    unused = {name for name in defined if name not in names | attributes}
+    unused |= {qualified for qualified, member in members.items() if member not in attributes}
+    return defined, unused
 
 
 def test_numpy_attributes_are_no_uses():
@@ -81,13 +102,15 @@ def test_numpy_attributes_are_no_uses():
     assert "multiply" in _uses(ast.parse("multiply(group, x, y)"))
     assert _uses(ast.parse("np.linalg.svd(a)")) == {"np", "a"}
     assert "svd" in _uses(ast.parse("np.asarray(a).svd()"))
+    # a local variable is no use of a method or property spelled the same
+    assert _reads(ast.parse("blocks = f(x)\ng(blocks)")) == ({"f", "x", "g", "blocks"}, set())
+    assert _reads(ast.parse("c.blocks")) == ({"c"}, {"blocks"})
 
 
 def test_public_api_is_used_or_kept():
-    defined, used = _definitions_and_uses()
+    defined, unused = _definitions_and_unused()
     exported = [getattr(liefourier, name) for name in liefourier.__all__]
     assert {obj.__name__ for obj in exported if inspect.isfunction(obj) or inspect.isclass(obj)} <= defined
-    unused = defined - used
     assert sorted(unused - KEPT) == [], "public API that nothing in the library calls"
     assert sorted(KEPT - unused) == [], "kept names that the library now uses leave KEPT"
 

@@ -689,6 +689,26 @@ def test_bound_sweep_trend_assertion(tmp_path):
     assert "fail" in report
 
 
+def test_bound_sweep_skips_zero_inputs(tmp_path):
+    # window 9 is zero below <xi> = 2^8, so every adjoint-dirichlet member is
+    # zero: no ratio is formed (0 / 0), and the sweep reads 0 at member 0
+    cfg = {
+        "task": "bound-sweep",
+        "group": {"kind": "torus", "dim": 1},
+        "lams": [8, 16],
+        "symbol": {"type": "window", "ell": 9},
+        "specs": [{"r": 0, "p": 2, "q": 2}],
+        "ensemble": {"kind": "adjoint-dirichlet", "count": 2},
+    }
+    assert run_config(cfg, tmp_path / "out") == 0
+    with open(tmp_path / "out" / "bound-sweep_report.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["lam"], row["max_ratio"], row["argmax_member"], row["status"]) for row in rows] == [
+        ("8", "0", "0", "ok"),
+        ("16", "0", "0", "ok"),
+    ]
+
+
 def test_tl_norm_task(tmp_path):
     cfg = {
         "task": "tl-norm",

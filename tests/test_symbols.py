@@ -227,24 +227,18 @@ def test_marcinkiewicz_holds_only_the_current_path(kind, n, cutoff, kappa):
     assert peak < 10 * state, f"peak {peak / state:.1f} states"
 
 
-def _off_diagonal_entry(dual, value=1e-300):
-    """A spectral symbol with one nonzero entry off the diagonal of spin 5/2."""
-    symbol = build_spectral_symbol(lambda lam: lam ** (1j), dual)
-    symbol.stacks[5][0, 0, 1] = value
-    return symbol
-
-
 @pytest.mark.parametrize("path", ["diagonal", "ladder"])
 def test_su2_walk_holds_only_the_current_path(path):
     # tracemalloc peak of a warm kappa-2 check at spin 31.5: a spectral symbol
-    # takes the diagonal state, (2 l_max + kappa + 1)^2 complex entries; one
-    # entry off a diagonal keeps the ladder, of sum (k + 1)^2 such entries
+    # takes the diagonal state, (2 l_max + kappa + 1)^2 complex entries; its
+    # blocks with nothing recorded keep the ladder, of sum (k + 1)^2 such entries
     dual = enumerate_dual(make_group("su2"), spin_cutoff(31.5))
     spins = int(2 * dual.max_band) + 2 + 1
+    symbol = build_spectral_symbol(lambda lam: lam ** (1j), dual)
     if path == "diagonal":
-        symbol, state = build_spectral_symbol(lambda lam: lam ** (1j), dual), spins**2 * 16
+        state = spins**2 * 16
     else:
-        symbol, state = _off_diagonal_entry(dual), sum((k + 1) ** 2 for k in range(spins)) * 16
+        symbol, state = Symbol(dual, symbol.stacks), sum((k + 1) ** 2 for k in range(spins)) * 16
     expected = check_marcinkiewicz(symbol, 2)  # warms the slice's cached arrays and the coupling tables
     tracemalloc.start()
     try:
@@ -259,6 +253,19 @@ def test_su2_walk_holds_only_the_current_path(path):
 # The diagonal SU(2) state against the ladder
 # ---------------------------------------------------------------------------
 
+def _diagonal_state(symbol, pad):
+    """The diagonal state read off blocks that are zero off their main
+    diagonal, scalar or not: row k holds the diagonal of spin k/2's block.
+    The library enters the state only from recorded scalars; this fill keeps
+    the diagonal steps checked on non-scalar diagonals."""
+    spins = len(symbol.stacks) + pad
+    state = np.zeros((spins, spins), dtype=complex)
+    for k, stack in enumerate(symbol.stacks):
+        assert np.array_equal(stack[0], np.diag(np.diagonal(stack[0])))
+        state[k, : k + 1] = np.diagonal(stack[0])
+    return state
+
+
 def _diagonal_symbols(dual):
     """A spectral symbol and random non-scalar diagonal blocks."""
     rng = np.random.default_rng([13, len(dual)])
@@ -272,12 +279,16 @@ def _diagonal_symbols(dual):
 def test_diagonal_state_is_the_ladder_diagonal(ell_max):
     # every multi-index of order <= 3, composed as apply_difference composes
     # it: the ladder is exactly zero off the state's diagonal and equal to the
-    # state on it (np.array_equal: the same bits, but a zero of either sign)
+    # state on it (np.array_equal: the same bits, but a zero of either sign).
+    # The spectral symbol's state, built from its scalars, is the fill of its blocks
     dual = enumerate_dual(make_group("su2"), spin_cutoff(ell_max))
-    for symbol in _diagonal_symbols(dual):
+    spectral, blocks = _diagonal_symbols(dual)
+    assert np.array_equal(_su2_diagonal(spectral, 3), _diagonal_state(spectral, 3))
+    assert _su2_diagonal(blocks, 3) is None
+    for symbol in (spectral, blocks):
         for alpha in (a for order in range(4) for a in lexicographic_indices(4, order)):
             ladder, _ = _su2_ladder(symbol, 3)
-            state = (_su2_diagonal(symbol, 3), 0)
+            state = (_diagonal_state(symbol, 3), 0)
             for index, power in enumerate(alpha):
                 for _ in range(power):
                     ladder, state = _su2_step(ladder, index), _su2_diagonal_step(state, index)
@@ -302,48 +313,81 @@ def _check_constants(symbol):
     )
 
 
-def _matrix_path(monkeypatch):
-    import liefourier.symbols as symbols
-
-    monkeypatch.setattr(symbols, "_su2_diagonal", lambda symbol, pad: None)
+def _assert_constants_agree(got, want):
+    # the diagonal state's moduli against LAPACK's singular values of the
+    # ladder blocks: within 4 ulps, the gate of np.abs for 1 x 1 blocks; the
+    # Sobolev pairings sum in another order, within 1e-13
+    (marc, weak, hm), (marc_want, weak_want, hm_want) = got, want
+    for got, want in (*zip(marc.values(), marc_want.values()), *zip(weak.values(), weak_want.values())):
+        assert list(got) == list(want)
+        assert np.max(ulp_distance(list(got.values()), list(want.values()))) <= 4
+    for got, want in zip(hm.values(), hm_want.values()):
+        assert list(got) == list(want)
+        assert all(abs(got[r] - want[r]) <= 1e-13 * want[r] for r in want)
 
 
 @pytest.mark.parametrize("ell_max", [7.5, 15.5])
 def test_diagonal_checkers_match_the_matrix_path(ell_max, monkeypatch):
-    # the diagonal state's moduli against LAPACK's singular values of the
-    # ladder blocks: within 4 ulps, the gate of np.abs for 1 x 1 blocks; the
-    # Sobolev pairings sum in another order, within 1e-13
+    # the random diagonal blocks record no scalars, so they enter the diagonal
+    # state through the fill of their blocks
+    import liefourier.symbols as symbols
+
     dual = enumerate_dual(make_group("su2"), spin_cutoff(ell_max))
-    symbols = [*_diagonal_symbols(dual), build_spectral_symbol(lambda lam: np.exp(1j * lam), dual)]
-    fast = [_check_constants(symbol) for symbol in symbols]
-    _matrix_path(monkeypatch)
-    slow = [_check_constants(symbol) for symbol in symbols]
-    for (marc, weak, hm), (marc_want, weak_want, hm_want) in zip(fast, slow):
-        for got, want in (*zip(marc.values(), marc_want.values()), *zip(weak.values(), weak_want.values())):
-            assert list(got) == list(want)
-            assert np.max(ulp_distance(list(got.values()), list(want.values()))) <= 4
-        for got, want in zip(hm.values(), hm_want.values()):
-            assert list(got) == list(want)
-            assert all(abs(got[r] - want[r]) <= 1e-13 * want[r] for r in want)
+    spectral, blocks = _diagonal_symbols(dual)
+    wave = build_spectral_symbol(lambda lam: np.exp(1j * lam), dual)
+    with monkeypatch.context() as patch:
+        patch.setattr(symbols, "_su2_diagonal", _diagonal_state)
+        fast = [_check_constants(blocks)]
+    fast += [_check_constants(symbol) for symbol in (spectral, wave)]
+    monkeypatch.setattr(symbols, "_su2_diagonal", lambda symbol, pad: None)
+    for got, symbol in zip(fast, (blocks, spectral, wave)):
+        _assert_constants_agree(got, _check_constants(symbol))
 
 
-def test_one_off_diagonal_entry_keeps_the_matrix_path(monkeypatch):
-    # 1e-300 off one diagonal is not zero: the symbol keeps the ladder and
-    # the difference checkers keep the bits of the forced matrix path.  The
-    # Hormander-Mihlin windows weigh the entry by eta(<xi>/r), which is 0 or
-    # underflows it in some windows: those windows are diagonal and take
-    # the diagonal state, within the 1e-13 gate
+def _spectral_symbols(dual):
+    """The command line's power_it (t = 1) and wave symbols."""
+    return [build_spectral_symbol(lambda lam: lam ** (1j), dual), build_spectral_symbol(lambda lam: np.exp(1j * lam), dual)]
+
+
+@pytest.mark.parametrize("ell_max", [7.5, 15.5])
+def test_su2_class_function_checks_read_no_block(ell_max):
+    # the difference checks and the integer Sobolev norm start from the
+    # recorded scalars: with the blocks gone they return the same constants
+    dual = enumerate_dual(make_group("su2"), spin_cutoff(ell_max))
+
+    def constants(symbol):
+        return (
+            {kappa: check_marcinkiewicz(symbol, kappa).constants for kappa in (1, 2, 3)},
+            {s0: check_weak_marcinkiewicz(symbol, s0).constants for s0 in (0, 1, 2, 3)},
+            [dual_sobolev_norm(symbol, s) for s in (0, 1, 2, 3, 4)],
+        )
+
+    for symbol in _spectral_symbols(dual):
+        want = constants(symbol)
+        symbol.stacks = None
+        assert constants(symbol) == want
+
+
+def test_unrecorded_blocks_take_the_ladder(monkeypatch):
+    # the same c I blocks with nothing recorded take the ladder, diagonal as
+    # they are, and agree with the recorded path within the gates above
+    import liefourier.symbols as symbols
+
     dual = enumerate_dual(make_group("su2"), spin_cutoff(7.5))
-    symbol = _off_diagonal_entry(dual)
-    assert _su2_diagonal(symbol, 0) is None
-    assert _su2_diagonal(build_spectral_symbol(lambda lam: lam ** (1j), dual), 0) is not None
-    marc, weak, hm = _check_constants(symbol)
-    _matrix_path(monkeypatch)
-    marc_want, weak_want, hm_want = _check_constants(symbol)
-    assert marc == marc_want and weak == weak_want
-    for got, want in zip(hm.values(), hm_want.values()):
-        assert list(got) == list(want)
-        assert all(abs(got[r] - want[r]) <= 1e-13 * want[r] for r in want)
+    steps, step = [], symbols._su2_step
+
+    def spy_step(*args):
+        steps.append(args[1])
+        return step(*args)
+
+    monkeypatch.setattr(symbols, "_su2_step", spy_step)
+    for sig in _spectral_symbols(dual):
+        recorded = _check_constants(sig)
+        assert steps == []
+        unrecorded = _check_constants(Symbol(dual, sig.stacks))
+        assert steps != []
+        del steps[:]
+        _assert_constants_agree(recorded, unrecorded)
 
 
 # ---------------------------------------------------------------------------
@@ -571,17 +615,23 @@ def _random_block_symbol(kind, n, cutoff, diagonal=False):
         pytest.param("torus", 3, 10.0, False, id="t3-10"),
     ],
 )
-def test_integer_sobolev_stencil_matches_grid_oracle(kind, n, cutoff, diagonal):
+def test_integer_sobolev_stencil_matches_grid_oracle(kind, n, cutoff, diagonal, monkeypatch):
     # random non-scalar blocks, so every block entry and every Clebsch-Gordan
-    # coupling of the SU(2) stencil is exercised; random diagonal blocks take
-    # the diagonal state
+    # coupling of the SU(2) stencil is exercised; random diagonal blocks
+    # record no scalars and enter the diagonal state through the fill of
+    # their blocks
+    import liefourier.symbols as symbols
+
     symbol = _random_block_symbol(kind, n, cutoff, diagonal)
     if diagonal:
-        assert _su2_diagonal(symbol, 0) is not None
+        filled = []
+        monkeypatch.setattr(symbols, "_su2_diagonal", lambda symbol, pad: filled.append(pad) or _diagonal_state(symbol, pad))
     for s in (1, 2, 3):
         got, want = dual_sobolev_norm(symbol, float(s)), grid_sobolev_norm(symbol, float(s))
         assert abs(got - want) <= 1e-12 * want, s
         assert dual_sobolev_norm(symbol, s) == got
+    if diagonal:
+        assert filled == [0, 0, 1, 1, 1, 1]
 
 
 @pytest.mark.parametrize("kind,n,cutoff", [("su2", 3, spin_cutoff(7.5)), ("torus", 1, 64.0), ("torus", 3, 6.0)])
