@@ -59,6 +59,7 @@ _L2 = [{"r": 0, "p": 2, "q": 2}]
 _GAUSSIAN_1 = {"kind": "gaussian-coefficients", "count": 1}
 _TL_NORM_T1 = {"task": "tl-norm", "group": _T1, "lam": 16.0, "specs": _L2, "seed": 1}
 _SWEEP_T1 = {"task": "bound-sweep", "group": _T1, "lams": [16.0, 32.0], "symbol": {"type": "wave"}, "specs": _L2, "seed": 1}
+_SWEEP_SU2 = {"task": "bound-sweep", "group": _SU2, "ell_maxes": [7.5, 15.5], "symbol": {"type": "wave"}, "seed": 1}
 
 
 # configs that the shipped and benchmark configs leave out: checker orders and
@@ -109,6 +110,33 @@ CHECKS = [
     ("tl_norm_directed_irrep", {**_TL_NORM_T1, "ensemble": {"kind": "directed-irrep", "count": 1}}),
     ("sweep_t1_directed_irrep", {**_SWEEP_T1, "ensemble": {"kind": "directed-irrep", "count": 2}}),
     ("selftest_su2", {"task": "selftest", "group": _SU2, "ell_max": 3.5, "count": 1, "seed": 1}),
+    # SU(2) paths that read the blocks of a class function, built from its
+    # scalars: the directed-irrep argmax, and norms off the theta rule (odd p,
+    # q != 2) of Gaussian images and Dirichlet kernels
+    (
+        "sweep_su2_directed_irrep",
+        {
+            **_SWEEP_SU2,
+            "symbol": {"type": "power_it", "t": 1.0},
+            "specs": [{"r": 0, "p": 2, "q": 2}, {"r": 0, "p": 4, "q": 2}],
+            "ensemble": {"kind": "directed-irrep", "count": 2},
+        },
+    ),
+    (
+        "sweep_su2_gaussian",
+        {**_SWEEP_SU2, "specs": [{"r": 0, "p": 3, "q": 2}, {"r": 1, "p": 1, "q": 2}], "ensemble": {**_GAUSSIAN_1, "count": 2}},
+    ),
+    (
+        "tl_norm_su2_dirichlet",
+        {
+            "task": "tl-norm",
+            "group": _SU2,
+            "ell_max": 15.5,
+            "specs": [{"r": 0, "p": 1, "q": 2}, {"r": 0, "p": 3, "q": 3}],
+            "ensemble": {"kind": "dirichlet-kernels", "count": 3},
+            "seed": 1,
+        },
+    ),
 ]
 
 

@@ -112,9 +112,10 @@ def lp_project(coeffs: FourierCoefficients, level: int) -> FourierCoefficients:
 
 
 def _weigh(coeffs: FourierCoefficients, per_irrep: np.ndarray) -> FourierCoefficients:
-    """Multiply each irrep's block, and its recorded scalar if any, by its entry of ``per_irrep``."""
-    stacks = [s * stack for s, stack in zip(coeffs.dual.per_run(per_irrep), coeffs.stacks)]
-    return FourierCoefficients(coeffs.dual, stacks, scalars=None if coeffs.scalars is None else per_irrep * coeffs.scalars)
+    """Multiply each irrep's block, or its recorded scalar, by its entry of ``per_irrep``."""
+    if coeffs.scalars is not None:
+        return FourierCoefficients(coeffs.dual, scalars=per_irrep * coeffs.scalars)
+    return FourierCoefficients(coeffs.dual, [s * stack for s, stack in zip(coeffs.dual.per_run(per_irrep), coeffs.stacks)])
 
 
 def quadrature_lp(mods: np.ndarray, weights: np.ndarray, p: float) -> float:

@@ -76,7 +76,7 @@ from .spaces import _weigh, eta
 from .transform import FourierCoefficients, inverse_on_grid, slice_grid
 
 
-@dataclass
+@dataclass(eq=False)
 class Symbol(FourierCoefficients):
     """Matrix-valued function on a dual slice, stored like coefficients (one
     stack of blocks per run).  ``valid`` marks the irreps on which the values
@@ -131,8 +131,9 @@ def operator_norms(stacks: list[np.ndarray]) -> np.ndarray:
 
 
 def symbol_linf(symbol: Symbol) -> float:
-    """sup over the slice of the per-irrep operator norm."""
-    return float(np.max(operator_norms(symbol.stacks)[symbol.valid_mask()], initial=0.0))
+    """sup over the slice of the per-irrep operator norm: max |c| of a symbol that records its scalars c."""
+    norms = operator_norms(symbol.stacks) if symbol.scalars is None else np.abs(symbol.scalars)
+    return float(np.max(norms[symbol.valid_mask()], initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -262,34 +263,19 @@ def _su2_ladder(symbol: Symbol, pad: int):
     return ladder, lambda ladder: [blk[None].copy() for blk in ladder[: top + 1]]
 
 
-# Every difference and stencil step reads the same rows.  Unbounded, as k <= 256 on a difference ladder
-# (_require_margin) and k <= 367 on a padded one (2^24 cells, _require_sobolev_room): at most 4 x 368 keys.
-@cache
-def _cg_rows(k: int, up: bool, m_index: int) -> tuple[slice, slice, np.ndarray]:
-    """Nonzero rows of C = <1/2 m; k/2 m_a | L m_s> for L = (k +- 1)/2 and
-    m = +1/2 (m_index 0) or -1/2 (m_index 1), in descending-m order: the
-    source rows a, their target columns s = a + shift and the values."""
-    a = np.arange(k + 1)
-    if up:  # sqrt((l' + 2m M + 1/2)/(2l' + 1)), M = m_a + m
-        if m_index == 0:
-            return slice(0, k + 1), slice(0, k + 1), np.sqrt((k + 1 - a) / (k + 1))
-        return slice(0, k + 1), slice(1, k + 2), np.sqrt((a + 1) / (k + 1))
-    # -2m sqrt((l' - 2m M + 1/2)/(2l' + 1)); zero on the row that has no target
-    if m_index == 0:
-        return slice(1, k + 1), slice(0, k), -np.sqrt(a[1:] / (k + 1))
-    return slice(0, k), slice(0, k), np.sqrt((k - a[:-1]) / (k + 1))
-
-
 def _su2_step(ladder: list[np.ndarray], index: int) -> list[np.ndarray]:
     # (q_ij f)^(L) = sum_{l' = L -+ 1/2} (d_l'/d_L) C_j^T fhat(l') C_i - delta_ij fhat(L)
     i, j = divmod(index, 2)
+    size = 1 << (len(ladder) - 1).bit_length()
     out = [-blk if i == j else np.zeros_like(blk) for blk in ladder]
     for k, blk in enumerate(ladder):
         for target in (k + 1, k - 1):
             if not 0 <= target < len(ladder):
                 continue
-            src_j, dst_j, c_j = _cg_rows(k, target > k, j)
-            src_i, dst_i, c_i = _cg_rows(k, target > k, i)
+            up = target > k  # C_m moves row a to column a + m up a spin and a + m - 1 down one (module docstring)
+            src_j, src_i = (slice(0, k + 1) if up else slice(1 - m, k + 1 - m) for m in (j, i))
+            dst_j, dst_i = (slice(m, k + 1 + m) if up else slice(0, k) for m in (j, i))
+            c_j, c_i = _cg_table(size, up, j)[k, src_j], _cg_table(size, up, i)[k, src_i]
             ratio = (k + 1) / (target + 1)
             out[target][dst_j, dst_i] += (ratio * c_j)[:, None] * blk[src_j, src_i] * c_i[None, :]
     return out
@@ -313,16 +299,16 @@ def _diagonal_singular_values(state: np.ndarray, runs: int) -> list[np.ndarray]:
     return [moduli[k : k + 1, : k + 1] for k in range(runs)]
 
 
-# Powers of two up to 512, as k <= 367 (_cg_rows): at most 4 x 10 keys, the largest table 2 MB, 11 MB in all.
+# Powers of two up to 512, as k <= 367 (_require_sobolev_room): at most 4 x 10 keys, the largest table 2 MB, 11 MB in all.
 @cache
 def _cg_table(size: int, up: bool, m_index: int) -> np.ndarray:
-    """The values of ``_cg_rows(k, up, m_index)`` for every spin k < size,
-    by source row a < size: zero where a is not a source row of spin k."""
+    """The nonzero of each source row a < size of C = <1/2 m; k/2 m_a | L m_s>, L = (k +- 1)/2, for m = +1/2
+    (m_index 0) or -1/2 (m_index 1) and every spin k < size: zero past row k and on a row that has no target."""
     k = np.arange(size)[:, None]
     a = np.arange(size)
-    if up:
+    if up:  # sqrt((l' + 2m M + 1/2)/(2l' + 1)), M = m_a + m
         numerator = k + 1 - a if m_index == 0 else a + 1
-    else:
+    else:  # -2m sqrt((l' - 2m M + 1/2)/(2l' + 1))
         numerator = a if m_index == 0 else k - a
     table = np.sqrt(np.where(a <= k, numerator, 0) / (k + 1))
     return -table if not up and m_index == 0 else table

@@ -57,7 +57,7 @@ arbitrary points over :func:`liefourier.dual.representation_stacks`.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -79,34 +79,43 @@ class GridFunction:
             raise PreconditionError("sample count must equal the grid size")
 
 
-@dataclass
+@dataclass(eq=False)
 class FourierCoefficients:
     """Band-limited function as one d_xi x d_xi complex matrix per irrep.
 
     The blocks are stored per run of ``dual.runs``: ``stacks[k]`` is a
     complex (run length, d, d) array, so per-irrep operations are one
     batched numpy call per run.  ``blocks`` lists the single blocks as views.
-    ``scalars``, the c of every block c I of a class function, is recorded
-    by the constructors that know it (``build_spectral_symbol``, ``_weigh``,
-    ``apply_multiplier`` of two class functions, the central ensemble
-    members) and read by the central paths; given alone, it builds the blocks.
+    A class function holds its ``scalars`` alone, the c of every block c I,
+    recorded by the constructors that know it and read by the central
+    paths; its ``stacks`` are then c I per run, built on each read and
+    read-only.  Blocks and scalars together are refused.
     """
 
     dual: DualSlice
-    stacks: list[np.ndarray] | None = None
+    stacks: InitVar[list[np.ndarray] | None] = None
     scalars: np.ndarray | None = field(default=None, kw_only=True)
 
-    def __post_init__(self):
-        if self.scalars is not None:
+    def __post_init__(self, stacks):
+        if (stacks is None) == (self.scalars is None):
+            raise PreconditionError("the blocks or the scalars of a class function required, not both")
+        if stacks is None:
             self.scalars = np.asarray(self.scalars, dtype=complex)
             if self.scalars.shape != (len(self.dual),):
                 raise PreconditionError("one scalar per irrep required")
-            if self.stacks is None:
-                self.stacks = [c * np.eye(d) for c, d in zip(self.dual.per_run(self.scalars), self.dual.run_dims)]
-        self.stacks = [np.asarray(s, dtype=complex) for s in (() if self.stacks is None else self.stacks)]
+            return
+        self._stacks = [np.asarray(s, dtype=complex) for s in stacks]
         shapes = [(run.stop - run.start, d, d) for run, d in zip(self.dual.runs, self.dual.run_dims)]
-        if [s.shape for s in self.stacks] != shapes:
+        if [s.shape for s in self._stacks] != shapes:
             raise PreconditionError("one (run length, d, d) stack per run of equal dimension required")
+
+    def _read_stacks(self) -> list[np.ndarray]:
+        if self.scalars is None:
+            return self._stacks
+        stacks = [c * np.eye(d) for c, d in zip(self.dual.per_run(self.scalars), self.dual.run_dims)]
+        for stack in stacks:
+            stack.flags.writeable = False
+        return stacks
 
     @classmethod
     def from_blocks(cls, dual: DualSlice, blocks: list[np.ndarray]):
@@ -121,9 +130,13 @@ class FourierCoefficients:
         return [blk for stack in self.stacks for blk in stack]
 
     def block(self, i: int) -> np.ndarray:
-        """The block of irrep ``i``, a view into its stack."""
+        """The block of irrep ``i``, a view into its stack; negative ``i`` counts from the end."""
+        i = range(len(self.dual))[i]
         k = next(k for k, run in enumerate(self.dual.runs) if i < run.stop)
         return self.stacks[k][i - self.dual.runs[k].start]
+
+
+FourierCoefficients.stacks = property(FourierCoefficients._read_stacks)  # in the class body it would be the field's default
 
 
 def zero_coefficients(dual: DualSlice) -> FourierCoefficients:

@@ -53,6 +53,20 @@ def translate_coefficients(coeffs, z):
     return FourierCoefficients(coeffs.dual, [s @ r for s, r in zip(coeffs.stacks, reps)])
 
 
+def spy_recorded_stack_reads(monkeypatch):
+    """Patch ``FourierCoefficients.stacks`` to list, by slice length, every
+    read of an object that records its scalars (whose blocks are derived)."""
+    reads, read = [], FourierCoefficients.stacks.fget
+
+    def spy(coeffs):
+        if coeffs.scalars is not None:
+            reads.append(len(coeffs.dual))
+        return read(coeffs)
+
+    monkeypatch.setattr(FourierCoefficients, "stacks", property(spy))
+    return reads
+
+
 def ulp_distance(a, b):
     """How many float64 values lie between nonnegative ``a`` and ``b``,
     elementwise (0 when they are bitwise equal)."""

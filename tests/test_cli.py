@@ -466,6 +466,20 @@ def test_oversized_sobolev_stencil_refused_before_any_state(tmp_path, monkeypatc
     assert not (tmp_path / "out" / "check-symbol_report.csv").exists()
 
 
+def _spy_svd(monkeypatch) -> list:
+    """Patch ``np.linalg.svd`` to list its calls."""
+    import numpy as np
+
+    calls, svd = [], np.linalg.svd
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
+
+
 _SU2_CHECK = {"task": "check-symbol", "group": {"kind": "su2", "dim": 3}, "ell_maxes": [15.5, 31.5], "seed": 1}
 
 
@@ -483,32 +497,62 @@ _SU2_CHECK = {"task": "check-symbol", "group": {"kind": "su2", "dim": 3}, "ell_m
 )
 def test_su2_checks_of_spectral_symbols_build_no_ladder(tmp_path, monkeypatch, cfg):
     # the SU(2) checker configs of the benchmark's session workload: every
-    # difference and Sobolev step runs on the diagonal state, so no ladder
-    # step and no SVD of a difference is made.  The Hormander-Mihlin sup norm
-    # reads the symbol's own blocks through symbol_linf, which keeps LAPACK
-    import traceback
-
-    import numpy as np
-
+    # difference and Sobolev step runs on the diagonal state, and the
+    # Hormander-Mihlin sup norm is max |c| of the recorded scalars, so no
+    # ladder step and no SVD is made
     import liefourier.symbols as symbols
 
-    svd_callers, ladder_steps = [], []
-    svd, step = np.linalg.svd, symbols._su2_step
-
-    def spy_svd(*args, **kwargs):
-        svd_callers.append({frame.name for frame in traceback.extract_stack()})
-        return svd(*args, **kwargs)
+    svd_calls, ladder_steps = _spy_svd(monkeypatch), []
+    step = symbols._su2_step
 
     def spy_step(*args, **kwargs):
         ladder_steps.append(args[1])
         return step(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", spy_svd)
     monkeypatch.setattr(symbols, "_su2_step", spy_step)
     assert run_config(cfg, tmp_path / "out") == 0
     assert ladder_steps == []
-    assert all("symbol_linf" in callers for callers in svd_callers)
-    assert bool(svd_callers) == (cfg["checker"] == "hormander-mihlin")
+    assert svd_calls == []
+
+
+_SU2_SPECTRAL_CHECK = {**_SU2_CHECK, "ell_maxes": [7.5, 15.5], "symbol": {"type": "wave"}}
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        # the benchmark's su2-session kernel_decay_su2 task
+        pytest.param(
+            {**_without(_KERNEL_DECAY, "lam"), "group": {"kind": "su2", "dim": 3}, "ell_max": 31.5, "windows": [1, 2, 3, 4]},
+            id="kernel-decay",
+        ),
+        pytest.param({**_SU2_SPECTRAL_CHECK, "checker": "marcinkiewicz", "order": 2}, id="marcinkiewicz"),
+        pytest.param({**_SU2_SPECTRAL_CHECK, "checker": "weak-marcinkiewicz", "s0": 3}, id="weak"),
+        pytest.param({**_SU2_SPECTRAL_CHECK, "checker": "hormander-mihlin", "s": 3}, id="hormander-mihlin"),
+        pytest.param(json.loads((_CONFIG_DIR / "wave_sweep_su2.json").read_text()), id="wave-sweep"),
+        pytest.param(
+            {
+                **_without(_TL_NORM, "lam"),
+                "group": {"kind": "su2", "dim": 3},
+                "ell_max": 15.5,
+                "specs": [{"r": 0, "p": 4, "q": 2}],
+                "ensemble": {"kind": "dirichlet-kernels", "count": 3},
+            },
+            id="dirichlet-tl-norm",
+        ),
+    ],
+)
+def test_su2_class_function_tasks_read_no_block_and_no_svd(tmp_path, monkeypatch, cfg):
+    # every symbol and member of these tasks is a class function that records
+    # its scalars, and no task reads the blocks derived from them or takes an
+    # SVD: the checkers, the kernel-decay class sum and the theta rule of the
+    # norms run on the scalars alone
+    from conftest import spy_recorded_stack_reads
+
+    svd_calls, reads = _spy_svd(monkeypatch), spy_recorded_stack_reads(monkeypatch)
+    assert run_config(cfg, tmp_path / "out") == 0
+    assert reads == []
+    assert svd_calls == []
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,7 @@ from liefourier.dual import spin_cutoff
 from liefourier.errors import PreconditionError
 from liefourier.multipliers import ENSEMBLE_KINDS, ensemble_member
 from liefourier.spaces import _transition, _window_levels, eta, psi, quadrature_lp, tl_norms, weak_sup, windows
-from liefourier.symbols import sign_symbol
+from liefourier.symbols import check_marcinkiewicz, sign_symbol
 from liefourier.transform import _get_plan, _su2_class_rule, inverse_on_grid, inverse_slabs
 from su2_plan_oracle import WholeArrayPlan
 from tl_oracle import tl_aggregate, window_samples
@@ -469,18 +469,11 @@ def test_central_su2_norms_are_exact_at_high_even_p(su2, monkeypatch):
                 assert abs(a - b) <= 1e-13 * b
 
 
-def _records_scalars(f):
-    # the recorded c per irrep, and every block exactly c I
-    return f.scalars is not None and all(
-        np.array_equal(stack, c * np.eye(d)) for c, d, stack in zip(f.dual.per_run(f.scalars), f.dual.run_dims, f.stacks)
-    )
-
-
 def test_class_functions_record_their_scalars_by_construction(torus1, su2):
-    # the constructors that know a class function record its scalars, and the
-    # blocks they hold are c I to the bit; every other member, a difference,
-    # a spectral symbol applied to a non-central f and the adjoint of a
-    # non-spectral symbol record nothing
+    # the constructors that know a class function record its scalars, and
+    # hold nothing else; every other member, a difference, a spectral symbol
+    # applied to a non-central f and the adjoint of a non-spectral symbol
+    # record nothing
     dual = enumerate_dual(su2, spin_cutoff(7.5))
     rng = np.random.default_rng(0)
     symbol = build_spectral_symbol(lambda lam: lam**1j, dual)
@@ -495,7 +488,7 @@ def test_class_functions_record_their_scalars_by_construction(torus1, su2):
         lp_project(apply_multiplier(symbol, members["adjoint-dirichlet"]), 3),
         FourierCoefficients(dual, scalars=np.arange(len(dual)) * (1 + 2j)),
     ]
-    assert all(_records_scalars(f) for f in central)
+    assert all(f.scalars is not None for f in central)
     assert np.array_equal(members["adjoint-dirichlet"].scalars[:3], symbol.scalars[:3].conj())
     torus = enumerate_dual(torus1, 16.0)
     others = [
@@ -513,6 +506,28 @@ def test_class_functions_record_their_scalars_by_construction(torus1, su2):
             FourierCoefficients(dual, scalars=wrong)
     with pytest.raises(PreconditionError):
         FourierCoefficients(dual)  # neither blocks nor scalars
+    with pytest.raises(PreconditionError):
+        FourierCoefficients(dual, symbol.stacks, scalars=symbol.scalars)  # both
+
+
+def test_a_recorded_class_function_holds_its_scalars_alone(su2):
+    # an object that records its scalars stores no blocks: its stacks are
+    # c I per run, built afresh on each read and read-only, so no write can
+    # leave the record stale: the write below, were it allowed, would leave
+    # check_marcinkiewicz at 1.0000000000000002 while the edited blocks give 20.35
+    dual = enumerate_dual(su2, spin_cutoff(7.5))
+    symbol = build_spectral_symbol(lambda lam: lam**1j, dual)
+    assert set(vars(symbol)) == {"dual", "scalars", "valid"}
+    want = check_marcinkiewicz(symbol, 2)
+    for blocks in (symbol.stacks[5], symbol.block(5)):
+        with pytest.raises(ValueError, match="read-only"):
+            blocks[..., 0, 1] = 1.0
+    assert check_marcinkiewicz(symbol, 2) == want
+    assert symbol.stacks[5] is not symbol.stacks[5]
+    assert all(
+        np.array_equal(stack, c * np.eye(d)) and not stack.flags.writeable
+        for c, d, stack in zip(dual.per_run(symbol.scalars), dual.run_dims, symbol.stacks)
+    )
 
 
 def test_unrecorded_scalar_blocks_take_the_grid_path(su2, monkeypatch):

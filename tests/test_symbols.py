@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import irrep_labels, ulp_distance
+from conftest import irrep_labels, spy_recorded_stack_reads, ulp_distance
 from liefourier import (
     FourierCoefficients,
     GridFunction,
@@ -350,22 +350,25 @@ def _spectral_symbols(dual):
 
 
 @pytest.mark.parametrize("ell_max", [7.5, 15.5])
-def test_su2_class_function_checks_read_no_block(ell_max):
-    # the difference checks and the integer Sobolev norm start from the
-    # recorded scalars: with the blocks gone they return the same constants
+def test_su2_class_function_checks_read_no_block(ell_max, monkeypatch):
+    # the difference checks, the Hormander-Mihlin check and the integer
+    # Sobolev norm start from the recorded scalars: a spy on the derived
+    # blocks sees no read, and the constants are those computed without it
     dual = enumerate_dual(make_group("su2"), spin_cutoff(ell_max))
 
     def constants(symbol):
         return (
             {kappa: check_marcinkiewicz(symbol, kappa).constants for kappa in (1, 2, 3)},
             {s0: check_weak_marcinkiewicz(symbol, s0).constants for s0 in (0, 1, 2, 3)},
+            {s: check_hormander_mihlin(symbol, float(s)).constants for s in (2, 3, 4)},
             [dual_sobolev_norm(symbol, s) for s in (0, 1, 2, 3, 4)],
         )
 
-    for symbol in _spectral_symbols(dual):
-        want = constants(symbol)
-        symbol.stacks = None
-        assert constants(symbol) == want
+    spectral = _spectral_symbols(dual)
+    want = [constants(symbol) for symbol in spectral]
+    reads = spy_recorded_stack_reads(monkeypatch)
+    assert [constants(symbol) for symbol in spectral] == want
+    assert reads == []
 
 
 def test_unrecorded_blocks_take_the_ladder(monkeypatch):

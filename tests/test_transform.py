@@ -682,6 +682,9 @@ def test_from_blocks_round_trip_and_views(kind, n, cutoff):
         packed.blocks[i][0, 0] = 7.0 + 1j
         assert packed.block(i)[0, 0] == 7.0 + 1j
         assert blocks[i][0, 0] != 7.0 + 1j  # packing copied the source blocks
+        assert np.array_equal(packed.block(i - len(dual)), packed.block(i))  # negative i counts from the end
+    with pytest.raises(IndexError):
+        packed.block(len(dual))
 
 
 @pytest.mark.parametrize("kind,n,cutoff", [("torus", 2, 5.0), ("torus", 3, 3.0), ("su2", 3, spin_cutoff(3.5))])
