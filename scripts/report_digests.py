@@ -70,6 +70,8 @@ _SWEEP_SU2 = {"task": "bound-sweep", "group": _SU2, "ell_maxes": [7.5, 15.5], "s
 # slope), and on SU(2) at spin 31.5 with its top window cut at the slice edge;
 # a T^3 transform and tl-norm, whose random members are drawn in
 # slice order and so move if the tie order of enumeration changes; the
+# torus weak quasi-norm on a tie-heavy T^2 Dirichlet kernel and on a T^3
+# Gaussian member with r = 1; the
 # symbol types and spellings that no other config uses (identity, sign,
 # dyadic_rademacher, an integer t), a tl-norm asking for an ensemble that
 # needs a symbol (exit 1, no files), a directed-irrep sweep and an SU(2)
@@ -94,6 +96,21 @@ CHECKS = [
     (
         "tl_norm_t3",
         {"task": "tl-norm", "group": _T3, "lam": 16.0, "specs": [{"r": 0, "p": 4, "q": 2}], "ensemble": _GAUSSIAN_1, "seed": 1},
+    ),
+    (
+        "tl_norm_t2_dirichlet",
+        {
+            "task": "tl-norm",
+            "group": _T2,
+            "lam": 32.0,
+            "specs": [{"r": 0, "p": 1, "q": 2}],
+            "ensemble": {"kind": "dirichlet-kernels", "count": 2},
+            "seed": 1,
+        },
+    ),
+    (
+        "tl_norm_t3_weak",
+        {"task": "tl-norm", "group": _T3, "lam": 8.0, "specs": [{"r": 1, "p": 1, "q": 2}], "ensemble": _GAUSSIAN_1, "seed": 1},
     ),
     ("marcinkiewicz_t1_identity", _check(_T1, {"lams": [16.0, 32.0]}, {"type": "identity"}, "marcinkiewicz", order=1)),
     ("marcinkiewicz_t1_sign", _check(_T1, {"lams": [16.0, 32.0]}, {"type": "sign"}, "marcinkiewicz", order=1)),

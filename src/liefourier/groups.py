@@ -30,6 +30,7 @@ are fixed by (group, bandlimit).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -211,13 +212,17 @@ class QuadratureGrid:
 
     ``axes`` keeps the per-axis node arrays of the product structure
     (torus: one array per coordinate; SU(2): (alpha, beta, gamma) nodes plus
-    the Gauss-Legendre weights in cos(beta)).  The grid stores no point
-    list; ``points`` builds the flattened C-order product on each access.
+    the Gauss-Legendre weights in cos(beta)).  ``node_weights`` holds the
+    Haar weights as one array that broadcasts to ``shape``: the single
+    weight 1/N of shape (1,) * n on the torus, the beta weights as
+    (1, Nb, 1) on SU(2), where they depend on beta alone.  The grid stores
+    no point list and no grid-sized weight array; ``points`` and ``weights``
+    build the flattened C-order arrays on each access.
     """
 
     group: GroupDescriptor
     bandlimit: float
-    weights: np.ndarray
+    node_weights: np.ndarray
     axes: tuple[np.ndarray, ...]
     beta_weights: np.ndarray | None = None
 
@@ -231,8 +236,13 @@ class QuadratureGrid:
         mesh = np.meshgrid(*self.axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
+    @property
+    def weights(self) -> np.ndarray:
+        """The Haar weight of every node as an (npoints,) array in flattened C order."""
+        return np.broadcast_to(self.node_weights, self.shape).ravel()
+
     def __len__(self) -> int:
-        return len(self.weights)
+        return math.prod(self.shape)
 
 
 def grid_shape(group: GroupDescriptor, bandlimit: float) -> tuple[int, ...]:
@@ -276,23 +286,43 @@ def build_grid(group: GroupDescriptor, bandlimit: float) -> QuadratureGrid:
         npts = grid_shape(group, bandlimit)[0]
         nodes = np.arange(npts) / npts
         axes = tuple(nodes for _ in range(group.dim))
-        weights = np.full(npts**group.dim, 1.0 / npts**group.dim)
-        return QuadratureGrid(group, float(bandlimit), weights, axes)
+        return QuadratureGrid(group, float(bandlimit), np.full((1,) * group.dim, 1.0 / npts**group.dim), axes)
 
     n_ag, beta, w_beta = _su2_beta_rule(group, bandlimit)
     alpha = TWO_PI * np.arange(n_ag) / n_ag
     gamma = FOUR_PI * np.arange(n_ag) / n_ag
-    weights = np.broadcast_to(w_beta[None, :, None], (n_ag, len(beta), n_ag)).ravel()  # ravel copies the broadcast view
-    total = weights.sum()
-    weights /= total
-    w_beta = w_beta / total
+    w_beta = w_beta / _c_order_sum(w_beta, n_ag)
     return QuadratureGrid(
         group,
         float(bandlimit),
-        weights,
+        w_beta[None, :, None],
         (alpha, beta, gamma),
         beta_weights=w_beta,
     )
+
+
+def _c_order_sum(w_beta: np.ndarray, n_ag: int) -> float:
+    """The sum of the SU(2) grid's weights in flattened C order, bit for bit
+    ``np.broadcast_to(w_beta[None, :, None], shape).ravel().sum()``, without
+    the grid-sized array.  numpy sums a contiguous float64 array pairwise,
+    halving a part of n values at n // 2 rounded down to a multiple of 8, so
+    the sum is a tree of part sums; a part of at most 2^16 values is summed
+    by numpy whole, and its values depend on its offset modulo one alpha
+    plane only."""
+    n_b = len(w_beta)
+    plane = n_b * n_ag
+
+    @cache
+    def part(offset: int, n: int) -> float:
+        return w_beta[np.arange(offset, offset + n) // n_ag % n_b].sum()
+
+    def tree(lo: int, n: int) -> float:
+        if n <= 1 << 16:
+            return part(lo % plane, n)
+        half = n // 2 - n // 2 % 8
+        return tree(lo, half) + tree(lo + half, n - half)
+
+    return tree(0, n_ag * plane)
 
 
 def grid_distance_to_identity(grid: QuadratureGrid) -> np.ndarray:

@@ -89,17 +89,17 @@ def kernel_difference_integrals(symbol: Symbol, levels, z: np.ndarray, c: float)
     if group.kind == SU2 and su2_pair(z)[1] == 0 and symbol.scalars is not None:
         return _central_difference_integrals(dual, symbol.scalars, levels, su2_pair(z)[0], 4.0 * c * zlen)
     grid = default_grid(dual)
-    mask = grid_distance_to_identity(grid) > 4.0 * c * zlen
+    mask = grid_distance_to_identity(grid).reshape(grid.shape) > 4.0 * c * zlen
     if not np.any(mask):
         return [0.0] * len(levels)
-    weights = grid.weights[mask]
     reps = representation_stacks(dual, inverse(group, z))
     integrals = []
     for ell in levels:
         kernel = lp_project(symbol, ell)
         diff = FourierCoefficients(dual, [k @ r - k for k, r in zip(kernel.stacks, reps)])
-        values = inverse_on_grid(diff, grid).values[mask]
-        integrals.append(float(np.sum(weights * np.abs(values))))
+        values = np.abs(inverse_on_grid(diff, grid).values.reshape(grid.shape))
+        values *= grid.node_weights
+        integrals.append(float(np.sum(values[mask])))
         del values  # not alive through the next window's inverse
     return integrals
 

@@ -120,28 +120,79 @@ def _weigh(coeffs: FourierCoefficients, per_irrep: np.ndarray) -> FourierCoeffic
 
 def quadrature_lp(mods: np.ndarray, weights: np.ndarray, p: float) -> float:
     """(sum_x w(x) m(x)^p)^(1/p) for nonnegative real samples m, such as a
-    Triebel-Lizorkin aggregate; p = inf takes the max."""
+    Triebel-Lizorkin aggregate; p = inf takes the max.  ``weights`` is any
+    array that broadcasts to ``mods``: a grid's ``node_weights`` against
+    samples of the grid's shape, or one weight per sample."""
     if p < 1.0:
         raise PreconditionError("p must be >= 1")
     if p == math.inf:
-        return float(np.max(mods)) if len(mods) else 0.0
-    return float(np.sum(weights * mods**p) ** (1.0 / p))
+        return float(np.max(mods)) if np.size(mods) else 0.0
+    terms = mods**p
+    terms *= weights  # in place: numpy elides no temporary that a broadcast operand meets
+    return float(np.sum(terms) ** (1.0 / p))
+
+
+_FINITE_TOP = np.uint64(0x7FF0000000000000)  # the bits of +inf: every larger pattern is a NaN or has the sign bit
+_GATHER = 1 << 16  # weak_sup gathers the weights of this many keys at a time, into the keys themselves
 
 
 def weak_sup(agg: np.ndarray, weights: np.ndarray) -> float:
-    """sup_t t * |{agg > t}| for nonnegative samples with quadrature weights.
+    """sup_t t * |{agg > t}| for samples agg >= +0.0 with quadrature weights.
 
-    The sup is exact for grid step functions: it is attained as t tends to an
-    attained value v from below, where the super-level set has measure
-    weight(agg >= v).
+    ``weights`` broadcasts to ``agg`` with at most one axis longer than 1,
+    such as a grid's ``node_weights`` against samples of the grid's shape:
+    each entry of that axis is one weight class.  The sup is exact for grid
+    step functions: it is attained as t tends to an attained value v from
+    below, where the super-level set has measure weight(agg >= v).
+
+    One in-place sort of uint64 keys ranks the nodes: a node's key is its
+    sample's float64 bits, complemented so that larger samples come first,
+    with the low k bits replaced by its weight class, k the bit length of
+    (classes - 1).  Nonnegative float64 bit patterns order like the values,
+    so a block of keys that share their high bits holds samples within
+    2^-(52-k) relative of each other (normal samples; below 2^-1022 the
+    result is off by less than 2^-1022 times the total weight), ranked among
+    themselves by class.  At the block's lowest sample the cumulative weight
+    covers the whole block whatever the order inside it, so t weight(agg >= t)
+    is read exactly there, and every other position of the block reads less
+    as long as each weight exceeds 2^-(52-k) of the total; weights that fail
+    this are refused.  The weights are gathered from the class table into
+    the sorted keys' own buffer, and the samples themselves come from
+    ``np.sort(agg)``, so two arrays of agg's size are held at a time.  With
+    one weight (k = 0) this is a plain value sort.  A sample with the
+    sign bit set (negative or -0.0) or a NaN is refused.
     """
-    order = np.argsort(agg)
-    measure = weights[order[::-1]]
-    np.cumsum(measure, out=measure)  # reversed: measure[-1 - i] is the weight of {agg >= agg[order[i]]}
-    del order
-    values = np.sort(agg)  # agg[order], ties included, without a third grid-sized temporary
+    agg = np.ascontiguousarray(agg, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if sum(n != 1 for n in weights.shape) > 1 or np.broadcast_shapes(weights.shape, agg.shape) != agg.shape:
+        raise PreconditionError(f"weights of shape {weights.shape} are not one weight per class of samples {agg.shape}")
+    if agg.size == 0:
+        return 0.0
+    bits = agg.view(np.uint64)
+    if bits.max() > _FINITE_TOP:
+        raise PreconditionError("weak_sup needs samples in [+0.0, inf], not a NaN or one with the sign bit")
+    table = weights.ravel()
+    k = (len(table) - 1).bit_length()
+    total = float(np.sum(table)) * (agg.size // len(table))
+    if not table.min() > math.ldexp(total, k - 52):
+        raise PreconditionError(f"a weight at or below 2^-{52 - k} of the total {total:g} cannot rank its samples")
+    if k == 0:
+        measure = np.full(agg.size, table[0])
+    else:
+        low = np.uint64((1 << k) - 1)
+        keys = np.invert(bits)
+        keys &= ~low
+        keys |= np.arange(len(table), dtype=np.uint64).reshape(weights.shape)
+        keys = keys.reshape(-1)
+        keys.sort()
+        keys &= low
+        index, measure = keys.view(np.int64), keys.view(float)  # each weight goes where its class was
+        for lo in range(0, len(keys), _GATHER):
+            measure[lo : lo + _GATHER] = table[index[lo : lo + _GATHER]]
+    np.cumsum(measure, out=measure)  # measure[i]: the weight of the i + 1 largest samples
+    values = np.sort(agg, axis=None)
     values *= measure[::-1]
-    return float(np.max(values)) if len(values) else 0.0
+    return float(np.max(values))
 
 
 def _central_rule(coeffs: FourierCoefficients, specs: list[NormSpec]):
@@ -188,7 +239,7 @@ def tl_norms(
     central = _central_rule(coeffs, specs)
     if central is None:
         grid = default_grid(dual)
-        weights, shape = grid.weights, grid.shape
+        weights, shape = grid.node_weights, grid.shape
     else:
         parts, chi, weights = central
         shape = weights.shape
@@ -230,7 +281,7 @@ def tl_norms(
         values = None  # frees the window's workspace before the next window's inverse
     out: list = [None] * len(specs)
     for k, (r, q) in enumerate(pairs):
-        agg = accs[k].reshape(-1)
+        agg = accs[k]
         accs[k] = None  # only one finished aggregate is held at a time
         if q != math.inf:
             agg **= 1.0 / q

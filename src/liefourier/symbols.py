@@ -375,8 +375,8 @@ def dual_sobolev_norm(symbol: FourierCoefficients, s: float) -> float:
         return _stencil_sobolev_norm(symbol, int(s))
     grid = slice_grid(symbol.dual, symbol.dual.max_band + math.ceil(s))
     f = inverse_on_grid(symbol, grid)
-    weight = grid_q1_weight(grid) ** (2.0 * s)
-    return float(np.sqrt(np.sum(grid.weights * weight * np.abs(f.values) ** 2)))
+    weight = grid_q1_weight(grid).reshape(grid.shape) ** (2.0 * s)
+    return float(np.sqrt(np.sum(grid.node_weights * weight * np.abs(f.values.reshape(grid.shape)) ** 2)))
 
 
 def _stencil_sobolev_norm(symbol: FourierCoefficients, s: int) -> float:

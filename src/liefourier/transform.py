@@ -194,11 +194,11 @@ class _TorusPlan:
 
     def __init__(self, grid: QuadratureGrid, dual: DualSlice):
         self.shape = grid.shape
-        self.weights = grid.weights.reshape(self.shape)
+        self.weight = grid.node_weights.item()  # the one weight 1/N of every node
         self.index = np.ravel_multi_index(np.mod(dual.labels, self.shape).T, self.shape)
 
     def forward(self, values: np.ndarray) -> list[np.ndarray]:
-        spectrum = np.fft.fftn(self.weights * values.reshape(self.shape))
+        spectrum = np.fft.fftn(self.weight * values.reshape(self.shape))
         return [np.take(spectrum, self.index).reshape(-1, 1, 1)]
 
     def inverse_on_grid(self, stacks: list[np.ndarray]) -> np.ndarray:

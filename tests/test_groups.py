@@ -8,6 +8,7 @@ from liefourier import build_grid, enumerate_dual, make_group
 from liefourier.dual import spin_cutoff, wigner_matrix
 from liefourier.errors import ConfigurationError
 from liefourier.groups import (
+    _su2_beta_rule,
     canonicalize,
     distance_to_identity,
     euler_from_pair,
@@ -47,6 +48,29 @@ def test_torus_grid_counts(torus1):
 def test_weights_sum_to_one(kind, n, band):
     grid = build_grid(make_group(kind, n), band)
     assert abs(grid.weights.sum() - 1.0) < 1e-13
+
+
+@pytest.mark.parametrize("band", [0.0, 0.5, 7.5, 12.0, 31.5, 40.0])
+def test_su2_weights_keep_the_c_order_total(su2, band):
+    # the beta weights normalised by the sum of the flattened grid's weights in C order,
+    # bit for bit, although the grid never forms that array
+    grid = build_grid(su2, band)
+    n_ag, beta, w_beta = _su2_beta_rule(su2, band)
+    flat = np.broadcast_to(w_beta[None, :, None], grid.shape).ravel()
+    assert np.array_equal(grid.beta_weights, w_beta / flat.sum())
+    assert np.array_equal(grid.weights, flat / flat.sum())
+
+
+def test_grids_hold_weights_per_axis(torus2, su2):
+    # the torus keeps its one weight, SU(2) its beta weights; at spin 31.5 (1,048,576 nodes)
+    # the grid's arrays take fewer bytes than it has nodes
+    torus = build_grid(torus2, 4)
+    assert torus.node_weights.shape == (1, 1) and torus.node_weights[0, 0] == 1.0 / 81
+    assert np.array_equal(torus.weights, np.full(81, 1.0 / 81))
+    grid = build_grid(su2, 31.5)
+    assert grid.node_weights.shape == (1, 64, 1) and len(grid) == 128 * 64 * 128
+    held = [grid.node_weights, grid.beta_weights, *grid.axes]
+    assert sum(a.nbytes for a in held) < len(grid)
 
 
 @pytest.mark.parametrize(

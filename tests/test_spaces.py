@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -386,6 +387,24 @@ def test_tl_norms_hold_no_levels_by_grid_array(su2, monkeypatch):
     assert peak < 3 * n * 8, f"peak {peak / (n * 8):.2f} x N x 8 bytes"
 
 
+def test_weak_tl_norm_holds_the_accumulator_and_two_temporaries(su2, monkeypatch):
+    # a p = 1 spec with a warm grid and plan on 16 slabs: the accumulator, then weak_sup's
+    # sort keys and gathered weights; measured 3.08 x N x 8 bytes
+    dual = enumerate_dual(su2, spin_cutoff(15.5))
+    _slabs_of(monkeypatch, dual, 16)
+    coeffs = random_coefficients(dual, np.random.default_rng(4))
+    spec = NormSpec(0.0, 1.0, 2.0)
+    expected = tl_norms(coeffs, [spec])  # warms the grid and the plan
+    n = len(default_grid(dual))
+    tracemalloc.start()
+    try:
+        assert tl_norms(coeffs, [spec]) == expected
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.2 * n * 8, f"peak {peak / (n * 8):.2f} x N x 8 bytes"
+
+
 @pytest.mark.parametrize("spin", [8.0, 15.5])
 def test_streamed_tl_norms_equal_the_whole_array_path(su2, spin, monkeypatch):
     # five slabs per window against every window synthesised on the whole grid
@@ -633,31 +652,106 @@ def test_weak_norm_requires_p1(torus1):
 
 
 def _weak_sup_formula(agg, weights):
-    """weak_sup as first written: four grid-sized temporaries."""
+    """weak_sup as first written, on one weight per node: four grid-sized temporaries."""
+    agg, weights = np.ravel(agg), np.broadcast_to(weights, np.shape(agg)).ravel()
     order = np.argsort(agg)
     values = agg[order]
     measure_ge = np.cumsum(weights[order][::-1])[::-1]
     return float(np.max(values * measure_ge)) if len(values) else 0.0
 
 
+def _weak_sup_exact(agg, weights) -> Fraction:
+    """max over the distinct samples v of v * weight(agg >= v), in exact arithmetic."""
+    agg, weights = np.ravel(agg), np.broadcast_to(weights, np.shape(agg)).ravel()
+    pairs = sorted(zip(map(Fraction, agg.tolist()), map(Fraction, weights.tolist())), reverse=True)
+    best, measure = Fraction(0), Fraction(0)
+    for i, (v, w) in enumerate(pairs):
+        measure += w
+        if i + 1 == len(pairs) or pairs[i + 1][0] != v:
+            best = max(best, v * measure)
+    return best
+
+
 def test_weak_sup_equals_its_first_formula():
-    # the same bits on random samples with many ties, and agg left as it was
+    # one weight for every node, as on the torus grid: a plain value sort, the same bits as
+    # the argsort formula on random samples with many ties, and agg left as it was
     rng = np.random.default_rng(11)
-    for n in (0, 1, 7, 1000, 50_000):
-        agg = rng.integers(0, 1 + n // 10, n) * rng.uniform(0.5, 2.0)
-        weights = rng.uniform(0.0, 1.0, n) / max(n, 1)
+    for shape in ((0,), (1,), (7,), (1000,), (50_000,), (9, 9), (25, 13, 25)):
+        n = math.prod(shape)
+        agg = rng.integers(0, 1 + n // 10, shape) * rng.uniform(0.5, 2.0)
+        weights = np.full((1,) * len(shape), 1.0 / max(n, 1))
         kept = agg.copy()
         assert weak_sup(agg, weights) == _weak_sup_formula(agg, weights)
         assert np.array_equal(agg, kept)
 
 
+def _near_ties(rng, shape, spread):
+    """Samples on a few values, each moved by up to ``spread`` units in the last place."""
+    base = rng.choice(rng.uniform(0.1, 10.0, 5), shape)
+    bits = base.view(np.uint64) + rng.integers(0, spread + 1, shape).astype(np.uint64)
+    return bits.view(float)
+
+
+@pytest.mark.parametrize("group", ["torus", "su2"])
+def test_weak_sup_is_the_exact_sup(group):
+    # against a sup in exact rational arithmetic on small grids, within n eps relative: exact
+    # ties, near-ties that share their high bits across weight classes (the keys' low 3 bits
+    # hold one of the 7 beta classes of the SU(2) grid of spin 3), and spread samples
+    dual = enumerate_dual(make_group(group, 2), spin_cutoff(3) if group == "su2" else 5.0)
+    grid = default_grid(dual)
+    n = len(grid)
+    rng = np.random.default_rng(13)
+    for spread in (0, 1, 7, 1 << 20):
+        for _ in range(3):
+            agg = _near_ties(rng, grid.shape, spread)
+            agg.flat[rng.integers(0, n, 3)] = 0.0
+            exact = _weak_sup_exact(agg, grid.node_weights)
+            got = weak_sup(agg, grid.node_weights)
+            assert abs(Fraction(got) - exact) <= exact * n * np.finfo(float).eps
+            assert abs(got - _weak_sup_formula(agg, grid.node_weights)) <= got * n * np.finfo(float).eps
+
+
+def test_weak_sup_ranks_a_shared_prefix_by_its_lowest_sample():
+    # three weight classes (k = 2), one value and its next float up in different classes:
+    # the keys tie, and the sup is read at the lower sample whatever order they sort in
+    lo = 1.0
+    hi = np.nextafter(lo, 2.0)
+    for agg in (np.array([[hi, lo, 0.5]]), np.array([[lo, hi, 0.5]])):
+        weights = np.array([[0.2, 0.3, 0.5]])
+        assert weak_sup(agg, weights) == _weak_sup_formula(agg, weights) == float(_weak_sup_exact(agg, weights))
+
+
+@pytest.mark.parametrize("bad", [-1.0, -0.0, math.nan, -math.nan])
+def test_weak_sup_refuses_samples_outside_its_domain(bad):
+    # the bit order would rank -0.0 above every positive sample, and a NaN would come back
+    # as a NaN sup
+    agg = np.array([0.5, 1.0, 2.0, bad])
+    with pytest.raises(PreconditionError, match="sign bit"):
+        weak_sup(agg, np.full(1, 0.25))
+    assert weak_sup(np.array([0.5, 1.0, 2.0, 0.0, math.inf]), np.full(1, 0.2)) == math.inf
+
+
+def test_weak_sup_refuses_weights_that_cannot_rank():
+    agg = np.ones((2, 3, 4))
+    with pytest.raises(PreconditionError, match="one weight per class"):
+        weak_sup(agg, np.ones((2, 3, 1)))
+    with pytest.raises(PreconditionError, match="one weight per class"):
+        weak_sup(agg, np.ones((1, 3, 4, 1)))
+    # a class of weight 2^-60 of the total is below what 2 class bits leave of the samples
+    with pytest.raises(PreconditionError, match="cannot rank"):
+        weak_sup(agg, np.array([1.0, 1.0, 2.0**-60])[None, :, None])
+    with pytest.raises(PreconditionError, match="cannot rank"):
+        weak_sup(agg, np.zeros(1))
+
+
 def test_weak_sup_holds_two_temporaries():
-    # the argsort and the gathered weights (summed in place), then, the argsort freed,
-    # the sorted samples: measured 2.00 x n x 8 bytes (3.00 when the samples were
-    # gathered through the argsort)
+    # per-beta weights on an SU(2)-shaped grid: the keys and the gathered weights (summed in
+    # place), then, the keys freed, the sorted samples: measured 2.00 x n x 8 bytes
+    # (3.00 when the samples were gathered through an argsort)
     n = 1 << 18
     rng = np.random.default_rng(12)
-    agg, weights = rng.uniform(size=n), rng.uniform(size=n) / n
+    agg = rng.uniform(size=(64, 64, 64))
+    weights = rng.uniform(0.5, 1.0, (1, 64, 1)) / n
     tracemalloc.start()
     try:
         weak_sup(agg, weights)
