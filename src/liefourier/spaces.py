@@ -133,7 +133,7 @@ def quadrature_lp(mods: np.ndarray, weights: np.ndarray, p: float) -> float:
 
 
 _FINITE_TOP = np.uint64(0x7FF0000000000000)  # the bits of +inf: every larger pattern is a NaN or has the sign bit
-_GATHER = 1 << 16  # weak_sup gathers the weights of this many keys at a time, into the keys themselves
+_CHUNK = 1 << 14  # weak_sup gathers, sums and multiplies this many weights at a time
 
 
 def weak_sup(agg: np.ndarray, weights: np.ndarray) -> float:
@@ -156,11 +156,13 @@ def weak_sup(agg: np.ndarray, weights: np.ndarray) -> float:
     covers the whole block whatever the order inside it, so t weight(agg >= t)
     is read exactly there, and every other position of the block reads less
     as long as each weight exceeds 2^-(52-k) of the total; weights that fail
-    this are refused.  The weights are gathered from the class table into
-    the sorted keys' own buffer, and the samples themselves come from
-    ``np.sort(agg)``, so two arrays of agg's size are held at a time.  With
-    one weight (k = 0) this is a plain value sort.  A sample with the
-    sign bit set (negative or -0.0) or a NaN is refused.
+    this are refused.  Only the classes of the sorted keys are kept, in the
+    smallest unsigned type that holds them; the samples come from
+    ``np.sort(agg)``, and the weights are gathered from the class table,
+    summed and multiplied with the samples one chunk at a time (the running
+    sum carried over, so its bits are those of one ``np.cumsum``).  With one
+    weight (k = 0) this is a plain value sort.  A sample with the sign bit
+    set (negative or -0.0) or a NaN is refused.
     """
     agg = np.ascontiguousarray(agg, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -176,9 +178,8 @@ def weak_sup(agg: np.ndarray, weights: np.ndarray) -> float:
     total = float(np.sum(table)) * (agg.size // len(table))
     if not table.min() > math.ldexp(total, k - 52):
         raise PreconditionError(f"a weight at or below 2^-{52 - k} of the total {total:g} cannot rank its samples")
-    if k == 0:
-        measure = np.full(agg.size, table[0])
-    else:
+    classes = np.zeros(agg.size, dtype=np.uint8)
+    if k > 0:
         low = np.uint64((1 << k) - 1)
         keys = np.invert(bits)
         keys &= ~low
@@ -186,13 +187,18 @@ def weak_sup(agg: np.ndarray, weights: np.ndarray) -> float:
         keys = keys.reshape(-1)
         keys.sort()
         keys &= low
-        index, measure = keys.view(np.int64), keys.view(float)  # each weight goes where its class was
-        for lo in range(0, len(keys), _GATHER):
-            measure[lo : lo + _GATHER] = table[index[lo : lo + _GATHER]]
-    np.cumsum(measure, out=measure)  # measure[i]: the weight of the i + 1 largest samples
-    values = np.sort(agg, axis=None)
-    values *= measure[::-1]
-    return float(np.max(values))
+        classes = keys.astype(np.min_scalar_type(len(table) - 1))
+        del keys
+    values = np.sort(agg, axis=None)[::-1]  # descending, as the keys ranked the nodes
+    best, carry = 0.0, 0.0
+    for lo in range(0, len(values), _CHUNK):
+        measure = table[classes[lo : lo + _CHUNK]]
+        measure[0] += carry
+        np.cumsum(measure, out=measure)  # measure[i]: the weight of the lo + i + 1 largest samples
+        carry = measure[-1]
+        measure *= values[lo : lo + _CHUNK]
+        best = max(best, float(np.max(measure)))
+    return best
 
 
 def _central_rule(coeffs: FourierCoefficients, specs: list[NormSpec]):
