@@ -178,8 +178,9 @@ def weak_sup(agg: np.ndarray, weights: np.ndarray) -> float:
     total = float(np.sum(table)) * (agg.size // len(table))
     if not table.min() > math.ldexp(total, k - 52):
         raise PreconditionError(f"a weight at or below 2^-{52 - k} of the total {total:g} cannot rank its samples")
-    classes = np.zeros(agg.size, dtype=np.uint8)
-    if k > 0:
+    if k == 0:
+        classes = np.zeros(agg.size, dtype=np.uint8)
+    else:
         low = np.uint64((1 << k) - 1)
         keys = np.invert(bits)
         keys &= ~low
