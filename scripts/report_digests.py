@@ -65,7 +65,7 @@ _SWEEP_SU2 = {"task": "bound-sweep", "group": _SU2, "ell_maxes": [7.5, 15.5], "s
 # configs that the shipped and benchmark configs leave out: checker orders and
 # s0 above 1, mixed differences on T^3, Hormander-Mihlin on the torus and at
 # odd and fractional s (integer s comes from the q1^2 stencil, fractional s
-# from the grid); kernel decay on T^2 and T^3, with c != 1, and with an
+# from the grid, on T^2 and on SU(2)); kernel decay on T^2 and T^3, with c != 1, and with an
 # empty far field (4c|z| >= pi on T^1, which exits 1 through the decay
 # slope), and on SU(2) at spin 31.5 with its top window cut at the slice edge;
 # a T^3 transform and tl-norm, whose random members are drawn in
@@ -87,6 +87,7 @@ CHECKS = [
     ("hm_t1_s1", _check(_T1, {"lams": [32.0, 64.0]}, {"type": "wave"}, "hormander-mihlin", s=1)),
     ("hm_t3_s2", _check(_T3, {"lams": [6.0, 10.0]}, {"type": "power_it", "t": 2.0}, "hormander-mihlin", s=2)),
     ("hm_su2_s2_5", _check(_SU2, {"ell_maxes": [7.5, 15.5]}, {"type": "power_it", "t": 1.0}, "hormander-mihlin", s=2.5)),
+    ("hm_t2_s1_5", _check(_T2, {"lams": [8.0, 16.0]}, {"type": "power_it", "t": 1.0}, "hormander-mihlin", s=1.5)),
     ("decay_t2", _decay(_T2, {"lam": 24.0}, [1, 2, 3], 0.3)),
     ("decay_t3", _decay(_T3, {"lam": 8.0}, [1, 2], 0.3)),
     ("decay_su2_c05", _decay(_SU2, {"ell_max": 15.5}, [1, 2, 3], 0.3, c=0.5)),

@@ -7,10 +7,8 @@ the left product of the right-convolution convention of
 window kernel at level ell, the right-convolution kernel of A psi_ell(B),
 is :func:`liefourier.spaces.lp_project` of the symbol.
 :func:`kernel_difference_integrals` takes one symbol, one z and a list of
-levels and sums on the nodes of the slice's default grid, with the far-field
-mask and xi(z^{-1}) computed once per call and one synthesis per window; a
-central SU(2) symbol with z on the diagonal torus needs no grid, plan or
-inverse, as its kernels are class functions of |x|.
+levels, and sums on the grid or, for a central SU(2) symbol with z on the
+diagonal torus, over the classes of |x|.
 
 Operator norms on F^r_{p,q} are probed from below with seeded function
 ensembles: no finite ensemble certifies an upper bound, so sweep results are
@@ -42,7 +40,7 @@ from .transform import (
     FourierCoefficients,
     _su2_characters,
     default_grid,
-    inverse_on_grid,
+    inverse_slabs,
     random_coefficients,
     require_same_dual,
     zero_coefficients,
@@ -66,18 +64,19 @@ def kernel_difference_integrals(symbol: Symbol, levels, z: np.ndarray, c: float)
     |kappa_ell(z^{-1} x) - kappa_ell(x)| dx, kappa_ell the window kernel
     ``lp_project(symbol, ell)``, by quadrature on the slice's default grid.
 
-    The far-field mask and the matrices xi(z^{-1}) are computed once per
-    call.  Per level, the difference is synthesised on the grid once, from
-    its exact coefficients kappa_hat(xi) (xi(z^{-1}) - I), never by grid
-    interpolation.  Every level gets 0 when no grid node lies in the far
-    field.  On SU(2), a symbol that records its scalars c_l (blocks c_l I)
-    needs no grid at b(z) = 0: |x| and |z^{-1} x| at node (alpha_i, beta_j,
-    gamma_k) depend on beta_j and r = (i + 2k) mod 2 n_ag only, so the node
-    sum runs over the classes (beta_j, r), n_ag / 2 nodes each, of the class
-    functions K = sum_l d_l c_l psi_ell(<xi>_l) chi_l, and moves by roundoff
-    only.  The characters there are U_{d-1}(x) at x = Re a = cos(theta), half
-    the trace, of each class and of its translate, built by the Chebyshev
-    recurrence, so no angle is taken but the far-field mask's.
+    The far-field mask, xi(z^{-1}) and one real grid-sized array are made
+    once per call.  Per level, the difference is synthesised once, from its
+    exact coefficients kappa_hat(xi) (xi(z^{-1}) - I), its moduli streamed
+    into that array slab by slab.  Every level gets 0 when no grid node lies
+    in the far field.  On SU(2), a symbol that records its scalars c_l
+    (blocks c_l I) needs no grid at b(z) = 0: |x| and |z^{-1} x| at node
+    (alpha_i, beta_j, gamma_k) depend on beta_j and r = (i + 2k) mod 2 n_ag
+    only, so the node sum runs over the classes (beta_j, r), n_ag / 2 nodes
+    each, of the class functions K = sum_l d_l c_l psi_ell(<xi>_l) chi_l, and
+    moves by roundoff only.  The characters there are U_{d-1}(x) at x = Re a
+    = cos(theta), half the trace, of each class and of its translate, built
+    by the Chebyshev recurrence, so no angle is taken but the far-field
+    mask's.
     """
     dual = symbol.dual
     group = dual.group
@@ -93,14 +92,16 @@ def kernel_difference_integrals(symbol: Symbol, levels, z: np.ndarray, c: float)
     if not np.any(mask):
         return [0.0] * len(levels)
     reps = representation_stacks(dual, inverse(group, z))
+    mods = np.empty(grid.shape)
     integrals = []
     for ell in levels:
         kernel = lp_project(symbol, ell)
         diff = FourierCoefficients(dual, [k @ r - k for k, r in zip(kernel.stacks, reps)])
-        values = np.abs(inverse_on_grid(diff, grid).values.reshape(grid.shape))
-        values *= grid.node_weights
-        integrals.append(float(np.sum(values[mask])))
-        del values  # not alive through the next window's inverse
+        for where, values in inverse_slabs(diff, grid):
+            np.abs(values, out=mods[where])
+        values = None  # frees the window's workspace before the reduction
+        mods *= grid.node_weights
+        integrals.append(float(np.sum(mods[mask])))
     return integrals
 
 
@@ -192,8 +193,9 @@ def ensemble_member(
         z = random_point(dual.group, rng)
         return _weigh(FourierCoefficients(dual, representation_stacks(dual, z)), psi(ell, dual.eigenvalues))
     # directed-irrep, the last kind EnsembleConfig admits
-    best_i = int(np.argmax(operator_norms(symbol.stacks)))
-    _, _, vh = np.linalg.svd(symbol.block(best_i))
+    stacks = symbol.stacks  # read once: a symbol that records its scalars builds its c I blocks on each read
+    best_i = int(np.argmax(operator_norms(stacks)))
+    _, _, vh = np.linalg.svd(FourierCoefficients(dual, stacks).block(best_i))
     member = zero_coefficients(dual)
     member.block(best_i)[:, 0] = vh[0].conj()
     return member

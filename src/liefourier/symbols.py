@@ -73,7 +73,7 @@ from .dual import MAX_TORUS_LABELS, DualSlice, spin_cutoff
 from .errors import ConfigurationError, MarginError, PreconditionError
 from .groups import TORUS, GroupDescriptor, grid_q1_weight, grid_shape
 from .spaces import _weigh, eta
-from .transform import FourierCoefficients, inverse_on_grid, slice_grid
+from .transform import FourierCoefficients, inverse_slabs, slice_grid
 
 
 @dataclass(eq=False)
@@ -374,9 +374,13 @@ def dual_sobolev_norm(symbol: FourierCoefficients, s: float) -> float:
     if float(s).is_integer():
         return _stencil_sobolev_norm(symbol, int(s))
     grid = slice_grid(symbol.dual, symbol.dual.max_band + math.ceil(s))
-    f = inverse_on_grid(symbol, grid)
+    density = np.empty(grid.shape)
+    for where, values in inverse_slabs(symbol, grid):
+        np.abs(values, out=density[where])
+    values = None  # frees the synthesis workspace before the weights
+    density **= 2
     weight = grid_q1_weight(grid).reshape(grid.shape) ** (2.0 * s)
-    return float(np.sqrt(np.sum(grid.node_weights * weight * np.abs(f.values.reshape(grid.shape)) ** 2)))
+    return float(np.sqrt(np.sum(grid.node_weights * weight * density)))
 
 
 def _stencil_sobolev_norm(symbol: FourierCoefficients, s: int) -> float:

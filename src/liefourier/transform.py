@@ -31,27 +31,24 @@ the plan folds the gamma circle in half and holds its gamma phase tables on
 the nodes gamma < 2 pi alone, as SO(3) FFTs do (Kostelec & Rockmore, *FFTs
 on the rotation group*, JFAA 14, 2008).  The plan is separable per beta
 node, so its alpha and gamma products run over slabs of beta nodes, through
-one workspace of about ``_SLAB_BYTES`` that each call allocates once and
-reuses slab after slab: the inverse fills the compact arrays (the beta sum)
-and then, per slab, runs one gamma product per class on the half circle and
-the alpha product, writing the slab's columns of its output (a wide band
-takes the class signs after its alpha product, which then also runs on the
-half circle, a narrow one before it); the forward folds each slab per
-class, v(gamma) +- v(gamma + 2 pi), and runs that class's alpha and gamma
-products on the half circle into the compact arrays, and the beta sum reads
-them whole.  :func:`inverse_slabs` hands the slabs out one at a time, so a
-caller that reduces over nodes (``spaces.tl_norms``) never holds a complex
-grid-sized array; on the torus the one slab is the whole grid.  The beta
-sum runs over (m', m) shells: a position (m', m) of the ladder square
-belongs to every spin l >= max(|m'|, |m|), so its sum over spins is one
-small real matrix product, and the positions of a shell (max(|m'|, |m|)
-fixed) make one batched product, each way.  The tables hold a quarter of
-every little-d table, the positions m' > 0 (and m' = 0, m >= 0) at half
-the nodes, and read the rest through d_{-m',-m} = (-1)^(m'-m) d_{m'm} and
-d_{m'm}(pi - beta) = (-1)^(l+m') d_{m',-m}(beta), as the nodes are
-symmetric about pi/2.  Both plans are exact for band-limited functions.
-:func:`inverse_evaluate`, the tests' oracle, sums the series directly at
-arbitrary points over :func:`liefourier.dual.representation_stacks`.
+one workspace of about ``_SLAB_BYTES`` per call (:class:`_Su2Plan` gives the
+order of the products).  The beta sum runs over (m', m) shells: a position
+(m', m) of the ladder square belongs to every spin l >= max(|m'|, |m|), so
+its sum over spins is one small real matrix product, and the positions of a
+shell (max(|m'|, |m|) fixed) make one batched product, each way.  The tables
+hold a quarter of every little-d table, the positions m' > 0 (and m' = 0,
+m >= 0) at half the nodes, and read the rest through d_{-m',-m} =
+(-1)^(m'-m) d_{m'm} and d_{m'm}(pi - beta) = (-1)^(l+m') d_{m',-m}(beta),
+as the nodes are symmetric about pi/2.  Both plans are exact for
+band-limited functions.
+
+Each plan synthesises through one method, ``inverse_slabs(stacks, out=None)``,
+slab by slab (on the torus one slab, the whole grid, transformed in place):
+every grid functional reads :func:`inverse_slabs` into a real grid-sized
+array, and :func:`inverse_on_grid` drains it into a complex one for a caller
+that needs the samples themselves.  :func:`inverse_evaluate`, the tests'
+oracle, sums the series directly at arbitrary points over
+:func:`liefourier.dual.representation_stacks`.
 """
 
 from __future__ import annotations
@@ -201,14 +198,12 @@ class _TorusPlan:
         spectrum = np.fft.fftn(self.weight * values.reshape(self.shape))
         return [np.take(spectrum, self.index).reshape(-1, 1, 1)]
 
-    def inverse_on_grid(self, stacks: list[np.ndarray]) -> np.ndarray:
-        spectrum = np.zeros(self.shape, dtype=complex)
+    def inverse_slabs(self, stacks: list[np.ndarray], out: np.ndarray | None = None):
+        """The inverse as one slab, the whole grid: the spectrum transformed in place, in ``out`` if given."""
+        spectrum = np.empty(self.shape, dtype=complex) if out is None else out
+        spectrum.fill(0)
         np.put(spectrum, self.index, stacks[0][:, 0, 0])
-        return np.fft.ifftn(spectrum, norm="forward").ravel()
-
-    def inverse_slabs(self, stacks: list[np.ndarray]):
-        """The inverse as one slab: the whole grid."""
-        yield ..., self.inverse_on_grid(stacks).reshape(self.shape)
+        yield ..., np.fft.ifftn(spectrum, norm="forward", out=spectrum)
 
 
 def _shell_positions(top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -563,12 +558,6 @@ class _Su2Plan:
                 np.matmul(e_inv_a, t.reshape(rows, -1), out=cols)
             yield np.s_[:, j], cols.reshape(na, -1, ng)
 
-    def inverse_on_grid(self, stacks: list[np.ndarray]) -> np.ndarray:
-        out = np.empty(self.shape, dtype=complex)
-        for _ in self.inverse_slabs(stacks, out):
-            pass
-        return out.ravel()
-
 
 def _su2_class_rule(dims: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Midpoint nodes theta_j = (j + 1/2) pi / n in the rotation angle of SU(2)
@@ -620,8 +609,12 @@ def forward_transform(gridfn: GridFunction, dual: DualSlice) -> FourierCoefficie
 
 
 def inverse_on_grid(coeffs: FourierCoefficients, grid: QuadratureGrid) -> GridFunction:
-    """Evaluate the inversion series at every grid node through the slice's plan for the grid."""
-    return GridFunction(grid, _get_plan(grid, coeffs.dual).inverse_on_grid(coeffs.stacks))
+    """Evaluate the inversion series at every grid node: :func:`inverse_slabs` drained into one
+    complex grid-sized array, for a caller that needs the samples themselves."""
+    out = np.empty(grid.shape, dtype=complex)
+    for _ in _get_plan(grid, coeffs.dual).inverse_slabs(coeffs.stacks, out):
+        pass
+    return GridFunction(grid, out.ravel())
 
 
 def inverse_slabs(coeffs: FourierCoefficients, grid: QuadratureGrid):
@@ -638,7 +631,7 @@ def inverse_evaluate(coeffs: FourierCoefficients, points: np.ndarray) -> np.ndar
     """f(x) = sum_xi d_xi Tr(xi(x) fhat(xi)) at arbitrary points (P, dim).
 
     The direct pointwise sum over :func:`representation_stacks`, in chunks of
-    points.  Grid evaluation goes through :func:`inverse_on_grid`.
+    points.  Grid evaluation goes through :func:`inverse_slabs`.
     """
     dual = coeffs.dual
     points = np.atleast_2d(np.asarray(points, dtype=float))

@@ -862,3 +862,33 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "selftest: ok" in proc.stderr
+
+
+def test_only_the_round_trip_synthesises_whole_grids(tmp_path, monkeypatch):
+    # the grid functionals stream inverse_slabs, so across the shipped, benchmark and CHECKS
+    # configs of scripts/report_digests.py every call of transform.inverse_on_grid comes from
+    # cli._roundtrip_residual, whose forward transform needs the samples themselves
+    import importlib.util
+
+    from liefourier import transform
+
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts the repository root first
+    script = Path(__file__).resolve().parents[1] / "scripts" / "report_digests.py"
+    spec = importlib.util.spec_from_file_location("report_digests", script)
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    original, callers = transform.inverse_on_grid, []
+
+    def spy(coeffs, grid):
+        frame = sys._getframe(1)
+        callers.append(f"{frame.f_globals['__name__']}.{frame.f_code.co_name}")
+        return original(coeffs, grid)
+
+    for name, module in list(sys.modules.items()):  # every binding, as modules import the name
+        if name.split(".")[0] == "liefourier":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, spy)
+    for i, (_, cfg) in enumerate(digests.configs()):
+        run_config(cfg, tmp_path / str(i))
+    assert callers and set(callers) == {"liefourier.cli._roundtrip_residual"}

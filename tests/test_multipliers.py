@@ -24,7 +24,7 @@ from liefourier import (
 )
 from liefourier import multipliers, spaces, transform
 from liefourier.cli import run_config
-from liefourier.dual import spin_cutoff
+from liefourier.dual import representation_stacks, spin_cutoff
 from liefourier.errors import ConfigurationError, PreconditionError
 from liefourier.groups import (
     _su2_beta_rule,
@@ -34,11 +34,12 @@ from liefourier.groups import (
     inverse,
     multiply,
     point_at_distance,
+    su2_pair,
 )
 from liefourier.multipliers import decay_slope, ensemble_member
 from liefourier.spaces import lp_project, psi, windows
-from liefourier.symbols import symbol_linf
-from liefourier.transform import default_grid, inverse_evaluate, inverse_on_grid
+from liefourier.symbols import operator_norms, symbol_linf
+from liefourier.transform import default_grid, inverse_evaluate, inverse_on_grid, zero_coefficients
 from tl_oracle import tl_norms as oracle_tl_norms
 
 
@@ -429,6 +430,85 @@ def test_one_call_equals_per_window_oracle_bitwise(kind, n, top, z, c):
     assert kernel_difference_integrals(sig, levels, z, c) == oracle
     empty_far_field = top == 16.0 and c > 1.0
     assert (max(oracle) == 0.0) == empty_far_field
+
+
+def _whole_grid_difference_integrals(symbol, levels, z, c):
+    # oracle: the grid path with each window's difference synthesised whole by inverse_on_grid,
+    # a complex grid-sized array, and its modulus weighted and summed over the far field
+    dual, group = symbol.dual, symbol.dual.group
+    grid = default_grid(dual)
+    mask = grid_distance_to_identity(grid).reshape(grid.shape) > 4.0 * c * distance_to_identity(group, z)
+    reps = representation_stacks(dual, inverse(group, z))
+    integrals = []
+    for ell in levels:
+        kernel = lp_project(symbol, ell)
+        diff = FourierCoefficients(dual, [k @ r - k for k, r in zip(kernel.stacks, reps)])
+        values = np.abs(inverse_on_grid(diff, grid).values.reshape(grid.shape))
+        values *= grid.node_weights
+        integrals.append(float(np.sum(values[mask])))
+    return integrals
+
+
+@pytest.mark.parametrize(
+    "kind,n,cutoff,z",
+    [
+        ("torus", 1, 64.0, [0.07]),
+        ("torus", 2, 12.0, [0.03, 0.05]),
+        ("torus", 3, 6.0, [0.03, 0.05, 0.02]),
+        ("su2", 3, spin_cutoff(15.5), [0.3, 0.2, 0.1]),
+    ],
+)
+def test_streamed_difference_integrals_equal_the_whole_grid_formula(kind, n, cutoff, z, monkeypatch):
+    # the grid path fills one real array slab by slab and reduces it as the whole-grid
+    # formula does, so the integrals keep their bits.  On SU(2) the blocks of a spectral
+    # symbol with nothing recorded, at a z off the diagonal torus, stream in 5 slabs
+    dual = enumerate_dual(make_group(kind, n), cutoff)
+    monkeypatch.setattr(transform, "_SLAB_BYTES", -(-len(default_grid(dual)) * 16 // 5))
+    sig = Symbol(dual, build_spectral_symbol(lambda lam: lam ** (1j), dual).stacks)
+    z = np.array(z)
+    if kind == "su2":
+        assert su2_pair(z)[1] != 0 and len(transform._get_plan(default_grid(dual), dual).slabs) == 5
+    levels = _nonzero_windows(dual)
+    got = kernel_difference_integrals(sig, levels, z, 1.0)
+    assert got == _whole_grid_difference_integrals(sig, levels, z, 1.0)
+    assert all(value > 0.0 for value in got)
+
+
+def test_streamed_difference_integrals_peak_memory(su2, monkeypatch):
+    # the grid path at spin 15.5 with a warm grid and plan on 16 slabs, windows 1-4 of
+    # blocks with nothing recorded at a z off the diagonal torus: the real moduli array
+    # (1 x N x 8 bytes), the compact class arrays (about 1) and the slab workspace while a
+    # window streams, its masked copy after.  Measured 3.01 x N x 8 bytes, against 4.01
+    # when each window was synthesised whole into a complex array
+    dual = enumerate_dual(su2, spin_cutoff(15.5))
+    monkeypatch.setattr(transform, "_SLAB_BYTES", -(-len(default_grid(dual)) * 16 // 16))
+    sig = Symbol(dual, build_spectral_symbol(lambda lam: lam ** (1j), dual).stacks)
+    z = np.array([0.3, 0.2, 0.1])
+    expected = kernel_difference_integrals(sig, [1, 2, 3, 4], z, 1.0)  # warms the grid and the plan
+    n = len(default_grid(dual))
+    tracemalloc.start()
+    try:
+        assert kernel_difference_integrals(sig, [1, 2, 3, 4], z, 1.0) == expected
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.2 * n * 8, f"peak {peak / (n * 8):.2f} x N x 8 bytes"
+
+
+def test_directed_irrep_reads_a_recorded_symbol_once(su2, monkeypatch):
+    # the member of a symbol that records its scalars takes the argmax and the block at it
+    # from one read of the derived c I blocks; it is the member built from symbol.block
+    from conftest import spy_recorded_stack_reads
+
+    dual = enumerate_dual(su2, spin_cutoff(7.5))
+    sig = build_spectral_symbol(lambda lam: (1.0 + 0.5 * np.sin(lam)) * lam ** (2j), dual)
+    best_i = int(np.argmax(operator_norms(sig.stacks)))
+    want = zero_coefficients(dual)
+    want.block(best_i)[:, 0] = np.linalg.svd(sig.block(best_i))[2][0].conj()
+    reads = spy_recorded_stack_reads(monkeypatch)
+    member = ensemble_member(EnsembleConfig("directed-irrep", 1), 0, dual, np.random.default_rng(0), sig)
+    assert reads == [len(dual)]
+    assert all(np.array_equal(a, b) for a, b in zip(member.stacks, want.stacks))
 
 
 def test_one_call_builds_distance_and_translation_once(torus1, monkeypatch):

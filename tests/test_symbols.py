@@ -46,7 +46,8 @@ from liefourier.symbols import (
     singular_values,
     symbol_linf,
 )
-from liefourier.transform import slice_grid
+from liefourier import transform
+from liefourier.transform import default_grid, slice_grid
 
 
 def _scalar_symbol_from_map(dual, mapping):
@@ -637,11 +638,35 @@ def test_integer_sobolev_stencil_matches_grid_oracle(kind, n, cutoff, diagonal, 
         assert filled == [0, 0, 1, 1, 1, 1]
 
 
-@pytest.mark.parametrize("kind,n,cutoff", [("su2", 3, spin_cutoff(7.5)), ("torus", 1, 64.0), ("torus", 3, 6.0)])
+@pytest.mark.parametrize(
+    "kind,n,cutoff",
+    [("su2", 3, spin_cutoff(7.5)), ("su2", 3, spin_cutoff(15.5)), ("torus", 1, 64.0), ("torus", 2, 16.0), ("torus", 3, 6.0)],
+)
 def test_fractional_sobolev_stays_on_the_grid(kind, n, cutoff):
+    # the moduli stream into one real array slab by slab (two slabs at spin 15.5) and are
+    # squared and weighted as the whole-grid oracle does, so the norm keeps its bits
     symbol = _random_block_symbol(kind, n, cutoff)
     for s in (1.6, 2.5):
         assert dual_sobolev_norm(symbol, s) == grid_sobolev_norm(symbol, s)
+
+
+def test_fractional_sobolev_peak_memory(su2, monkeypatch):
+    # s = 2.5 at spin 15.5 on the grid of bandlimit 18.5 (N nodes) with a warm plan on 27
+    # slabs: the squared moduli, the weights, the weighted weights and their product
+    # (4 x N x 8 bytes); the compact class arrays and a slab workspace stream first.
+    # Measured 4.003 x N x 8 bytes, against 5.003 with the samples synthesised whole
+    symbol = _random_block_symbol("su2", 3, spin_cutoff(15.5))
+    dual = symbol.dual
+    monkeypatch.setattr(transform, "_SLAB_BYTES", -(-len(default_grid(dual)) * 16 // 16))
+    expected = dual_sobolev_norm(symbol, 2.5)  # warms the grid and the plan
+    n = len(slice_grid(dual, dual.max_band + 3))
+    tracemalloc.start()
+    try:
+        assert dual_sobolev_norm(symbol, 2.5) == expected
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.2 * n * 8, f"peak {peak / (n * 8):.2f} x N x 8 bytes"
 
 
 def test_integer_hormander_mihlin_builds_no_grid(torus1, torus2, su2, monkeypatch):
@@ -651,7 +676,7 @@ def test_integer_hormander_mihlin_builds_no_grid(torus1, torus2, su2, monkeypatc
         raise AssertionError("a grid was requested")
 
     monkeypatch.setattr(symbols, "slice_grid", no_grid)
-    monkeypatch.setattr(symbols, "inverse_on_grid", no_grid)
+    monkeypatch.setattr(symbols, "inverse_slabs", no_grid)
     for group, cutoff in ((torus1, 64.0), (torus2, 16.0), (make_group("torus", 3), 8.0), (su2, spin_cutoff(15.5))):
         sig = build_spectral_symbol(lambda lam: lam ** (1j), enumerate_dual(group, cutoff))
         assert np.isfinite(check_hormander_mihlin(sig).headline)

@@ -40,6 +40,15 @@ def _max_block_err(a, b):
     return max(float(np.max(np.abs(x - y))) for x, y in zip(a.blocks, b.blocks))
 
 
+def _drain(plan, stacks):
+    """A plan's inverse on the whole grid, flat: every slab of ``inverse_slabs`` written into one
+    output, as ``transform.inverse_on_grid`` drains it."""
+    out = np.empty(plan.shape, dtype=complex)
+    for _ in plan.inverse_slabs(stacks, out):
+        pass
+    return out.ravel()
+
+
 def _convolve(f, g):
     """Right convolution f * g: T_sigma f with sigma = ghat, i.e. ghat . fhat per irrep."""
     return apply_multiplier(Symbol(g.dual, g.stacks), f)
@@ -164,8 +173,8 @@ def test_su2_plan_matches_full_table_oracle(su2, two_top):
     inputs += [[s if k % 2 == parity else 0 * s for k, s in zip(plan.two_ells, stacks)] for parity in (0, 1)]
     inputs += [lp_project(coeffs, ell).stacks for ell, _ in windows(dual)]
     for given in inputs:
-        np.testing.assert_allclose(plan.inverse_on_grid(given), oracle.inverse_on_grid(given), rtol=0, atol=1e-12)
-    vals = plan.inverse_on_grid(stacks)
+        np.testing.assert_allclose(_drain(plan, given), oracle.inverse_on_grid(given), rtol=0, atol=1e-12)
+    vals = _drain(plan, stacks)
     noise = rng.standard_normal(len(grid)) + 1j * rng.standard_normal(len(grid))
     for samples in (vals, noise):
         for got, want in zip(plan.forward(samples), oracle.forward(samples)):
@@ -284,7 +293,7 @@ def test_su2_slabs_match_the_whole_array_plan(su2, spin, monkeypatch):
         pairs = [(plan.forward(noise), oracle.forward(noise))]
         for given in inputs:
             want = oracle.inverse_on_grid(given)
-            got = plan.inverse_on_grid(given)
+            got = _drain(plan, given)
             streamed = np.empty(plan.shape, dtype=complex)
             for index, values in plan.inverse_slabs(given):
                 streamed[index] = values
@@ -327,7 +336,7 @@ def test_su2_plan_folds_gamma_by_spin_parity(su2, spin):
             butterfly = plan._butterfly(max(live))
             assert butterfly or i > 0 or spin == 0.5  # every whole slice past spin 0 takes the butterfly
             modes.add(butterfly)
-            vals = plan.inverse_on_grid(stacks).reshape(na, nb, ng)
+            vals = _drain(plan, stacks).reshape(na, nb, ng)
             if butterfly or spin != 8.0:
                 assert np.array_equal(vals[:, :, h:], sign * vals[:, :, :h])
             else:
@@ -338,6 +347,30 @@ def test_su2_plan_folds_gamma_by_spin_parity(su2, spin):
             if k % 2 != parity:
                 assert not block.any()
     assert modes == {False, True}
+
+
+def test_plans_synthesise_through_inverse_slabs_alone():
+    # one synthesis method per plan; transform.inverse_on_grid drains it into one output
+    for plan in (transform._TorusPlan, _Su2Plan):
+        assert not hasattr(plan, "inverse_on_grid")
+        assert callable(plan.inverse_slabs)
+
+
+@pytest.mark.parametrize("n,cutoff", [(1, 64.0), (2, 12.0), (3, 6.0)])
+def test_torus_inverse_slab_is_the_given_output(n, cutoff):
+    # the one slab is the whole grid, the spectrum transformed in place: in the output when
+    # one is given, which then holds the same bits as a slab into a fresh array
+    dual = enumerate_dual(make_group("torus", n), cutoff)
+    grid = default_grid(dual)
+    plan = _get_plan(grid, dual)
+    coeffs = random_coefficients(dual, np.random.default_rng(n))
+    [(where, fresh)] = plan.inverse_slabs(coeffs.stacks)
+    out = np.full(grid.shape, np.nan, dtype=complex)
+    [(_, given)] = plan.inverse_slabs(coeffs.stacks, out)
+    assert where is Ellipsis and given is out and fresh.shape == grid.shape
+    assert np.array_equal(fresh, out)
+    assert np.array_equal(inverse_on_grid(coeffs, grid).values, out.ravel())
+    np.testing.assert_allclose(out.ravel(), inverse_evaluate(coeffs, grid.points), rtol=0, atol=1e-10)
 
 
 def test_su2_plan_transient_peaks(su2, monkeypatch):
@@ -351,12 +384,12 @@ def test_su2_plan_transient_peaks(su2, monkeypatch):
     grid = default_grid(dual)
     plan = _slab_plan(monkeypatch, grid, dual, 16)
     stacks = random_coefficients(dual, np.random.default_rng(5)).stacks
-    vals = plan.inverse_on_grid(stacks)
+    vals = _drain(plan, stacks)
     plan.forward(vals)
     unit = len(grid) * 8
     tracemalloc.start()
     try:
-        plan.inverse_on_grid(stacks)
+        _drain(plan, stacks)
         inverse_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         plan.forward(vals)
