@@ -476,10 +476,11 @@ def test_streamed_difference_integrals_equal_the_whole_grid_formula(kind, n, cut
 
 def test_streamed_difference_integrals_peak_memory(su2, monkeypatch):
     # the grid path at spin 15.5 with a warm grid and plan on 16 slabs, windows 1-4 of
-    # blocks with nothing recorded at a z off the diagonal torus: the real moduli array
-    # (1 x N x 8 bytes), the compact class arrays (about 1) and the slab workspace while a
-    # window streams, its masked copy after.  Measured 3.01 x N x 8 bytes, against 4.01
-    # when each window was synthesised whole into a complex array
+    # blocks with nothing recorded at a z off the diagonal torus.  The far-field distance
+    # sets the peak before the moduli array exists (the complex a(x) of every node and its
+    # clipped real part, 3 x N x 8 bytes); a streaming window holds less, the moduli array
+    # (1), the compact class arrays (about 1) and a slab workspace.  Measured 3.01 x N x 8
+    # bytes, against 4.01 when each window was synthesised whole next to its modulus
     dual = enumerate_dual(su2, spin_cutoff(15.5))
     monkeypatch.setattr(transform, "_SLAB_BYTES", -(-len(default_grid(dual)) * 16 // 16))
     sig = Symbol(dual, build_spectral_symbol(lambda lam: lam ** (1j), dual).stacks)

@@ -652,9 +652,9 @@ def test_fractional_sobolev_stays_on_the_grid(kind, n, cutoff):
 
 def test_fractional_sobolev_peak_memory(su2, monkeypatch):
     # s = 2.5 at spin 15.5 on the grid of bandlimit 18.5 (N nodes) with a warm plan on 27
-    # slabs: the squared moduli, the weights, the weighted weights and their product
-    # (4 x N x 8 bytes); the compact class arrays and a slab workspace stream first.
-    # Measured 4.003 x N x 8 bytes, against 5.003 with the samples synthesised whole
+    # slabs: the squared moduli (1 x N x 8 bytes) next to grid_q1_weight's complex a(x) of
+    # every node and its clipped real part (3); the synthesis streams below that.
+    # Measured 4.003 x N x 8 bytes, against 5.003 with the complex samples held whole
     symbol = _random_block_symbol("su2", 3, spin_cutoff(15.5))
     dual = symbol.dual
     monkeypatch.setattr(transform, "_SLAB_BYTES", -(-len(default_grid(dual)) * 16 // 16))
