@@ -92,12 +92,7 @@ def su2_pair(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     points = np.asarray(points, dtype=float)
     alpha, beta, gamma = points[..., 0], points[..., 1], points[..., 2]
-    return _su2_a(alpha, beta, gamma), np.exp(0.5j * (alpha - gamma)) * np.sin(beta / 2.0)
-
-
-def _su2_a(alpha, beta, gamma) -> np.ndarray:
-    """The Cayley-Klein parameter a from broadcasting Euler angle arrays."""
-    return np.exp(-0.5j * (alpha + gamma)) * np.cos(beta / 2.0)
+    return np.exp(-0.5j * (alpha + gamma)) * np.cos(beta / 2.0), np.exp(0.5j * (alpha - gamma)) * np.sin(beta / 2.0)
 
 
 def su2_matrix(x: np.ndarray) -> np.ndarray:
@@ -172,18 +167,31 @@ def inverse(group: GroupDescriptor, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _distance(group: GroupDescriptor, coords) -> np.ndarray:
-    """|x| from one coordinate array per axis; the arrays broadcast."""
+    """|x| from one coordinate array per axis; the arrays broadcast.
+
+    On SU(2), |x| = arccos(Re a) with Re a = cos(beta/2) Re e^{-i(alpha+gamma)/2}
+    (the real part of :func:`su2_pair`'s a, bit for bit), formed from the two
+    factors as one real array and then clipped and mapped in place, so a grid's
+    np.ix_ axes make one grid-sized array and no complex one."""
     if group.kind == TORUS:
         frac = [np.mod(c, 1.0) for c in coords]
         return TWO_PI * np.sqrt(sum(np.minimum(f, 1.0 - f) ** 2 for f in frac))
-    return np.arccos(np.clip(_su2_a(*coords).real, -1.0, 1.0))
+    alpha, beta, gamma = coords
+    dist = np.asarray(np.exp(-0.5j * (alpha + gamma)).real * np.cos(beta / 2.0))
+    np.clip(dist, -1.0, 1.0, out=dist)
+    return np.arccos(dist, out=dist)[()]  # [()] gives one point's distance as a scalar
 
 
 def _q1(group: GroupDescriptor, coords) -> np.ndarray:
-    """q1 from one coordinate array per axis; the arrays broadcast."""
+    """q1 from one coordinate array per axis; the arrays broadcast.  On SU(2),
+    2 |sin(|x| / 2)|, computed in place in the array of |x|."""
     if group.kind == TORUS:
         return 2.0 * np.sqrt(sum(np.sin(np.pi * np.mod(c, 1.0)) ** 2 for c in coords))
-    return 2.0 * np.abs(np.sin(_distance(group, coords) / 2.0))
+    q1 = np.asarray(_distance(group, coords))
+    q1 /= 2.0
+    np.abs(np.sin(q1, out=q1), out=q1)
+    q1 *= 2.0
+    return q1[()]
 
 
 def distance_to_identity(group: GroupDescriptor, points: np.ndarray) -> np.ndarray:
@@ -256,11 +264,44 @@ def grid_shape(group: GroupDescriptor, bandlimit: float) -> tuple[int, ...]:
 # One entry per beta node count of an SU(2) grid or kernel-decay class sum: two arrays of n floats each.
 @cache
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.polynomial.legendre.leggauss(n)``, computed once per node count; read-only, as every
-    caller shares them."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+    """The n-point Gauss-Legendre rule on [-1, 1], bit for bit
+    ``np.polynomial.legendre.leggauss(n)`` by the same steps, without importing
+    ``numpy.polynomial``: the eigenvalues of the symmetric companion (Jacobi)
+    matrix of P_n (Golub & Welsch), one Newton step on P_n, the weights
+    1 / (P_{n-1} P_n') scaled by their maxima, then both symmetrised and the
+    weights normalised to sum to 2.  Computed once per node count; read-only,
+    as every caller shares them."""
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    jacobi = np.zeros((n, n))
+    jacobi.flat[1 :: n + 1] = jacobi.flat[n :: n + 1] = np.arange(1, n) * scl[:-1] * scl[1:]
+    x = np.linalg.eigvalsh(jacobi)
+    # the Legendre coefficients of P_n and P_{n-1}, and of P_n' = sum of (2k + 1) P_k over the
+    # k < n of the parity of n - 1
+    p_n, p_below = ((np.arange(m + 1) == m) * 1.0 for m in (n, n - 1))
+    dp_n = np.where(np.arange(n) % 2 == (n - 1) % 2, 2.0 * np.arange(n) + 1.0, 0.0)
+    df = _legval(x, dp_n)
+    x -= _legval(x, p_n) / df
+    fm = _legval(x, p_below)
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _legval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The Legendre series with coefficients ``c`` (lowest degree first) at
+    ``x`` by Clenshaw's recurrence, in the order of operations of
+    ``np.polynomial.legendre.legval``."""
+    if len(c) == 1:
+        return c[0] + 0 * x
+    c0, c1 = c[-2], c[-1]
+    for nd in range(len(c) - 1, 1, -1):
+        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
 
 
 def _su2_beta_rule(group: GroupDescriptor, bandlimit: float) -> tuple[int, np.ndarray, np.ndarray]:

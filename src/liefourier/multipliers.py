@@ -76,7 +76,7 @@ def kernel_difference_integrals(symbol: Symbol, levels, z: np.ndarray, c: float)
     moves by roundoff only.  The characters there are U_{d-1}(x) at x = Re a
     = cos(theta), half the trace, of each class and of its translate, built
     by the Chebyshev recurrence, so no angle is taken but the far-field
-    mask's.
+    mask's; one table holds their differences, chunk by chunk.
     """
     dual = symbol.dual
     group = dual.group
@@ -106,9 +106,9 @@ def kernel_difference_integrals(symbol: Symbol, levels, z: np.ndarray, c: float)
 
 
 def _central_difference_integrals(dual: DualSlice, scalars, levels, a_z, radius: float) -> list[float]:
-    """The class sum of :func:`kernel_difference_integrals`, in chunks of 8 MB character tables
-    U_{d-1}(x) at x = Re a(x) and Re a(z^{-1} x), one row per dimension, contracted with one
-    GEMM on their transpose."""
+    """The class sum of :func:`kernel_difference_integrals`, in chunks of one 8 MB table of
+    U_{d-1}(x') - U_{d-1}(x) at x' = Re a(z^{-1} x) and x = Re a(x), one row per dimension,
+    contracted with one GEMM on its transpose; every chunk reuses the table's buffer."""
     n_ag, beta, w_beta = _su2_beta_rule(dual.group, dual.max_band)
     # a(x) = cos(beta_j / 2) e^{-i pi r / n_ag} on the classes, and a(z^{-1} x) = conj(a(z)) a(x)
     a = np.cos(beta / 2.0)[:, None] * np.exp(-1j * np.pi / n_ag * np.arange(2 * n_ag))
@@ -119,11 +119,14 @@ def _central_difference_integrals(dual: DualSlice, scalars, levels, a_z, radius:
     # (spins, 2 levels): the real and imaginary parts of d_l c_l psi_ell(<xi>_l) side by side
     coeffs = np.ascontiguousarray((psis * (dual.dims * scalars)).T).view(float)
     sums = np.zeros(len(levels))
-    step = max(1, 1_000_000 // len(dual))
+    top = len(dual)
+    step = max(1, 1_000_000 // top)
+    table = np.empty(top * min(step, len(x)))
     for lo in range(0, len(x), step):
-        chi = _su2_characters(moved[lo : lo + step], len(dual))
-        chi -= _su2_characters(x[lo : lo + step], len(dual))
-        sums += weights[lo : lo + step] @ np.abs((chi.T @ coeffs).view(complex))
+        chunk = slice(lo, lo + step)
+        chi = table[: top * len(x[chunk])].reshape(top, -1)
+        _su2_characters(moved[chunk], top, x[chunk], out=chi)
+        sums += weights[chunk] @ np.abs((chi.T @ coeffs).view(complex))
     return sums.tolist()
 
 

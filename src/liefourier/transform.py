@@ -570,21 +570,43 @@ def _su2_class_rule(dims: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return _su2_characters(np.cos(theta), len(dims)).T, (2.0 / n) * np.sin(theta) ** 2
 
 
-def _su2_characters(x: np.ndarray, top: int) -> np.ndarray:
+def _su2_characters(
+    x: np.ndarray, top: int, minus: np.ndarray | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
     """The characters chi_d(theta) = sin(d theta) / sin(theta) = U_{d-1}(x) of SU(2), the
     Chebyshev polynomials of the second kind at x = cos(theta), theta the rotation angle
     (``distance_to_identity``), for the dimensions d = 1 ... ``top`` of an SU(2) slice: one
     contiguous row per dimension and one column per point, filled row by row by the
-    recurrence U_{k+1} = 2x U_k - U_{k-1}, with no trigonometry."""
-    chi = np.empty((top, len(x)))
-    chi[0] = 1.0
-    twox = 2.0 * x
-    if top > 1:
-        chi[1] = twox
-    for k in range(2, top):
-        np.multiply(twox, chi[k - 1], out=chi[k])
-        chi[k] -= chi[k - 2]
+    recurrence U_{k+1} = 2x U_k - U_{k-1}, with no trigonometry.  With ``minus``, an array
+    like ``x``, each row is U_{d-1}(x) - U_{d-1}(minus) instead, bit for bit the difference of
+    the two tables, while each recurrence keeps only three rolling rows.  The table goes into
+    ``out``, a C-contiguous (top, len(x)) array, when one is given."""
+    chi = np.empty((top, len(x))) if out is None else out
+    if minus is None:
+        for _ in _chebyshev_rows(x, top, chi):
+            pass
+        return chi
+    rolling = (_chebyshev_rows(u, top, np.empty((3, len(x)))) for u in (x, minus))
+    for row, plus, less in zip(chi, *rolling):
+        np.subtract(plus, less, out=row)
     return chi
+
+
+def _chebyshev_rows(x: np.ndarray, top: int, rows: np.ndarray):
+    """Yield U_0(x) ... U_{top-1}(x), U_k computed into ``rows[k % len(rows)]`` from the two
+    rows before it: a full table when ``rows`` has ``top`` rows, rolling rows when it has 3."""
+    n = len(rows)
+    twox = 2.0 * x
+    rows[0] = 1.0
+    yield rows[0]
+    if top > 1:
+        rows[1] = twox
+        yield rows[1]
+    for k in range(2, top):
+        u = rows[k % n]
+        np.multiply(twox, rows[(k - 1) % n], out=u)
+        u -= rows[(k - 2) % n]
+        yield u
 
 
 def _get_plan(grid: QuadratureGrid, dual: DualSlice):

@@ -864,6 +864,35 @@ def test_console_entry_point(tmp_path):
     assert "selftest: ok" in proc.stderr
 
 
+def test_su2_tasks_leave_numpy_polynomial_unimported(tmp_path):
+    # the Gauss-Legendre rule of every SU(2) grid and class sum is the
+    # library's own, so a fresh interpreter running the su2-session
+    # kernel-decay task and an SU(2) transform never imports numpy.polynomial
+    import liefourier
+
+    decay = {
+        "task": "kernel-decay",
+        "group": {"kind": "su2"},
+        "ell_max": 31.5,
+        "symbol": {"type": "power_it", "t": 1.0},
+        "windows": [1, 2, 3, 4],
+        "z_distance": 0.3,
+    }
+    script = (
+        "import json, sys\n"
+        "from liefourier.cli import run_config\n"
+        "for name, cfg in json.loads(sys.argv[1]).items():\n"
+        "    assert run_config(cfg, sys.argv[2] + '/' + name) == 0\n"
+        "print('numpy.polynomial' in sys.modules)\n"
+    )
+    src = str(Path(liefourier.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    configs = json.dumps({"decay": decay, "transform": {**_SU2_TRANSFORM, "ell_max": 7.5}})
+    proc = subprocess.run([sys.executable, "-c", script, configs, str(tmp_path)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_only_the_round_trip_synthesises_whole_grids(tmp_path, monkeypatch):
     # the grid functionals stream inverse_slabs, so across the shipped, benchmark and CHECKS
     # configs of scripts/report_digests.py every call of transform.inverse_on_grid comes from

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from liefourier import build_grid, enumerate_dual, make_group
 from liefourier.dual import spin_cutoff, wigner_matrix
 from liefourier.errors import ConfigurationError
 from liefourier.groups import (
+    _leggauss,
     _su2_beta_rule,
     canonicalize,
     distance_to_identity,
@@ -207,6 +210,33 @@ def test_points_and_q1_from_axes_equal_meshgrid(kind, n, band):
     assert points.shape == (len(grid), n)
     assert np.array_equal(grid.points, points)
     assert np.array_equal(grid_q1_weight(grid), q1_weight(group, points))
+
+
+@pytest.mark.parametrize("n", [*range(1, 301), 511, 512, 1023, 1025])
+def test_leggauss_equals_numpy_polynomial(n):
+    # the library's Gauss-Legendre rule runs numpy's leggauss step for step
+    # without importing numpy.polynomial: the same bytes, shared read-only
+    nodes, weights = _leggauss(n)
+    expected = np.polynomial.legendre.leggauss(n)
+    assert nodes.tobytes() == expected[0].tobytes() and weights.tobytes() == expected[1].tobytes()
+    assert not nodes.flags.writeable and not weights.flags.writeable
+
+
+@pytest.mark.parametrize("spin,bound", [(15.5, 1.25), (31.5, 1.1)])
+def test_su2_grid_distance_and_q1_hold_one_grid_sized_array(su2, spin, bound):
+    # Re a = cos(beta/2) Re e^{-i(alpha+gamma)/2} from the per-axis factors,
+    # clipped and mapped in place: tracemalloc read 1.19 / 1.05 N x 8 bytes
+    # at spin 15.5 / 31.5 for both (3.00 with the complex a of every node)
+    grid = build_grid(su2, spin)
+    for func in (grid_distance_to_identity, grid_q1_weight):
+        tracemalloc.start()
+        try:
+            values = func(grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert values.shape == (len(grid),)
+        assert peak <= bound * 8 * len(grid), f"{func.__name__}: {peak / (8 * len(grid)):.2f} N x 8 bytes"
 
 
 def test_q1_vanishes_only_at_identity(torus1, su2):

@@ -217,14 +217,26 @@ def test_central_su2_integrals_equal_the_grid_path(su2, spin, monkeypatch):
                 assert abs(a - b) <= 1e-12 * b
 
 
+def _central_classes(dual, z, c):
+    # the far-field classes of the class sum, rebuilt from the grid's beta rule:
+    # x = Re a(x) and x' = Re(conj(a_z) a(x)) at each class (beta_j, r), and its
+    # weight beta_weight * n_ag / 2
+    n_ag, beta, w_beta = _su2_beta_rule(dual.group, dual.max_band)
+    radius = 4.0 * c * distance_to_identity(dual.group, z)
+    a = np.cos(beta / 2.0)[:, None] * np.exp(-1j * np.pi / n_ag * np.arange(2 * n_ag))
+    x, moved = (b.real.ravel() for b in (a, np.conj(su2_pair(z)[0]) * a))
+    far = np.arccos(np.clip(x, -1.0, 1.0)) > radius
+    return x[far], moved[far], np.repeat(w_beta * (n_ag / 2), 2 * n_ag)[far]
+
+
 @pytest.mark.skipif(not LONG_DOUBLE, reason="np.longdouble is no wider than float64 here")
 @pytest.mark.parametrize("spin", [15.5, 31.5])
-def test_central_su2_integrals_match_a_long_double_class_sum(su2, spin, monkeypatch):
+def test_central_su2_integrals_match_a_long_double_class_sum(su2, spin):
     # the kernel-decay task of the su2-session benchmark (power_it t = 1,
     # windows 1-4, z distance 0.3, c = 1) against the same node sum in long
-    # double: the class coordinates x = Re a and x' = Re(conj(a_z) a) that the
-    # library hands to _su2_characters, cast to long double, the characters by
-    # the long-double recurrence, and the library's float64 coefficients
+    # double: the class coordinates x = Re a and x' = Re(conj(a_z) a) of the
+    # library's formula, cast to long double, the characters by the
+    # long-double recurrence, and the library's float64 coefficients
     # psi_ell (d_l c_l), in its order of products (a product rounded another
     # way moves window 4 at spin 31.5 by 1e-14), cast too.  Within 1e-14
     # relative (measured 2.0e-15); the sin(d theta) / sin(theta) table read
@@ -232,16 +244,9 @@ def test_central_su2_integrals_match_a_long_double_class_sum(su2, spin, monkeypa
     dual = enumerate_dual(su2, spin_cutoff(spin))
     sig = build_spectral_symbol(lambda lam: lam ** (1j), dual)
     levels, z, c = [1, 2, 3, 4], point_at_distance(su2, 0.3), 1.0
-    seen = []
-    characters = multipliers._su2_characters
-    monkeypatch.setattr(multipliers, "_su2_characters", lambda x, top: seen.append(x) or characters(x, top))
     integrals = kernel_difference_integrals(sig, levels, z, c)
-    moved, x = (np.concatenate(seen[k::2]).astype(np.longdouble) for k in (0, 1))
-    n_ag, beta, w_beta = _su2_beta_rule(su2, dual.max_band)
-    radius = 4.0 * c * distance_to_identity(su2, z)
-    a = np.cos(beta / 2.0)[:, None] * np.exp(-1j * np.pi / n_ag * np.arange(2 * n_ag))
-    weights = np.repeat(w_beta * (n_ag / 2), 2 * n_ag)[np.arccos(np.clip(a.real.ravel(), -1.0, 1.0)) > radius]
-    assert len(weights) == len(x) == len(moved) > 0
+    x, moved, weights = _central_classes(dual, z, c)
+    assert len(weights) > 0
     chi = chebyshev_u_long_double(moved, len(dual)) - chebyshev_u_long_double(x, len(dual))
     coeffs = np.array([psi(ell, dual.eigenvalues) for ell in levels]) * (dual.dims * sig.scalars)
     re, im = (part.astype(np.longdouble) @ chi for part in (coeffs.real, coeffs.imag))
@@ -250,10 +255,37 @@ def test_central_su2_integrals_match_a_long_double_class_sum(su2, spin, monkeypa
         assert abs(value - reference) <= 1e-14 * reference
 
 
+@pytest.mark.parametrize("spin", [3.5, 31.5, 63.5])
+def test_central_su2_one_table_equals_the_two_table_class_sum(su2, spin):
+    # the class sum fills one table of U(x') - U(x) per chunk; the two full
+    # tables it replaced, subtracted, give the same integrals bit for bit,
+    # with the same 1e6-entry chunks, GEMM and order of the sums (spin 63.5
+    # takes several chunks)
+    dual = enumerate_dual(su2, spin_cutoff(spin))
+    sig = build_spectral_symbol(lambda lam: lam ** (1j), dual)
+    levels = [ell for ell, _ in windows(dual)]
+    for distance, c in ((0.05 * 2.0 * math.pi, 0.5), (0.3, 1.0), (0.05, 0.5)):
+        z = point_at_distance(su2, distance)
+        x, moved, weights = _central_classes(dual, z, c)
+        psis = np.array([psi(ell, dual.eigenvalues) for ell in levels])
+        coeffs = np.ascontiguousarray((psis * (dual.dims * sig.scalars)).T).view(float)
+        step = max(1, 1_000_000 // len(dual))
+        if spin == 63.5:
+            assert len(x) > 2 * step
+        sums = np.zeros(len(levels))
+        for lo in range(0, len(x), step):
+            chi = transform._su2_characters(moved[lo : lo + step], len(dual))
+            chi -= transform._su2_characters(x[lo : lo + step], len(dual))
+            sums += weights[lo : lo + step] @ np.abs((chi.T @ coeffs).view(complex))
+        assert kernel_difference_integrals(sig, levels, z, c) == sums.tolist()
+
+
 def test_central_su2_integrals_peak_memory(su2):
-    # the class sum holds two character tables of 1e6 entries (8 MB each) at
-    # a time, whatever the spin: tracemalloc read 18.4 MB at spin 63.5,
-    # windows 1-4 (18.5 MB with the sin(d theta) / sin(theta) tables)
+    # the class sum holds one table of 1e6 character differences (8 MB),
+    # reused by every chunk, whatever the spin: tracemalloc read 11.1 MB at
+    # spin 63.5, windows 1-4 (18.4 MB with two tables, one per recurrence, and
+    # 18.5 MB with the sin(d theta) / sin(theta) tables); a second table
+    # would pass 13 MB
     dual = enumerate_dual(su2, spin_cutoff(63.5))
     sig = build_spectral_symbol(lambda lam: lam ** (1j), dual)
     z = point_at_distance(su2, 0.3)
@@ -264,7 +296,7 @@ def test_central_su2_integrals_peak_memory(su2):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 22e6, f"peak {peak / 1e6:.1f} MB"
+    assert peak <= 13e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_kernel_difference_integrals_take_numpy_integer_levels(su2):

@@ -791,6 +791,19 @@ def test_su2_characters_match_long_double_oracles(top):
     assert np.max(np.abs(chi - np.sin(d * theta) / np.sin(theta)) / d) <= 5e-13
 
 
+@pytest.mark.parametrize("top", [1, 2, 3, 64])
+def test_su2_character_differences_equal_the_difference_of_two_tables(top):
+    # with minus, each row is the difference of the two recurrences, bit for
+    # bit the difference of two full tables, written into out when given
+    rng = np.random.default_rng(top)
+    x, minus = rng.uniform(-1.0, 1.0, (2, 50))
+    expected = _su2_characters(x, top) - _su2_characters(minus, top)
+    assert np.array_equal(_su2_characters(x, top, minus), expected)
+    out = np.empty((top, len(x)))
+    assert _su2_characters(x, top, minus, out=out) is out
+    assert np.array_equal(out, expected)
+
+
 @pytest.mark.parametrize("top", [1, 2, 64, 128])
 def test_su2_characters_exact_values(top):
     # U_{d-1}(1) = d (the dimension), U_{d-1}(-1) = (-1)^(d-1) d, and
