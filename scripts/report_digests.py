@@ -67,8 +67,9 @@ _SWEEP_SU2 = {"task": "bound-sweep", "group": _SU2, "ell_maxes": [7.5, 15.5], "s
 # odd and fractional s (integer s comes from the q1^2 stencil, fractional s
 # from the grid, on T^2 and on SU(2)); kernel decay on T^2 and T^3, with c != 1, and with an
 # empty far field (4c|z| >= pi on T^1, which exits 1 through the decay
-# slope), and on SU(2) at spin 31.5 with its top window cut at the slice edge
-# and at spin 63.5, whose class sum runs in several chunks;
+# slope), and on SU(2) at spin 31.5 with its top window cut at the slice edge,
+# at spin 63.5, whose class sum runs in several chunks, and at spin 7.5 with a
+# far field (theta > 2.8) of classes near -I only, read from their representatives;
 # a T^3 transform and tl-norm, whose random members are drawn in
 # slice order and so move if the tie order of enumeration changes; the
 # torus weak quasi-norm on a tie-heavy T^2 Dirichlet kernel and on a T^3
@@ -95,6 +96,7 @@ CHECKS = [
     ("decay_t1_empty", _decay(_T1, {"lam": 64.0}, [2, 3, 4], 0.8)),
     ("decay_su2_edge_window", _decay(_SU2, {"ell_max": 31.5}, [2, 3, 4, 5], 0.6, c=0.5)),
     ("decay_su2_63_5", _decay(_SU2, {"ell_max": 63.5}, [1, 2, 3, 4, 5, 6], 0.05, c=0.5)),
+    ("decay_su2_antipode", _decay(_SU2, {"ell_max": 7.5}, [1, 2], 0.7)),
     ("transform_t3", {"task": "transform", "group": _T3, "lam": 24.0, "count": 1, "seed": 1}),
     (
         "tl_norm_t3",

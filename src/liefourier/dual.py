@@ -23,7 +23,7 @@ matrices, (..., dim) points give (..., d, d) stacks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -137,10 +137,10 @@ def enumerate_dual(group: GroupDescriptor, cutoff: float) -> DualSlice:
 # Wigner machinery
 # ---------------------------------------------------------------------------
 
-@cache
 def _jy_eig(two_ell: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition (eigenvalues, vectors) of Jy for spin two_ell/2,
-    in the descending-m basis."""
+    in the descending-m basis.  Not cached: a plan build needs each spin's
+    once, and a cache would hold them for the life of the process."""
     ell = two_ell / 2.0
     dim = two_ell + 1
     m = ell - np.arange(dim)  # descending

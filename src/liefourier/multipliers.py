@@ -76,7 +76,9 @@ def kernel_difference_integrals(symbol: Symbol, levels, z: np.ndarray, c: float)
     moves by roundoff only.  The characters there are U_{d-1}(x) at x = Re a
     = cos(theta), half the trace, of each class and of its translate, built
     by the Chebyshev recurrence, so no angle is taken but the far-field
-    mask's; one table holds their differences, chunk by chunk.
+    mask's.  One representative a stands for the four classes a, conj(a), -a
+    and -conj(a), and one table holds the differences, in chunks of a fixed
+    number of representatives.
     """
     dual = symbol.dual
     group = dual.group
@@ -105,28 +107,57 @@ def kernel_difference_integrals(symbol: Symbol, levels, z: np.ndarray, c: float)
     return integrals
 
 
+# Representatives per chunk of the central class sum.  A fixed count keeps the recurrence's
+# vectors (3 points per representative) and the table (2 columns each) one length at every
+# spin, so past spin 128 the per-row numpy calls do not outgrow the arithmetic.  1024: in
+# the cold su2-session pass (spin 31.5) its kernel-decay task read 8.3-8.8 ms against
+# 8.4-9.3 ms at 2048, which was 3-6% faster at spin 255.5 (windows 1-7) and slower at 127.5.
+_CLASS_CHUNK = 1024
+
+
 def _central_difference_integrals(dual: DualSlice, scalars, levels, a_z, radius: float) -> list[float]:
-    """The class sum of :func:`kernel_difference_integrals`, in chunks of one 8 MB table of
-    U_{d-1}(x') - U_{d-1}(x) at x' = Re a(z^{-1} x) and x = Re a(x), one row per dimension,
-    contracted with one GEMM on its transpose; every chunk reuses the table's buffer."""
+    """The class sum of :func:`kernel_difference_integrals`, from one representative per four
+    classes.  The classes r, 2 n_ag - r, n_ag + r and n_ag - r of the beta node beta_j have
+    a = cos(beta_j / 2) e^{-i pi r / n_ag}, conj(a), -a and -conj(a), and
+    U_{d-1}(-x) = (-1)^(d-1) U_{d-1}(x), bit for bit in the recurrence.  So for r = 0 ... n_ag / 2
+    one recurrence over x' = Re(conj(a_z) a), x = Re a and x'' = Re(conj(a_z) conj(a)) fills
+    a table of U_{d-1}(x') - U_{d-1}(x) and U_{d-1}(x) - U_{d-1}(x''), in chunks of
+    ``_CLASS_CHUNK`` representatives, and one GEMM on it gives all four classes: against
+    d_l c_l psi_ell for a and conj(a), and against (-1)^(d-1) d_l c_l psi_ell for -a and
+    -conj(a), the moduli taking no sign.  Each class keeps its own far field and weight."""
     n_ag, beta, w_beta = _su2_beta_rule(dual.group, dual.max_band)
-    # a(x) = cos(beta_j / 2) e^{-i pi r / n_ag} on the classes, and a(z^{-1} x) = conj(a(z)) a(x)
-    a = np.cos(beta / 2.0)[:, None] * np.exp(-1j * np.pi / n_ag * np.arange(2 * n_ag))
-    x, moved = (b.real.ravel() for b in (a, np.conj(a_z) * a))
-    far = np.arccos(np.clip(x, -1.0, 1.0)) > radius
-    x, moved, weights = x[far], moved[far], np.repeat(w_beta * (n_ag / 2), 2 * n_ag)[far]
+    half = n_ag // 2 + 1
+    a = (np.cos(beta / 2.0)[:, None] * np.exp(-1j * np.pi / n_ag * np.arange(half))).ravel()
+    x = a.real
+    points = np.stack([(np.conj(a_z) * a).real, x, (np.conj(a_z) * np.conj(a)).real])
+    far, far_neg = (np.arccos(np.clip(s * x, -1.0, 1.0)) > radius for s in (1.0, -1.0))
+    # the weights of a, conj(a) (the table's two columns), -a and -conj(a); r = 0 and r = n_ag / 2
+    # are where two of the four classes coincide (conj(a) = a, and -a = conj(a)), counted once
+    r = np.tile(np.arange(half), len(beta))
+    weights = np.repeat(w_beta * (n_ag / 2), half) * np.stack(
+        [far, far & (r > 0), far_neg & (2 * r < n_ag), far_neg & (r > 0) & (2 * r < n_ag)]
+    )
+    keep = far | far_neg  # a representative whose four classes are near is dropped
+    points, weights = points[:, keep], weights[:, keep]
     psis = np.reshape([psi(ell, dual.eigenvalues) for ell in levels], (len(levels), len(dual)))
-    # (spins, 2 levels): the real and imaginary parts of d_l c_l psi_ell(<xi>_l) side by side
+    # (spins, 4 levels): the real and imaginary parts of d_l c_l psi_ell(<xi>_l) side by side, then
+    # the same times (-1)^(d-1).  A full GEMM per read sums the alternating series of -a in order;
+    # E - O from separate GEMMs on the even and odd rows cancels (4e-12 relative, against 2.5e-14,
+    # on window 6 at spin 63.5 and z distance 0.7, measured against a long-double class sum)
     coeffs = np.ascontiguousarray((psis * (dual.dims * scalars)).T).view(float)
+    coeffs = np.hstack([coeffs, np.where(dual.dims % 2, 1.0, -1.0)[:, None] * coeffs])
     sums = np.zeros(len(levels))
     top = len(dual)
-    step = max(1, 1_000_000 // top)
-    table = np.empty(top * min(step, len(x)))
-    for lo in range(0, len(x), step):
-        chunk = slice(lo, lo + step)
-        chi = table[: top * len(x[chunk])].reshape(top, -1)
-        _su2_characters(moved[chunk], top, x[chunk], out=chi)
-        sums += weights[chunk] @ np.abs((chi.T @ coeffs).view(complex))
+    count = points.shape[1]
+    table = np.empty(top * 2 * min(_CLASS_CHUNK, count))
+    for lo in range(0, count, _CLASS_CHUNK):
+        chunk = slice(lo, lo + _CLASS_CHUNK)
+        n = len(points[0, chunk])
+        chi = table[: top * 2 * n].reshape(top, -1)
+        _su2_characters(points[:, chunk].ravel(), top, n, out=chi)
+        mods = np.abs((chi.T @ coeffs).view(complex))
+        plain, neg = mods[:, : len(levels)], mods[:, len(levels) :]
+        sums += weights[:2, chunk].ravel() @ plain + weights[2:, chunk].ravel() @ neg
     return sums.tolist()
 
 

@@ -379,8 +379,11 @@ def dual_sobolev_norm(symbol: FourierCoefficients, s: float) -> float:
         np.abs(values, out=density[where])
     values = None  # frees the synthesis workspace before the weights
     density **= 2
-    weight = grid_q1_weight(grid).reshape(grid.shape) ** (2.0 * s)
-    return float(np.sqrt(np.sum(grid.node_weights * weight * density)))
+    weight = grid_q1_weight(grid).reshape(grid.shape)  # a fresh array: the weights go into it in place
+    weight **= 2.0 * s
+    weight *= grid.node_weights
+    weight *= density
+    return float(np.sqrt(np.sum(weight)))
 
 
 def _stencil_sobolev_norm(symbol: FourierCoefficients, s: int) -> float:

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import InitVar, dataclass, field
+from itertools import cycle
 
 import numpy as np
 
@@ -570,37 +571,39 @@ def _su2_class_rule(dims: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return _su2_characters(np.cos(theta), len(dims)).T, (2.0 / n) * np.sin(theta) ** 2
 
 
-def _su2_characters(
-    x: np.ndarray, top: int, minus: np.ndarray | None = None, out: np.ndarray | None = None
-) -> np.ndarray:
+def _su2_characters(x: np.ndarray, top: int, lag: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """The characters chi_d(theta) = sin(d theta) / sin(theta) = U_{d-1}(x) of SU(2), the
     Chebyshev polynomials of the second kind at x = cos(theta), theta the rotation angle
     (``distance_to_identity``), for the dimensions d = 1 ... ``top`` of an SU(2) slice: one
     contiguous row per dimension and one column per point, filled row by row by the
-    recurrence U_{k+1} = 2x U_k - U_{k-1}, with no trigonometry.  With ``minus``, an array
-    like ``x``, each row is U_{d-1}(x) - U_{d-1}(minus) instead, bit for bit the difference of
-    the two tables, while each recurrence keeps only three rolling rows.  The table goes into
-    ``out``, a C-contiguous (top, len(x)) array, when one is given."""
-    chi = np.empty((top, len(x))) if out is None else out
-    if minus is None:
+    recurrence U_{k+1} = 2x U_k - U_{k-1}, with no trigonometry.  With ``lag``, each row is
+    U_{d-1}(x[:-lag]) - U_{d-1}(x[lag:]) instead, the table less itself ``lag`` points on:
+    bit for bit the difference of two tables, from one recurrence in three rolling rows.  The
+    table goes into ``out``, a C-contiguous (top, len(x) - lag) array, when one is given."""
+    if lag is None:
+        chi = np.empty((top, len(x))) if out is None else out
         for _ in _chebyshev_rows(x, top, chi):
             pass
         return chi
-    rolling = (_chebyshev_rows(u, top, np.empty((3, len(x)))) for u in (x, minus))
-    for row, plus, less in zip(chi, *rolling):
-        np.subtract(plus, less, out=row)
+    chi = np.empty((top, len(x) - lag)) if out is None else out
+    rolling = np.empty((3, len(x)))
+    # each rolling row as its two overlapping runs, so the loop makes one call per row
+    pairs = cycle([(row[:-lag], row[lag:]) for row in rolling])
+    for row, _, (head, tail) in zip(chi, _chebyshev_rows(x, top, rolling), pairs):
+        np.subtract(head, tail, out=row)
     return chi
 
 
 def _chebyshev_rows(x: np.ndarray, top: int, rows: np.ndarray):
     """Yield U_0(x) ... U_{top-1}(x), U_k computed into ``rows[k % len(rows)]`` from the two
     rows before it: a full table when ``rows`` has ``top`` rows, rolling rows when it has 3."""
+    rows = list(rows)  # one view per row, made once
     n = len(rows)
     twox = 2.0 * x
-    rows[0] = 1.0
+    rows[0][:] = 1.0
     yield rows[0]
     if top > 1:
-        rows[1] = twox
+        rows[1][:] = twox
         yield rows[1]
     for k in range(2, top):
         u = rows[k % n]

@@ -217,16 +217,60 @@ def test_central_su2_integrals_equal_the_grid_path(su2, spin, monkeypatch):
                 assert abs(a - b) <= 1e-12 * b
 
 
+def _central_representatives(dual, z, c):
+    # the representatives r = 0 ... n_ag / 2 of each beta node, rebuilt from the grid's beta
+    # rule: rows x' = Re(conj(a_z) a), x = Re a and x'' = Re(conj(a_z) conj(a)), and the
+    # weights beta_weight * n_ag / 2 of their classes a, conj(a), -a and -conj(a) (classes r,
+    # 2 n_ag - r, n_ag + r, n_ag - r), each where that class is far and is not another's:
+    # conj(a) = a at r = 0, and -a = conj(a), -conj(a) = a at r = n_ag / 2.  Representatives
+    # with no far class are dropped
+    n_ag, beta, w_beta = _su2_beta_rule(dual.group, dual.max_band)
+    radius = 4.0 * c * distance_to_identity(dual.group, z)
+    r = np.arange(n_ag // 2 + 1)
+    a = (np.cos(beta / 2.0)[:, None] * np.exp(-1j * np.pi / n_ag * r)).ravel()
+    a_z = su2_pair(z)[0]
+    points = np.stack([(np.conj(a_z) * a).real, a.real, (np.conj(a_z) * np.conj(a)).real])
+    far = np.arccos(np.clip(a.real, -1.0, 1.0)) > radius
+    far_neg = np.arccos(np.clip(-a.real, -1.0, 1.0)) > radius
+    r = np.tile(r, len(beta))
+    inner = (r > 0) & (2 * r < n_ag)
+    weights = np.repeat(w_beta * (n_ag / 2), len(r) // len(beta)) * np.stack(
+        [far, far & (r > 0), far_neg & (2 * r < n_ag), far_neg & inner]
+    )
+    keep = far | far_neg
+    return points[:, keep], weights[:, keep]
+
+
 def _central_classes(dual, z, c):
-    # the far-field classes of the class sum, rebuilt from the grid's beta rule:
-    # x = Re a(x) and x' = Re(conj(a_z) a(x)) at each class (beta_j, r), and its
-    # weight beta_weight * n_ag / 2
+    # the far-field classes of the class sum, each with its own coordinates: the four
+    # classes of every representative, x = Re a(x) and x' = Re(conj(a_z) a(x)) at a, conj(a),
+    # -a and -conj(a), and each class's weight, the classes counted once
+    (moved, x, moved_conj), weights = _central_representatives(dual, z, c)
+    xs = np.concatenate([x, x, -x, -x])
+    moveds = np.concatenate([moved, moved_conj, -moved, -moved_conj])
+    weights = weights.ravel()
+    return xs[weights > 0], moveds[weights > 0], weights[weights > 0]
+
+
+def _unfolded_class_sum(dual, scalars, levels, z, c):
+    # the class sum as it was before one representative stood for four classes: every
+    # class (beta_j, r), r = 0 ... 2 n_ag - 1, its own a = cos(beta_j / 2) e^{-i pi r / n_ag}
+    # and its own two recurrences, in chunks of 1e6 table entries
     n_ag, beta, w_beta = _su2_beta_rule(dual.group, dual.max_band)
     radius = 4.0 * c * distance_to_identity(dual.group, z)
     a = np.cos(beta / 2.0)[:, None] * np.exp(-1j * np.pi / n_ag * np.arange(2 * n_ag))
     x, moved = (b.real.ravel() for b in (a, np.conj(su2_pair(z)[0]) * a))
     far = np.arccos(np.clip(x, -1.0, 1.0)) > radius
-    return x[far], moved[far], np.repeat(w_beta * (n_ag / 2), 2 * n_ag)[far]
+    x, moved, weights = x[far], moved[far], np.repeat(w_beta * (n_ag / 2), 2 * n_ag)[far]
+    psis = np.array([psi(ell, dual.eigenvalues) for ell in levels])
+    coeffs = np.ascontiguousarray((psis * (dual.dims * scalars)).T).view(float)
+    step = max(1, 1_000_000 // len(dual))
+    sums = np.zeros(len(levels))
+    for lo in range(0, len(x), step):
+        chi = transform._su2_characters(moved[lo : lo + step], len(dual))
+        chi -= transform._su2_characters(x[lo : lo + step], len(dual))
+        sums += weights[lo : lo + step] @ np.abs((chi.T @ coeffs).view(complex))
+    return sums.tolist()
 
 
 @pytest.mark.skipif(not LONG_DOUBLE, reason="np.longdouble is no wider than float64 here")
@@ -235,12 +279,14 @@ def test_central_su2_integrals_match_a_long_double_class_sum(su2, spin):
     # the kernel-decay task of the su2-session benchmark (power_it t = 1,
     # windows 1-4, z distance 0.3, c = 1) against the same node sum in long
     # double: the class coordinates x = Re a and x' = Re(conj(a_z) a) of the
-    # library's formula, cast to long double, the characters by the
-    # long-double recurrence, and the library's float64 coefficients
-    # psi_ell (d_l c_l), in its order of products (a product rounded another
-    # way moves window 4 at spin 31.5 by 1e-14), cast too.  Within 1e-14
-    # relative (measured 2.0e-15); the sin(d theta) / sin(theta) table read
-    # from arccos(x) missed it at spin 31.5, window 4 (1.7e-14)
+    # library's representatives, expanded into their four classes and cast to
+    # long double, the characters by the long-double recurrence, and the
+    # library's float64 coefficients psi_ell (d_l c_l), in its order of
+    # products (a product rounded another way moves window 4 at spin 31.5 by
+    # 1e-14), cast too.  Within 1e-14 relative (measured 9.7e-16 with one
+    # representative per four classes, 2.0e-15 with every class its own); the
+    # sin(d theta) / sin(theta) table read from arccos(x) missed it at spin
+    # 31.5, window 4 (1.7e-14)
     dual = enumerate_dual(su2, spin_cutoff(spin))
     sig = build_spectral_symbol(lambda lam: lam ** (1j), dual)
     levels, z, c = [1, 2, 3, 4], point_at_distance(su2, 0.3), 1.0
@@ -255,37 +301,90 @@ def test_central_su2_integrals_match_a_long_double_class_sum(su2, spin):
         assert abs(value - reference) <= 1e-14 * reference
 
 
+@pytest.mark.skipif(not LONG_DOUBLE, reason="np.longdouble is no wider than float64 here")
+@pytest.mark.parametrize("spin", [31.5, 63.5])
+def test_central_su2_antipodal_integrals_match_a_long_double_class_sum(su2, spin):
+    # at z distance 0.7 and c = 1 the far field theta > 2.8 holds only classes
+    # near -I, read from their representatives near I through (-1)^(d-1): every
+    # window against the long-double class sum, within 5e-14 relative.  The
+    # small windows there cancel (window 6 at spin 63.5 is 2.1e-5 of terms of
+    # order 1): the class sum reads them within 2.5e-14, and so would every
+    # class with its own recurrences (9.6e-13 at that window), while E - O from
+    # separate GEMMs on the even and odd rows read 4.0e-12
+    dual = enumerate_dual(su2, spin_cutoff(spin))
+    sig = build_spectral_symbol(lambda lam: lam ** (1j), dual)
+    levels, z, c = [ell for ell, _ in windows(dual)], point_at_distance(su2, 0.7), 1.0
+    integrals = kernel_difference_integrals(sig, levels, z, c)
+    x, moved, weights = _central_classes(dual, z, c)
+    assert len(weights) > 0 and np.all(x < 0.0)
+    chi = chebyshev_u_long_double(moved, len(dual)) - chebyshev_u_long_double(x, len(dual))
+    coeffs = np.array([psi(ell, dual.eigenvalues) for ell in levels]) * (dual.dims * sig.scalars)
+    re, im = (part.astype(np.longdouble) @ chi for part in (coeffs.real, coeffs.imag))
+    exact = np.sqrt(re * re + im * im) @ weights.astype(np.longdouble)
+    for value, reference in zip(integrals, exact):
+        assert abs(value - reference) <= 5e-14 * reference
+
+
 @pytest.mark.parametrize("spin", [3.5, 31.5, 63.5])
 def test_central_su2_one_table_equals_the_two_table_class_sum(su2, spin):
-    # the class sum fills one table of U(x') - U(x) per chunk; the two full
-    # tables it replaced, subtracted, give the same integrals bit for bit,
-    # with the same 1e6-entry chunks, GEMM and order of the sums (spin 63.5
-    # takes several chunks)
+    # the class sum fills one table of U(x') - U(x) and U(x) - U(x'') per chunk
+    # of representatives, from one recurrence over (x', x, x''); full tables of
+    # U(x'), U(x) and U(x''), subtracted, give the same integrals bit for bit,
+    # with the same chunks of multipliers._CLASS_CHUNK representatives, the
+    # GEMM against the coefficients and their (-1)^(d-1) multiples, and the
+    # same order of the sums (spin 63.5 takes several chunks)
     dual = enumerate_dual(su2, spin_cutoff(spin))
     sig = build_spectral_symbol(lambda lam: lam ** (1j), dual)
     levels = [ell for ell, _ in windows(dual)]
-    for distance, c in ((0.05 * 2.0 * math.pi, 0.5), (0.3, 1.0), (0.05, 0.5)):
+    step, top, count = multipliers._CLASS_CHUNK, len(dual), len(levels)
+    psis = np.array([psi(ell, dual.eigenvalues) for ell in levels])
+    coeffs = np.ascontiguousarray((psis * (dual.dims * sig.scalars)).T).view(float)
+    coeffs = np.hstack([coeffs, np.where(dual.dims % 2, 1.0, -1.0)[:, None] * coeffs])
+    for distance, c in ((0.05 * 2.0 * math.pi, 0.5), (0.3, 1.0), (0.05, 0.5), (0.7, 1.0)):
         z = point_at_distance(su2, distance)
-        x, moved, weights = _central_classes(dual, z, c)
-        psis = np.array([psi(ell, dual.eigenvalues) for ell in levels])
-        coeffs = np.ascontiguousarray((psis * (dual.dims * sig.scalars)).T).view(float)
-        step = max(1, 1_000_000 // len(dual))
-        if spin == 63.5:
+        (moved, x, moved_conj), weights = _central_representatives(dual, z, c)
+        if spin == 63.5 and distance != 0.7:
             assert len(x) > 2 * step
-        sums = np.zeros(len(levels))
+        sums = np.zeros(count)
         for lo in range(0, len(x), step):
-            chi = transform._su2_characters(moved[lo : lo + step], len(dual))
-            chi -= transform._su2_characters(x[lo : lo + step], len(dual))
-            sums += weights[lo : lo + step] @ np.abs((chi.T @ coeffs).view(complex))
+            chunk = slice(lo, lo + step)
+            plain = transform._su2_characters(x[chunk], top)
+            chi = np.hstack([transform._su2_characters(moved[chunk], top) - plain,
+                             plain - transform._su2_characters(moved_conj[chunk], top)])
+            mods = np.abs((chi.T @ coeffs).view(complex))
+            w_plain, w_neg = weights[:2, chunk].ravel(), weights[2:, chunk].ravel()
+            sums += w_plain @ mods[:, :count] + w_neg @ mods[:, count:]
         assert kernel_difference_integrals(sig, levels, z, c) == sums.tolist()
 
 
+@pytest.mark.parametrize("spin", [3.5, 15.5, 31.5, 63.5])
+def test_central_su2_representatives_match_every_class_its_own(su2, spin):
+    # one representative per four classes against every class with its own a and
+    # its own recurrences (the class sum before the fold), within 1e-14 relative
+    # (measured 6.0e-15), at z distances 0.3 and 0.05 (every class far or most),
+    # 0.7 (only the classes near -I far) and 1.0 (no class far: every integral 0).
+    # Windows 1-4: at distance 0.7 the smaller windows cancel, and the formula
+    # before the fold reads window 6 at spin 63.5 9.6e-13 from long double (the
+    # antipodal long-double test)
+    dual = enumerate_dual(su2, spin_cutoff(spin))
+    sig = build_spectral_symbol(lambda lam: lam ** (1j), dual)
+    levels = [ell for ell, _ in windows(dual)][:4]
+    for distance, c in ((0.3, 1.0), (0.05, 0.5), (0.7, 1.0), (1.0, 1.0)):
+        z = point_at_distance(su2, distance)
+        folded = kernel_difference_integrals(sig, levels, z, c)
+        unfolded = _unfolded_class_sum(dual, sig.scalars, levels, z, c)
+        if distance == 1.0:
+            assert folded == unfolded == [0.0] * len(levels)
+        for a, b in zip(folded, unfolded):
+            assert abs(a - b) <= 1e-14 * b
+
+
 def test_central_su2_integrals_peak_memory(su2):
-    # the class sum holds one table of 1e6 character differences (8 MB),
-    # reused by every chunk, whatever the spin: tracemalloc read 11.1 MB at
-    # spin 63.5, windows 1-4 (18.4 MB with two tables, one per recurrence, and
-    # 18.5 MB with the sin(d theta) / sin(theta) tables); a second table
-    # would pass 13 MB
+    # the class sum holds one table of 2 x 1024 columns per dimension (2 MB at
+    # spin 63.5), reused by every chunk of representatives: tracemalloc read
+    # 4.2 MB at spin 63.5, windows 1-4 (11.1 MB with one table of 1e6 entries
+    # and every class its own column, 18.4 MB with two tables, one per
+    # recurrence); a second table would pass 5 MB
     dual = enumerate_dual(su2, spin_cutoff(63.5))
     sig = build_spectral_symbol(lambda lam: lam ** (1j), dual)
     z = point_at_distance(su2, 0.3)
@@ -296,7 +395,7 @@ def test_central_su2_integrals_peak_memory(su2):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 13e6, f"peak {peak / 1e6:.1f} MB"
+    assert peak <= 5e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_kernel_difference_integrals_take_numpy_integer_levels(su2):

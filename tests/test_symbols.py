@@ -669,6 +669,25 @@ def test_fractional_sobolev_peak_memory(su2, monkeypatch):
     assert peak < 4.2 * n * 8, f"peak {peak / (n * 8):.2f} x N x 8 bytes"
 
 
+def test_fractional_sobolev_weights_in_place(su2):
+    # s = 2.5 at spin 31.5 (N nodes on the grid of bandlimit 34.5, default slabs): the
+    # powers, node weights and density go into grid_q1_weight's array in place, next to
+    # the squared moduli, so the weights add no grid-sized temporary. Measured
+    # 2.240 x N x 8 bytes (24.6 MB), against 3.007 (33.0 MB) with the weights formed
+    # out of place, which read the same bits
+    symbol = _random_block_symbol("su2", 3, spin_cutoff(31.5))
+    dual = symbol.dual
+    expected = dual_sobolev_norm(symbol, 2.5)  # warms the grid and the plan
+    n = len(slice_grid(dual, dual.max_band + 3))
+    tracemalloc.start()
+    try:
+        assert dual_sobolev_norm(symbol, 2.5) == expected
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.4 * n * 8, f"peak {peak / (n * 8):.3f} x N x 8 bytes"
+
+
 def test_integer_hormander_mihlin_builds_no_grid(torus1, torus2, su2, monkeypatch):
     import liefourier.symbols as symbols
 

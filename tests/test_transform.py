@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,7 +247,7 @@ def test_su2_plan_build_holds_no_second_copy(su2):
     # spin's little-d evaluation, 0.26 of the tables; a second copy would add a whole one
     dual = enumerate_dual(su2, spin_cutoff(31.5))
     grid = default_grid(dual)
-    _Su2Plan(grid, dual)  # warm the eigendecompositions _little_d_rows caches
+    _Su2Plan(grid, dual)  # warm the Gauss-Legendre rule, the one table the build caches
     tracemalloc.start()
     try:
         plan = _Su2Plan(grid, dual)
@@ -254,6 +258,31 @@ def test_su2_plan_build_holds_no_second_copy(su2):
     phase = sum(t.nbytes for t in (plan.p_fwd_a, plan.p_fwd_g, plan.e_inv_a, plan.e_inv_g))
     kept = tables + plan.index[0][0].base.nbytes + phase
     assert peak <= kept + 0.4 * tables
+
+
+def test_su2_plan_build_leaves_no_cache():
+    # a fresh interpreter builds a spin-31.5 grid and plan and drops the slice:
+    # what tracemalloc still holds after a collection is the cached Gauss-Legendre
+    # rule and a few small objects, 6.5 KB measured; a cache of the 64 Jy
+    # eigendecompositions of the build would hold 1.5 MB for the process's life
+    script = (
+        "import gc, tracemalloc\n"
+        "from liefourier import enumerate_dual, make_group, spin_cutoff\n"
+        "from liefourier.transform import _get_plan, default_grid\n"
+        "gc.collect()\n"
+        "tracemalloc.start()\n"
+        "dual = enumerate_dual(make_group('su2'), spin_cutoff(31.5))\n"
+        "_get_plan(default_grid(dual), dual)\n"
+        "del dual\n"
+        "gc.collect()\n"
+        "print(tracemalloc.get_traced_memory()[0])\n"
+    )
+    src = str(Path(transform.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    held = int(proc.stdout)
+    assert held < 64 * 1024, f"{held} bytes held"
 
 
 def _slab_plan(monkeypatch, grid, dual, count):
@@ -793,15 +822,27 @@ def test_su2_characters_match_long_double_oracles(top):
 
 @pytest.mark.parametrize("top", [1, 2, 3, 64])
 def test_su2_character_differences_equal_the_difference_of_two_tables(top):
-    # with minus, each row is the difference of the two recurrences, bit for
-    # bit the difference of two full tables, written into out when given
+    # with lag, each row is the table less itself lag points on, from one
+    # recurrence: bit for bit the difference of two full tables, written into
+    # out when given; the central class sum stacks (x', x, x'') with lag len(x)
     rng = np.random.default_rng(top)
-    x, minus = rng.uniform(-1.0, 1.0, (2, 50))
-    expected = _su2_characters(x, top) - _su2_characters(minus, top)
-    assert np.array_equal(_su2_characters(x, top, minus), expected)
-    out = np.empty((top, len(x)))
-    assert _su2_characters(x, top, minus, out=out) is out
-    assert np.array_equal(out, expected)
+    x = rng.uniform(-1.0, 1.0, 75)
+    for lag in (25, 50):
+        expected = _su2_characters(x[:-lag], top) - _su2_characters(x[lag:], top)
+        assert np.array_equal(_su2_characters(x, top, lag), expected)
+        out = np.empty((top, len(x) - lag))
+        assert _su2_characters(x, top, lag, out=out) is out
+        assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("top", [64, 512])
+def test_su2_characters_commute_with_negation(top):
+    # U_{d-1}(-x) = (-1)^(d-1) U_{d-1}(x) bit for bit: the recurrence's 2x and
+    # its subtraction only flip signs under x -> -x.  The central class sum
+    # reads the classes of -a and -conj(a) from the table of a and conj(a)
+    x = np.concatenate([np.linspace(-1.0, 1.0, 2001), np.random.default_rng(top).uniform(-1.0, 1.0, 2000)])
+    sign = np.where(np.arange(top) % 2, -1.0, 1.0)[:, None]
+    assert np.array_equal(_su2_characters(-x, top), sign * _su2_characters(x, top))
 
 
 @pytest.mark.parametrize("top", [1, 2, 64, 128])
