@@ -71,7 +71,8 @@ _SWEEP_SU2 = {"task": "bound-sweep", "group": _SU2, "ell_maxes": [7.5, 15.5], "s
 # at spin 63.5, whose class sum runs in several chunks, and at spin 7.5 with a
 # far field (theta > 2.8) of classes near -I only, read from their representatives;
 # a T^3 transform and tl-norm, whose random members are drawn in
-# slice order and so move if the tie order of enumeration changes; the
+# slice order and so move if the tie order of enumeration changes; an SU(2)
+# transform at spin 63.5, the one config that builds a grid plan past spin 31.5; the
 # torus weak quasi-norm on a tie-heavy T^2 Dirichlet kernel and on a T^3
 # Gaussian member with r = 1; the
 # symbol types and spellings that no other config uses (identity, sign,
@@ -98,6 +99,7 @@ CHECKS = [
     ("decay_su2_63_5", _decay(_SU2, {"ell_max": 63.5}, [1, 2, 3, 4, 5, 6], 0.05, c=0.5)),
     ("decay_su2_antipode", _decay(_SU2, {"ell_max": 7.5}, [1, 2], 0.7)),
     ("transform_t3", {"task": "transform", "group": _T3, "lam": 24.0, "count": 1, "seed": 1}),
+    ("transform_su2_63_5", {"task": "transform", "group": _SU2, "ell_max": 63.5, "count": 1, "seed": 1}),
     (
         "tl_norm_t3",
         {"task": "tl-norm", "group": _T3, "lam": 16.0, "specs": [{"r": 0, "p": 4, "q": 2}], "ensemble": _GAUSSIAN_1, "seed": 1},

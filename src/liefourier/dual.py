@@ -11,10 +11,13 @@ SU(2) matrices are Wigner D-matrices in the ZYZ Euler angles of
                                     * exp(-1j*m*gamma),
 
 with rows/columns ordered by descending m' and m (so the l = 1/2 matrix is
-exactly the fundamental matrix of the point).  The little-d matrix is
-evaluated as exp(-1j*beta*Jy) through an eigendecomposition of the tridiagonal
-angular-momentum generator Jy; this is overflow-free and numerically stable
-for all spins handled here (validated up to l = 64, enforced).
+exactly the fundamental matrix of the point).  At arbitrary points the
+little-d matrix is evaluated as exp(-1j*beta*Jy) through an eigendecomposition
+of the tridiagonal angular-momentum generator Jy; this is overflow-free and
+numerically stable for all spins handled here (validated up to l = 64,
+enforced).  The SU(2) grid plan builds its tables at the Gauss-Legendre nodes
+by the three-term recurrence in l instead (:mod:`liefourier.transform`), and
+:func:`little_d` is their test oracle.
 
 Representation matrices broadcast over points: one point gives (d, d)
 matrices, (..., dim) points give (..., d, d) stacks.
@@ -139,8 +142,8 @@ def enumerate_dual(group: GroupDescriptor, cutoff: float) -> DualSlice:
 
 def _jy_eig(two_ell: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition (eigenvalues, vectors) of Jy for spin two_ell/2,
-    in the descending-m basis.  Not cached: a plan build needs each spin's
-    once, and a cache would hold them for the life of the process."""
+    in the descending-m basis.  Not cached: a cache would hold every spin's
+    for the life of the process."""
     ell = two_ell / 2.0
     dim = two_ell + 1
     m = ell - np.arange(dim)  # descending
@@ -153,30 +156,20 @@ def _jy_eig(two_ell: int) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(jy)
 
 
-def _little_d_rows(two_ell: int, beta: float | np.ndarray, rows: slice) -> np.ndarray:
-    """The rows ``rows`` of :func:`little_d`, built without the other rows.
-
-    One batched matmul (V[rows] e^{-i beta lam}) V^H over all betas, so a
-    slice of rows costs its share of the full table's flops and bytes.  The
-    SU(2) grid plan builds only its stored rows m' >= 0 this way.
-    """
-    lam, vec = _jy_eig(two_ell)
-    beta = np.asarray(beta, dtype=float)
-    scaled = vec[rows] * np.exp(-1j * beta[..., None] * lam)[..., None, :]
-    shape = scaled.shape
-    # one matrix product over every beta and row, as one GEMM rather than one per beta
-    d = scaled.reshape(-1, len(lam)) @ vec.conj().T
-    del scaled
-    return d.real.reshape(shape).copy()  # a bare ``.real`` view would keep the complex buffer alive
-
-
 def little_d(two_ell: int, beta: float | np.ndarray) -> np.ndarray:
     """Wigner little-d matrix d^l(beta) (real), descending-m ordering.
 
     ``beta`` may be an array; the matrix axes are appended last.  One batched
-    matmul V e^{-i beta lam} V^H over all betas.
+    matmul (V e^{-i beta lam}) V^H over all betas, as one GEMM rather than
+    one per beta.
     """
-    return _little_d_rows(two_ell, beta, slice(None))
+    lam, vec = _jy_eig(two_ell)
+    beta = np.asarray(beta, dtype=float)
+    scaled = vec * np.exp(-1j * beta[..., None] * lam)[..., None, :]
+    shape = scaled.shape
+    d = scaled.reshape(-1, len(lam)) @ vec.conj().T
+    del scaled
+    return d.real.reshape(shape).copy()  # a bare ``.real`` view would keep the complex buffer alive
 
 
 def _check_spin(ell: float) -> int:

@@ -39,8 +39,10 @@ shell (max(|m'|, |m|) fixed) make one batched product, each way.  The tables
 hold a quarter of every little-d table, the positions m' > 0 (and m' = 0,
 m >= 0) at half the nodes, and read the rest through d_{-m',-m} =
 (-1)^(m'-m) d_{m'm} and d_{m'm}(pi - beta) = (-1)^(l+m') d_{m',-m}(beta),
-as the nodes are symmetric about pi/2.  Both plans are exact for
-band-limited functions.
+as the nodes are symmetric about pi/2.  Each position's values over the
+spins are a Jacobi polynomial in cos(beta), and the plan builds them by its
+three-term recurrence in l, one step per spin over every stored position at
+once.  Both plans are exact for band-limited functions.
 
 Each plan synthesises through one method, ``inverse_slabs(stacks, out=None)``,
 slab by slab (on the torus one slab, the whole grid, transformed in place):
@@ -53,13 +55,14 @@ oracle, sums the series directly at arbitrary points over
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import InitVar, dataclass, field
 from itertools import cycle
 
 import numpy as np
 
-from .dual import DualSlice, _little_d_rows, representation_stacks
+from .dual import DualSlice, representation_stacks
 from .errors import PreconditionError
 from .groups import TORUS, QuadratureGrid, build_grid
 
@@ -233,6 +236,49 @@ def _cell_index(offsets: np.ndarray, u: np.ndarray, v: np.ndarray, k: np.ndarray
     return index
 
 
+def _little_d_tables(d: np.ndarray, base: np.ndarray, u: np.ndarray, v: np.ndarray, s: np.ndarray, beta: np.ndarray):
+    """Fill row base[p] + k // 2 of ``d`` with d^l_{m'm}(beta) for each position p = (u, v) =
+    (2m', 2m) of :func:`_shell_positions` and each spin k = 2l = s, s + 2, ..., top, by the
+    three-term recurrence in l of each (m', m) column (Kostelec & Rockmore, JFAA 14, 2008),
+
+        d^l = A ((cos beta - B) d^(l-1) - C d^(l-2)),  A = 2k (k - 1) / sqrt((k^2 - u^2)(k^2 - v^2)),
+        B = uv / (k (k - 2)),  C = sqrt(((k - 2)^2 - u^2)((k - 2)^2 - v^2)) / (2 (k - 1)(k - 2)),
+
+    from d^(l0 - 1) = 0 and the closed form at l0 = s/2 = max(|m'|, |m|), in :func:`little_d`'s
+    convention: sqrt(C(s, c)) cos(beta/2)^c sin(beta/2)^(s - c) (-1)^(s - c), with c = (s + v)/2
+    on the row u = s, (s + u)/2 on the column v = s (sign +) and (s - u)/2 on the column v = -s.
+    Positions come by shell, so those of one parity running at spin k are a prefix: each step is
+    a few ufuncs over the prefix at every node, and each shell is seeded when it joins."""
+    x, top = np.cos(beta), int(s[-1])
+    powers = np.arange(top + 1)[:, None]
+    cos_pow, sin_pow = np.cos(beta / 2) ** powers, np.sin(beta / 2) ** powers
+    # each position's seed: its power c of cos(beta/2) and its factor (-1)^(s - c) sqrt(C(s, c))
+    c = np.where((v == -s) & (u < s), s - u, s + np.where(u == s, v, u)) // 2
+    roots = np.array([math.sqrt(math.comb(k, j)) for k in range(top + 1) for j in range(k + 1)])
+    factor = np.where(((s - c) % 2 == 1) & ((v < s) | (u == s)), -1.0, 1.0) * roots[s * (s + 1) // 2 + c]
+    work = np.empty((3, max(np.count_nonzero(s % 2 == p) for p in (0, 1)), len(beta)))
+    for parity in (0, 1):
+        at = np.flatnonzero(s % 2 == parity)
+        pu, pv, ps, pc, pf, rows = (a[at] for a in (u.astype(float), v.astype(float), s, c, factor, base))
+        uu, vv, uv = pu * pu, pv * pv, pu * pv
+        prev, cur, nxt, lo = *work[:, : len(at)], 0
+        for k in range(parity, top + 1, 2):
+            if lo:  # the running positions from spin k - 2 to k; k - 2 is 0 only on (0, 0), where B = C = 0
+                q = max(k - 2, 1)
+                np.subtract(x, (uv[:lo] / (k * q))[:, None], out=nxt[:lo])
+                nxt[:lo] *= cur[:lo]
+                prev[:lo] *= (np.sqrt(((k - 2) ** 2 - uu[:lo]) * ((k - 2) ** 2 - vv[:lo])) / (2 * (k - 1) * q))[:, None]
+                nxt[:lo] -= prev[:lo]
+                nxt[:lo] *= (2 * k * (k - 1) / np.sqrt((k * k - uu[:lo]) * (k * k - vv[:lo])))[:, None]
+                prev, cur, nxt = cur, nxt, prev
+            n = np.searchsorted(ps, k, side="right")  # shell k joins the running prefix
+            np.multiply(pf[lo:n, None], cos_pow[pc[lo:n]], out=cur[lo:n])
+            cur[lo:n] *= sin_pow[k - pc[lo:n]]
+            prev[lo:n] = 0
+            d[rows[:n] + k // 2] = cur[:n]
+            lo = n
+
+
 class _Su2Plan:
     """Separable transform on the (alpha, beta, gamma) product grid.
 
@@ -294,7 +340,9 @@ class _Su2Plan:
     one stored row serves four cells: the targets (u, v) and (-u, -v) at
     the stored nodes, with signs 1 and (-1)^(m'-m), and (u, -v) and (-u, v)
     at the mirrored nodes Nb - 1 - j, with signs (-1)^(l+m') and (-1)^(l-m).
-    With Nb odd the middle node pi/2 is stored once.
+    With Nb odd the middle node pi/2 is stored once.  :func:`_little_d_tables`
+    fills the buffer by the three-term recurrence in l, a row per (position,
+    spin), so the build holds no other table.
 
     The coefficients enter in one flat order, spin after spin and each block
     in C order.  ``index[s]`` holds, for the stored and for the mirrored
@@ -342,19 +390,9 @@ class _Su2Plan:
         first = np.cumsum(spins) - spins
         pos = np.repeat(np.arange(len(s)), spins)
         cells = _cell_index(np.asarray(self.offsets), u[pos], v[pos], 2 * np.arange(len(pos)) + (s - 2 * first)[pos])
-        # the tables, filled spin by spin: row_of[top - u, top - v] + k // 2 is the row of spin k
         d = np.empty((len(pos), self.half))
         del pos
-        row_of = np.full((2 * top + 1, 2 * top + 1), -1)
-        row_of[top - u, top - v] = first - s // 2
-        nodes = beta[: self.half]
-        for k in self.two_ells:
-            q = _little_d_rows(k, nodes, slice(0, k // 2 + 1))  # [j, b, a], the rows u = k - 2b >= 0
-            rows = row_of[top - k : top + 1 : 2, top - k : top + k + 1 : 2] + k // 2
-            if k % 2 == 0:  # the row u = 0 of an integer spin, stored for v >= 0
-                d[rows[-1, : k // 2 + 1]] = q[:, -1, : k // 2 + 1].T
-                rows, q = rows[:-1], q[:, :-1]
-            d[rows] = q.transpose(1, 2, 0)
+        _little_d_tables(d, first - s // 2, u, v, s, beta[: self.half])
         self.tables, self.index = [], []
         for k in self.two_ells:
             lo, count = sum(counts[:k]), (top - k) // 2 + 1  # its first position, its spins

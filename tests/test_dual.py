@@ -7,9 +7,10 @@ import pytest
 
 from conftest import irrep_labels, irrep_matrices
 from liefourier import enumerate_dual, make_group
-from liefourier.dual import _little_d_rows, little_d, representation_stacks, spin_cutoff, wigner_matrix
+from liefourier.dual import little_d, representation_stacks, spin_cutoff, wigner_matrix
 from liefourier.errors import ConfigurationError, PreconditionError
-from liefourier.groups import distance_to_identity, identity, multiply, random_point, su2_matrix
+from liefourier.groups import build_grid, distance_to_identity, identity, multiply, random_point, su2_matrix
+from liefourier.transform import _Su2Plan
 
 
 def test_enumerate_torus_sqrt2(torus1):
@@ -204,22 +205,31 @@ def wigner_d_half_pi(two_j, two_mp, two_m):
 
 
 @pytest.mark.parametrize("two_j", [128, 127])
-def test_little_d_exact_at_top_spin(two_j):
+def test_little_d_exact_at_top_spin(su2, two_j):
     # orthogonality and unitarity pass under a sign-convention error; exact
-    # values do not.  Rows and columns run over descending m, index a <-> m = j - a
+    # values do not.  Rows and columns run over descending m, index a <-> m = j - a.
+    # little_d and the grid plan's recurrence tables, whose stored rows m' >= 0
+    # hold the Nb = 129 grid's middle node pi/2, are both held to them
     full = little_d(two_j, np.pi / 2)
-    low = two_j // 2 + 1  # the plan stores the rows m' >= 0
-    stored = _little_d_rows(two_j, np.pi / 2, slice(0, low))
+    grid = build_grid(su2, 64.0)
+    plan = _Su2Plan(grid, enumerate_dual(su2, spin_cutoff(two_j / 2)))
+    assert grid.axes[1][plan.half - 1] == np.pi / 2
     last, mid = two_j, two_j // 2
     corners = [(0, 0), (0, last), (last, 0), (last, last)]
     centre = [(mid, mid), (mid, last - mid), (last - mid, mid)]
     mirrored = [(a, a) for a in (5, 30, 50)] + [(a, last - a) for a in (5, 30, 50)]  # m' = m and m' = -m
     interior = [(60, 70), (50, 64), (70, 55), (64, 30), (45, 80), (40, 47), (20, 45)]  # |d| of 0.008 to 0.11
+    stored = 0
     for a, b in corners + centre + mirrored + interior:
-        exact = wigner_d_half_pi(two_j, two_j - 2 * a, two_j - 2 * b)
+        u, v = two_j - 2 * a, two_j - 2 * b
+        exact = wigner_d_half_pi(two_j, u, v)
         assert abs(full[a, b] - exact) < 1e-13, (a, b)
-        if a < low:
-            assert abs(stored[a, b] - exact) < 1e-13, (a, b)
+        if u > 0 or (u == 0 and v >= 0):
+            s = max(abs(u), abs(v))
+            [row] = np.flatnonzero((plan.uv[s % 2][plan.spans[s]] == (u, v)).all(axis=1))
+            assert abs(plan.tables[s][row, (two_j - s) // 2, plan.half - 1] - exact) < 1e-13, (a, b)
+            stored += 1
+    assert stored == {128: 17, 127: 15}[two_j]  # of the 24 entries, those with m' > 0, or m' = 0 and m >= 0
 
 
 def test_large_spin_unitary(su2):

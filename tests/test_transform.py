@@ -185,16 +185,28 @@ def test_su2_plan_matches_full_table_oracle(su2, two_top):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("bandlimit", [15.5, 16.0])  # Nb 32 and 33
-def test_su2_plan_quarters_unfold_to_little_d(su2, bandlimit):
-    # the shell tables, unfolded through the four cells of each stored row, tile
-    # every spin's table and equal little_d at every node
-    dual = enumerate_dual(su2, spin_cutoff(15.5))
+@pytest.mark.parametrize(
+    "spin,bandlimit",
+    [
+        pytest.param(15.5, 15.5, id="15.5"),  # Nb 32
+        pytest.param(15.5, 16.0, id="16.0"),  # Nb 33
+        pytest.param(0.5, 0.5, id="0.5"),  # Nb 2
+        pytest.param(1.0, 1.0, id="1.0"),  # Nb 3, and the l = 1 step of the (0, 0) column
+        pytest.param(1.0, 1.5, id="1.0-Nb4"),
+        # twice the bandlimit (Nb 127): the nodes nearest beta = 0, where the
+        # recurrence's seeds cos(beta/2)^c sin(beta/2)^(s - c) are smallest
+        pytest.param(31.5, 63.0, id="31.5-Nb127"),
+    ],
+)
+def test_su2_plan_quarters_unfold_to_little_d(su2, spin, bandlimit):
+    # the shell tables, built by the recurrence in l and unfolded through the four
+    # cells of each stored row, tile every spin's table and equal little_d at every node
+    dual = enumerate_dual(su2, spin_cutoff(spin))
     grid = build_grid(su2, bandlimit)
     plan = _get_plan(grid, dual)
     beta = grid.axes[1]
     nb, half, mirror = len(beta), plan.half, plan.mirror
-    assert plan.two_ells == list(range(32)) and (half, mirror) == ((nb + 1) // 2, nb // 2)
+    assert plan.two_ells == list(range(int(2 * spin) + 1)) and (half, mirror) == ((nb + 1) // 2, nb // 2)
     stored, mirrored = slice(0, half), slice(nb - 1, nb - 1 - mirror, -1)  # node Nb - 1 - j
 
     def sign(exponent):  # (-1)^(exponent / 2)
@@ -215,6 +227,16 @@ def test_su2_plan_quarters_unfold_to_little_d(su2, bandlimit):
                 count = half if nodes is stored else mirror
                 table[nodes, (k - tu) // 2, (k - tv) // 2] = factor * d[:, :count].T
         np.testing.assert_allclose(table, little_d(k, beta), rtol=0, atol=1e-13)
+
+
+def test_su2_round_trip_at_top_spin_keeps_plancherel_exact(su2):
+    # spin 63.5, the transform task's first member: the recurrence's seeds, from exact
+    # binomials and powers, read a Plancherel residual of 2.2e-16 here, as the Jy
+    # eigendecomposition did; seeds built as the exp of summed logarithms read 8.6e-15
+    dual = enumerate_dual(su2, spin_cutoff(63.5))
+    [(rt, rel)] = _roundtrip_residuals(dual, 1, 1)
+    assert rel < 2e-15
+    assert rt <= 6e-12
 
 
 def test_su2_plan_tables_hold_a_quarter(su2):
@@ -242,9 +264,10 @@ def test_su2_plan_tables_hold_a_quarter(su2):
 
 
 def test_su2_plan_build_holds_no_second_copy(su2):
-    # the build fills the shell tables spin by spin from _little_d_rows: at spin 31.5 its
-    # tracemalloc peak exceeds what the plan keeps (tables, cell index, phase tables) by one
-    # spin's little-d evaluation, 0.26 of the tables; a second copy would add a whole one
+    # the build fills the shell tables by the recurrence in l: at spin 31.5 its tracemalloc
+    # peak exceeds what the plan keeps (tables, cell index, phase tables) by the recurrence's
+    # three (positions of a parity, stored nodes) buffers and small vectors, 0.20 of the
+    # tables measured; a second copy would add a whole one
     dual = enumerate_dual(su2, spin_cutoff(31.5))
     grid = default_grid(dual)
     _Su2Plan(grid, dual)  # warm the Gauss-Legendre rule, the one table the build caches
@@ -257,14 +280,14 @@ def test_su2_plan_build_holds_no_second_copy(su2):
     tables = plan.tables[0].base.nbytes
     phase = sum(t.nbytes for t in (plan.p_fwd_a, plan.p_fwd_g, plan.e_inv_a, plan.e_inv_g))
     kept = tables + plan.index[0][0].base.nbytes + phase
-    assert peak <= kept + 0.4 * tables
+    assert peak <= kept + 0.25 * tables
 
 
 def test_su2_plan_build_leaves_no_cache():
     # a fresh interpreter builds a spin-31.5 grid and plan and drops the slice:
     # what tracemalloc still holds after a collection is the cached Gauss-Legendre
-    # rule and a few small objects, 6.5 KB measured; a cache of the 64 Jy
-    # eigendecompositions of the build would hold 1.5 MB for the process's life
+    # rule and a few small objects, 6.5 KB measured; a cache of the recurrence's
+    # binomials or power tables would hold them for the process's life
     script = (
         "import gc, tracemalloc\n"
         "from liefourier import enumerate_dual, make_group, spin_cutoff\n"
